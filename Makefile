@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-gate vet vuln fmt experiments fuzz snapshot-fuzz robustness-smoke queryscale-smoke overload-smoke fleet-smoke perf-smoke clean
+.PHONY: all build test race bench bench-quick bench-json vet vuln fmt experiments fuzz snapshot-fuzz robustness-smoke queryscale-smoke overload-smoke fleet-smoke perf-smoke clean
 
 all: build test
 
@@ -13,20 +13,22 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The repository's benchmark (bench/README.md, BENCHMARK.json): four
+# workloads, bytes in → matches out, then the traced per-layer replay.
 bench:
-	$(GO) test -bench=. -benchmem -run XXX ./...
+	sh bench/run.sh
+
+# The same program as a correctness smoke: 2 s phases on a third of the
+# stream. Exits non-zero when an operation fails or a match list differs
+# from its reference; asserts no timing.
+bench-quick:
+	$(GO) run ./bench -quick
 
 # Machine-readable window-kernel benchmark results (same workload as the
 # BenchmarkWindow* suite, via internal/benchkit; includes the span-sampling
 # ladder with its per-stage breakdown).
 bench-json:
 	$(GO) run ./cmd/vcdbench -bench-json BENCH_PR10.json
-
-# Regression gate: rerun the suite and compare windows/sec and allocs/op
-# against the previous PR's committed baseline. Fails when any benchmark
-# regresses beyond the tolerance.
-bench-gate:
-	$(GO) run ./cmd/vcdbench -bench-json BENCH_PR10.json -bench-compare BENCH_PR9.json -bench-tolerance 0.35
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test ./internal/mpeg -fuzz FuzzFullDecoder -fuzztime 30s
 	$(GO) test ./cmd/vcdeval -fuzz FuzzParseTruth -fuzztime 30s
 	$(GO) test ./cmd/vcdeval -fuzz FuzzReadReports -fuzztime 30s
+	$(GO) test ./internal/qindex -fuzz FuzzProbeVsScan -fuzztime 30s
 
 # Reduced-scale temporal-attack robustness suite under the race detector:
 # attack-transform invariants, per-family evaluation, and the end-to-end

@@ -30,6 +30,17 @@ func allocsPerWindow(t *testing.T, every int) float64 {
 	})
 }
 
+// TestWindowAllocBudget pins the window kernel's steady-state allocations on
+// the shared 200-query workload. The probe works in per-shard scratch and a
+// fresh candidate copies its signatures in one block, so what is left is a
+// handful of maps and slices per window (12 at the time of writing, against
+// 770 when every related query cost a signature and a map entry or three).
+func TestWindowAllocBudget(t *testing.T) {
+	if n := allocsPerWindow(t, -1); n > 40 {
+		t.Errorf("%.0f allocs per window, budget 40", n)
+	}
+}
+
 // TestZeroSamplingSpanCaptureAddsNoAllocs pins the hot-path contract: a
 // collector attached with sampling off must add exactly zero allocations
 // per window compared to no collector — the disabled path is one atomic

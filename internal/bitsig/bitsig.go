@@ -86,20 +86,78 @@ func New(k int) *Signature {
 		panic(fmt.Sprintf("bitsig: K=%d must be positive", k))
 	}
 	n := words(k)
-	return &Signature{K: k, Lo: make([]uint64, n), Hi: make([]uint64, n)}
+	buf := make([]uint64, 2*n) // both planes in one block
+	return &Signature{K: k, Lo: buf[:n:n], Hi: buf[n:]}
+}
+
+// NewBlock returns n all-Greater signatures for K positions that share two
+// allocations, one of headers and one of planes — for callers that create
+// and drop signatures a set at a time.
+func NewBlock(k, n int) []Signature {
+	sigs := make([]Signature, n)
+	View(sigs, k, make([]uint64, 2*words(k)*n))
+	return sigs
+}
+
+// View points sigs[i] at the i-th plane pair of buf: Lo then Hi, ⌈K/64⌉
+// words each, pairs back to back.
+func View(sigs []Signature, k int, buf []uint64) {
+	n := words(k)
+	for i := range sigs {
+		p := buf[2*n*i : 2*n*(i+1) : 2*n*(i+1)]
+		sigs[i] = Signature{K: k, Lo: p[:n:n], Hi: p[n:]}
+	}
 }
 
 // FromSketches builds the signature of a candidate sketch against a query
 // sketch (Definition 3). Both sketches must have length K.
 func FromSketches(cand, query minhash.Sketch) *Signature {
+	s := New(len(cand))
+	CompareInto(s.Lo, s.Hi, cand, query, len(cand))
+	return s
+}
+
+// CompareInto is the signature kernel: it streams cand against query 64
+// positions per word and writes the Lo and Hi planes (each at least
+// ⌈K/64⌉ words) with no branch per position. It returns the Less count and
+// the number of positions compared.
+//
+// limit is Lemma 2's early exit: the kernel stops after the first word at
+// which less exceeds it, leaving the later words unwritten, so a caller that
+// gets less > limit holds a prunable pair and must not read the planes.
+// Pass limit = K (never exceeded) for the complete signature.
+func CompareInto(lo, hi []uint64, cand, query minhash.Sketch, limit int) (less, compared int) {
 	if len(cand) != len(query) {
 		panic("bitsig: sketch length mismatch")
 	}
-	s := New(len(cand))
-	for r, cv := range cand {
-		s.Set(r, Compare(cv, query[r]))
+	for w := 0; compared < len(cand) && less <= limit; w++ {
+		n := min(64, len(cand)-compared)
+		lt, gt := compareWord(cand[compared:compared+n], query[compared:])
+		// Equal-or-Less is not-Greater, within the word's valid positions.
+		lo[w] = ^gt & (^uint64(0) >> (64 - uint(n)))
+		hi[w] = lt
+		less += bits.OnesCount64(lt)
+		compared += n
 	}
-	return s
+	return less, compared
+}
+
+// compareWord returns, for up to 64 positions, the bit masks of c[j] < q[j]
+// and c[j] > q[j]: each is the borrow of one subtraction, shifted into its
+// mask by an add-with-carry (walking down from the top position, so that
+// position j lands on bit j). Kept out of line so the two masks stay in
+// registers; inlined into CompareInto the loop spills both every position.
+//
+//go:noinline
+func compareWord(c, q []uint64) (lt, gt uint64) {
+	q = q[:len(c)]
+	for j := len(c) - 1; j >= 0; j-- {
+		_, below := bits.Sub64(c[j], q[j], 0)
+		_, above := bits.Sub64(q[j], c[j], 0)
+		lt, _ = bits.Add64(lt, lt, below)
+		gt, _ = bits.Add64(gt, gt, above)
+	}
+	return lt, gt
 }
 
 // Set records the relation at position r. Positions start as Greater; Set
@@ -153,11 +211,10 @@ func (s *Signature) Or(other *Signature) {
 
 // Clone returns an independent copy.
 func (s *Signature) Clone() *Signature {
-	return &Signature{
-		K:  s.K,
-		Lo: append([]uint64(nil), s.Lo...),
-		Hi: append([]uint64(nil), s.Hi...),
-	}
+	c := New(s.K)
+	copy(c.Lo, s.Lo)
+	copy(c.Hi, s.Hi)
+	return c
 }
 
 // Counts returns the number of Greater, Equal and Less positions.

@@ -137,6 +137,76 @@ func TestFromSketchesSimilarityMatchesSketch(t *testing.T) {
 	}
 }
 
+// TestCompareInto checks the word-at-a-time kernel against Compare position
+// by position: every relation, values at the edges of the hash range and of
+// uint64, K on and off a word boundary, and the Lemma 2 early exit.
+func TestCompareInto(t *testing.T) {
+	const p61 = 1<<61 - 1 // the hash family's modulus
+	edge := []uint64{0, 1, p61 - 1, p61, p61 + 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []int{1, 63, 64, 65, 128, 130, 800} {
+		cand, query := make(minhash.Sketch, k), make(minhash.Sketch, k)
+		for r := range cand {
+			cand[r], query[r] = edge[rng.Intn(len(edge))], edge[rng.Intn(len(edge))]
+			if rng.Intn(3) == 0 {
+				cand[r] = query[r]
+			}
+		}
+		n := (k + 63) / 64
+		// Dirty buffers: the kernel must overwrite, not OR into, its output.
+		lo, hi := make([]uint64, n), make([]uint64, n)
+		for i := range lo {
+			lo[i], hi[i] = math.MaxUint64, math.MaxUint64
+		}
+		less, compared := CompareInto(lo, hi, cand, query, k)
+		if compared != k {
+			t.Fatalf("K=%d: compared %d positions", k, compared)
+		}
+		got := &Signature{K: k, Lo: lo, Hi: hi}
+		wantLess := 0
+		for r := 0; r < k; r++ {
+			want := Compare(cand[r], query[r])
+			if want == Less {
+				wantLess++
+			}
+			if got.At(r) != want {
+				t.Fatalf("K=%d position %d (%d vs %d): kernel %v, Compare %v", k, r, cand[r], query[r], got.At(r), want)
+			}
+		}
+		if less != wantLess || got.LessCount() != wantLess {
+			t.Fatalf("K=%d: less %d, planes hold %d, want %d", k, less, got.LessCount(), wantLess)
+		}
+		if g, e, l := got.Counts(); g+e+l != k || g < 0 {
+			t.Fatalf("K=%d: padding bits leaked into the planes: counts (%d,%d,%d)", k, g, e, l)
+		}
+
+		// Early exit: stops at the end of the first word that takes the Less
+		// count over the limit, and never before.
+		for _, limit := range []int{0, wantLess / 2, wantLess - 1, wantLess} {
+			if limit < 0 {
+				continue
+			}
+			l2, c2 := CompareInto(lo, hi, cand, query, limit)
+			prefix, stop := 0, k
+			for r := 0; r < k; r++ {
+				if Compare(cand[r], query[r]) == Less {
+					prefix++
+				}
+				if prefix > limit && (r%64 == 63 || r == k-1) {
+					stop = r + 1
+					break
+				}
+			}
+			if c2 != stop || l2 != prefix {
+				t.Fatalf("K=%d limit %d: stopped after %d positions with less=%d, want %d with %d", k, limit, c2, l2, stop, prefix)
+			}
+			if (l2 > limit) != (wantLess > limit) {
+				t.Fatalf("K=%d limit %d: early-exit verdict disagrees with the full count %d", k, limit, wantLess)
+			}
+		}
+	}
+}
+
 func TestPrunable(t *testing.T) {
 	s := New(100)
 	// δ=0.7 → prune when LessCount > 30.
@@ -246,6 +316,17 @@ func BenchmarkSimilarityK800(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		x.Similarity()
+	}
+}
+
+func BenchmarkCompareIntoK800(b *testing.B) {
+	fam, _ := minhash.NewFamily(800, 1)
+	q := fam.SketchSet([]uint64{1, 2, 3})
+	c := fam.SketchSet([]uint64{2, 3, 4})
+	lo, hi := make([]uint64, 13), make([]uint64, 13)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		CompareInto(lo, hi, c, q, 800)
 	}
 }
 

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"vdsms/internal/bitsig"
 	"vdsms/internal/minhash"
 	"vdsms/internal/perfobs"
 	"vdsms/internal/qindex"
@@ -30,10 +31,11 @@ type queryInfo struct {
 //
 // An Engine is not safe for concurrent use — its intra-stream parallelism
 // is configured with Config.Workers and managed internally — but engines
-// sharing a QuerySet may run in parallel goroutines: probing is read-locked
-// and lookups go through an immutable snapshot. Do not call
-// AddQuery/RemoveQuery from inside OnMatch (the query set's lock may be
-// held during window processing).
+// sharing a QuerySet may run in parallel goroutines: each window captures
+// the set's current immutable plane with one atomic load and probes it
+// without locks. The query set holds no lock during window processing;
+// AddQuery/RemoveQuery publish a successor plane that takes effect at the
+// next window.
 type Engine struct {
 	cfg     Config
 	qs      *QuerySet
@@ -54,6 +56,9 @@ type Engine struct {
 	// shards own the per-query mutable state of the matching kernel
 	// (Geometric buckets are replicated per shard; see geometric.go).
 	shards []*engineShard
+	// win is the per-window record, reused so that its per-shard slices are
+	// allocated once.
+	win windowResult
 
 	stats   Stats
 	Matches []Match
@@ -153,6 +158,8 @@ func newEngine(cfg Config, qs *QuerySet) *Engine {
 		qs.EnablePreFilter()
 	}
 	e := &Engine{cfg: cfg, qs: qs, nshards: n}
+	e.win.relatedSh = make([][]qindex.Result, n)
+	e.win.qidsSh = make([][]int, n)
 	e.shards = make([]*engineShard, n)
 	e.telShardCompared = make([]*telemetry.Counter, n)
 	for i := range e.shards {
@@ -341,13 +348,16 @@ func (e *Engine) processWindow() {
 	// therefore stay on the old version; churn lands at the next window.
 	view := e.qs.view()
 	e.planeVersion = view.version
-	win := &windowResult{
+	win := &e.win
+	clear(win.relatedSh)
+	clear(win.qidsSh)
+	*win = windowResult{
 		sketch:     wsk,
 		startFrame: e.curWindowStartFrame(),
 		endFrame:   e.frame,
 		maxW:       e.globalMaxWindows(view),
-		relatedSh:  make([]map[int]*bitsig.Signature, e.nshards),
-		qidsSh:     make([][]int, e.nshards),
+		relatedSh:  win.relatedSh,
+		qidsSh:     win.qidsSh,
 	}
 	// The pre-filter row mask is computed once, serially, before the shard
 	// fork: it depends only on the window sketch (not the shard), so doing
@@ -437,28 +447,41 @@ func (e *Engine) processWindow() {
 }
 
 // probeShard determines shard s's related queries for the window: bit
-// signatures under the Bit method, sorted query ids under Sketch.
+// signatures in query-id order under the Bit method, sorted query ids under
+// Sketch. Both live in the shard's probe scratch until its next window.
 func (e *Engine) probeShard(s *engineShard, win *windowResult, wsk minhash.Sketch, view *queryPlane) {
-	if e.cfg.Method == Bit {
-		po, scanned := view.probeShard(wsk, e.pruneDelta(), s.id, e.nshards, win.rowMask)
-		s.d.sketchCompares += int64(scanned)
-		s.d.probeComparisons += int64(po.Comparisons)
-		s.d.probed += int64(len(po.Related))
-		s.d.pruned += int64(len(po.Pruned))
-		// Every shard of one window observes the same empty-search count
-		// (row emptiness is shard-independent); the spine's copy is folded
-		// into the engine counter and telemetry after the join.
-		if s.spine {
-			s.d.emptySearches += int64(po.EmptySearches)
+	if e.cfg.Method == Sketch && !view.usingIndex() {
+		ids := s.qids[:0]
+		for id := range view.queries {
+			if qindex.ShardOf(id, e.nshards) == s.id {
+				ids = append(ids, id)
+			}
 		}
-		rel := make(map[int]*bitsig.Signature, len(po.Related))
-		for _, r := range po.Related {
-			rel[r.QID] = r.Sig
-		}
-		win.relatedSh[s.id] = rel
+		sort.Ints(ids)
+		s.qids, win.qidsSh[s.id] = ids, ids
 		return
 	}
-	win.qidsSh[s.id] = e.relatedForSketchShard(s, win, wsk, view)
+	po, scanned := view.probeShard(&s.probe, wsk, e.pruneDelta(), s.id, e.nshards, win.rowMask)
+	s.d.sketchCompares += int64(scanned)
+	s.d.probeComparisons += int64(po.Comparisons)
+	s.d.probed += int64(len(po.Related))
+	s.d.pruned += int64(len(po.Pruned))
+	// Every shard of one window observes the same empty-search count (row
+	// emptiness is shard-independent); the spine's copy is folded into the
+	// engine counter and telemetry after the join.
+	if s.spine {
+		s.d.emptySearches += int64(po.EmptySearches)
+	}
+	slices.SortFunc(po.Related, func(a, b qindex.Result) int { return cmp.Compare(a.QID, b.QID) })
+	if e.cfg.Method == Bit {
+		win.relatedSh[s.id] = po.Related
+		return
+	}
+	ids := s.qids[:0]
+	for _, r := range po.Related {
+		ids = append(ids, r.QID)
+	}
+	s.qids, win.qidsSh[s.id] = ids, ids
 }
 
 // pruneDelta is the δ handed to probers for Lemma 2 pruning: the real
@@ -468,35 +491,6 @@ func (e *Engine) pruneDelta() float64 {
 		return 0
 	}
 	return e.cfg.Delta
-}
-
-// relatedForSketchShard returns the query ids of shard s the Sketch method
-// must compare with this window: the shard's slice of the probe's R_L with
-// the index, or every owned query without.
-func (e *Engine) relatedForSketchShard(s *engineShard, win *windowResult, wsk minhash.Sketch, view *queryPlane) []int {
-	if view.usingIndex() {
-		po, _ := view.probeShard(wsk, e.pruneDelta(), s.id, e.nshards, win.rowMask)
-		s.d.probeComparisons += int64(po.Comparisons)
-		s.d.probed += int64(len(po.Related))
-		s.d.pruned += int64(len(po.Pruned))
-		if s.spine {
-			s.d.emptySearches += int64(po.EmptySearches)
-		}
-		ids := make([]int, 0, len(po.Related))
-		for _, r := range po.Related {
-			ids = append(ids, r.QID)
-		}
-		sort.Ints(ids)
-		return ids
-	}
-	ids := make([]int, 0, len(view.queries)/e.nshards+1)
-	for id := range view.queries {
-		if qindex.ShardOf(id, e.nshards) == s.id {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // globalMaxWindows returns the largest ⌈λL/w⌉ over the snapshot's queries
@@ -514,9 +508,9 @@ type windowResult struct {
 	sketch     minhash.Sketch
 	startFrame int
 	endFrame   int
-	maxW       int                         // global candidate bound ⌈λL_max/w⌉
-	relatedSh  []map[int]*bitsig.Signature // Bit: per-shard window-vs-query signatures
-	qidsSh     [][]int                     // Sketch: per-shard related query ids, sorted
+	maxW       int               // global candidate bound ⌈λL_max/w⌉
+	relatedSh  [][]qindex.Result // Bit: per-shard window-vs-query signatures, by query id
+	qidsSh     [][]int           // Sketch: per-shard related query ids, sorted
 	// rowMask is the pre-filter admission mask, computed once per window
 	// before the shard fork; nil (admit all rows) when the tier is off.
 	rowMask qindex.RowMask

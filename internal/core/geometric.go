@@ -118,7 +118,9 @@ func (e *Engine) shardGeometric(s *engineShard, win *windowResult, view *queryPl
 }
 
 // newGeoBucket wraps the arriving window as a size-1 bucket holding the
-// shard's slice of the probe results.
+// shard's slice of the probe results. The bucket is transient: its
+// signatures (and sketch) belong to the window and its probe scratch, and
+// only cloneGeo's copy of it may be stored.
 func (e *Engine) newGeoBucket(s *engineShard, win *windowResult) *geoBucket {
 	b := &geoBucket{
 		startFrame: win.startFrame,
@@ -128,8 +130,8 @@ func (e *Engine) newGeoBucket(s *engineShard, win *windowResult) *geoBucket {
 	if e.cfg.Method == Bit {
 		rel := win.relatedSh[s.id]
 		b.sigs = make(map[int]*bitsig.Signature, len(rel))
-		for qid, sig := range rel {
-			b.sigs[qid] = sig
+		for _, r := range rel {
+			b.sigs[r.QID] = r.Sig
 		}
 	} else {
 		b.sketch = win.sketch
@@ -236,7 +238,8 @@ func (e *Engine) mergeGeo(s *engineShard, win *windowResult, old, new_ *geoBucke
 // tracked queries, buffering threshold crossings once per (query, start).
 func (e *Engine) testGeo(s *engineShard, win *windowResult, b *geoBucket, view *queryPlane) {
 	if e.cfg.Method == Bit {
-		for _, qid := range sortedSigKeys(b.sigs) {
+		s.keys = sortedKeys(s.keys, b.sigs)
+		for _, qid := range s.keys {
 			sig := b.sigs[qid]
 			q := view.lookup(qid)
 			if q == nil || b.windows > e.maxWindowsOf(q) {
@@ -256,7 +259,8 @@ func (e *Engine) testGeo(s *engineShard, win *windowResult, b *geoBucket, view *
 		}
 		return
 	}
-	for _, qid := range sortedSetKeys(b.related) {
+	s.keys = sortedKeys(s.keys, b.related)
+	for _, qid := range s.keys {
 		q := view.lookup(qid)
 		if q == nil || b.windows > e.maxWindowsOf(q) {
 			continue

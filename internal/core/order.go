@@ -1,31 +1,36 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"vdsms/internal/bitsig"
+	"vdsms/internal/qindex"
 )
 
 // Candidate maps are iterated in sorted query-id order wherever iteration
 // can emit matches, so identical inputs always produce identical match
 // sequences — a requirement for reproducible experiments.
 
-// sortedSigKeys returns the keys of a signature map in ascending order.
-func sortedSigKeys(m map[int]*bitsig.Signature) []int {
-	keys := make([]int, 0, len(m))
+// sortedKeys returns the keys of a per-query map in ascending order,
+// appended to buf[:0]: callers hand in their shard's key buffer and store
+// the result back, so the walk allocates only when the buffer grows.
+func sortedKeys[V any](buf []int, m map[int]V) []int {
+	buf = buf[:0]
 	for qid := range m {
-		keys = append(keys, qid)
+		buf = append(buf, qid)
 	}
-	sort.Ints(keys)
-	return keys
+	sort.Ints(buf)
+	return buf
 }
 
-// sortedSetKeys returns the keys of a query-id set in ascending order.
-func sortedSetKeys(m map[int]bool) []int {
-	keys := make([]int, 0, len(m))
-	for qid := range m {
-		keys = append(keys, qid)
+// findSig returns the signature of query qid in a related list sorted by
+// query id, or nil when the query is not related to the window.
+func findSig(rel []qindex.Result, qid int) *bitsig.Signature {
+	i, ok := slices.BinarySearchFunc(rel, qid, func(r qindex.Result, qid int) int { return cmp.Compare(r.QID, qid) })
+	if !ok {
+		return nil
 	}
-	sort.Ints(keys)
-	return keys
+	return rel[i].Sig
 }

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"vdsms/internal/bitsig"
+	"vdsms/internal/qindex"
 	"vdsms/internal/trace"
 )
 
@@ -38,6 +39,14 @@ type engineShard struct {
 	newReported map[int]bool // Sequential: window-alone reports this window
 	pending     []pendingMatch
 	d           shardDelta
+
+	// Reused across windows: the prober's memory (the window's related list
+	// and its signatures live here until the shard's next probe), the
+	// Sketch method's related ids, and the sorted-key buffer of the
+	// candidate walks.
+	probe qindex.ProbeScratch
+	qids  []int
+	keys  []int
 }
 
 // shardDelta carries one window's operation counts out of a shard; folded

@@ -70,14 +70,15 @@ func (v *queryPlane) lookup(id int) *queryInfo { return v.queries[id] }
 func (v *queryPlane) usingIndex() bool { return v.index != nil }
 
 // probeShard runs the configured prober for one query shard against this
-// plane. Shard outputs and scan counts partition the full probe's exactly
-// (see qindex.ShardOf), so per-window stats are worker-count invariant.
-// Lock-free: the plane is immutable.
-func (v *queryPlane) probeShard(sk minhash.Sketch, delta float64, shard, nshards int, mask qindex.RowMask) (qindex.ProbeOutput, int) {
+// plane, into the shard's scratch (the output is valid until the scratch is
+// probed again). Shard outputs and scan counts partition the full probe's
+// exactly (see qindex.ShardOf), so per-window stats are worker-count
+// invariant. Lock-free: the plane is immutable.
+func (v *queryPlane) probeShard(ps *qindex.ProbeScratch, sk minhash.Sketch, delta float64, shard, nshards int, mask qindex.RowMask) (*qindex.ProbeOutput, int) {
 	if v.index != nil {
-		return v.index.ProbeShardMasked(sk, delta, shard, nshards, mask), 0
+		return v.index.ProbeInto(ps, sk, delta, shard, nshards, mask), 0
 	}
-	return v.scan.ProbeShard(sk, delta, shard, nshards)
+	return v.scan.ProbeInto(ps, sk, delta, shard, nshards)
 }
 
 // windowRowMask computes the pre-filter admission mask for one window
@@ -103,7 +104,7 @@ func (v *queryPlane) windowRowMask(sk minhash.Sketch) (mask qindex.RowMask, prob
 }
 
 // bytes estimates the plane's memory footprint: sketches and retained raw
-// cell ids, the Hash-Query index triples, and the Bloom filter bits. This
+// cell ids, the Hash-Query index entries, and the Bloom filter bits. This
 // is the term the fleet's bytes-per-stream accounting shows is paid once
 // per process, not once per stream.
 func (v *queryPlane) bytes() int {
@@ -111,8 +112,8 @@ func (v *queryPlane) bytes() int {
 	for _, q := range v.queries {
 		b += 8*len(q.sketch) + 8*len(q.cellIDs) + 64 // sketch + audit ids + struct/map overhead
 	}
-	// scan entries share sketch backing arrays with the queries map; count
-	// the slice headers only.
+	// scan entries and index slots share sketch backing arrays with the
+	// queries map; count the slice headers only.
 	b += len(v.scan.Queries) * 40
 	if v.index != nil {
 		b += v.index.Bytes()

@@ -72,8 +72,8 @@ func (e *Engine) seqShardBit(s *engineShard, win *windowResult, view *queryPlane
 	rel := win.relatedSh[s.id]
 
 	// (1) Test the basic window itself against the shard's related queries.
-	for _, qid := range sortedSigKeys(rel) {
-		sig := rel[qid]
+	for _, r := range rel {
+		qid, sig := r.QID, r.Sig
 		s.d.sigTests++
 		sim := sig.Similarity()
 		if win.tr != nil {
@@ -98,7 +98,8 @@ func (e *Engine) seqShardBit(s *engineShard, win *windowResult, view *queryPlane
 	// share min-hashes with q, so this never loses a detectable copy.
 	for _, c := range e.seq {
 		sigs := c.sigs[s.id]
-		for _, qid := range sortedSigKeys(sigs) {
+		s.keys = sortedKeys(s.keys, sigs)
+		for _, qid := range s.keys {
 			sig := sigs[qid]
 			q := view.lookup(qid)
 			if q == nil || c.windows > e.maxWindowsOf(q) {
@@ -108,7 +109,7 @@ func (e *Engine) seqShardBit(s *engineShard, win *windowResult, view *queryPlane
 				delete(sigs, qid)
 				continue
 			}
-			wsig := rel[qid]
+			wsig := findSig(rel, qid)
 			if wsig == nil { // unrelated or pruned: cascade the drop
 				if win.tr != nil {
 					win.tr.Shard(s.id).Add(trace.Dropped, qid, c.startFrame, win.endFrame, c.windows, -1, 0)
@@ -179,7 +180,8 @@ func (e *Engine) seqShardSketch(s *engineShard, win *windowResult, view *queryPl
 	// tracked queries.
 	for _, c := range e.seq {
 		relM := c.related[s.id]
-		for _, qid := range sortedSetKeys(relM) {
+		s.keys = sortedKeys(s.keys, relM)
+		for _, qid := range s.keys {
 			q := view.lookup(qid)
 			if q == nil || c.windows > e.maxWindowsOf(q) {
 				if win.tr != nil {
@@ -259,9 +261,14 @@ func (e *Engine) seqPostPass(win *windowResult, view *queryPlane) {
 		if e.cfg.Method == Bit {
 			c.sigs = make([]map[int]*bitsig.Signature, e.nshards)
 			for si, rel := range win.relatedSh {
+				// The probe scratch is reused next window: the candidate
+				// gets its own copies, in one block.
 				m := make(map[int]*bitsig.Signature, len(rel))
-				for qid, sig := range rel {
-					m[qid] = sig.Clone()
+				own := bitsig.NewBlock(e.cfg.K, len(rel))
+				for i, r := range rel {
+					copy(own[i].Lo, r.Sig.Lo)
+					copy(own[i].Hi, r.Sig.Hi)
+					m[r.QID] = &own[i]
 				}
 				c.sigs[si] = m
 				tracked += len(m)

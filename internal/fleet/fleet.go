@@ -19,7 +19,7 @@
 // per-stream queue and returns immediately; a full queue rejects the batch
 // with ErrBackpressure rather than blocking the producer or growing without
 // bound (admission control at ingest, matching the overload policy of
-// internal/shed). Per-stream output is byte-identical to running the same
+// internal/degrade). Per-stream output is byte-identical to running the same
 // frames through an isolated single-stream engine: the worker serialises
 // each stream's windows, and the matching kernel is deterministic.
 package fleet

@@ -3,6 +3,7 @@ package qindex
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -18,10 +19,7 @@ import (
 func normalizeProbe(po ProbeOutput) string {
 	rel := append([]Result(nil), po.Related...)
 	sort.Slice(rel, func(i, j int) bool { return rel[i].QID < rel[j].QID })
-	var pruned []int
-	for id := range po.Pruned {
-		pruned = append(pruned, id)
-	}
+	pruned := append([]int(nil), po.Pruned...)
 	sort.Ints(pruned)
 	s := fmt.Sprintf("pruned=%v\n", pruned)
 	for _, r := range rel {
@@ -164,9 +162,7 @@ func TestProbeChurnEquivalence(t *testing.T) {
 func exactRowMask(x *Index, sk minhash.Sketch) RowMask {
 	m := NewRowMask(x.k)
 	for i, v := range sk {
-		row := x.rows[i]
-		lo := sort.Search(len(row), func(j int) bool { return row[j].value >= v })
-		if lo < len(row) && row[lo].value == v {
+		if _, found := slices.BinarySearch(x.vals[i], v); found {
 			m.Set(i)
 		}
 	}
@@ -203,7 +199,7 @@ func TestProbeShardMaskedMatchesUnmasked(t *testing.T) {
 
 		for _, nshards := range []int{1, 3, 8} {
 			for shard := 0; shard < nshards; shard++ {
-				want := x.ProbeShard(sk, delta, shard, nshards)
+				want := x.ProbeShardMasked(sk, delta, shard, nshards, nil)
 				for name, mask := range map[string]RowMask{"exact": exact, "widened": widened} {
 					got := x.ProbeShardMasked(sk, delta, shard, nshards, mask)
 					if normalizeProbe(got) != normalizeProbe(want) {

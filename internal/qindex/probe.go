@@ -1,7 +1,8 @@
 package qindex
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"vdsms/internal/bitsig"
 	"vdsms/internal/minhash"
@@ -15,15 +16,16 @@ type Result struct {
 	Sig    *bitsig.Signature
 }
 
-// ProbeOutput is what a Prober returns for one basic window: the surviving
-// related-query list plus the set of queries that entered R_L but were
-// pruned by Lemma 2 (their prune cascades to candidate sequences that track
-// them).
+// ProbeOutput is what a probe returns for one basic window: the surviving
+// related-query list plus the queries that entered R_L but were pruned by
+// Lemma 2 (their prune cascades to candidate sequences that track them).
 type ProbeOutput struct {
 	Related []Result
-	Pruned  map[int]bool
+	Pruned  []int // query ids, each once, in discovery order
 	// Comparisons counts elementary value comparisons performed, the CPU
-	// proxy used by the cost experiments.
+	// proxy used by the cost experiments: one per equal entry the row
+	// searches turn up, plus the sketch positions compared for each query
+	// entering R_L (all K, or up to the word at which Lemma 2 gave up).
 	Comparisons int
 	// EmptySearches counts rows that a RowMask admitted but whose equal
 	// search found no entry — the pre-filter tier's false positives. Zero
@@ -53,13 +55,6 @@ func (m RowMask) Set(i int) { m[i/64] |= 1 << (i % 64) }
 // Admits reports whether row i must be searched. A nil mask admits all.
 func (m RowMask) Admits(i int) bool { return m == nil || m[i/64]&(1<<(i%64)) != 0 }
 
-// Prober produces the related-query list of one basic-window sketch. Both
-// the Hash-Query index and the linear scan (the "NoIndex" baseline of the
-// Fig. 9 experiment) implement it.
-type Prober interface {
-	Probe(sk minhash.Sketch, delta float64) ProbeOutput
-}
-
 // ShardOf maps a query id to one of nshards evaluation shards. The mapping
 // is the single source of truth for the parallel matching kernel: probes,
 // candidate state and match ownership all partition queries with it, so a
@@ -75,195 +70,182 @@ func ShardOf(qid, nshards int) int {
 	return s
 }
 
-// probeElem tracks one in-flight R_L element during the row sweep. The
-// query's identity is captured during the discovery up-walk (which passes
-// through row 0 anyway), and the Less count is maintained incrementally so
-// the Lemma 2 check is O(1) per row instead of a signature popcount.
-type probeElem struct {
-	col    int32 // current column of this query in the row being processed
-	qid    int
-	length int
-	less   int
-	sig    *bitsig.Signature
+// ProbeScratch is the reusable memory of one prober: the output lists, the
+// signature planes of the surviving queries, and the per-slot marks that
+// keep a query from entering R_L twice. A scratch serves one goroutine at a
+// time but any sequence of indexes and scans; the output of a probe —
+// signatures included — is valid until the scratch's next probe, so a
+// caller that keeps a signature clones it.
+type ProbeScratch struct {
+	out ProbeOutput
+	// seen[s] == epoch marks slot s as already resolved in this probe.
+	// Stamping makes the reset O(1); marks left by earlier probes, of this
+	// or any other index, are below the current epoch and read as unseen.
+	seen  []uint32
+	epoch uint32
+	// planes holds Lo then Hi (nw words each) for each survivor, back to
+	// back; sigs are the headers Related[i].Sig points at.
+	k, nw  int
+	planes []uint64
+	sigs   []bitsig.Signature
+}
+
+// begin opens a probe of a K=k sketch over nslots slots (0 for a scan).
+func (ps *ProbeScratch) begin(nslots, k int) *ProbeOutput {
+	ps.k, ps.nw = k, (k+63)/64
+	ps.epoch++
+	if ps.epoch == 0 { // wrapped: old marks could alias new epochs
+		clear(ps.seen)
+		ps.epoch = 1
+	}
+	if len(ps.seen) < nslots {
+		ps.seen = make([]uint32, nslots)
+	}
+	ps.planes = ps.planes[:0]
+	ps.out = ProbeOutput{Related: ps.out.Related[:0], Pruned: ps.out.Pruned[:0]}
+	return &ps.out
+}
+
+// next returns the plane pair the next signature is compared into, at the
+// tail of the plane buffer and not yet part of it.
+func (ps *ProbeScratch) next() (lo, hi []uint64) {
+	n, nw := len(ps.planes), ps.nw
+	ps.planes = slices.Grow(ps.planes, 2*nw)
+	return ps.planes[n : n+nw : n+nw], ps.planes[n+nw : n+2*nw : n+2*nw]
+}
+
+// keep makes the planes last returned by next a member of Related.
+func (ps *ProbeScratch) keep(qid, length int) {
+	ps.planes = ps.planes[:len(ps.planes)+2*ps.nw]
+	ps.out.Related = append(ps.out.Related, Result{QID: qid, Length: length})
+}
+
+// finish points every Related entry at its signature. Done last because the
+// plane buffer may move while it grows.
+func (ps *ProbeScratch) finish() *ProbeOutput {
+	rel := ps.out.Related
+	ps.sigs = slices.Grow(ps.sigs[:0], len(rel))[:len(rel)]
+	bitsig.View(ps.sigs, ps.k, ps.planes)
+	for r := range rel {
+		rel[r].Sig = &ps.sigs[r]
+	}
+	return &ps.out
+}
+
+// lessLimit is the Lemma 2 bound as an integer: a pair is prunable once its
+// Less count exceeds it, which is the same test as less > K(1−δ).
+func lessLimit(k int, delta float64) int {
+	return int(math.Floor(float64(k) * (1 - delta)))
 }
 
 // Probe implements the ProbeIndex algorithm (paper Figure 5) over every
-// indexed query. It is ProbeShard with a single shard.
+// indexed query, unmasked.
 func (x *Index) Probe(sk minhash.Sketch, delta float64) ProbeOutput {
-	return x.ProbeShard(sk, delta, 0, 1)
+	return x.ProbeShardMasked(sk, delta, 0, 1, nil)
 }
 
-// ProbeShard probes the index for the queries of one shard (those with
-// ShardOf(qid, nshards) == shard). Every query is owned by exactly one
-// shard, so the union of the nshards outputs equals Probe's output, and the
-// Comparisons counts sum to Probe's count — the probe work partitions
-// instead of being replicated. Each row costs one extra binary search per
-// shard, which is the price of running the shards concurrently over a
-// single shared structure.
-func (x *Index) ProbeShard(sk minhash.Sketch, delta float64, shard, nshards int) ProbeOutput {
-	return x.ProbeShardMasked(sk, delta, shard, nshards, nil)
-}
-
-// ProbeShardMasked is ProbeShard under a pre-filter row mask: rows the
-// mask rejects skip their equal search (step 3) entirely, which is the
-// whole per-row cost for the overwhelmingly common case of a window value
-// matching no query. Steps (1) and (2) — advancing and pruning already-
-// discovered R_L elements — are unaffected, so the output is identical to
-// the unmasked probe whenever the mask has no false negatives (which the
-// prefilter tier guarantees). A nil mask searches every row.
-//
-// For each row it (1) advances every surviving owned R_L element via its
-// down link and records the relation of the window's hash value to the
-// query's, (2) prunes elements violating Lemma 2, and (3) binary-searches
-// the row for values equal to sk[i], walking new owned matches' up links to
-// reconstruct their bits for the earlier rows.
+// ProbeShardMasked is ProbeInto on a scratch of its own: the output is the
+// caller's to keep.
 func (x *Index) ProbeShardMasked(sk minhash.Sketch, delta float64, shard, nshards int, mask RowMask) ProbeOutput {
+	return *x.ProbeInto(new(ProbeScratch), sk, delta, shard, nshards, mask)
+}
+
+// ProbeInto probes the index for the queries of one shard (those with
+// ShardOf(qid, nshards) == shard) under a pre-filter row mask. Every query
+// is owned by exactly one shard, so the union of the nshards outputs equals
+// the single-shard output and the Comparisons counts sum to its count — the
+// probe work partitions instead of being replicated, at the price of the K
+// row searches being repeated per shard.
+//
+// For each row the mask admits it binary-searches the window's value sk[i];
+// every owned query holding that value enters R_L, once. The entering
+// query's relations at all K positions come from one pass of the signature
+// kernel over its sketch, which stops early once Lemma 2 has condemned it.
+// Rows the mask rejects are guaranteed to hold no equal value, so skipping
+// them changes nothing: the output is identical to the unmasked probe
+// whenever the mask has no false negatives. A nil mask searches every row.
+func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, shard, nshards int, mask RowMask) *ProbeOutput {
 	if len(sk) != x.k {
 		panic("qindex: probe sketch K mismatch")
 	}
-	out := ProbeOutput{Pruned: make(map[int]bool)}
-	// maxLess is the Lemma 2 bound: prune once less > K(1−δ).
-	maxLess := float64(x.k) * (1 - delta)
-	live := make([]probeElem, 0, 8)
-	// dead tracks the current-row columns of queries already pruned in this
-	// probe. Lemma 2 is monotone, so a pruned query can never recover;
-	// advancing its column each row (one pointer chase) prevents the equal
-	// search from repeatedly re-adding and re-up-walking it.
-	var dead []int32
-	// occ marks columns held by live or dead elements in the current row:
-	// occ[col] == i+1 means occupied in row i (stamping avoids per-row
-	// clearing).
-	occ := make([]int32, len(x.meta))
-
-	for i := 0; i < x.k; i++ {
-		row := x.rows[i]
-		v := sk[i]
-		stamp := int32(i + 1)
-
-		// (1) Advance existing elements and set their bit for row i.
-		kept := live[:0]
-		for di, col := range dead {
-			if i > 0 {
-				col = x.rows[i-1][col].down
-				dead[di] = col
-			}
-			occ[col] = stamp
-		}
-		for _, el := range live {
-			if i > 0 {
-				el.col = x.rows[i-1][el.col].down
-			}
-			t := row[el.col].value
-			rel := bitsig.Compare(v, t)
-			el.sig.Set(i, rel)
-			out.Comparisons++
-			if rel == bitsig.Less {
-				el.less++
-			}
-			// (2) Lemma 2 prune.
-			if float64(el.less) > maxLess {
-				out.Pruned[el.qid] = true
-				dead = append(dead, el.col)
-				occ[el.col] = stamp
-				continue
-			}
-			kept = append(kept, el)
-			occ[el.col] = stamp
-		}
-		live = kept
-
-		// (3) Find equal values of owned queries not yet tracked. A row the
-		// pre-filter mask rejects is guaranteed to hold no equal value, so
-		// its binary search is skipped outright.
+	out := ps.begin(len(x.slots), x.k)
+	limit := lessLimit(x.k, delta)
+	for i, v := range sk {
 		if !mask.Admits(i) {
 			continue
 		}
-		lo := sort.Search(len(row), func(j int) bool { return row[j].value >= v })
-		if mask != nil && (lo >= len(row) || row[lo].value != v) {
-			out.EmptySearches++
+		row := x.vals[i]
+		j, found := slices.BinarySearch(row, v)
+		if !found {
+			if mask != nil {
+				out.EmptySearches++
+			}
+			continue
 		}
-		for j := lo; j < len(row) && row[j].value == v; j++ {
-			if ShardOf(row[j].qid, nshards) != shard {
+		for own := x.own[i]; j < len(row) && row[j] == v; j++ {
+			s := own[j]
+			sl := &x.slots[s]
+			if nshards > 1 && ShardOf(sl.qid, nshards) != shard {
 				continue
 			}
 			out.Comparisons++
-			col := int32(j)
-			if occ[col] == stamp {
+			if ps.seen[s] == ps.epoch {
 				continue
 			}
-			el := probeElem{col: col, sig: bitsig.New(x.k)}
-			el.sig.Set(i, bitsig.Equal)
-			// Up-walk: reconstruct the relations for rows 0..i-1 and pick up
-			// the query's identity at row 0.
-			c := col
-			for r := i - 1; r >= 0; r-- {
-				c = x.rows[r+1][c].up
-				rel := bitsig.Compare(sk[r], x.rows[r][c].value)
-				el.sig.Set(r, rel)
-				out.Comparisons++
-				if rel == bitsig.Less {
-					el.less++
-				}
-			}
-			// After the walk c is the query's column at row 0 (and when
-			// i == 0 it never moved from col).
-			el.qid, el.length = x.meta[c].qid, x.meta[c].length
-			if float64(el.less) > maxLess {
-				out.Pruned[el.qid] = true
-				dead = append(dead, col)
-				occ[col] = stamp
+			ps.seen[s] = ps.epoch
+			lo, hi := ps.next()
+			less, compared := bitsig.CompareInto(lo, hi, sk, sl.sketch, limit)
+			out.Comparisons += compared
+			if less > limit {
+				out.Pruned = append(out.Pruned, sl.qid)
 				continue
 			}
-			live = append(live, el)
-			occ[col] = stamp
+			ps.keep(sl.qid, sl.length)
 		}
 	}
-
-	out.Related = make([]Result, 0, len(live))
-	for _, el := range live {
-		delete(out.Pruned, el.qid) // survived after all: not pruned
-		out.Related = append(out.Related, Result{QID: el.qid, Length: el.length, Sig: el.sig})
-	}
-	return out
+	return ps.finish()
 }
 
-// Scan is the index-free Prober: every query sketch is compared against the
-// window sketch in full (the SketchNoIndex / BitNoIndex baseline). Queries
-// with no equal position are omitted from the result, matching the index's
-// notion of "related"; queries failing Lemma 2 are reported as pruned.
+// Scan is the index-free prober: every query sketch is compared against the
+// window sketch in full (the SketchNoIndex / BitNoIndex baseline), through
+// the same signature kernel the index uses. Queries with no equal position
+// are omitted from the result, matching the index's notion of "related";
+// queries failing Lemma 2 are reported as pruned.
 type Scan struct {
 	Queries []Query
 }
 
-// Probe implements Prober by brute force.
+// Probe scans every query on a scratch of its own.
 func (s *Scan) Probe(sk minhash.Sketch, delta float64) ProbeOutput {
-	po, _ := s.ProbeShard(sk, delta, 0, 1)
-	return po
+	po, _ := s.ProbeInto(new(ProbeScratch), sk, delta, 0, 1)
+	return *po
 }
 
-// ProbeShard scans only the queries of one shard, returning their probe
+// ProbeInto scans only the queries of one shard, returning their probe
 // output and the number of full sketch comparisons performed. The shard
-// outputs and scan counts partition Probe's exactly, so the brute-force
-// probe parallelises linearly across workers.
-func (s *Scan) ProbeShard(sk minhash.Sketch, delta float64, shard, nshards int) (ProbeOutput, int) {
-	out := ProbeOutput{Pruned: make(map[int]bool)}
+// outputs and scan counts partition the single-shard scan's exactly, so the
+// brute-force probe parallelises linearly across workers.
+func (s *Scan) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, shard, nshards int) (*ProbeOutput, int) {
+	k := len(sk)
+	out := ps.begin(0, k)
+	limit := lessLimit(k, delta)
 	scanned := 0
 	for _, q := range s.Queries {
 		if ShardOf(q.ID, nshards) != shard {
 			continue
 		}
 		scanned++
-		sig := bitsig.FromSketches(sk, q.Sketch)
-		out.Comparisons += len(sk)
-		_, eq, _ := sig.Counts()
-		if eq == 0 {
-			continue
+		lo, hi := ps.next()
+		less, _ := bitsig.CompareInto(lo, hi, sk, q.Sketch, k)
+		out.Comparisons += k
+		_, equal, _ := (&bitsig.Signature{K: k, Lo: lo, Hi: hi}).Counts()
+		switch {
+		case equal == 0:
+		case less > limit:
+			out.Pruned = append(out.Pruned, q.ID)
+		default:
+			ps.keep(q.ID, q.Length)
 		}
-		if sig.Prunable(delta) {
-			out.Pruned[q.ID] = true
-			continue
-		}
-		out.Related = append(out.Related, Result{QID: q.ID, Length: q.Length, Sig: sig})
 	}
-	return out, scanned
+	return ps.finish(), scanned
 }

@@ -1,64 +1,67 @@
 // Package qindex implements the query-sequence index of paper Section V.C:
 // a Hash-Query array HQ[K][m] holding, per hash function (row), the m query
-// min-hash values sorted by value, each entry carrying up/down links to the
-// same query's entry in the adjacent rows. Row 0 additionally carries the
-// query id and length at each column entry.
+// min-hash values sorted by value.
+//
+// The paper's entries are triples <value, up, down> whose links lead to the
+// same query's entry in the adjacent rows (Fig. 4), and its probe walks
+// them: K dependent loads per related query. Here an entry is the pair
+// <value, owner>: the owner names a slot of a per-index table holding the
+// query's id, length and its whole sketch as one contiguous slice — the one
+// the caller handed to Build/Add, shared, never copied. A query found in
+// any row is resolved against the window in a single streaming pass over
+// that slice. What the paper defines is kept: the m·K entries, the related
+// query list R_L (a query enters it at its first row holding the window's
+// value), the Lemma 2 prune, and online Add/Remove.
 //
 // Probing a basic-window sketch against the index (ProbeIndex, Figure 5)
 // returns bit signatures only for the queries that share at least one
-// min-hash value with the window — the "related query list" R_L — applying
-// the Lemma 2 prune as rows are consumed. With many queries this replaces m
-// full sketch comparisons per window by a handful of binary searches plus
-// work proportional to |R_L|.
+// min-hash value with the window. With many queries this replaces m full
+// sketch comparisons per window by K binary searches plus work proportional
+// to |R_L|.
 package qindex
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vdsms/internal/minhash"
 )
 
 // Query pairs a query id with its offline-computed sketch and its length in
-// frames (used by the engine for candidate expiry, λL).
+// frames (used by the engine for candidate expiry, λL). The index keeps the
+// Sketch slice itself; it must not be modified while subscribed.
 type Query struct {
 	ID     int
 	Length int
 	Sketch minhash.Sketch
 }
 
-// entry is one triple <value, up, down> of the Hash-Query array. up and
-// down are column positions in the neighbouring rows (-1 at the borders).
-// qid carries the owning query's id in every row (not just row 0) so a
-// sharded probe can decide ownership of a discovered entry before paying
-// for the up-walk that reconstructs its earlier-row bits.
-type entry struct {
-	value    uint64
-	up, down int32
-	qid      int
-}
-
-// colMeta is the row-0 column header: query id and length.
-type colMeta struct {
+// slot is one subscribed query. A zero length marks a slot vacated by
+// Remove and awaiting reuse.
+type slot struct {
 	qid    int
 	length int
+	sketch minhash.Sketch
 }
 
-// Index is the Hash-Query array. Rows are sorted by value; ties break by
-// query id so the structure is deterministic. Concurrent readers are safe;
+// Index is the Hash-Query array. Row i is vals[i], ascending, with own[i]
+// parallel to it: slots[own[i][j]].sketch[i] == vals[i][j], and every live
+// slot appears exactly once per row. Concurrent readers are safe;
 // Add/Remove require external synchronisation.
 type Index struct {
-	k    int
-	rows [][]entry
-	meta []colMeta // parallel to rows[0]
-	// colOf[q] when >= 0 caches the row-0 column of query q for O(1)
-	// Remove; it is rebuilt lazily after mutations.
-	pos map[int]int // qid → row-0 column
+	k     int
+	vals  [][]uint64
+	own   [][]int32
+	slots []slot
+	free  []int32       // vacated slots, reused by Add
+	pos   map[int]int32 // qid → slot
 }
 
 // Build constructs the index from the query sketches (BuildIndex of the
 // paper, done offline). All sketches must share the same K, ids must be
-// unique, and lengths positive.
+// unique, and lengths positive. Equal values within a row are ordered by
+// query id, so the structure is deterministic.
 func Build(queries []Query) (*Index, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("qindex: no queries")
@@ -67,257 +70,181 @@ func Build(queries []Query) (*Index, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("qindex: empty sketch")
 	}
-	seen := make(map[int]bool, len(queries))
-	for _, q := range queries {
-		if len(q.Sketch) != k {
-			return nil, fmt.Errorf("qindex: query %d sketch has K=%d, want %d", q.ID, len(q.Sketch), k)
-		}
-		if q.Length <= 0 {
-			return nil, fmt.Errorf("qindex: query %d has non-positive length", q.ID)
-		}
-		if seen[q.ID] {
-			return nil, fmt.Errorf("qindex: duplicate query id %d", q.ID)
-		}
-		seen[q.ID] = true
-	}
-
 	m := len(queries)
-	idx := &Index{k: k, rows: make([][]entry, k), pos: make(map[int]int, m)}
+	x := &Index{
+		k:     k,
+		vals:  make([][]uint64, k),
+		own:   make([][]int32, k),
+		slots: make([]slot, m),
+		pos:   make(map[int]int32, m),
+	}
+	for s, q := range queries {
+		if err := x.check(q); err != nil {
+			return nil, err
+		}
+		x.slots[s] = slot{qid: q.ID, length: q.Length, sketch: q.Sketch}
+		x.pos[q.ID] = int32(s)
+	}
 
-	// Per row, sort the m (value, query) pairs; record each query's column.
-	cols := make([][]int, k) // cols[i][q-th input] = column of queries[q] in row i
-	order := make([]int, m)
-	for i := 0; i < k; i++ {
-		for j := range order {
-			order[j] = j
+	type pair struct {
+		v uint64
+		s int32
+	}
+	row := make([]pair, m)
+	for i := range x.vals {
+		for s, q := range queries {
+			row[s] = pair{q.Sketch[i], int32(s)}
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			va, vb := queries[order[a]].Sketch[i], queries[order[b]].Sketch[i]
-			if va != vb {
-				return va < vb
+		slices.SortFunc(row, func(a, b pair) int {
+			if c := cmp.Compare(a.v, b.v); c != 0 {
+				return c
 			}
-			return queries[order[a]].ID < queries[order[b]].ID
+			return cmp.Compare(queries[a.s].ID, queries[b.s].ID)
 		})
-		row := make([]entry, m)
-		colAt := make([]int, m)
-		for col, qi := range order {
-			row[col] = entry{value: queries[qi].Sketch[i], up: -1, down: -1, qid: queries[qi].ID}
-			colAt[qi] = col
+		vals, own := make([]uint64, m), make([]int32, m)
+		for j, p := range row {
+			vals[j], own[j] = p.v, p.s
 		}
-		idx.rows[i] = row
-		cols[i] = colAt
+		x.vals[i], x.own[i] = vals, own
 	}
-	// Wire up/down links and the row-0 metadata.
-	idx.meta = make([]colMeta, m)
-	for qi, q := range queries {
-		for i := 0; i < k; i++ {
-			col := cols[i][qi]
-			if i > 0 {
-				idx.rows[i][col].up = int32(cols[i-1][qi])
-			}
-			if i < k-1 {
-				idx.rows[i][col].down = int32(cols[i+1][qi])
-			}
-		}
-		c0 := cols[0][qi]
-		idx.meta[c0] = colMeta{qid: q.ID, length: q.Length}
-		idx.pos[q.ID] = c0
-	}
-	return idx, nil
+	return x, nil
 }
 
-// Clone returns a deep copy of the index. Cost O(K·m) straight memory
-// copies — the same order as a single incremental Add — which makes
-// copy-on-write churn (clone, then mutate the private copy while readers
-// keep probing the original) as cheap as in-place mutation was.
+// check validates a query against the index it is about to join.
+func (x *Index) check(q Query) error {
+	if len(q.Sketch) != x.k {
+		return fmt.Errorf("qindex: query %d sketch has K=%d, want %d", q.ID, len(q.Sketch), x.k)
+	}
+	if q.Length <= 0 {
+		return fmt.Errorf("qindex: query %d has non-positive length", q.ID)
+	}
+	if _, dup := x.pos[q.ID]; dup {
+		return fmt.Errorf("qindex: duplicate query id %d", q.ID)
+	}
+	return nil
+}
+
+// Clone returns a copy of the index that shares only the query sketches.
+// Cost O(K·m) straight memory copies — the same order as a single
+// incremental Add — which makes copy-on-write churn (clone, then mutate the
+// private copy while readers keep probing the original) as cheap as
+// in-place mutation was.
 func (x *Index) Clone() *Index {
 	c := &Index{
-		k:    x.k,
-		rows: make([][]entry, len(x.rows)),
-		meta: append([]colMeta(nil), x.meta...),
-		pos:  make(map[int]int, len(x.pos)),
+		k:     x.k,
+		vals:  make([][]uint64, x.k),
+		own:   make([][]int32, x.k),
+		slots: slices.Clone(x.slots),
+		free:  slices.Clone(x.free),
+		pos:   make(map[int]int32, len(x.pos)),
 	}
-	for i, row := range x.rows {
-		c.rows[i] = append([]entry(nil), row...)
+	for i := range x.vals {
+		c.vals[i], c.own[i] = slices.Clone(x.vals[i]), slices.Clone(x.own[i])
 	}
-	for id, col := range x.pos {
-		c.pos[id] = col
+	for id, s := range x.pos {
+		c.pos[id] = s
 	}
 	return c
 }
 
-// Bytes estimates the index's memory footprint: the <value, up, down, qid>
-// triples of every row plus the row-0 metadata and the position cache. The
-// per-stream memory experiments treat this as the shared query plane's
-// dominant term.
+// Bytes estimates the memory the index itself holds: 12 bytes per
+// <value, owner> entry, the slot table and the id map. The sketches the
+// slots point at belong to the caller and are not counted.
 func (x *Index) Bytes() int {
-	const entryBytes = 8 + 4 + 4 + 8 // value, up, down, qid
-	b := 0
-	for _, row := range x.rows {
-		b += len(row) * entryBytes
-	}
-	b += len(x.meta) * 16
-	b += len(x.pos) * 16
-	return b
+	const (
+		entryBytes = 8 + 4      // value, owner
+		slotBytes  = 8 + 8 + 24 // qid, length, sketch header
+		posBytes   = 24         // map[int]int32 entry at a typical load factor
+	)
+	return x.k*len(x.pos)*entryBytes + len(x.slots)*slotBytes + len(x.free)*4 + len(x.pos)*posBytes
 }
 
 // K returns the number of hash functions (rows).
 func (x *Index) K() int { return x.k }
 
 // Len returns the number of indexed queries.
-func (x *Index) Len() int { return len(x.meta) }
+func (x *Index) Len() int { return len(x.pos) }
 
-// SizeTriples returns the number of <value, up, down> triples stored —
-// m×K, the paper's fixed query-index memory figure.
-func (x *Index) SizeTriples() int { return x.k * len(x.meta) }
+// SizeTriples returns the number of entries stored — m×K, the paper's
+// fixed query-index memory figure (there counted in <value, up, down>
+// triples).
+func (x *Index) SizeTriples() int { return x.k * len(x.pos) }
 
-// QueryIDs returns the indexed query ids in row-0 column order.
+// QueryIDs returns the indexed query ids in slot order.
 func (x *Index) QueryIDs() []int {
-	out := make([]int, len(x.meta))
-	for i, m := range x.meta {
-		out[i] = m.qid
+	out := make([]int, 0, len(x.pos))
+	for _, sl := range x.slots {
+		if sl.length > 0 {
+			out = append(out, sl.qid)
+		}
 	}
 	return out
 }
 
-// SketchOf reconstructs the stored sketch of query id by walking the down
-// links from its row-0 entry (the paper's "given a query id q ... down
-// search is performed to find all the hash values of q").
+// SketchOf returns the stored sketch of query id (shared, read-only).
 func (x *Index) SketchOf(id int) (minhash.Sketch, bool) {
-	col, ok := x.pos[id]
+	s, ok := x.pos[id]
 	if !ok {
 		return nil, false
 	}
-	out := make(minhash.Sketch, x.k)
-	c := int32(col)
-	for i := 0; i < x.k; i++ {
-		out[i] = x.rows[i][c].value
-		c = x.rows[i][c].down
-	}
-	return out, true
+	return x.slots[s].sketch, true
 }
 
 // LengthOf returns the stored length of query id.
 func (x *Index) LengthOf(id int) (int, bool) {
-	col, ok := x.pos[id]
+	s, ok := x.pos[id]
 	if !ok {
 		return 0, false
 	}
-	return x.meta[col].length, true
+	return x.slots[s].length, true
 }
 
-// Add subscribes a new query online: each row receives one entry at its
-// sorted position, and the up/down links of entries referring to shifted
-// positions are fixed up. Cost O(K·m).
+// Add subscribes a new query online: it takes a vacated slot (or a new
+// one), and each row receives one entry after the last equal value. Cost K
+// binary searches and K·m/2 entries moved on average.
 func (x *Index) Add(q Query) error {
-	if len(q.Sketch) != x.k {
-		return fmt.Errorf("qindex: sketch K=%d, index K=%d", len(q.Sketch), x.k)
+	if err := x.check(q); err != nil {
+		return err
 	}
-	if q.Length <= 0 {
-		return fmt.Errorf("qindex: non-positive length")
+	var s int32
+	if n := len(x.free); n > 0 {
+		s, x.free = x.free[n-1], x.free[:n-1]
+		x.slots[s] = slot{qid: q.ID, length: q.Length, sketch: q.Sketch}
+	} else {
+		s = int32(len(x.slots))
+		x.slots = append(x.slots, slot{qid: q.ID, length: q.Length, sketch: q.Sketch})
 	}
-	if _, dup := x.pos[q.ID]; dup {
-		return fmt.Errorf("qindex: query id %d already subscribed", q.ID)
-	}
-	// Insertion position per row: after the last entry with equal value
-	// (tie order by arrival is fine; determinism is preserved per instance).
-	insAt := make([]int, x.k)
-	for i := 0; i < x.k; i++ {
-		v := q.Sketch[i]
-		insAt[i] = sort.Search(len(x.rows[i]), func(j int) bool {
-			return x.rows[i][j].value > v
+	x.pos[q.ID] = s
+	for i, v := range q.Sketch {
+		p, _ := slices.BinarySearchFunc(x.vals[i], v, func(e, v uint64) int {
+			if e <= v {
+				return -1
+			}
+			return 1
 		})
+		x.vals[i] = slices.Insert(x.vals[i], p, v)
+		x.own[i] = slices.Insert(x.own[i], p, s)
 	}
-	for i := 0; i < x.k; i++ {
-		p := insAt[i]
-		// Shift references in the neighbouring rows. The entry freshly
-		// inserted into row i-1 already points at the new entry's final
-		// position and must not shift.
-		if i > 0 {
-			for j := range x.rows[i-1] {
-				if j == insAt[i-1] {
-					continue
-				}
-				if x.rows[i-1][j].down >= int32(p) {
-					x.rows[i-1][j].down++
-				}
-			}
-		}
-		if i < x.k-1 {
-			for j := range x.rows[i+1] {
-				if x.rows[i+1][j].up >= int32(p) {
-					x.rows[i+1][j].up++
-				}
-			}
-		}
-		e := entry{value: q.Sketch[i], up: -1, down: -1, qid: q.ID}
-		if i > 0 {
-			e.up = int32(insAt[i-1])
-		}
-		if i < x.k-1 {
-			e.down = int32(insAt[i+1])
-		}
-		row := x.rows[i]
-		row = append(row, entry{})
-		copy(row[p+1:], row[p:])
-		row[p] = e
-		x.rows[i] = row
-	}
-	// Row-0 metadata shifts with the insertion.
-	p0 := insAt[0]
-	x.meta = append(x.meta, colMeta{})
-	copy(x.meta[p0+1:], x.meta[p0:])
-	x.meta[p0] = colMeta{qid: q.ID, length: q.Length}
-	for id, c := range x.pos {
-		if c >= p0 {
-			x.pos[id] = c + 1
-		}
-	}
-	x.pos[q.ID] = p0
 	return nil
 }
 
-// Remove unsubscribes a query online, the inverse of Add. Cost O(K·m).
+// Remove unsubscribes a query online, the inverse of Add: its entry leaves
+// every row and its slot is vacated.
 func (x *Index) Remove(id int) error {
-	col, ok := x.pos[id]
+	s, ok := x.pos[id]
 	if !ok {
 		return fmt.Errorf("qindex: query id %d not subscribed", id)
 	}
-	// Walk down links to find the query's column in every row first.
-	colAt := make([]int, x.k)
-	c := int32(col)
-	for i := 0; i < x.k; i++ {
-		colAt[i] = int(c)
-		c = x.rows[i][c].down
-	}
-	for i := 0; i < x.k; i++ {
-		p := colAt[i]
-		row := x.rows[i]
-		copy(row[p:], row[p+1:])
-		x.rows[i] = row[:len(row)-1]
-		if i > 0 {
-			for j := range x.rows[i-1] {
-				if x.rows[i-1][j].down > int32(p) {
-					x.rows[i-1][j].down--
-				}
-			}
+	for i, v := range x.slots[s].sketch {
+		p, _ := slices.BinarySearch(x.vals[i], v)
+		for x.own[i][p] != s { // the run of equal values holds s exactly once
+			p++
 		}
-		if i < x.k-1 {
-			for j := range x.rows[i+1] {
-				if x.rows[i+1][j].up > int32(p) {
-					x.rows[i+1][j].up--
-				}
-			}
-		}
+		x.vals[i] = slices.Delete(x.vals[i], p, p+1)
+		x.own[i] = slices.Delete(x.own[i], p, p+1)
 	}
-	p0 := colAt[0]
-	copy(x.meta[p0:], x.meta[p0+1:])
-	x.meta = x.meta[:len(x.meta)-1]
+	x.slots[s] = slot{}
+	x.free = append(x.free, s)
 	delete(x.pos, id)
-	for qid, c := range x.pos {
-		if c > p0 {
-			x.pos[qid] = c - 1
-		}
-	}
 	return nil
 }

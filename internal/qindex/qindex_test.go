@@ -1,7 +1,10 @@
 package qindex
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"vdsms/internal/bitsig"
@@ -24,41 +27,54 @@ func makeQueries(t testing.TB, fam *minhash.Family, n int, seed int64) []Query {
 	return qs
 }
 
-// verifyStructure checks every invariant of the Hash-Query array: rows
-// sorted, links bijective, down-walks reproduce the original sketches.
+// verifyStructure checks every invariant of the Hash-Query array against the
+// queries it should hold: every row sorted with one entry per query, every
+// entry's value the owner's sketch value at that row, every live slot met
+// exactly once per row, and the id map, slot table and free list consistent.
 func verifyStructure(t *testing.T, x *Index, queries []Query) {
 	t.Helper()
-	for i, row := range x.rows {
-		if len(row) != x.Len() {
-			t.Fatalf("row %d has %d entries, index has %d queries", i, len(row), x.Len())
+	if x.Len() != len(queries) || x.SizeTriples() != x.k*len(queries) {
+		t.Fatalf("Len=%d SizeTriples=%d for %d queries", x.Len(), x.SizeTriples(), len(queries))
+	}
+	if len(x.slots) != len(queries)+len(x.free) {
+		t.Fatalf("%d slots for %d queries + %d free", len(x.slots), len(queries), len(x.free))
+	}
+	for _, s := range x.free {
+		if x.slots[s].length != 0 || x.slots[s].sketch != nil {
+			t.Fatalf("free slot %d still holds a query", s)
 		}
-		for j := 1; j < len(row); j++ {
-			if row[j-1].value > row[j].value {
+	}
+	for i := 0; i < x.k; i++ {
+		vals, own := x.vals[i], x.own[i]
+		if len(vals) != x.Len() || len(own) != x.Len() {
+			t.Fatalf("row %d has %d values, %d owners; index has %d queries", i, len(vals), len(own), x.Len())
+		}
+		met := make(map[int32]bool, len(own))
+		for j, s := range own {
+			if j > 0 && vals[j-1] > vals[j] {
 				t.Fatalf("row %d not sorted at %d", i, j)
 			}
+			sl := x.slots[s]
+			if sl.length == 0 || sl.sketch[i] != vals[j] {
+				t.Fatalf("row %d col %d: owner slot %d does not hold value %d", i, j, s, vals[j])
+			}
+			if met[s] {
+				t.Fatalf("row %d: slot %d appears twice", i, s)
+			}
+			met[s] = true
 		}
 	}
 	for _, q := range queries {
-		got, ok := x.SketchOf(q.ID)
-		if !ok {
+		s, ok := x.pos[q.ID]
+		if !ok || x.slots[s].qid != q.ID {
 			t.Fatalf("query %d missing from index", q.ID)
 		}
-		if minhash.Similarity(got, q.Sketch) != 1 {
-			t.Fatalf("down-walk of query %d does not reproduce its sketch", q.ID)
+		got, _ := x.SketchOf(q.ID)
+		if &got[0] != &q.Sketch[0] {
+			t.Fatalf("query %d: slot holds a copy of the sketch, want the caller's slice", q.ID)
 		}
 		if l, _ := x.LengthOf(q.ID); l != q.Length {
 			t.Fatalf("query %d length %d, want %d", q.ID, l, q.Length)
-		}
-	}
-	// Up links invert down links.
-	for i := 0; i < x.k-1; i++ {
-		for j, e := range x.rows[i] {
-			if e.down < 0 || int(e.down) >= len(x.rows[i+1]) {
-				t.Fatalf("row %d col %d: down=%d out of range", i, j, e.down)
-			}
-			if x.rows[i+1][e.down].up != int32(j) {
-				t.Fatalf("row %d col %d: up/down links not inverse", i, j)
-			}
 		}
 	}
 }
@@ -294,7 +310,7 @@ func TestProbePrunesHopelessQueries(t *testing.T) {
 		t.Errorf("barely-overlapping query not pruned at δ=0.95: %d related", len(out.Related))
 	}
 	// The query shares id 8 so it enters R_L, then dies by Lemma 2.
-	if !out.Pruned[1] {
+	if !slices.Contains(out.Pruned, 1) {
 		t.Error("pruned query not reported in Pruned set")
 	}
 }
@@ -329,6 +345,58 @@ func TestProbeAfterOnlineUpdates(t *testing.T) {
 	if len(got.Related) != len(want.Related) {
 		t.Fatalf("after updates: index %d related, scan %d", len(got.Related), len(want.Related))
 	}
+}
+
+// TestProbeIntoAllocatesNothing pins the scratch contract the engine relies
+// on: once a scratch has seen a window of some size, probing allocates
+// nothing — not when no query is related, and not per surviving signature
+// either, whose planes live in the scratch.
+func TestProbeIntoAllocatesNothing(t *testing.T) {
+	fam, _ := minhash.NewFamily(800, 1)
+	queries := makeQueries(t, fam, 200, 2)
+	x, err := Build(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := new(ProbeScratch)
+	for name, sk := range map[string]minhash.Sketch{
+		"unrelated": fam.SketchSet([]uint64{1 << 40, 1<<40 + 1}),
+		"related":   queries[50].Sketch,
+	} {
+		related := len(x.ProbeInto(ps, sk, 0.7, 0, 1, nil).Related) // also warms the scratch
+		if (related > 0) != (name == "related") {
+			t.Fatalf("%s window has %d related queries", name, related)
+		}
+		if n := testing.AllocsPerRun(20, func() { x.ProbeInto(ps, sk, 0.7, 0, 1, nil) }); n != 0 {
+			t.Errorf("%s window (%d related): %.1f allocs per probe, want 0", name, related, n)
+		}
+	}
+}
+
+// TestBytesMatchesHeap holds Bytes to what the runtime says a 500-query
+// build put on the heap: the entries, the slot table and the id map, and
+// not the sketches, which were there before.
+func TestBytesMatchesHeap(t *testing.T) {
+	fam, _ := minhash.NewFamily(800, 1)
+	queries := makeQueries(t, fam, 500, 3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x, err := Build(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	if got := float64(x.Bytes()); math.Abs(got-heap) > 0.10*heap {
+		t.Errorf("Bytes() = %.0f, heap grew by %.0f (%.1f%% apart, want within 10%%)", got, heap, 100*(got-heap)/heap)
+	}
+	if want := 500 * 800; x.SizeTriples() != want {
+		t.Errorf("SizeTriples() = %d, want m·K = %d", x.SizeTriples(), want)
+	}
+	runtime.KeepAlive(x)
+	runtime.KeepAlive(queries)
 }
 
 func BenchmarkProbeIndex200Queries(b *testing.B) {
