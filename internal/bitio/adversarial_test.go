@@ -2,6 +2,8 @@ package bitio
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +145,68 @@ func TestReadBytesPastEnd(t *testing.T) {
 	}
 }
 
+// TestSkipGuards: counts no input can satisfy — negative, or so large that
+// adding them to the cursor would wrap — fail with an error and leave the
+// cursor at the end, never behind where it was.
+func TestSkipGuards(t *testing.T) {
+	data := []byte{1, 2, 3, 4}
+	for name, skip := range map[string]func(*Reader) error{
+		"SkipBytes(-1)":      func(r *Reader) error { return r.SkipBytes(-1) },
+		"SkipBytes(MinInt)":  func(r *Reader) error { return r.SkipBytes(math.MinInt) },
+		"SkipBytes(MaxInt)":  func(r *Reader) error { return r.SkipBytes(math.MaxInt) },
+		"SkipBytes(len+1)":   func(r *Reader) error { return r.SkipBytes(len(data) + 1) },
+		"SkipBits(MaxUint)":  func(r *Reader) error { return r.SkipBits(math.MaxUint) },
+		"SkipBits(MaxInt+1)": func(r *Reader) error { return r.SkipBits(math.MaxInt + 1) },
+		"SkipBits(len*8)":    func(r *Reader) error { return r.SkipBits(uint(len(data) * 8)) },
+		"ReadBytes(MaxInt)":  func(r *Reader) error { _, err := r.ReadBytes(math.MaxInt); return err },
+	} {
+		r := NewReader(data)
+		if _, err := r.ReadBits(9); err != nil {
+			t.Fatal(err)
+		}
+		if err := skip(r); err == nil {
+			t.Errorf("%s succeeded", name)
+		}
+		if r.Remaining() != 0 || r.ByteOffset() != len(data) {
+			t.Errorf("%s: cursor at byte %d with %d bits left, want parked at the end", name, r.ByteOffset(), r.Remaining())
+		}
+		if _, err := r.ReadBit(); err != ErrUnexpectedEOF {
+			t.Errorf("%s: read after the failure = %v, want ErrUnexpectedEOF", name, err)
+		}
+	}
+	// The boundary itself is fine: skipping exactly what is left.
+	r := NewReader(data)
+	if err := r.SkipBytes(len(data)); err != nil || r.Remaining() != 0 {
+		t.Errorf("SkipBytes(len) = %v with %d bits left", err, r.Remaining())
+	}
+	if err := r.SkipBits(0); err != nil {
+		t.Errorf("SkipBits(0) at the end = %v", err)
+	}
+}
+
+// TestCursorAccounting pins ByteOffset, Remaining and Align across a
+// partially consumed byte: the byte being read counts as consumed.
+func TestCursorAccounting(t *testing.T) {
+	r := NewReader([]byte{0xAA, 0xBB, 0xCC})
+	for _, step := range []struct {
+		read         uint
+		offset, left int
+	}{{0, 0, 24}, {1, 1, 23}, {7, 1, 16}, {3, 2, 13}} {
+		if _, err := r.ReadBits(step.read); err != nil {
+			t.Fatal(err)
+		}
+		if r.ByteOffset() != step.offset || r.Remaining() != step.left {
+			t.Errorf("after %d more bits: offset %d, %d left; want %d, %d",
+				step.read, r.ByteOffset(), r.Remaining(), step.offset, step.left)
+		}
+	}
+	r.Align()
+	r.Align() // idempotent on a boundary
+	if r.ByteOffset() != 2 || r.Remaining() != 8 {
+		t.Errorf("after Align: offset %d, %d left; want 2, 8", r.ByteOffset(), r.Remaining())
+	}
+}
+
 // Property: WriteBytes payloads of any content and length survive a round
 // trip sandwiched between arbitrary-width bit fields.
 func TestPropertyWriteBytes(t *testing.T) {
@@ -166,5 +230,49 @@ func TestPropertyWriteBytes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWriterVsReference: random fields of every width, Exp-Golomb codes of
+// every length (including the unencodable 2⁶⁴−1, which writes nothing),
+// alignment and bulk bytes produce the bytes the bit-at-a-time writer did.
+func TestWriterVsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for round := 0; round < 200; round++ {
+		w, ref := NewWriter(0), &refWriter{}
+		for op := 0; op < 1+rng.Intn(60); op++ {
+			v := rng.Uint64() >> uint(rng.Intn(64))
+			switch rng.Intn(6) {
+			case 0:
+				n := uint(rng.Intn(65))
+				w.WriteBits(v, n) // bits of v above n must be ignored
+				ref.writeBits(v, n)
+			case 1:
+				w.WriteUE(v)
+				ref.writeUE(v)
+			case 2:
+				top := ^uint64(0) - uint64(rng.Intn(2)) // 127 bits, or nothing at all
+				w.WriteUE(top)
+				ref.writeUE(top)
+			case 3:
+				w.WriteBit(uint(v))
+				ref.writeBit(uint(v))
+			case 4:
+				w.Align()
+				ref.align()
+			default:
+				p := []byte{byte(v), byte(v >> 8)}
+				w.WriteBytes(p)
+				ref.align()
+				ref.buf = append(ref.buf, p...)
+			}
+			if w.BitLen() != len(ref.buf)*8+int(ref.nCur) {
+				t.Fatalf("round %d op %d: BitLen %d, reference %d", round, op, w.BitLen(), len(ref.buf)*8+int(ref.nCur))
+			}
+		}
+		ref.align()
+		if !bytes.Equal(w.Bytes(), ref.buf) {
+			t.Fatalf("round %d: bytes differ\ngot  %x\nwant %x", round, w.Bytes(), ref.buf)
+		}
 	}
 }

@@ -5,9 +5,11 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // ErrUnexpectedEOF is returned when a read runs past the end of the input.
@@ -17,8 +19,8 @@ var ErrUnexpectedEOF = errors.New("bitio: unexpected end of bitstream")
 // The zero value is ready to use.
 type Writer struct {
 	buf  []byte
-	cur  uint8 // partially filled byte
-	nCur uint8 // number of bits used in cur (0..7)
+	acc  uint64 // pending bits in the low nAcc positions; higher bits are stale
+	nAcc uint   // bits not yet flushed to buf (0..7 between calls)
 }
 
 // NewWriter returns a Writer with capacity preallocated for sizeHint bytes.
@@ -26,15 +28,19 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
-// WriteBit appends a single bit (0 or 1).
-func (w *Writer) WriteBit(b uint) {
-	w.cur = w.cur<<1 | uint8(b&1)
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
+// put appends the n-bit field v (v < 1<<n, n <= 56) and flushes the whole
+// bytes it completes.
+func (w *Writer) put(v uint64, n uint) {
+	w.acc = w.acc<<n | v
+	w.nAcc += n
+	for w.nAcc >= 8 {
+		w.nAcc -= 8
+		w.buf = append(w.buf, byte(w.acc>>w.nAcc))
 	}
 }
+
+// WriteBit appends a single bit (0 or 1).
+func (w *Writer) WriteBit(b uint) { w.put(uint64(b&1), 1) }
 
 // WriteBits appends the low n bits of v, most-significant bit first.
 // n must be in [0, 64].
@@ -42,20 +48,26 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	if n > 64 {
 		panic(fmt.Sprintf("bitio: WriteBits width %d out of range", n))
 	}
-	for i := int(n) - 1; i >= 0; i-- {
-		w.WriteBit(uint(v >> uint(i)))
+	if n > 32 {
+		w.put(v>>32&(1<<(n-32)-1), n-32)
+		n = 32
 	}
+	w.put(v&(1<<n-1), n)
 }
 
 // WriteUE appends v using unsigned Exp-Golomb coding: z zero bits followed
 // by the (z+1)-bit binary representation of v+1, where z = floor(log2(v+1)).
 func (w *Writer) WriteUE(v uint64) {
 	x := v + 1
-	n := bitLen(x)
-	for i := uint(1); i < n; i++ {
-		w.WriteBit(0)
+	n := uint(bits.Len64(x))
+	switch {
+	case n == 0: // v+1 overflowed: not encodable, nothing is written
+	case 2*n-1 <= 56:
+		w.put(x, 2*n-1) // x < 1<<n supplies its own zero prefix
+	default:
+		w.WriteBits(0, n-1)
+		w.WriteBits(x, n)
 	}
-	w.WriteBits(x, n)
 }
 
 // WriteSE appends v using signed Exp-Golomb coding with the H.264 mapping:
@@ -72,8 +84,8 @@ func (w *Writer) WriteSE(v int64) {
 
 // Align pads with zero bits to the next byte boundary.
 func (w *Writer) Align() {
-	for w.nCur != 0 {
-		w.WriteBit(0)
+	if w.nAcc != 0 {
+		w.put(0, 8-w.nAcc)
 	}
 }
 
@@ -82,7 +94,7 @@ func (w *Writer) Align() {
 func (w *Writer) Len() int { return len(w.buf) }
 
 // BitLen reports the total number of bits written so far.
-func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
+func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nAcc) }
 
 // Bytes byte-aligns the stream and returns the underlying buffer. The
 // returned slice is owned by the Writer until Reset is called.
@@ -101,7 +113,7 @@ func (w *Writer) WriteBytes(p []byte) {
 // Reset discards all written data, retaining the allocated buffer.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
-	w.cur, w.nCur = 0, 0
+	w.acc, w.nAcc = 0, 0
 }
 
 // WriteTo byte-aligns the stream and writes the buffer to dst.
@@ -110,12 +122,14 @@ func (w *Writer) WriteTo(dst io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Reader consumes bits most-significant-first from a byte slice.
+// Reader consumes bits most-significant-first from a byte slice. Every
+// decode works on one big-endian 64-bit load shifted to the cursor; the
+// last bytes of the input go through the same code with a zero-padded load
+// and a count of how many of its bits are real. A read that runs past the
+// end returns ErrUnexpectedEOF and leaves the cursor at the end.
 type Reader struct {
 	data []byte
-	pos  int   // next byte index
-	cur  uint8 // current byte being consumed
-	nCur uint8 // bits remaining in cur (0..8)
+	pos  int // next unread bit
 }
 
 // NewReader returns a Reader over data. The Reader does not copy data.
@@ -123,58 +137,91 @@ func NewReader(data []byte) *Reader {
 	return &Reader{data: data}
 }
 
+// peek returns the upcoming bits left-aligned in a word, zero-padded, and
+// how many of them are input: at least 57 until the last 8 bytes.
+func (r *Reader) peek() (w uint64, valid int) {
+	i, sh := r.pos>>3, r.pos&7
+	if i+8 <= len(r.data) {
+		return binary.BigEndian.Uint64(r.data[i:]) << sh, 64 - sh
+	}
+	var tail [8]byte
+	copy(tail[:], r.data[i:])
+	return binary.BigEndian.Uint64(tail[:]) << sh, len(r.data)*8 - r.pos
+}
+
+// eof parks the cursor at the end of the input.
+func (r *Reader) eof() error {
+	r.pos = len(r.data) * 8
+	return ErrUnexpectedEOF
+}
+
 // ReadBit returns the next bit.
 func (r *Reader) ReadBit() (uint, error) {
-	if r.nCur == 0 {
-		if r.pos >= len(r.data) {
-			return 0, ErrUnexpectedEOF
-		}
-		r.cur = r.data[r.pos]
-		r.pos++
-		r.nCur = 8
-	}
-	r.nCur--
-	return uint(r.cur>>r.nCur) & 1, nil
+	v, err := r.readBits(1)
+	return uint(v), err
 }
 
 // ReadBits returns the next n bits as an unsigned integer (MSB first).
 // n must be in [0, 64].
 func (r *Reader) ReadBits(n uint) (uint64, error) {
-	if n > 64 {
+	switch {
+	case n > 64:
 		return 0, fmt.Errorf("bitio: ReadBits width %d out of range", n)
+	case n <= 32:
+		return r.readBits(int(n))
+	case int(n) > r.Remaining():
+		return 0, r.eof()
 	}
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
+	hi, _ := r.readBits(int(n) - 32)
+	lo, _ := r.readBits(32)
+	return hi<<32 | lo, nil
+}
+
+// readBits reads a field of at most 57 bits, the widths one load always covers.
+func (r *Reader) readBits(n int) (uint64, error) {
+	w, valid := r.peek()
+	if n > valid {
+		return 0, r.eof()
 	}
-	return v, nil
+	r.pos += n
+	return w >> (64 - n), nil
 }
 
 // ReadUE decodes an unsigned Exp-Golomb code.
 func (r *Reader) ReadUE() (uint64, error) {
-	var zeros uint
+	w, valid := r.peek()
+	if n := 2*bits.LeadingZeros64(w) + 1; n <= valid {
+		r.pos += n
+		return w>>(64-n) - 1, nil
+	}
+	return r.readLongUE()
+}
+
+// readLongUE decodes a code that one load does not cover: longer than 57
+// bits, or cut off by the end of the input.
+func (r *Reader) readLongUE() (uint64, error) {
+	start := r.pos
 	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			break
-		}
-		zeros++
-		if zeros > 63 {
+		w, valid := r.peek()
+		z := min(bits.LeadingZeros64(w), valid)
+		r.pos += z
+		if r.pos-start > 63 {
+			r.pos = start + 64
 			return 0, errors.New("bitio: malformed Exp-Golomb code")
 		}
+		if z < valid {
+			break
+		}
+		if valid == 0 {
+			return 0, r.eof()
+		}
 	}
-	rest, err := r.ReadBits(zeros)
+	zeros := uint(r.pos - start)
+	x, err := r.ReadBits(zeros + 1) // the marker bit and the zeros bits after it
 	if err != nil {
 		return 0, err
 	}
-	return (1<<zeros | rest) - 1, nil
+	return x - 1, nil
 }
 
 // ReadSE decodes a signed Exp-Golomb code (inverse of WriteSE).
@@ -189,30 +236,95 @@ func (r *Reader) ReadSE() (int64, error) {
 	return -int64(u / 2), nil
 }
 
+// skipPrefixBits is the width of the prefix SkipRunLevels looks up.
+const skipPrefixBits = 12
+
+// skipEntry says how far a 12-bit prefix lets SkipRunLevels advance: the
+// Exp-Golomb codes that lie wholly inside it, parsed greedily.
+type skipEntry struct {
+	bits  uint8 // total length of those codes
+	codes uint8 // how many there are; 0 when the first code is longer than 11 bits
+}
+
+var skipTable = buildSkipTable()
+
+func buildSkipTable() (t [1 << skipPrefixBits]skipEntry) {
+	for p := range t {
+		w := uint64(p) << (64 - skipPrefixBits)
+		e := &t[p]
+		for {
+			n := 2*bits.LeadingZeros64(w<<e.bits) + 1
+			if int(e.bits)+n > skipPrefixBits {
+				break
+			}
+			e.bits += uint8(n)
+			e.codes++
+		}
+	}
+	return t
+}
+
+// SkipRunLevels consumes alternating (run, level) Exp-Golomb codes up to and
+// including the run code whose value is eob — the one primitive partial
+// decoding needs: the codes' lengths are parsed, their values are not.
+//
+// eob must be at least 63, which makes its code at least 13 bits long. No
+// code inside a 12-bit prefix can then be the end marker, so for those only
+// the total length and the parity of the count matter (is the next code a
+// run or a level?), and one table lookup retires all of them. A code the
+// prefix does not cover is decoded alone and, in run position, compared
+// with eob. A level that happens to equal eob does not end the block.
+func (r *Reader) SkipRunLevels(eob uint64) error {
+	if eob < 1<<(skipPrefixBits/2)-1 {
+		panic(fmt.Sprintf("bitio: SkipRunLevels end marker %d has a code shorter than %d bits", eob, skipPrefixBits+1))
+	}
+	level := uint8(0) // 1 when the next code is a level
+	for {
+		w, valid := r.peek()
+		used := 0 // bits of this load already stepped over
+		for {
+			rest := w << used
+			e := skipTable[rest>>(64-skipPrefixBits)]
+			n, codes := int(e.bits), e.codes
+			if codes == 0 { // one code, longer than the prefix
+				n, codes = 2*bits.LeadingZeros64(rest)+1, 1
+			}
+			if used+n > valid {
+				break
+			}
+			used += n
+			if e.codes == 0 && level == 0 && rest>>(64-n) == eob+1 {
+				r.pos += used
+				return nil
+			}
+			level ^= codes & 1
+		}
+		r.pos += used
+		if used > 0 {
+			continue
+		}
+		// Not even one code fits the load: it is longer than 57 bits or the
+		// input ends inside it.
+		v, err := r.ReadUE()
+		if err != nil {
+			return err
+		}
+		if level == 0 && v == eob {
+			return nil
+		}
+		level ^= 1
+	}
+}
+
 // Align discards bits up to the next byte boundary.
-func (r *Reader) Align() { r.nCur = 0 }
+func (r *Reader) Align() { r.pos = (r.pos + 7) &^ 7 }
 
 // SkipBits discards the next n bits.
 func (r *Reader) SkipBits(n uint) error {
-	// Fast-forward whole bytes once the current partial byte is drained.
-	for n > 0 && r.nCur > 0 {
-		if _, err := r.ReadBit(); err != nil {
-			return err
-		}
-		n--
+	if n > uint(r.Remaining()) {
+		return r.eof()
 	}
-	whole := int(n / 8)
-	if r.pos+whole > len(r.data) {
-		r.pos = len(r.data)
-		return ErrUnexpectedEOF
-	}
-	r.pos += whole
-	n %= 8
-	for ; n > 0; n-- {
-		if _, err := r.ReadBit(); err != nil {
-			return err
-		}
-	}
+	r.pos += int(n)
 	return nil
 }
 
@@ -224,40 +336,28 @@ func (r *Reader) ReadBytes(n int) ([]byte, error) {
 		return nil, fmt.Errorf("bitio: ReadBytes count %d negative", n)
 	}
 	r.Align()
-	if r.pos+n > len(r.data) {
-		r.pos = len(r.data)
-		return nil, ErrUnexpectedEOF
+	i := r.pos >> 3
+	if n > len(r.data)-i {
+		return nil, r.eof()
 	}
-	p := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return p, nil
+	r.pos += n * 8
+	return r.data[i : i+n], nil
 }
 
-// SkipBytes discards n whole bytes after aligning to a byte boundary.
+// SkipBytes discards n whole bytes after aligning to a byte boundary. A
+// negative count is an error and, like running past the end, leaves the
+// cursor at the end.
 func (r *Reader) SkipBytes(n int) error {
-	r.Align()
-	if r.pos+n > len(r.data) {
-		r.pos = len(r.data)
-		return ErrUnexpectedEOF
+	if n < 0 {
+		r.pos = len(r.data) * 8
+		return fmt.Errorf("bitio: SkipBytes count %d negative", n)
 	}
-	r.pos += n
-	return nil
+	_, err := r.ReadBytes(n)
+	return err
 }
 
 // ByteOffset reports the index of the next unread byte (after alignment).
-func (r *Reader) ByteOffset() int { return r.pos }
+func (r *Reader) ByteOffset() int { return (r.pos + 7) >> 3 }
 
 // Remaining reports the number of unread bits.
-func (r *Reader) Remaining() int {
-	return (len(r.data)-r.pos)*8 + int(r.nCur)
-}
-
-// bitLen returns the number of bits needed to represent x (x >= 1).
-func bitLen(x uint64) uint {
-	var n uint
-	for x > 0 {
-		n++
-		x >>= 1
-	}
-	return n
-}
+func (r *Reader) Remaining() int { return len(r.data)*8 - r.pos }

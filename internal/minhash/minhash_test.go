@@ -3,6 +3,7 @@ package minhash
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -132,12 +133,38 @@ func TestSketchOrderInvariance(t *testing.T) {
 	}
 }
 
-func TestSketchDuplicatesIgnored(t *testing.T) {
+// TestSketchSetIgnoresDuplicates: on random multisets of 1 to 10⁴ elements
+// the sketch equals, position for position, the sketch built by adding each
+// distinct element once — whether the duplicates are adjacent, scattered,
+// or outnumber the filter's slots — and the sketch is SketchSet's only
+// allocation.
+func TestSketchSetIgnoresDuplicates(t *testing.T) {
 	f, _ := NewFamily(64, 3)
-	a := f.SketchSet([]uint64{1, 2, 3})
-	b := f.SketchSet([]uint64{1, 1, 2, 2, 3, 3, 3})
-	if Similarity(a, b) != 1 {
-		t.Error("duplicate elements changed the sketch")
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 10, 64, 65, 500, 10000} {
+		for _, universe := range []int{1, 5, 63, 200, 1 << 20} {
+			ids := make([]uint64, n)
+			for i := range ids {
+				ids[i] = rng.Uint64() % uint64(universe) * 0x9e3779b97f4a7c15
+			}
+			if universe == 5 { // a window's shape: runs of one cell
+				slices.Sort(ids)
+			}
+			want := f.NewSketch()
+			distinct := map[uint64]bool{}
+			for _, x := range ids {
+				if !distinct[x] {
+					distinct[x] = true
+					f.Add(want, x)
+				}
+			}
+			if got := f.SketchSet(ids); !slices.Equal(got, want) {
+				t.Fatalf("n=%d universe=%d (%d distinct): sketch differs from the distinct set's", n, universe, len(distinct))
+			}
+			if allocs := testing.AllocsPerRun(10, func() { f.SketchSet(ids) }); allocs != 1 {
+				t.Errorf("n=%d universe=%d: %v allocations per SketchSet, want 1 (the sketch)", n, universe, allocs)
+			}
+		}
 	}
 }
 
@@ -295,6 +322,38 @@ func BenchmarkAdd(b *testing.B) {
 		f.Add(s, uint64(i))
 	}
 }
+
+// BenchmarkSketchSet sketches basic windows (10 cell ids, K=800) with no
+// repeated id and with the benchmark stream's shape, 5 distinct cells in
+// runs. It cycles through many windows: on one fixed window the branch
+// predictor learns every comparison and the number means nothing.
+func BenchmarkSketchSet(b *testing.B) {
+	f, _ := NewFamily(800, 1)
+	for _, bc := range []struct {
+		name     string
+		distinct int
+	}{{"distinct", 10}, {"half-duplicate", 5}} {
+		rng := rand.New(rand.NewSource(9))
+		windows := make([][]uint64, 512)
+		for w := range windows {
+			for i := 0; i < 10; i++ {
+				if i%(10/bc.distinct) == 0 {
+					windows[w] = append(windows[w], rng.Uint64()%4096)
+				} else {
+					windows[w] = append(windows[w], windows[w][i-1])
+				}
+			}
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = f.SketchSet(windows[i%len(windows)])
+			}
+		})
+	}
+}
+
+var benchSink Sketch
 
 func BenchmarkSimilarityK800(b *testing.B) {
 	f, _ := NewFamily(800, 1)

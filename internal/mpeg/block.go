@@ -114,29 +114,22 @@ func (c *blockCoder) readLevels(r *bitio.Reader, plane int, lv *dct.IntBlock) er
 	}
 }
 
-// skipAC consumes one block's bits updating only the DC predictor; the AC
-// (run, level) pairs are parsed and discarded. This is the partial-decoding
-// primitive: cost is proportional to the number of non-zero coefficients,
-// with no dequantisation or inverse transform.
+// skipAC consumes one block's bits updating only the DC predictor. This is
+// the partial-decoding primitive: the DC delta is decoded, the AC (run,
+// level) codes are stepped over by length alone up to the end-of-block run —
+// no values, no dequantisation, no inverse transform. Unlike readLevels it
+// does not check that the runs stay inside the block's 63 AC positions: a
+// payload whose runs overflow still parses here as long as its codes do.
 func (c *blockCoder) skipAC(r *bitio.Reader, plane int) (dcLevel int32, err error) {
 	d, err := r.ReadSE()
 	if err != nil {
 		return 0, err
 	}
 	c.dcPred[plane] += int32(d)
-	dcLevel = c.dcPred[plane]
-	for {
-		run, err := r.ReadUE()
-		if err != nil {
-			return 0, err
-		}
-		if run == eobRun {
-			return dcLevel, nil
-		}
-		if _, err := r.ReadSE(); err != nil {
-			return 0, err
-		}
+	if err := r.SkipRunLevels(eobRun); err != nil {
+		return 0, err
 	}
+	return c.dcPred[plane], nil
 }
 
 // extractBlock copies the 8×8 tile at (bx, by) from a plane into spatial,

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
+	"strings"
 	"testing"
 
+	"vdsms/internal/bitio"
+	"vdsms/internal/dct"
 	"vdsms/internal/vframe"
 )
 
@@ -210,35 +215,182 @@ func TestPartialDecoderDCMatchesBlockMeans(t *testing.T) {
 	}
 }
 
+// flatSource is n frames of one colour: every block codes as a DC delta and
+// an end-of-block, the shortest payload a geometry can have.
+type flatSource struct {
+	f *vframe.Frame
+	n int
+}
+
+func newFlat(w, h, n int, luma uint8) flatSource {
+	f := vframe.NewFrame(w, h)
+	for i := range f.Y {
+		f.Y[i] = luma
+	}
+	for i := range f.Cb {
+		f.Cb[i], f.Cr[i] = 128, 128
+	}
+	return flatSource{f: f, n: n}
+}
+
+func (s flatSource) Len() int                { return s.n }
+func (s flatSource) FPS() float64            { return 30 }
+func (s flatSource) Frame(int) *vframe.Frame { return s.f }
+
+// TestPartialMatchesFullDecodeDC holds the partial decoder against the full
+// one across geometries and qualities, twice over: block by block its
+// entropy walk (skipAC) must yield the DC level readLevels yields and stop
+// on the same bit, and frame by frame its DC grid must agree with the block
+// means of the fully reconstructed pixels. The cases cover what the reader's
+// paths split on: 16×16 flat frames are 11-byte payloads, so every load
+// past their fourth byte is a zero-padded tail load (the format has no
+// payload shorter than 8 bytes: 6 blocks of at least 14 bits); quality 100
+// on noisy content writes levels whose codes outgrow the 12-bit skip table.
 func TestPartialMatchesFullDecodeDC(t *testing.T) {
-	src := synth(4, 7)
-	data := encode(t, src, 60, 2)
-	dcs, hdr, err := ReadAllDC(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	noisy := func(w, h int) vframe.Source {
+		return vframe.NewSynth(vframe.SynthConfig{W: w, H: h, NumFrames: 4, Seed: 7, FPS: 30})
 	}
-	frames, _, err := DecodeAll(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dcf := range dcs {
-		full := frames[dcf.Info.Index]
-		for by := 0; by < dcf.BH; by++ {
-			for bx := 0; bx < dcf.BW; bx++ {
-				var sum float64
-				for y := 0; y < 8; y++ {
-					for x := 0; x < 8; x++ {
-						sum += float64(full.Y[(by*8+y)*hdr.W+bx*8+x])
+	for _, tc := range []struct {
+		name         string
+		src          vframe.Source
+		quality, gop int
+		maxPayload   int // 0: no bound
+		minCodeBits  int // longest AC code (end-of-block aside) must reach this
+	}{
+		{"64x48-q60-gop2", synth(4, 7), 60, 2, 0, 0},
+		{"16x16-flat-q50", newFlat(16, 16, 3, 128), 50, 1, 11, 0},
+		{"32x16-flat-q1", newFlat(32, 16, 2, 200), 1, 2, 22, 0},
+		{"16x16-q100", noisy(16, 16), 100, 1, 0, 13},
+		{"96x80-q75-intra", noisy(96, 80), 75, 1, 0, 0},
+		{"48x32-q100-gop3", noisy(48, 32), 100, 3, 0, 13},
+		{"160x112-q5", noisy(160, 112), 5, 1, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := encode(t, tc.src, tc.quality, tc.gop)
+			dcs, hdr, err := ReadAllDC(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, _, err := DecodeAll(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans, err := Frames(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			longest := 0
+			for _, dcf := range dcs {
+				sp := spans[dcf.Info.Index]
+				payload := data[sp.Off+FrameHeaderBytes : sp.Off+FrameHeaderBytes+sp.PayloadLen]
+				if tc.maxPayload > 0 && len(payload) > tc.maxPayload {
+					t.Errorf("frame %d: payload %d bytes, case wants at most %d", dcf.Info.Index, len(payload), tc.maxPayload)
+				}
+				// Entropy level: skipAC against readLevels, block by block.
+				partial, full := newBlockCoder(hdr.Quality), newBlockCoder(hdr.Quality)
+				pr, fr := bitio.NewReader(payload), bitio.NewReader(payload)
+				for b := 0; b < dcf.BW*dcf.BH; b++ {
+					var lv dct.IntBlock
+					if err := full.readLevels(fr, planeY, &lv); err != nil {
+						t.Fatalf("frame %d block %d: readLevels: %v", dcf.Info.Index, b, err)
+					}
+					level, err := partial.skipAC(pr, planeY)
+					if err != nil {
+						t.Fatalf("frame %d block %d: skipAC: %v", dcf.Info.Index, b, err)
+					}
+					if level != lv[0] || pr.Remaining() != fr.Remaining() {
+						t.Fatalf("frame %d block %d: skipAC level %d with %d bits left, readLevels %d with %d",
+							dcf.Info.Index, b, level, pr.Remaining(), lv[0], fr.Remaining())
+					}
+					if want := float64(lv[0]) * float64(full.lumaQ[0]); dcf.DC[b] != want {
+						t.Fatalf("frame %d block %d: DC %v, full entropy decode %v", dcf.Info.Index, b, dcf.DC[b], want)
+					}
+					for _, v := range lv[1:] {
+						if v < 0 {
+							v = -v
+						}
+						longest = max(longest, 2*bits.Len64(uint64(2*v))-1) // SE(v) is UE(2|v|−1) or UE(2|v|)
 					}
 				}
-				fullDC := 8 * (sum/64 - 128)
-				got := dcf.DC[by*dcf.BW+bx]
-				// Full decode clamps pixels; allow small divergence.
-				if math.Abs(got-fullDC) > 12 {
-					t.Fatalf("frame %d block (%d,%d): partial DC %.1f vs full %.1f",
-						dcf.Info.Index, bx, by, got, fullDC)
+				// Pixel level: the DC grid against reconstructed block means.
+				img := frames[dcf.Info.Index]
+				for by := 0; by < dcf.BH; by++ {
+					for bx := 0; bx < dcf.BW; bx++ {
+						var sum float64
+						for y := 0; y < 8; y++ {
+							for x := 0; x < 8; x++ {
+								sum += float64(img.Y[(by*8+y)*hdr.W+bx*8+x])
+							}
+						}
+						fullDC := 8 * (sum/64 - 128)
+						got := dcf.DC[by*dcf.BW+bx]
+						// Full decode clamps pixels; allow small divergence.
+						if math.Abs(got-fullDC) > 12 {
+							t.Fatalf("frame %d block (%d,%d): partial DC %.1f vs full %.1f",
+								dcf.Info.Index, bx, by, got, fullDC)
+						}
+					}
 				}
 			}
+			if longest < tc.minCodeBits {
+				t.Errorf("longest AC level code is %d bits, case wants at least %d to leave the skip table", longest, tc.minCodeBits)
+			}
+		})
+	}
+}
+
+// TestPartialDecodeAcceptsRunOverflow pins a documented property of the
+// partial path: it steps over AC codes by length and never adds the runs
+// up, so a block whose runs pass position 63 — which readLevels rejects —
+// is accepted as long as its codes parse and its end-of-block is found.
+// The DC grid is the one the codes spell, with resync on or off, and no
+// damage is counted.
+func TestPartialDecodeAcceptsRunOverflow(t *testing.T) {
+	hdr := StreamHeader{W: 16, H: 16, FPSNum: 2, FPSDen: 1, Quality: 75, GOP: 1}
+	bw := bitio.NewWriter(64)
+	for b := 0; b < 6; b++ { // 4 luma blocks, Cb, Cr
+		bw.WriteSE(int64(3 + b))
+		if b == 1 {
+			for i := 0; i < 3; i++ { // runs 40+40+40: position 122 of 63
+				bw.WriteUE(40)
+				bw.WriteSE(2)
+			}
+		}
+		bw.WriteUE(eobRun)
+	}
+	payload := bw.Bytes()
+	var stream bytes.Buffer
+	if err := writeHeader(&stream, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrameHeader(&stream, frameTypeI, len(payload)); err != nil {
+		t.Fatal(err)
+	}
+	stream.Write(payload)
+
+	if _, _, err := DecodeAll(bytes.NewReader(stream.Bytes())); err == nil || !strings.Contains(err.Error(), "AC run overflows block") {
+		t.Fatalf("full decoder: %v, want the AC run overflow error", err)
+	}
+	q := float64(newBlockCoder(hdr.Quality).lumaQ[0])
+	want := []float64{3 * q, 7 * q, 12 * q, 18 * q} // DPCM: 3, 3+4, 7+5, 12+6
+	for _, resync := range []bool{false, true} {
+		dec, err := NewPartialDecoder(bytes.NewReader(stream.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec.SetResync(resync)
+		dcf, err := dec.Next()
+		if err != nil {
+			t.Fatalf("resync=%v: %v", resync, err)
+		}
+		if !slices.Equal(dcf.DC, want) {
+			t.Errorf("resync=%v: DC %v, want %v", resync, dcf.DC, want)
+		}
+		if _, err := dec.Next(); err != io.EOF {
+			t.Errorf("resync=%v: after the frame %v, want io.EOF", resync, err)
+		}
+		if st := dec.ResyncStats(); st != (ResyncStats{}) {
+			t.Errorf("resync=%v: damage counted %+v, want none", resync, st)
 		}
 	}
 }
@@ -346,20 +498,33 @@ func BenchmarkEncodeFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkPartialDecode: ReadAllDC over a GOP-15 clip (P frames skipped
+// unread, 4 I-frames parsed) and over an intra-only clip at the benchmark
+// corpus's geometry and quality, where every byte is an I-frame's.
 func BenchmarkPartialDecode(b *testing.B) {
-	src := vframe.NewSynth(vframe.SynthConfig{W: 176, H: 144, NumFrames: 60, Seed: 2})
-	var buf bytes.Buffer
-	if _, err := EncodeSource(&buf, src, 75, 15); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ReadAllDC(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		cfg  vframe.SynthConfig
+		gop  int
+	}{
+		{"176x144-gop15", vframe.SynthConfig{W: 176, H: 144, NumFrames: 60, Seed: 2}, 15},
+		{"96x80-intra", vframe.SynthConfig{W: 96, H: 80, NumFrames: 60, Seed: 2, FPS: 2}, 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if _, err := EncodeSource(&buf, vframe.NewSynth(bc.cfg), 75, bc.gop); err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ReadAllDC(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -30,17 +30,18 @@ type DCFrame struct {
 
 // PartialDecoder extracts DC coefficients of I-frames without
 // reconstructing pixels. P frames are skipped at the cost of a buffered
-// read; within an I-frame only the luma entropy codes are parsed (DC deltas
-// applied, AC run-level pairs discarded) and the chroma payload is never
-// touched. This is the compressed-domain fast path of paper Section III.A.
+// read; within an I-frame only the luma entropy codes are parsed — DC deltas
+// decoded and applied, AC run-level codes stepped over by length alone
+// (bitio.Reader.SkipRunLevels) — and the chroma payload is never touched.
+// This is the compressed-domain fast path of paper Section III.A.
 type PartialDecoder struct {
 	r       io.Reader
 	hdr     StreamHeader
 	coder   *blockCoder
 	count   int
 	payload []byte
-	// BitsParsed accumulates the number of payload bytes actually read into
-	// memory, for instrumentation.
+	// BytesRead accumulates the number of I-frame payload bytes read into
+	// memory for parsing, for instrumentation.
 	BytesRead int64
 
 	// Retention (optional): raw payloads of the most recent frames, kept so
