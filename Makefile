@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test ./cmd/vcdeval -fuzz FuzzParseTruth -fuzztime 30s
 	$(GO) test ./cmd/vcdeval -fuzz FuzzReadReports -fuzztime 30s
 	$(GO) test ./internal/qindex -fuzz FuzzProbeVsScan -fuzztime 30s
+	$(GO) test ./internal/snapshot -fuzz FuzzReplayWAL -fuzztime 30s
 
 # Reduced-scale temporal-attack robustness suite under the race detector:
 # attack-transform invariants, per-family evaluation, and the end-to-end
@@ -108,13 +109,16 @@ perf-smoke:
 	PERF_SMOKE=1 $(GO) test -count=1 \
 		-run 'TestZeroSamplingSpanCaptureAddsNoAllocs|TestZeroSamplingOverheadGate' ./internal/benchkit
 
-# Crash-recovery sweep under the race detector: snapshot/restore at every
-# window boundary and worker-count combination must reproduce the
-# uninterrupted run byte for byte.
+# Crash-recovery sweep under the race detector, run twice (-count=2: the
+# tests share a process-global metrics registry): snapshot/restore at every
+# window boundary and worker-count combination, a crash after every byte
+# of a logged subscription change and at every step of a checkpoint, and
+# the version 1 lineage fixture must reproduce the uninterrupted run byte
+# for byte; the WAL reader's fuzz seeds run as tests.
 snapshot-fuzz:
-	$(GO) test -race -count=1 -run 'TestCrashPointSweep|TestExportStateCanonical|TestRestoreRejects' ./internal/core
-	$(GO) test -race -count=1 -run 'TestResume|TestQueryChurn|TestCheckpoint|TestWAL|TestHeaderGolden' ./...
-	$(GO) test -race -count=1 -run 'TestSnapshot' ./internal/server
+	$(GO) test -race -count=2 -run 'TestCrashPointSweep|TestExportStateCanonical|TestRestoreRejects' ./internal/core
+	$(GO) test -race -count=2 -run 'TestResume|TestQueryChurn|TestCheckpoint|TestWAL|TestHeaderGolden|FuzzReplayWAL' ./...
+	$(GO) test -race -count=2 -run 'TestSnapshot|TestMetricsEndToEnd' ./internal/server
 
 clean:
 	$(GO) clean ./...

@@ -11,10 +11,11 @@
 //
 //	MATCH query=<id> at=<sec> start=<sec> end=<sec> sim=<value>
 //
-// With -checkpoint-dir the monitor journals every frame and periodically
-// checkpoints its full matching state; after a crash, rerunning with
-// -resume restores that state, replays the frame log, and continues the
-// stream exactly where it left off (replayed matches are reported with a
+// With -checkpoint-dir the monitor journals every frame and every
+// subscription change to a write-ahead log and checkpoints its full
+// matching state periodically and whenever the log has outgrown the last
+// checkpoint; after a crash, rerunning with -resume restores that state,
+// replays the log, and continues the stream exactly where it left off (replayed matches are reported with a
 // REPLAY prefix — the crashed run may already have printed them).
 //
 // With -metrics-addr the monitor serves Prometheus metrics (GET /metrics)

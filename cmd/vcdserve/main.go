@@ -26,8 +26,10 @@
 //	/debug/pprof/*                            profiling, only with -pprof
 //
 // With -checkpoint-dir the service persists its subscription state: it
-// restores from an existing checkpoint on boot, checkpoints on every
-// subscription change and on POST /snapshot, and on SIGINT/SIGTERM drains
+// restores from an existing checkpoint and the log beside it on boot, makes
+// every subscription change durable with one synced log record before
+// answering (a full checkpoint follows only once the log has outgrown the
+// last one), checkpoints on POST /snapshot, and on SIGINT/SIGTERM drains
 // in-flight streams, writes a final checkpoint and exits 0.
 //
 // With -real-time-budget every stream feeds one shared overload control

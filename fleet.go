@@ -125,32 +125,19 @@ func fleetMeta(cfg Config) snapshot.Meta {
 // AddQuery subscribes a continuous query from an encoded MVC1 clip,
 // fleet-wide: every attached stream sees it at its next window.
 func (f *Fleet) AddQuery(id int, clip io.Reader) error {
-	dcs, _, err := mpeg.ReadAllDC(clip)
+	cells, err := f.pl.queryCells(id, clip)
 	if err != nil {
-		return fmt.Errorf("vdsms: decoding query %d: %w", id, err)
+		return err
 	}
-	if len(dcs) == 0 {
-		return fmt.Errorf("vdsms: query %d has no key frames", id)
-	}
-	return f.pool.AddQuery(id, f.pl.ids(dcs))
+	return f.pool.AddQuery(id, cells)
 }
 
 // AddQueries subscribes a batch of MVC1 clips in one bulk index build and
 // one plane version.
 func (f *Fleet) AddQueries(ids []int, clips []io.Reader) error {
-	if len(ids) != len(clips) {
-		return fmt.Errorf("vdsms: AddQueries: %d ids but %d clips", len(ids), len(clips))
-	}
-	cellIDs := make([][]uint64, len(clips))
-	for i, clip := range clips {
-		dcs, _, err := mpeg.ReadAllDC(clip)
-		if err != nil {
-			return fmt.Errorf("vdsms: decoding query %d: %w", ids[i], err)
-		}
-		if len(dcs) == 0 {
-			return fmt.Errorf("vdsms: query %d has no key frames", ids[i])
-		}
-		cellIDs[i] = f.pl.ids(dcs)
+	cellIDs, err := f.pl.batchCells(ids, clips)
+	if err != nil {
+		return err
 	}
 	return f.pool.AddQueries(ids, cellIDs)
 }

@@ -210,17 +210,59 @@ func (qs *QuerySet) IDs() []int {
 	return out
 }
 
+// checkAdd is every reason Add and AddBatch refuse a subscription, tested
+// against this plane without touching it.
+func (v *queryPlane) checkAdd(ids []int, cellIDs [][]uint64) error {
+	if len(ids) != len(cellIDs) {
+		return fmt.Errorf("core: AddBatch got %d ids but %d queries", len(ids), len(cellIDs))
+	}
+	for i, id := range ids {
+		if len(cellIDs[i]) == 0 {
+			return fmt.Errorf("core: query %d has no frames", id)
+		}
+		if _, dup := v.queries[id]; dup {
+			return fmt.Errorf("core: query id %d already subscribed", id)
+		}
+	}
+	if len(ids) > 1 {
+		seen := make(map[int]bool, len(ids))
+		for _, id := range ids {
+			if seen[id] {
+				return fmt.Errorf("core: query id %d duplicated in batch", id)
+			}
+			seen[id] = true
+		}
+	}
+	return nil
+}
+
+// checkRemove is the one reason Remove refuses.
+func (v *queryPlane) checkRemove(id int) error {
+	if _, ok := v.queries[id]; !ok {
+		return fmt.Errorf("core: query id %d not subscribed", id)
+	}
+	return nil
+}
+
+// CheckAdd reports the error Add (one id) or AddBatch would return for
+// these subscriptions against the current plane, and nil when they would
+// land. A caller that must make a change durable before it takes effect
+// validates with it first, so that nothing invalid is ever logged.
+func (qs *QuerySet) CheckAdd(ids []int, cellIDs [][]uint64) error {
+	return qs.view().checkAdd(ids, cellIDs)
+}
+
+// CheckRemove is CheckAdd's counterpart for Remove.
+func (qs *QuerySet) CheckRemove(id int) error { return qs.view().checkRemove(id) }
+
 // Add subscribes a query given the cell ids of its key frames. The new
 // plane is built copy-on-write and published atomically: engines mid-window
 // finish on the old version and see the query at their next window.
 func (qs *QuerySet) Add(id int, cellIDs []uint64) error {
-	if len(cellIDs) == 0 {
-		return fmt.Errorf("core: query %d has no frames", id)
-	}
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	if _, dup := qs.view().queries[id]; dup {
-		return fmt.Errorf("core: query id %d already subscribed", id)
+	if err := qs.view().checkAdd([]int{id}, [][]uint64{cellIDs}); err != nil {
+		return err
 	}
 	q := &queryInfo{
 		id:      id,
@@ -279,24 +321,10 @@ func (qs *QuerySet) insert(np *queryPlane, q *queryInfo) error {
 // validated before any mutation, so an error leaves the set unchanged, and
 // the whole batch lands as a single new plane version.
 func (qs *QuerySet) AddBatch(ids []int, cellIDs [][]uint64) error {
-	if len(ids) != len(cellIDs) {
-		return fmt.Errorf("core: AddBatch got %d ids but %d queries", len(ids), len(cellIDs))
-	}
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	cur := qs.view()
-	seen := make(map[int]bool, len(ids))
-	for i, id := range ids {
-		if len(cellIDs[i]) == 0 {
-			return fmt.Errorf("core: query %d has no frames", id)
-		}
-		if seen[id] {
-			return fmt.Errorf("core: query id %d duplicated in batch", id)
-		}
-		if _, dup := cur.queries[id]; dup {
-			return fmt.Errorf("core: query id %d already subscribed", id)
-		}
-		seen[id] = true
+	if err := qs.view().checkAdd(ids, cellIDs); err != nil {
+		return err
 	}
 	np := qs.begin()
 	batch := make([]*queryInfo, len(ids))
@@ -335,8 +363,8 @@ func (qs *QuerySet) AddBatch(ids []int, cellIDs [][]uint64) error {
 func (qs *QuerySet) Remove(id int) error {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	if _, ok := qs.view().queries[id]; !ok {
-		return fmt.Errorf("core: query id %d not subscribed", id)
+	if err := qs.view().checkRemove(id); err != nil {
+		return err
 	}
 	np := qs.begin()
 	delete(np.queries, id)

@@ -56,10 +56,17 @@ func scrape(t *testing.T, ts *httptest.Server) *telemetry.Exposition {
 // is process-global and other tests in this binary feed it too.
 func TestMetricsEndToEnd(t *testing.T) {
 	_, ts := obsServer(t, Options{})
+	// A checkpoint that holds one sketch (3.2 KB at K=400): the size rule —
+	// checkpoint once the log outgrows it — then has nothing to say about
+	// the two ~100-byte records below, which an empty plane's ~100-byte
+	// checkpoint would not guarantee.
+	do(t, http.MethodPut, ts.URL+"/queries/8", clip(t, 6, 20)).Body.Close()
+	do(t, http.MethodPost, ts.URL+"/snapshot", nil).Body.Close()
 	before := scrape(t, ts)
 
 	query := clip(t, 5, 20)
 	do(t, http.MethodPut, ts.URL+"/queries/7", query).Body.Close()
+	do(t, http.MethodDelete, ts.URL+"/queries/8", nil).Body.Close()
 	var stream bytes.Buffer
 	err := vdsms.ComposeStream(&stream, 75, 1,
 		bytes.NewReader(clip(t, 100, 20)),
@@ -113,17 +120,25 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 
 	// Durability layer. The root detector owns the checkpoint lineage
-	// (per-stream detectors deliberately run without one), so the
-	// subscription change is what checkpoints here — writing the state file
-	// and rotating the WAL, whose close-time fsync is timed.
-	if d := delta("vcd_checkpoints_total"); d <= 0 {
-		t.Errorf("vcd_checkpoints_total moved by %g, want > 0", d)
+	// (per-stream detectors deliberately run without one). A subscription
+	// change costs one synced WAL record — not a checkpoint: those are
+	// written when a lineage starts, on request, and when the log has
+	// outgrown the one it extends.
+	for _, op := range []string{"add", "remove"} {
+		if d := delta("vcd_wal_plane_records_total", telemetry.L("op", op)); d != 1 {
+			t.Errorf("vcd_wal_plane_records_total{op=%q} moved by %g, want 1", op, d)
+		}
 	}
-	if d := delta("vcd_checkpoint_write_duration_seconds_count"); d <= 0 {
-		t.Errorf("vcd_checkpoint_write_duration_seconds observed %g times, want > 0", d)
+	if d := delta("vcd_wal_fsync_duration_seconds_count"); d < 2 {
+		t.Errorf("vcd_wal_fsync_duration_seconds observed %g times, want one per subscription change", d)
 	}
-	if d := delta("vcd_wal_fsync_duration_seconds_count"); d <= 0 {
-		t.Errorf("vcd_wal_fsync_duration_seconds observed %g times, want > 0", d)
+	for _, name := range []string{"vcd_checkpoints_total", "vcd_checkpoint_write_duration_seconds_count", "vcd_checkpoint_compactions_total"} {
+		if d := delta(name); d != 0 {
+			t.Errorf("%s moved by %g on subscription changes, want 0", name, d)
+		}
+	}
+	if d := delta("vcd_wal_bytes"); d <= 0 {
+		t.Errorf("vcd_wal_bytes moved by %g over two appended records, want > 0", d)
 	}
 	// Frame appends happen only in checkpointed monitors (exercised by the
 	// facade tests); here the series just has to be scraped.
@@ -157,6 +172,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"vcd_matches_total":              "counter",
 		"vcd_stage_duration_seconds":     "histogram",
 		"vcd_wal_fsync_duration_seconds": "histogram",
+		"vcd_wal_plane_records_total":    "counter",
+		"vcd_wal_bytes":                  "gauge",
 		"vcd_shard_compared_total":       "counter",
 		"vcd_streams_active":             "gauge",
 	} {

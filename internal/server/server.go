@@ -33,11 +33,11 @@
 // and concurrent stream uploads monitor in parallel.
 //
 // /metrics, /healthz and /readyz are wait-free: they read atomics only and
-// never take the subscription mutex, so a checkpointing subscription change
-// (which fsyncs under that mutex) or a busy monitor loop can never stall a
-// scrape or a health probe. /stats is nearly so — it additionally takes the
-// overload controller's short internal lock (never the subscription mutex)
-// to snapshot the shed-control loop.
+// never take the subscription mutex, so a durable subscription change
+// (which fsyncs its log record under that mutex) or a busy monitor loop
+// can never stall a scrape or a health probe. /stats is nearly so — it
+// additionally takes the overload controller's short internal lock (never
+// the subscription mutex) to snapshot the shed-control loop.
 //
 // When the detection configuration arms the overload controller
 // (Config.RealTimeBudget), every per-stream engine feeds the shared control
@@ -46,9 +46,11 @@
 // a load balancer to route new streams elsewhere until the overload clears.
 //
 // With Config.CheckpointDir set, New resumes from an existing checkpoint
-// (restoring the subscription set), subscription changes are checkpointed
-// immediately, and POST /snapshot or Checkpoint persist state on demand —
-// the hook vcdserve uses for its SIGTERM handoff.
+// and its write-ahead log (restoring the subscription set), every
+// subscription change is logged and synced before it takes effect — one
+// small record, with a full checkpoint only once the log has outgrown the
+// last — and POST /snapshot or Checkpoint persist state on demand, the hook
+// vcdserve uses for its SIGTERM handoff.
 package server
 
 import (

@@ -263,6 +263,26 @@ func (e *encoder) sketch(s []uint64) {
 
 // Write serialises a checkpoint to w.
 func Write(w io.Writer, c *Checkpoint) error {
+	_, err := w.Write(Marshal(c))
+	return err
+}
+
+// Identity names a serialised checkpoint by its integrity trailer (FNV-1a
+// over every byte before it). A WAL header carries the identity of the
+// checkpoint the log extends, so recovery can tell "this log continues
+// that checkpoint" from "this log predates it" without frame arithmetic.
+// Two checkpoints share an identity only when their bytes are equal — and
+// then they are the same state, so either reading of the log is correct.
+func Identity(checkpoint []byte) uint64 {
+	if len(checkpoint) < 8 {
+		return 0
+	}
+	return binary.BigEndian.Uint64(checkpoint[len(checkpoint)-8:])
+}
+
+// Marshal serialises a checkpoint: the layout of the package comment, the
+// trailer last (see Identity).
+func Marshal(c *Checkpoint) []byte {
 	bw := bitio.NewWriter(4096)
 	enc := &encoder{w: bw}
 
@@ -356,16 +376,12 @@ func Write(w io.Writer, c *Checkpoint) error {
 	}
 
 	// Integrity trailer: FNV-1a over every byte written so far.
-	body := bw.Bytes()
 	h := fnv.New64a()
-	h.Write(body)
+	h.Write(bw.Bytes())
 	var tr [8]byte
 	binary.BigEndian.PutUint64(tr[:], h.Sum64())
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	_, err := w.Write(tr[:])
-	return err
+	bw.WriteBytes(tr[:])
+	return bw.Bytes()
 }
 
 // ---------------------------------------------------------------- decoding

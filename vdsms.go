@@ -89,15 +89,16 @@ type Config struct {
 	Workers int
 	// CheckpointDir, when non-empty, enables crash recovery: the detector
 	// keeps a checkpoint of its full matching state plus a write-ahead log
-	// of the frames consumed since in this directory. Restart with Resume
-	// to continue exactly where a crashed run stopped. One directory serves
-	// one detector lineage; see DESIGN.md "Checkpoint/restore".
+	// of the frames consumed and the queries subscribed or unsubscribed
+	// since in this directory. Restart with Resume to continue exactly
+	// where a crashed run stopped. One directory serves one detector
+	// lineage; see DESIGN.md "Checkpoint/restore".
 	CheckpointDir string
 	// CheckpointEvery is the minimum wall-clock interval between periodic
 	// checkpoints during Monitor (taken at basic-window boundaries). Zero
-	// disables periodic checkpoints: state is then captured only on query
-	// churn and explicit Checkpoint calls, and recovery replays the WAL
-	// from the last such point.
+	// disables periodic checkpoints: state is then captured only when the
+	// WAL outgrows the checkpoint it extends and on explicit Checkpoint
+	// calls, and recovery replays the WAL from the last such point.
 	CheckpointEvery time.Duration
 	// SlowWindow arms the slow-window tracer: any basic window whose
 	// processing exceeds this budget is reported with a per-stage latency
@@ -218,9 +219,11 @@ type Detector struct {
 	// observations carry (resolved by armPerf from the trace stream name).
 	perfLabel string
 
-	// Checkpoint state (armed when Config.CheckpointDir is set).
-	wal      *snapshot.WAL
-	lastCkpt time.Time
+	// Checkpoint state (armed when Config.CheckpointDir is set): the open
+	// log, the size of the checkpoint it extends, and when that was taken.
+	wal       *snapshot.WAL
+	ckptBytes int64
+	lastCkpt  time.Time
 
 	// Per-Monitor-call archival state.
 	curPD   *mpeg.PartialDecoder
@@ -240,6 +243,34 @@ func (p pipeline) ids(dcs []*mpeg.DCFrame) []uint64 {
 		out[i] = p.pt.CellInto(p.ex.Vector(dcf), scratch)
 	}
 	return out
+}
+
+// queryCells decodes query clip id to the cell ids of its key frames.
+func (p pipeline) queryCells(id int, clip io.Reader) ([]uint64, error) {
+	dcs, _, err := mpeg.ReadAllDC(clip)
+	if err != nil {
+		return nil, fmt.Errorf("vdsms: decoding query %d: %w", id, err)
+	}
+	if len(dcs) == 0 {
+		return nil, fmt.Errorf("vdsms: query %d has no key frames", id)
+	}
+	return p.ids(dcs), nil
+}
+
+// batchCells is queryCells over a batch of clips.
+func (p pipeline) batchCells(ids []int, clips []io.Reader) ([][]uint64, error) {
+	if len(ids) != len(clips) {
+		return nil, fmt.Errorf("vdsms: AddQueries: %d ids but %d clips", len(ids), len(clips))
+	}
+	cellIDs := make([][]uint64, len(clips))
+	for i, clip := range clips {
+		cells, err := p.queryCells(ids[i], clip)
+		if err != nil {
+			return nil, err
+		}
+		cellIDs[i] = cells
+	}
+	return cellIDs, nil
 }
 
 // NewDetector validates cfg and builds a detector.
@@ -295,7 +326,9 @@ func NewDetector(cfg Config) (*Detector, error) {
 // the Hash-Query index are shared (one subscription covers every stream,
 // as in the paper's multi-stream setting); per-stream candidate state is
 // independent, so the returned detector may run in its own goroutine.
-// AddQuery/RemoveQuery through any sharing detector affects all of them.
+// AddQuery/RemoveQuery through any sharing detector affects all of them —
+// but only the detector that owns a checkpoint directory logs them, so on
+// a durable lineage make subscription changes through that one.
 func (d *Detector) NewStream() (*Detector, error) { return d.NewStreamNamed("") }
 
 // NewStreamNamed is NewStream with an explicit trace-journal stream name
@@ -383,55 +416,79 @@ func (d *Detector) convert(m core.Match) Match {
 }
 
 // AddQuery subscribes a continuous query from an encoded MVC1 clip. The
-// clip is partially decoded; only key-frame fingerprints are retained.
+// clip is partially decoded; only key-frame fingerprints are retained. On
+// a durable detector the change is logged and synced before it takes
+// effect (see subscribe), at the cost of one WAL record — not a checkpoint.
 func (d *Detector) AddQuery(id int, clip io.Reader) error {
-	dcs, _, err := mpeg.ReadAllDC(clip)
+	cells, err := d.pipeline.queryCells(id, clip)
 	if err != nil {
-		return fmt.Errorf("vdsms: decoding query %d: %w", id, err)
-	}
-	if len(dcs) == 0 {
-		return fmt.Errorf("vdsms: query %d has no key frames", id)
-	}
-	if err := d.engine.AddQuery(id, d.pipeline.ids(dcs)); err != nil {
 		return err
 	}
-	// Subscription churn is not in the WAL (the log carries frames only),
-	// so it is made durable by checkpointing immediately.
-	return d.checkpointOnChurn()
+	return d.subscribe([]int{id}, [][]uint64{cells})
 }
 
 // AddQueries subscribes a batch of continuous queries from encoded MVC1
 // clips in one bulk operation: clips are decoded, then the Hash-Query
 // index (and pre-filter, when enabled) is built once for the combined
 // query set instead of once per insert — the only practical path at
-// large query counts. Either every query lands or none does.
+// large query counts. Either every query lands or none does, in memory
+// and (one WAL record, one fsync) on disk.
 func (d *Detector) AddQueries(ids []int, clips []io.Reader) error {
-	if len(ids) != len(clips) {
-		return fmt.Errorf("vdsms: AddQueries: %d ids but %d clips", len(ids), len(clips))
-	}
-	cellIDs := make([][]uint64, len(clips))
-	for i, clip := range clips {
-		dcs, _, err := mpeg.ReadAllDC(clip)
-		if err != nil {
-			return fmt.Errorf("vdsms: decoding query %d: %w", ids[i], err)
-		}
-		if len(dcs) == 0 {
-			return fmt.Errorf("vdsms: query %d has no key frames", ids[i])
-		}
-		cellIDs[i] = d.pipeline.ids(dcs)
-	}
-	if err := d.engine.AddQueries(ids, cellIDs); err != nil {
+	cellIDs, err := d.pipeline.batchCells(ids, clips)
+	if err != nil {
 		return err
 	}
-	return d.checkpointOnChurn()
+	return d.subscribe(ids, cellIDs)
 }
 
-// RemoveQuery unsubscribes a query.
+// subscribe is validate → log → apply, the order pushLogged follows for
+// frames: a subscription the plane would refuse is never logged, and one
+// the log could not make durable never reaches the plane. (Without a log
+// the engine's own validation is the only one needed.)
+func (d *Detector) subscribe(ids []int, cells [][]uint64) error {
+	if d.CheckpointingEnabled() {
+		if err := d.engine.Queries().CheckAdd(ids, cells); err != nil {
+			return err
+		}
+		if err := d.startLineage(); err != nil {
+			return err
+		}
+		if err := d.wal.LogAdd(ids, cells); err != nil {
+			return d.logFailed(err)
+		}
+	}
+	if err := d.applyAdd(ids, cells); err != nil {
+		return err
+	}
+	return d.compactIfOutgrown()
+}
+
+// applyAdd is the engine call behind a subscription, live or replayed: one
+// query is inserted into the index, several rebuild it in bulk.
+func (d *Detector) applyAdd(ids []int, cells [][]uint64) error {
+	if len(ids) == 1 {
+		return d.engine.AddQuery(ids[0], cells[0])
+	}
+	return d.engine.AddQueries(ids, cells)
+}
+
+// RemoveQuery unsubscribes a query; durable like AddQuery.
 func (d *Detector) RemoveQuery(id int) error {
+	if d.CheckpointingEnabled() {
+		if err := d.engine.Queries().CheckRemove(id); err != nil {
+			return err
+		}
+		if err := d.startLineage(); err != nil {
+			return err
+		}
+		if err := d.wal.LogRemove(id); err != nil {
+			return d.logFailed(err)
+		}
+	}
 	if err := d.engine.RemoveQuery(id); err != nil {
 		return err
 	}
-	return d.checkpointOnChurn()
+	return d.compactIfOutgrown()
 }
 
 // QueryIDs returns the subscribed query ids (unordered) — after Resume,
