@@ -25,6 +25,10 @@ var (
 	// queue is full. The segment was decoded but NOT enqueued; retry,
 	// thin, or drop at the producer.
 	ErrBackpressure = fleet.ErrBackpressure
+	// ErrSegmentTooLarge reports a PushSegment of more key frames than the
+	// stream's whole queue (FleetConfig.QueueWindows): retrying cannot
+	// succeed. Send shorter segments or configure deeper queues.
+	ErrSegmentTooLarge = fleet.ErrBatchTooLarge
 	// ErrDuplicateStream reports an Attach with an id already in use.
 	ErrDuplicateStream = fleet.ErrDuplicateStream
 )
@@ -209,7 +213,8 @@ func (fs *FleetStream) ID() string { return fs.s.ID() }
 // Decoding happens on the caller's goroutine — producers parallelise the
 // front-end while the pool runs the matching kernel. A full stream queue
 // rejects the whole segment with ErrBackpressure: nothing is enqueued, so
-// a retried segment cannot double-feed frames.
+// a retried segment cannot double-feed frames. A segment longer than the
+// whole queue is rejected with ErrSegmentTooLarge, whatever the queue holds.
 func (fs *FleetStream) PushSegment(segment io.Reader) error {
 	dcs, hdr, err := mpeg.ReadAllDC(segment)
 	if err != nil {

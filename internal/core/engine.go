@@ -285,6 +285,21 @@ func (e *Engine) PushFrames(cellIDs []uint64) {
 	}
 }
 
+// PushFramesOn is PushFrames with the probes of a serial engine running on
+// ps, a scratch the caller owns and may hand to its next engine as soon as
+// the call returns — how a pool worker that drives many engines one at a
+// time keeps one scratch instead of one per stream. An engine with
+// Config.Workers > 0 probes on its shards' own scratches and ignores ps.
+func (e *Engine) PushFramesOn(ps *qindex.ProbeScratch, cellIDs []uint64) {
+	s := e.shards[0]
+	if e.nshards == 1 {
+		own := s.probe
+		s.probe = ps
+		defer func() { s.probe = own }()
+	}
+	e.PushFrames(cellIDs)
+}
+
 // PendingFrames returns how many frames of the currently filling window
 // have been consumed — callers batching PushFrames can align batches to
 // window boundaries so match latency equals the per-frame path's.
@@ -461,7 +476,10 @@ func (e *Engine) probeShard(s *engineShard, win *windowResult, wsk minhash.Sketc
 		s.qids, win.qidsSh[s.id] = ids, ids
 		return
 	}
-	po, scanned := view.probeShard(&s.probe, wsk, e.pruneDelta(), s.id, e.nshards, win.rowMask)
+	if s.probe == nil {
+		s.probe = new(qindex.ProbeScratch)
+	}
+	po, scanned := view.probeShard(s.probe, wsk, e.pruneDelta(), s.id, e.nshards, win.rowMask)
 	s.d.sketchCompares += int64(scanned)
 	s.d.probeComparisons += int64(po.Comparisons)
 	s.d.probed += int64(len(po.Related))

@@ -41,10 +41,12 @@ type engineShard struct {
 	d           shardDelta
 
 	// Reused across windows: the prober's memory (the window's related list
-	// and its signatures live here until the shard's next probe), the
-	// Sketch method's related ids, and the sorted-key buffer of the
-	// candidate walks.
-	probe qindex.ProbeScratch
+	// and its signatures live here until the next probe on it), the Sketch
+	// method's related ids, and the sorted-key buffer of the candidate
+	// walks. probe is made by the shard's first probe, or lent for one call
+	// by PushFramesOn; nothing read after processWindow returns lives in it
+	// (signatures that are kept are cloned out of it).
+	probe *qindex.ProbeScratch
 	qids  []int
 	keys  []int
 }

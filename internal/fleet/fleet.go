@@ -36,6 +36,7 @@ import (
 
 	"vdsms/internal/core"
 	"vdsms/internal/perfobs"
+	"vdsms/internal/qindex"
 	"vdsms/internal/telemetry"
 )
 
@@ -52,6 +53,11 @@ var (
 	// queue is full. The frames were NOT consumed; the producer decides
 	// whether to retry, thin, or drop (shed policy is the caller's).
 	ErrBackpressure = errors.New("fleet: stream queue full")
+	// ErrBatchTooLarge reports a Push of more frames than Config.QueueFrames:
+	// no amount of draining admits it, so unlike ErrBackpressure it must not
+	// be retried as it is. Nothing was consumed; the producer cuts the batch
+	// or the pool gets deeper queues.
+	ErrBatchTooLarge = errors.New("fleet: batch larger than stream queue")
 	// ErrDetached reports a Push on a stream that has been detached.
 	ErrDetached = errors.New("fleet: stream detached")
 )
@@ -70,8 +76,8 @@ type Config struct {
 	// fails with ErrFleetFull. 0 means unlimited.
 	MaxStreams int
 	// QueueFrames bounds each stream's pending frames (queued plus
-	// in-flight). A Push that would exceed it fails with ErrBackpressure.
-	// Defaults to 8 windows.
+	// in-flight). A Push that would exceed it fails with ErrBackpressure,
+	// one that alone exceeds it with ErrBatchTooLarge. Defaults to 8 windows.
 	QueueFrames int
 }
 
@@ -324,10 +330,15 @@ func (s *Stream) ID() string { return s.id }
 // without waiting for processing. The input is copied. A queue beyond
 // Config.QueueFrames rejects the whole batch with ErrBackpressure
 // (wrapped with the depths); partial admission would silently corrupt the
-// stream's frame sequence.
+// stream's frame sequence. A batch that could not be admitted into an empty
+// queue either is ErrBatchTooLarge, and is not counted as backpressure.
 func (s *Stream) Push(cellIDs []uint64) error {
 	if len(cellIDs) == 0 {
 		return nil
+	}
+	if len(cellIDs) > s.p.cfg.QueueFrames {
+		return fmt.Errorf("%w: stream %q, batch of %d frames, budget %d",
+			ErrBatchTooLarge, s.id, len(cellIDs), s.p.cfg.QueueFrames)
 	}
 	s.qmu.Lock()
 	if s.detached {
@@ -433,7 +444,7 @@ func (s *Stream) runPass() {
 				telWorkerHop.Observe(float64(hopNS) / 1e9)
 			}
 		}
-		s.eng.PushFrames(batch)
+		s.eng.PushFramesOn(&s.w.probe, batch)
 		s.emu.Unlock()
 		s.p.noteQueued(int64(-len(batch)))
 	}
@@ -544,6 +555,11 @@ type worker struct {
 	// they carried — the per-worker load surface of Pool.WorkerStats.
 	passes atomic.Int64
 	frames atomic.Int64
+
+	// probe is lent to the engine of whichever stream the worker is running
+	// a pass for, so the pool holds one probe scratch per worker, not per
+	// stream. Touched only by the worker's goroutine, inside runPass.
+	probe qindex.ProbeScratch
 }
 
 // WorkerStats describes one pool worker's load: how many streams hash to

@@ -166,6 +166,15 @@ func TestBackpressure(t *testing.T) {
 	if got := s.Pending(); got != 20 {
 		t.Fatalf("rejected batch partially admitted: pending=%d", got)
 	}
+	// A batch the empty queue could not hold is a different error, so that
+	// nobody waits for room that cannot come, and is not backpressure.
+	rejected := telPushRejected.Value()
+	if err := s.Push(make([]uint64, 31)); !errors.Is(err, ErrBatchTooLarge) || errors.Is(err, ErrBackpressure) {
+		t.Fatalf("push larger than the whole budget: %v", err)
+	}
+	if got := telPushRejected.Value(); got != rejected {
+		t.Fatalf("oversized batch counted as backpressure: %d -> %d", rejected, got)
+	}
 	// Whole-batch semantics: a smaller batch still fits.
 	if err := s.Push(make([]uint64, 5)); err != nil {
 		t.Fatalf("push filling exactly to budget: %v", err)

@@ -162,7 +162,7 @@ func TestProbeChurnEquivalence(t *testing.T) {
 func exactRowMask(x *Index, sk minhash.Sketch) RowMask {
 	m := NewRowMask(x.k)
 	for i, v := range sk {
-		if _, found := slices.BinarySearch(x.vals[i], v); found {
+		if vals, _, _ := rowOf(x, i); slices.Contains(vals, v) {
 			m.Set(i)
 		}
 	}

@@ -56,15 +56,36 @@ type version struct {
 // size — on ONE scratch shared by every probe of the run, checking each
 // output against the oracle: Related ids, lengths and plane words, the
 // Pruned set, and for masked probes EmptySearches and Comparisons. Values
-// come from a universe of a few numbers so that rows are mostly ties.
-func probeVsScan(t *testing.T, seed int64, kSel, uSel, steps uint8) {
+// come from a universe of a few numbers u so that rows are mostly ties, and
+// vSel lays them across the cut between the prefix a row keeps and the bits
+// it drops: u itself (every prefix zero), u<<29 (the prefix decides),
+// u<<29 or u<<29|1 (equal prefixes over different values), or any of these
+// and Empty, draw by draw.
+func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 	rng := rand.New(rand.NewSource(seed))
 	k := 1 + int(kSel)%130
 	universe := 2 + int(uSel)%6
+	value := func(form int) uint64 {
+		u := uint64(rng.Intn(universe))
+		switch form {
+		case 0:
+			return u
+		case 1:
+			return u << 29
+		case 2:
+			return u<<29 | uint64(rng.Intn(2))
+		default:
+			return minhash.Empty
+		}
+	}
 	sketch := func() minhash.Sketch {
 		sk := make(minhash.Sketch, k)
 		for i := range sk {
-			sk[i] = uint64(rng.Intn(universe))
+			if form := int(vSel) % 4; form < 3 {
+				sk[i] = value(form)
+			} else {
+				sk[i] = value(rng.Intn(4))
+			}
 		}
 		return sk
 	}
@@ -180,19 +201,24 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, steps uint8) {
 
 func TestProbeVsScan(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		probeVsScan(t, seed, uint8(seed*37), uint8(seed), uint8(seed*11))
+		probeVsScan(t, seed, uint8(seed*37), uint8(seed), 0, uint8(seed*11))
+		probeVsScan(t, seed, uint8(seed*37), uint8(seed), 1+uint8(seed%3), uint8(seed*11))
 	}
 	// K = 64 and 128 exactly: no partial last word.
-	probeVsScan(t, 99, 63, 1, 30)
-	probeVsScan(t, 100, 127, 0, 30)
+	probeVsScan(t, 99, 63, 1, 0, 30)
+	probeVsScan(t, 100, 127, 0, 3, 30)
 }
 
 func FuzzProbeVsScan(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(10))
-	f.Add(int64(2), uint8(63), uint8(3), uint8(40))
-	f.Add(int64(3), uint8(64), uint8(5), uint8(25))
-	f.Add(int64(4), uint8(129), uint8(1), uint8(39))
-	f.Fuzz(func(t *testing.T, seed int64, kSel, uSel, steps uint8) {
-		probeVsScan(t, seed, kSel, uSel, steps)
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(10))
+	f.Add(int64(2), uint8(63), uint8(3), uint8(0), uint8(40))
+	f.Add(int64(3), uint8(64), uint8(5), uint8(0), uint8(25))
+	f.Add(int64(4), uint8(129), uint8(1), uint8(0), uint8(39))
+	f.Add(int64(5), uint8(7), uint8(4), uint8(1), uint8(39))
+	f.Add(int64(6), uint8(65), uint8(5), uint8(2), uint8(39))
+	f.Add(int64(7), uint8(2), uint8(2), uint8(3), uint8(39))
+	f.Add(int64(8), uint8(128), uint8(0), uint8(3), uint8(30))
+	f.Fuzz(func(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
+		probeVsScan(t, seed, kSel, uSel, vSel, steps)
 	})
 }

@@ -71,23 +71,39 @@ func ShardOf(qid, nshards int) int {
 }
 
 // ProbeScratch is the reusable memory of one prober: the output lists, the
-// signature planes of the surviving queries, and the per-slot marks that
-// keep a query from entering R_L twice. A scratch serves one goroutine at a
+// signature planes of the surviving queries, the per-slot marks that keep a
+// query from entering R_L twice, and the per-row state the index probe
+// carries from one pass to the next. A scratch serves one goroutine at a
 // time but any sequence of indexes and scans; the output of a probe —
 // signatures included — is valid until the scratch's next probe, so a
 // caller that keeps a signature clones it.
 type ProbeScratch struct {
 	out ProbeOutput
-	// seen[s] == epoch marks slot s as already resolved in this probe.
-	// Stamping makes the reset O(1); marks left by earlier probes, of this
-	// or any other index, are below the current epoch and read as unseen.
+	// seen[s] == epoch marks slot s as already resolved in this probe, and
+	// at[s] then says how: the offset of its Lo plane in planes when it was
+	// kept, -1 when Lemma 2 pruned it. Stamping makes the reset O(1); marks
+	// left by earlier probes, of this or any other index, are below the
+	// current epoch and read as unseen.
 	seen  []uint32
+	at    []int32
 	epoch uint32
 	// planes holds Lo then Hi (nw words each) for each survivor, back to
 	// back; sigs are the headers Related[i].Sig points at.
 	k, nw  int
 	planes []uint64
 	sigs   []bitsig.Signature
+	// rows is the index probe's pass state, one element per admitted row;
+	// sized by the first index probe, so a scan never pays for it.
+	rows []rowProbe
+}
+
+// rowProbe is what the passes of an index probe hand each other about row
+// i: the leaf the fence search nominated, and the position in it at which
+// the entries with the window value's prefix start, if it has any.
+type rowProbe struct {
+	lf    *leaf
+	i     int32
+	start uint8
 }
 
 // begin opens a probe of a K=k sketch over nslots slots (0 for a scan).
@@ -100,6 +116,9 @@ func (ps *ProbeScratch) begin(nslots, k int) *ProbeOutput {
 	}
 	if len(ps.seen) < nslots {
 		ps.seen = make([]uint32, nslots)
+	}
+	if len(ps.at) < nslots {
+		ps.at = make([]int32, nslots)
 	}
 	ps.planes = ps.planes[:0]
 	ps.out = ProbeOutput{Related: ps.out.Related[:0], Pruned: ps.out.Pruned[:0]}
@@ -157,53 +176,142 @@ func (x *Index) ProbeShardMasked(sk minhash.Sketch, delta float64, shard, nshard
 // probe work partitions instead of being replicated, at the price of the K
 // row searches being repeated per shard.
 //
-// For each row the mask admits it binary-searches the window's value sk[i];
-// every owned query holding that value enters R_L, once. The entering
-// query's relations at all K positions come from one pass of the signature
-// kernel over its sketch, which stops early once Lemma 2 has condemned it.
-// Rows the mask rejects are guaranteed to hold no equal value, so skipping
-// them changes nothing: the output is identical to the unmasked probe
-// whenever the mask has no false negatives. A nil mask searches every row.
+// For each row the mask admits it finds the entries with the prefix of the
+// window's value sk[i]; every owned query among them that holds sk[i] itself
+// enters R_L, once. The entering query's relations at all K positions come
+// from one pass of the signature kernel over its sketch, which stops early
+// once Lemma 2 has condemned it. Rows the mask rejects are guaranteed to
+// hold no equal value, so skipping them changes nothing: the output is
+// identical to the unmasked probe whenever the mask has no false negatives.
+// A nil mask searches every row.
 func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, shard, nshards int, mask RowMask) *ProbeOutput {
 	if len(sk) != x.k {
 		panic("qindex: probe sketch K mismatch")
 	}
 	out := ps.begin(len(x.slots), x.k)
-	limit := lessLimit(x.k, delta)
-	for i, v := range sk {
-		if !mask.Admits(i) {
-			continue
+	if cap(ps.rows) < x.k {
+		ps.rows = make([]rowProbe, x.k)
+	}
+	// Pass 1: the leaf each admitted row's run starts in. A value above the
+	// whole row is sent to the last leaf, where pass 2 finds nothing, by
+	// arithmetic (min compiles to a branch), so that no branch here depends
+	// on the data. Only an index emptied by Remove has rows without a leaf.
+	rows, n := ps.rows[:x.k], 0
+	if len(x.pos) > 0 {
+		for i, v := range sk {
+			if mask.Admits(i) {
+				r := &x.rows[i]
+				j, last := lowerBound(r.fence, prefixOf(v)), len(r.leaves)-1
+				j -= int(uint64(last-j) >> 63)
+				rows[n] = rowProbe{lf: r.leaves[j], i: int32(i)}
+				n++
+			}
 		}
-		row := x.vals[i]
-		j, found := slices.BinarySearch(row, v)
-		if !found {
-			if mask != nil {
+	} else if mask != nil {
+		for i := range sk {
+			if mask.Admits(i) {
 				out.EmptySearches++
 			}
-			continue
-		}
-		for own := x.own[i]; j < len(row) && row[j] == v; j++ {
-			s := own[j]
-			sl := &x.slots[s]
-			if nshards > 1 && ShardOf(sl.qid, nshards) != shard {
-				continue
-			}
-			out.Comparisons++
-			if ps.seen[s] == ps.epoch {
-				continue
-			}
-			ps.seen[s] = ps.epoch
-			lo, hi := ps.next()
-			less, compared := bitsig.CompareInto(lo, hi, sk, sl.sketch, limit)
-			out.Comparisons += compared
-			if less > limit {
-				out.Pruned = append(out.Pruned, sl.qid)
-				continue
-			}
-			ps.keep(sl.qid, sl.length)
 		}
 	}
+	rows = rows[:n]
+	// Pass 2: where the run starts inside each leaf.
+	for n := range rows {
+		r := &rows[n]
+		r.start = uint8(r.lf.below(prefixOf(sk[r.i])))
+	}
+	// Pass 3: the hits, in row order.
+	h := hits{x: x, ps: ps, sk: sk, limit: lessLimit(x.k, delta), shard: shard, nshards: nshards}
+	for n := range rows {
+		r := &rows[n]
+		i, found := int(r.i), false
+		if r.start < leafCap && uint32(r.lf[r.start]>>32) == prefixOf(sk[i]) {
+			var open bool
+			if found, open = h.leaf(r.lf, int(r.start), i); open {
+				found = h.runOn(i) || found
+			}
+		}
+		if !found && mask != nil {
+			out.EmptySearches++
+		}
+	}
+	// A scratch at rest must not pin the leaves — and with them the row
+	// slabs — of an index that has since been superseded.
+	clear(rows)
 	return ps.finish()
+}
+
+// hits is pass 3 of one probe: the constants of the probe around the
+// per-entry decision.
+type hits struct {
+	x              *Index
+	ps             *ProbeScratch
+	sk             minhash.Sketch
+	limit          int
+	shard, nshards int
+}
+
+// runOn handles what is left of row i's run beyond the leaf it starts in,
+// which it ran to the end of.
+func (h *hits) runOn(i int) (found bool) {
+	r := &h.x.rows[i]
+	j := lowerBound(r.fence, prefixOf(h.sk[i])) + 1
+	for open := true; open && j < len(r.leaves); j++ {
+		var f bool
+		f, open = h.leaf(r.leaves[j], 0, i)
+		found = found || f
+	}
+	return found
+}
+
+// leaf resolves the entries of lf from position start on that share the prefix
+// of the window's value v = sk[i] at row i. It reports whether any query, of
+// any shard, holds v there, and whether the run is still open: it has begun
+// and the leaf ended before it did. The prefix only nominates: a slot counts
+// as holding v when its sketch says so — or, for a slot this probe already
+// kept, when its signature has Equal at i, which is the same statement read
+// from memory the scratch already holds.
+func (h *hits) leaf(lf *leaf, start, i int) (found, open bool) {
+	x, ps, out, v := h.x, h.ps, &h.ps.out, h.sk[i]
+	p, t := prefixOf(v), start
+	for ; t < leafCap && lf[t] != pad; t++ {
+		if uint32(lf[t]>>32) != p {
+			return found, false
+		}
+		s := int32(uint32(lf[t]))
+		seen := ps.seen[s] == ps.epoch
+		if seen && ps.at[s] >= 0 {
+			w := int(ps.at[s]) + i/64
+			if (ps.planes[w]&^ps.planes[w+ps.nw])>>(i%64)&1 != 0 {
+				found = true
+				out.Comparisons++
+			}
+			continue
+		}
+		sl := &x.slots[s]
+		if sl.sketch[i] != v {
+			continue
+		}
+		found = true
+		if h.nshards > 1 && ShardOf(sl.qid, h.nshards) != h.shard {
+			continue
+		}
+		out.Comparisons++
+		if seen {
+			continue
+		}
+		ps.seen[s], ps.at[s] = ps.epoch, -1
+		plo, phi := ps.next()
+		less, compared := bitsig.CompareInto(plo, phi, h.sk, sl.sketch, h.limit)
+		out.Comparisons += compared
+		if less > h.limit {
+			out.Pruned = append(out.Pruned, sl.qid)
+			continue
+		}
+		ps.at[s] = int32(len(ps.planes))
+		ps.keep(sl.qid, sl.length)
+	}
+	return found, t > start
 }
 
 // Scan is the index-free prober: every query sketch is compared against the

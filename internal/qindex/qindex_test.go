@@ -27,10 +27,25 @@ func makeQueries(t testing.TB, fam *minhash.Family, n int, seed int64) []Query {
 	return qs
 }
 
+// rowOf is the tests' one way of reading a row: in row order, the owner slot
+// of every entry, the value that owner's sketch holds there, and the prefix
+// the entry carries for it.
+func rowOf(x *Index, i int) (vals []uint64, own []int32, prefixes []uint32) {
+	for _, lf := range x.rows[i].leaves {
+		for _, e := range lf[:lf.size()] {
+			s := int32(uint32(e))
+			vals, own, prefixes = append(vals, x.slots[s].sketch[i]), append(own, s), append(prefixes, uint32(e>>32))
+		}
+	}
+	return vals, own, prefixes
+}
+
 // verifyStructure checks every invariant of the Hash-Query array against the
-// queries it should hold: every row sorted with one entry per query, every
-// entry's value the owner's sketch value at that row, every live slot met
-// exactly once per row, and the id map, slot table and free list consistent.
+// queries it should hold: every row in prefix order with one entry per
+// query, every entry's prefix that of the owner's sketch value at that row,
+// every live slot met exactly once per row, every leaf non-empty, ascending,
+// padded behind its entries and fenced by its last prefix, and the id map,
+// slot table and free list consistent.
 func verifyStructure(t *testing.T, x *Index, queries []Query) {
 	t.Helper()
 	if x.Len() != len(queries) || x.SizeTriples() != x.k*len(queries) {
@@ -45,18 +60,38 @@ func verifyStructure(t *testing.T, x *Index, queries []Query) {
 		}
 	}
 	for i := 0; i < x.k; i++ {
-		vals, own := x.vals[i], x.own[i]
-		if len(vals) != x.Len() || len(own) != x.Len() {
-			t.Fatalf("row %d has %d values, %d owners; index has %d queries", i, len(vals), len(own), x.Len())
+		r := x.rows[i]
+		if len(r.fence) != len(r.leaves) {
+			t.Fatalf("row %d has %d fence keys for %d leaves", i, len(r.fence), len(r.leaves))
+		}
+		last := uint64(0)
+		for j, lf := range r.leaves {
+			n := 0
+			for n < leafCap && lf[n] != pad {
+				if (j > 0 || n > 0) && lf[n] <= last {
+					t.Fatalf("row %d leaf %d not ascending at %d", i, j, n)
+				}
+				last = lf[n]
+				n++
+			}
+			if n == 0 || slices.ContainsFunc(lf[n:], func(e uint64) bool { return e != pad }) {
+				t.Fatalf("row %d leaf %d: %d entries, then %x", i, j, n, lf[n:])
+			}
+			if r.fence[j] != uint32(last>>32) {
+				t.Fatalf("row %d leaf %d fenced by %#x, ends in %#x", i, j, r.fence[j], last>>32)
+			}
+		}
+		vals, own, prefixes := rowOf(x, i)
+		if len(own) != x.Len() {
+			t.Fatalf("row %d has %d entries; index has %d queries", i, len(own), x.Len())
 		}
 		met := make(map[int32]bool, len(own))
 		for j, s := range own {
-			if j > 0 && vals[j-1] > vals[j] {
-				t.Fatalf("row %d not sorted at %d", i, j)
+			if j > 0 && prefixOf(vals[j-1]) > prefixOf(vals[j]) {
+				t.Fatalf("row %d not in prefix order at %d", i, j)
 			}
-			sl := x.slots[s]
-			if sl.length == 0 || sl.sketch[i] != vals[j] {
-				t.Fatalf("row %d col %d: owner slot %d does not hold value %d", i, j, s, vals[j])
+			if x.slots[s].length == 0 || prefixes[j] != prefixOf(vals[j]) {
+				t.Fatalf("row %d col %d: prefix %#x does not belong to owner slot %d's value %d", i, j, prefixes[j], s, vals[j])
 			}
 			if met[s] {
 				t.Fatalf("row %d: slot %d appears twice", i, s)

@@ -64,15 +64,19 @@ func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request, id, s
 	switch {
 	case sub == "frames" && r.Method == http.MethodPost:
 		if err := fs.PushSegment(r.Body); err != nil {
-			if errors.Is(err, vdsms.ErrBackpressure) {
+			switch {
+			case errors.Is(err, vdsms.ErrBackpressure):
 				telStreamsRejected.Inc()
 				// The segment was not enqueued; the producer re-sends the
 				// same bytes once the queue drains.
 				w.Header().Set("Retry-After", "1")
 				http.Error(w, err.Error(), http.StatusTooManyRequests)
-				return
+			case errors.Is(err, vdsms.ErrSegmentTooLarge):
+				// No Retry-After: the same bytes can never be admitted.
+				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+			default:
+				http.Error(w, err.Error(), http.StatusBadRequest)
 			}
-			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		writeJSON(w, map[string]any{"accepted": true, "pending": fs.Pending()})

@@ -146,6 +146,15 @@ func TestFleetPushErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// 82 key frames against the default queue of 8 windows of 10: the empty
+	// queue could not take it either, so the answer must not invite a retry.
+	resp = do(t, http.MethodPost, ts.URL+"/streams/cam-1/frames", clip(t, 2, 41))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || resp.Header.Get("Retry-After") != "" {
+		t.Fatalf("segment larger than the queue: %d, Retry-After %q; want 413 and none",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	resp.Body.Close()
+
 	resp = do(t, http.MethodGet, ts.URL+"/streams/cam-1/stats", nil)
 	var st struct {
 		Frames int `json:"frames"`
@@ -153,7 +162,7 @@ func TestFleetPushErrors(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&st)
 	resp.Body.Close()
 	if st.Frames != 0 {
-		t.Errorf("rejected segment fed %d frames", st.Frames)
+		t.Errorf("rejected segments fed %d frames", st.Frames)
 	}
 }
 
