@@ -47,6 +47,7 @@ experiments:
 fuzz:
 	$(GO) test ./internal/bitio -fuzz FuzzReader -fuzztime 30s
 	$(GO) test ./internal/bitio -fuzz FuzzSkipVsReference -fuzztime 30s
+	$(GO) test ./internal/bitio -fuzz FuzzDCBlocksVsReference -fuzztime 30s
 	$(GO) test ./internal/mpeg -fuzz FuzzPartialDecoder -fuzztime 30s
 	$(GO) test ./internal/mpeg -fuzz FuzzFullDecoder -fuzztime 30s
 	$(GO) test ./cmd/vcdeval -fuzz FuzzParseTruth -fuzztime 30s

@@ -79,7 +79,6 @@ type ovlState struct {
 	sampler *degrade.Sampler
 	motion  feature.MotionScorer
 
-	lastCell  uint64 // most recent emitted cell id, for substitution
 	lastLevel int32
 
 	extractShed atomic.Int64
@@ -96,6 +95,7 @@ type ovlState struct {
 func (d *Detector) armOverload(eng *core.Engine) {
 	if d.ovl == nil {
 		d.ovl = &ovlState{sampler: degrade.NewSampler()}
+		d.front.shed = d.shedExtract
 	}
 	if d.ctl == nil {
 		if d.cfg.RealTimeBudget <= 0 {
@@ -175,11 +175,8 @@ func (d *Detector) observeIngestWindow(kernel time.Duration) {
 	if d.ctl == nil {
 		return
 	}
-	total := kernel
-	if d.fe != nil {
-		dec, ext := d.fe.takeLast()
-		total += dec + ext
-	}
+	dec, ext := d.front.timer.takeLast()
+	total := kernel + dec + ext
 	level := int32(d.ctl.Observe(total))
 	if prev := d.ovl.lastLevel; level != prev {
 		d.ovl.lastLevel = level
@@ -191,31 +188,23 @@ func (d *Detector) observeIngestWindow(kernel time.Duration) {
 // shedArmed reports whether the monitor loop should make shed decisions.
 func (d *Detector) shedArmed() bool { return d.ctl != nil && d.cfg.Shed }
 
-// cellID turns one decoded frame into its grid-pyramid cell id, applying
-// the shed policy: placeholder frames (nil DC grid — shed before decode,
-// or lost to corruption) and extraction-shed frames substitute the most
-// recent real cell id, preserving the window cadence the matcher expects.
-func (d *Detector) cellID(dcf *mpeg.DCFrame, scratch []float64) uint64 {
+// shedExtract is the front end's shed hook (pipeline.next asks it about
+// every decoded frame): true substitutes the most recent cell id for this
+// frame's extraction. Every decoded frame is scored — the motion tracker
+// needs continuous history — then the sampler decides at the current level.
+func (d *Detector) shedExtract(dcf *mpeg.DCFrame) bool {
+	if !d.shedArmed() {
+		return false
+	}
 	o := d.ovl
-	if dcf.DC == nil {
-		// The decode was shed (counted at the shed check) or the frame was
-		// corrupt; either way there is nothing to extract.
-		return o.lastCell
+	score, ok := o.motion.Score(dcf)
+	if o.sampler.KeepExtract(d.ctl.Level(), score, ok) {
+		return false
 	}
-	if d.shedArmed() {
-		// Score every decoded frame — the tracker needs continuous history —
-		// then let the sampler decide at the current level.
-		score, ok := o.motion.Score(dcf)
-		if !d.ovl.sampler.KeepExtract(d.ctl.Level(), score, ok) {
-			o.extractShed.Add(1)
-			telShedExtract.Inc()
-			perfobs.DefaultOutliers.ObserveShed(d.perfLabel, 1)
-			return o.lastCell
-		}
-	}
-	id := d.pipeline.pt.CellInto(d.pipeline.ex.Vector(dcf), scratch)
-	o.lastCell = id
-	return id
+	o.extractShed.Add(1)
+	telShedExtract.Inc()
+	perfobs.DefaultOutliers.ObserveShed(d.perfLabel, 1)
+	return true
 }
 
 // foldResyncStats folds one Monitor call's decoder damage counters into

@@ -7,7 +7,6 @@
 package vdsms
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -216,19 +215,20 @@ func (fs *FleetStream) ID() string { return fs.s.ID() }
 // a retried segment cannot double-feed frames. A segment longer than the
 // whole queue is rejected with ErrSegmentTooLarge, whatever the queue holds.
 func (fs *FleetStream) PushSegment(segment io.Reader) error {
-	dcs, hdr, err := mpeg.ReadAllDC(segment)
+	pd, err := mpeg.NewPartialDecoder(segment)
 	if err != nil {
 		return err
 	}
-	keyRate := hdr.FPS() / float64(hdr.GOP)
-	if keyRate < fs.fl.cfg.KeyFPS*0.8 || keyRate > fs.fl.cfg.KeyFPS*1.25 {
-		return fmt.Errorf("vdsms: stream key-frame rate %.2f/s incompatible with configured %.2f/s",
-			keyRate, fs.fl.cfg.KeyFPS)
+	// Validate before working: a mis-configured producer costs a header
+	// read, not a decode.
+	if err := fs.fl.cfg.checkKeyRate(pd.Header()); err != nil {
+		return err
 	}
-	if len(dcs) == 0 {
-		return nil
+	cells, err := fs.fl.pl.cells(pd)
+	if err != nil || len(cells) == 0 {
+		return err
 	}
-	return fs.s.Push(fs.fl.pl.ids(dcs))
+	return fs.s.Push(cells)
 }
 
 // Matches returns the matches reported so far, in stream time.

@@ -230,10 +230,15 @@ func (r *Reader) ReadSE() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if u%2 == 1 {
-		return int64(u/2 + 1), nil
-	}
-	return -int64(u / 2), nil
+	return seValue(u), nil
+}
+
+// seValue maps an unsigned Exp-Golomb value to the signed one: 0→0, 1→1,
+// 2→-1, 3→2, 4→-2, ...
+func seValue(u uint64) int64 {
+	// Branch-free: the sign of a DC delta or a level is a coin toss.
+	m := int64(u&1) - 1 // 0 for a positive value, -1 otherwise
+	return (int64(u>>1+u&1) ^ m) - m
 }
 
 // skipPrefixBits is the width of the prefix SkipRunLevels looks up.
@@ -314,6 +319,116 @@ func (r *Reader) SkipRunLevels(eob uint64) error {
 		}
 		level ^= 1
 	}
+}
+
+// DCBlocks walks len(deltas) blocks — a signed DC delta, then run/level
+// codes through the run equal to eob, which must be at least 63 — storing
+// each block's delta, and returns how many blocks it finished; the rest of
+// deltas is scratch. It is ReadSE followed by SkipRunLevels once per block:
+// walkBlocks takes the blocks it can at word speed, and a block it stops in
+// front of is handed from its first bit to those two, so errors and the
+// cursor they leave are theirs.
+func (r *Reader) DCBlocks(deltas []int64, eob uint64) (int, error) {
+	if eob < 1<<(skipPrefixBits/2)-1 {
+		panic(fmt.Sprintf("bitio: DCBlocks end marker %d has a code shorter than %d bits", eob, skipPrefixBits+1))
+	}
+	for b := 0; ; b++ {
+		b += r.walkBlocks(deltas[b:], eob+1)
+		if b == len(deltas) {
+			return b, nil
+		}
+		d, err := r.ReadSE() // block b, the per-block way
+		if err == nil {
+			err = r.SkipRunLevels(eob)
+		}
+		if err != nil {
+			return b, err
+		}
+		deltas[b] = d
+	}
+}
+
+// walkTable is skipTable with the 13-bit codes added: a prefix of six zeros
+// and a one fixes the length of a code whose last bit lies outside it. The
+// end marker of walkBlocks is one of these, so its table retires the marker
+// like any other code.
+var walkTable = func() [1 << skipPrefixBits]skipEntry {
+	t := skipTable
+	for p := 1 << (skipPrefixBits/2 - 1); p < 1<<(skipPrefixBits/2); p++ {
+		t[p] = skipEntry{bits: skipPrefixBits + 1, codes: 1}
+	}
+	return t
+}()
+
+// maxWalkCode is the longest code walkBlocks steps over: a step works on the
+// load made one step earlier, so two consecutive codes have to fit the 57
+// bits a load is sure to hold past its cursor.
+const maxWalkCode = 28
+
+// walkBlocks is the frame-level kernel behind DCBlocks; mark is the end
+// marker's code word, eob+1. It returns the number of blocks walked and
+// leaves the cursor behind the last of them: in front of a block holding a
+// code longer than maxWalkCode bits or reaching into the input's last 8
+// bytes, and in front of the first if the marker is not a 13-bit code. (The
+// luma plane of an encoded frame has neither: quantised levels stay under
+// 2¹³ and the chroma planes follow it.)
+//
+// The walk has no branch that depends on the data. A frame is one
+// alternating sequence — a DC delta sits in level position, the end marker
+// in run position — so a first pass steps through it by table lookup with
+// one parity for the whole frame, notes the cursor after every step in the
+// slot of the current block and moves to the next slot when the step was a
+// marker in run position; what remains in a slot is where its block ends.
+// There is no refill either: every step starts the load for the next one at
+// its own cursor and works on the word the previous step loaded, shifted
+// past that step's code. The second pass reads each delta at the end of the
+// block before, independent loads that overlap.
+func (r *Reader) walkBlocks(deltas []int64, mark uint64) (b int) {
+	data := r.data
+	if len(data) < 8 || mark>>(skipPrefixBits/2) != 1 {
+		return 0
+	}
+	last := uint(len(data) - 8) // the last byte a full load can start at
+	cur := uint(r.pos)
+	i := cur >> 3
+	if i > last {
+		return 0
+	}
+	// w is a load and s how many of its leading bits lie behind the cursor.
+	w, s := binary.BigEndian.Uint64(data[i:]), cur&7
+	level := uint8(1) // low bit set when the next code is in level position
+	for b < len(deltas) {
+		rest := w << (s & 63)
+		if i = cur >> 3; i > last {
+			break
+		}
+		w, s = binary.BigEndian.Uint64(data[i:]), cur&7
+		e := &walkTable[rest>>(64-skipPrefixBits)]
+		n, codes := uint(e.bits), e.codes
+		if codes == 0 { // one code, 15 bits or longer
+			if n = uint(2*bits.LeadingZeros64(rest) + 1); n > maxWalkCode {
+				break
+			}
+			codes = 1
+		}
+		cur, s = cur+n, s+n
+		deltas[b] = int64(cur)
+		isMark := uint8(0)
+		if rest>>(63-skipPrefixBits) == mark {
+			isMark = 1
+		}
+		b += int(isMark &^ level)
+		level ^= codes
+	}
+	start := uint(r.pos)
+	for j, end := range deltas[:b] {
+		w = binary.BigEndian.Uint64(data[start>>3:]) << (start & 7)
+		n := uint(2*bits.LeadingZeros64(w) + 1)
+		deltas[j] = seValue(w>>((64-n)&63) - 1)
+		start = uint(end)
+	}
+	r.pos = int(start)
+	return b
 }
 
 // Align discards bits up to the next byte boundary.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -144,17 +145,69 @@ func FuzzSkipVsReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { walkBlocks(t, data) })
 }
 
+// walkDCBlocks asks DCBlocks for more blocks than data can hold, so that it
+// runs to the input's first error, and requires what walkBlocks requires of
+// the per-block calls: the oracle's deltas, block count, error text and
+// final bit position. A second reader takes the same blocks in two calls,
+// split where the first call's load is still half used.
+func walkDCBlocks(t *testing.T, data []byte) { walkDCBlocksTo(t, data, testEOB) }
+
+func walkDCBlocksTo(t *testing.T, data []byte, eob uint64) {
+	t.Helper()
+	ref := &refReader{data: data}
+	var want []int64
+	var wantErr error
+	for wantErr == nil {
+		var d int64
+		if d, wantErr = ref.readSE(); wantErr == nil {
+			wantErr = ref.skipRunLevels(eob)
+		}
+		if wantErr == nil {
+			want = append(want, d)
+		}
+	}
+	for _, split := range []int{0, len(want) / 2} {
+		r := NewReader(data)
+		got := make([]int64, len(want)+1)
+		n, err := r.DCBlocks(got[:split], eob)
+		if n != split || err != nil {
+			t.Fatalf("first %d blocks: walked %d, error %v", split, n, err)
+		}
+		n, err = r.DCBlocks(got[split:], eob)
+		if n += split; n != len(want) || err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("split %d: %d blocks then %v, oracle %d then %v", split, n, err, len(want), wantErr)
+		}
+		if !slices.Equal(got[:n], want) {
+			t.Fatalf("split %d: deltas %v, oracle %v", split, got[:n], want)
+		}
+		if pos := len(data)*8 - r.Remaining(); pos != ref.bitPos() {
+			t.Fatalf("split %d (err %v): bit position %d, oracle %d", split, err, pos, ref.bitPos())
+		}
+	}
+}
+
+// FuzzDCBlocksVsReference: on arbitrary bytes the frame-level kernel and the
+// bit-at-a-time oracle agree on deltas, block count, error and cursor.
+func FuzzDCBlocksVsReference(f *testing.F) {
+	for _, s := range skipSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { walkDCBlocks(t, data) })
+}
+
 // TestSkipVsReference runs the fuzz seeds plus random payloads truncated at
 // every byte and random noise as an ordinary test.
 func TestSkipVsReference(t *testing.T) {
 	for _, s := range skipSeeds(t) {
 		walkBlocks(t, s)
+		walkDCBlocks(t, s)
 	}
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 40; i++ {
 		p := blockPayload(rng, 1+rng.Intn(6), []int64{1, 6, 40, 5000}[i%4])
 		for cut := 0; cut <= len(p); cut++ {
 			walkBlocks(t, p[:cut])
+			walkDCBlocks(t, p[:cut])
 		}
 		noise := make([]byte, rng.Intn(64))
 		rng.Read(noise)
@@ -162,6 +215,7 @@ func TestSkipVsReference(t *testing.T) {
 			noise[j] |= byte(rng.Intn(256))
 		}
 		walkBlocks(t, noise)
+		walkDCBlocks(t, noise)
 	}
 }
 
@@ -238,6 +292,39 @@ func TestSkipTable(t *testing.T) {
 	if e := skipTable[1<<skipPrefixBits-1]; e.bits != skipPrefixBits || e.codes != skipPrefixBits {
 		t.Errorf("all-ones prefix: (%d bits, %d codes), want (12, 12)", e.bits, e.codes)
 	}
+}
+
+// TestDCBlocksMarkers: the kernel's table knows 13-bit markers only (63 to
+// 126); any other marker's blocks all take the per-block path, with the same
+// answers. The levels include each marker's own bit pattern.
+func TestDCBlocksMarkers(t *testing.T) {
+	for _, eob := range []uint64{63, 64, 126, 127, 200, 1 << 20} {
+		rng := rand.New(rand.NewSource(int64(eob)))
+		w := NewWriter(256)
+		for b := 0; b < 12; b++ {
+			w.WriteSE(rng.Int63n(4001) - 2000)
+			for k := rng.Intn(9); k > 0; k-- {
+				w.WriteUE(uint64(rng.Intn(62)))
+				if rng.Intn(3) == 0 {
+					w.WriteUE(eob) // the marker's code in level position
+				} else {
+					w.WriteUE(uint64(rng.Intn(300)))
+				}
+			}
+			w.WriteUE(eob)
+		}
+		w.WriteBits(0, 64) // chroma's stand-in: keeps the blocks out of the last 8 bytes
+		walkDCBlocksTo(t, bytes.Clone(w.Bytes()), eob)
+	}
+}
+
+func TestDCBlocksRejectsShortMarker(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("end marker 62 accepted")
+		}
+	}()
+	_, _ = NewReader([]byte{0xFF}).DCBlocks(make([]int64, 1), 62)
 }
 
 // TestSkipRunLevelsLevelEqualToEOB: the end marker's bit pattern in level

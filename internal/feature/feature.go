@@ -10,7 +10,9 @@ package feature
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"vdsms/internal/mpeg"
 )
@@ -96,9 +98,12 @@ func DefaultSelection(gw, gh, d int) []int {
 // Extractor converts partial-decode DC grids into normalised feature
 // vectors. It is safe for concurrent use.
 type Extractor struct {
-	cfg    Config
-	sel    []int
-	pooled []float64 // scratch, guarded by value semantics: see Vector
+	cfg Config
+	sel []int
+	// plans holds the pooling plans built so far, one per DC geometry seen,
+	// newest last. The list is replaced, never written, so readers need no
+	// lock.
+	plans atomic.Pointer[[]*poolPlan]
 }
 
 // NewExtractor validates cfg and builds an extractor.
@@ -111,7 +116,9 @@ func NewExtractor(cfg Config) (*Extractor, error) {
 	if sel == nil {
 		sel = DefaultSelection(cfg.GridW, cfg.GridH, cfg.D)
 	}
-	return &Extractor{cfg: cfg, sel: sel}, nil
+	e := &Extractor{cfg: cfg, sel: sel}
+	e.plans.Store(new([]*poolPlan))
+	return e, nil
 }
 
 // Config returns the effective configuration (defaults applied).
@@ -124,13 +131,29 @@ func (e *Extractor) Selection() []int { return append([]int(nil), e.sel...) }
 // Each returned component lies in [0,1]. A flat frame (all block averages
 // equal) maps to the all-0.5 vector.
 func (e *Extractor) Vector(dcf *mpeg.DCFrame) []float64 {
-	pooled := e.Pool(dcf)
-	normalise(pooled)
-	out := make([]float64, e.cfg.D)
-	for i, s := range e.sel {
-		out[i] = pooled[s]
+	return e.VectorInto(make([]float64, e.cfg.D), dcf)
+}
+
+// VectorInto is Vector into dst, which must hold d values; it allocates
+// nothing once the frame's geometry has been seen.
+func (e *Extractor) VectorInto(dst []float64, dcf *mpeg.DCFrame) []float64 {
+	var stack [16]float64 // the paper's 3×3 grid, with room to spare
+	pooled := stack[:]
+	if n := e.cfg.GridW * e.cfg.GridH; n > len(stack) {
+		pooled = make([]float64, n)
 	}
-	return out
+	pooled = e.PoolInto(pooled, dcf)
+	normalise(pooled)
+	return e.selectInto(dst, pooled)
+}
+
+// selectInto copies the selected blocks of a normalised grid into dst.
+func (e *Extractor) selectInto(dst, grid []float64) []float64 {
+	dst = dst[:e.cfg.D]
+	for i, s := range e.sel {
+		dst[i] = grid[s]
+	}
+	return dst
 }
 
 // FromPooled derives the normalised, selected feature vector from raw
@@ -144,11 +167,7 @@ func (e *Extractor) FromPooled(pooled []float64) []float64 {
 	}
 	tmp := append([]float64(nil), pooled...)
 	normalise(tmp)
-	out := make([]float64, e.cfg.D)
-	for i, s := range e.sel {
-		out[i] = tmp[s]
-	}
-	return out
+	return e.selectInto(make([]float64, e.cfg.D), tmp)
 }
 
 // Pool computes the D raw block averages of a DC frame: the frame is
@@ -159,42 +178,94 @@ func (e *Extractor) FromPooled(pooled []float64) []float64 {
 // grid (a resized copy must pool to nearly the same values as the
 // original). Returned values are unnormalised.
 func (e *Extractor) Pool(dcf *mpeg.DCFrame) []float64 {
-	gw, gh := e.cfg.GridW, e.cfg.GridH
-	wx := overlapWeights(dcf.BW, gw)
-	wy := overlapWeights(dcf.BH, gh)
-	sums := make([]float64, gw*gh)
-	weights := make([]float64, gw*gh)
-	for by := 0; by < dcf.BH; by++ {
-		for bx := 0; bx < dcf.BW; bx++ {
-			dc := dcf.DC[by*dcf.BW+bx]
-			for _, oy := range wy[by] {
-				for _, ox := range wx[bx] {
-					w := ox.w * oy.w
-					idx := oy.region*gw + ox.region
-					sums[idx] += dc * w
-					weights[idx] += w
-				}
+	return e.PoolInto(make([]float64, e.cfg.GridW*e.cfg.GridH), dcf)
+}
+
+// PoolInto is Pool into dst, which must hold at least GridW·GridH values.
+func (e *Extractor) PoolInto(dst []float64, dcf *mpeg.DCFrame) []float64 {
+	p := e.plan(dcf.BW, dcf.BH)
+	dst = dst[:len(p.weight)]
+	clear(dst)
+	for _, t := range p.terms {
+		dst[t.region] += dcf.DC[t.block] * t.w
+	}
+	for i, w := range p.weight {
+		if w > 0 {
+			dst[i] /= w
+		}
+	}
+	return dst
+}
+
+// poolPlan is the pooling of one DC geometry with the overlap arithmetic
+// done: the ⟨block, region, weight⟩ products Pool accumulates and each
+// region's total weight. A region receives its terms in block order, rows
+// before columns, which is the order the per-frame loops fed it in — so
+// pooling through a plan adds the same floats in the same sequence. A plan
+// is immutable once built.
+type poolPlan struct {
+	bw, bh int
+	terms  []poolTerm
+	weight []float64
+}
+
+type poolTerm struct {
+	block, region int32
+	w             float64
+}
+
+// maxPlans bounds the plan list: stream geometry comes from outside, and a
+// plan is as large as its DC grid. A fleet of mixed resolutions stays far
+// below it; past it the oldest plan is dropped and rebuilt on next use.
+const maxPlans = 8
+
+// plan returns the pooling plan for a bw×bh DC grid, building it on first
+// use. Two goroutines meeting a new geometry together may both build it;
+// the plans are equal and one of them is kept.
+func (e *Extractor) plan(bw, bh int) *poolPlan {
+	for {
+		old := e.plans.Load()
+		list := *old
+		for _, p := range list {
+			if p.bw == bw && p.bh == bh {
+				return p
 			}
 		}
-	}
-	for i := range sums {
-		if weights[i] > 0 {
-			sums[i] /= weights[i]
+		if len(list) == maxPlans {
+			list = list[1:]
+		}
+		p := e.buildPlan(bw, bh)
+		next := slices.Concat(list, []*poolPlan{p})
+		if e.plans.CompareAndSwap(old, &next) {
+			return p
 		}
 	}
-	return sums
 }
 
-// overlap is one (region, weight) contribution of a block along one axis.
+func (e *Extractor) buildPlan(bw, bh int) *poolPlan {
+	gw, gh := e.cfg.GridW, e.cfg.GridH
+	wx, wy := overlaps(bw, gw), overlaps(bh, gh)
+	p := &poolPlan{bw: bw, bh: bh, terms: make([]poolTerm, 0, len(wx)*len(wy)), weight: make([]float64, gw*gh)}
+	for _, oy := range wy {
+		for _, ox := range wx {
+			t := poolTerm{block: int32(oy.block*bw + ox.block), region: int32(oy.region*gw + ox.region), w: ox.w * oy.w}
+			p.terms = append(p.terms, t)
+			p.weight[t.region] += t.w
+		}
+	}
+	return p
+}
+
+// overlap is one (block, region, weight) contribution along one axis.
 type overlap struct {
-	region int
-	w      float64
+	block, region int
+	w             float64
 }
 
-// overlapWeights returns, for each of n blocks along an axis, its overlap
-// fractions with g equal regions.
-func overlapWeights(n, g int) [][]overlap {
-	out := make([][]overlap, n)
+// overlaps returns, block by block along an axis of n blocks, each block's
+// overlap fractions with g equal regions.
+func overlaps(n, g int) []overlap {
+	var out []overlap
 	for b := 0; b < n; b++ {
 		lo := float64(b) * float64(g) / float64(n)
 		hi := float64(b+1) * float64(g) / float64(n)
@@ -202,7 +273,7 @@ func overlapWeights(n, g int) [][]overlap {
 			start := math.Max(lo, float64(r))
 			end := math.Min(hi, float64(r+1))
 			if end > start {
-				out[b] = append(out[b], overlap{region: r, w: (end - start) / (hi - lo)})
+				out = append(out, overlap{block: b, region: r, w: (end - start) / (hi - lo)})
 			}
 		}
 	}

@@ -3,6 +3,10 @@ package feature
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vdsms/internal/edit"
@@ -233,5 +237,124 @@ func TestCustomSelection(t *testing.T) {
 	dcf := dcFrames(t, synthetic(1, 8), 80)[0]
 	if v := ex.Vector(dcf); len(v) != 3 {
 		t.Errorf("custom selection vector length %d", len(v))
+	}
+}
+
+// poolPerFrame is Pool as it was before plans: the overlaps of both axes
+// worked out for the frame in hand, block by block, products and weights
+// accumulated in block order. Plans are held to it bit for bit.
+func poolPerFrame(gw, gh int, dcf *mpeg.DCFrame) []float64 {
+	perBlock := func(n, g int) [][]overlap {
+		out := make([][]overlap, n)
+		for _, o := range overlaps(n, g) {
+			out[o.block] = append(out[o.block], o)
+		}
+		return out
+	}
+	wx := perBlock(dcf.BW, gw)
+	wy := perBlock(dcf.BH, gh)
+	sums := make([]float64, gw*gh)
+	weights := make([]float64, gw*gh)
+	for by := 0; by < dcf.BH; by++ {
+		for bx := 0; bx < dcf.BW; bx++ {
+			dc := dcf.DC[by*dcf.BW+bx]
+			for _, oy := range wy[by] {
+				for _, ox := range wx[bx] {
+					w := ox.w * oy.w
+					idx := oy.region*gw + ox.region
+					sums[idx] += dc * w
+					weights[idx] += w
+				}
+			}
+		}
+	}
+	for i := range sums {
+		if weights[i] > 0 {
+			sums[i] /= weights[i]
+		}
+	}
+	return sums
+}
+
+// randomGrid is a DC frame of the given geometry with noise for content.
+func randomGrid(bw, bh int, rng *rand.Rand) *mpeg.DCFrame {
+	dcf := &mpeg.DCFrame{BW: bw, BH: bh, DC: make([]float64, bw*bh)}
+	for i := range dcf.DC {
+		dcf.DC[i] = float64(rng.Intn(2041)-1020) * 3
+	}
+	return dcf
+}
+
+// TestPlanPoolsBitForBit: pooling through a cached plan returns exactly the
+// floats the per-frame arithmetic does, on grids that divide by the pooling
+// grid, grids that straddle it, grids smaller than it, and more geometries
+// than the plan list keeps; the Into variants fill the caller's buffers with
+// the same values and, geometry seen, allocate nothing.
+func TestPlanPoolsBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, cfg := range []Config{{D: 5}, {GridW: 4, GridH: 2, D: 8}, {GridW: 5, GridH: 5, D: 25}} {
+		ex, err := NewExtractor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = ex.Config()
+		for round := 0; round < 2; round++ { // the second round meets evicted plans again
+			for _, g := range [][2]int{{12, 10}, {14, 12}, {10, 8}, {20, 14}, {2, 2}, {1, 1}, {3, 3}, {4, 3}, {7, 5}, {6, 6}, {22, 18}} {
+				dcf := randomGrid(g[0], g[1], rng)
+				want := poolPerFrame(cfg.GridW, cfg.GridH, dcf)
+				if got := ex.Pool(dcf); !slices.Equal(got, want) {
+					t.Fatalf("grid %dx%d over %dx%d: pooled %v, per-frame arithmetic %v", g[0], g[1], cfg.GridW, cfg.GridH, got, want)
+				}
+				vec := make([]float64, cfg.D)
+				if got := ex.VectorInto(vec, dcf); &got[0] != &vec[0] || !slices.Equal(got, ex.Vector(dcf)) || !slices.Equal(got, ex.FromPooled(want)) {
+					t.Fatalf("grid %dx%d: VectorInto %v, Vector %v", g[0], g[1], got, ex.Vector(dcf))
+				}
+			}
+		}
+		if n := len(*ex.plans.Load()); n != maxPlans {
+			t.Errorf("%d plans kept after 11 geometries, want %d", n, maxPlans)
+		}
+	}
+	ex, _ := NewExtractor(Config{D: 5})
+	dcf, vec := randomGrid(12, 10, rng), make([]float64, 5)
+	ex.VectorInto(vec, dcf)
+	if n := testing.AllocsPerRun(100, func() { ex.VectorInto(vec, dcf) }); n != 0 {
+		t.Errorf("VectorInto allocates %v times per frame, want 0", n)
+	}
+}
+
+// TestPlanSharedAcrossGoroutines: goroutines alternating between two
+// geometries on one extractor (streams of different resolutions in one
+// fleet), the first of them meeting both geometries at the same moment, are
+// all handed one plan per geometry, from the first call on. Run under -race
+// in CI.
+func TestPlanSharedAcrossGoroutines(t *testing.T) {
+	ex, _ := NewExtractor(Config{D: 5})
+	geoms := [][2]int{{12, 10}, {14, 12}}
+	var first [2]atomic.Pointer[poolPlan]
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			vec := make([]float64, 5)
+			for i := 0; i < 200; i++ {
+				k := (i + g) % 2
+				dcf := randomGrid(geoms[k][0], geoms[k][1], rng)
+				if p := ex.plan(dcf.BW, dcf.BH); !first[k].CompareAndSwap(nil, p) && first[k].Load() != p {
+					t.Errorf("goroutine %d step %d: a second plan for %v", g, i, geoms[k])
+					return
+				}
+				if got, want := ex.VectorInto(vec, dcf), ex.FromPooled(poolPerFrame(3, 3, dcf)); !slices.Equal(got, want) {
+					t.Errorf("goroutine %d step %d: vector %v, want %v", g, i, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(*ex.plans.Load()); n != 2 {
+		t.Errorf("%d plans after alternating between two geometries, want 2", n)
 	}
 }

@@ -114,24 +114,6 @@ func (c *blockCoder) readLevels(r *bitio.Reader, plane int, lv *dct.IntBlock) er
 	}
 }
 
-// skipAC consumes one block's bits updating only the DC predictor. This is
-// the partial-decoding primitive: the DC delta is decoded, the AC (run,
-// level) codes are stepped over by length alone up to the end-of-block run —
-// no values, no dequantisation, no inverse transform. Unlike readLevels it
-// does not check that the runs stay inside the block's 63 AC positions: a
-// payload whose runs overflow still parses here as long as its codes do.
-func (c *blockCoder) skipAC(r *bitio.Reader, plane int) (dcLevel int32, err error) {
-	d, err := r.ReadSE()
-	if err != nil {
-		return 0, err
-	}
-	c.dcPred[plane] += int32(d)
-	if err := r.SkipRunLevels(eobRun); err != nil {
-		return 0, err
-	}
-	return c.dcPred[plane], nil
-}
-
 // extractBlock copies the 8×8 tile at (bx, by) from a plane into spatial,
 // converting uint8 samples to centred float values (sample − 128).
 func extractBlock(plane []uint8, stride int, bx, by int, spatial *dct.Block) {

@@ -18,6 +18,7 @@ type Decoder struct {
 	cur     *vframe.Frame // frame being decoded
 	count   int
 	payload []byte
+	fhdr    [frameHeaderSize]byte
 }
 
 // NewDecoder reads the stream header from r and returns a decoder.
@@ -42,7 +43,7 @@ func (d *Decoder) Header() StreamHeader { return d.hdr }
 // internal buffer invalidated by later Next calls; Clone it to retain.
 // io.EOF signals a clean end of stream.
 func (d *Decoder) Next() (*vframe.Frame, FrameInfo, error) {
-	typ, n, err := readFrameHeader(d.r, d.hdr)
+	typ, n, err := readFrameHeader(d.r, d.hdr, d.fhdr[:])
 	if err != nil {
 		return nil, FrameInfo{}, err
 	}

@@ -135,12 +135,14 @@ var (
 	errPayloadBound     = errors.New("mpeg: frame payload exceeds bound")
 )
 
-// readFrameHeader returns (type, payloadLen). io.EOF signals a clean end of
-// stream at a frame boundary. On a validation error the parsed fields are
-// still returned so a resilient caller can decide how to recover.
-func readFrameHeader(r io.Reader, h StreamHeader) (byte, int, error) {
-	var buf [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+// readFrameHeader returns (type, payloadLen), reading through buf, which
+// must hold frameHeaderSize bytes (a caller-owned buffer: one declared here
+// would escape to the heap through r, once per frame). io.EOF signals a
+// clean end of stream at a frame boundary. On a validation error the parsed
+// fields are still returned so a resilient caller can decide how to recover.
+func readFrameHeader(r io.Reader, h StreamHeader, buf []byte) (byte, int, error) {
+	buf = buf[:frameHeaderSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			return 0, 0, io.EOF
 		}

@@ -239,9 +239,10 @@ func (s flatSource) Frame(int) *vframe.Frame { return s.f }
 
 // TestPartialMatchesFullDecodeDC holds the partial decoder against the full
 // one across geometries and qualities, twice over: block by block its
-// entropy walk (skipAC) must yield the DC level readLevels yields and stop
-// on the same bit, and frame by frame its DC grid must agree with the block
-// means of the fully reconstructed pixels. The cases cover what the reader's
+// entropy walk (bitio's DCBlocks, one block per call) must yield the DC
+// level readLevels yields and stop on the same bit, and frame by frame its
+// DC grid — from the owning Next and from NextInto over one reused frame —
+// must agree with the block means of the fully reconstructed pixels. The cases cover what the reader's
 // paths split on: 16×16 flat frames are 11-byte payloads, so every load
 // past their fourth byte is a zero-padded tail load (the format has no
 // payload shorter than 8 bytes: 6 blocks of at least 14 bits); quality 100
@@ -271,6 +272,23 @@ func TestPartialMatchesFullDecodeDC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The reusing entry point: the same frames through one DCFrame.
+			pd, err := NewPartialDecoder(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reused DCFrame
+			for _, want := range dcs {
+				if err := pd.NextInto(&reused); err != nil {
+					t.Fatal(err)
+				}
+				if reused.Info != want.Info || reused.BW != want.BW || reused.BH != want.BH || !slices.Equal(reused.DC, want.DC) {
+					t.Fatalf("frame %d: NextInto differs from Next", want.Info.Index)
+				}
+			}
+			if err := pd.NextInto(&reused); err != io.EOF {
+				t.Fatalf("NextInto after the last frame: %v, want io.EOF", err)
+			}
 			frames, _, err := DecodeAll(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
@@ -286,20 +304,21 @@ func TestPartialMatchesFullDecodeDC(t *testing.T) {
 				if tc.maxPayload > 0 && len(payload) > tc.maxPayload {
 					t.Errorf("frame %d: payload %d bytes, case wants at most %d", dcf.Info.Index, len(payload), tc.maxPayload)
 				}
-				// Entropy level: skipAC against readLevels, block by block.
-				partial, full := newBlockCoder(hdr.Quality), newBlockCoder(hdr.Quality)
+				// Entropy level: DCBlocks against readLevels, block by block.
+				full := newBlockCoder(hdr.Quality)
 				pr, fr := bitio.NewReader(payload), bitio.NewReader(payload)
+				var level int32
 				for b := 0; b < dcf.BW*dcf.BH; b++ {
 					var lv dct.IntBlock
 					if err := full.readLevels(fr, planeY, &lv); err != nil {
 						t.Fatalf("frame %d block %d: readLevels: %v", dcf.Info.Index, b, err)
 					}
-					level, err := partial.skipAC(pr, planeY)
-					if err != nil {
-						t.Fatalf("frame %d block %d: skipAC: %v", dcf.Info.Index, b, err)
+					var delta [1]int64
+					if _, err := pr.DCBlocks(delta[:], eobRun); err != nil {
+						t.Fatalf("frame %d block %d: DCBlocks: %v", dcf.Info.Index, b, err)
 					}
-					if level != lv[0] || pr.Remaining() != fr.Remaining() {
-						t.Fatalf("frame %d block %d: skipAC level %d with %d bits left, readLevels %d with %d",
+					if level += int32(delta[0]); level != lv[0] || pr.Remaining() != fr.Remaining() {
+						t.Fatalf("frame %d block %d: DCBlocks level %d with %d bits left, readLevels %d with %d",
 							dcf.Info.Index, b, level, pr.Remaining(), lv[0], fr.Remaining())
 					}
 					if want := float64(lv[0]) * float64(full.lumaQ[0]); dcf.DC[b] != want {
@@ -402,7 +421,7 @@ func TestDecoderRejectsLeadingPFrame(t *testing.T) {
 	r := bytes.NewReader(data)
 	hdr, _ := readHeader(r)
 	_ = hdr
-	typ, n, err := readFrameHeader(r, hdr)
+	typ, n, err := readFrameHeader(r, hdr, make([]byte, frameHeaderSize))
 	if err != nil || typ != frameTypeI {
 		t.Fatalf("setup: %v %c", err, typ)
 	}
@@ -542,5 +561,99 @@ func BenchmarkFullDecode(b *testing.B) {
 		if _, _, err := DecodeAll(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPartialDecodeErrorAddress: a payload that stops parsing names the
+// frame and the block (bx,by) it stopped in, whether the frame-level walk
+// met the damage itself (a 64-zero run in the middle of a long payload) or
+// the per-block path it hands the input's last bytes to did; with resync on
+// the same frames become placeholders, one CorruptFrames each.
+func TestPartialDecodeErrorAddress(t *testing.T) {
+	hdr := StreamHeader{W: 64, H: 32, FPSNum: 2, FPSDen: 1, Quality: 75, GOP: 1} // 8×4 luma blocks
+	payload := func(bad int, damage func(*bitio.Writer)) []byte {
+		bw := bitio.NewWriter(256)
+		for b := 0; b < bad; b++ {
+			bw.WriteSE(int64(b%7 - 3))
+			bw.WriteUE(uint64(b % 5))
+			bw.WriteSE(int64(1 + b%3))
+			bw.WriteUE(eobRun)
+		}
+		damage(bw)
+		return bytes.Clone(bw.Bytes())
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"cut-short", payload(21, func(bw *bitio.Writer) { bw.WriteSE(2); bw.WriteUE(3) }),
+			"mpeg: partial decode frame 1 block (5,2): bitio: unexpected end of bitstream"},
+		{"zero-run", payload(12, func(bw *bitio.Writer) {
+			bw.WriteSE(2)
+			bw.WriteBits(0, 64)
+			bw.WriteBits(0, 64)
+			bw.WriteBits(^uint64(0), 64)
+		}),
+			"mpeg: partial decode frame 1 block (4,1): bitio: malformed Exp-Golomb code"},
+	} {
+		var stream bytes.Buffer
+		if err := writeHeader(&stream, hdr); err != nil {
+			t.Fatal(err)
+		}
+		good := payload(48, func(*bitio.Writer) {}) // luma and chroma
+		for _, p := range [][]byte{good, tc.payload, good} {
+			if err := writeFrameHeader(&stream, frameTypeI, len(p)); err != nil {
+				t.Fatal(err)
+			}
+			stream.Write(p)
+		}
+		if _, _, err := ReadAllDC(bytes.NewReader(stream.Bytes())); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %s", tc.name, err, tc.want)
+		}
+		dec, err := NewPartialDecoder(bytes.NewReader(stream.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec.SetResync(true)
+		var dcf DCFrame
+		var grids []int
+		for dec.NextInto(&dcf) == nil {
+			grids = append(grids, len(dcf.DC))
+		}
+		if want := []int{32, 0, 32}; !slices.Equal(grids, want) {
+			t.Errorf("%s with resync: grid sizes %v, want %v", tc.name, grids, want)
+		}
+		if st := dec.ResyncStats(); st != (ResyncStats{CorruptFrames: 1}) {
+			t.Errorf("%s with resync: damage %+v, want one corrupt frame", tc.name, st)
+		}
+	}
+}
+
+// TestNextIntoAllocatesNothing: once the decoder has seen its largest frame,
+// a loop over one DCFrame decodes without allocating, into the same grid.
+func TestNextIntoAllocatesNothing(t *testing.T) {
+	clip := encode(t, vframe.NewSynth(vframe.SynthConfig{W: 96, H: 80, NumFrames: 40, Seed: 5, FPS: 2}), 75, 1)
+	twice := append(bytes.Clone(clip), clip[headerSize:]...)
+	dec, err := NewPartialDecoder(bytes.NewReader(twice))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dcf DCFrame
+	for i := 0; i < 40; i++ {
+		if err := dec.NextInto(&dcf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grid := &dcf.DC[0]
+	if n := testing.AllocsPerRun(38, func() {
+		if err := dec.NextInto(&dcf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("NextInto allocates %v times per frame, want 0", n)
+	}
+	if &dcf.DC[0] != grid {
+		t.Error("NextInto replaced a grid that was large enough")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"vdsms/internal/bitio"
+	"vdsms/internal/dct"
 )
 
 // permanentReadErr reports reader failures that resync must never absorb:
@@ -21,11 +22,13 @@ func permanentReadErr(err error) bool {
 // DCFrame is the output of partial decoding: the dequantised luma DC
 // coefficients of one I-frame arranged as a BW×BH grid (one value per 8×8
 // block). A DC value equals 8 × (block mean − 128); the feature extractor
-// normalises per frame so the affine scaling is immaterial.
+// normalises per frame so the affine scaling is immaterial. A placeholder —
+// a key-frame slot lost to corruption or shed before decoding — has an empty
+// grid.
 type DCFrame struct {
 	Info   FrameInfo
 	BW, BH int
-	DC     []float64 // row-major, len BW*BH
+	DC     []float64 // row-major, len BW*BH; empty in a placeholder
 }
 
 // PartialDecoder extracts DC coefficients of I-frames without
@@ -37,9 +40,11 @@ type DCFrame struct {
 type PartialDecoder struct {
 	r       io.Reader
 	hdr     StreamHeader
-	coder   *blockCoder
+	qdc     float64 // luma DC quantiser step
 	count   int
 	payload []byte
+	deltas  []int64               // one frame's DC deltas, reused (see walkLuma)
+	fhdr    [frameHeaderSize]byte // a frame header's bytes, reused
 	// BytesRead accumulates the number of I-frame payload bytes read into
 	// memory for parsing, for instrumentation.
 	BytesRead int64
@@ -84,7 +89,7 @@ func NewPartialDecoder(r io.Reader) (*PartialDecoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PartialDecoder{r: r, hdr: hdr, coder: newBlockCoder(hdr.Quality)}, nil
+	return &PartialDecoder{r: r, hdr: hdr, qdc: float64(dct.ScaleQuant(&dct.LumaQuant, hdr.Quality)[0])}, nil
 }
 
 // Header returns the stream parameters.
@@ -107,7 +112,7 @@ func (d *PartialDecoder) SetRetention(n int) {
 // implausible (or unparseable garbage) triggers a byte scan forward to the
 // next independently decodable frame; a truncated stream ends with a clean
 // io.EOF. Damaged key-frame slots are reported as placeholder DCFrames with
-// a nil DC grid so consumers keep their frame cadence and can substitute.
+// an empty DC grid so consumers keep their frame cadence and can substitute.
 // ResyncStats reports what was absorbed.
 func (d *PartialDecoder) SetResync(on bool) { d.resync = on }
 
@@ -116,8 +121,8 @@ func (d *PartialDecoder) ResyncStats() ResyncStats { return d.rstats }
 
 // SetShedCheck installs a load-shedding predicate consulted before each
 // I-frame's payload is entropy-decoded. When it returns true the payload is
-// consumed without decoding and Next returns a placeholder DCFrame with a
-// nil DC grid (the frame header fields are still populated). nil disables
+// consumed without decoding and Next returns a placeholder DCFrame with an
+// empty DC grid (the frame header fields are still populated). nil disables
 // shedding.
 func (d *PartialDecoder) SetShedCheck(fn func(payloadBytes int) bool) { d.shedCheck = fn }
 
@@ -175,39 +180,52 @@ func (d *PartialDecoder) ClipFrom(from int) ([]byte, error) {
 
 // Next returns the DC grid of the next I-frame, skipping any intervening P
 // frames. io.EOF signals a clean end of stream. The returned DCFrame owns
-// its DC slice.
+// its DC slice; NextInto is the same decode into a frame the caller reuses.
 //
 // With SetResync on, damaged input never surfaces as an error: key-frame
 // slots lost to corruption or shedding come back as placeholder DCFrames
 // with a nil DC grid, and truncation ends the stream with a clean io.EOF.
 func (d *PartialDecoder) Next() (*DCFrame, error) {
+	dcf := new(DCFrame)
+	if err := d.NextInto(dcf); err != nil {
+		return nil, err
+	}
+	return dcf, nil
+}
+
+// NextInto is Next into a caller-owned frame: every field of dcf is
+// overwritten and the storage of dcf.DC is reused when it is large enough,
+// so a loop over one DCFrame decodes without allocating. The grid is valid
+// until the next call with the same frame; a placeholder leaves it empty
+// (length 0, storage kept).
+func (d *PartialDecoder) NextInto(dcf *DCFrame) error {
 	for {
-		typ, n, err := readFrameHeader(d.r, d.hdr)
+		typ, n, err := readFrameHeader(d.r, d.hdr, d.fhdr[:])
 		if err != nil {
 			if err == io.EOF {
-				return nil, io.EOF
+				return io.EOF
 			}
 			if !d.resync || permanentReadErr(err) {
-				return nil, err
+				return err
 			}
 			switch {
 			case errors.Is(err, io.ErrUnexpectedEOF):
 				// Torn frame header: the stream ends mid-header.
 				d.rstats.Truncated++
-				return nil, io.EOF
+				return io.EOF
 			case errors.Is(err, errUnknownFrameType) && n <= d.hdr.maxPayload():
 				// Damaged type byte but a readable length: skip the frame
 				// in place — stream position and frame cadence survive.
 				if derr := d.discard(n); derr != nil {
 					if permanentReadErr(derr) {
-						return nil, derr
+						return derr
 					}
 					d.rstats.Truncated++
-					return nil, io.EOF
+					return io.EOF
 				}
 				d.rstats.CorruptFrames++
-				if ph, ok := d.holeSlot(n); ok {
-					return ph, nil
+				if d.holeSlot(dcf, n) {
+					return nil
 				}
 				continue
 			default:
@@ -216,15 +234,15 @@ func (d *PartialDecoder) Next() (*DCFrame, error) {
 				// independently decodable frame.
 				if serr := d.scanResync(); serr != nil {
 					if permanentReadErr(serr) {
-						return nil, serr
+						return serr
 					}
 					d.rstats.Truncated++
-					return nil, io.EOF
+					return io.EOF
 				}
 				d.rstats.Resyncs++
 				d.rstats.CorruptFrames++
-				if ph, ok := d.holeSlot(0); ok {
-					return ph, nil
+				if d.holeSlot(dcf, 0) {
+					return nil
 				}
 				continue
 			}
@@ -234,17 +252,17 @@ func (d *PartialDecoder) Next() (*DCFrame, error) {
 				if err := d.buffer(n); err != nil {
 					if d.resync {
 						d.rstats.Truncated++
-						return nil, io.EOF
+						return io.EOF
 					}
-					return nil, fmt.Errorf("mpeg: buffering P frame %d: %w", d.count, err)
+					return fmt.Errorf("mpeg: buffering P frame %d: %w", d.count, err)
 				}
 				d.retainFrame(frameTypeP, d.payload)
 			} else if err := d.discard(n); err != nil {
 				if d.resync && !permanentReadErr(err) {
 					d.rstats.Truncated++
-					return nil, io.EOF
+					return io.EOF
 				}
-				return nil, fmt.Errorf("mpeg: skipping P frame %d: %w", d.count, err)
+				return fmt.Errorf("mpeg: skipping P frame %d: %w", d.count, err)
 			}
 			d.count++
 			continue
@@ -256,85 +274,91 @@ func (d *PartialDecoder) Next() (*DCFrame, error) {
 				if err := d.buffer(n); err != nil {
 					if d.resync {
 						d.rstats.Truncated++
-						return nil, io.EOF
+						return io.EOF
 					}
-					return nil, fmt.Errorf("mpeg: buffering shed I frame %d: %w", d.count, err)
+					return fmt.Errorf("mpeg: buffering shed I frame %d: %w", d.count, err)
 				}
 				d.retainFrame(frameTypeI, d.payload)
 			} else if err := d.discard(n); err != nil {
 				if d.resync && !permanentReadErr(err) {
 					d.rstats.Truncated++
-					return nil, io.EOF
+					return io.EOF
 				}
-				return nil, fmt.Errorf("mpeg: skipping shed I frame %d: %w", d.count, err)
+				return fmt.Errorf("mpeg: skipping shed I frame %d: %w", d.count, err)
 			}
-			ph := d.placeholder(n)
+			d.placeholder(dcf, n)
 			d.count++
-			return ph, nil
+			return nil
 		}
 		if err := d.buffer(n); err != nil {
 			if d.resync {
 				d.rstats.Truncated++
-				return nil, io.EOF
+				return io.EOF
 			}
-			return nil, fmt.Errorf("mpeg: reading I frame %d payload: %w", d.count, err)
+			return fmt.Errorf("mpeg: reading I frame %d payload: %w", d.count, err)
 		}
 		d.BytesRead += int64(n)
-		dcf, perr := d.parseIDC(n)
-		if perr != nil {
+		if perr := d.parseIDC(dcf, n); perr != nil {
 			if !d.resync {
-				return nil, perr
+				return perr
 			}
 			// The payload was fully read, so the stream position is intact;
 			// only this frame's content is damaged. Substitute a placeholder
 			// (the corrupt bytes are not retained — a clip built from them
 			// would not decode).
 			d.rstats.CorruptFrames++
-			ph := d.placeholder(n)
+			d.placeholder(dcf, n)
 			d.count++
-			return ph, nil
+			return nil
 		}
 		d.retainFrame(frameTypeI, d.payload)
 		d.count++
-		return dcf, nil
+		return nil
 	}
 }
 
-// placeholder builds the DCFrame stand-in (nil DC grid) for the I-frame
-// slot at the current position. The caller advances d.count.
-func (d *PartialDecoder) placeholder(payloadBytes int) *DCFrame {
-	return &DCFrame{
-		Info: FrameInfo{
-			Index: d.count,
-			Key:   true,
-			PTS:   float64(d.count) / d.hdr.FPS(),
-			Bytes: payloadBytes,
-		},
-		BW: d.hdr.W / 8,
-		BH: d.hdr.H / 8,
+// frameInfo stamps dcf with the position and geometry of the I-frame slot
+// at the current position and returns its grid size.
+func (d *PartialDecoder) frameInfo(dcf *DCFrame, payloadBytes int) int {
+	dcf.Info = FrameInfo{
+		Index: d.count,
+		Key:   true,
+		PTS:   float64(d.count) / d.hdr.FPS(),
+		Bytes: payloadBytes,
 	}
+	dcf.BW, dcf.BH = d.hdr.W/8, d.hdr.H/8
+	return dcf.BW * dcf.BH
+}
+
+// placeholder makes dcf the stand-in (empty DC grid) for the I-frame slot at
+// the current position. The caller advances d.count.
+func (d *PartialDecoder) placeholder(dcf *DCFrame, payloadBytes int) {
+	d.frameInfo(dcf, payloadBytes)
+	dcf.DC = dcf.DC[:0]
 }
 
 // holeSlot accounts one corrupt frame slot of unknown type. When the slot
-// falls on the stream's key-frame cadence it returns a placeholder so the
-// consumer keeps its frame cadence; P-slots vanish silently. The cadence
-// test is positional (index mod GOP) — exact for the GOP=1 streams the
-// monitor ingests, best-effort when an encoder inserted scene-cut I-frames
-// off the cadence.
-func (d *PartialDecoder) holeSlot(payloadBytes int) (*DCFrame, bool) {
-	ph := d.placeholder(payloadBytes)
+// falls on the stream's key-frame cadence it makes dcf a placeholder and
+// reports true, so the consumer keeps its frame cadence; P-slots vanish
+// silently. The cadence test is positional (index mod GOP) — exact for the
+// GOP=1 streams the monitor ingests, best-effort when an encoder inserted
+// scene-cut I-frames off the cadence.
+func (d *PartialDecoder) holeSlot(dcf *DCFrame, payloadBytes int) bool {
 	idx := d.count
-	d.count++
-	if d.hdr.GOP != 1 && idx%d.hdr.GOP != 0 {
-		return nil, false
+	key := d.hdr.GOP == 1 || idx%d.hdr.GOP == 0
+	if key {
+		d.placeholder(dcf, payloadBytes)
 	}
-	return ph, true
+	d.count++
+	return key
 }
 
-// buffer reads n payload bytes into the scratch buffer.
+// buffer reads n payload bytes into the scratch buffer, which grows with a
+// quarter to spare: frame sizes wander, and an exact fit would be outgrown
+// by every new largest frame.
 func (d *PartialDecoder) buffer(n int) error {
 	if cap(d.payload) < n {
-		d.payload = make([]byte, n)
+		d.payload = make([]byte, n, n+n/4)
 	}
 	d.payload = d.payload[:n]
 	_, err := io.ReadFull(d.r, d.payload)
@@ -342,38 +366,41 @@ func (d *PartialDecoder) buffer(n int) error {
 }
 
 // parseIDC parses the luma portion of the I-frame payload sitting in
-// d.payload, collecting DC levels and dequantising them. It touches no
-// stream bytes — the caller has already buffered the payload — so a parse
-// failure leaves the decoder positioned at the next frame header.
-func (d *PartialDecoder) parseIDC(n int) (*DCFrame, error) {
-	br := bitio.NewReader(d.payload)
-	d.coder.resetPredictors()
-	bw, bh := d.hdr.W/8, d.hdr.H/8
-	dcf := &DCFrame{
-		Info: FrameInfo{
-			Index: d.count,
-			Key:   true,
-			PTS:   float64(d.count) / d.hdr.FPS(),
-			Bytes: n,
-		},
-		BW: bw,
-		BH: bh,
-		DC: make([]float64, bw*bh),
+// d.payload into dcf: one pass of the entropy walk collects the DC deltas
+// (AC codes are stepped over by length, chroma is never touched), a second
+// sums and dequantises them. Unlike readLevels the walk does not check that
+// the runs stay inside a block's 63 AC positions: a payload whose runs
+// overflow still parses as long as its codes do. It touches no stream bytes
+// — the caller has already buffered the payload — so a parse failure leaves
+// the decoder positioned at the next frame header.
+func (d *PartialDecoder) parseIDC(dcf *DCFrame, n int) error {
+	blocks := d.frameInfo(dcf, n)
+	if b, err := d.walkLuma(d.payload); err != nil {
+		return fmt.Errorf("mpeg: partial decode frame %d block (%d,%d): %w",
+			d.count, b%dcf.BW, b/dcf.BW, err)
 	}
-	qdc := float64(d.coder.lumaQ[0])
-	for by := 0; by < bh; by++ {
-		for bx := 0; bx < bw; bx++ {
-			level, err := d.coder.skipAC(br, planeY)
-			if err != nil {
-				return nil, fmt.Errorf("mpeg: partial decode frame %d block (%d,%d): %w",
-					d.count, bx, by, err)
-			}
-			dcf.DC[by*bw+bx] = float64(level) * qdc
-		}
+	if cap(dcf.DC) < blocks {
+		dcf.DC = make([]float64, blocks)
+	}
+	dcf.DC = dcf.DC[:blocks]
+	level := int32(0) // DPCM predictor, reset at every frame
+	for i, delta := range d.deltas {
+		level += int32(delta)
+		dcf.DC[i] = float64(level) * d.qdc
 	}
 	// Chroma blocks remain unparsed: the payload is length-prefixed, so the
 	// next frame header is found by position, not by parsing.
-	return dcf, nil
+	return nil
+}
+
+// walkLuma entropy-walks an I-frame payload's luma plane into d.deltas and
+// returns the number of blocks that parsed. The buffer is made on first use:
+// a stream header alone should not cost a frame's worth of memory.
+func (d *PartialDecoder) walkLuma(payload []byte) (int, error) {
+	if d.deltas == nil {
+		d.deltas = make([]int64, (d.hdr.W/8)*(d.hdr.H/8))
+	}
+	return bitio.NewReader(payload).DCBlocks(d.deltas, eobRun)
 }
 
 // discard consumes n payload bytes without retaining them.

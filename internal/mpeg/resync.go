@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-
-	"vdsms/internal/bitio"
 )
 
 // scanChunk is the refill granularity of the resync byte scan.
@@ -123,15 +121,8 @@ func (d *PartialDecoder) scanResync() error {
 
 // plausibleIPayload reports whether payload entropy-parses as a complete
 // luma plane for this stream's geometry. Used only for resync candidate
-// validation; predictor state is reset by the next real decode.
+// validation; the deltas it leaves behind are scratch between decodes.
 func (d *PartialDecoder) plausibleIPayload(payload []byte) bool {
-	br := bitio.NewReader(payload)
-	d.coder.resetPredictors()
-	blocks := (d.hdr.W / 8) * (d.hdr.H / 8)
-	for i := 0; i < blocks; i++ {
-		if _, err := d.coder.skipAC(br, planeY); err != nil {
-			return false
-		}
-	}
-	return true
+	_, err := d.walkLuma(payload)
+	return err == nil
 }

@@ -208,12 +208,16 @@ type Detector struct {
 
 	// Adaptive-ingest state (see degrade.go): the overload controller is
 	// shared across the lineage like slowVar; ovl holds this stream's
-	// sampler, motion scorer and damage counters; fe points at the active
-	// Monitor call's front-end timer so the controller sees full ingest
-	// latency, not just the kernel's.
+	// sampler, motion scorer and damage counters.
 	ctl *degrade.Controller
 	ovl *ovlState
-	fe  *frontEndTimer
+
+	// Front-end state Monitor calls hand on to one another: the reused
+	// buffers, the substitute cell id (a segment may open on a placeholder),
+	// the stage timer — read by the overload controller's feed, so that it
+	// sees full ingest latency, not just the kernel's — and the window batch.
+	front frontEnd
+	batch []uint64
 
 	// perfLabel is the stream label this detector's spans and outlier
 	// observations carry (resolved by armPerf from the trace stream name).
@@ -231,30 +235,90 @@ type Detector struct {
 	keyMap  []int // key ordinal − keyBase → stream frame index
 }
 
+// pipeline is the front end's fixed half: how a DC grid becomes a feature
+// vector and a vector a cell id. Detectors of one lineage and their fleets
+// share it.
 type pipeline struct {
 	ex *feature.Extractor
 	pt partition.Partitioner
 }
 
-func (p pipeline) ids(dcs []*mpeg.DCFrame) []uint64 {
-	out := make([]uint64, len(dcs))
-	scratch := make([]float64, p.pt.D)
-	for i, dcf := range dcs {
-		out[i] = p.pt.CellInto(p.ex.Vector(dcf), scratch)
+// frontEnd is the front end's moving half, what one consumer of
+// pipeline.next carries from key frame to key frame: the buffers every frame
+// is decoded and extracted into, the cell id that stands in for a frame with
+// nothing to extract, and Monitor's two additions — the shed hook and the
+// stage timer. The zero value is ready to use.
+type frontEnd struct {
+	dcf  mpeg.DCFrame // the frame last decoded; its grid is reused
+	buf  []float64    // the feature vector, then CellInto's scratch
+	last uint64       // the most recent extracted cell id
+	// shed, when set, is asked about every decoded frame and answers true to
+	// skip its extraction.
+	shed  func(*mpeg.DCFrame) bool
+	timer frontEndTimer
+}
+
+// next is the one path from MVC1 bytes to cell ids, shared by Monitor,
+// PushSegment and AddQuery: it decodes pd's next key frame into fe's grid
+// and returns its grid-pyramid cell id, allocating nothing from the second
+// frame on. A frame with nothing to extract — a placeholder (lost to
+// corruption, or shed before decoding) or one the shed hook gives up —
+// repeats the most recent extracted id, which keeps the window cadence the
+// matcher expects. io.EOF is the clean end of the stream.
+func (p pipeline) next(pd *mpeg.PartialDecoder, fe *frontEnd) (uint64, error) {
+	var tDec, tExt time.Time
+	if fe.timer.active {
+		tDec = time.Now()
 	}
-	return out
+	if err := pd.NextInto(&fe.dcf); err != nil {
+		return 0, err
+	}
+	if fe.timer.active {
+		tExt = time.Now()
+	}
+	if len(fe.dcf.DC) > 0 && (fe.shed == nil || !fe.shed(&fe.dcf)) {
+		if fe.buf == nil {
+			fe.buf = make([]float64, 2*p.pt.D)
+		}
+		vec, scratch := fe.buf[:p.pt.D], fe.buf[p.pt.D:]
+		fe.last = p.pt.CellInto(p.ex.VectorInto(vec, &fe.dcf), scratch)
+	}
+	if fe.timer.active {
+		fe.timer.add(tExt.Sub(tDec), time.Since(tExt))
+	}
+	return fe.last, nil
+}
+
+// cells runs next to the end of pd's stream.
+func (p pipeline) cells(pd *mpeg.PartialDecoder) ([]uint64, error) {
+	fe := new(frontEnd)
+	out := make([]uint64, 0, 16)
+	for {
+		id, err := p.next(pd, fe)
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, id)
+	}
 }
 
 // queryCells decodes query clip id to the cell ids of its key frames.
 func (p pipeline) queryCells(id int, clip io.Reader) ([]uint64, error) {
-	dcs, _, err := mpeg.ReadAllDC(clip)
+	pd, err := mpeg.NewPartialDecoder(clip)
+	var cells []uint64
+	if err == nil {
+		cells, err = p.cells(pd)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("vdsms: decoding query %d: %w", id, err)
 	}
-	if len(dcs) == 0 {
+	if len(cells) == 0 {
 		return nil, fmt.Errorf("vdsms: query %d has no key frames", id)
 	}
-	return p.ids(dcs), nil
+	return cells, nil
 }
 
 // batchCells is queryCells over a batch of clips.
@@ -271,6 +335,17 @@ func (p pipeline) batchCells(ids []int, clips []io.Reader) ([][]uint64, error) {
 		cellIDs[i] = cells
 	}
 	return cellIDs, nil
+}
+
+// checkKeyRate rejects a stream whose key-frame rate is too far from the
+// configured one for window durations to mean what they say.
+func (c Config) checkKeyRate(hdr mpeg.StreamHeader) error {
+	keyRate := hdr.FPS() / float64(hdr.GOP)
+	if keyRate < c.KeyFPS*0.8 || keyRate > c.KeyFPS*1.25 {
+		return fmt.Errorf("vdsms: stream key-frame rate %.2f/s incompatible with configured %.2f/s",
+			keyRate, c.KeyFPS)
+	}
+	return nil
 }
 
 // NewDetector validates cfg and builds a detector.
@@ -541,10 +616,8 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 		})
 	}
 	hdr := pd.Header()
-	keyRate := hdr.FPS() / float64(hdr.GOP)
-	if keyRate < d.cfg.KeyFPS*0.8 || keyRate > d.cfg.KeyFPS*1.25 {
-		return nil, fmt.Errorf("vdsms: stream key-frame rate %.2f/s incompatible with configured %.2f/s",
-			keyRate, d.cfg.KeyFPS)
+	if err := d.cfg.checkKeyRate(hdr); err != nil {
+		return nil, err
 	}
 	// Arm archival for this segment.
 	if d.cfg.ArchiveSec > 0 && d.OnMatchClip != nil {
@@ -557,47 +630,37 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 	maxKeys := int(d.cfg.ArchiveSec*d.cfg.KeyFPS) + 2
 
 	before := len(d.engine.Matches)
-	scratch := make([]float64, d.pipeline.pt.D)
 	// Decoded cell ids are pushed in batches aligned to basic-window
 	// boundaries: the engine processes each window at exactly the same
 	// stream position as per-frame pushing would (so match latency and
 	// archival state are unchanged) while the per-frame call overhead is
 	// amortised — which matters once the window kernel fans out to workers.
 	room := d.winKeyF - d.engine.PendingFrames()
-	batch := make([]uint64, 0, d.winKeyF)
+	if d.batch == nil {
+		d.batch = make([]uint64, 0, d.winKeyF)
+	}
+	batch := d.batch[:0] // never outgrows a window
 	// Front-end stage timing (decode, extract) aggregates per basic window
 	// to match the matching-kernel stages' granularity. When the overload
 	// controller is armed, the timer also runs so the controller sees full
 	// ingest latency (the engine only knows its own kernel time).
-	fe := newFrontEndTimer(d.winKeyF)
+	fe := &d.front.timer
+	*fe = newFrontEndTimer(d.winKeyF)
 	fe.eng = d.engine
 	if d.ctl != nil || d.engine.PerfArmed() {
 		fe.active = true
 	}
-	d.fe = &fe
-	defer func() { d.fe = nil }()
 	for {
-		var tDec time.Time
-		if fe.active {
-			tDec = time.Now()
-		}
-		dcf, err := pd.Next()
+		id, err := d.pipeline.next(pd, &d.front)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		var tExt time.Time
-		if fe.active {
-			tExt = time.Now()
-		}
-		batch = append(batch, d.cellID(dcf, scratch))
-		if fe.active {
-			fe.add(tExt.Sub(tDec), time.Since(tExt))
-		}
+		batch = append(batch, id)
 		if d.curPD != nil {
-			d.keyMap = append(d.keyMap, dcf.Info.Index)
+			d.keyMap = append(d.keyMap, d.front.dcf.Info.Index)
 			if len(d.keyMap) > maxKeys {
 				trim := len(d.keyMap) - maxKeys
 				d.keyMap = d.keyMap[trim:]
