@@ -180,11 +180,18 @@ func (f *Fleet) StreamIDs() []string { return f.pool.StreamIDs() }
 // Len returns the number of attached streams.
 func (f *Fleet) Len() int { return f.pool.Len() }
 
-// FleetWorkerStats is one worker's load breakdown; see fleet.WorkerStats.
+// FleetWorkerStats is the passes and frames one worker has run, or, with
+// ID -1, the goroutines that helped while they waited in Drain, Checkpoint
+// or Detach; see fleet.WorkerStats.
 type FleetWorkerStats = fleet.WorkerStats
 
-// WorkerStats returns a per-worker load breakdown, ordered by worker id.
+// WorkerStats returns one row per worker, ordered by id, then the helpers'
+// row; together they count every frame the fleet has processed.
 func (f *Fleet) WorkerStats() []FleetWorkerStats { return f.pool.WorkerStats() }
+
+// Backlog returns the streams waiting for a free goroutine and the frames
+// queued or in flight across the fleet.
+func (f *Fleet) Backlog() (ready int, queuedFrames int64) { return f.pool.Backlog() }
 
 // QueueDepthHW returns the deepest the pool-wide frame backlog has run
 // since the fleet started — the high-watermark behind the
@@ -192,10 +199,12 @@ func (f *Fleet) WorkerStats() []FleetWorkerStats { return f.pool.WorkerStats() }
 func (f *Fleet) QueueDepthHW() int64 { return f.pool.QueueDepthHW() }
 
 // Drain blocks until every stream queue is empty (producers must pause).
+// The caller does not sleep through it: it runs queued windows beside the
+// workers until none are left.
 func (f *Fleet) Drain() { f.pool.Drain() }
 
 // Close stops the pool's workers. Streams stay readable but stop
-// processing; call Drain first for a graceful stop.
+// processing and reject segments; call Drain first for a graceful stop.
 func (f *Fleet) Close() { f.pool.Close() }
 
 // A FleetStream is one monitored stream of a Fleet.
@@ -213,7 +222,9 @@ func (fs *FleetStream) ID() string { return fs.s.ID() }
 // front-end while the pool runs the matching kernel. A full stream queue
 // rejects the whole segment with ErrBackpressure: nothing is enqueued, so
 // a retried segment cannot double-feed frames. A segment longer than the
-// whole queue is rejected with ErrSegmentTooLarge, whatever the queue holds.
+// whole queue is rejected with ErrSegmentTooLarge, whatever the queue holds,
+// and any segment with an error once the stream is detached or the fleet
+// closed.
 func (fs *FleetStream) PushSegment(segment io.Reader) error {
 	pd, err := mpeg.NewPartialDecoder(segment)
 	if err != nil {

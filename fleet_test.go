@@ -3,8 +3,12 @@ package vdsms
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+
+	"vdsms/internal/fleet"
 )
 
 // TestFleetMatchesMonitor pins the facade-level equivalence: a fleet stream
@@ -36,38 +40,101 @@ func TestFleetMatchesMonitor(t *testing.T) {
 		t.Fatal("Monitor reference run found no matches")
 	}
 
-	fl, err := NewFleet(testConfig(), FleetConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	// Each PushSegment body must be a self-contained MVC1 stream, so the
+	// feed is re-encoded into standalone segments split at clip boundaries.
+	var segments [][]byte
+	for _, seg := range [][]byte{clip(t, 600, 30), query, clip(t, 601, 30)} {
+		var one bytes.Buffer
+		if err := ComposeStream(&one, 80, 1, bytes.NewReader(seg)); err != nil {
+			t.Fatal(err)
+		}
+		segments = append(segments, one.Bytes())
 	}
-	defer fl.Close()
-	if err := fl.AddQuery(1, bytes.NewReader(query)); err != nil {
+
+	// Whichever goroutines run the windows — the workers, one draining
+	// caller, two, or the detaching caller alone — every stream answers as
+	// Monitor did.
+	finishes := []struct {
+		name string
+		fn   func(fl *Fleet)
+	}{
+		{"drain", func(fl *Fleet) { fl.Drain() }},
+		{"two drains", func(fl *Fleet) {
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() { defer wg.Done(); fl.Drain() }()
+			}
+			wg.Wait()
+		}},
+		{"detach", func(*Fleet) {}},
+	}
+	for _, workers := range []int{1, 3} {
+		for _, f := range finishes {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, f.name), func(t *testing.T) {
+				fl, err := NewFleet(testConfig(), FleetConfig{Workers: workers, QueueWindows: 32})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fl.Close()
+				if err := fl.AddQuery(1, bytes.NewReader(query)); err != nil {
+					t.Fatal(err)
+				}
+				streams := make([]*FleetStream, 4)
+				for i := range streams {
+					if streams[i], err = fl.Attach(fmt.Sprintf("cam-%d", i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, seg := range segments {
+					for _, fs := range streams {
+						if err := fs.PushSegment(bytes.NewReader(seg)); err != nil {
+							t.Fatalf("segment %d: %v", i, err)
+						}
+					}
+				}
+				f.fn(fl)
+				for _, fs := range streams {
+					fs.Detach(true)
+					if got := fs.Matches(); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: fleet matches diverge from Monitor:\n got %+v\nwant %+v", fs.ID(), got, want)
+					}
+					if st := fs.Stats(); st.Frames != 160 {
+						t.Errorf("%s: frames = %d, want 160", fs.ID(), st.Frames)
+					}
+				}
+				var frames int64
+				for _, w := range fl.WorkerStats() {
+					frames += w.Frames
+				}
+				if frames != 160*int64(len(streams)) {
+					t.Errorf("runner rows count %d frames, want %d", frames, 160*len(streams))
+				}
+			})
+		}
+	}
+}
+
+// TestFleetClosedRejectsSegments: a closed fleet refuses a segment with the
+// pool's error, and a caller that then waits on it is not left hanging.
+func TestFleetClosedRejectsSegments(t *testing.T) {
+	fl, err := NewFleet(testConfig(), FleetConfig{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	fs, err := fl.Attach("cam-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-encode the feed into standalone segments: each PushSegment body
-	// must be a self-contained MVC1 stream, so split at clip boundaries.
-	for i, seg := range [][]byte{clip(t, 600, 30), query, clip(t, 601, 30)} {
-		var one bytes.Buffer
-		if err := ComposeStream(&one, 80, 1, bytes.NewReader(seg)); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.PushSegment(bytes.NewReader(one.Bytes())); err != nil {
-			t.Fatalf("segment %d: %v", i, err)
-		}
+	fl.Close()
+	if err := fs.PushSegment(bytes.NewReader(clip(t, 602, 12))); !errors.Is(err, fleet.ErrClosed) {
+		t.Fatalf("PushSegment on a closed fleet: %v", err)
 	}
+	if got := fs.Pending(); got != 0 {
+		t.Fatalf("refused segment left %d frames queued", got)
+	}
+	fl.Drain()
 	fs.Detach(true)
-
-	got := fs.Matches()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("fleet matches diverge from Monitor:\n got %+v\nwant %+v", got, want)
-	}
-	if st := fs.Stats(); st.Frames != 160 {
-		t.Errorf("frames = %d, want 160", st.Frames)
-	}
 }
 
 // TestFleetFacadeCheckpoint round-trips a fleet through Checkpoint/

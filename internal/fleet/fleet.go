@@ -12,22 +12,24 @@
 //     naive one-engine-per-stream deployment would duplicate the index a
 //     thousand times.
 //
-// A Pool runs a fixed set of workers; each stream is pinned to one worker
-// by id hash, so its engine — which is not safe for concurrent use — only
-// ever runs on that worker, while different streams progress in parallel.
+// A Pool keeps one FIFO of streams that have frames to process. Its workers
+// pop from it, and so does any goroutine that waits for the pool (Drain,
+// Detach with drain): a stream's scheduling flags put it in the queue at
+// most once and never while a pass is running, so its engine — which is
+// not safe for concurrent use — runs on one goroutine at a time, whichever
+// that is, while different streams progress in parallel.
 // Producers hand frames to Stream.Push, which appends to a bounded
 // per-stream queue and returns immediately; a full queue rejects the batch
 // with ErrBackpressure rather than blocking the producer or growing without
 // bound (admission control at ingest, matching the overload policy of
 // internal/degrade). Per-stream output is byte-identical to running the same
-// frames through an isolated single-stream engine: the worker serialises
-// each stream's windows, and the matching kernel is deterministic.
+// frames through an isolated single-stream engine: passes of one stream
+// never overlap, and the matching kernel is deterministic.
 package fleet
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"sync"
@@ -43,7 +45,8 @@ import (
 // Errors surfaced by pool admission and stream ingest. Callers branch with
 // errors.Is; the wrapped instances carry the concrete numbers.
 var (
-	// ErrClosed reports an operation on a closed pool.
+	// ErrClosed reports an Attach or Push on a closed pool. A rejected Push
+	// consumed nothing.
 	ErrClosed = errors.New("fleet: pool closed")
 	// ErrDuplicateStream reports an Attach with an id already in use.
 	ErrDuplicateStream = errors.New("fleet: stream id already attached")
@@ -98,10 +101,24 @@ type Pool struct {
 
 	mu      sync.Mutex
 	streams map[string]*Stream
-	closed  bool
+	// closed is set once, by Close, before it wakes the runners.
+	closed atomic.Bool
 
-	workers []*worker
+	// The scheduler. ready holds every stream whose enqueued flag is set, in
+	// the order the flags were set, under sched. wake is signalled once per
+	// stream entering ready and broadcast when a stream goes idle or the pool
+	// closes, so a goroutine sleeping on it is either a worker with nothing
+	// to pop or a helper whose stream is running elsewhere.
+	sched   sync.Mutex
+	wake    *sync.Cond
+	ready   ring
+	workers []*runner
 	wg      sync.WaitGroup
+	// helpers is the free list of the runners that goroutines waiting on the
+	// pool run passes on, so that a drainer's scratch outlives its call;
+	// helped is the load they all count into.
+	helpers sync.Pool
+	helped  load
 
 	// queued aggregates pending+in-flight frames across streams, mirrored
 	// into the vcd_fleet_queue_frames gauge; queuedHW is its high-watermark
@@ -133,15 +150,16 @@ func NewWith(cfg Config, qs *core.QuerySet) (*Pool, error) {
 	}
 	cfg = cfg.normalized()
 	p := &Pool{cfg: cfg, qs: qs, streams: make(map[string]*Stream)}
-	p.workers = make([]*worker, cfg.Workers)
+	p.wake = sync.NewCond(&p.sched)
+	p.helpers.New = func() any { return &runner{load: &p.helped} }
+	p.workers = make([]*runner, cfg.Workers)
 	for i := range p.workers {
-		w := &worker{id: i}
-		w.cond = sync.NewCond(&w.mu)
-		p.workers[i] = w
+		r := &runner{load: new(load)}
+		p.workers[i] = r
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			w.run()
+			p.run(r, func() bool { return false })
 		}()
 	}
 	telWorkers.Set(float64(cfg.Workers))
@@ -189,14 +207,6 @@ func (p *Pool) publishPlaneGauges() {
 	telPlaneVersion.Set(float64(p.qs.Version()))
 }
 
-// workerFor pins a stream id to a worker. FNV-1a keeps the pinning stable
-// across attach/detach cycles and checkpoint restores.
-func (p *Pool) workerFor(id string) *worker {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return p.workers[int(h.Sum32())%len(p.workers)]
-}
-
 // Attach admits a new stream. The error is ErrClosed, ErrDuplicateStream
 // or ErrFleetFull (wrapped with the concrete limit) — admission control
 // rejects with a reason instead of queueing attach requests.
@@ -214,7 +224,7 @@ func (p *Pool) Attach(id string) (*Stream, error) {
 func (p *Pool) attach(id string, eng *core.Engine) (*Stream, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return nil, ErrClosed
 	}
 	if _, dup := p.streams[id]; dup {
@@ -225,8 +235,7 @@ func (p *Pool) attach(id string, eng *core.Engine) (*Stream, error) {
 		telStreamsRejected.Inc()
 		return nil, fmt.Errorf("%w: %d attached, limit %d", ErrFleetFull, len(p.streams), p.cfg.MaxStreams)
 	}
-	s := &Stream{id: id, p: p, w: p.workerFor(id), eng: eng}
-	s.done = sync.NewCond(&s.qmu)
+	s := &Stream{id: id, p: p, eng: eng}
 	// Fleet engines report spans into the process collector under their
 	// stream id — wired before the stream is published, so no pass can race
 	// the assignment.
@@ -262,9 +271,11 @@ func (p *Pool) StreamIDs() []string {
 	return ids
 }
 
-// Drain blocks until every stream's pending queue is empty and no worker
-// pass is in flight. Producers must pause pushing for Drain to terminate;
-// it is the quiescence barrier Checkpoint uses.
+// Drain blocks until every stream's pending queue is empty and no pass is
+// in flight, running queued passes on the calling goroutine meanwhile — so
+// it may return up to one pass after the instant its streams went idle.
+// Producers must pause pushing for Drain to terminate; it is the quiescence
+// barrier Checkpoint uses. On a closed pool it returns at once.
 func (p *Pool) Drain() {
 	p.mu.Lock()
 	streams := make([]*Stream, 0, len(p.streams))
@@ -272,52 +283,51 @@ func (p *Pool) Drain() {
 		streams = append(streams, s)
 	}
 	p.mu.Unlock()
-	for _, s := range streams {
-		s.waitIdle()
-	}
+	p.helpUntilIdle(streams)
 }
 
 // Close stops the workers. Attached streams stay readable (Stats, Matches)
-// but stop processing; pending queues are abandoned. Call Drain first for
-// a graceful stop.
+// but stop processing and reject pushes; pending queues are abandoned, and
+// a goroutine helping from Drain or Detach finishes the pass it is in and
+// takes no other. Call Drain first for a graceful stop.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p.closed.Swap(true) {
 		return
 	}
-	p.closed = true
-	p.mu.Unlock()
-	for _, w := range p.workers {
-		w.shutdown()
-	}
+	// Under the lock, so that a runner that read the flag as unset is
+	// asleep by the time of the broadcast.
+	p.sched.Lock()
+	p.ready = ring{}
+	p.wake.Broadcast()
+	p.sched.Unlock()
 	p.wg.Wait()
 }
 
 // A Stream is one monitored stream of a pool: a private engine plus a
-// bounded ingest queue, pinned to one worker.
+// bounded ingest queue.
 type Stream struct {
 	id string
 	p  *Pool
-	w  *worker
 
-	// qmu guards the ingest queue and scheduling flags. Push and the
-	// worker exchange frames under it; it is never held while the engine
-	// runs, so Push returns in O(len(frames)) regardless of window cost.
+	// qmu guards the ingest queue and scheduling flags. Push and the pass
+	// exchange frames under it; it is never held while the engine runs, so
+	// Push returns in O(len(frames)) regardless of window cost. enqueued
+	// means the stream is in the pool's ready queue, processing that a pass
+	// is running; they are never both set, and only the goroutine that
+	// popped the stream clears the first and sets the second.
 	qmu        sync.Mutex
 	pending    []uint64
 	inflight   int
 	enqueued   bool
 	processing bool
 	detached   bool
-	done       *sync.Cond // broadcast when a pass ends with an empty queue
 	// enqAt marks when the current queue generation went non-empty and
-	// wakeAt when the worker wake was signalled — the queue-wait and
+	// wakeAt when the stream entered the ready queue — the queue-wait and
 	// worker-hop span sources. Zero when timing is off (see timing()).
 	enqAt  time.Time
 	wakeAt time.Time
 
-	// emu guards the engine: the owning worker holds it across PushFrames,
+	// emu guards the engine: the running pass holds it across PushFrames,
 	// readers (Stats, Matches) hold it briefly between windows.
 	emu sync.Mutex
 	eng *core.Engine
@@ -335,6 +345,9 @@ func (s *Stream) ID() string { return s.id }
 func (s *Stream) Push(cellIDs []uint64) error {
 	if len(cellIDs) == 0 {
 		return nil
+	}
+	if s.p.closed.Load() {
+		return ErrClosed
 	}
 	if len(cellIDs) > s.p.cfg.QueueFrames {
 		return fmt.Errorf("%w: stream %q, batch of %d frames, budget %d",
@@ -374,7 +387,7 @@ func (s *Stream) Push(cellIDs []uint64) error {
 	telFrames.Add(int64(len(cellIDs)))
 	s.p.noteQueued(int64(len(cellIDs)))
 	if wake {
-		s.w.enqueue(s)
+		s.p.enqueue(s)
 	}
 	return nil
 }
@@ -407,12 +420,16 @@ func (p *Pool) noteQueued(delta int64) {
 // QueueDepthHW returns the deepest the pool-wide frame backlog has run.
 func (p *Pool) QueueDepthHW() int64 { return p.queuedHW.Load() }
 
-// runPass is one worker visit: swap out everything pending, run it through
-// the engine, then reschedule if more arrived meanwhile. Only the pinned
-// worker calls it, so engine access is serialised per stream while other
-// streams' passes run on other workers.
-func (s *Stream) runPass() {
+// runPass is one visit by the runner that popped s from the ready queue:
+// swap out everything pending, run it through the engine, then reschedule
+// if more arrived meanwhile. The stream re-enters the queue only at the end
+// of the pass, so engine access is serialised per stream while other
+// streams' passes run on other runners.
+func (s *Stream) runPass(r *runner) {
 	s.qmu.Lock()
+	if s.processing {
+		panic("fleet: stream " + s.id + " popped while a pass is running")
+	}
 	batch := s.pending
 	s.pending = nil
 	s.inflight = len(batch)
@@ -433,8 +450,8 @@ func (s *Stream) runPass() {
 	s.qmu.Unlock()
 
 	if len(batch) > 0 {
-		s.w.passes.Add(1)
-		s.w.frames.Add(int64(len(batch)))
+		r.passes.Add(1)
+		r.frames.Add(int64(len(batch)))
 		s.emu.Lock()
 		if qwaitNS > 0 {
 			s.eng.AddPendingSpanNS(perfobs.StageQueueWait, qwaitNS)
@@ -444,7 +461,7 @@ func (s *Stream) runPass() {
 				telWorkerHop.Observe(float64(hopNS) / 1e9)
 			}
 		}
-		s.eng.PushFramesOn(&s.w.probe, batch)
+		s.eng.PushFramesOn(&r.probe, batch)
 		s.emu.Unlock()
 		s.p.noteQueued(int64(-len(batch)))
 	}
@@ -459,23 +476,29 @@ func (s *Stream) runPass() {
 			// The re-enqueue is the wake signal for the leftover frames.
 			s.wakeAt = time.Now()
 		}
-	} else {
-		s.done.Broadcast()
 	}
 	s.qmu.Unlock()
 	if again {
-		s.w.enqueue(s)
+		s.p.enqueue(s)
+		return
 	}
+	// Tell helpers that a stream went idle. Under the lock, so that one that
+	// saw this stream busy is asleep by now, not about to sleep.
+	s.p.sched.Lock()
+	s.p.wake.Broadcast()
+	s.p.sched.Unlock()
 }
 
-// waitIdle blocks until the stream has no queued or in-flight frames.
-func (s *Stream) waitIdle() {
+// idle reports whether the stream has no queued or in-flight frames.
+func (s *Stream) idle() bool {
 	s.qmu.Lock()
-	for s.enqueued || s.processing || len(s.pending) > 0 {
-		s.done.Wait()
-	}
-	s.qmu.Unlock()
+	defer s.qmu.Unlock()
+	return !s.enqueued && !s.processing && len(s.pending) == 0
 }
+
+// waitIdle blocks until the stream is idle or the pool closed, running
+// queued passes — of any stream — on the calling goroutine meanwhile.
+func (s *Stream) waitIdle() { s.p.helpUntilIdle([]*Stream{s}) }
 
 // Detach removes the stream from the pool. With drain true, queued frames
 // are processed and a final partial window flushed before return; with
@@ -499,14 +522,13 @@ func (s *Stream) Detach(drain bool) {
 	s.qmu.Unlock()
 
 	s.p.mu.Lock()
-	closed := s.p.closed
 	if s.p.streams[s.id] == s {
 		delete(s.p.streams, s.id)
 		telStreamsActive.Set(float64(len(s.p.streams)))
 	}
 	s.p.mu.Unlock()
 
-	if drain && !closed {
+	if drain && !s.p.closed.Load() {
 		s.waitIdle()
 		s.emu.Lock()
 		s.eng.Flush()
@@ -543,104 +565,119 @@ func (s *Stream) Pending() int {
 	return len(s.pending) + s.inflight
 }
 
-// worker drives the streams pinned to it, one ready-list pass at a time.
-type worker struct {
-	id    int
-	mu    sync.Mutex
-	cond  *sync.Cond
-	ready []*Stream
-	stop  bool
-
-	// passes and frames count completed non-empty passes and the frames
-	// they carried — the per-worker load surface of Pool.WorkerStats.
-	passes atomic.Int64
-	frames atomic.Int64
-
-	// probe is lent to the engine of whichever stream the worker is running
-	// a pass for, so the pool holds one probe scratch per worker, not per
-	// stream. Touched only by the worker's goroutine, inside runPass.
+// A runner is a goroutine's seat at the ready queue: a pool worker for the
+// life of the pool, or a helper for the length of one Drain or Detach.
+type runner struct {
+	// load is the worker's own, or the pool's helped for every helper.
+	*load
+	// probe is lent to the engine of whichever stream the runner is running
+	// a pass for, so the pool holds one probe scratch per runner, not per
+	// stream. Touched only inside runPass.
 	probe qindex.ProbeScratch
 }
 
-// WorkerStats describes one pool worker's load: how many streams hash to
-// it, how much work it has done, and its current backlog.
+// load counts completed non-empty passes and the frames they carried.
+type load struct{ passes, frames atomic.Int64 }
+
+// WorkerStats is the work one row of runners has done. The rows add up to
+// the frames the pool has processed.
 type WorkerStats struct {
-	// ID is the worker index streams are pinned to by id hash.
+	// ID is the worker's index, or -1 for the row of the helpers: goroutines
+	// that ran passes while they waited in Drain or Detach.
 	ID int `json:"id"`
-	// Streams is the number of attached streams pinned to this worker.
-	Streams int `json:"streams"`
 	// Passes and Frames count completed non-empty passes and their frames.
 	Passes int64 `json:"passes"`
 	Frames int64 `json:"frames"`
-	// Ready is the worker's current ready-list length; QueuedFrames the
-	// pending+in-flight frames across its pinned streams.
-	Ready        int `json:"ready"`
-	QueuedFrames int `json:"queuedFrames"`
 }
 
-// WorkerStats returns a per-worker load breakdown, ordered by worker id —
-// the skew surface: a hot worker with many queued frames names the victim
-// of an uneven stream-to-worker hash.
+// WorkerStats returns one row per worker, ordered by id, then the helpers'
+// row. Any runner takes any stream, so a row far above the others means a
+// run of long passes, not an unlucky assignment.
 func (p *Pool) WorkerStats() []WorkerStats {
-	out := make([]WorkerStats, len(p.workers))
-	for i, w := range p.workers {
-		w.mu.Lock()
-		ready := len(w.ready)
-		w.mu.Unlock()
-		out[i] = WorkerStats{
-			ID:     w.id,
-			Passes: w.passes.Load(),
-			Frames: w.frames.Load(),
-			Ready:  ready,
+	out := make([]WorkerStats, 0, len(p.workers)+1)
+	for i, r := range p.workers {
+		out = append(out, WorkerStats{ID: i, Passes: r.passes.Load(), Frames: r.frames.Load()})
+	}
+	return append(out, WorkerStats{ID: -1, Passes: p.helped.passes.Load(), Frames: p.helped.frames.Load()})
+}
+
+// Backlog returns the streams waiting in the ready queue and the frames
+// queued or in flight across the pool.
+func (p *Pool) Backlog() (ready int, queuedFrames int64) {
+	p.sched.Lock()
+	defer p.sched.Unlock()
+	return p.ready.n, p.queued.Load()
+}
+
+// enqueue appends s, whose enqueued flag the caller has just set, to the
+// ready queue and wakes one sleeping runner.
+func (p *Pool) enqueue(s *Stream) {
+	p.sched.Lock()
+	if !p.closed.Load() {
+		p.ready.push(s)
+	}
+	p.sched.Unlock()
+	p.wake.Signal()
+}
+
+// run pops ready streams and runs their passes on r, sleeping while none
+// is ready, until done reports true or the pool closes. done is asked
+// before every pop, with sched held.
+func (p *Pool) run(r *runner, done func() bool) {
+	p.sched.Lock()
+	for !p.closed.Load() && !done() {
+		s := p.ready.pop()
+		if s == nil {
+			p.wake.Wait()
+			continue
 		}
+		p.sched.Unlock()
+		s.runPass(r)
+		p.sched.Lock()
 	}
-	p.mu.Lock()
-	streams := make([]*Stream, 0, len(p.streams))
-	for _, s := range p.streams {
-		streams = append(streams, s)
-	}
-	p.mu.Unlock()
-	for _, s := range streams {
-		out[s.w.id].Streams++
-		out[s.w.id].QueuedFrames += s.Pending()
-	}
-	return out
+	p.sched.Unlock()
 }
 
-func (w *worker) enqueue(s *Stream) {
-	w.mu.Lock()
-	w.ready = append(w.ready, s)
-	w.mu.Unlock()
-	w.cond.Signal()
+// helpUntilIdle returns when every one of streams is idle, or the pool
+// closed. While one is not, the caller runs whatever is ready — the stream
+// it waits for or any other — and sleeps only when nothing is.
+func (p *Pool) helpUntilIdle(streams []*Stream) {
+	r := p.helpers.Get().(*runner)
+	defer p.helpers.Put(r)
+	p.run(r, func() bool {
+		for len(streams) > 0 && streams[0].idle() {
+			streams = streams[1:]
+		}
+		return len(streams) == 0
+	})
 }
 
-func (w *worker) next() *Stream {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for len(w.ready) == 0 && !w.stop {
-		w.cond.Wait()
+// ring is a FIFO of streams in a circular buffer whose length is a power of
+// two. pop clears the slot it empties, so the queue holds no stream it has
+// handed out.
+type ring struct {
+	buf     []*Stream
+	head, n int
+}
+
+func (q *ring) push(s *Stream) {
+	if q.n == len(q.buf) {
+		buf := make([]*Stream, max(8, 2*q.n))
+		copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
+		q.buf, q.head = buf, 0
 	}
-	if len(w.ready) == 0 {
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = s
+	q.n++
+}
+
+// pop returns the oldest stream, or nil when the queue is empty.
+func (q *ring) pop() *Stream {
+	if q.n == 0 {
 		return nil
 	}
-	s := w.ready[0]
-	w.ready = w.ready[1:]
+	s := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 	return s
-}
-
-func (w *worker) shutdown() {
-	w.mu.Lock()
-	w.stop = true
-	w.mu.Unlock()
-	w.cond.Broadcast()
-}
-
-func (w *worker) run() {
-	for {
-		s := w.next()
-		if s == nil {
-			return
-		}
-		s.runPass()
-	}
 }

@@ -212,10 +212,37 @@ func runIsolated(t *testing.T, cfg core.Config, batches [][]uint64, qids []int, 
 // multiplexed over a small worker pool, pushed from concurrent producers,
 // must each produce exactly the matches and stats of an isolated engine
 // fed the same frames — same query subscription sequence, same windows,
-// same plane contents.
+// same plane contents — whichever goroutines ran their passes: the workers,
+// one draining goroutine, two, or the detaching goroutines alone.
 func TestFleetEquivalence(t *testing.T) {
+	finishes := []struct {
+		name string
+		fn   func(p *Pool)
+	}{
+		{"drain", func(p *Pool) { p.Drain() }},
+		{"two drains", func(p *Pool) {
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() { defer wg.Done(); p.Drain() }()
+			}
+			wg.Wait()
+		}},
+		// No barrier: each Detach(true) below finds other streams queued.
+		{"detach", func(*Pool) {}},
+	}
+	for _, workers := range []int{1, 3, 4} {
+		for _, f := range finishes {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, f.name), func(t *testing.T) {
+				testFleetEquivalence(t, workers, f.fn)
+			})
+		}
+	}
+}
+
+func testFleetEquivalence(t *testing.T, workers int, finish func(*Pool)) {
 	const nStreams = 24
-	cfg := testConfig(4)
+	cfg := testConfig(workers)
 	cfg.Engine.PreFilter = true
 	p, err := New(cfg)
 	if err != nil {
@@ -234,6 +261,7 @@ func TestFleetEquivalence(t *testing.T) {
 
 	streams := make([]*Stream, nStreams)
 	workloads := make([][][]uint64, nStreams)
+	pushed := 0
 	for i := range streams {
 		s, err := p.Attach(fmt.Sprintf("cam-%03d", i))
 		if err != nil {
@@ -241,6 +269,9 @@ func TestFleetEquivalence(t *testing.T) {
 		}
 		streams[i] = s
 		workloads[i] = streamWorkload(i, cfg.Engine.WindowFrames, query)
+		for _, b := range workloads[i] {
+			pushed += len(b)
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -264,7 +295,7 @@ func TestFleetEquivalence(t *testing.T) {
 		}(s, workloads[i])
 	}
 	wg.Wait()
-	p.Drain()
+	finish(p)
 
 	matched := 0
 	for i, s := range streams {
@@ -284,12 +315,25 @@ func TestFleetEquivalence(t *testing.T) {
 	if matched == 0 {
 		t.Fatal("no stream matched; equivalence check vacuous")
 	}
+	if got := runnerFrames(p); got != int64(pushed) {
+		t.Errorf("runner rows count %d frames, %d were pushed", got, pushed)
+	}
+}
+
+// runnerFrames sums the frames of every WorkerStats row.
+func runnerFrames(p *Pool) int64 {
+	var n int64
+	for _, w := range p.WorkerStats() {
+		n += w.Frames
+	}
+	return n
 }
 
 // TestFleetChurnUnderLoad drives concurrent pushes while the shared plane
 // churns. There is no per-stream reference (churn timing is racy by
 // design); the assertions are the safety properties: no data race (CI runs
-// this under -race), the pre-churn query is found by every stream that
+// this under -race) between the churn and passes on workers or on helping
+// drainers, the pre-churn query is found by every stream that
 // carries it, and every stream ends on a plane no newer than the set.
 func TestFleetChurnUnderLoad(t *testing.T) {
 	const nStreams = 16
@@ -332,6 +376,23 @@ func TestFleetChurnUnderLoad(t *testing.T) {
 			id++
 		}
 	}()
+
+	// Two goroutines drain throughout, so passes run on helpers as well as
+	// on workers while the plane changes under them.
+	for i := 0; i < 2; i++ {
+		churnWG.Add(1)
+		go func() {
+			defer churnWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					p.Drain()
+				}
+			}
+		}()
+	}
 
 	var wg sync.WaitGroup
 	streams := make([]*Stream, nStreams)

@@ -21,15 +21,15 @@ var (
 	telQueueDepth = telemetry.Default.Gauge("vcd_fleet_queue_depth",
 		"High-watermark of vcd_fleet_queue_frames — the deepest the pool-wide backlog has ever run.")
 	telQueueWait = telemetry.Default.Histogram("vcd_fleet_queue_wait_seconds",
-		"Time a pass's frames waited in a stream queue before its pinned worker picked them up.",
+		"Time a pass's frames waited in a stream queue before a runner picked them up.",
 		telemetry.DurationBuckets)
 	telWorkerHop = telemetry.Default.Histogram("vcd_fleet_worker_hop_seconds",
-		"Scheduling hop between a stream's wake signal and its pass starting on the pinned worker.",
+		"Scheduling hop between a stream entering the ready queue and its pass starting.",
 		telemetry.DurationBuckets)
 	telPlaneBytes = telemetry.Default.Gauge("vcd_fleet_plane_bytes",
 		"Memory footprint of the shared query plane (index, sketches, pre-filter) — paid once, not per stream.")
 	telPlaneVersion = telemetry.Default.Gauge("vcd_fleet_plane_version",
 		"Current version of the shared copy-on-write query plane.")
 	telWorkers = telemetry.Default.Gauge("vcd_fleet_workers",
-		"Worker goroutines the fleet pool multiplexes streams over.")
+		"Worker goroutines popping the fleet pool's ready queue; goroutines waiting in Drain or Detach help beside them.")
 )

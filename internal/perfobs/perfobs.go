@@ -57,10 +57,11 @@ const (
 	StageCombine
 	StageMerge
 	// StageQueueWait is the time the pass's frames spent in the fleet
-	// stream's bounded queue before its pinned worker picked them up;
-	// StageWorkerHop is the scheduling hop between the wake signal and the
-	// pass actually starting. Both are zero outside fleet deployments and
-	// are attributed to the first window of each worker pass.
+	// stream's bounded queue before a runner of the pool picked them up;
+	// StageWorkerHop is the scheduling hop between the stream entering the
+	// pool's ready queue and the pass actually starting. Both are zero
+	// outside fleet deployments and are attributed to the first window of
+	// each pass.
 	StageQueueWait
 	StageWorkerHop
 	// StageWindowTotal is the window's full kernel processing time.

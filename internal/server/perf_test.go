@@ -141,8 +141,14 @@ func TestStatsPerfBlock(t *testing.T) {
 			Outliers     map[string]map[string]any     `json:"outliers"`
 		} `json:"perf"`
 		Fleet struct {
-			QueueDepthHW int64             `json:"queueDepthHW"`
-			Workers      []json.RawMessage `json:"workers"`
+			QueueDepthHW int64  `json:"queueDepthHW"`
+			Ready        *int   `json:"ready"`
+			QueuedFrames *int64 `json:"queuedFrames"`
+			Workers      []struct {
+				ID     int   `json:"id"`
+				Passes int64 `json:"passes"`
+				Frames int64 `json:"frames"`
+			} `json:"workers"`
 		} `json:"fleet"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -157,8 +163,12 @@ func TestStatsPerfBlock(t *testing.T) {
 	if _, ok := st.Perf.Stages["window_total"]; !ok {
 		t.Errorf("perf.stages missing window_total: %v", st.Perf.Stages)
 	}
-	if len(st.Fleet.Workers) == 0 {
-		t.Errorf("fleet.workers empty")
+	// One row per worker, then the helpers' row; the backlog is the pool's.
+	if n := len(st.Fleet.Workers); n < 2 || st.Fleet.Workers[0].ID != 0 || st.Fleet.Workers[n-1].ID != -1 {
+		t.Errorf("fleet.workers = %+v, want worker rows then id -1", st.Fleet.Workers)
+	}
+	if st.Fleet.Ready == nil || st.Fleet.QueuedFrames == nil {
+		t.Errorf("fleet.ready / fleet.queuedFrames missing")
 	}
 	if _, ok := st.Perf.Outliers["slowest"]; !ok {
 		t.Errorf("perf.outliers missing slowest: %v", st.Perf.Outliers)

@@ -442,6 +442,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		compared[i] = s.shardCompared[i].Load()
 	}
 	ov := s.root.Overload()
+	ready, queuedFrames := s.fleet.Backlog()
 	writeJSON(w, map[string]any{
 		"queries":        s.NumQueries(),
 		"streamsServed":  s.streams.Load(),
@@ -457,6 +458,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"streams":      s.fleet.Len(),
 			"planeBytes":   s.fleet.PlaneBytes(),
 			"queueDepthHW": s.fleet.QueueDepthHW(),
+			"ready":        ready,
+			"queuedFrames": queuedFrames,
 			"workers":      s.fleet.WorkerStats(),
 		},
 		"perf": perfStatsBlock(),
