@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test ./cmd/vcdeval -fuzz FuzzParseTruth -fuzztime 30s
 	$(GO) test ./cmd/vcdeval -fuzz FuzzReadReports -fuzztime 30s
 	$(GO) test ./internal/qindex -fuzz FuzzProbeVsScan -fuzztime 30s
+	$(GO) test ./internal/core -fuzz FuzzPreFilterMask -fuzztime 30s
 	$(GO) test ./internal/snapshot -fuzz FuzzReplayWAL -fuzztime 30s
 
 # Reduced-scale temporal-attack robustness suite under the race detector:
@@ -65,15 +66,15 @@ robustness-smoke:
 		./internal/edit ./internal/workload ./internal/experiments ./cmd/vcdeval
 
 # Reduced-scale pre-filter gate under the race detector: 10³ queries
-# streamed with the Bloom tier off and on — match output must be identical,
-# ≥90% of per-row probes rejected, bounded false positives — plus the
-# filter/churn/equivalence suites. Writes the measured level as a JSON
+# streamed with the exact tier off and on — match output must be identical,
+# ≥90% of per-row searches rejected, not one false positive — plus the
+# exactness harness's seeds (FuzzPreFilterMask) and the cell-table,
+# churn and equivalence suites. Writes the measured level as a JSON
 # artifact into queryscale-report/.
 queryscale-smoke:
-	$(GO) test -race -count=1 ./internal/prefilter
 	QUERYSCALE_REPORT_DIR=$(CURDIR)/queryscale-report $(GO) test -race -count=1 \
-		-run 'TestQueryScaleSmoke|TestPreFilter|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestRowMask' \
-		./internal/qindex ./internal/core ./internal/experiments
+		-run 'TestQueryScaleSmoke|TestPreFilter|FuzzPreFilterMask|TestInvert|TestSketchWinners|TestCellRowsModel|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestRowMask' \
+		./internal/minhash ./internal/qindex ./internal/core ./internal/experiments
 
 # Overload gate under the race detector: the degrade-layer unit suites plus
 # the calibrate → observe → shed sweep at 2× sustainable ingest. The shed

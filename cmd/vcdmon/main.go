@@ -98,7 +98,7 @@ func main() {
 	archiveDir := flag.String("archive-dir", "", "save matched stream segments as clips in this directory")
 	archiveSec := flag.Float64("archive-sec", 120, "seconds of stream retained for archiving")
 	workers := flag.Int("workers", 0, "matching workers per window (0 = inline serial kernel)")
-	preFilter := flag.Bool("prefilter", false, "enable the blocked-Bloom pre-filter tier in front of the Hash-Query index (large query counts; output-identical)")
+	preFilter := flag.Bool("prefilter", false, "enable the exact pre-filter tier in front of the Hash-Query index: search only the rows that hold the window's value (many queries; output-identical)")
 	ckptDir := flag.String("checkpoint-dir", "", "journal frames and checkpoint matching state in this directory")
 	ckptEvery := flag.Duration("checkpoint-every", 10*time.Second, "minimum interval between periodic checkpoints")
 	resume := flag.Bool("resume", false, "restore state from -checkpoint-dir and replay the frame log before monitoring")

@@ -73,7 +73,7 @@ func main() {
 	window := flag.Float64("window", 5, "basic window (seconds)")
 	keyFPS := flag.Float64("keyfps", 2, "expected key-frame rate of monitored streams")
 	workers := flag.Int("workers", 0, "matching workers per stream window (0 = inline serial kernel)")
-	preFilter := flag.Bool("prefilter", false, "enable the blocked-Bloom pre-filter tier in front of the Hash-Query index (large query counts; output-identical)")
+	preFilter := flag.Bool("prefilter", false, "enable the exact pre-filter tier in front of the Hash-Query index: search only the rows that hold the window's value (many queries; output-identical)")
 	ckptDir := flag.String("checkpoint-dir", "", "persist service state in this directory (restore on boot)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "minimum interval between periodic checkpoints")
 	drain := flag.Duration("drain", 30*time.Second, "in-flight stream drain timeout on shutdown")

@@ -82,13 +82,13 @@ type Config struct {
 	// one). Matches, match order and Stats totals are identical for every
 	// value — see DESIGN.md "Parallel matching".
 	Workers int
-	// PreFilter enables the blocked-Bloom pre-filter tier
-	// (internal/prefilter) in front of the Hash-Query index: each window's
-	// per-row equal searches are first tested against a compact membership
-	// filter and rejected in O(1) when no query can hold the value. Match
-	// output is byte-identical with the tier on or off (the filter has no
-	// false negatives); only probe cost changes. Requires UseIndex — see
-	// DESIGN.md "Pre-filter tier".
+	// PreFilter enables the exact pre-filter tier in front of the
+	// Hash-Query index (qindex.TrackCells): each window's mask admits
+	// exactly the rows in which some query holds the window's value, read
+	// from the row sets of the window's ≈5 winning cells, and the probe
+	// searches those rows only. Match output is byte-identical with the
+	// tier on or off; only probe cost and memory change. Requires
+	// UseIndex — see DESIGN.md "Pre-filter tier".
 	PreFilter bool
 }
 

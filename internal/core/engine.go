@@ -113,10 +113,14 @@ type Engine struct {
 	perfLabel     string
 	pendingSpanNS [perfobs.NumStages]int64
 
-	// Pre-filter accounting for this engine's windows, outside Stats so
-	// the snapshot codec is untouched (the tier is a runtime choice).
-	// pfRowProbes/pfRowRejects accrue serially in processWindow;
-	// pfEmptySearches is folded from the spine shard after the join.
+	// Pre-filter state of a Config.PreFilter engine: the winners of the
+	// window being sketched and its row mask, reused window after window,
+	// and accounting outside Stats so the snapshot codec is untouched (the
+	// tier is a runtime choice). pfRowProbes/pfRowRejects accrue serially in
+	// processWindow; pfEmptySearches is folded from the spine shard after
+	// the join.
+	winners                                    minhash.Winners
+	rowMask                                    qindex.RowMask
 	pfRowProbes, pfRowRejects, pfEmptySearches int64
 }
 
@@ -152,12 +156,13 @@ func newEngine(cfg Config, qs *QuerySet) *Engine {
 	if n < 1 {
 		n = 1
 	}
+	e := &Engine{cfg: cfg, qs: qs, nshards: n}
 	if cfg.PreFilter {
 		// Idempotent; with a shared QuerySet the first pre-filter engine
 		// turns the tier on for every sharer (it is output-neutral).
 		qs.EnablePreFilter()
+		e.rowMask = qindex.NewRowMask(cfg.K)
 	}
-	e := &Engine{cfg: cfg, qs: qs, nshards: n}
 	e.win.relatedSh = make([][]qindex.Result, n)
 	e.win.qidsSh = make([][]int, n)
 	e.shards = make([]*engineShard, n)
@@ -188,36 +193,35 @@ func (e *Engine) Stats() Stats {
 }
 
 // PreFilterStats reports the pre-filter tier's activity: this engine's
-// row-probe outcomes plus the shared filter's current footprint. Zero
+// row-mask outcomes plus the shared cell table's current footprint. Zero
 // values throughout when the tier is off.
 type PreFilterStats struct {
 	// Enabled reports whether the tier is active on the query set.
 	Enabled bool
-	// RowProbes and RowRejects count this engine's per-window filter
-	// tests and O(1) rejections; RowRejects/RowProbes is the fraction of
-	// per-row candidate walks skipped before any index work.
+	// RowProbes and RowRejects count the rows of this engine's masked
+	// windows (K each) and those the mask rejected; RowRejects/RowProbes is
+	// the fraction of per-row searches skipped before any index work.
 	RowProbes, RowRejects int64
-	// EmptySearches counts admitted rows whose equal search found nothing
-	// — the filter's false positives (each costs one wasted binary search).
+	// EmptySearches counts admitted rows whose equal search found nothing —
+	// false positives, zero by construction.
 	EmptySearches int64
-	// Bytes and Keys describe the shared filter's current footprint;
-	// Rebuilds counts churn-triggered reconstructions.
-	Bytes, Keys int
-	Rebuilds    int64
+	// Cells and Bytes describe the shared cell table: the premixed cells
+	// that win some query's row, and the table's footprint.
+	Cells, Bytes int
 }
 
 // PreFilterStats returns the tier's accounting for this engine and its
 // query set.
 func (e *Engine) PreFilterStats() PreFilterStats {
-	bytes, keys, rebuilds, enabled := e.qs.preFilterStats()
+	v := e.qs.view()
+	cells, bytes := v.cells()
 	return PreFilterStats{
-		Enabled:       enabled,
+		Enabled:       v.preFilter,
 		RowProbes:     e.pfRowProbes,
 		RowRejects:    e.pfRowRejects,
 		EmptySearches: e.pfEmptySearches,
+		Cells:         cells,
 		Bytes:         bytes,
-		Keys:          keys,
-		Rebuilds:      rebuilds,
 	}
 }
 
@@ -349,7 +353,12 @@ func (e *Engine) processWindow() {
 	if timed {
 		t0 = time.Now()
 	}
-	wsk := e.qs.Family().SketchSet(e.curIDs)
+	var wsk minhash.Sketch
+	if e.cfg.PreFilter {
+		wsk = e.qs.Family().SketchWinners(e.curIDs, &e.winners)
+	} else {
+		wsk = e.qs.Family().SketchSet(e.curIDs)
+	}
 	var sketchD time.Duration
 	if timed {
 		t1 = time.Now()
@@ -375,16 +384,16 @@ func (e *Engine) processWindow() {
 		qidsSh:     win.qidsSh,
 	}
 	// The pre-filter row mask is computed once, serially, before the shard
-	// fork: it depends only on the window sketch (not the shard), so doing
-	// it here avoids K×nshards redundant filter probes and keeps the mask —
-	// and hence the probe output — identical for every worker count.
-	if e.cfg.PreFilter && len(view.queries) > 0 {
-		mask, probed, rejected := view.windowRowMask(wsk)
-		win.rowMask = mask
-		e.pfRowProbes += int64(probed)
-		e.pfRowRejects += int64(rejected)
-		telPrefilterProbes.Add(int64(probed))
-		telPrefilterRejects.Add(int64(rejected))
+	// fork: it depends only on the window (not the shard), so doing it here
+	// keeps the mask — and hence the probe output — identical for every
+	// worker count.
+	if e.cfg.PreFilter && len(view.queries) > 0 && view.windowRowMask(&e.winners, e.rowMask) {
+		win.rowMask = e.rowMask
+		rejected := int64(e.cfg.K - e.rowMask.Count())
+		e.pfRowProbes += int64(e.cfg.K)
+		e.pfRowRejects += rejected
+		telPrefilterProbes.Add(int64(e.cfg.K))
+		telPrefilterRejects.Add(rejected)
 	}
 	// The tracer's enabled flag is sampled once here: every recording site
 	// downstream checks win.tr, so a mid-window toggle never tears a
@@ -530,7 +539,8 @@ type windowResult struct {
 	relatedSh  [][]qindex.Result // Bit: per-shard window-vs-query signatures, by query id
 	qidsSh     [][]int           // Sketch: per-shard related query ids, sorted
 	// rowMask is the pre-filter admission mask, computed once per window
-	// before the shard fork; nil (admit all rows) when the tier is off.
+	// before the shard fork into the engine's buffer; nil (admit all rows)
+	// when the tier is off or could not name the window's winners.
 	rowMask qindex.RowMask
 	// tr is the lifecycle-event recorder for this window, nil when tracing
 	// is off — the single guard every kernel recording site checks.

@@ -22,7 +22,7 @@ func idStream(rng *rand.Rand, content, frames int) []uint64 {
 }
 
 // variant enumerates the method/order/index/prefilter configurations under
-// test. The prefilter variants pin the Bloom tier's byte-identical-output
+// test. The prefilter variants pin the exact tier's byte-identical-output
 // contract across every suite that iterates this table.
 type variant struct {
 	name      string

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"vdsms/internal/minhash"
+	"vdsms/internal/qindex"
 	"vdsms/internal/snapshot"
 )
 
@@ -13,12 +16,12 @@ import (
 // Config.PreFilter on, Matches (order included) and Stats totals — down to
 // ProbeComparisons, since rejected rows are exactly the empty searches —
 // must equal the unfiltered run's, under any worker count, across churn,
-// and through checkpoint/restore.
+// and through checkpoint/restore. Being exact, the tier also never admits
+// an empty search.
 
 // prefSchedule is a deterministic workload with mid-stream subscription
 // churn: queries added up front, some removed and re-added while frames
-// flow, converging on a final set. The removals are numerous enough to
-// trip the filter's rebuild-on-threshold path.
+// flow, converging on a final set.
 type prefSchedule struct {
 	cfg     Config
 	queries [][]uint64 // 1-based ids
@@ -53,7 +56,8 @@ func newPrefSchedule(seed int64, method Method, order Order) *prefSchedule {
 	return ps
 }
 
-// run replays the schedule on one engine configuration.
+// run replays the schedule on one engine configuration. A pre-filter run
+// must not admit a single empty search.
 func (ps *prefSchedule) run(t *testing.T, preFilter bool, workers int) ([]Match, Stats) {
 	t.Helper()
 	cfg := ps.cfg
@@ -82,6 +86,9 @@ func (ps *prefSchedule) run(t *testing.T, preFilter bool, workers int) ([]Match,
 		}
 	}
 	e.Flush()
+	if pf := e.PreFilterStats(); pf.EmptySearches != 0 || preFilter && pf.RowRejects == 0 {
+		t.Fatalf("pre-filter=%v: %d empty searches, %d of %d rows rejected", preFilter, pf.EmptySearches, pf.RowRejects, pf.RowProbes)
+	}
 	return e.Matches, e.Stats()
 }
 
@@ -121,7 +128,8 @@ func TestPreFilterOutputEquivalence(t *testing.T) {
 
 // TestPreFilterChurnFuzz: random interleaved Add/Remove schedules, applied
 // identically with the tier on and off, must keep outputs equal — the
-// churn path exercises AddSketch, dead-key counting and threshold rebuilds.
+// churn path adds and drops rows of the cell table, and drops a cell whose
+// last row goes.
 func TestPreFilterChurnFuzz(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(300 + trial)))
@@ -156,8 +164,8 @@ func TestPreFilterChurnFuzz(t *testing.T) {
 // engine checkpointed mid-stream and restored — with the tier on or off,
 // at a different worker count — must finish the stream with output
 // byte-identical to the uninterrupted run. PreFilter is excluded from the
-// snapshot fingerprint (like Workers, it is a runtime choice); the filter
-// is rebuilt from the restored query set.
+// snapshot fingerprint (like Workers, it is a runtime choice); the cell
+// table is rebuilt from the restored query set.
 func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 	ps := newPrefSchedule(21, Bit, Sequential)
 	uninterruptedM, uninterruptedS := ps.run(t, true, 0)
@@ -165,6 +173,7 @@ func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("workload produced no matches")
 	}
 
+	ckpt := map[bool][]byte{} // checkpoint bytes by the tier of the run that wrote them
 	for _, rc := range []struct {
 		name              string
 		ckptPF, restorePF bool
@@ -205,12 +214,13 @@ func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 			cut := 110 // mid-stream, after the first removal
 			push(e, 0, cut)
 
-			// Through the real codec, so the filter's absence from the
+			// Through the real codec, so the cell table's absence from the
 			// durable form is exercised, not just ExportState.
 			var buf bytes.Buffer
 			if err := snapshot.Write(&buf, &snapshot.Checkpoint{Engine: *e.ExportState()}); err != nil {
 				t.Fatal(err)
 			}
+			ckpt[rc.ckptPF] = buf.Bytes()
 			dec, err := snapshot.Read(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
@@ -233,6 +243,9 @@ func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 			}
 		})
 	}
+	if !bytes.Equal(ckpt[true], ckpt[false]) {
+		t.Error("checkpoint bytes differ with the tier on and off")
+	}
 }
 
 // TestPreFilterValidation: the tier requires the Hash-Query index.
@@ -247,4 +260,228 @@ func TestPreFilterValidation(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("PreFilter with UseIndex rejected: %v", err)
 	}
+}
+
+// TestPreFilterWideWindow: a window with more distinct cells than
+// minhash.Winners can name is probed unmasked, with the same output.
+func TestPreFilterWideWindow(t *testing.T) {
+	wide := make([]uint64, minhash.MaxWinners+44)
+	for j := range wide {
+		wide[j] = uint64(j)<<29 | uint64(j&1)
+	}
+	var got [2][]Match
+	for n, pre := range []bool{false, true} {
+		e, err := NewEngine(Config{K: 64, Seed: 3, Delta: 0.5, Lambda: 2, WindowFrames: len(wide),
+			Order: Sequential, Method: Bit, UseIndex: true, PreFilter: pre})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddQuery(1, wide); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddQuery(2, wide[:9]); err != nil {
+			t.Fatal(err)
+		}
+		e.PushFrames(wide)
+		e.PushFrames(wide[:8]) // a narrow window: masked
+		e.Flush()
+		if pf := e.PreFilterStats(); pf.EmptySearches != 0 || pre && pf.RowProbes != 64 {
+			t.Fatalf("pre-filter=%v: %+v, want one masked window of 64 rows and no empty search", pre, pf)
+		}
+		got[n] = e.Matches
+	}
+	if len(got[0]) == 0 || !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("matches off %+v, on %+v", got[0], got[1])
+	}
+}
+
+// FuzzPreFilterMask is the exactness harness. For every window, the mask
+// must be exactly the rows in which the unmasked probe meets an equal value,
+// and the masked probe's output that of the unmasked probe with no empty
+// search — on query sketches crafted around the windows' own values (equal,
+// sharing a 32-bit prefix, u<<29 and u<<29|1 of a small universe, ≥ p,
+// Empty), on the same set saved and restored through VQS1, and after every
+// step of a random Add/Remove schedule. A window too wide for its winners to
+// be named is probed unmasked.
+func FuzzPreFilterMask(f *testing.F) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(seed, uint8(seed), uint8(3*seed))
+	}
+	f.Add(int64(42), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, kSel, uSel uint8) {
+		newMaskHarness(seed, kSel, uSel).run(t)
+	})
+}
+
+// maskHarness is one exactness run: a family, windows over a small
+// universe of cells, and the live sketches of the set under test.
+type maskHarness struct {
+	rng      *rand.Rand
+	k        int
+	seed     int64
+	universe int
+	fam      *minhash.Family
+	windows  [][]uint64
+	sks      []minhash.Sketch
+}
+
+func newMaskHarness(seed int64, kSel, uSel uint8) *maskHarness {
+	h := &maskHarness{
+		rng:      rand.New(rand.NewSource(seed)),
+		k:        []int{8, 64, 130}[kSel%3],
+		seed:     seed,
+		universe: 1 + int(uSel%24),
+	}
+	h.fam, _ = minhash.NewFamily(h.k, seed)
+	for w := 0; w < 6; w++ {
+		h.windows = append(h.windows, h.cells(1+h.rng.Intn(12)))
+	}
+	wide := h.cells(minhash.MaxWinners + 40)
+	for j := range wide[h.universe:] {
+		wide[h.universe+j] = uint64(j+h.universe)<<29 | 1
+	}
+	h.windows = append(h.windows, wide)
+	for _, ids := range h.windows {
+		h.sks = append(h.sks, h.fam.SketchSet(ids))
+	}
+	return h
+}
+
+// cells draws n cell ids u<<29 and u<<29|1 from the universe.
+func (h *maskHarness) cells(n int) []uint64 {
+	ids := make([]uint64, n)
+	for j := range ids {
+		ids[j] = uint64(h.rng.Intn(h.universe))<<29 | uint64(h.rng.Intn(2))
+	}
+	return ids
+}
+
+// crafted returns a sketch whose every value is drawn around some window's
+// value at that row.
+func (h *maskHarness) crafted() minhash.Sketch {
+	real := h.fam.SketchSet(h.cells(1 + h.rng.Intn(6)))
+	sk := make(minhash.Sketch, h.k)
+	for i := range sk {
+		v := h.sks[h.rng.Intn(len(h.sks))][i]
+		switch h.rng.Intn(7) {
+		case 0: // the window's value itself
+		case 1:
+			v ^= 1 // the same prefix, another value
+		case 2:
+			v = v>>29<<29 | uint64(h.rng.Intn(2))
+		case 3:
+			v = uint64(h.rng.Intn(h.universe))<<29 | uint64(h.rng.Intn(2))
+		case 4:
+			v = 1<<61 - 1 + uint64(h.rng.Intn(4)) // ≥ p: no element hashes here
+		case 5:
+			v = minhash.Empty
+		default:
+			v = real[i]
+		}
+		sk[i] = v
+	}
+	return sk
+}
+
+// add subscribes query id to qs: crafted (through the restore path) or
+// sketched from cell ids.
+func (h *maskHarness) add(t *testing.T, qs *QuerySet, id int) {
+	t.Helper()
+	var err error
+	if h.rng.Intn(2) == 0 {
+		err = qs.addSketched(id, 1+h.rng.Intn(30), h.crafted())
+	} else {
+		err = qs.Add(id, h.cells(1+h.rng.Intn(20)))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (h *maskHarness) run(t *testing.T) {
+	orig, err := NewQuerySet(h.k, h.seed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := h.rng.Intn(2) == 0
+	if early {
+		orig.EnablePreFilter()
+	}
+	next := 1
+	for ; next <= 1+h.rng.Intn(10); next++ {
+		h.add(t, orig, next)
+	}
+	if !early {
+		orig.EnablePreFilter()
+	}
+	h.check(t, "built", orig)
+
+	var buf bytes.Buffer
+	if err := orig.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	qs, err := LoadQuerySet(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs.EnablePreFilter()
+	h.check(t, "restored", qs)
+
+	for step := 0; step < 30; step++ {
+		ids := qs.IDs()
+		if len(ids) > 0 && h.rng.Intn(5) < 2 {
+			if err := qs.Remove(ids[h.rng.Intn(len(ids))]); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			h.add(t, qs, next)
+			next++
+		}
+		h.check(t, fmt.Sprintf("step %d", step), qs)
+	}
+}
+
+// check compares, for every window, the plane's mask with the rows some live
+// query holds the window's value in, and the masked probe with the unmasked.
+func (h *maskHarness) check(t *testing.T, when string, qs *QuerySet) {
+	t.Helper()
+	v := qs.view()
+	var w minhash.Winners
+	for n, ids := range h.windows {
+		sk := h.fam.SketchWinners(ids, &w)
+		if !reflect.DeepEqual(sk, h.sks[n]) {
+			t.Fatalf("%s window %d: SketchWinners differs from SketchSet", when, n)
+		}
+		mask := qindex.NewRowMask(h.k)
+		masked := v.windowRowMask(&w, mask)
+		if masked != (len(w.Row) > 0) {
+			t.Fatalf("%s window %d (%d cells): masked=%v", when, n, len(w.Cells), masked)
+		}
+		if !masked {
+			continue
+		}
+		for i := range sk {
+			held := false
+			for _, q := range v.queries {
+				held = held || q.sketch[i] == sk[i]
+			}
+			if mask.Admits(i) != held {
+				t.Fatalf("%s window %d row %d: mask admits=%v, a query holds the value=%v", when, n, i, mask.Admits(i), held)
+			}
+		}
+		want := v.index.Probe(sk, 0.5)
+		got := v.index.ProbeShardMasked(sk, 0.5, 0, 1, mask)
+		if got.EmptySearches != 0 || probeString(got) != probeString(want) {
+			t.Fatalf("%s window %d: masked probe %s (%d empty), unmasked %s", when, n, probeString(got), got.EmptySearches, probeString(want))
+		}
+	}
+}
+
+// probeString renders a probe's output, signatures included, in its order.
+func probeString(po qindex.ProbeOutput) string {
+	s := fmt.Sprintf("pruned=%v comparisons=%d", po.Pruned, po.Comparisons)
+	for _, r := range po.Related {
+		s += fmt.Sprintf(" q%d:%x/%x", r.QID, r.Sig.Lo, r.Sig.Hi)
+	}
+	return s
 }

@@ -9,12 +9,11 @@ import (
 	"sync/atomic"
 
 	"vdsms/internal/minhash"
-	"vdsms/internal/prefilter"
 	"vdsms/internal/qindex"
 )
 
 // QuerySet holds the subscribed continuous queries — sketches, lengths, the
-// Hash-Query index and the optional Bloom pre-filter — independently of any
+// Hash-Query index and its optional exact pre-filter — independently of any
 // stream. Multiple Engines (one per monitored stream, the paper's "many
 // concurrent video streams" setting) share one QuerySet, so query memory is
 // O(queries), not O(queries × streams).
@@ -35,32 +34,32 @@ type QuerySet struct {
 
 	// mu serialises writers only (subscription churn). Readers never take
 	// it: they load cur and work on that immutable plane.
-	mu         sync.Mutex
-	pfRebuilds atomic.Int64
+	mu sync.Mutex
 	// cur is the current immutable plane, swapped atomically on churn.
 	cur atomic.Pointer[queryPlane]
 }
 
 // queryPlane is one immutable version of the shared query plane: the
-// subscription map, the insertion-ordered authoritative list, the
-// Hash-Query index and the Bloom pre-filter, all consistent with each
-// other. Nothing in a published plane is ever mutated — writers clone what
-// they change — so engines and their worker shards read it without locks.
+// subscription map, the insertion-ordered authoritative list and the
+// Hash-Query index, all consistent with each other. Nothing in a published
+// plane is ever mutated — writers clone what they change — so engines and
+// their worker shards read it without locks.
 type queryPlane struct {
 	version   uint64
 	queries   map[int]*queryInfo
 	maxFrames int
 	scan      qindex.Scan   // insertion-ordered; rebuilds pass through the same sequence
 	index     *qindex.Index // nil until the first query when useIndex
+	// preFilter makes every index of the plane track cells (the exact
+	// pre-filter, qindex.TrackCells).
 	preFilter bool
-	pf        *prefilter.Filter // nil until EnablePreFilter
 
-	// ownedIndex/ownedPF are builder-only flags, meaningful while the plane
-	// is under construction by a writer holding mu: they record that index
-	// (resp. pf) is already a private copy, so a multi-insert operation
-	// (LoadQuerySet, RestoreEngine) clones once, not per query. begin()
-	// starts successors with both flags clear.
-	ownedIndex, ownedPF bool
+	// ownedIndex is a builder-only flag, meaningful while the plane is under
+	// construction by a writer holding mu: it records that index is already
+	// a private copy, so a multi-insert operation (LoadQuerySet,
+	// RestoreEngine) clones once, not per query. begin() starts successors
+	// with it clear.
+	ownedIndex bool
 }
 
 // lookup returns the plane's query with the given id, or nil.
@@ -81,32 +80,18 @@ func (v *queryPlane) probeShard(ps *qindex.ProbeScratch, sk minhash.Sketch, delt
 	return v.scan.ProbeInto(ps, sk, delta, shard, nshards)
 }
 
-// windowRowMask computes the pre-filter admission mask for one window
-// sketch against this plane: row i is admitted iff the filter may hold
-// (i, sk[i]). Returns a nil mask (admit all) when the tier is off or
-// probing is not indexed. rejected counts the rows dropped — each one
-// saves a binary search and rejects every candidate query at that hash
-// position in O(1).
-func (v *queryPlane) windowRowMask(sk minhash.Sketch) (mask qindex.RowMask, probed, rejected int) {
-	if !v.preFilter || v.pf == nil || v.index == nil {
-		return nil, 0, 0
-	}
-	mask = qindex.NewRowMask(len(sk))
-	for i, val := range sk {
-		probed++
-		if v.pf.MayContain(i, val) {
-			mask.Set(i)
-		} else {
-			rejected++
-		}
-	}
-	return mask, probed, rejected
+// windowRowMask fills mask with the exact pre-filter's admission set for
+// the window whose winners w recorded — the rows in which some query holds
+// the window's value — and reports whether it did: not when the tier is off
+// or w cannot name every row's winner, and the window is probed unmasked.
+func (v *queryPlane) windowRowMask(w *minhash.Winners, mask qindex.RowMask) bool {
+	return v.preFilter && v.index != nil && v.index.RowMaskInto(mask, w)
 }
 
 // bytes estimates the plane's memory footprint: sketches and retained raw
-// cell ids, the Hash-Query index entries, and the Bloom filter bits. This
-// is the term the fleet's bytes-per-stream accounting shows is paid once
-// per process, not once per stream.
+// cell ids and the Hash-Query index with its cell table. This is the term
+// the fleet's bytes-per-stream accounting shows is paid once per process,
+// not once per stream.
 func (v *queryPlane) bytes() int {
 	b := 0
 	for _, q := range v.queries {
@@ -118,9 +103,6 @@ func (v *queryPlane) bytes() int {
 	if v.index != nil {
 		b += v.index.Bytes()
 	}
-	if v.pf != nil {
-		b += v.pf.Bytes()
-	}
 	return b
 }
 
@@ -129,8 +111,8 @@ func (qs *QuerySet) view() *queryPlane { return qs.cur.Load() }
 
 // begin starts a copy-on-write successor of the current plane: the
 // subscription map and scan list are copied (their entries are immutable
-// and shared), the index and filter pointers carry over until the mutating
-// operation clones or rebuilds them. Callers hold mu.
+// and shared), the index pointer carries over until the mutating operation
+// clones or rebuilds it. Callers hold mu.
 func (qs *QuerySet) begin() *queryPlane {
 	old := qs.cur.Load()
 	np := &queryPlane{
@@ -139,7 +121,6 @@ func (qs *QuerySet) begin() *queryPlane {
 		scan:      qindex.Scan{Queries: append([]qindex.Query(nil), old.scan.Queries...)},
 		index:     old.index,
 		preFilter: old.preFilter,
-		pf:        old.pf,
 	}
 	for id, q := range old.queries {
 		np.queries[id] = q
@@ -195,7 +176,7 @@ func (qs *QuerySet) Len() int { return len(qs.view().queries) }
 func (qs *QuerySet) Version() uint64 { return qs.view().version }
 
 // PlaneBytes estimates the memory footprint of the current query plane —
-// sketches, Hash-Query index and pre-filter. Shared by every engine on the
+// sketches, Hash-Query index and pre-filter cells. Shared by every engine on the
 // set: the whole point of the plane split is that this figure is paid once
 // per process regardless of the stream count.
 func (qs *QuerySet) PlaneBytes() int { return qs.view().bytes() }
@@ -279,12 +260,12 @@ func (qs *QuerySet) Add(id int, cellIDs []uint64) error {
 }
 
 // insert wires an already-sketched query into a not-yet-published plane,
-// cloning the index and filter it mutates; callers hold mu.
+// cloning the index it mutates; callers hold mu.
 func (qs *QuerySet) insert(np *queryPlane, q *queryInfo) error {
 	iq := qindex.Query{ID: q.id, Length: q.frames, Sketch: q.sketch}
 	if qs.useIndex {
 		if np.index == nil {
-			idx, err := qindex.Build([]qindex.Query{iq})
+			idx, err := qs.build(np, []qindex.Query{iq})
 			if err != nil {
 				return err
 			}
@@ -300,17 +281,16 @@ func (qs *QuerySet) insert(np *queryPlane, q *queryInfo) error {
 	}
 	np.queries[q.id] = q
 	np.scan.Queries = append(np.scan.Queries, iq)
-	if np.preFilter {
-		if np.pf == nil || np.pf.NeedsRebuild() {
-			qs.rebuildPreFilter(np)
-		} else {
-			if !np.ownedPF {
-				np.pf, np.ownedPF = np.pf.Clone(), true
-			}
-			np.pf.AddSketch(q.sketch)
-		}
-	}
 	return nil
+}
+
+// build is qindex.Build for plane np, tracking cells when np has the tier.
+func (qs *QuerySet) build(np *queryPlane, queries []qindex.Query) (*qindex.Index, error) {
+	idx, err := qindex.Build(queries)
+	if err == nil && np.preFilter {
+		idx.TrackCells(qs.fam)
+	}
+	return idx, err
 }
 
 // AddBatch subscribes many queries in one operation. The Hash-Query index
@@ -340,7 +320,7 @@ func (qs *QuerySet) AddBatch(ids []int, cellIDs [][]uint64) error {
 		all = append(all, qindex.Query{ID: q.id, Length: q.frames, Sketch: q.sketch})
 	}
 	if qs.useIndex && len(all) > 0 {
-		idx, err := qindex.Build(all)
+		idx, err := qs.build(np, all)
 		if err != nil {
 			return err
 		}
@@ -350,9 +330,6 @@ func (qs *QuerySet) AddBatch(ids []int, cellIDs [][]uint64) error {
 		np.queries[q.id] = q
 	}
 	np.scan.Queries = all
-	if np.preFilter {
-		qs.rebuildPreFilter(np)
-	}
 	qs.publish(np)
 	return nil
 }
@@ -381,23 +358,13 @@ func (qs *QuerySet) Remove(id int) error {
 		}
 		np.index, np.ownedIndex = idx, true
 	}
-	if np.preFilter && np.pf != nil {
-		// Bloom bits are shared, so removal only marks keys dead; rebuild
-		// from the authoritative list once staleness trips the threshold.
-		pf := np.pf.Clone()
-		pf.RemoveKeys(qs.k)
-		np.pf, np.ownedPF = pf, true
-		if pf.NeedsRebuild() {
-			qs.rebuildPreFilter(np)
-		}
-	}
 	qs.publish(np)
 	return nil
 }
 
-// EnablePreFilter turns the Bloom tier on for this set (idempotent). The
-// filter is built from the current subscriptions; subsequent Add/Remove
-// keep it consistent through the copy-on-write plane.
+// EnablePreFilter turns the exact pre-filter on for this set (idempotent):
+// the index builds its cell table from the current subscriptions, and
+// subsequent Add/Remove keep it exact through the copy-on-write plane.
 func (qs *QuerySet) EnablePreFilter() {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
@@ -406,48 +373,32 @@ func (qs *QuerySet) EnablePreFilter() {
 	}
 	np := qs.begin()
 	np.preFilter = true
-	qs.rebuildPreFilter(np)
-	qs.publish(np)
-}
-
-// rebuildPreFilter reconstructs the plane's filter from its authoritative
-// query list, sized with ~25% headroom so steady churn doesn't rebuild
-// every insert; callers hold mu and own np (not yet published).
-func (qs *QuerySet) rebuildPreFilter(np *queryPlane) {
-	n := len(np.scan.Queries)
-	pf := prefilter.New((n+n/4+4)*qs.k, 0)
-	for _, iq := range np.scan.Queries {
-		pf.AddSketch(iq.Sketch)
+	if np.index != nil {
+		np.index = np.index.Clone()
+		np.index.TrackCells(qs.fam)
 	}
-	np.pf, np.ownedPF = pf, true
-	qs.pfRebuilds.Add(1)
-	telPrefilterRebuilds.Inc()
+	qs.publish(np)
 }
 
 // publishPreFilterGauges refreshes the tier's memory-accounting gauges.
 // Gauge stores are single atomics, so doing this on every churn operation
-// is free relative to the O(K) filter work.
+// is free relative to the O(K) cell-table work.
 func (qs *QuerySet) publishPreFilterGauges(np *queryPlane) {
-	if np.pf == nil {
-		return
-	}
-	b := float64(np.pf.Bytes())
-	telPrefilterBytes.Set(b)
+	_, b := np.cells()
+	telPrefilterBytes.Set(float64(b))
 	if n := len(np.queries); n > 0 {
-		telPrefilterBytesPerQuery.Set(b / float64(n))
+		telPrefilterBytesPerQuery.Set(float64(b) / float64(n))
 	} else {
 		telPrefilterBytesPerQuery.Set(0)
 	}
 }
 
-// preFilterStats returns the tier's memory accounting: filter bytes, live
-// keys, rebuild count and whether the tier is active.
-func (qs *QuerySet) preFilterStats() (bytes, keys int, rebuilds int64, enabled bool) {
-	v := qs.view()
-	if !v.preFilter || v.pf == nil {
-		return 0, 0, qs.pfRebuilds.Load(), v.preFilter
+// cells returns the cells the plane's pre-filter holds and their bytes.
+func (v *queryPlane) cells() (cells, bytes int) {
+	if v.index == nil {
+		return 0, 0
 	}
-	return v.pf.Bytes(), v.pf.Keys(), qs.pfRebuilds.Load(), true
+	return v.index.Cells()
 }
 
 // Serialisation format "VQS1": K, seed, useIndex, count, then per query

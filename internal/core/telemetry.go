@@ -32,17 +32,15 @@ var (
 		"Lemma 2 prunes, during probing and candidate extension.")
 
 	telPrefilterProbes = telemetry.Default.Counter("vcd_prefilter_row_probes_total",
-		"Per-row pre-filter membership tests (K per window when the tier is on).")
+		"Rows of windows the pre-filter masked (K per masked window).")
 	telPrefilterRejects = telemetry.Default.Counter("vcd_prefilter_row_rejects_total",
-		"Row probes the pre-filter rejected before any Hash-Query index work.")
+		"Rows the pre-filter rejected before any Hash-Query index work.")
 	telPrefilterFP = telemetry.Default.Counter("vcd_prefilter_false_positives_total",
-		"Rows the pre-filter admitted whose index search found nothing (wasted binary searches).")
+		"Rows the pre-filter admitted whose index search found nothing; zero by construction.")
 	telPrefilterBytes = telemetry.Default.Gauge("vcd_prefilter_bytes",
-		"Memory footprint of the pre-filter bit array, in bytes.")
+		"Memory footprint of the pre-filter's cell table, in bytes.")
 	telPrefilterBytesPerQuery = telemetry.Default.Gauge("vcd_prefilter_bytes_per_query",
 		"Pre-filter bytes divided by registered queries — the tier's marginal memory cost.")
-	telPrefilterRebuilds = telemetry.Default.Counter("vcd_prefilter_rebuilds_total",
-		"Pre-filter rebuilds triggered by churn staleness or saturation.")
 
 	telStageSketch  = stageHistogram("sketch")
 	telStageProbe   = stageHistogram("probe")

@@ -9,8 +9,8 @@ import (
 	"vdsms/internal/stats"
 )
 
-// QueryScale measures the pre-filter tier (internal/prefilter) against the
-// bare Hash-Query index as the subscribed query count m grows 10³ → 10⁵
+// QueryScale measures the exact pre-filter tier (qindex.TrackCells) against
+// the bare Hash-Query index as the subscribed query count m grows 10³ → 10⁵
 // (10⁶ at -scale ≥ 4, where the index alone needs gigabytes). The workload
 // is synthetic — cell-id streams, not the video pipeline, because encoding
 // 10⁵ query videos is not the point — but structurally faithful: every
@@ -23,8 +23,8 @@ import (
 // wall-clock with the tier off and on, the resulting speedup, match
 // equality (must always be true — the tier is output-neutral), the row
 // rejection rate (each rejected row rejects every candidate query at that
-// hash position before any index work), the filter false-positive rate,
-// and the tier's memory footprint per registered query.
+// hash position before any index work), the false-positive rate (zero: the
+// tier is exact), and the tier's memory footprint per registered query.
 func QueryScale(l *Lab) (*stats.Table, error) {
 	levels := []int{1_000, 10_000, 100_000}
 	if l.opt.Scale >= 4 {
@@ -67,9 +67,9 @@ type QueryScaleRow struct {
 	// compared element-wise.
 	Identical bool `json:"identical_matches"`
 	Matches   int  `json:"matches"`
-	// RejectPct is the percentage of per-row candidate probes the filter
-	// rejected in O(1); FPPct the percentage of admitted rows whose index
-	// search found nothing (wasted binary searches).
+	// RejectPct is the percentage of per-row searches the tier rejected;
+	// FPPct the percentage of admitted rows whose index search found
+	// nothing, which an exact tier keeps at 0.
 	RejectPct     float64 `json:"reject_pct"`
 	FPPct         float64 `json:"fp_pct"`
 	FilterBytes   int     `json:"filter_bytes"`

@@ -3,7 +3,7 @@
 // single-stream engine. The detection state splits cleanly in two:
 //
 //   - The query side (sketches, bit-signature planes, Hash-Query index,
-//     Bloom pre-filter) is identical for every stream and lives once, in a
+//     pre-filter cell table) is identical for every stream and lives once, in a
 //     core.QuerySet whose copy-on-write plane lets subscription churn land
 //     without stalling any stream. Query memory is O(queries), not
 //     O(queries × streams).

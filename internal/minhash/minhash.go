@@ -11,6 +11,8 @@ package minhash
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 )
 
 // mersennePrime is 2⁶¹−1, the modulus of the universal hash family.
@@ -24,6 +26,9 @@ const Empty = ^uint64(0)
 type Family struct {
 	a, b []uint64
 	k    int
+	// ainv[i] is a[i]⁻¹ mod p, computed on the first Invert.
+	ainv    []uint64
+	invOnce sync.Once
 }
 
 // NewFamily draws K hash functions deterministically from seed. K must be
@@ -68,6 +73,40 @@ func (f *Family) Hash(i int, x uint64) uint64 {
 	return mulAddMod(f.a[i], premix(x), f.b[i])
 }
 
+// Invert returns the premixed element whose i-th hash is v. Every function
+// of the family is a bijection of [0, p) — a_i is a unit mod the prime p
+// and premixed elements are below p — so two elements share a hash value
+// at row i exactly when they are the same premixed element; ok is false
+// for a v no element hashes to (v ≥ p, Empty among them).
+func (f *Family) Invert(i int, v uint64) (xm uint64, ok bool) {
+	if v >= mersennePrime {
+		return 0, false
+	}
+	f.invOnce.Do(func() {
+		f.ainv = make([]uint64, f.k)
+		for j, a := range f.a {
+			f.ainv[j] = powMod(a, mersennePrime-2) // Fermat
+		}
+	})
+	d := v - f.b[i]
+	if v < f.b[i] {
+		d += mersennePrime
+	}
+	return mulAddMod(f.ainv[i], d, 0), true
+}
+
+// powMod returns aᵉ mod p.
+func powMod(a, e uint64) uint64 {
+	r := uint64(1)
+	for ; e > 0; e >>= 1 {
+		if e&1 == 1 {
+			r = mulAddMod(r, a, 0)
+		}
+		a = mulAddMod(a, a, 0)
+	}
+	return r
+}
+
 // mulAddMod computes (a·x + b) mod 2⁶¹−1 using 128-bit intermediate
 // arithmetic and Mersenne reduction.
 func mulAddMod(a, x, b uint64) uint64 {
@@ -104,13 +143,27 @@ func (f *Family) Add(s Sketch, x uint64) {
 	if len(s) != f.k {
 		panic("minhash: sketch length mismatch")
 	}
-	f.addMixed(s, premix(x))
+	f.sketchRows(s, nil, []uint64{premix(x)})
 }
 
-// addMixed folds the element whose premixed value is xm into s.
-func (f *Family) addMixed(s Sketch, xm uint64) {
-	for i := 0; i < f.k; i++ {
-		s[i] = min(s[i], mulAddMod(f.a[i], xm, f.b[i]))
+// sketchRows folds the premixed elements xms into s, the K rows outermost so
+// that a row's a_i and b_i stay in registers while the ≈5 elements of a
+// window are hashed. When row is not nil, row[i] is set to the index in xms
+// of the element that holds s[i], which must start Empty.
+func (f *Family) sketchRows(s Sketch, row []uint8, xms []uint64) {
+	a, b := f.a[:len(s)], f.b[:len(s)]
+	for i := range s {
+		ai, bi := a[i], b[i]
+		best, won := s[i], 0
+		for j, xm := range xms {
+			if h := mulAddMod(ai, xm, bi); h < best {
+				best, won = h, j
+			}
+		}
+		s[i] = best
+		if row != nil {
+			row[i] = uint8(won)
+		}
 	}
 }
 
@@ -119,24 +172,78 @@ func (f *Family) addMixed(s Sketch, xm uint64) {
 // stream), small enough to live on the stack.
 const seenSlots = 64
 
+// fresh reports whether x, premixed to xm, is new to the duplicate filter
+// seen, a direct-mapped table of premixed values + 1 (0 is an empty slot;
+// every hash is a function of the premixed value alone): a hit is certainly
+// a repeat, and two distinct ids that share a slot evict each other and are
+// merely hashed again.
+func fresh(seen *[seenSlots]uint64, x uint64) (xm uint64, ok bool) {
+	xm = premix(x)
+	slot := &seen[xm%seenSlots]
+	if *slot == xm+1 {
+		return xm, false
+	}
+	*slot = xm + 1
+	return xm, true
+}
+
 // SketchSet builds the sketch of a set of elements. ids may repeat — a
 // window's cell ids are a multiset, consecutive frames mostly share a cell
 // — and a repeat changes nothing because min is idempotent, so each
-// distinct id is hashed K times once, not once per occurrence. The filter
-// is a direct-mapped table of premixed values (every hash is a function of
-// the premixed value alone): a hit is certainly a repeat; two distinct ids
-// that share a slot evict each other and are merely hashed again. The
-// sketch is the only allocation.
+// distinct id is hashed K times once, not once per occurrence. The
+// elements are gathered on the stack, up to seenSlots at a time, and folded
+// in rows-outermost; the sketch is the only allocation.
 func (f *Family) SketchSet(ids []uint64) Sketch {
 	s := f.NewSketch()
-	var seen [seenSlots]uint64 // premixed value + 1; 0 is an empty slot
+	var seen, buf [seenSlots]uint64
+	xms := buf[:0]
 	for _, x := range ids {
-		xm := premix(x)
-		if slot := &seen[xm%seenSlots]; *slot != xm+1 {
-			*slot = xm + 1
-			f.addMixed(s, xm)
+		if xm, ok := fresh(&seen, x); ok {
+			if len(xms) == len(buf) {
+				f.sketchRows(s, nil, xms)
+				xms = xms[:0]
+			}
+			xms = append(xms, xm)
 		}
 	}
+	f.sketchRows(s, nil, xms)
+	return s
+}
+
+// MaxWinners is the most elements a Winners can tell apart in Row.
+const MaxWinners = 256
+
+// Winners is what SketchWinners records about a set beside its sketch:
+// which element holds each row's minimum. Since every row is a bijection
+// (see Invert), the sketches of two sets agree at row i exactly when the
+// same premixed element wins row i in both.
+type Winners struct {
+	// Cells are the set's premixed elements in first-seen order. A filter
+	// collision can list an element twice; both entries then name it.
+	Cells []uint64
+	// Row[i] indexes the element of Cells whose hash is the sketch's value
+	// at row i. Empty when Cells outnumber MaxWinners.
+	Row []uint8
+}
+
+// SketchWinners is SketchSet that also fills w, whose buffers it reuses:
+// the same single loop over the rows, which keeps the index of the element
+// it takes each minimum from.
+func (f *Family) SketchWinners(ids []uint64, w *Winners) Sketch {
+	s := f.NewSketch()
+	var seen [seenSlots]uint64
+	w.Cells, w.Row = w.Cells[:0], w.Row[:0]
+	for _, x := range ids {
+		if xm, ok := fresh(&seen, x); ok {
+			w.Cells = append(w.Cells, xm)
+		}
+	}
+	if len(w.Cells) == 0 || len(w.Cells) > MaxWinners {
+		f.sketchRows(s, nil, w.Cells)
+		return s
+	}
+	w.Row = slices.Grow(w.Row, f.k)[:f.k]
+	f.sketchRows(s, w.Row, w.Cells)
 	return s
 }
 

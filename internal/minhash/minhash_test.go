@@ -168,6 +168,60 @@ func TestSketchSetIgnoresDuplicates(t *testing.T) {
 	}
 }
 
+// TestInvert: every row maps a hash value back to the one premixed element
+// that hashes to it, and values no element hashes to map to none.
+func TestInvert(t *testing.T) {
+	f, _ := NewFamily(50, 8)
+	rng := rand.New(rand.NewSource(8))
+	for n := 0; n < 2000; n++ {
+		i, x := rng.Intn(f.K()), rng.Uint64()
+		if xm, ok := f.Invert(i, f.Hash(i, x)); !ok || xm != premix(x) {
+			t.Fatalf("row %d: Invert(Hash(%d)) = %d, %v; want %d", i, x, xm, ok, premix(x))
+		}
+		v := rng.Uint64() % mersennePrime
+		if xm, ok := f.Invert(i, v); !ok || mulAddMod(f.a[i], xm, f.b[i]) != v {
+			t.Fatalf("row %d: %d inverts to %d, %v, which hashes elsewhere", i, v, xm, ok)
+		}
+	}
+	for _, v := range []uint64{mersennePrime, mersennePrime + 1, Empty} {
+		if _, ok := f.Invert(0, v); ok {
+			t.Errorf("Invert(%d) names an element", v)
+		}
+	}
+}
+
+// TestSketchWinners: the sketch is SketchSet's, every row's named winner
+// hashes to the row's value, a set too large to name leaves Row empty, and
+// with its buffers grown the sketch is the only allocation.
+func TestSketchWinners(t *testing.T) {
+	f, _ := NewFamily(100, 9)
+	rng := rand.New(rand.NewSource(9))
+	var w Winners
+	for _, n := range []int{1, 3, 10, 300, 2000} {
+		for _, universe := range []int{1, 6, 200, 1 << 20} {
+			ids := make([]uint64, n)
+			for i := range ids {
+				ids[i] = rng.Uint64() % uint64(universe)
+			}
+			s := f.SketchWinners(ids, &w)
+			if !slices.Equal(s, f.SketchSet(ids)) {
+				t.Fatalf("n=%d universe=%d: sketch differs from SketchSet's", n, universe)
+			}
+			if named := len(w.Row) > 0; named != (len(w.Cells) <= MaxWinners) {
+				t.Fatalf("n=%d universe=%d: %d cells, %d rows named", n, universe, len(w.Cells), len(w.Row))
+			}
+			for i, j := range w.Row {
+				if mulAddMod(f.a[i], w.Cells[j], f.b[i]) != s[i] {
+					t.Fatalf("n=%d universe=%d row %d: winner %d does not hash to the minimum", n, universe, i, j)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, func() { f.SketchWinners(ids, &w) }); allocs != 1 {
+				t.Errorf("n=%d universe=%d: %v allocations per SketchWinners, want 1", n, universe, allocs)
+			}
+		}
+	}
+}
+
 func TestCombineIsUnionSketch(t *testing.T) {
 	f, _ := NewFamily(128, 4)
 	setA := []uint64{1, 2, 3, 4, 5}
@@ -325,7 +379,7 @@ func BenchmarkAdd(b *testing.B) {
 
 // BenchmarkSketchSet sketches basic windows (10 cell ids, K=800) with no
 // repeated id and with the benchmark stream's shape, 5 distinct cells in
-// runs. It cycles through many windows: on one fixed window the branch
+// runs, with and without recording each row's winner. It cycles through many windows: on one fixed window the branch
 // predictor learns every comparison and the number means nothing.
 func BenchmarkSketchSet(b *testing.B) {
 	f, _ := NewFamily(800, 1)
@@ -348,6 +402,13 @@ func BenchmarkSketchSet(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				benchSink = f.SketchSet(windows[i%len(windows)])
+			}
+		})
+		b.Run(bc.name+"/winners", func(b *testing.B) {
+			var w Winners
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = f.SketchWinners(windows[i%len(windows)], &w)
 			}
 		})
 	}

@@ -342,3 +342,61 @@ func TestProbeWhileChurning(t *testing.T) {
 	}
 	verifyStructure(t, x, append(slices.Clone(live[:fixed]), churned...))
 }
+
+// TestCellRowsModel drives a small cell table through random row additions
+// and drops against a map model: every cell with a row is found with exactly
+// its rows, no cell without one is kept, and the table grows, shrinks and
+// closes the gaps deletion leaves in its probe clusters.
+func TestCellRowsModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		const k = 70
+		c := newCellRows(nil, (k+63)/64)
+		model := map[uint64]map[int]bool{}
+		ncells := 4 + rng.Intn(200)
+		for step := 0; step < 3000; step++ {
+			xm, i := uint64(rng.Intn(ncells))*0x51ed27, rng.Intn(k)
+			if rng.Intn(3) == 0 || model[xm] == nil {
+				c.add(xm, i)
+				if model[xm] == nil {
+					model[xm] = map[int]bool{}
+				}
+				model[xm][i] = true
+			} else {
+				c.drop(xm, i)
+				if delete(model[xm], i); len(model[xm]) == 0 {
+					delete(model, xm)
+				}
+			}
+			if step%50 != 0 {
+				continue
+			}
+			if c.n != len(model) || 4*c.n > 3*len(c.keys) {
+				t.Fatalf("trial %d step %d: %d cells in %d slots, model has %d", trial, step, c.n, len(c.keys), len(model))
+			}
+			used := 0
+			for _, key := range c.keys {
+				if key != noCell {
+					used++
+				}
+			}
+			if used != c.n {
+				t.Fatalf("trial %d step %d: %d slots used for %d cells", trial, step, used, c.n)
+			}
+			for key, rows := range model {
+				u := c.find(key)
+				if c.keys[u] != key {
+					t.Fatalf("trial %d step %d: cell %x lost", trial, step, key)
+				}
+				for r := 0; r < k; r++ {
+					if got := c.set(u)[r/64]>>(r%64)&1 == 1; got != rows[r] {
+						t.Fatalf("trial %d step %d: cell %x row %d = %v", trial, step, key, r, got)
+					}
+				}
+			}
+			if z := c.sets[len(c.keys)*c.nw:]; len(z) != c.nw || slices.ContainsFunc(z, func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("trial %d step %d: the absent cell's set is %x", trial, step, z)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package qindex
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"vdsms/internal/bitsig"
@@ -36,14 +37,15 @@ type ProbeOutput struct {
 }
 
 // RowMask is the optional per-window row admission set a pre-filter tier
-// (internal/prefilter) computes before the exact probe: bit i set means
-// row i may hold the window's hash value sk[i] and must be searched; a
-// clear bit rejects the row's equal search — and with it every candidate
-// query at that hash position — in O(1). A nil RowMask admits every row.
+// computes before the exact probe: bit i set means row i may hold the
+// window's hash value sk[i] and must be searched; a clear bit rejects the
+// row's equal search — and with it every candidate query at that hash
+// position — before any index work, and the probe visits set bits only. A
+// nil RowMask admits every row.
 //
 // Masking is sound only when the mask is a superset of the truly-equal
-// rows (no false negatives), which Bloom/fingerprint filters guarantee;
-// the masked probe output is then identical to the unmasked one.
+// rows (no false negatives); the masked probe output is then identical to
+// the unmasked one. RowMaskInto computes exactly the truly-equal rows.
 type RowMask []uint64
 
 // NewRowMask returns an all-rejecting mask for k rows.
@@ -54,6 +56,15 @@ func (m RowMask) Set(i int) { m[i/64] |= 1 << (i % 64) }
 
 // Admits reports whether row i must be searched. A nil mask admits all.
 func (m RowMask) Admits(i int) bool { return m == nil || m[i/64]&(1<<(i%64)) != 0 }
+
+// Count returns the number of rows the mask admits; not meaningful for nil.
+func (m RowMask) Count() int {
+	n := 0
+	for _, word := range m {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
 
 // ShardOf maps a query id to one of nshards evaluation shards. The mapping
 // is the single source of truth for the parallel matching kernel: probes,
@@ -98,11 +109,12 @@ type ProbeScratch struct {
 }
 
 // rowProbe is what the passes of an index probe hand each other about row
-// i: the leaf the fence search nominated, and the position in it at which
-// the entries with the window value's prefix start, if it has any.
+// i: the leaf the fence search nominated and its index j in the row, and
+// the position in it at which the entries with the window value's prefix
+// start, if it has any.
 type rowProbe struct {
 	lf    *leaf
-	i     int32
+	i, j  int32
 	start uint8
 }
 
@@ -192,25 +204,28 @@ func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, sh
 	if cap(ps.rows) < x.k {
 		ps.rows = make([]rowProbe, x.k)
 	}
-	// Pass 1: the leaf each admitted row's run starts in. A value above the
-	// whole row is sent to the last leaf, where pass 2 finds nothing, by
-	// arithmetic (min compiles to a branch), so that no branch here depends
-	// on the data. Only an index emptied by Remove has rows without a leaf.
+	// Pass 1: the leaf each admitted row's run starts in, for a mask's set
+	// bits only. Only an index emptied by Remove has rows without a leaf.
 	rows, n := ps.rows[:x.k], 0
-	if len(x.pos) > 0 {
-		for i, v := range sk {
-			if mask.Admits(i) {
-				r := &x.rows[i]
-				j, last := lowerBound(r.fence, prefixOf(v)), len(r.leaves)-1
-				j -= int(uint64(last-j) >> 63)
-				rows[n] = rowProbe{lf: r.leaves[j], i: int32(i)}
-				n++
-			}
+	switch {
+	case len(x.pos) == 0:
+		if mask != nil {
+			out.EmptySearches = mask.Count()
 		}
-	} else if mask != nil {
-		for i := range sk {
-			if mask.Admits(i) {
-				out.EmptySearches++
+	case mask == nil:
+		for i, v := range sk {
+			rows[n] = x.nominate(i, v)
+			n++
+		}
+	default:
+		for w, word := range mask {
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				if i >= x.k {
+					break
+				}
+				rows[n] = x.nominate(i, sk[i])
+				n++
 			}
 		}
 	}
@@ -228,7 +243,7 @@ func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, sh
 		if r.start < leafCap && uint32(r.lf[r.start]>>32) == prefixOf(sk[i]) {
 			var open bool
 			if found, open = h.leaf(r.lf, int(r.start), i); open {
-				found = h.runOn(i) || found
+				found = h.runOn(i, int(r.j)) || found
 			}
 		}
 		if !found && mask != nil {
@@ -241,6 +256,17 @@ func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, sh
 	return ps.finish()
 }
 
+// nominate is pass 1 for row i: the leaf the run of v's prefix starts in. A
+// value above the whole row is sent to the last leaf, where pass 2 finds
+// nothing, by arithmetic (min compiles to a branch), so that no branch here
+// depends on the data.
+func (x *Index) nominate(i int, v uint64) rowProbe {
+	r := &x.rows[i]
+	j, last := lowerBound(r.fence, prefixOf(v)), len(r.leaves)-1
+	j -= int(uint64(last-j) >> 63)
+	return rowProbe{lf: r.leaves[j], i: int32(i), j: int32(j)}
+}
+
 // hits is pass 3 of one probe: the constants of the probe around the
 // per-entry decision.
 type hits struct {
@@ -251,12 +277,12 @@ type hits struct {
 	shard, nshards int
 }
 
-// runOn handles what is left of row i's run beyond the leaf it starts in,
-// which it ran to the end of.
-func (h *hits) runOn(i int) (found bool) {
+// runOn handles what is left of row i's run beyond leaf j, the one it starts
+// in, which it ran to the end of.
+func (h *hits) runOn(i, j int) (found bool) {
 	r := &h.x.rows[i]
-	j := lowerBound(r.fence, prefixOf(h.sk[i])) + 1
-	for open := true; open && j < len(r.leaves); j++ {
+	for open := true; open && j+1 < len(r.leaves); {
+		j++
 		var f bool
 		f, open = h.leaf(r.leaves[j], 0, i)
 		found = found || f

@@ -56,6 +56,13 @@
 // depends on the previous row, so their cache misses overlap instead of
 // queueing one behind another. DESIGN.md §2.1 lists the layouts and
 // searches that were measured and lost, so that nobody retries them.
+//
+// # Exact pre-filter
+//
+// An index that tracks cells (TrackCells, cells.go) also keeps, per
+// premixed cell, the rows in which it is some query's argmin, and
+// RowMaskInto turns a window's winners into the mask of exactly the rows
+// that hold its value (DESIGN.md §10).
 package qindex
 
 import (
@@ -193,6 +200,8 @@ type Index struct {
 	slots []slot
 	free  []int32       // vacated slots, reused by Add
 	pos   map[int]int32 // qid → slot
+	// cells is the exact pre-filter (cells.go), nil unless TrackCells.
+	cells *cellRows
 }
 
 // Build constructs the index from the query sketches (BuildIndex of the
@@ -269,12 +278,14 @@ func (x *Index) Clone() *Index {
 		slots: slices.Clone(x.slots),
 		free:  slices.Clone(x.free),
 		pos:   maps.Clone(x.pos),
+		cells: x.cells,
 	}
 }
 
-// own makes the rows' fences and leaf lists private to x before the first
-// change since Build or Clone — a change touches every row, so all K are
-// copied at once, out of two slabs, each with room for one more leaf.
+// own makes the rows' fences and leaf lists, and the cell table, private to
+// x before the first change since Build or Clone — a change touches every
+// row, so all K are copied at once, out of two slabs, each with room for one
+// more leaf.
 func (x *Index) own() {
 	if x.owned {
 		return
@@ -294,13 +305,16 @@ func (x *Index) own() {
 		r.fence, r.leaves = f, l
 		off = end + 1
 	}
+	if x.cells != nil {
+		x.cells = x.cells.clone()
+	}
 	x.owned = true
 }
 
 // Bytes reports the memory the index itself holds: per leaf its cache line,
 // fence key and pointer — 8 bytes an entry plus 1.5 when leaves are full —
-// the row headers, the slot table and the id map. The sketches the slots
-// point at belong to the caller and are not counted.
+// the row headers, the slot table, the id map and the cell table. The
+// sketches the slots point at belong to the caller and are not counted.
 func (x *Index) Bytes() int {
 	const (
 		leafBytes = 8*leafCap + 4 + 8 // entries, fence key, pointer
@@ -312,7 +326,8 @@ func (x *Index) Bytes() int {
 	for i := range x.rows {
 		leaves += len(x.rows[i].leaves)
 	}
-	return leaves*leafBytes + x.k*rowBytes + len(x.slots)*slotBytes + len(x.free)*4 + len(x.pos)*posBytes
+	_, cells := x.Cells()
+	return leaves*leafBytes + x.k*rowBytes + len(x.slots)*slotBytes + len(x.free)*4 + len(x.pos)*posBytes + cells
 }
 
 // K returns the number of hash functions (rows).
@@ -376,6 +391,9 @@ func (x *Index) Add(q Query) error {
 	for i, v := range q.Sketch {
 		x.rows[i].insert(entry(v, s))
 	}
+	if x.cells != nil {
+		x.cells.addSketch(q.Sketch)
+	}
 	return nil
 }
 
@@ -409,7 +427,8 @@ func (r *row) insert(e uint64) {
 }
 
 // Remove unsubscribes a query online, the inverse of Add: its entry leaves
-// every row and its slot is vacated.
+// every row and its slot is vacated. A tracked cell loses a row only when no
+// other slot still holds the value there.
 func (x *Index) Remove(id int) error {
 	s, ok := x.pos[id]
 	if !ok {
@@ -418,6 +437,12 @@ func (x *Index) Remove(id int) error {
 	x.own()
 	for i, v := range x.slots[s].sketch {
 		x.rows[i].remove(entry(v, s))
+		if x.cells == nil {
+			continue
+		}
+		if xm, ok := x.cells.fam.Invert(i, v); ok && !x.holds(i, v) {
+			x.cells.drop(xm, i)
+		}
 	}
 	x.slots[s] = slot{}
 	x.free = append(x.free, s)
