@@ -376,23 +376,16 @@ func BenchmarkPipelineFrontEnd(b *testing.B) {
 	}
 }
 
-// benchWindowSetup builds the parallel-kernel benchmark fixture — the
-// shared benchkit workload, so `go test -bench` and `vcdbench -bench-json`
-// measure the same thing (see benchkit.WindowWorkload for its shape).
-func benchWindowSetup(b *testing.B, workers int) (*core.Engine, [][]uint64) {
-	b.Helper()
-	eng, wins, err := benchkit.WindowWorkload(workers)
+// benchWindow times steady-state basic-window processing — probe plus
+// candidate evaluation — on the shared benchkit workload, so `go test
+// -bench` and `vcdbench -bench-json` measure the same thing (see
+// benchkit.WindowWorkload for its shape). One iteration is one full window
+// through PushFrames.
+func benchWindow(b *testing.B) {
+	eng, wins, err := benchkit.WindowWorkload()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return eng, wins
-}
-
-// benchWindow times steady-state basic-window processing — probe plus
-// candidate evaluation — at a given worker count. One iteration is one
-// full window through PushFrames.
-func benchWindow(b *testing.B, workers int) {
-	eng, wins := benchWindowSetup(b, workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -400,9 +393,8 @@ func benchWindow(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkWindowSerial is the Workers=0 inline kernel — the baseline the
-// parallel variants are compared against in EXPERIMENTS.md.
-func BenchmarkWindowSerial(b *testing.B) { benchWindow(b, 0) }
+// BenchmarkWindowSerial is the window kernel with stage telemetry on.
+func BenchmarkWindowSerial(b *testing.B) { benchWindow(b) }
 
 // BenchmarkWindowSerialNoTelemetry is BenchmarkWindowSerial with stage
 // timing disabled — the pair quantifies the instrumentation overhead
@@ -410,17 +402,8 @@ func BenchmarkWindowSerial(b *testing.B) { benchWindow(b, 0) }
 func BenchmarkWindowSerialNoTelemetry(b *testing.B) {
 	prev := telemetry.SetEnabled(false)
 	defer telemetry.SetEnabled(prev)
-	benchWindow(b, 0)
+	benchWindow(b)
 }
-
-// BenchmarkWindowParallel2 — 2 query shards per window.
-func BenchmarkWindowParallel2(b *testing.B) { benchWindow(b, 2) }
-
-// BenchmarkWindowParallel4 — 4 query shards per window.
-func BenchmarkWindowParallel4(b *testing.B) { benchWindow(b, 4) }
-
-// BenchmarkWindowParallel8 — 8 query shards per window.
-func BenchmarkWindowParallel8(b *testing.B) { benchWindow(b, 8) }
 
 // BenchmarkDetectorThroughput measures end-to-end key-frame throughput of
 // the default configuration (pipeline + engine, excluding video decode),

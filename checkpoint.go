@@ -89,7 +89,7 @@ func (d *Detector) meta() snapshot.Meta {
 }
 
 // fingerprint is the compatibility stamp written into checkpoint and WAL
-// headers. Workers is excluded: a checkpoint restores at any worker count.
+// headers.
 func (d *Detector) fingerprint() uint64 {
 	return d.engine.Config().Fingerprint(d.meta())
 }

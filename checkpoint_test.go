@@ -191,9 +191,9 @@ func TestResumeContinuesExactly(t *testing.T) {
 	if !reflect.DeepEqual(m2, refM2) {
 		t.Fatalf("post-resume matches diverge from reference:\nwant %+v\ngot  %+v", refM2, m2)
 	}
-	if !reflect.DeepEqual(det2.Stats().Totals(), ref.Stats().Totals()) {
+	if !reflect.DeepEqual(det2.Stats(), ref.Stats()) {
 		t.Fatalf("post-resume stats totals diverge:\nwant %+v\ngot  %+v",
-			ref.Stats().Totals(), det2.Stats().Totals())
+			ref.Stats(), det2.Stats())
 	}
 	if err := det2.Close(); err != nil {
 		t.Fatal(err)
@@ -346,59 +346,6 @@ func TestResumeV1Lineage(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossWorkerCounts: a checkpoint taken at one worker count
-// restores at another — parallelism is a runtime choice, not state.
-func TestResumeAcrossWorkerCounts(t *testing.T) {
-	cfg := testConfig()
-	cfg.CheckpointDir = t.TempDir()
-	cfg.Workers = 4
-
-	query := clip(t, 21, 20)
-	seg1 := composeSeg(t, clip(t, 210, 30), query)
-	seg2 := composeSeg(t, clip(t, 211, 30))
-
-	refCfg := cfg
-	refCfg.CheckpointDir = ""
-	refCfg.Workers = 0
-	ref, err := NewDetector(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.AddQuery(1, bytes.NewReader(query)); err != nil {
-		t.Fatal(err)
-	}
-	refM1, _ := ref.Monitor(bytes.NewReader(seg1))
-	refM2, _ := ref.Monitor(bytes.NewReader(seg2))
-
-	det1, err := NewDetector(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := det1.AddQuery(1, bytes.NewReader(query)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := det1.Monitor(bytes.NewReader(seg1)); err != nil {
-		t.Fatal(err)
-	}
-
-	rcfg := cfg
-	rcfg.Workers = 0
-	det2, _, err := Resume(rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(det2.Replayed, refM1) {
-		t.Fatalf("replayed matches diverge across worker counts:\nwant %+v\ngot  %+v", refM1, det2.Replayed)
-	}
-	m2, err := det2.Monitor(bytes.NewReader(seg2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m2, refM2) {
-		t.Fatalf("post-resume matches diverge across worker counts:\nwant %+v\ngot  %+v", refM2, m2)
-	}
-}
-
 // TestResumeRejectsConfigDrift pins the loud-failure contract at the
 // facade: a drifted detection parameter or pipeline parameter refuses to
 // resume, naming the field.
@@ -478,7 +425,7 @@ func TestQueryChurnIsDurable(t *testing.T) {
 	}
 	// The operation counters tell when each query was subscribed: they
 	// catch a change replayed at the wrong frame even if no match moves.
-	refTotals := ref.Stats().Totals()
+	refTotals := ref.Stats()
 
 	det, err := NewDetector(cfg)
 	if err != nil {
@@ -526,7 +473,7 @@ func TestQueryChurnIsDurable(t *testing.T) {
 		if m := mustMonitor(t, d, seg2); !reflect.DeepEqual(m, refM2) {
 			t.Fatalf("log cut at %d: post-resume matches diverge from reference:\nwant %+v\ngot  %+v", cut, refM2, m)
 		}
-		if got := d.Stats().Totals(); !reflect.DeepEqual(got, refTotals) {
+		if got := d.Stats(); !reflect.DeepEqual(got, refTotals) {
 			t.Fatalf("log cut at %d: post-resume stats totals diverge:\nwant %+v\ngot  %+v", cut, refTotals, got)
 		}
 		d.Close()
@@ -567,7 +514,7 @@ func TestQueryChurnIsDurable(t *testing.T) {
 		for _, m := range d.engine.Matches[n:] {
 			later = append(later, d.convert(m))
 		}
-		return later, d.Stats().Totals()
+		return later, d.Stats()
 	}
 	ref, err = NewDetector(sweepConfig(""))
 	if err != nil {

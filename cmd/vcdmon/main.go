@@ -97,7 +97,6 @@ func main() {
 	saveSet := flag.String("save-queries", "", "after subscribing, save the query set to this file")
 	archiveDir := flag.String("archive-dir", "", "save matched stream segments as clips in this directory")
 	archiveSec := flag.Float64("archive-sec", 120, "seconds of stream retained for archiving")
-	workers := flag.Int("workers", 0, "matching workers per window (0 = inline serial kernel)")
 	preFilter := flag.Bool("prefilter", false, "enable the exact pre-filter tier in front of the Hash-Query index: search only the rows that hold the window's value (many queries; output-identical)")
 	ckptDir := flag.String("checkpoint-dir", "", "journal frames and checkpoint matching state in this directory")
 	ckptEvery := flag.Duration("checkpoint-every", 10*time.Second, "minimum interval between periodic checkpoints")
@@ -170,7 +169,6 @@ func main() {
 	cfg.K = *k
 	cfg.WindowSec = *window
 	cfg.KeyFPS = *keyFPS
-	cfg.Workers = *workers
 	cfg.PreFilter = *preFilter
 	if *archiveDir != "" {
 		cfg.ArchiveSec = *archiveSec
@@ -314,28 +312,12 @@ func main() {
 	}
 	if *explain {
 		fmt.Fprintln(os.Stderr, explainSummary(det))
+		fmt.Fprintf(os.Stderr, "work: %d related, %d pruned, %d compared\n", st.Probed, st.Pruned, st.Compared)
 	}
 	if *spanSample > 0 {
 		if line := perfSummary(); line != "" {
 			fmt.Fprintln(os.Stderr, line)
 		}
-	}
-	if *workers > 0 {
-		var total, max int64
-		for _, sh := range st.Shards {
-			total += sh.Compared
-			if sh.Compared > max {
-				max = sh.Compared
-			}
-		}
-		// Balance = 1 means every shard compared equally; the parallel
-		// kernel's speedup is bounded by total/(workers·max).
-		balance := 1.0
-		if max > 0 {
-			balance = float64(total) / (float64(len(st.Shards)) * float64(max))
-		}
-		fmt.Fprintf(os.Stderr, "parallel: %d workers, %d comparisons, shard balance %.2f\n",
-			len(st.Shards), total, balance)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command vcdserve runs the copy-detection HTTP service.
 //
-//	vcdserve [-addr :8654] [-delta 0.7] [-k 800] [-window 5] [-keyfps 2] [-workers 0]
+//	vcdserve [-addr :8654] [-delta 0.7] [-k 800] [-window 5] [-keyfps 2]
 //	         [-checkpoint-dir state/] [-checkpoint-every 30s]
 //
 // Endpoints:
@@ -13,7 +13,7 @@
 //	POST   /streams/{id}/frames               push an MVC1 segment to an attached stream
 //	GET    /streams/{id}/stats                per-stream counters
 //	DELETE /streams/{id}                      detach an attached stream
-//	GET    /stats                             service counters (incl. per-shard work)
+//	GET    /stats                             service counters (incl. similarity evaluations)
 //	GET    /metrics                           Prometheus text exposition
 //	GET    /healthz                           liveness probe
 //	GET    /readyz                            readiness probe (200 once restored; 503 at max shed level)
@@ -72,7 +72,6 @@ func main() {
 	k := flag.Int("k", 800, "number of min-hash functions")
 	window := flag.Float64("window", 5, "basic window (seconds)")
 	keyFPS := flag.Float64("keyfps", 2, "expected key-frame rate of monitored streams")
-	workers := flag.Int("workers", 0, "matching workers per stream window (0 = inline serial kernel)")
 	preFilter := flag.Bool("prefilter", false, "enable the exact pre-filter tier in front of the Hash-Query index: search only the rows that hold the window's value (many queries; output-identical)")
 	ckptDir := flag.String("checkpoint-dir", "", "persist service state in this directory (restore on boot)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "minimum interval between periodic checkpoints")
@@ -104,7 +103,6 @@ func main() {
 	cfg.K = *k
 	cfg.WindowSec = *window
 	cfg.KeyFPS = *keyFPS
-	cfg.Workers = *workers
 	cfg.PreFilter = *preFilter
 	cfg.CheckpointDir = *ckptDir
 	cfg.CheckpointEvery = *ckptEvery

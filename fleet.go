@@ -71,12 +71,8 @@ func NewFleet(cfg Config, fc FleetConfig) (*Fleet, error) {
 // already subscribed (or subscribed later through either side) cover the
 // detector's own stream and every fleet stream alike.
 func (d *Detector) NewFleet(fc FleetConfig) (*Fleet, error) {
-	ecfg := d.engine.Config()
-	// Pool streams run their windows serially; parallelism comes from the
-	// pool's workers, not from fanning out inside each window.
-	ecfg.Workers = 0
 	pcfg := fleet.Config{
-		Engine:      ecfg,
+		Engine:      d.engine.Config(),
 		Workers:     fc.Workers,
 		MaxStreams:  fc.MaxStreams,
 		QueueFrames: fc.QueueWindows * d.winKeyF,
@@ -97,10 +93,8 @@ func RestoreFleet(cfg Config, fc FleetConfig, r io.Reader) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ecfg := d.engine.Config()
-	ecfg.Workers = 0
 	pcfg := fleet.Config{
-		Engine:      ecfg,
+		Engine:      d.engine.Config(),
 		Workers:     fc.Workers,
 		MaxStreams:  fc.MaxStreams,
 		QueueFrames: fc.QueueWindows * d.winKeyF,

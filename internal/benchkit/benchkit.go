@@ -16,17 +16,16 @@ import (
 	"vdsms/internal/telemetry"
 )
 
-// WindowWorkload builds the parallel-kernel benchmark fixture: a Table I
+// WindowWorkload builds the window-kernel benchmark fixture: a Table I
 // default engine (K=800, δ=0.7, λ=2, w=10 key frames, Bit/Sequential/index)
 // with 200 queries drawn from one shared alphabet, so every window's probe
 // touches many queries and the per-window matching cost dominates. Returns
 // the engine, prefilled to steady state, and a pool of pre-built basic
 // windows to cycle through.
-func WindowWorkload(workers int) (*core.Engine, [][]uint64, error) {
+func WindowWorkload() (*core.Engine, [][]uint64, error) {
 	cfg := core.Config{
 		K: 800, Seed: 9, Delta: 0.7, Lambda: 2, WindowFrames: 10,
 		Method: core.Bit, Order: core.Sequential, UseIndex: true,
-		Workers: workers,
 	}
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
@@ -61,7 +60,6 @@ func WindowWorkload(workers int) (*core.Engine, [][]uint64, error) {
 // Result is one benchmark measurement.
 type Result struct {
 	Name          string  `json:"name"`
-	Workers       int     `json:"workers"`
 	Telemetry     bool    `json:"telemetry"`
 	NsPerOp       float64 `json:"ns_per_op"`
 	BytesPerOp    int64   `json:"bytes_per_op"`
@@ -85,10 +83,10 @@ type Report struct {
 }
 
 // BenchWindow measures steady-state basic-window processing — probe plus
-// candidate evaluation — at the given worker count, with stage telemetry on
-// or off. One op is one full basic window through PushFrames.
-func BenchWindow(name string, workers int, telemetryOn bool) (Result, error) {
-	eng, wins, err := WindowWorkload(workers)
+// candidate evaluation — with stage telemetry on or off. One op is one full
+// basic window through PushFrames.
+func BenchWindow(name string, telemetryOn bool) (Result, error) {
+	eng, wins, err := WindowWorkload()
 	if err != nil {
 		return Result{}, err
 	}
@@ -102,7 +100,7 @@ func BenchWindow(name string, workers int, telemetryOn bool) (Result, error) {
 	})
 	ns := float64(r.NsPerOp())
 	res := Result{
-		Name: name, Workers: workers, Telemetry: telemetryOn,
+		Name: name, Telemetry: telemetryOn,
 		NsPerOp:     ns,
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
@@ -118,8 +116,8 @@ func BenchWindow(name string, workers int, telemetryOn bool) (Result, error) {
 // but off, the zero-overhead contract; 1 = every window) and telemetry
 // disabled, isolating the span machinery's own cost. The result carries
 // the span-derived per-stage mean breakdown when anything was sampled.
-func BenchWindowSpans(name string, workers, every int) (Result, error) {
-	eng, wins, err := WindowWorkload(workers)
+func BenchWindowSpans(name string, every int) (Result, error) {
+	eng, wins, err := WindowWorkload()
 	if err != nil {
 		return Result{}, err
 	}
@@ -136,7 +134,7 @@ func BenchWindowSpans(name string, workers, every int) (Result, error) {
 	})
 	ns := float64(r.NsPerOp())
 	res := Result{
-		Name: name, Workers: workers,
+		Name:        name,
 		NsPerOp:     ns,
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
@@ -158,25 +156,20 @@ func BenchWindowSpans(name string, workers, every int) (Result, error) {
 }
 
 // RunWindowBenchmarks runs the standard vcdbench -bench-json suite: the
-// serial kernel with telemetry on and off (the instrumentation-overhead
-// pair EXPERIMENTS.md reports), the parallel kernel at 2/4/8 shards, and
-// the span-sampling ladder (collector attached at 0% / 1% / 100%) whose
-// 100% rung carries the per-stage breakdown.
+// kernel with telemetry on and off (the instrumentation-overhead pair
+// EXPERIMENTS.md reports), and the span-sampling ladder (collector attached
+// at 0% / 1% / 100%) whose 100% rung carries the per-stage breakdown.
 func RunWindowBenchmarks(progress func(Result)) ([]Result, error) {
 	specs := []struct {
 		name      string
-		workers   int
 		telemetry bool
 	}{
-		{"WindowSerial", 0, true},
-		{"WindowSerialNoTelemetry", 0, false},
-		{"WindowParallel2", 2, true},
-		{"WindowParallel4", 4, true},
-		{"WindowParallel8", 8, true},
+		{"WindowSerial", true},
+		{"WindowSerialNoTelemetry", false},
 	}
 	results := make([]Result, 0, len(specs)+3)
 	for _, s := range specs {
-		r, err := BenchWindow(s.name, s.workers, s.telemetry)
+		r, err := BenchWindow(s.name, s.telemetry)
 		if err != nil {
 			return nil, fmt.Errorf("benchkit: %s: %w", s.name, err)
 		}
@@ -193,7 +186,7 @@ func RunWindowBenchmarks(progress func(Result)) ([]Result, error) {
 		{"WindowSerialSpans1pct", 100},
 		{"WindowSerialSpansAll", 1},
 	} {
-		r, err := BenchWindowSpans(s.name, 0, s.every)
+		r, err := BenchWindowSpans(s.name, s.every)
 		if err != nil {
 			return nil, fmt.Errorf("benchkit: %s: %w", s.name, err)
 		}

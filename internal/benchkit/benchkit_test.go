@@ -14,7 +14,7 @@ import (
 // sampling cadence `every` (-1 = no collector at all).
 func allocsPerWindow(t *testing.T, every int) float64 {
 	t.Helper()
-	eng, wins, err := WindowWorkload(0)
+	eng, wins, err := WindowWorkload()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func allocsPerWindow(t *testing.T, every int) float64 {
 }
 
 // TestWindowAllocBudget pins the window kernel's steady-state allocations on
-// the shared 200-query workload. The probe works in per-shard scratch and a
+// the shared 200-query workload. The probe works in the engine's scratch and a
 // fresh candidate copies its signatures in one block, so what is left is a
 // handful of maps and slices per window (12 at the time of writing, against
 // 770 when every related query cost a signature and a map entry or three).
@@ -68,11 +68,11 @@ func TestZeroSamplingOverheadGate(t *testing.T) {
 	const tolerance = 0.02
 	var worst float64
 	for attempt := 0; attempt < 3; attempt++ {
-		base, err := BenchWindow("base", 0, false)
+		base, err := BenchWindow("base", false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		armed, err := BenchWindowSpans("spans-off", 0, 0)
+		armed, err := BenchWindowSpans("spans-off", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestSpanLadderReportsStageBreakdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real benchmark")
 	}
-	r, err := BenchWindowSpans("spans-all", 0, 1)
+	r, err := BenchWindowSpans("spans-all", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

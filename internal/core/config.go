@@ -75,13 +75,6 @@ type Config struct {
 	UseIndex bool
 	// DisablePrune turns off the Lemma 2 prune (ablation only).
 	DisablePrune bool
-	// Workers sets the intra-stream parallelism of the per-window matching
-	// kernel. 0 runs the kernel inline on the pushing goroutine (the
-	// original serial behaviour); N >= 1 partitions the queries into N
-	// shards evaluated by N goroutines per window (the pusher counts as
-	// one). Matches, match order and Stats totals are identical for every
-	// value — see DESIGN.md "Parallel matching".
-	Workers int
 	// PreFilter enables the exact pre-filter tier in front of the
 	// Hash-Query index (qindex.TrackCells): each window's mask admits
 	// exactly the rows in which some query holds the window's value, read
@@ -129,9 +122,6 @@ func (c Config) Validate() error {
 	case Bit, Sketch:
 	default:
 		return fmt.Errorf("core: unknown method %d", c.Method)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: Workers=%d must be >= 0", c.Workers)
 	}
 	if c.PreFilter && !c.UseIndex {
 		return fmt.Errorf("core: PreFilter requires UseIndex (the tier masks Hash-Query row probes)")
@@ -181,34 +171,14 @@ type Stats struct {
 	CandidateSum int64
 	// Matches counts reported matches.
 	Matches int
-	// Shards holds the per-shard counters of the parallel matching kernel,
-	// one entry per query shard (a single entry when running serially). The
-	// per-query totals they partition are worker-count invariant, so the
-	// spread across entries is a direct read on parallel efficiency.
-	Shards []ShardStats
-}
-
-// ShardStats aggregates the per-window work one query shard performed:
-// probe yield, Lemma 2 prunes and similarity evaluations. Balanced Compared
-// counts across shards mean the worker pool divides the per-window cost
-// evenly; a skewed spread shows query hot spots.
-type ShardStats struct {
-	// Probed counts related queries surfaced by this shard's probes.
+	// Probed counts related queries surfaced by window probes.
 	Probed int64
 	// Pruned counts Lemma 2 prunes, during probing and during candidate
 	// extension.
 	Pruned int64
-	// Compared counts similarity evaluations (signature tests plus sketch
-	// comparisons) performed by this shard.
+	// Compared counts similarity evaluations: signature tests plus sketch
+	// comparisons.
 	Compared int64
-}
-
-// Totals returns the stats with the per-shard breakdown stripped. All
-// remaining fields are worker-count invariant: a serial and a parallel run
-// over the same input report equal Totals.
-func (s Stats) Totals() Stats {
-	s.Shards = nil
-	return s
 }
 
 // AvgSignatures is the average number of bit signatures maintained per

@@ -1,45 +1,51 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
-// The parallel matching kernel promises byte-for-byte agreement with the
-// serial path: the same stream must produce the same Matches slice (order
-// included) and the same Stats totals for every Workers value. These tests
-// pin that contract across all method/order/index variants.
-
-// detRun pushes a fixed multi-query workload through one engine
-// configuration and returns its matches and stats.
-func detRun(t *testing.T, v variant, workers int, batch bool) ([]Match, Stats) {
-	t.Helper()
-	cfg := Config{
+// detConfig is the engine configuration of the determinism workload.
+func detConfig(v variant) Config {
+	return Config{
 		K: 192, Seed: 5, Delta: 0.5, Lambda: 2, WindowFrames: 10,
 		Order: v.order, Method: v.method, UseIndex: v.useIndex,
-		PreFilter: v.prefilter, Workers: workers,
+		PreFilter: v.prefilter,
 	}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// detWorkload is a fixed multi-query workload: seven queries, and a stream
+// of background with copies of several queries separated by more
+// background, so windows relate to overlapping query subsets.
+func detWorkload() (queries [][]uint64, stream []uint64) {
 	rng := rand.New(rand.NewSource(42))
-	queries := make([][]uint64, 7)
+	queries = make([][]uint64, 7)
 	for i := range queries {
 		queries[i] = idStream(rng, i+1, 40+10*i)
-		if err := e.AddQuery(i+1, queries[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
-	// Stream: background, then copies of several queries separated by more
-	// background, so windows relate to overlapping query subsets.
-	var stream []uint64
 	stream = append(stream, idStream(rng, 50, 95)...)
 	for _, qi := range []int{2, 0, 5, 3} {
 		stream = append(stream, queries[qi]...)
 		stream = append(stream, idStream(rng, 60+qi, 57)...)
+	}
+	return queries, stream
+}
+
+// detRun pushes the determinism workload through one engine configuration
+// and returns its matches and stats.
+func detRun(t *testing.T, v variant, batch bool) ([]Match, Stats) {
+	t.Helper()
+	e, err := NewEngine(detConfig(v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, stream := detWorkload()
+	for i, ids := range queries {
+		if err := e.AddQuery(i+1, ids); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if batch {
 		e.PushFrames(stream)
@@ -52,25 +58,52 @@ func detRun(t *testing.T, v variant, workers int, batch bool) ([]Match, Stats) {
 	return e.Matches, e.Stats()
 }
 
-// TestParallelMatchesSerial: Workers ∈ {1, 4, 8} must reproduce the serial
-// (Workers=0) match list exactly — same matches, same order — and equal
-// stats totals, for every variant.
+// TestParallelMatchesSerial: engines monitoring the same stream in parallel
+// goroutines over one shared QuerySet — the deployment the fleet pool runs
+// on every core — must each reproduce a lone engine's match list exactly
+// (same matches, same order) and its stats, for every variant.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			wantM, wantS := detRun(t, v, 0, false)
+			wantM, wantS := detRun(t, v, false)
 			if len(wantM) == 0 {
 				t.Fatal("serial run found no matches; workload is too weak to test anything")
 			}
-			for _, workers := range []int{1, 4, 8} {
-				gotM, gotS := detRun(t, v, workers, false)
-				if !reflect.DeepEqual(gotM, wantM) {
-					t.Errorf("Workers=%d: matches diverge from serial\nserial:   %+v\nparallel: %+v",
-						workers, wantM, gotM)
+			cfg := detConfig(v)
+			qs, err := NewQuerySet(cfg.K, cfg.Seed, cfg.UseIndex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries, stream := detWorkload()
+			for i, ids := range queries {
+				if err := qs.Add(i+1, ids); err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(gotS.Totals(), wantS.Totals()) {
-					t.Errorf("Workers=%d: stats totals diverge from serial\nserial:   %+v\nparallel: %+v",
-						workers, wantS.Totals(), gotS.Totals())
+			}
+			engines := make([]*Engine, 4)
+			for i := range engines {
+				if engines[i], err = NewEngineWith(cfg, qs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wg sync.WaitGroup
+			for _, e := range engines {
+				wg.Add(1)
+				go func(e *Engine) {
+					defer wg.Done()
+					for i := 0; i < len(stream); i += 13 {
+						e.PushFrames(stream[i:min(i+13, len(stream))])
+					}
+					e.Flush()
+				}(e)
+			}
+			wg.Wait()
+			for i, e := range engines {
+				if !reflect.DeepEqual(e.Matches, wantM) {
+					t.Errorf("engine %d: matches diverge from serial\nserial:   %+v\nparallel: %+v", i, wantM, e.Matches)
+				}
+				if got := e.Stats(); got != wantS {
+					t.Errorf("engine %d: stats diverge from serial\nserial:   %+v\nparallel: %+v", i, wantS, got)
 				}
 			}
 		})
@@ -78,57 +111,17 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestPushFramesMatchesPushFrame: the batched entry point must be
-// indistinguishable from per-frame pushing, serial and parallel.
+// indistinguishable from per-frame pushing.
 func TestPushFramesMatchesPushFrame(t *testing.T) {
 	for _, v := range variants {
-		for _, workers := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%s/w%d", v.name, workers), func(t *testing.T) {
-				wantM, wantS := detRun(t, v, workers, false)
-				gotM, gotS := detRun(t, v, workers, true)
-				if !reflect.DeepEqual(gotM, wantM) {
-					t.Errorf("batched matches diverge from per-frame:\nper-frame: %+v\nbatched:   %+v", wantM, gotM)
-				}
-				if !reflect.DeepEqual(gotS, wantS) {
-					t.Errorf("batched stats diverge from per-frame:\nper-frame: %+v\nbatched:   %+v", wantS, gotS)
-				}
-			})
-		}
-	}
-}
-
-// TestShardStatsPartition: per-shard counters must sum to the serial run's
-// single-shard counters — the parallel kernel partitions work, never
-// duplicates it (Sketch-method geometric combines are spine work and are
-// excluded from per-shard counters by design).
-func TestShardStatsPartition(t *testing.T) {
-	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			_, serial := detRun(t, v, 0, false)
-			if len(serial.Shards) != 1 {
-				t.Fatalf("serial run has %d shard entries, want 1", len(serial.Shards))
+			wantM, wantS := detRun(t, v, false)
+			gotM, gotS := detRun(t, v, true)
+			if !reflect.DeepEqual(gotM, wantM) {
+				t.Errorf("batched matches diverge from per-frame:\nper-frame: %+v\nbatched:   %+v", wantM, gotM)
 			}
-			for _, workers := range []int{4, 8} {
-				_, par := detRun(t, v, workers, false)
-				if len(par.Shards) != workers {
-					t.Fatalf("Workers=%d: %d shard entries", workers, len(par.Shards))
-				}
-				var sum ShardStats
-				busy := 0
-				for _, sh := range par.Shards {
-					sum.Probed += sh.Probed
-					sum.Pruned += sh.Pruned
-					sum.Compared += sh.Compared
-					if sh.Compared > 0 {
-						busy++
-					}
-				}
-				if sum != serial.Shards[0] {
-					t.Errorf("Workers=%d: shard counters sum to %+v, serial shard is %+v",
-						workers, sum, serial.Shards[0])
-				}
-				if busy < 2 {
-					t.Errorf("Workers=%d: only %d shards did comparison work; queries are not spreading", workers, busy)
-				}
+			if gotS != wantS {
+				t.Errorf("batched stats diverge from per-frame:\nper-frame: %+v\nbatched:   %+v", wantS, gotS)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"vdsms/internal/minhash"
@@ -29,17 +28,16 @@ type queryInfo struct {
 // per key frame via PushFrame (or batches via PushFrames); matches are
 // delivered to the OnMatch callback (if set) and accumulated in Matches.
 //
-// An Engine is not safe for concurrent use — its intra-stream parallelism
-// is configured with Config.Workers and managed internally — but engines
-// sharing a QuerySet may run in parallel goroutines: each window captures
-// the set's current immutable plane with one atomic load and probes it
-// without locks. The query set holds no lock during window processing;
-// AddQuery/RemoveQuery publish a successor plane that takes effect at the
-// next window.
+// An Engine is not safe for concurrent use, but engines sharing a QuerySet
+// may run in parallel goroutines — that is where the detector's
+// parallelism lives (whole streams on every core, see internal/fleet):
+// each window captures the set's current immutable plane with one atomic
+// load and probes it without locks. The query set holds no lock during
+// window processing; AddQuery/RemoveQuery publish a successor plane that
+// takes effect at the next window.
 type Engine struct {
-	cfg     Config
-	qs      *QuerySet
-	nshards int
+	cfg Config
+	qs  *QuerySet
 
 	// Stream state.
 	frame  int      // key frames consumed
@@ -49,16 +47,31 @@ type Engine struct {
 	// this is the observable face of the copy-on-write churn contract.
 	planeVersion uint64
 
-	// seq is the Sequential order candidate list C_L — the spine. Scalar
-	// fields and the combined sketch are maintained serially; per-query
-	// state lives in per-shard slots owned by one worker each.
+	// seq is the Sequential order candidate list C_L.
 	seq []*seqCandidate
-	// shards own the per-query mutable state of the matching kernel
-	// (Geometric buckets are replicated per shard; see geometric.go).
-	shards []*engineShard
-	// win is the per-window record, reused so that its per-shard slices are
-	// allocated once.
+	// geo is the Geometric order's stored bucket list, oldest first, and
+	// geoReported dedups its reports per (query, candidate start).
+	geo         []*geoBucket
+	geoReported map[geoKey]bool
+	// win is the per-window record, reused window after window.
 	win windowResult
+	// pending buffers the window's matches in emission order: they are
+	// emitted after the trace fold, whose audit results their provenance
+	// records carry.
+	pending []Match
+	// newReported holds the Sequential window-alone reports of the window;
+	// the window's fresh candidate takes it over as its dedup set.
+	newReported map[int]bool
+
+	// Reused across windows: the prober's memory (the window's related list
+	// and its signatures live here until the next probe on it), the Sketch
+	// method's related ids, and the sorted-key buffer of the candidate
+	// walks. probe is made by the first probe, or lent for one call by
+	// PushFramesOn; nothing read after processWindow returns lives in it
+	// (signatures that are kept are cloned out of it).
+	probe *qindex.ProbeScratch
+	qids  []int
+	keys  []int
 
 	stats   Stats
 	Matches []Match
@@ -99,10 +112,6 @@ type Engine struct {
 	auditReports uint64
 	auditPrunes  uint64
 
-	// telShardCompared are this engine's per-shard comparison counters
-	// (shared process-wide by shard id via the telemetry registry).
-	telShardCompared []*telemetry.Counter
-
 	// perf is the span collector this engine samples into (nil = spans
 	// off; see SetPerf) and perfLabel the stream label on exported spans.
 	// pendingSpanNS stages out-of-kernel stage durations (front-end
@@ -116,9 +125,7 @@ type Engine struct {
 	// Pre-filter state of a Config.PreFilter engine: the winners of the
 	// window being sketched and its row mask, reused window after window,
 	// and accounting outside Stats so the snapshot codec is untouched (the
-	// tier is a runtime choice). pfRowProbes/pfRowRejects accrue serially in
-	// processWindow; pfEmptySearches is folded from the spine shard after
-	// the join.
+	// tier is a runtime choice).
 	winners                                    minhash.Winners
 	rowMask                                    qindex.RowMask
 	pfRowProbes, pfRowRejects, pfEmptySearches int64
@@ -152,26 +159,13 @@ func NewEngineWith(cfg Config, qs *QuerySet) (*Engine, error) {
 }
 
 func newEngine(cfg Config, qs *QuerySet) *Engine {
-	n := cfg.Workers
-	if n < 1 {
-		n = 1
-	}
-	e := &Engine{cfg: cfg, qs: qs, nshards: n}
+	e := &Engine{cfg: cfg, qs: qs, geoReported: make(map[geoKey]bool)}
 	if cfg.PreFilter {
 		// Idempotent; with a shared QuerySet the first pre-filter engine
 		// turns the tier on for every sharer (it is output-neutral).
 		qs.EnablePreFilter()
 		e.rowMask = qindex.NewRowMask(cfg.K)
 	}
-	e.win.relatedSh = make([][]qindex.Result, n)
-	e.win.qidsSh = make([][]int, n)
-	e.shards = make([]*engineShard, n)
-	e.telShardCompared = make([]*telemetry.Counter, n)
-	for i := range e.shards {
-		e.shards[i] = &engineShard{id: i, spine: i == 0}
-		e.telShardCompared[i] = shardComparedCounter(i)
-	}
-	e.stats.Shards = make([]ShardStats, n)
 	return e
 }
 
@@ -186,11 +180,7 @@ func (e *Engine) Queries() *QuerySet { return e.qs }
 func (e *Engine) Family() *minhash.Family { return e.qs.Family() }
 
 // Stats returns a snapshot of the operation counters.
-func (e *Engine) Stats() Stats {
-	st := e.stats
-	st.Shards = append([]ShardStats(nil), e.stats.Shards...)
-	return st
-}
+func (e *Engine) Stats() Stats { return e.stats }
 
 // PreFilterStats reports the pre-filter tier's activity: this engine's
 // row-mask outcomes plus the shared cell table's current footprint. Zero
@@ -268,8 +258,7 @@ func (e *Engine) PushFrame(cellID uint64) {
 
 // PushFrames feeds a batch of key-frame cell ids, processing every window
 // that fills. It is equivalent to calling PushFrame per id but amortises
-// the per-frame call overhead, which matters once window processing fans
-// out to workers.
+// the per-frame call overhead.
 func (e *Engine) PushFrames(cellIDs []uint64) {
 	telFrames.Add(int64(len(cellIDs)))
 	for len(cellIDs) > 0 {
@@ -289,18 +278,14 @@ func (e *Engine) PushFrames(cellIDs []uint64) {
 	}
 }
 
-// PushFramesOn is PushFrames with the probes of a serial engine running on
-// ps, a scratch the caller owns and may hand to its next engine as soon as
-// the call returns — how a pool worker that drives many engines one at a
-// time keeps one scratch instead of one per stream. An engine with
-// Config.Workers > 0 probes on its shards' own scratches and ignores ps.
+// PushFramesOn is PushFrames with the engine's probes running on ps, a
+// scratch the caller owns and may hand to its next engine as soon as the
+// call returns — how a pool worker that drives many engines one at a time
+// keeps one scratch instead of one per stream.
 func (e *Engine) PushFramesOn(ps *qindex.ProbeScratch, cellIDs []uint64) {
-	s := e.shards[0]
-	if e.nshards == 1 {
-		own := s.probe
-		s.probe = ps
-		defer func() { s.probe = own }()
-	}
+	own := e.probe
+	e.probe = ps
+	defer func() { e.probe = own }()
 	e.PushFrames(cellIDs)
 }
 
@@ -324,16 +309,14 @@ func (e *Engine) curWindowStartFrame() int { return e.frame - len(e.curIDs) }
 // maxWindowsOf returns ⌈λL/w⌉ for a query, under this engine's window.
 func (e *Engine) maxWindowsOf(q *queryInfo) int { return e.cfg.maxWindows(q.frames) }
 
-// processWindow sketches the filled window, fans the probe and candidate
-// evaluation out across the query shards, and merges the shards' matches
-// deterministically. With Workers=0 the single shard runs inline and the
-// merge is the identity — the original serial path.
+// processWindow sketches the filled window, probes it against the query
+// plane, folds it into the candidate list and emits the window's matches.
 //
 // Stage timing (sketch → probe → combine → merge, plus the window total)
 // runs when telemetry is enabled or the slow-window tracer is armed: two
-// clock reads per serial stage and two per shard, feeding the
-// vcd_stage_duration_seconds histograms and OnSlowWindow. The timed path
-// allocates nothing beyond what the untimed kernel already does.
+// clock reads per stage, feeding the vcd_stage_duration_seconds histograms
+// and OnSlowWindow. The timed path allocates nothing beyond what the
+// untimed kernel already does.
 func (e *Engine) processWindow() {
 	e.stats.Windows++
 	telWindows.Inc()
@@ -373,20 +356,12 @@ func (e *Engine) processWindow() {
 	view := e.qs.view()
 	e.planeVersion = view.version
 	win := &e.win
-	clear(win.relatedSh)
-	clear(win.qidsSh)
 	*win = windowResult{
 		sketch:     wsk,
 		startFrame: e.curWindowStartFrame(),
 		endFrame:   e.frame,
 		maxW:       e.globalMaxWindows(view),
-		relatedSh:  win.relatedSh,
-		qidsSh:     win.qidsSh,
 	}
-	// The pre-filter row mask is computed once, serially, before the shard
-	// fork: it depends only on the window (not the shard), so doing it here
-	// keeps the mask — and hence the probe output — identical for every
-	// worker count.
 	if e.cfg.PreFilter && len(view.queries) > 0 && view.windowRowMask(&e.winners, e.rowMask) {
 		win.rowMask = e.rowMask
 		rejected := int64(e.cfg.K - e.rowMask.Count())
@@ -405,48 +380,45 @@ func (e *Engine) processWindow() {
 			e.retainAuditWindow(win)
 		}
 	}
+	before := e.stats
+	emptyBefore := e.pfEmptySearches
+	e.pending = e.pending[:0]
 
 	if e.cfg.Order == Sequential {
 		e.seqPrePass(win)
 	}
-	// The serial spine work before the fork accrues to the merge stage,
-	// together with its post-join counterpart below.
+	// The pre-pass accrues to the merge stage, together with the post-pass
+	// after the combine below.
 	var preD time.Duration
+	var tp time.Time
 	if timed {
-		preD = time.Since(t1)
+		tp = time.Now()
+		preD = tp.Sub(t1)
 	}
-
-	e.runShards(func(s *engineShard) {
-		var ts time.Time
-		if timed {
-			ts = time.Now()
-		}
-		if len(view.queries) > 0 {
-			e.probeShard(s, win, wsk, view)
-		}
-		if timed {
-			now := time.Now()
-			s.d.probeNS = now.Sub(ts).Nanoseconds()
-			ts = now
-		}
-		switch e.cfg.Order {
-		case Sequential:
-			e.shardSequential(s, win, view)
-		default:
-			e.shardGeometric(s, win, view)
-		}
-		if timed {
-			s.d.combineNS = time.Since(ts).Nanoseconds()
-		}
-	})
-	// The shard fork's allocations (probe + combine interleave across
-	// workers) are attributed to the probe stage as one block.
-	sp.AllocMark(perfobs.StageProbe)
-
+	if len(view.queries) > 0 {
+		e.probeWindow(win, wsk, view)
+	}
+	var probeD time.Duration
+	if timed {
+		now := time.Now()
+		probeD = now.Sub(tp)
+		tp = now
+	}
+	if e.cfg.Order == Sequential {
+		e.sequential(win, view)
+	} else {
+		e.geometric(win, view)
+	}
+	var combineD time.Duration
 	var tMerge time.Time
 	if timed {
 		tMerge = time.Now()
+		combineD = tMerge.Sub(tp)
 	}
+	// Probe and combine allocations are attributed to the probe stage as
+	// one block.
+	sp.AllocMark(perfobs.StageProbe)
+
 	if e.cfg.Order == Sequential {
 		e.seqPostPass(win, view)
 	}
@@ -457,58 +429,56 @@ func (e *Engine) processWindow() {
 		}
 		win.tr.Publish(evs)
 	}
-	e.emitPending(win)
-	e.foldShardStats()
+	for _, m := range e.pending {
+		e.emitOne(m, win)
+	}
+	compared := e.stats.SigTests + e.stats.SketchCompares - before.SigTests - before.SketchCompares
+	e.stats.Compared += compared
+	telCompared.Add(compared)
+	telProbeRelated.Add(e.stats.Probed - before.Probed)
+	telProbePruned.Add(e.stats.Pruned - before.Pruned)
+	if fp := e.pfEmptySearches - emptyBefore; fp > 0 {
+		telPrefilterFP.Add(fp)
+	}
 	sp.AllocMark(perfobs.StageMerge)
 	if timed {
 		end := time.Now()
 		total := end.Sub(t0)
-		e.observeWindow(win, slow, sketchD, preD+end.Sub(tMerge), total, sp)
+		e.observeWindow(win, slow, sketchD, probeD, combineD, preD+end.Sub(tMerge), total, sp)
 		if e.OnWindowDone != nil {
 			e.OnWindowDone(total)
 		}
 	}
 }
 
-// probeShard determines shard s's related queries for the window: bit
-// signatures in query-id order under the Bit method, sorted query ids under
-// Sketch. Both live in the shard's probe scratch until its next window.
-func (e *Engine) probeShard(s *engineShard, win *windowResult, wsk minhash.Sketch, view *queryPlane) {
+// probeWindow determines the window's related queries: bit signatures in
+// query-id order under the Bit method, sorted query ids under Sketch. Both
+// live in the engine's probe scratch until its next window.
+func (e *Engine) probeWindow(win *windowResult, wsk minhash.Sketch, view *queryPlane) {
 	if e.cfg.Method == Sketch && !view.usingIndex() {
-		ids := s.qids[:0]
-		for id := range view.queries {
-			if qindex.ShardOf(id, e.nshards) == s.id {
-				ids = append(ids, id)
-			}
-		}
-		sort.Ints(ids)
-		s.qids, win.qidsSh[s.id] = ids, ids
+		e.qids = sortedKeys(e.qids, view.queries)
+		win.qids = e.qids
 		return
 	}
-	if s.probe == nil {
-		s.probe = new(qindex.ProbeScratch)
+	if e.probe == nil {
+		e.probe = new(qindex.ProbeScratch)
 	}
-	po, scanned := view.probeShard(s.probe, wsk, e.pruneDelta(), s.id, e.nshards, win.rowMask)
-	s.d.sketchCompares += int64(scanned)
-	s.d.probeComparisons += int64(po.Comparisons)
-	s.d.probed += int64(len(po.Related))
-	s.d.pruned += int64(len(po.Pruned))
-	// Every shard of one window observes the same empty-search count (row
-	// emptiness is shard-independent); the spine's copy is folded into the
-	// engine counter and telemetry after the join.
-	if s.spine {
-		s.d.emptySearches += int64(po.EmptySearches)
-	}
+	po, scanned := view.probe(e.probe, wsk, e.pruneDelta(), win.rowMask)
+	e.stats.SketchCompares += int64(scanned)
+	e.stats.ProbeComparisons += int64(po.Comparisons)
+	e.stats.Probed += int64(len(po.Related))
+	e.stats.Pruned += int64(len(po.Pruned))
+	e.pfEmptySearches += int64(po.EmptySearches)
 	slices.SortFunc(po.Related, func(a, b qindex.Result) int { return cmp.Compare(a.QID, b.QID) })
 	if e.cfg.Method == Bit {
-		win.relatedSh[s.id] = po.Related
+		win.related = po.Related
 		return
 	}
-	ids := s.qids[:0]
+	ids := e.qids[:0]
 	for _, r := range po.Related {
 		ids = append(ids, r.QID)
 	}
-	s.qids, win.qidsSh[s.id] = ids, ids
+	e.qids, win.qids = ids, ids
 }
 
 // pruneDelta is the δ handed to probers for Lemma 2 pruning: the real
@@ -530,17 +500,17 @@ func (e *Engine) globalMaxWindows(view *queryPlane) int {
 }
 
 // windowResult carries everything downstream stages need about one basic
-// window, partitioned by query shard.
+// window.
 type windowResult struct {
 	sketch     minhash.Sketch
 	startFrame int
 	endFrame   int
-	maxW       int               // global candidate bound ⌈λL_max/w⌉
-	relatedSh  [][]qindex.Result // Bit: per-shard window-vs-query signatures, by query id
-	qidsSh     [][]int           // Sketch: per-shard related query ids, sorted
+	maxW       int             // global candidate bound ⌈λL_max/w⌉
+	related    []qindex.Result // Bit: window-vs-query signatures, by query id
+	qids       []int           // Sketch: related query ids, sorted
 	// rowMask is the pre-filter admission mask, computed once per window
-	// before the shard fork into the engine's buffer; nil (admit all rows)
-	// when the tier is off or could not name the window's winners.
+	// into the engine's buffer; nil (admit all rows) when the tier is off or
+	// could not name the window's winners.
 	rowMask qindex.RowMask
 	// tr is the lifecycle-event recorder for this window, nil when tracing
 	// is off — the single guard every kernel recording site checks.
@@ -548,19 +518,35 @@ type windowResult struct {
 	nearEps float64 // near-miss band: estimates in [δ−ε, δ) are journaled
 }
 
-// relatedLen returns the total number of related queries across shards.
-func (w *windowResult) relatedLen() int {
-	n := 0
-	for _, m := range w.relatedSh {
-		n += len(m)
+// relatedLen returns the number of related queries.
+func (w *windowResult) relatedLen() int { return len(w.related) + len(w.qids) }
+
+// newMatch builds the Match a candidate reports.
+func newMatch(qid, startFrame, endFrame, windows int, sim float64) Match {
+	return Match{
+		QueryID:    qid,
+		StartFrame: startFrame,
+		EndFrame:   endFrame,
+		DetectedAt: endFrame,
+		Similarity: sim,
+		Windows:    windows,
 	}
-	for _, ids := range w.qidsSh {
-		n += len(ids)
-	}
-	return n
 }
 
-// emit records a merged match.
+// emitOne records the match's provenance (when tracing is on) and emits
+// it. Match ids are assigned by the journal here, in emission order.
+func (e *Engine) emitOne(m Match, win *windowResult) {
+	if win.tr != nil {
+		var audit *trace.AuditResult
+		if res, ok := e.auditRes[auditKey{m.StartFrame, m.QueryID}]; ok {
+			audit = res
+		}
+		win.tr.RecordMatch(m.QueryID, m.StartFrame, m.EndFrame, m.DetectedAt, m.Windows, m.Similarity, audit)
+	}
+	e.emit(m)
+}
+
+// emit records a match.
 func (e *Engine) emit(m Match) {
 	e.stats.Matches++
 	telMatches.Inc()

@@ -335,7 +335,7 @@ func TestGeometricBucketsLogarithmic(t *testing.T) {
 		e.PushFrame(id)
 	}
 	// Binary counter over <= 64 windows: at most ~log2(64)+2 buckets.
-	if n := len(e.shards[0].geo); n > 9 {
+	if n := len(e.geo); n > 9 {
 		t.Errorf("geometric order stores %d buckets, want O(log)", n)
 	}
 }

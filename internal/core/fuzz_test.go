@@ -2,12 +2,11 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
 // fuzzScript is one randomly generated engine workload, fully materialised
-// so it can be replayed identically against several Workers settings.
+// so it can be replayed identically.
 type fuzzScript struct {
 	cfg      Config
 	queries  [][]uint64 // queries[i] is query id i+1
@@ -15,12 +14,11 @@ type fuzzScript struct {
 	removeAt map[int]int // frame index → query id to remove after that frame
 }
 
-// replay runs the script on a fresh engine with the given worker count and
-// returns the resulting matches and stats.
-func (fs *fuzzScript) replay(t *testing.T, workers int) ([]Match, Stats) {
+// replay runs the script on a fresh engine and returns the resulting
+// matches and stats.
+func (fs *fuzzScript) replay(t *testing.T) ([]Match, Stats) {
 	t.Helper()
 	cfg := fs.cfg
-	cfg.Workers = workers
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("%v (%+v)", err, cfg)
@@ -44,9 +42,7 @@ func (fs *fuzzScript) replay(t *testing.T, workers int) ([]Match, Stats) {
 
 // TestEngineFuzzInvariants drives randomly configured engines with random
 // query/stream material and checks structural invariants — no panics,
-// match fields well-formed, similarities at or above δ, stats consistent —
-// and that a parallel replay of the same script (random Workers in 1..8)
-// agrees with the serial run match-for-match and in stats totals.
+// match fields well-formed, similarities at or above δ, stats consistent.
 func TestEngineFuzzInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(20080407))
 	for trial := 0; trial < 60; trial++ {
@@ -83,7 +79,7 @@ func TestEngineFuzzInvariants(t *testing.T) {
 			}
 		}
 
-		matches, st := fs.replay(t, 0)
+		matches, st := fs.replay(t)
 		cfg := fs.cfg
 		if st.Frames != frames {
 			t.Fatalf("trial %d: Frames=%d, pushed %d", trial, st.Frames, frames)
@@ -110,18 +106,9 @@ func TestEngineFuzzInvariants(t *testing.T) {
 				t.Fatalf("trial %d: match with %d windows", trial, m.Windows)
 			}
 		}
-
-		// Parallel agreement: an identical replay with a random worker pool
-		// must be indistinguishable.
-		workers := rng.Intn(8) + 1
-		pm, pst := fs.replay(t, workers)
-		if !reflect.DeepEqual(pm, matches) {
-			t.Fatalf("trial %d: Workers=%d matches diverge from serial (%+v)\nserial:   %+v\nparallel: %+v",
-				trial, workers, cfg, matches, pm)
-		}
-		if !reflect.DeepEqual(pst.Totals(), st.Totals()) {
-			t.Fatalf("trial %d: Workers=%d stats totals diverge from serial (%+v)\nserial:   %+v\nparallel: %+v",
-				trial, workers, cfg, st.Totals(), pst.Totals())
+		if st.Compared != st.SigTests+st.SketchCompares {
+			t.Fatalf("trial %d: Compared=%d, but %d signature tests + %d sketch comparisons",
+				trial, st.Compared, st.SigTests, st.SketchCompares)
 		}
 	}
 }

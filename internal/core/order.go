@@ -14,7 +14,7 @@ import (
 // sequences — a requirement for reproducible experiments.
 
 // sortedKeys returns the keys of a per-query map in ascending order,
-// appended to buf[:0]: callers hand in their shard's key buffer and store
+// appended to buf[:0]: callers hand in the engine's key buffer and store
 // the result back, so the walk allocates only when the buffer grows.
 func sortedKeys[V any](buf []int, m map[int]V) []int {
 	buf = buf[:0]

@@ -8,8 +8,8 @@ import (
 
 // TestConcurrentChurnUnderParallelEngines stresses the shared-QuerySet
 // deployment the paper targets: several engines monitor streams in
-// parallel goroutines — each with its own intra-stream worker pool — while
-// another goroutine subscribes and unsubscribes queries the whole time.
+// parallel goroutines while another goroutine subscribes and unsubscribes
+// queries the whole time.
 // The assertions are deliberately weak (no panics, bounded candidate
 // state, every engine sees every frame); the value of the test is the
 // interleaving itself under -race.
@@ -39,7 +39,6 @@ func TestConcurrentChurnUnderParallelEngines(t *testing.T) {
 		cfg := Config{
 			K: 96, Seed: 21, Delta: 0.5, Lambda: 2, WindowFrames: 10,
 			Order: Order(n % 2), Method: Method(n % 2), UseIndex: true,
-			Workers: 1 + n,
 		}
 		e, err := NewEngineWith(cfg, qs)
 		if err != nil {

@@ -7,20 +7,24 @@ import (
 	"testing"
 
 	"vdsms/internal/perfobs"
+	"vdsms/internal/qindex"
 )
 
 // perfRun pushes a fixed multi-query workload through one engine wired to a
 // private span collector sampling every window, and returns the
-// deterministic projection of the fold.
-func perfRun(t *testing.T, workers int) perfobs.AggCounts {
+// deterministic projection of the fold. With onWorker set the engine is
+// driven as a fleet worker drives it: in 7-frame pushes on a probe scratch
+// it shares with a sibling engine that has no collector.
+func perfRun(t *testing.T, onWorker bool) perfobs.AggCounts {
 	t.Helper()
 	col := perfobs.NewCollector(256)
 	col.SetSampleEvery(1)
-	cfg := Config{
-		K: 192, Seed: 5, Delta: 0.5, Lambda: 2, WindowFrames: 10,
-		Workers: workers,
-	}
+	cfg := Config{K: 192, Seed: 5, Delta: 0.5, Lambda: 2, WindowFrames: 10}
 	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := NewEngineWith(cfg, e.Queries())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +43,16 @@ func perfRun(t *testing.T, workers int) perfobs.AggCounts {
 		stream = append(stream, queries[qi]...)
 		stream = append(stream, idStream(rng, 60+qi, 57)...)
 	}
-	e.PushFrames(stream)
+	if onWorker {
+		ps := new(qindex.ProbeScratch)
+		for i := 0; i < len(stream); i += 7 {
+			end := min(i+7, len(stream))
+			e.PushFramesOn(ps, stream[i:end])
+			sib.PushFramesOn(ps, stream[len(stream)-end:len(stream)-i])
+		}
+	} else {
+		e.PushFrames(stream)
+	}
 	e.Flush()
 	agg := col.Aggregate()
 	if agg.Windows == 0 {
@@ -50,23 +63,20 @@ func perfRun(t *testing.T, workers int) perfobs.AggCounts {
 
 // TestSpanFoldWorkerInvariant: the deterministic projection of the span
 // fold — windows sampled, per-stage observation counts, related-candidate
-// sum — must be byte-identical between the serial kernel and an 8-worker
-// kernel. Durations are wall-clock and necessarily vary; the counts must
-// not, or span aggregates become a function of deployment shape.
+// sum — must be byte-identical whether the engine runs alone or on a fleet
+// worker beside another engine. Durations are wall-clock and necessarily
+// vary; the counts must not, or span aggregates become a function of
+// deployment shape.
 func TestSpanFoldWorkerInvariant(t *testing.T) {
-	serial := perfRun(t, 0)
-	for _, workers := range []int{1, 8} {
-		par := perfRun(t, workers)
-		if !reflect.DeepEqual(par, serial) {
-			t.Errorf("Workers=%d: span fold counts diverge from serial\nserial:   %+v\nparallel: %+v",
-				workers, serial, par)
-		}
-		sj, _ := json.Marshal(serial)
-		pj, _ := json.Marshal(par)
-		if string(sj) != string(pj) {
-			t.Errorf("Workers=%d: JSON projection diverges\nserial:   %s\nparallel: %s",
-				workers, sj, pj)
-		}
+	alone := perfRun(t, false)
+	pooled := perfRun(t, true)
+	if !reflect.DeepEqual(pooled, alone) {
+		t.Errorf("span fold counts diverge\nalone:       %+v\non a worker: %+v", alone, pooled)
+	}
+	aj, _ := json.Marshal(alone)
+	pj, _ := json.Marshal(pooled)
+	if string(aj) != string(pj) {
+		t.Errorf("JSON projection diverges\nalone:       %s\non a worker: %s", aj, pj)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -189,8 +188,8 @@ func TestPlaneChurnEquivalence(t *testing.T) {
 					t.Errorf("match %d differs: %+v vs %+v", i, inlineM[i], concM[i])
 				}
 			}
-			if it, ct := inlineS.Totals(), concS.Totals(); !reflect.DeepEqual(it, ct) {
-				t.Errorf("stats diverge:\ninline     %+v\nconcurrent %+v", it, ct)
+			if inlineS != concS {
+				t.Errorf("stats diverge:\ninline     %+v\nconcurrent %+v", inlineS, concS)
 			}
 			if len(inlineM) == 0 {
 				t.Fatal("workload found no matches; churn equivalence vacuous")

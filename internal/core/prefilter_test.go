@@ -58,11 +58,10 @@ func newPrefSchedule(seed int64, method Method, order Order) *prefSchedule {
 
 // run replays the schedule on one engine configuration. A pre-filter run
 // must not admit a single empty search.
-func (ps *prefSchedule) run(t *testing.T, preFilter bool, workers int) ([]Match, Stats) {
+func (ps *prefSchedule) run(t *testing.T, preFilter bool) ([]Match, Stats) {
 	t.Helper()
 	cfg := ps.cfg
 	cfg.PreFilter = preFilter
-	cfg.Workers = workers
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +92,8 @@ func (ps *prefSchedule) run(t *testing.T, preFilter bool, workers int) ([]Match,
 }
 
 // TestPreFilterOutputEquivalence: the tier must be invisible in the output
-// — same matches, same stats totals — for every method/order combination
-// and worker count, under subscription churn.
+// — same matches, same stats — for every method/order combination, under
+// subscription churn.
 func TestPreFilterOutputEquivalence(t *testing.T) {
 	for _, v := range []struct {
 		name   string
@@ -108,19 +107,16 @@ func TestPreFilterOutputEquivalence(t *testing.T) {
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			ps := newPrefSchedule(11, v.method, v.order)
-			wantM, wantS := ps.run(t, false, 0)
+			wantM, wantS := ps.run(t, false)
 			if len(wantM) == 0 {
 				t.Fatal("baseline run found no matches; workload too weak")
 			}
-			for _, workers := range []int{0, 4} {
-				gotM, gotS := ps.run(t, true, workers)
-				if !reflect.DeepEqual(gotM, wantM) {
-					t.Errorf("Workers=%d: pre-filter changed matches\noff: %+v\non:  %+v", workers, wantM, gotM)
-				}
-				if !reflect.DeepEqual(gotS.Totals(), wantS.Totals()) {
-					t.Errorf("Workers=%d: pre-filter changed stats totals\noff: %+v\non:  %+v",
-						workers, wantS.Totals(), gotS.Totals())
-				}
+			gotM, gotS := ps.run(t, true)
+			if !reflect.DeepEqual(gotM, wantM) {
+				t.Errorf("pre-filter changed matches\noff: %+v\non:  %+v", wantM, gotM)
+			}
+			if gotS != wantS {
+				t.Errorf("pre-filter changed stats\noff: %+v\non:  %+v", wantS, gotS)
 			}
 		})
 	}
@@ -148,27 +144,25 @@ func TestPreFilterChurnFuzz(t *testing.T) {
 				in[id] = true
 			}
 		}
-		wantM, wantS := ps.run(t, false, 0)
-		gotM, gotS := ps.run(t, true, 2)
+		wantM, wantS := ps.run(t, false)
+		gotM, gotS := ps.run(t, true)
 		if !reflect.DeepEqual(gotM, wantM) {
 			t.Fatalf("trial %d: churned pre-filter run diverges\noff: %+v\non:  %+v", trial, wantM, gotM)
 		}
-		if !reflect.DeepEqual(gotS.Totals(), wantS.Totals()) {
-			t.Fatalf("trial %d: stats totals diverge\noff: %+v\non:  %+v",
-				trial, wantS.Totals(), gotS.Totals())
+		if gotS != wantS {
+			t.Fatalf("trial %d: stats diverge\noff: %+v\non:  %+v", trial, wantS, gotS)
 		}
 	}
 }
 
 // TestPreFilterSnapshotRoundTrip is the checkpoint satellite: a pre-filter
-// engine checkpointed mid-stream and restored — with the tier on or off,
-// at a different worker count — must finish the stream with output
-// byte-identical to the uninterrupted run. PreFilter is excluded from the
-// snapshot fingerprint (like Workers, it is a runtime choice); the cell
-// table is rebuilt from the restored query set.
+// engine checkpointed mid-stream and restored — with the tier on or off —
+// must finish the stream with output byte-identical to the uninterrupted
+// run. PreFilter is excluded from the snapshot fingerprint (it is a runtime
+// choice); the cell table is rebuilt from the restored query set.
 func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 	ps := newPrefSchedule(21, Bit, Sequential)
-	uninterruptedM, uninterruptedS := ps.run(t, true, 0)
+	uninterruptedM, uninterruptedS := ps.run(t, true)
 	if len(uninterruptedM) == 0 {
 		t.Fatal("workload produced no matches")
 	}
@@ -177,12 +171,10 @@ func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 	for _, rc := range []struct {
 		name              string
 		ckptPF, restorePF bool
-		restoreWorkers    int
 	}{
-		{"on-to-on", true, true, 0},
-		{"on-to-on-parallel", true, true, 4},
-		{"on-to-off", true, false, 0},
-		{"off-to-on", false, true, 0},
+		{"on-to-on", true, true},
+		{"on-to-off", true, false},
+		{"off-to-on", false, true},
 	} {
 		t.Run(rc.name, func(t *testing.T) {
 			cfg := ps.cfg
@@ -226,7 +218,6 @@ func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.PreFilter = rc.restorePF
-			cfg.Workers = rc.restoreWorkers
 			e2, err := RestoreEngine(cfg, &dec.Engine)
 			if err != nil {
 				t.Fatal(err)
@@ -238,8 +229,8 @@ func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(gotM, uninterruptedM) {
 				t.Errorf("matches diverge from uninterrupted run\nwant: %+v\ngot:  %+v", uninterruptedM, gotM)
 			}
-			if got := e2.Stats().Totals(); !reflect.DeepEqual(got, uninterruptedS.Totals()) {
-				t.Errorf("stats totals diverge\nwant: %+v\ngot:  %+v", uninterruptedS.Totals(), got)
+			if got := e2.Stats(); got != uninterruptedS {
+				t.Errorf("stats diverge\nwant: %+v\ngot:  %+v", uninterruptedS, got)
 			}
 		})
 	}

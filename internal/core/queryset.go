@@ -42,8 +42,8 @@ type QuerySet struct {
 // queryPlane is one immutable version of the shared query plane: the
 // subscription map, the insertion-ordered authoritative list and the
 // Hash-Query index, all consistent with each other. Nothing in a published
-// plane is ever mutated — writers clone what they change — so engines and
-// their worker shards read it without locks.
+// plane is ever mutated — writers clone what they change — so engines read
+// it without locks.
 type queryPlane struct {
 	version   uint64
 	queries   map[int]*queryInfo
@@ -68,16 +68,14 @@ func (v *queryPlane) lookup(id int) *queryInfo { return v.queries[id] }
 // usingIndex reports whether this plane probes through the Hash-Query index.
 func (v *queryPlane) usingIndex() bool { return v.index != nil }
 
-// probeShard runs the configured prober for one query shard against this
-// plane, into the shard's scratch (the output is valid until the scratch is
-// probed again). Shard outputs and scan counts partition the full probe's
-// exactly (see qindex.ShardOf), so per-window stats are worker-count
-// invariant. Lock-free: the plane is immutable.
-func (v *queryPlane) probeShard(ps *qindex.ProbeScratch, sk minhash.Sketch, delta float64, shard, nshards int, mask qindex.RowMask) (*qindex.ProbeOutput, int) {
+// probe runs the configured prober against this plane into ps (the output
+// is valid until ps is probed again) and returns the number of full sketch
+// comparisons a scan made. Lock-free: the plane is immutable.
+func (v *queryPlane) probe(ps *qindex.ProbeScratch, sk minhash.Sketch, delta float64, mask qindex.RowMask) (*qindex.ProbeOutput, int) {
 	if v.index != nil {
-		return v.index.ProbeInto(ps, sk, delta, shard, nshards, mask), 0
+		return v.index.ProbeInto(ps, sk, delta, mask), 0
 	}
-	return v.scan.ProbeInto(ps, sk, delta, shard, nshards)
+	return v.scan.ProbeInto(ps, sk, delta), len(v.scan.Queries)
 }
 
 // windowRowMask fills mask with the exact pre-filter's admission set for

@@ -1,11 +1,8 @@
 // Checkpoint/restore glue between the live engine and the durable format
-// of internal/snapshot. Export canonicalises the per-shard partitions —
-// shard slots merged, every list sorted — so identical logical state
-// serialises to identical bytes regardless of the worker count that
-// produced it, and restore re-partitions by qindex.ShardOf at the new
-// worker count. A checkpoint taken at Workers=8 restores at Workers=0 and
-// vice versa, and the restored engine's subsequent matches and stats are
-// byte-identical to an uninterrupted run (see TestCrashPointSweep).
+// of internal/snapshot. Export canonicalises the engine's maps — every list
+// sorted — so identical logical state serialises to identical bytes, and a
+// restored engine's subsequent matches and stats are byte-identical to an
+// uninterrupted run (see TestCrashPointSweep).
 package core
 
 import (
@@ -14,13 +11,11 @@ import (
 
 	"vdsms/internal/bitsig"
 	"vdsms/internal/minhash"
-	"vdsms/internal/qindex"
 	"vdsms/internal/snapshot"
 )
 
 // snapshotConfig maps the detection-relevant configuration into the durable
-// form. Workers is deliberately dropped: parallelism is a runtime choice,
-// not engine state. PreFilter is dropped for the same reason — the tier is
+// form. PreFilter is deliberately dropped: the tier is a runtime choice,
 // output-neutral (no false negatives) and its filter is rebuilt from the
 // restored queries, so a checkpoint taken with the tier on restores with
 // it off and vice versa.
@@ -85,9 +80,7 @@ func (qs *QuerySet) addSketched(id, frames int, sk minhash.Sketch) error {
 
 // ExportState captures the engine's complete matching state in canonical
 // form. The engine must be quiescent — between PushFrame/PushFrames calls —
-// which is the only state an Engine is ever observed in by its caller: the
-// PR-1 worker shards live only inside processWindow, so there is nothing
-// further to drain.
+// which is the only state an Engine is ever observed in by its caller.
 func (e *Engine) ExportState() *snapshot.EngineState {
 	st := &snapshot.EngineState{
 		Config: e.cfg.snapshotConfig(),
@@ -101,9 +94,9 @@ func (e *Engine) ExportState() *snapshot.EngineState {
 		sc := snapshot.SeqCandidate{
 			StartFrame: c.startFrame,
 			Windows:    c.windows,
-			Sigs:       mergeSigSlots(c.sigs),
-			Related:    mergeSetSlots(c.related),
-			Reported:   mergeSetSlots(c.reported),
+			Sigs:       exportSigs(c.sigs),
+			Related:    sortedKeys(nil, c.related),
+			Reported:   sortedKeys(nil, c.reported),
 		}
 		if c.sketch != nil {
 			sc.Sketch = append([]uint64(nil), c.sketch...)
@@ -111,33 +104,21 @@ func (e *Engine) ExportState() *snapshot.EngineState {
 		st.Seq = append(st.Seq, sc)
 	}
 
-	// Geometric state: bucket boundaries are query-independent and the
-	// per-shard replicas congruent, so the structure comes from shard 0 and
-	// the per-query maps are unioned across replicas.
-	spine := e.shards[0]
-	for i, b := range spine.geo {
+	for _, b := range e.geo {
 		gb := snapshot.GeoBucket{
 			StartFrame: b.startFrame,
 			EndFrame:   b.endFrame,
 			Windows:    b.windows,
+			Sigs:       exportSigs(b.sigs),
+			Related:    sortedKeys(nil, b.related),
 		}
 		if b.sketch != nil {
 			gb.Sketch = append([]uint64(nil), b.sketch...)
 		}
-		var sigSlots []map[int]*bitsig.Signature
-		var relSlots []map[int]bool
-		for _, s := range e.shards {
-			sigSlots = append(sigSlots, s.geo[i].sigs)
-			relSlots = append(relSlots, s.geo[i].related)
-		}
-		gb.Sigs = mergeSigSlots(sigSlots)
-		gb.Related = mergeSetSlots(relSlots)
 		st.Geo = append(st.Geo, gb)
 	}
-	for _, s := range e.shards {
-		for k := range s.geoReported {
-			st.GeoReported = append(st.GeoReported, snapshot.GeoReport{QID: k.qid, Start: k.start})
-		}
+	for k := range e.geoReported {
+		st.GeoReported = append(st.GeoReported, snapshot.GeoReport{QID: k.qid, Start: k.start})
 	}
 	sort.Slice(st.GeoReported, func(i, j int) bool {
 		a, b := st.GeoReported[i], st.GeoReported[j]
@@ -151,8 +132,7 @@ func (e *Engine) ExportState() *snapshot.EngineState {
 
 // RestoreEngine rebuilds an engine from exported state under cfg, which
 // must be detection-compatible with the state's recorded configuration
-// (same fingerprint fields; Workers is free to differ). The restored
-// engine's query partitions are redistributed for cfg.Workers.
+// (same fingerprint fields).
 func RestoreEngine(cfg Config, st *snapshot.EngineState) (*Engine, error) {
 	qs, err := NewQuerySet(cfg.K, cfg.Seed, cfg.UseIndex)
 	if err != nil {
@@ -194,97 +174,70 @@ func RestoreEngineWith(cfg Config, st *snapshot.EngineState, qs *QuerySet) (*Eng
 	var err error
 	e.frame = st.Frame
 	e.curIDs = append([]uint64(nil), st.CurIDs...)
-	e.stats = restoreStats(st.Stats, e.nshards)
+	e.stats = restoreStats(st.Stats)
 
-	planeWords := (cfg.K + 63) / 64
 	for _, sc := range st.Seq {
 		c := &seqCandidate{
 			startFrame: sc.StartFrame,
 			windows:    sc.Windows,
-			reported:   splitSetSlots(sc.Reported, e.nshards),
+			reported:   importSet(sc.Reported),
 		}
 		if sc.Sketch != nil {
 			c.sketch = minhash.Sketch(append([]uint64(nil), sc.Sketch...))
 		}
 		if cfg.Method == Bit {
-			if c.sigs, err = splitSigSlots(sc.Sigs, e.nshards, cfg.K, planeWords); err != nil {
+			if c.sigs, err = importSigs(sc.Sigs, cfg.K); err != nil {
 				return nil, err
 			}
 		} else {
-			c.related = splitSetSlots(sc.Related, e.nshards)
+			c.related = importSet(sc.Related)
 		}
 		e.seq = append(e.seq, c)
 	}
 
 	for _, gb := range st.Geo {
-		var sigSlots []map[int]*bitsig.Signature
-		var relSlots []map[int]bool
+		b := &geoBucket{
+			startFrame: gb.StartFrame,
+			endFrame:   gb.EndFrame,
+			windows:    gb.Windows,
+		}
+		if gb.Sketch != nil {
+			b.sketch = minhash.Sketch(append([]uint64(nil), gb.Sketch...))
+		}
 		if cfg.Method == Bit {
-			if sigSlots, err = splitSigSlots(gb.Sigs, e.nshards, cfg.K, planeWords); err != nil {
+			if b.sigs, err = importSigs(gb.Sigs, cfg.K); err != nil {
 				return nil, err
 			}
 		} else {
-			relSlots = splitSetSlots(gb.Related, e.nshards)
+			b.related = importSet(gb.Related)
 		}
-		for si, s := range e.shards {
-			b := &geoBucket{
-				startFrame: gb.StartFrame,
-				endFrame:   gb.EndFrame,
-				windows:    gb.Windows,
-			}
-			// Each replica owns its own sketch copy, as the live merge path
-			// would have produced.
-			if gb.Sketch != nil {
-				b.sketch = minhash.Sketch(append([]uint64(nil), gb.Sketch...))
-			}
-			if cfg.Method == Bit {
-				b.sigs = sigSlots[si]
-			} else {
-				b.related = relSlots[si]
-			}
-			s.geo = append(s.geo, b)
-		}
-	}
-	for _, s := range e.shards {
-		s.geoReported = make(map[geoKey]bool)
+		e.geo = append(e.geo, b)
 	}
 	for _, r := range st.GeoReported {
-		s := e.shards[qindex.ShardOf(r.QID, e.nshards)]
-		s.geoReported[geoKey{qid: r.QID, start: r.Start}] = true
+		e.geoReported[geoKey{qid: r.QID, start: r.Start}] = true
 	}
 	return e, nil
 }
 
-// exportStats maps live counters to the durable form. The per-shard
-// breakdown is folded into a single entry: its spread is a property of the
-// checkpointing run's worker count, and canonical checkpoints must be
-// byte-identical across worker counts.
+// exportStats maps live counters to the durable form. The format keeps a
+// list of per-shard work counters from when the kernel was partitioned; the
+// engine writes exactly one entry.
 func exportStats(s Stats) snapshot.Stats {
-	out := snapshot.Stats{
+	return snapshot.Stats{
 		Frames: s.Frames, Windows: s.Windows,
 		SketchCombines: s.SketchCombines, SketchCompares: s.SketchCompares,
 		SigOrs: s.SigOrs, SigTests: s.SigTests,
 		ProbeComparisons: s.ProbeComparisons,
 		SignatureSum:     s.SignatureSum, CandidateSum: s.CandidateSum,
 		Matches: s.Matches,
+		Shards:  []snapshot.ShardStats{{Probed: s.Probed, Pruned: s.Pruned, Compared: s.Compared}},
 	}
-	if len(s.Shards) > 0 {
-		var fold snapshot.ShardStats
-		for _, sh := range s.Shards {
-			fold.Probed += sh.Probed
-			fold.Pruned += sh.Pruned
-			fold.Compared += sh.Compared
-		}
-		out.Shards = []snapshot.ShardStats{fold}
-	}
-	return out
 }
 
-// restoreStats maps durable counters back. The per-shard breakdown carries
-// over 1:1 when the worker count matches the checkpointing run; otherwise
-// it is folded into shard 0 — the breakdown is diagnostic, and folding
-// keeps the Totals() invariant exact across worker counts.
-func restoreStats(s snapshot.Stats, nshards int) Stats {
+// restoreStats maps durable counters back, summing however many work
+// counter entries the checkpoint carries (older checkpoints hold one per
+// query shard of the run that wrote them).
+func restoreStats(s snapshot.Stats) Stats {
 	out := Stats{
 		Frames: s.Frames, Windows: s.Windows,
 		SketchCombines: s.SketchCombines, SketchCompares: s.SketchCompares,
@@ -292,82 +245,54 @@ func restoreStats(s snapshot.Stats, nshards int) Stats {
 		ProbeComparisons: s.ProbeComparisons,
 		SignatureSum:     s.SignatureSum, CandidateSum: s.CandidateSum,
 		Matches: s.Matches,
-		Shards:  make([]ShardStats, nshards),
-	}
-	if len(s.Shards) == nshards {
-		for i, sh := range s.Shards {
-			out.Shards[i] = ShardStats{Probed: sh.Probed, Pruned: sh.Pruned, Compared: sh.Compared}
-		}
-		return out
 	}
 	for _, sh := range s.Shards {
-		out.Shards[0].Probed += sh.Probed
-		out.Shards[0].Pruned += sh.Pruned
-		out.Shards[0].Compared += sh.Compared
+		out.Probed += sh.Probed
+		out.Pruned += sh.Pruned
+		out.Compared += sh.Compared
 	}
 	return out
 }
 
-// mergeSigSlots flattens per-shard signature maps into one qid-ascending
-// slice with copied planes.
-func mergeSigSlots(slots []map[int]*bitsig.Signature) []snapshot.Signature {
+// exportSigs flattens a signature map into one qid-ascending slice with
+// copied planes.
+func exportSigs(m map[int]*bitsig.Signature) []snapshot.Signature {
 	var out []snapshot.Signature
-	for _, m := range slots {
-		for qid, sig := range m {
-			out = append(out, snapshot.Signature{
-				QID: qid,
-				Lo:  append([]uint64(nil), sig.Lo...),
-				Hi:  append([]uint64(nil), sig.Hi...),
-			})
-		}
+	for _, qid := range sortedKeys(nil, m) {
+		sig := m[qid]
+		out = append(out, snapshot.Signature{
+			QID: qid,
+			Lo:  append([]uint64(nil), sig.Lo...),
+			Hi:  append([]uint64(nil), sig.Hi...),
+		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].QID < out[j].QID })
 	return out
 }
 
-// splitSigSlots redistributes canonical signatures into per-shard maps by
-// ShardOf. Every slot is non-nil: the shard kernels mutate their slot maps
-// in place.
-func splitSigSlots(sigs []snapshot.Signature, nshards, k, planeWords int) ([]map[int]*bitsig.Signature, error) {
-	slots := make([]map[int]*bitsig.Signature, nshards)
-	for i := range slots {
-		slots[i] = make(map[int]*bitsig.Signature)
-	}
+// importSigs rebuilds a signature map from its canonical list; the map is
+// never nil, since the kernels mutate it in place.
+func importSigs(sigs []snapshot.Signature, k int) (map[int]*bitsig.Signature, error) {
+	planeWords := (k + 63) / 64
+	m := make(map[int]*bitsig.Signature, len(sigs))
 	for _, s := range sigs {
 		if len(s.Lo) != planeWords || len(s.Hi) != planeWords {
 			return nil, fmt.Errorf("core: restored signature for query %d has %d+%d plane words, K=%d needs %d",
 				s.QID, len(s.Lo), len(s.Hi), k, planeWords)
 		}
-		slots[qindex.ShardOf(s.QID, nshards)][s.QID] = &bitsig.Signature{
+		m[s.QID] = &bitsig.Signature{
 			K:  k,
 			Lo: append([]uint64(nil), s.Lo...),
 			Hi: append([]uint64(nil), s.Hi...),
 		}
 	}
-	return slots, nil
+	return m, nil
 }
 
-// mergeSetSlots flattens per-shard query-id sets into one ascending slice.
-func mergeSetSlots(slots []map[int]bool) []int {
-	var out []int
-	for _, m := range slots {
-		for qid := range m {
-			out = append(out, qid)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// splitSetSlots redistributes a canonical id list into per-shard non-nil
-// sets by ShardOf.
-func splitSetSlots(ids []int, nshards int) []map[int]bool {
-	slots := make([]map[int]bool, nshards)
-	for i := range slots {
-		slots[i] = make(map[int]bool)
-	}
+// importSet rebuilds a non-nil query-id set from its canonical list.
+func importSet(ids []int) map[int]bool {
+	m := make(map[int]bool, len(ids))
 	for _, qid := range ids {
-		slots[qindex.ShardOf(qid, nshards)][qid] = true
+		m[qid] = true
 	}
-	return slots
+	return m
 }

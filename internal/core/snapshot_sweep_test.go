@@ -46,14 +46,13 @@ func sweepScript(seed int64, order Order, method Method, useIndex bool) *fuzzScr
 }
 
 // runSplit replays fs with a crash at frame index cut: the first engine
-// (checkpointWorkers) consumes frames[:cut] and is checkpointed through a
-// full serialise/deserialise cycle; the second engine (restoreWorkers)
-// resumes from the decoded state and consumes the rest. It returns the
-// concatenated matches and the final stats.
-func runSplit(t *testing.T, fs *fuzzScript, cut, checkpointWorkers, restoreWorkers int) ([]Match, Stats) {
+// consumes frames[:cut] and is checkpointed through a full
+// serialise/deserialise cycle; the second engine resumes from the decoded
+// state and consumes the rest. It returns the concatenated matches and the
+// final stats.
+func runSplit(t *testing.T, fs *fuzzScript, cut int) ([]Match, Stats) {
 	t.Helper()
 	cfg := fs.cfg
-	cfg.Workers = checkpointWorkers
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +87,6 @@ func runSplit(t *testing.T, fs *fuzzScript, cut, checkpointWorkers, restoreWorke
 	if err != nil {
 		t.Fatalf("cut %d: %v", cut, err)
 	}
-	cfg.Workers = restoreWorkers
 	e2, err := RestoreEngine(cfg, &dec.Engine)
 	if err != nil {
 		t.Fatalf("cut %d: restore: %v", cut, err)
@@ -100,9 +98,8 @@ func runSplit(t *testing.T, fs *fuzzScript, cut, checkpointWorkers, restoreWorke
 
 // TestCrashPointSweep is the headline determinism guarantee of the
 // checkpoint subsystem: for every engine variant, snapshotting at every
-// window boundary (and mid-window) and restoring — at the same or a
-// different worker count — yields exactly the matches and stats totals of
-// an uninterrupted run.
+// window boundary (and mid-window) and restoring yields exactly the
+// matches and stats of an uninterrupted run.
 func TestCrashPointSweep(t *testing.T) {
 	variants := []struct {
 		name     string
@@ -115,13 +112,12 @@ func TestCrashPointSweep(t *testing.T) {
 		{"geo-bit-noindex", Geometric, Bit, false},
 		{"geo-sketch-index", Geometric, Sketch, true},
 	}
-	workerCombos := [][2]int{{0, 0}, {4, 4}, {0, 4}, {4, 0}}
 	for vi, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
 			fs := sweepScript(int64(7000+vi), v.order, v.method, v.useIndex)
-			wantM, wantS := fs.replay(t, 0)
+			wantM, wantS := fs.replay(t)
 			if len(wantM) == 0 {
 				t.Fatalf("script produced no matches; sweep would prove nothing")
 			}
@@ -131,17 +127,13 @@ func TestCrashPointSweep(t *testing.T) {
 			}
 			// Mid-window cuts: the checkpoint carries a partial window.
 			cuts = append(cuts, 3, len(fs.frames)/2+2, len(fs.frames)-1)
-			for _, combo := range workerCombos {
-				for _, cut := range cuts {
-					gotM, gotS := runSplit(t, fs, cut, combo[0], combo[1])
-					if !reflect.DeepEqual(gotM, wantM) {
-						t.Fatalf("cut %d workers %d→%d: matches diverge\nwant %+v\ngot  %+v",
-							cut, combo[0], combo[1], wantM, gotM)
-					}
-					if !reflect.DeepEqual(gotS.Totals(), wantS.Totals()) {
-						t.Fatalf("cut %d workers %d→%d: stats totals diverge\nwant %+v\ngot  %+v",
-							cut, combo[0], combo[1], wantS.Totals(), gotS.Totals())
-					}
+			for _, cut := range cuts {
+				gotM, gotS := runSplit(t, fs, cut)
+				if !reflect.DeepEqual(gotM, wantM) {
+					t.Fatalf("cut %d: matches diverge\nwant %+v\ngot  %+v", cut, wantM, gotM)
+				}
+				if gotS != wantS {
+					t.Fatalf("cut %d: stats diverge\nwant %+v\ngot  %+v", cut, wantS, gotS)
 				}
 			}
 		})
@@ -177,25 +169,20 @@ func TestRestoreRejectsIncompatibleConfig(t *testing.T) {
 	if _, err := RestoreEngine(bad, st); err == nil || !strings.Contains(err.Error(), "Seed") {
 		t.Errorf("Seed drift: err = %v, want mention of Seed", err)
 	}
-	// Workers is a runtime choice, never a compatibility wall.
-	ok := fs.cfg
-	ok.Workers = 3
-	if _, err := RestoreEngine(ok, st); err != nil {
-		t.Errorf("Workers change rejected: %v", err)
-	}
 }
 
-// TestExportStateCanonical pins the cross-worker byte identity that makes
-// checkpoints portable: the same logical state exported from engines at
-// different worker counts serialises to identical bytes.
+// TestExportStateCanonical pins the canonical form that makes checkpoint
+// bytes a function of the logical state: exporting the same engine twice,
+// and exporting an engine restored from that export, serialise to
+// identical bytes whatever order Go's maps iterate in.
 func TestExportStateCanonical(t *testing.T) {
-	fs := sweepScript(2, Geometric, Bit, false)
-	for _, frames := range []int{49, 140, 200} {
-		var blobs [][]byte
-		for _, workers := range []int{0, 2, 5} {
-			cfg := fs.cfg
-			cfg.Workers = workers
-			e, err := NewEngine(cfg)
+	marshal := func(e *Engine) []byte {
+		return snapshot.Marshal(&snapshot.Checkpoint{Engine: *e.ExportState()})
+	}
+	for _, order := range []Order{Sequential, Geometric} {
+		fs := sweepScript(2, order, Bit, false)
+		for _, frames := range []int{49, 140, 200} {
+			e, err := NewEngine(fs.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,16 +194,51 @@ func TestExportStateCanonical(t *testing.T) {
 			for _, id := range fs.frames[:frames] {
 				e.PushFrame(id)
 			}
-			var buf bytes.Buffer
-			if err := snapshot.Write(&buf, &snapshot.Checkpoint{Engine: *e.ExportState()}); err != nil {
+			want := marshal(e)
+			if !bytes.Equal(marshal(e), want) {
+				t.Errorf("%s frames=%d: two exports of one engine differ", order, frames)
+			}
+			r, err := RestoreEngine(fs.cfg, e.ExportState())
+			if err != nil {
 				t.Fatal(err)
 			}
-			blobs = append(blobs, buf.Bytes())
-		}
-		for i := 1; i < len(blobs); i++ {
-			if !bytes.Equal(blobs[0], blobs[i]) {
-				t.Errorf("frames=%d: checkpoint bytes differ between worker counts", frames)
+			if !bytes.Equal(marshal(r), want) {
+				t.Errorf("%s frames=%d: the restored engine exports different bytes", order, frames)
 			}
 		}
+	}
+}
+
+// TestRestoreSumsWorkCounters: a checkpoint written by a kernel that kept
+// one work-counter entry per query shard restores with each counter equal
+// to the sum of its entries.
+func TestRestoreSumsWorkCounters(t *testing.T) {
+	fs := sweepScript(3, Sequential, Bit, true)
+	e, err := NewEngine(fs.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.ExportState()
+	st.Stats.Shards = []snapshot.ShardStats{
+		{Probed: 5, Pruned: 2, Compared: 11},
+		{Probed: 7, Pruned: 1, Compared: 13},
+	}
+	var buf bytes.Buffer
+	if err := snapshot.Write(&buf, &snapshot.Checkpoint{Engine: *st}); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := snapshot.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreEngine(fs.cfg, &dec.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats(); got.Probed != 12 || got.Pruned != 3 || got.Compared != 24 {
+		t.Errorf("restored Probed/Pruned/Compared = %d/%d/%d, want 12/3/24", got.Probed, got.Pruned, got.Compared)
+	}
+	if got := r.ExportState().Stats.Shards; len(got) != 1 || got[0] != (snapshot.ShardStats{Probed: 12, Pruned: 3, Compared: 24}) {
+		t.Errorf("re-export writes work counters %+v, want one summed entry", got)
 	}
 }

@@ -1,6 +1,5 @@
 // Telemetry instrumentation of the matching kernel: per-stage latency
-// histograms, throughput counters, per-shard comparison counters and the
-// slow-window tracer.
+// histograms, throughput and work counters and the slow-window tracer.
 //
 // Metric handles are package-level (resolved once against
 // telemetry.Default); every engine in the process folds into the same
@@ -12,7 +11,6 @@
 package core
 
 import (
-	"strconv"
 	"time"
 
 	"vdsms/internal/perfobs"
@@ -30,6 +28,8 @@ var (
 		"Related queries surfaced by window probes.")
 	telProbePruned = telemetry.Default.Counter("vcd_probe_pruned_total",
 		"Lemma 2 prunes, during probing and candidate extension.")
+	telCompared = telemetry.Default.Counter("vcd_compared_total",
+		"Similarity evaluations (signature tests plus sketch comparisons), across all engines.")
 
 	telPrefilterProbes = telemetry.Default.Counter("vcd_prefilter_row_probes_total",
 		"Rows of windows the pre-filter masked (K per masked window).")
@@ -50,28 +50,16 @@ var (
 )
 
 // stageHistogram registers one series of the per-stage latency histogram.
-// probe and combine observe the slowest shard of the window (the critical
-// path); sketch, merge and window_total are serial spans.
 func stageHistogram(stage string) *telemetry.Histogram {
 	return telemetry.Default.Histogram("vcd_stage_duration_seconds",
-		"Wall-clock duration of pipeline stages, one observation per basic window (slowest shard for fanned-out stages).",
+		"Wall-clock duration of pipeline stages, one observation per basic window.",
 		telemetry.DurationBuckets, telemetry.L("stage", stage))
 }
 
-// shardComparedCounter registers the per-shard comparison counter for one
-// query shard id. Engines with equal worker counts share series — the
-// service-level aggregate across streams.
-func shardComparedCounter(shard int) *telemetry.Counter {
-	return telemetry.Default.Counter("vcd_shard_compared_total",
-		"Similarity evaluations (signature tests plus sketch comparisons) per query shard, across all engines.",
-		telemetry.L("shard", strconv.Itoa(shard)))
-}
-
 // SlowWindowTrace is the per-stage breakdown handed to OnSlowWindow when a
-// basic window exceeds the engine's SlowWindow budget. probe and combine
-// are the slowest shard's spans; merge covers the serial spine work around
-// the shard fork (pre-pass, post-pass, deterministic match merge, stats
-// fold).
+// basic window exceeds the engine's SlowWindow budget. Merge covers the
+// candidate-list work around probe and combine (pre-pass, post-pass, trace
+// fold, match emission, stats fold).
 type SlowWindowTrace struct {
 	// StartFrame and EndFrame delimit the offending window in key frames.
 	StartFrame, EndFrame int
@@ -90,18 +78,7 @@ type SlowWindowTrace struct {
 // once per window from processWindow, only when timing was armed. budget
 // is the slow-window threshold resolved for this window (the
 // runtime-adjustable SlowVar when wired, else SlowWindow).
-func (e *Engine) observeWindow(win *windowResult, budget time.Duration, sketch, merge, total time.Duration, sp *perfobs.Span) {
-	var probeNS, combineNS int64
-	for _, s := range e.shards {
-		if s.d.probeNS > probeNS {
-			probeNS = s.d.probeNS
-		}
-		if s.d.combineNS > combineNS {
-			combineNS = s.d.combineNS
-		}
-	}
-	probe := time.Duration(probeNS)
-	combine := time.Duration(combineNS)
+func (e *Engine) observeWindow(win *windowResult, budget time.Duration, sketch, probe, combine, merge, total time.Duration, sp *perfobs.Span) {
 	if telemetry.Enabled() {
 		telStageSketch.ObserveDuration(sketch)
 		telStageProbe.ObserveDuration(probe)
@@ -114,11 +91,10 @@ func (e *Engine) observeWindow(win *windowResult, budget time.Duration, sketch, 
 		sp.StartFrame = win.startFrame
 		sp.EndFrame = win.endFrame
 		sp.Related = win.relatedLen()
-		sp.Workers = e.nshards
 		sp.Plane = e.planeVersion
 		sp.Set(perfobs.StageSketch, sketch)
-		sp.SetNS(perfobs.StageProbe, probeNS)
-		sp.SetNS(perfobs.StageCombine, combineNS)
+		sp.Set(perfobs.StageProbe, probe)
+		sp.Set(perfobs.StageCombine, combine)
 		sp.Set(perfobs.StageMerge, merge)
 		sp.Set(perfobs.StageWindowTotal, total)
 		e.perf.End(sp)

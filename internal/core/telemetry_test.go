@@ -10,11 +10,11 @@ import (
 
 // telemetryEngine builds a small engine with a few overlapping queries so
 // windows do real probe/combine work.
-func telemetryEngine(t *testing.T, workers int) (*Engine, [][]uint64) {
+func telemetryEngine(t *testing.T) (*Engine, [][]uint64) {
 	t.Helper()
 	cfg := Config{
 		K: 64, Seed: 5, Delta: 0.5, Lambda: 2, WindowFrames: 4,
-		Method: Bit, Order: Sequential, UseIndex: true, Workers: workers,
+		Method: Bit, Order: Sequential, UseIndex: true,
 	}
 	eng, err := NewEngine(cfg)
 	if err != nil {
@@ -42,10 +42,10 @@ func telemetryEngine(t *testing.T, workers int) (*Engine, [][]uint64) {
 }
 
 // TestTelemetryCounters verifies the engine folds its work into the
-// process-wide registry: windows, frames and per-shard comparisons all
-// advance by the amounts the engine's own Stats report.
+// process-wide registry: windows, frames and comparisons all advance by the
+// amounts the engine's own Stats report.
 func TestTelemetryCounters(t *testing.T) {
-	eng, wins := telemetryEngine(t, 2)
+	eng, wins := telemetryEngine(t)
 	before := readAll(t)
 	for _, w := range wins {
 		eng.PushFrames(w)
@@ -59,12 +59,8 @@ func TestTelemetryCounters(t *testing.T) {
 	if got := after["frames"] - before["frames"]; got != float64(st.Frames) {
 		t.Errorf("vcd_frames_total advanced by %v, want %d", got, st.Frames)
 	}
-	var compared float64
-	for _, sh := range st.Shards {
-		compared += float64(sh.Compared)
-	}
-	if got := after["compared"] - before["compared"]; got != compared {
-		t.Errorf("vcd_shard_compared_total advanced by %v, want %v", got, compared)
+	if got := after["compared"] - before["compared"]; got != float64(st.Compared) {
+		t.Errorf("vcd_compared_total advanced by %v, want %d", got, st.Compared)
 	}
 }
 
@@ -72,16 +68,11 @@ func TestTelemetryCounters(t *testing.T) {
 // registry is process-wide and shared with other tests in the package).
 func readAll(t *testing.T) map[string]float64 {
 	t.Helper()
-	out := map[string]float64{
-		"windows": float64(telWindows.Value()),
-		"frames":  float64(telFrames.Value()),
+	return map[string]float64{
+		"windows":  float64(telWindows.Value()),
+		"frames":   float64(telFrames.Value()),
+		"compared": float64(telCompared.Value()),
 	}
-	var compared int64
-	for i := 0; i < 64; i++ {
-		compared += shardComparedCounter(i).Value()
-	}
-	out["compared"] = float64(compared)
-	return out
 }
 
 // TestStageHistogramsObserve checks every stage series gains exactly one
@@ -89,7 +80,7 @@ func readAll(t *testing.T) map[string]float64 {
 func TestStageHistogramsObserve(t *testing.T) {
 	prev := telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(prev)
-	eng, wins := telemetryEngine(t, 0)
+	eng, wins := telemetryEngine(t)
 	stages := map[string]*telemetry.Histogram{
 		"sketch": telStageSketch, "probe": telStageProbe,
 		"combine": telStageCombine, "merge": telStageMerge,
@@ -118,7 +109,7 @@ func TestStageHistogramsObserve(t *testing.T) {
 func TestStageTimingDisabled(t *testing.T) {
 	prev := telemetry.SetEnabled(false)
 	defer telemetry.SetEnabled(prev)
-	eng, wins := telemetryEngine(t, 0)
+	eng, wins := telemetryEngine(t)
 	before := telStageWindow.Count()
 	for _, w := range wins {
 		eng.PushFrames(w)
@@ -131,34 +122,32 @@ func TestStageTimingDisabled(t *testing.T) {
 // TestSlowWindowTracer arms the tracer with a 1ns budget so every window
 // is slow, and checks the per-stage breakdown is sane.
 func TestSlowWindowTracer(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		eng, wins := telemetryEngine(t, workers)
-		var traces []SlowWindowTrace
-		eng.SlowWindow = time.Nanosecond
-		eng.OnSlowWindow = func(tr SlowWindowTrace) { traces = append(traces, tr) }
-		for _, w := range wins {
-			eng.PushFrames(w)
+	eng, wins := telemetryEngine(t)
+	var traces []SlowWindowTrace
+	eng.SlowWindow = time.Nanosecond
+	eng.OnSlowWindow = func(tr SlowWindowTrace) { traces = append(traces, tr) }
+	for _, w := range wins {
+		eng.PushFrames(w)
+	}
+	windows := eng.Stats().Windows
+	if len(traces) != windows {
+		t.Fatalf("%d traces for %d windows", len(traces), windows)
+	}
+	for i, tr := range traces {
+		if tr.Total <= 0 {
+			t.Errorf("trace %d: Total = %v, want > 0", i, tr.Total)
 		}
-		windows := eng.Stats().Windows
-		if len(traces) != windows {
-			t.Fatalf("workers=%d: %d traces for %d windows", workers, len(traces), windows)
+		if tr.Budget != time.Nanosecond {
+			t.Errorf("trace %d: Budget = %v", i, tr.Budget)
 		}
-		for i, tr := range traces {
-			if tr.Total <= 0 {
-				t.Errorf("workers=%d trace %d: Total = %v, want > 0", workers, i, tr.Total)
-			}
-			if tr.Budget != time.Nanosecond {
-				t.Errorf("workers=%d trace %d: Budget = %v", workers, i, tr.Budget)
-			}
-			if tr.EndFrame-tr.StartFrame != eng.cfg.WindowFrames {
-				t.Errorf("workers=%d trace %d: frames [%d,%d) not one window", workers, i, tr.StartFrame, tr.EndFrame)
-			}
-			if tr.Sketch < 0 || tr.Probe < 0 || tr.Combine < 0 || tr.Merge < 0 {
-				t.Errorf("workers=%d trace %d: negative stage span: %+v", workers, i, tr)
-			}
-			if sum := tr.Sketch + tr.Probe + tr.Combine + tr.Merge; sum > 10*tr.Total+time.Millisecond {
-				t.Errorf("workers=%d trace %d: stage sum %v wildly exceeds total %v", workers, i, sum, tr.Total)
-			}
+		if tr.EndFrame-tr.StartFrame != eng.cfg.WindowFrames {
+			t.Errorf("trace %d: frames [%d,%d) not one window", i, tr.StartFrame, tr.EndFrame)
+		}
+		if tr.Sketch < 0 || tr.Probe < 0 || tr.Combine < 0 || tr.Merge < 0 {
+			t.Errorf("trace %d: negative stage span: %+v", i, tr)
+		}
+		if sum := tr.Sketch + tr.Probe + tr.Combine + tr.Merge; sum > 10*tr.Total+time.Millisecond {
+			t.Errorf("trace %d: stage sum %v wildly exceeds total %v", i, sum, tr.Total)
 		}
 	}
 }
@@ -166,7 +155,7 @@ func TestSlowWindowTracer(t *testing.T) {
 // TestSlowWindowTracerQuietWhenUnderBudget gives every window an hour of
 // budget: no trace may fire.
 func TestSlowWindowTracerQuietWhenUnderBudget(t *testing.T) {
-	eng, wins := telemetryEngine(t, 2)
+	eng, wins := telemetryEngine(t)
 	fired := 0
 	eng.SlowWindow = time.Hour
 	eng.OnSlowWindow = func(SlowWindowTrace) { fired++ }
@@ -178,11 +167,11 @@ func TestSlowWindowTracerQuietWhenUnderBudget(t *testing.T) {
 	}
 }
 
-// TestTelemetryDeterminism re-checks the serial/parallel contract with the
-// tracer armed and telemetry on: instrumentation must not perturb matches.
+// TestTelemetryDeterminism: with the slow-window tracer armed,
+// instrumentation must not perturb matches.
 func TestTelemetryDeterminism(t *testing.T) {
-	run := func(workers int, slow time.Duration) []Match {
-		eng, wins := telemetryEngine(t, workers)
+	run := func(slow time.Duration) []Match {
+		eng, wins := telemetryEngine(t)
 		eng.SlowWindow = slow
 		eng.OnSlowWindow = func(SlowWindowTrace) {}
 		for _, w := range wins {
@@ -190,18 +179,14 @@ func TestTelemetryDeterminism(t *testing.T) {
 		}
 		return eng.Matches
 	}
-	base := run(0, 0)
-	for _, workers := range []int{0, 2, 5} {
-		for _, slow := range []time.Duration{0, time.Nanosecond} {
-			got := run(workers, slow)
-			if len(got) != len(base) {
-				t.Fatalf("workers=%d slow=%v: %d matches, want %d", workers, slow, len(got), len(base))
-			}
-			for i := range got {
-				if got[i] != base[i] {
-					t.Fatalf("workers=%d slow=%v: match %d = %+v, want %+v", workers, slow, i, got[i], base[i])
-				}
-			}
+	base := run(0)
+	got := run(time.Nanosecond)
+	if len(got) != len(base) {
+		t.Fatalf("%d matches with the tracer armed, want %d", len(got), len(base))
+	}
+	for i := range got {
+		if got[i] != base[i] {
+			t.Fatalf("match %d = %+v, want %+v", i, got[i], base[i])
 		}
 	}
 }

@@ -4,10 +4,10 @@
 // Tracing is armed per engine with Trace/SetTracer; every recording site in
 // the kernels is guarded by one nil check on a per-window recorder pointer
 // (windowResult.tr), so a disabled tracer costs nothing — no allocations,
-// no atomics, a byte-identical match stream. Shards write lifecycle events
-// into single-writer buffers during the parallel phase; the serial spine
-// folds them once per window into the journal in a worker-count-invariant
-// order, then runs the audit sampler over the folded decisions.
+// no atomics, a byte-identical match stream. The kernel writes lifecycle
+// events into the recorder's buffers; they are folded once per window into
+// the journal in (Start, QID, Kind) order, then the audit sampler runs over
+// the folded decisions.
 //
 // The audit channel (SetAudit) re-derives, for every Nth report and every
 // Nth Lemma 2 prune, the exact Jaccard similarity from raw cell-id sets —
@@ -63,13 +63,12 @@ func (e *Engine) slowBudget() time.Duration {
 // deviation bound for the engine's K: an estimate within ε of δ could have
 // been a report under estimator noise alone.
 func (e *Engine) Trace(j *trace.Journal, streamName string) *trace.Recorder {
-	r := trace.NewRecorder(j, streamName, e.nshards, e.cfg.Order.String(), e.cfg.Method.String())
+	r := trace.NewRecorder(j, streamName, e.cfg.Order.String(), e.cfg.Method.String())
 	e.SetTracer(r)
 	return r
 }
 
 // SetTracer installs (or, with nil, removes) a recorder built elsewhere.
-// The recorder must have been created with this engine's shard count.
 func (e *Engine) SetTracer(r *trace.Recorder) {
 	e.trc = r
 	e.nearEps = trace.ErrorBound(e.cfg.K, trace.DefaultConfidence)
@@ -142,8 +141,8 @@ func (e *Engine) exactJaccard(start, end, qid int, view *queryPlane) (float64, b
 
 // auditWindow samples the window's folded report and prune decisions,
 // audits the sampled ones exactly, publishes the estimator-error metrics
-// and parks report audits for attachment to their match records. Runs on
-// the serial spine between the event fold and match emission.
+// and parks report audits for attachment to their match records. Runs
+// between the event fold and match emission.
 func (e *Engine) auditWindow(evs []trace.Event, view *queryPlane) {
 	for k := range e.auditRes {
 		delete(e.auditRes, k)

@@ -6,18 +6,21 @@ import (
 	"testing"
 	"time"
 
+	"vdsms/internal/qindex"
 	"vdsms/internal/trace"
 )
 
 // traceRun pushes determinism_test.go's workload through an engine with
 // tracing (and optionally auditing) armed, returning the match stream, the
-// journaled events and the provenance records.
-func traceRun(t *testing.T, v variant, workers, k int, auditEvery int) ([]Match, []trace.Event, []trace.MatchRecord) {
+// journaled events and the provenance records. With onWorker set the
+// engine is driven as a fleet worker drives it: in 7-frame pushes on a
+// probe scratch it shares with a sibling engine, whose pushes of other
+// material come in between.
+func traceRun(t *testing.T, v variant, k, auditEvery int, onWorker bool) ([]Match, []trace.Event, []trace.MatchRecord) {
 	t.Helper()
 	cfg := Config{
 		K: k, Seed: 5, Delta: 0.5, Lambda: 2, WindowFrames: 10,
 		Order: v.order, Method: v.method, UseIndex: v.useIndex,
-		Workers: workers,
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -28,67 +31,74 @@ func traceRun(t *testing.T, v variant, workers, k int, auditEvery int) ([]Match,
 	if auditEvery > 0 {
 		e.SetAudit(auditEvery)
 	}
-	rng := rand.New(rand.NewSource(42))
-	queries := make([][]uint64, 7)
-	for i := range queries {
-		queries[i] = idStream(rng, i+1, 40+10*i)
-		if err := e.AddQuery(i+1, queries[i]); err != nil {
+	queries, stream := detWorkload()
+	for i, ids := range queries {
+		if err := e.AddQuery(i+1, ids); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var stream []uint64
-	stream = append(stream, idStream(rng, 50, 95)...)
-	for _, qi := range []int{2, 0, 5, 3} {
-		stream = append(stream, queries[qi]...)
-		stream = append(stream, idStream(rng, 60+qi, 57)...)
+	if !onWorker {
+		e.PushFrames(stream)
+		e.Flush()
+		return e.Matches, j.Events(trace.Filter{Kind: trace.KindAny}), j.Matches(0)
 	}
-	e.PushFrames(stream)
+	sib, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ids := range queries {
+		if err := sib.AddQuery(i+1, ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := append(append([]uint64(nil), stream[len(stream)/2:]...), stream[:len(stream)/2]...)
+	ps := new(qindex.ProbeScratch)
+	for i := 0; i < len(stream); i += 7 {
+		end := min(i+7, len(stream))
+		e.PushFramesOn(ps, stream[i:end])
+		sib.PushFramesOn(ps, other[i:end])
+	}
 	e.Flush()
 	return e.Matches, j.Events(trace.Filter{Kind: trace.KindAny}), j.Matches(0)
 }
 
 // TestTracingDoesNotPerturbMatches: arming tracing plus the exact-audit
 // sampler must leave the match stream byte-identical to an untraced run,
-// for every variant, serial and parallel.
+// for every variant.
 func TestTracingDoesNotPerturbMatches(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			for _, workers := range []int{0, 4} {
-				wantM, _ := detRun(t, v, workers, true)
-				gotM, _, _ := traceRun(t, v, workers, 192, 3)
-				if !reflect.DeepEqual(gotM, wantM) {
-					t.Errorf("Workers=%d: tracing perturbed matches\nuntraced: %+v\ntraced:   %+v",
-						workers, wantM, gotM)
-				}
+			wantM, _ := detRun(t, v, true)
+			gotM, _, _ := traceRun(t, v, 192, 3, false)
+			if !reflect.DeepEqual(gotM, wantM) {
+				t.Errorf("tracing perturbed matches\nuntraced: %+v\ntraced:   %+v", wantM, gotM)
 			}
 		})
 	}
 }
 
 // TestTraceWorkerInvariance: the folded event stream and the provenance
-// records must be identical for every worker count — the contract that
-// makes /debug/events reproducible regardless of deployment parallelism.
+// records of an engine run on a fleet worker — pushed in small batches on a
+// probe scratch shared with another engine — must equal those of the
+// engine run alone: /debug/events does not depend on how the pool
+// schedules streams.
 func TestTraceWorkerInvariance(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			_, wantE, wantR := traceRun(t, v, 0, 192, 0)
+			_, wantE, wantR := traceRun(t, v, 192, 0, false)
 			if len(wantE) == 0 {
-				t.Fatal("serial run journaled no events")
+				t.Fatal("lone run journaled no events")
 			}
-			for _, workers := range []int{1, 4, 8} {
-				_, gotE, gotR := traceRun(t, v, workers, 192, 0)
-				if !reflect.DeepEqual(gotE, wantE) {
-					i := 0
-					for i < len(gotE) && i < len(wantE) && gotE[i] == wantE[i] {
-						i++
-					}
-					t.Fatalf("Workers=%d: event stream diverges from serial at index %d (serial %d events, parallel %d)",
-						workers, i, len(wantE), len(gotE))
+			_, gotE, gotR := traceRun(t, v, 192, 0, true)
+			if !reflect.DeepEqual(gotE, wantE) {
+				i := 0
+				for i < len(gotE) && i < len(wantE) && gotE[i] == wantE[i] {
+					i++
 				}
-				if !reflect.DeepEqual(gotR, wantR) {
-					t.Errorf("Workers=%d: provenance records diverge\nserial:   %+v\nparallel: %+v",
-						workers, wantR, gotR)
-				}
+				t.Fatalf("event stream diverges at index %d (alone %d events, on a worker %d)", i, len(wantE), len(gotE))
+			}
+			if !reflect.DeepEqual(gotR, wantR) {
+				t.Errorf("provenance records diverge\nalone:       %+v\non a worker: %+v", wantR, gotR)
 			}
 		})
 	}
@@ -98,7 +108,7 @@ func TestTraceWorkerInvariance(t *testing.T) {
 // lifecycle vocabulary, and reported events must align with the match
 // stream.
 func TestTraceLifecycleCoverage(t *testing.T) {
-	matches, events, records := traceRun(t, variants[0], 0, 192, 0)
+	matches, events, records := traceRun(t, variants[0], 192, 0, false)
 	byKind := map[trace.Kind]int{}
 	for _, ev := range events {
 		byKind[ev.Kind]++
@@ -132,24 +142,22 @@ func TestTraceLifecycleCoverage(t *testing.T) {
 func TestAuditReportsWithinBound(t *testing.T) {
 	for _, v := range []variant{variants[0], variants[6]} { // bit-seq-index, sketch-geo-index
 		t.Run(v.name, func(t *testing.T) {
-			for _, workers := range []int{0, 4} {
-				_, _, records := traceRun(t, v, workers, 800, 1)
-				if len(records) == 0 {
-					t.Fatal("no matches to audit")
+			_, _, records := traceRun(t, v, 800, 1, false)
+			if len(records) == 0 {
+				t.Fatal("no matches to audit")
+			}
+			for _, rec := range records {
+				if rec.Audit == nil {
+					t.Errorf("match %d not audited despite every=1", rec.ID)
+					continue
 				}
-				for _, rec := range records {
-					if rec.Audit == nil {
-						t.Errorf("match %d not audited despite every=1", rec.ID)
-						continue
-					}
-					a := rec.Audit
-					if a.Bound <= 0 || a.Bound > 0.1 {
-						t.Errorf("match %d bound %v, want Theorem 1's ~0.095 for K=800", rec.ID, a.Bound)
-					}
-					if a.AbsError > a.Bound || a.Violated {
-						t.Errorf("match %d estimator error %v exceeds bound %v (exact=%v estimate=%v)",
-							rec.ID, a.AbsError, a.Bound, a.Exact, a.Estimate)
-					}
+				a := rec.Audit
+				if a.Bound <= 0 || a.Bound > 0.1 {
+					t.Errorf("match %d bound %v, want Theorem 1's ~0.095 for K=800", rec.ID, a.Bound)
+				}
+				if a.AbsError > a.Bound || a.Violated {
+					t.Errorf("match %d estimator error %v exceeds bound %v (exact=%v estimate=%v)",
+						rec.ID, a.AbsError, a.Bound, a.Exact, a.Estimate)
 				}
 			}
 		})

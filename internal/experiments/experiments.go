@@ -317,7 +317,6 @@ var Registry = []Experiment{
 	{"robustness-temporal", "beyond the paper: temporal-attack detection dashboard", TemporalRobustness},
 	{"ablation-lambda", "Section IV.A tempo scaling", AblationLambda},
 	{"ablation-index-update", "Section V.C.1 online maintenance", AblationIndexUpdate},
-	{"parallel", "beyond the paper: intra-stream parallel kernel", Parallel},
 	{"recovery", "beyond the paper: checkpoint/restore + WAL replay", Recovery},
 	{"queryscale", "beyond the paper: pre-filter tier at 10³–10⁶ queries", QueryScale},
 	{"overload", "beyond the paper: load shedding at 2× sustainable ingest", Overload},

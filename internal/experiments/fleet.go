@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"sync"
 	"time"
@@ -222,7 +221,7 @@ func FleetRun(n int, seed int64) (FleetRow, error) {
 				break
 			}
 		}
-		if !reflect.DeepEqual(streams[i].Stats().Totals(), eng.Stats().Totals()) {
+		if streams[i].Stats() != eng.Stats() {
 			identical = false
 		}
 	}

@@ -69,8 +69,7 @@ var (
 type Config struct {
 	// Engine is the per-stream detection configuration. Every stream of a
 	// pool shares one query plane, so K, Seed and UseIndex are fixed
-	// fleet-wide. Engine.Workers is intra-window parallelism per stream;
-	// leave it 0 in fleet deployments — parallelism comes from the pool.
+	// fleet-wide.
 	Engine core.Config
 	// Workers is the number of pool workers streams are multiplexed over.
 	// Defaults to GOMAXPROCS.

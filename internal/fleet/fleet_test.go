@@ -305,7 +305,7 @@ func testFleetEquivalence(t *testing.T, workers int, finish func(*Pool)) {
 		if !reflect.DeepEqual(gotM, wantM) {
 			t.Errorf("stream %d: matches diverge from isolated engine:\nfleet    %+v\nisolated %+v", i, gotM, wantM)
 		}
-		if it, ct := gotS.Totals(), wantS.Totals(); !reflect.DeepEqual(it, ct) {
+		if it, ct := gotS, wantS; !reflect.DeepEqual(it, ct) {
 			t.Errorf("stream %d: stats diverge:\nfleet    %+v\nisolated %+v", i, it, ct)
 		}
 		if len(gotM) > 0 {
@@ -524,7 +524,7 @@ func TestFleetCheckpointRoundtrip(t *testing.T) {
 		if !reflect.DeepEqual(orig.Matches(), rest.Matches()) {
 			t.Errorf("stream %s: restored matches diverge", id)
 		}
-		if a, b := orig.Stats().Totals(), rest.Stats().Totals(); !reflect.DeepEqual(a, b) {
+		if a, b := orig.Stats(), rest.Stats(); !reflect.DeepEqual(a, b) {
 			t.Errorf("stream %s: restored stats diverge:\norig %+v\nrest %+v", id, a, b)
 		}
 	}
@@ -600,7 +600,7 @@ func TestFleetSmoke(t *testing.T) {
 		if gotM := streams[i].Matches(); !reflect.DeepEqual(gotM, wantM) {
 			t.Errorf("stream %d: matches diverge from isolated engine", i)
 		}
-		if a, b := streams[i].Stats().Totals(), wantS.Totals(); !reflect.DeepEqual(a, b) {
+		if a, b := streams[i].Stats(), wantS; !reflect.DeepEqual(a, b) {
 			t.Errorf("stream %d: stats diverge:\nfleet    %+v\nisolated %+v", i, a, b)
 		}
 	}

@@ -106,7 +106,6 @@ type SpanRecord struct {
 	StartFrame int              `json:"startFrame"`
 	EndFrame   int              `json:"endFrame"`
 	Related    int              `json:"related"`
-	Workers    int              `json:"workers"`
 	Plane      uint64           `json:"plane"`
 	NS         map[string]int64 `json:"ns"`
 	AllocObjs  map[string]int64 `json:"allocObjs,omitempty"`
@@ -122,7 +121,6 @@ func record(sp *Span) SpanRecord {
 		StartFrame: sp.StartFrame,
 		EndFrame:   sp.EndFrame,
 		Related:    sp.Related,
-		Workers:    sp.Workers,
 		Plane:      sp.Plane,
 		NS:         make(map[string]int64, NumStages),
 	}

@@ -49,9 +49,8 @@ const (
 	StageDecode Stage = iota
 	StageExtract
 	// StageSketch, StageProbe, StageCombine and StageMerge are the matching
-	// kernel's serial and fanned-out stages; probe and combine report the
-	// slowest shard (the critical path), merge covers the serial spine work
-	// around the shard fork.
+	// kernel's stages; merge covers the candidate-list work around probe and
+	// combine.
 	StageSketch
 	StageProbe
 	StageCombine
@@ -98,11 +97,9 @@ type Span struct {
 	Window     int64
 	StartFrame int
 	EndFrame   int
-	// Related is the number of related queries the probe surfaced; Workers
-	// the kernel's shard count; Plane the query-plane version the window
-	// ran against.
+	// Related is the number of related queries the probe surfaced; Plane
+	// the query-plane version the window ran against.
 	Related int
-	Workers int
 	Plane   uint64
 
 	// NS holds the per-stage wall-clock spans in nanoseconds, indexed by
@@ -110,8 +107,8 @@ type Span struct {
 	NS [NumStages]int64
 
 	// AllocObjs holds per-stage allocated-object deltas for alloc-sampled
-	// spans (see Collector.SetAllocEvery): sketch, the probe+combine shard
-	// fork (attributed to StageProbe), merge, and the window total. Process
+	// spans (see Collector.SetAllocEvery): sketch, probe+combine
+	// (attributed to StageProbe), merge, and the window total. Process
 	// -wide counters, so concurrent streams bleed into each other's deltas;
 	// at fleet idle or single-stream load they are exact. Zero when this
 	// span was not alloc-sampled.

@@ -171,7 +171,6 @@ func TestWriteSpansJSONLines(t *testing.T) {
 	sp.StartFrame = 10
 	sp.EndFrame = 19
 	sp.Related = 3
-	sp.Workers = 2
 	sp.Plane = 7
 	sp.Set(StageSketch, time.Millisecond)
 	sp.Set(StageWindowTotal, 2*time.Millisecond)

@@ -86,7 +86,7 @@ func BenchmarkProbeInto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				related += len(x.ProbeInto(ps, windows[n%len(windows)], 0.7, 0, 1, nil).Related)
+				related += len(x.ProbeInto(ps, windows[n%len(windows)], 0.7, nil).Related)
 			}
 			b.ReportMetric(float64(related)/float64(b.N), "related/op")
 		})

@@ -12,12 +12,12 @@ import (
 )
 
 // oracleProbe is the specification the probers are held to, written with
-// none of their machinery: per owned query, the K relations one Compare at
+// none of their machinery: per query, the K relations one Compare at
 // a time; related iff some position is Equal; pruned iff related and the
 // Less count exceeds K(1−δ). It also counts the rows holding the window's
 // value nowhere, which is what a masked probe must report for the admitted
 // ones among them.
-func oracleProbe(queries []Query, sk minhash.Sketch, delta float64, shard, nshards int) (norm string, emptyRow []bool) {
+func oracleProbe(queries []Query, sk minhash.Sketch, delta float64) (norm string, emptyRow []bool) {
 	k := len(sk)
 	emptyRow = make([]bool, k)
 	for i := range emptyRow {
@@ -25,9 +25,6 @@ func oracleProbe(queries []Query, sk minhash.Sketch, delta float64, shard, nshar
 	}
 	var out ProbeOutput
 	for _, q := range queries {
-		if ShardOf(q.ID, nshards) != shard {
-			continue
-		}
 		sig := bitsig.New(k)
 		for r := range sk {
 			sig.Set(r, bitsig.Compare(sk[r], q.Sketch[r]))
@@ -121,47 +118,43 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 	check := func(v version) {
 		sk := sketch()
 		delta := []float64{0, 0.25, 0.5, 0.7, 0.9}[rng.Intn(5)]
-		for _, nshards := range []int{1, 2, 3} {
-			for shard := 0; shard < nshards; shard++ {
-				want, emptyRow := oracleProbe(v.queries, sk, delta, shard, nshards)
-				where := fmt.Sprintf("seed %d K=%d δ=%.2f shard %d/%d over %d queries", seed, k, delta, shard, nshards, len(v.queries))
+		want, emptyRow := oracleProbe(v.queries, sk, delta)
+		where := fmt.Sprintf("seed %d K=%d δ=%.2f over %d queries", seed, k, delta, len(v.queries))
 
-				scanOut, scanned := (&Scan{Queries: v.queries}).ProbeInto(ps, sk, delta, shard, nshards)
-				if got := normalizeProbe(*scanOut); got != want {
-					t.Fatalf("%s: scan diverges from the oracle\ngot:\n%swant:\n%s", where, got, want)
-				}
-				if scanOut.Comparisons != scanned*k {
-					t.Fatalf("%s: scan counted %d comparisons for %d sketches", where, scanOut.Comparisons, scanned)
-				}
+		scanOut := (&Scan{Queries: v.queries}).ProbeInto(ps, sk, delta)
+		if got := normalizeProbe(*scanOut); got != want {
+			t.Fatalf("%s: scan diverges from the oracle\ngot:\n%swant:\n%s", where, got, want)
+		}
+		if scanOut.Comparisons != len(v.queries)*k {
+			t.Fatalf("%s: scan counted %d comparisons for %d sketches", where, scanOut.Comparisons, len(v.queries))
+		}
 
-				plain := v.x.ProbeInto(ps, sk, delta, shard, nshards, nil)
-				if got := normalizeProbe(*plain); got != want {
-					t.Fatalf("%s: unmasked probe diverges from the oracle\ngot:\n%swant:\n%s", where, got, want)
-				}
-				if plain.EmptySearches != 0 {
-					t.Fatalf("%s: unmasked probe reports %d empty searches", where, plain.EmptySearches)
-				}
-				comparisons := plain.Comparisons
+		plain := v.x.ProbeInto(ps, sk, delta, nil)
+		if got := normalizeProbe(*plain); got != want {
+			t.Fatalf("%s: unmasked probe diverges from the oracle\ngot:\n%swant:\n%s", where, got, want)
+		}
+		if plain.EmptySearches != 0 {
+			t.Fatalf("%s: unmasked probe reports %d empty searches", where, plain.EmptySearches)
+		}
+		comparisons := plain.Comparisons
 
-				// Sound masks: every non-empty row, plus random false positives.
-				mask, wantEmpty := NewRowMask(k), 0
-				for i, empty := range emptyRow {
-					if !empty {
-						mask.Set(i)
-					} else if rng.Intn(3) == 0 {
-						mask.Set(i)
-						wantEmpty++
-					}
-				}
-				masked := v.x.ProbeInto(ps, sk, delta, shard, nshards, mask)
-				if got := normalizeProbe(*masked); got != want {
-					t.Fatalf("%s: masked probe diverges from the oracle\ngot:\n%swant:\n%s", where, got, want)
-				}
-				if masked.EmptySearches != wantEmpty || masked.Comparisons != comparisons {
-					t.Fatalf("%s: masked probe: %d empty searches (want %d), %d comparisons (unmasked %d)",
-						where, masked.EmptySearches, wantEmpty, masked.Comparisons, comparisons)
-				}
+		// Sound masks: every non-empty row, plus random false positives.
+		mask, wantEmpty := NewRowMask(k), 0
+		for i, empty := range emptyRow {
+			if !empty {
+				mask.Set(i)
+			} else if rng.Intn(3) == 0 {
+				mask.Set(i)
+				wantEmpty++
 			}
+		}
+		masked := v.x.ProbeInto(ps, sk, delta, mask)
+		if got := normalizeProbe(*masked); got != want {
+			t.Fatalf("%s: masked probe diverges from the oracle\ngot:\n%swant:\n%s", where, got, want)
+		}
+		if masked.EmptySearches != wantEmpty || masked.Comparisons != comparisons {
+			t.Fatalf("%s: masked probe: %d empty searches (want %d), %d comparisons (unmasked %d)",
+				where, masked.EmptySearches, wantEmpty, masked.Comparisons, comparisons)
 		}
 	}
 

@@ -180,7 +180,7 @@ func TestPrefixCollisions(t *testing.T) {
 				}
 				verifyStructure(t, x, queries)
 
-				want, emptyRow := oracleProbe(queries, tc.window, delta, 0, 1)
+				want, emptyRow := oracleProbe(queries, tc.window, delta)
 				comparisons, empty := 0, 0
 				for _, q := range queries {
 					equal := 0
@@ -308,7 +308,7 @@ func TestProbeWhileChurning(t *testing.T) {
 			for n := r; !stop.Load(); n++ {
 				q := live[n%fixed]
 				found := false
-				for _, res := range cur.Load().ProbeInto(ps, q.Sketch, 0.5, 0, 1, nil).Related {
+				for _, res := range cur.Load().ProbeInto(ps, q.Sketch, 0.5, nil).Related {
 					found = found || (res.QID == q.ID && res.Sig.Similarity() == 1)
 				}
 				if !found {

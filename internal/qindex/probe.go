@@ -30,9 +30,7 @@ type ProbeOutput struct {
 	Comparisons int
 	// EmptySearches counts rows that a RowMask admitted but whose equal
 	// search found no entry — the pre-filter tier's false positives. Zero
-	// when probing unmasked. Every shard of one window reports the same
-	// value (the emptiness of a row is shard-independent), so fold it from
-	// a single shard, not by summing.
+	// when probing unmasked.
 	EmptySearches int
 }
 
@@ -64,21 +62,6 @@ func (m RowMask) Count() int {
 		n += bits.OnesCount64(word)
 	}
 	return n
-}
-
-// ShardOf maps a query id to one of nshards evaluation shards. The mapping
-// is the single source of truth for the parallel matching kernel: probes,
-// candidate state and match ownership all partition queries with it, so a
-// query's entire per-window life happens on one worker.
-func ShardOf(qid, nshards int) int {
-	if nshards <= 1 {
-		return 0
-	}
-	s := qid % nshards
-	if s < 0 {
-		s += nshards
-	}
-	return s
 }
 
 // ProbeScratch is the reusable memory of one prober: the output lists, the
@@ -172,31 +155,30 @@ func lessLimit(k int, delta float64) int {
 // Probe implements the ProbeIndex algorithm (paper Figure 5) over every
 // indexed query, unmasked.
 func (x *Index) Probe(sk minhash.Sketch, delta float64) ProbeOutput {
-	return x.ProbeShardMasked(sk, delta, 0, 1, nil)
+	return *x.ProbeInto(new(ProbeScratch), sk, delta, nil)
 }
 
-// ProbeShardMasked is ProbeInto on a scratch of its own: the output is the
-// caller's to keep.
-func (x *Index) ProbeShardMasked(sk minhash.Sketch, delta float64, shard, nshards int, mask RowMask) ProbeOutput {
-	return *x.ProbeInto(new(ProbeScratch), sk, delta, shard, nshards, mask)
+// ProbeShardMasked is ProbeInto under mask on a scratch of its own: the
+// output is the caller's to keep. The index is not partitioned, so
+// (part, parts) = (0, 1) is the only pair it accepts; the two parameters
+// stay until the benchmark's replay stops passing them.
+func (x *Index) ProbeShardMasked(sk minhash.Sketch, delta float64, part, parts int, mask RowMask) ProbeOutput {
+	if part != 0 || parts != 1 {
+		panic("qindex: ProbeShardMasked takes part 0 of 1 only")
+	}
+	return *x.ProbeInto(new(ProbeScratch), sk, delta, mask)
 }
 
-// ProbeInto probes the index for the queries of one shard (those with
-// ShardOf(qid, nshards) == shard) under a pre-filter row mask. Every query
-// is owned by exactly one shard, so the union of the nshards outputs equals
-// the single-shard output and the Comparisons counts sum to its count — the
-// probe work partitions instead of being replicated, at the price of the K
-// row searches being repeated per shard.
-//
-// For each row the mask admits it finds the entries with the prefix of the
-// window's value sk[i]; every owned query among them that holds sk[i] itself
+// ProbeInto probes the index under a pre-filter row mask. For each row the
+// mask admits it finds the entries with the prefix of the window's value
+// sk[i]; every query among them that holds sk[i] itself
 // enters R_L, once. The entering query's relations at all K positions come
 // from one pass of the signature kernel over its sketch, which stops early
 // once Lemma 2 has condemned it. Rows the mask rejects are guaranteed to
 // hold no equal value, so skipping them changes nothing: the output is
 // identical to the unmasked probe whenever the mask has no false negatives.
 // A nil mask searches every row.
-func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, shard, nshards int, mask RowMask) *ProbeOutput {
+func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, mask RowMask) *ProbeOutput {
 	if len(sk) != x.k {
 		panic("qindex: probe sketch K mismatch")
 	}
@@ -236,7 +218,7 @@ func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, sh
 		r.start = uint8(r.lf.below(prefixOf(sk[r.i])))
 	}
 	// Pass 3: the hits, in row order.
-	h := hits{x: x, ps: ps, sk: sk, limit: lessLimit(x.k, delta), shard: shard, nshards: nshards}
+	h := hits{x: x, ps: ps, sk: sk, limit: lessLimit(x.k, delta)}
 	for n := range rows {
 		r := &rows[n]
 		i, found := int(r.i), false
@@ -270,11 +252,10 @@ func (x *Index) nominate(i int, v uint64) rowProbe {
 // hits is pass 3 of one probe: the constants of the probe around the
 // per-entry decision.
 type hits struct {
-	x              *Index
-	ps             *ProbeScratch
-	sk             minhash.Sketch
-	limit          int
-	shard, nshards int
+	x     *Index
+	ps    *ProbeScratch
+	sk    minhash.Sketch
+	limit int
 }
 
 // runOn handles what is left of row i's run beyond leaf j, the one it starts
@@ -291,8 +272,8 @@ func (h *hits) runOn(i, j int) (found bool) {
 }
 
 // leaf resolves the entries of lf from position start on that share the prefix
-// of the window's value v = sk[i] at row i. It reports whether any query, of
-// any shard, holds v there, and whether the run is still open: it has begun
+// of the window's value v = sk[i] at row i. It reports whether any query
+// holds v there, and whether the run is still open: it has begun
 // and the leaf ended before it did. The prefix only nominates: a slot counts
 // as holding v when its sketch says so — or, for a slot this probe already
 // kept, when its signature has Equal at i, which is the same statement read
@@ -319,9 +300,6 @@ func (h *hits) leaf(lf *leaf, start, i int) (found, open bool) {
 			continue
 		}
 		found = true
-		if h.nshards > 1 && ShardOf(sl.qid, h.nshards) != h.shard {
-			continue
-		}
 		out.Comparisons++
 		if seen {
 			continue
@@ -351,24 +329,16 @@ type Scan struct {
 
 // Probe scans every query on a scratch of its own.
 func (s *Scan) Probe(sk minhash.Sketch, delta float64) ProbeOutput {
-	po, _ := s.ProbeInto(new(ProbeScratch), sk, delta, 0, 1)
-	return *po
+	return *s.ProbeInto(new(ProbeScratch), sk, delta)
 }
 
-// ProbeInto scans only the queries of one shard, returning their probe
-// output and the number of full sketch comparisons performed. The shard
-// outputs and scan counts partition the single-shard scan's exactly, so the
-// brute-force probe parallelises linearly across workers.
-func (s *Scan) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, shard, nshards int) (*ProbeOutput, int) {
+// ProbeInto scans every query; each costs one full sketch comparison, so
+// the scan count is len(s.Queries).
+func (s *Scan) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64) *ProbeOutput {
 	k := len(sk)
 	out := ps.begin(0, k)
 	limit := lessLimit(k, delta)
-	scanned := 0
 	for _, q := range s.Queries {
-		if ShardOf(q.ID, nshards) != shard {
-			continue
-		}
-		scanned++
 		lo, hi := ps.next()
 		less, _ := bitsig.CompareInto(lo, hi, sk, q.Sketch, k)
 		out.Comparisons += k
@@ -381,5 +351,5 @@ func (s *Scan) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, sha
 			ps.keep(q.ID, q.Length)
 		}
 	}
-	return ps.finish(), scanned
+	return ps.finish()
 }

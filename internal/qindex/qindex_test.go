@@ -398,11 +398,11 @@ func TestProbeIntoAllocatesNothing(t *testing.T) {
 		"unrelated": fam.SketchSet([]uint64{1 << 40, 1<<40 + 1}),
 		"related":   queries[50].Sketch,
 	} {
-		related := len(x.ProbeInto(ps, sk, 0.7, 0, 1, nil).Related) // also warms the scratch
+		related := len(x.ProbeInto(ps, sk, 0.7, nil).Related) // also warms the scratch
 		if (related > 0) != (name == "related") {
 			t.Fatalf("%s window has %d related queries", name, related)
 		}
-		if n := testing.AllocsPerRun(20, func() { x.ProbeInto(ps, sk, 0.7, 0, 1, nil) }); n != 0 {
+		if n := testing.AllocsPerRun(20, func() { x.ProbeInto(ps, sk, 0.7, nil) }); n != 0 {
 			t.Errorf("%s window (%d related): %.1f allocs per probe, want 0", name, related, n)
 		}
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -13,15 +12,13 @@ import (
 	"vdsms/internal/telemetry"
 )
 
-// obsServer builds a server exercising every instrumented layer: a parallel
-// matching kernel (shard counters) and a checkpoint directory (WAL and
-// checkpoint durations).
+// obsServer builds a server exercising every instrumented layer, a
+// checkpoint directory (WAL and checkpoint durations) included.
 func obsServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := vdsms.DefaultConfig()
 	cfg.K = 400
 	cfg.Delta = 0.6
-	cfg.Workers = 2
 	cfg.CheckpointDir = t.TempDir()
 	s, err := NewWithOptions(cfg, opts)
 	if err != nil {
@@ -146,16 +143,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Error("scrape is missing vcd_wal_append_duration_seconds")
 	}
 
-	// Per-shard comparison counters of the Workers=2 kernel: one query means
-	// one shard does the comparing, so assert the sum and that both series
-	// are scraped.
-	var compared float64
-	for shard := 0; shard < 2; shard++ {
-		d := delta("vcd_shard_compared_total", telemetry.L("shard", fmt.Sprint(shard)))
-		compared += d
-	}
-	if compared <= 0 {
-		t.Errorf("vcd_shard_compared_total moved by %g across shards, want > 0", compared)
+	if d := delta("vcd_compared_total"); d <= 0 {
+		t.Errorf("vcd_compared_total moved by %g, want > 0", d)
 	}
 
 	// Service layer.
@@ -174,7 +163,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"vcd_wal_fsync_duration_seconds": "histogram",
 		"vcd_wal_plane_records_total":    "counter",
 		"vcd_wal_bytes":                  "gauge",
-		"vcd_shard_compared_total":       "counter",
+		"vcd_compared_total":             "counter",
 		"vcd_streams_active":             "gauge",
 	} {
 		if got := after.Type[family]; got != typ {

@@ -87,7 +87,6 @@ var (
 type Server struct {
 	root     *vdsms.Detector // owns the shared query set; never monitors
 	fleet    *vdsms.Fleet    // attached-stream pool; shares root's query set
-	workers  int             // per-stream matching workers (0 = inline)
 	restored bool            // whether New resumed from a checkpoint
 	pprof    bool            // mount /debug/pprof/*
 
@@ -98,10 +97,9 @@ type Server struct {
 	active  atomic.Int64 // streams currently monitoring
 	matches atomic.Int64
 	frames  atomic.Int64
-	// shardCompared accumulates, per query shard, the similarity
-	// evaluations performed across all served streams — the service-level
-	// view of parallel kernel balance.
-	shardCompared []atomic.Int64
+	// compared accumulates the similarity evaluations performed across
+	// all served streams.
+	compared atomic.Int64
 	// Per-stream overload counters, folded in as each stream completes
 	// (the per-stream detectors own the live values; the control loop
 	// itself is shared through s.root).
@@ -144,17 +142,12 @@ func NewWithOptions(cfg vdsms.Config, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	nsh := cfg.Workers
-	if nsh < 1 {
-		nsh = 1
-	}
 	fl, err := det.NewFleet(opts.Fleet)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		root: det, fleet: fl, workers: cfg.Workers, restored: restored, pprof: opts.EnablePprof,
-		shardCompared: make([]atomic.Int64, nsh),
+		root: det, fleet: fl, restored: restored, pprof: opts.EnablePprof,
 	}
 	s.setQueries(det.NumQueries())
 	// Restore-on-boot (the Resume above) has completed: the service may
@@ -320,19 +313,16 @@ type matchEvent struct {
 	Similarity float64 `json:"similarity"`
 }
 
-// streamSummary is the final NDJSON line of a stream response. When the
-// detector runs a parallel matching kernel, shardCompared reports the
-// similarity evaluations each query shard performed — a balanced list
-// means the workers split the stream's matching cost evenly.
+// streamSummary is the final NDJSON line of a stream response. Compared
+// counts the similarity evaluations the stream's matching performed.
 type streamSummary struct {
-	Done          bool    `json:"done"`
-	Stream        string  `json:"stream"`
-	Frames        int     `json:"frames"`
-	Windows       int     `json:"windows"`
-	Matches       int     `json:"matches"`
-	Workers       int     `json:"workers,omitempty"`
-	ShardCompared []int64 `json:"shardCompared,omitempty"`
-	Error         string  `json:"error,omitempty"`
+	Done     bool   `json:"done"`
+	Stream   string `json:"stream"`
+	Frames   int    `json:"frames"`
+	Windows  int    `json:"windows"`
+	Matches  int    `json:"matches"`
+	Compared int64  `json:"compared"`
+	Error    string `json:"error,omitempty"`
 }
 
 // handleStream routes everything under /streams/: the legacy one-shot
@@ -405,20 +395,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.corruptFrame.Add(ov.CorruptFrames)
 	s.truncated.Add(ov.Truncated)
 	s.readRetries.Add(ov.ReadRetries)
-	for i, sh := range st.Shards {
-		if i < len(s.shardCompared) {
-			s.shardCompared[i].Add(sh.Compared)
-		}
-	}
+	s.compared.Add(st.Compared)
 	sum := streamSummary{
 		Done: true, Stream: name,
 		Frames: st.Frames, Windows: st.Windows, Matches: st.Matches,
-		Workers: s.workers,
-	}
-	if s.workers > 0 {
-		for _, sh := range st.Shards {
-			sum.ShardCompared = append(sum.ShardCompared, sh.Compared)
-		}
+		Compared: st.Compared,
 	}
 	if merr != nil {
 		sum.Error = merr.Error()
@@ -437,10 +418,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	compared := make([]int64, len(s.shardCompared))
-	for i := range s.shardCompared {
-		compared[i] = s.shardCompared[i].Load()
-	}
 	ov := s.root.Overload()
 	ready, queuedFrames := s.fleet.Backlog()
 	writeJSON(w, map[string]any{
@@ -449,8 +426,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"streamsActive":  s.active.Load(),
 		"matchesEmitted": s.matches.Load(),
 		"framesDecoded":  s.frames.Load(),
-		"workers":        s.workers,
-		"shardCompared":  compared,
+		"compared":       s.compared.Load(),
 		"checkpointing":  s.root.CheckpointingEnabled(),
 		"tracing":        s.root.Tracing(),
 		"slowWindow":     s.root.SlowWindowBudget().String(),

@@ -11,12 +11,11 @@ import (
 )
 
 // checkpointServer builds a server persisting into a temp directory.
-func checkpointServer(t *testing.T, dir string, workers int) (*Server, *httptest.Server) {
+func checkpointServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := vdsms.DefaultConfig()
 	cfg.K = 400
 	cfg.Delta = 0.6
-	cfg.Workers = workers
 	cfg.CheckpointDir = dir
 	s, err := New(cfg)
 	if err != nil {
@@ -48,7 +47,7 @@ func TestSnapshotEndpointDisabled(t *testing.T) {
 
 // TestSnapshotEndpointMethod: only POST checkpoints.
 func TestSnapshotEndpointMethod(t *testing.T) {
-	_, ts := checkpointServer(t, t.TempDir(), 0)
+	_, ts := checkpointServer(t, t.TempDir())
 	resp := do(t, http.MethodGet, ts.URL+"/snapshot", nil)
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /snapshot: %d, want 405", resp.StatusCode)
@@ -61,7 +60,7 @@ func TestSnapshotEndpointMethod(t *testing.T) {
 // same directory — the subscription set is back and keeps matching.
 func TestSnapshotRestoresAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := checkpointServer(t, dir, 0)
+	s1, ts1 := checkpointServer(t, dir)
 	if s1.Restored() {
 		t.Error("fresh server claims to be restored")
 	}
@@ -83,7 +82,7 @@ func TestSnapshotRestoresAcrossRestart(t *testing.T) {
 	}
 	ts1.Close() // crash the first service
 
-	s2, ts2 := checkpointServer(t, dir, 0)
+	s2, ts2 := checkpointServer(t, dir)
 	if !s2.Restored() {
 		t.Fatal("second boot did not restore from the checkpoint")
 	}
@@ -109,18 +108,18 @@ func TestSnapshotRestoresAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestStatsShardCompared: with a parallel kernel, /stats accumulates
-// per-shard comparison counters across streams and their sum matches the
-// total matching work done.
-func TestStatsShardCompared(t *testing.T) {
-	const workers = 4
-	_, ts := checkpointServer(t, t.TempDir(), workers)
+// TestStatsCompared: /stats accumulates the streams' similarity
+// evaluations, and the total equals the sum of the per-stream counts their
+// done lines reported.
+func TestStatsCompared(t *testing.T) {
+	_, ts := checkpointServer(t, t.TempDir())
 	queries := [][]byte{clip(t, 61, 12), clip(t, 62, 12), clip(t, 63, 12)}
 	for i, q := range queries {
 		do(t, http.MethodPut, ts.URL+"/queries/"+string(rune('1'+i)), q).Body.Close()
 	}
 	// Streams carry actual query copies so the kernel has candidates to
 	// evaluate — pure noise is pruned before any similarity comparison.
+	var perStream int64
 	for c, q := range queries[:2] {
 		var stream bytes.Buffer
 		err := vdsms.ComposeStream(&stream, 75, 1,
@@ -130,31 +129,24 @@ func TestStatsShardCompared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamAndParse(t, ts, "s"+string(rune('1'+c)), stream.Bytes())
+		_, sum := streamAndParse(t, ts, "s"+string(rune('1'+c)), stream.Bytes())
+		perStream += sum.Compared
 	}
 
 	resp := do(t, http.MethodGet, ts.URL+"/stats", nil)
 	defer resp.Body.Close()
 	var st struct {
-		Workers       int     `json:"workers"`
-		ShardCompared []int64 `json:"shardCompared"`
-		Checkpointing bool    `json:"checkpointing"`
+		Compared      int64 `json:"compared"`
+		Checkpointing bool  `json:"checkpointing"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Workers != workers {
-		t.Errorf("workers = %d, want %d", st.Workers, workers)
+	if st.Compared == 0 {
+		t.Error("no comparisons recorded")
 	}
-	if len(st.ShardCompared) != workers {
-		t.Fatalf("shardCompared has %d entries, want %d", len(st.ShardCompared), workers)
-	}
-	var total int64
-	for _, c := range st.ShardCompared {
-		total += c
-	}
-	if total == 0 {
-		t.Error("no comparisons recorded across shards")
+	if st.Compared != perStream {
+		t.Errorf("compared = %d, but the streams' done lines sum to %d", st.Compared, perStream)
 	}
 	if !st.Checkpointing {
 		t.Error("stats report checkpointing disabled despite a checkpoint dir")

@@ -17,9 +17,7 @@
 //
 // The header triple is byte-aligned and pinned by a golden test: any layout
 // drift fails CI rather than corrupting user checkpoints. The fingerprint
-// covers every configuration field that shapes detection state (it
-// deliberately excludes worker count — parallelism is a runtime choice, and
-// a checkpoint taken at one Workers value restores at any other). Loading a
+// covers every configuration field that shapes detection state. Loading a
 // checkpoint whose fingerprint disagrees with the running configuration
 // fails loudly; silent state corruption is the one unforgivable failure
 // mode of a durability layer.
@@ -80,8 +78,8 @@ type Signature struct {
 	Lo, Hi []uint64
 }
 
-// SeqCandidate is one Sequential-order candidate in canonical form: all
-// per-shard slots merged, queries ascending by id.
+// SeqCandidate is one Sequential-order candidate in canonical form: queries
+// ascending by id.
 type SeqCandidate struct {
 	StartFrame int
 	Windows    int
@@ -108,7 +106,9 @@ type GeoReport struct {
 	Start int
 }
 
-// ShardStats mirrors core.ShardStats.
+// ShardStats holds core.Stats' Probed, Pruned and Compared. Checkpoints from
+// the partitioned kernel carry one entry per query shard; the engine now
+// writes exactly one, and reads back the sum of however many there are.
 type ShardStats struct {
 	Probed, Pruned, Compared int64
 }
@@ -126,9 +126,8 @@ type Stats struct {
 }
 
 // EngineState is the complete matching state of one engine, canonicalised:
-// per-shard partitions are merged and every list is sorted, so the same
-// logical state serialises to the same bytes regardless of the worker
-// count that produced it.
+// every list is sorted, so the same logical state serialises to the same
+// bytes.
 type EngineState struct {
 	Config      Config
 	Frame       int

@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Recorder is one engine's write handle into a Journal. Shard buffers are
-// owned by exactly one worker goroutine during the parallel phase of a
-// window; FoldWindow and Publish run on the serial spine, so the recorder
-// itself needs no locking beyond the journal's once-per-window append.
+// Recorder is one engine's write handle into a Journal. The engine writes
+// a window's events into the two logs and FoldWindow journals them in one
+// order, so the recorder itself needs no locking beyond the journal's
+// once-per-window append.
 //
 // The enabled flag may be flipped at runtime (POST /debug/events arming,
 // vcdmon -explain); the engine samples it once per window, so a toggle
@@ -20,8 +20,8 @@ type Recorder struct {
 
 	order, method string
 
-	shards  []ShardLog
-	serial  ShardLog
+	query   Log
+	serial  Log
 	scratch []Event // fold buffer, reused across windows
 
 	lastMatch atomic.Uint64
@@ -30,16 +30,12 @@ type Recorder struct {
 // NewRecorder registers a stream with the journal and returns its
 // recorder. order and method label provenance records ("sequential"/
 // "geometric", "bit"/"sketch"). The recorder starts enabled.
-func NewRecorder(j *Journal, streamName string, nshards int, order, method string) *Recorder {
-	if nshards < 1 {
-		nshards = 1
-	}
+func NewRecorder(j *Journal, streamName string, order, method string) *Recorder {
 	r := &Recorder{
 		j:      j,
 		stream: j.NewStream(streamName),
 		order:  order,
 		method: method,
-		shards: make([]ShardLog, nshards),
 	}
 	r.on.Store(true)
 	return r
@@ -61,21 +57,22 @@ func (r *Recorder) StreamName() string {
 // Journal returns the journal this recorder writes to.
 func (r *Recorder) Journal() *Journal { return r.j }
 
-// ShardLog is the single-writer event buffer of one query shard.
-type ShardLog struct {
+// Log is a single-writer event buffer for one window.
+type Log struct {
 	ev []Event
 }
 
-// Shard returns shard i's buffer. The pointer is stable for the recorder's
-// lifetime, so engines may cache it per window.
-func (r *Recorder) Shard(i int) *ShardLog { return &r.shards[i] }
+// Query returns the buffer for per-query events (extended, pruned,
+// dropped, expired, reported, near-miss). The pointer is stable for the
+// recorder's lifetime.
+func (r *Recorder) Query() *Log { return &r.query }
 
 // Serial returns the buffer for events recorded on the serial spine
 // (candidate birth and expiry, structural bucket changes).
-func (r *Recorder) Serial() *ShardLog { return &r.serial }
+func (r *Recorder) Serial() *Log { return &r.serial }
 
 // Add appends one event. est < 0 means "no estimate".
-func (l *ShardLog) Add(k Kind, qid, start, end, windows int, est, margin float64) {
+func (l *Log) Add(k Kind, qid, start, end, windows int, est, margin float64) {
 	l.ev = append(l.ev, Event{
 		Kind:     k,
 		QID:      int32(qid),
@@ -87,17 +84,13 @@ func (l *ShardLog) Add(k Kind, qid, start, end, windows int, est, margin float64
 	})
 }
 
-// FoldWindow merges the window's shard and serial buffers into one slice
-// ordered invariantly of the worker count — (Start, QID, Kind), ties kept
-// in shard insertion order, which is deterministic because one query is
-// always owned by one shard — and resets the buffers. The returned slice
-// is valid until the next FoldWindow.
+// FoldWindow orders the window's per-query events by (Start, QID, Kind),
+// ties kept in insertion order, appends the serial spine events after them
+// and resets both buffers. The returned slice is valid until the next
+// FoldWindow.
 func (r *Recorder) FoldWindow() []Event {
-	out := r.scratch[:0]
-	for i := range r.shards {
-		out = append(out, r.shards[i].ev...)
-		r.shards[i].ev = r.shards[i].ev[:0]
-	}
+	out := append(r.scratch[:0], r.query.ev...)
+	r.query.ev = r.query.ev[:0]
 	sort.SliceStable(out, func(a, b int) bool {
 		x, y := out[a], out[b]
 		if x.Start != y.Start {
@@ -108,8 +101,8 @@ func (r *Recorder) FoldWindow() []Event {
 		}
 		return x.Kind < y.Kind
 	})
-	// Serial spine events (birth, expiry) are appended after the per-query
-	// phase they conclude; they are identical for every worker count.
+	// Serial spine events (birth, expiry) follow the per-query phase they
+	// conclude.
 	out = append(out, r.serial.ev...)
 	r.serial.ev = r.serial.ev[:0]
 	r.scratch = out

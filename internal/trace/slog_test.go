@@ -45,7 +45,7 @@ func waitGoroutines(t *testing.T, n int) {
 
 func TestLogEventsBridgesAndStops(t *testing.T) {
 	j := NewJournal(64, 8)
-	r := NewRecorder(j, "logged", 1, "sequential", "bit")
+	r := NewRecorder(j, "logged", "sequential", "bit")
 	before := runtime.NumGoroutine()
 
 	var buf syncBuffer

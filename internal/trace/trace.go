@@ -11,10 +11,9 @@
 //     allocations, no atomics beyond one per-window enabled check, and a
 //     byte-identical match stream. Every recording site in internal/core is
 //     guarded by a single nil check on a per-window recorder pointer.
-//  2. With tracing enabled, events are appended to per-shard buffers owned
-//     exclusively by one worker goroutine (no locks on the shard path) and
-//     folded into the journal once per window, on the serial spine, in an
-//     order that is invariant across worker counts.
+//  2. With tracing enabled, events are appended to the recorder's
+//     single-writer buffers (no locks) and folded into the journal once per
+//     window in (Start, QID, Kind) order.
 //  3. The journal is bounded: a ring buffer overwrites the oldest events,
 //     so a forgotten-enabled tracer costs fixed memory, never growth.
 //
@@ -85,7 +84,7 @@ func ParseKind(s string) (Kind, bool) {
 }
 
 // Event is one candidate-lifecycle observation. The struct is fixed-size
-// and pointer-free so per-shard buffers stay flat and the journal ring is
+// and pointer-free so the window buffers stay flat and the journal ring is
 // one contiguous allocation.
 type Event struct {
 	// Seq is the journal-wide sequence number, assigned at fold time.

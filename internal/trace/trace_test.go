@@ -42,14 +42,14 @@ func TestErrorBound(t *testing.T) {
 // the way an engine does.
 func publishWindow(r *Recorder, evs ...Event) {
 	for _, ev := range evs {
-		r.Shard(0).Add(ev.Kind, int(ev.QID), int(ev.Start), int(ev.End), int(ev.Windows), float64(ev.Estimate), float64(ev.Margin))
+		r.Query().Add(ev.Kind, int(ev.QID), int(ev.Start), int(ev.End), int(ev.Windows), float64(ev.Estimate), float64(ev.Margin))
 	}
 	r.Publish(r.FoldWindow())
 }
 
 func TestJournalRingEviction(t *testing.T) {
 	j := NewJournal(4, 2)
-	r := NewRecorder(j, "ring", 1, "sequential", "bit")
+	r := NewRecorder(j, "ring", "sequential", "bit")
 	for i := 0; i < 6; i++ {
 		publishWindow(r, Event{Kind: Extended, QID: 1, Start: int32(10 * i), End: int32(10*i + 10), Windows: 1, Estimate: 0.5})
 	}
@@ -69,8 +69,8 @@ func TestJournalRingEviction(t *testing.T) {
 
 func TestEventsFilter(t *testing.T) {
 	j := NewJournal(64, 8)
-	ra := NewRecorder(j, "cam-a", 1, "sequential", "bit")
-	rb := NewRecorder(j, "cam-b", 1, "sequential", "bit")
+	ra := NewRecorder(j, "cam-a", "sequential", "bit")
+	rb := NewRecorder(j, "cam-b", "sequential", "bit")
 	publishWindow(ra,
 		Event{Kind: Born, QID: -1, Start: 0, End: 10, Windows: 1, Estimate: -1},
 		Event{Kind: Extended, QID: 3, Start: 0, End: 10, Windows: 1, Estimate: 0.4},
@@ -100,7 +100,7 @@ func TestEventsFilter(t *testing.T) {
 
 func TestMatchRecordTrajectoryAndEviction(t *testing.T) {
 	j := NewJournal(64, 2)
-	r := NewRecorder(j, "m", 1, "sequential", "bit")
+	r := NewRecorder(j, "m", "sequential", "bit")
 	// Three windows extend candidate (q=7, start=0); the trajectory must
 	// collect their estimates oldest-first.
 	for i, est := range []float64{0.3, 0.5, 0.9} {
@@ -141,10 +141,10 @@ func TestMatchRecordTrajectoryAndEviction(t *testing.T) {
 	}
 }
 
-// TestFoldWindowShardInvariant: the same event set distributed over
-// different shard counts must fold to the identical slice — the property
-// that makes /debug/events worker-count-invariant.
-func TestFoldWindowShardInvariant(t *testing.T) {
+// TestFoldWindowOrder: however the kernel interleaves a window's per-query
+// events, the fold orders them by (Start, QID, Kind) and appends the serial
+// spine events last — the order /debug/events serves.
+func TestFoldWindowOrder(t *testing.T) {
 	events := []Event{
 		{Kind: Extended, QID: 4, Start: 0, End: 10, Windows: 1, Estimate: 0.2},
 		{Kind: Pruned, QID: 2, Start: 0, End: 10, Windows: 2, Estimate: 0.1, Margin: 0.05},
@@ -153,23 +153,26 @@ func TestFoldWindowShardInvariant(t *testing.T) {
 		{Kind: Extended, QID: 3, Start: 0, End: 10, Windows: 1, Estimate: 0.4},
 		{Kind: Extended, QID: 6, Start: 20, End: 30, Windows: 1, Estimate: 0.3},
 	}
-	fold := func(nshards int) []Event {
-		j := NewJournal(64, 8)
-		r := NewRecorder(j, "fold", nshards, "sequential", "bit")
-		// Shard ownership: query id mod shard count, like the engine's
-		// query partition. Feed shards in reverse to prove insertion order
-		// across shards does not matter.
-		for i := len(events) - 1; i >= 0; i-- {
-			ev := events[i]
-			r.Shard(int(ev.QID)%nshards).Add(ev.Kind, int(ev.QID), int(ev.Start), int(ev.End), int(ev.Windows), float64(ev.Estimate), float64(ev.Margin))
-		}
+	fold := func(reverse bool) []Event {
+		r := NewRecorder(NewJournal(64, 8), "fold", "sequential", "bit")
 		r.Serial().Add(Born, -1, 20, 30, 1, -1, 0)
+		for i := range events {
+			ev := events[i]
+			if reverse {
+				ev = events[len(events)-1-i]
+			}
+			r.Query().Add(ev.Kind, int(ev.QID), int(ev.Start), int(ev.End), int(ev.Windows), float64(ev.Estimate), float64(ev.Margin))
+		}
 		return append([]Event(nil), r.FoldWindow()...)
 	}
-	want := fold(1)
-	for _, n := range []int{2, 3, 4} {
-		if got := fold(n); !reflect.DeepEqual(got, want) {
-			t.Errorf("fold with %d shards diverges:\n1 shard:  %+v\n%d shards: %+v", n, want, n, got)
+	want := fold(false)
+	if got := fold(true); !reflect.DeepEqual(got, want) {
+		t.Errorf("fold depends on insertion order:\nforward: %+v\nreverse: %+v", want, got)
+	}
+	for i := 1; i < len(want)-1; i++ {
+		a, b := want[i-1], want[i]
+		if a.Start > b.Start || a.Start == b.Start && (a.QID > b.QID || a.QID == b.QID && a.Kind > b.Kind) {
+			t.Errorf("events %d and %d out of (Start, QID, Kind) order: %+v, %+v", i-1, i, a, b)
 		}
 	}
 	// Serial spine events must come last, after the sorted per-query phase.
@@ -180,7 +183,7 @@ func TestFoldWindowShardInvariant(t *testing.T) {
 
 func TestSubscribe(t *testing.T) {
 	j := NewJournal(64, 8)
-	r := NewRecorder(j, "sub", 1, "sequential", "bit")
+	r := NewRecorder(j, "sub", "sequential", "bit")
 	ch, cancel := j.Subscribe(4)
 	publishWindow(r, Event{Kind: Born, QID: -1, Start: 0, End: 10, Windows: 1, Estimate: -1})
 	select {
@@ -212,7 +215,7 @@ func TestRecorderEnabledToggle(t *testing.T) {
 		t.Error("nil recorder has a match id")
 	}
 	j := NewJournal(16, 4)
-	r := NewRecorder(j, "", 1, "geometric", "sketch")
+	r := NewRecorder(j, "", "geometric", "sketch")
 	if !r.Enabled() {
 		t.Error("fresh recorder not enabled")
 	}

@@ -197,7 +197,6 @@ func TestMonitorContextCancelMidShed(t *testing.T) {
 	cfg.RealTimeBudget = time.Nanosecond
 	cfg.Shed = true
 	cfg.Resync = true
-	cfg.Workers = 2
 	cfg.CheckpointDir = t.TempDir()
 	det, err := NewDetector(cfg)
 	if err != nil {

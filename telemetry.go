@@ -21,10 +21,10 @@ const SlowWindowEnv = "TELEMETRY_SLOW_WINDOW"
 
 var (
 	telStageDecode = telemetry.Default.Histogram("vcd_stage_duration_seconds",
-		"Wall-clock duration of pipeline stages, one observation per basic window (slowest shard for fanned-out stages).",
+		"Wall-clock duration of pipeline stages, one observation per basic window.",
 		telemetry.DurationBuckets, telemetry.L("stage", "decode"))
 	telStageExtract = telemetry.Default.Histogram("vcd_stage_duration_seconds",
-		"Wall-clock duration of pipeline stages, one observation per basic window (slowest shard for fanned-out stages).",
+		"Wall-clock duration of pipeline stages, one observation per basic window.",
 		telemetry.DurationBuckets, telemetry.L("stage", "extract"))
 	telSlowWindows = telemetry.Default.Counter("vcd_slow_windows_total",
 		"Basic windows that exceeded the slow-window budget.")

@@ -48,14 +48,13 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestMonitorCancelNoLeakWritesCheckpoint cancels a checkpointed parallel
-// monitor mid-stream and checks the two shutdown guarantees: every worker
+// TestMonitorCancelNoLeakWritesCheckpoint cancels a checkpointed
+// monitor mid-stream and checks the two shutdown guarantees: every
 // goroutine exits, and a final checkpoint lands in the directory so the
 // next Resume starts from the cancellation point instead of replaying the
 // whole WAL.
 func TestMonitorCancelNoLeakWritesCheckpoint(t *testing.T) {
 	cfg := testConfig()
-	cfg.Workers = 3
 	cfg.CheckpointDir = t.TempDir()
 	cfg.CheckpointEvery = time.Hour // periodic path off: only cancel checkpoints
 
@@ -108,7 +107,6 @@ func TestMonitorCancelNoLeakWritesCheckpoint(t *testing.T) {
 // files appear anywhere.
 func TestMonitorCancelWithoutCheckpointing(t *testing.T) {
 	cfg := testConfig()
-	cfg.Workers = 2
 	det, err := NewDetector(cfg)
 	if err != nil {
 		t.Fatal(err)

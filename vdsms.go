@@ -84,10 +84,11 @@ type Config struct {
 	// further analysis (delivered via OnMatchClip). This is the paper's
 	// "only store the video sequences which are relevant to the queries".
 	ArchiveSec float64
-	// Workers sets the intra-stream parallelism of the per-window matching
-	// kernel: 0 evaluates windows inline on the monitoring goroutine, N ≥ 1
-	// partitions the queries across N workers per window. Matches and their
-	// order are identical for every value; see core.Config.Workers.
+	// Workers is ignored. It set the number of goroutines that split each
+	// window's queries between them, which measured slower than one on two
+	// cores (DESIGN.md "Intra-stream sharding, removed"); it stays for one
+	// release so that code setting it still compiles. Parallelism comes from
+	// a Fleet running whole streams on every core.
 	Workers int
 	// CheckpointDir, when non-empty, enables crash recovery: the detector
 	// keeps a checkpoint of its full matching state plus a write-ahead log
@@ -377,7 +378,6 @@ func NewDetector(cfg Config) (*Detector, error) {
 		Method:       core.Bit,
 		UseIndex:     !cfg.NoIndex,
 		PreFilter:    cfg.PreFilter,
-		Workers:      cfg.Workers,
 	}
 	if cfg.Sequential {
 		ecfg.Order = core.Sequential
@@ -636,7 +636,7 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 	// boundaries: the engine processes each window at exactly the same
 	// stream position as per-frame pushing would (so match latency and
 	// archival state are unchanged) while the per-frame call overhead is
-	// amortised — which matters once the window kernel fans out to workers.
+	// amortised.
 	room := d.winKeyF - d.engine.PendingFrames()
 	if d.batch == nil {
 		d.batch = make([]uint64, 0, d.winKeyF)
