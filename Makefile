@@ -53,7 +53,6 @@ fuzz:
 	$(GO) test ./cmd/vcdeval -fuzz FuzzParseTruth -fuzztime 30s
 	$(GO) test ./cmd/vcdeval -fuzz FuzzReadReports -fuzztime 30s
 	$(GO) test ./internal/qindex -fuzz FuzzProbeVsScan -fuzztime 30s
-	$(GO) test ./internal/core -fuzz FuzzPreFilterMask -fuzztime 30s
 	$(GO) test ./internal/snapshot -fuzz FuzzReplayWAL -fuzztime 30s
 
 # Reduced-scale temporal-attack robustness suite under the race detector:
@@ -65,15 +64,15 @@ robustness-smoke:
 		-run 'TestRobustnessSmoke|TestTemporal|TestBuildAttack|TestEvaluateByFamily|TestReportGolden' \
 		./internal/edit ./internal/workload ./internal/experiments ./cmd/vcdeval
 
-# Reduced-scale pre-filter gate under the race detector: 10³ queries
-# streamed with the exact tier off and on — match output must be identical,
-# ≥90% of per-row searches rejected, not one false positive — plus the
-# exactness harness's seeds (FuzzPreFilterMask) and the cell-table,
-# churn and equivalence suites. Writes the measured level as a JSON
-# artifact into queryscale-report/.
+# Reduced-scale query-index gate under the race detector: 10³ queries
+# streamed through the index and through the scan — match output must be
+# identical, the index's work per window bounded by the related queries —
+# plus the exactness harnesses' seeds (FuzzProbeVsScan, FuzzPreFilterMask)
+# and the postings-model, churn and equivalence suites. Writes the measured
+# level as a JSON artifact into queryscale-report/.
 queryscale-smoke:
 	QUERYSCALE_REPORT_DIR=$(CURDIR)/queryscale-report $(GO) test -race -count=1 \
-		-run 'TestQueryScaleSmoke|TestPreFilter|FuzzPreFilterMask|TestInvert|TestSketchWinners|TestCellRowsModel|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestRowMask' \
+		-run 'TestQueryScaleSmoke|TestPreFilter|FuzzPreFilterMask|FuzzProbeVsScan|TestInvert|TestSketchWinners|TestCellRowsModel|TestPrefixCollisions|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestBytesMatchesHeap' \
 		./internal/minhash ./internal/qindex ./internal/core ./internal/experiments
 
 # Overload gate under the race detector: the degrade-layer unit suites plus

@@ -97,7 +97,7 @@ func main() {
 	saveSet := flag.String("save-queries", "", "after subscribing, save the query set to this file")
 	archiveDir := flag.String("archive-dir", "", "save matched stream segments as clips in this directory")
 	archiveSec := flag.Float64("archive-sec", 120, "seconds of stream retained for archiving")
-	preFilter := flag.Bool("prefilter", false, "enable the exact pre-filter tier in front of the Hash-Query index: search only the rows that hold the window's value (many queries; output-identical)")
+	flag.Bool("prefilter", false, "ignored: the query index reads only the posting lists of each window's winning cells (kept one release so that scripts passing it still run)")
 	ckptDir := flag.String("checkpoint-dir", "", "journal frames and checkpoint matching state in this directory")
 	ckptEvery := flag.Duration("checkpoint-every", 10*time.Second, "minimum interval between periodic checkpoints")
 	resume := flag.Bool("resume", false, "restore state from -checkpoint-dir and replay the frame log before monitoring")
@@ -169,7 +169,6 @@ func main() {
 	cfg.K = *k
 	cfg.WindowSec = *window
 	cfg.KeyFPS = *keyFPS
-	cfg.PreFilter = *preFilter
 	if *archiveDir != "" {
 		cfg.ArchiveSec = *archiveSec
 	}

@@ -72,7 +72,7 @@ func main() {
 	k := flag.Int("k", 800, "number of min-hash functions")
 	window := flag.Float64("window", 5, "basic window (seconds)")
 	keyFPS := flag.Float64("keyfps", 2, "expected key-frame rate of monitored streams")
-	preFilter := flag.Bool("prefilter", false, "enable the exact pre-filter tier in front of the Hash-Query index: search only the rows that hold the window's value (many queries; output-identical)")
+	flag.Bool("prefilter", false, "ignored: the query index reads only the posting lists of each window's winning cells (kept one release so that scripts passing it still run)")
 	ckptDir := flag.String("checkpoint-dir", "", "persist service state in this directory (restore on boot)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "minimum interval between periodic checkpoints")
 	drain := flag.Duration("drain", 30*time.Second, "in-flight stream drain timeout on shutdown")
@@ -103,7 +103,6 @@ func main() {
 	cfg.K = *k
 	cfg.WindowSec = *window
 	cfg.KeyFPS = *keyFPS
-	cfg.PreFilter = *preFilter
 	cfg.CheckpointDir = *ckptDir
 	cfg.CheckpointEvery = *ckptEvery
 	cfg.RealTimeBudget = *rtBudget

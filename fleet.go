@@ -46,7 +46,7 @@ type FleetConfig struct {
 }
 
 // A Fleet monitors many streams against one shared, versioned query plane.
-// Query memory (sketches, Hash-Query index, pre-filter) is O(queries)
+// Query memory (sketches, query index) is O(queries)
 // regardless of the stream count; per-stream state is candidate lists and
 // a window buffer. Attach/Detach, query churn and segment pushes may all
 // be called concurrently; subscription churn lands through the plane's

@@ -6,16 +6,16 @@ import (
 	"testing"
 )
 
-// BenchmarkPreFilterChurn is one subscription change — Remove of the
-// oldest query, Add of a fresh one, two plane versions — on a QuerySet with
-// the pre-filter on, at the query counts of fleet-rounds/churn-durable
-// (532) and monitor-manyquery (2 068), K=800. Queries share content the way
-// the benchmark corpus's spliced queries do: 24 frames over a vocabulary of
-// 1 500 cells, so a few cells win most queries' rows. Run with -benchtime
-// 64x to amortise the churn over 64 changes:
+// BenchmarkQuerySetChurn is one subscription change — Remove of the oldest
+// query, Add of a fresh one, two plane versions — on a QuerySet at the
+// query counts of fleet-rounds/churn-durable (532) and monitor-manyquery
+// (2 068), K=800. Queries share content the way the benchmark corpus's
+// spliced queries do: 24 frames over a vocabulary of 1 500 cells, so a few
+// cells win most queries' rows and their posting lists are long. Run with
+// -benchtime 64x to amortise the churn over 64 changes:
 //
-//	go test -run '^$' -bench PreFilterChurn -benchtime 64x ./internal/core
-func BenchmarkPreFilterChurn(b *testing.B) {
+//	go test -run '^$' -bench QuerySetChurn -benchtime 64x ./internal/core
+func BenchmarkQuerySetChurn(b *testing.B) {
 	for _, m := range []int{532, 2068} {
 		b.Run(fmt.Sprint(m), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(int64(m)))
@@ -37,7 +37,6 @@ func BenchmarkPreFilterChurn(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			qs.EnablePreFilter()
 			if err := qs.AddBatch(ids[:m], cells[:m]); err != nil {
 				b.Fatal(err)
 			}

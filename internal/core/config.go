@@ -5,7 +5,7 @@
 // list C_L under a Sequential or Geometric combination order. Candidates
 // are compared to queries either by raw sketch operations (Sketch method)
 // or by the 2K-bit vector signatures of Section V (Bit method), with the
-// Lemma 2 prune and the Hash-Query index optionally enabled. Matches are
+// Lemma 2 prune and the query index optionally enabled. Matches are
 // reported whenever a candidate reaches similarity δ against a query.
 package core
 
@@ -70,20 +70,21 @@ type Config struct {
 	Order Order
 	// Method is the comparison representation.
 	Method Method
-	// UseIndex enables the Hash-Query index; otherwise every window is
-	// compared to every query (the NoIndex baselines of Fig. 9).
+	// UseIndex enables the query index (internal/qindex); otherwise every
+	// window is compared to every query (the NoIndex baselines of Fig. 9).
 	UseIndex bool
 	// DisablePrune turns off the Lemma 2 prune (ablation only).
 	DisablePrune bool
-	// PreFilter enables the exact pre-filter tier in front of the
-	// Hash-Query index (qindex.TrackCells): each window's mask admits
-	// exactly the rows in which some query holds the window's value, read
-	// from the row sets of the window's ≈5 winning cells, and the probe
-	// searches those rows only. Match output is byte-identical with the
-	// tier on or off; only probe cost and memory change. Requires
-	// UseIndex — see DESIGN.md "Pre-filter tier".
+	// PreFilter is ignored. It put an exact row pre-filter in front of the
+	// Hash-Query index, which the index, keyed by each window's winning
+	// cells, now is itself (DESIGN.md §10); it stays for one release so that
+	// code setting it still compiles.
 	PreFilter bool
 }
+
+// maxWindowFrames bounds WindowFrames: a window's distinct cells must fit
+// the 16-bit winner indices of minhash.Winners.
+const maxWindowFrames = 1<<16 - 1
 
 // Default returns the paper's default parameters (Table I) with a basic
 // window of w key frames.
@@ -110,8 +111,8 @@ func (c Config) Validate() error {
 	if c.Lambda < 1 {
 		return fmt.Errorf("core: λ=%g must be >= 1", c.Lambda)
 	}
-	if c.WindowFrames <= 0 {
-		return fmt.Errorf("core: window of %d frames", c.WindowFrames)
+	if c.WindowFrames <= 0 || c.WindowFrames > maxWindowFrames {
+		return fmt.Errorf("core: window of %d frames, want 1..%d", c.WindowFrames, maxWindowFrames)
 	}
 	switch c.Order {
 	case Sequential, Geometric:
@@ -122,9 +123,6 @@ func (c Config) Validate() error {
 	case Bit, Sketch:
 	default:
 		return fmt.Errorf("core: unknown method %d", c.Method)
-	}
-	if c.PreFilter && !c.UseIndex {
-		return fmt.Errorf("core: PreFilter requires UseIndex (the tier masks Hash-Query row probes)")
 	}
 	return nil
 }

@@ -122,13 +122,9 @@ type Engine struct {
 	perfLabel     string
 	pendingSpanNS [perfobs.NumStages]int64
 
-	// Pre-filter state of a Config.PreFilter engine: the winners of the
-	// window being sketched and its row mask, reused window after window,
-	// and accounting outside Stats so the snapshot codec is untouched (the
-	// tier is a runtime choice).
-	winners                                    minhash.Winners
-	rowMask                                    qindex.RowMask
-	pfRowProbes, pfRowRejects, pfEmptySearches int64
+	// winners records which cell won each row of the window being sketched,
+	// for the index to read its posting lists by; reused window after window.
+	winners minhash.Winners
 }
 
 // NewEngine validates cfg and builds an engine with its own private query
@@ -159,14 +155,7 @@ func NewEngineWith(cfg Config, qs *QuerySet) (*Engine, error) {
 }
 
 func newEngine(cfg Config, qs *QuerySet) *Engine {
-	e := &Engine{cfg: cfg, qs: qs, geoReported: make(map[geoKey]bool)}
-	if cfg.PreFilter {
-		// Idempotent; with a shared QuerySet the first pre-filter engine
-		// turns the tier on for every sharer (it is output-neutral).
-		qs.EnablePreFilter()
-		e.rowMask = qindex.NewRowMask(cfg.K)
-	}
-	return e
+	return &Engine{cfg: cfg, qs: qs, geoReported: make(map[geoKey]bool)}
 }
 
 // Config returns the engine configuration.
@@ -181,39 +170,6 @@ func (e *Engine) Family() *minhash.Family { return e.qs.Family() }
 
 // Stats returns a snapshot of the operation counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// PreFilterStats reports the pre-filter tier's activity: this engine's
-// row-mask outcomes plus the shared cell table's current footprint. Zero
-// values throughout when the tier is off.
-type PreFilterStats struct {
-	// Enabled reports whether the tier is active on the query set.
-	Enabled bool
-	// RowProbes and RowRejects count the rows of this engine's masked
-	// windows (K each) and those the mask rejected; RowRejects/RowProbes is
-	// the fraction of per-row searches skipped before any index work.
-	RowProbes, RowRejects int64
-	// EmptySearches counts admitted rows whose equal search found nothing —
-	// false positives, zero by construction.
-	EmptySearches int64
-	// Cells and Bytes describe the shared cell table: the premixed cells
-	// that win some query's row, and the table's footprint.
-	Cells, Bytes int
-}
-
-// PreFilterStats returns the tier's accounting for this engine and its
-// query set.
-func (e *Engine) PreFilterStats() PreFilterStats {
-	v := e.qs.view()
-	cells, bytes := v.cells()
-	return PreFilterStats{
-		Enabled:       v.preFilter,
-		RowProbes:     e.pfRowProbes,
-		RowRejects:    e.pfRowRejects,
-		EmptySearches: e.pfEmptySearches,
-		Cells:         cells,
-		Bytes:         bytes,
-	}
-}
 
 // NumQueries returns the number of subscribed queries.
 func (e *Engine) NumQueries() int { return e.qs.Len() }
@@ -336,12 +292,7 @@ func (e *Engine) processWindow() {
 	if timed {
 		t0 = time.Now()
 	}
-	var wsk minhash.Sketch
-	if e.cfg.PreFilter {
-		wsk = e.qs.Family().SketchWinners(e.curIDs, &e.winners)
-	} else {
-		wsk = e.qs.Family().SketchSet(e.curIDs)
-	}
+	wsk := e.qs.Family().SketchWinners(e.curIDs, &e.winners)
 	var sketchD time.Duration
 	if timed {
 		t1 = time.Now()
@@ -349,10 +300,10 @@ func (e *Engine) processWindow() {
 	}
 	sp.AllocMark(perfobs.StageSketch)
 	// The entire window is processed against one immutable plane captured
-	// here with a single atomic load: probes, candidate evaluation and the
-	// pre-filter mask all see the same subscription version even while a
-	// concurrent AddQueries/Remove publishes a successor. In-flight windows
-	// therefore stay on the old version; churn lands at the next window.
+	// here with a single atomic load: the probe and candidate evaluation see
+	// the same subscription version even while a concurrent
+	// AddQueries/Remove publishes a successor. In-flight windows therefore
+	// stay on the old version; churn lands at the next window.
 	view := e.qs.view()
 	e.planeVersion = view.version
 	win := &e.win
@@ -361,14 +312,6 @@ func (e *Engine) processWindow() {
 		startFrame: e.curWindowStartFrame(),
 		endFrame:   e.frame,
 		maxW:       e.globalMaxWindows(view),
-	}
-	if e.cfg.PreFilter && len(view.queries) > 0 && view.windowRowMask(&e.winners, e.rowMask) {
-		win.rowMask = e.rowMask
-		rejected := int64(e.cfg.K - e.rowMask.Count())
-		e.pfRowProbes += int64(e.cfg.K)
-		e.pfRowRejects += rejected
-		telPrefilterProbes.Add(int64(e.cfg.K))
-		telPrefilterRejects.Add(rejected)
 	}
 	// The tracer's enabled flag is sampled once here: every recording site
 	// downstream checks win.tr, so a mid-window toggle never tears a
@@ -381,7 +324,6 @@ func (e *Engine) processWindow() {
 		}
 	}
 	before := e.stats
-	emptyBefore := e.pfEmptySearches
 	e.pending = e.pending[:0]
 
 	if e.cfg.Order == Sequential {
@@ -437,9 +379,6 @@ func (e *Engine) processWindow() {
 	telCompared.Add(compared)
 	telProbeRelated.Add(e.stats.Probed - before.Probed)
 	telProbePruned.Add(e.stats.Pruned - before.Pruned)
-	if fp := e.pfEmptySearches - emptyBefore; fp > 0 {
-		telPrefilterFP.Add(fp)
-	}
 	sp.AllocMark(perfobs.StageMerge)
 	if timed {
 		end := time.Now()
@@ -463,12 +402,11 @@ func (e *Engine) probeWindow(win *windowResult, wsk minhash.Sketch, view *queryP
 	if e.probe == nil {
 		e.probe = new(qindex.ProbeScratch)
 	}
-	po, scanned := view.probe(e.probe, wsk, e.pruneDelta(), win.rowMask)
+	po, scanned := view.probe(e.probe, wsk, e.pruneDelta(), &e.winners)
 	e.stats.SketchCompares += int64(scanned)
 	e.stats.ProbeComparisons += int64(po.Comparisons)
 	e.stats.Probed += int64(len(po.Related))
 	e.stats.Pruned += int64(len(po.Pruned))
-	e.pfEmptySearches += int64(po.EmptySearches)
 	slices.SortFunc(po.Related, func(a, b qindex.Result) int { return cmp.Compare(a.QID, b.QID) })
 	if e.cfg.Method == Bit {
 		win.related = po.Related
@@ -508,10 +446,6 @@ type windowResult struct {
 	maxW       int             // global candidate bound ⌈λL_max/w⌉
 	related    []qindex.Result // Bit: window-vs-query signatures, by query id
 	qids       []int           // Sketch: related query ids, sorted
-	// rowMask is the pre-filter admission mask, computed once per window
-	// into the engine's buffer; nil (admit all rows) when the tier is off or
-	// could not name the window's winners.
-	rowMask qindex.RowMask
 	// tr is the lifecycle-event recorder for this window, nil when tracing
 	// is off — the single guard every kernel recording site checks.
 	tr      *trace.Recorder

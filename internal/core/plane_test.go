@@ -147,8 +147,8 @@ func runChurned(t *testing.T, v variant, stream []uint64, w int, plan []churnPla
 // TestPlaneChurnEquivalence runs add/remove churn mid-stream from a second
 // goroutine (the copy-on-write fast path, under -race in CI) and asserts
 // the output is byte-identical to the same churn applied inline between
-// pushes — the pause-churn-resume reference. Covers indexed, scan and
-// pre-filter planes.
+// pushes — the pause-churn-resume reference. Covers indexed and scan
+// planes, and PreFilter set.
 func TestPlaneChurnEquivalence(t *testing.T) {
 	for _, v := range []variant{
 		{"bit-seq-index", Bit, Sequential, true, false},
@@ -194,13 +194,9 @@ func TestPlaneChurnEquivalence(t *testing.T) {
 			if len(inlineM) == 0 {
 				t.Fatal("workload found no matches; churn equivalence vacuous")
 			}
-			// 1 initial subscription + 3 churn ops (+1 for EnablePreFilter).
-			want := uint64(4)
-			if v.prefilter {
-				want++
-			}
-			if ver != want {
-				t.Errorf("final window ran on plane version %d, want %d", ver, want)
+			// 1 initial subscription + 3 churn ops.
+			if ver != 4 {
+				t.Errorf("final window ran on plane version %d, want 4", ver)
 			}
 		})
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vdsms/internal/minhash"
@@ -12,12 +14,11 @@ import (
 	"vdsms/internal/snapshot"
 )
 
-// The pre-filter tier's contract is byte-identical output: with
-// Config.PreFilter on, Matches (order included) and Stats totals — down to
-// ProbeComparisons, since rejected rows are exactly the empty searches —
-// must equal the unfiltered run's, under any worker count, across churn,
-// and through checkpoint/restore. Being exact, the tier also never admits
-// an empty search.
+// Config.PreFilter is ignored since the query index reads only the posting
+// lists of each window's winning cells: setting it must change nothing —
+// Matches (order included), Stats totals down to ProbeComparisons, and
+// checkpoint bytes — across churn and through checkpoint/restore. The
+// field, and these tests' name for the plane's exactness, go together.
 
 // prefSchedule is a deterministic workload with mid-stream subscription
 // churn: queries added up front, some removed and re-added while frames
@@ -56,8 +57,7 @@ func newPrefSchedule(seed int64, method Method, order Order) *prefSchedule {
 	return ps
 }
 
-// run replays the schedule on one engine configuration. A pre-filter run
-// must not admit a single empty search.
+// run replays the schedule on one engine configuration.
 func (ps *prefSchedule) run(t *testing.T, preFilter bool) ([]Match, Stats) {
 	t.Helper()
 	cfg := ps.cfg
@@ -85,15 +85,12 @@ func (ps *prefSchedule) run(t *testing.T, preFilter bool) ([]Match, Stats) {
 		}
 	}
 	e.Flush()
-	if pf := e.PreFilterStats(); pf.EmptySearches != 0 || preFilter && pf.RowRejects == 0 {
-		t.Fatalf("pre-filter=%v: %d empty searches, %d of %d rows rejected", preFilter, pf.EmptySearches, pf.RowRejects, pf.RowProbes)
-	}
 	return e.Matches, e.Stats()
 }
 
-// TestPreFilterOutputEquivalence: the tier must be invisible in the output
-// — same matches, same stats — for every method/order combination, under
-// subscription churn.
+// TestPreFilterOutputEquivalence: PreFilter must be invisible in the
+// output — same matches, same stats — for every method/order combination,
+// under subscription churn.
 func TestPreFilterOutputEquivalence(t *testing.T) {
 	for _, v := range []struct {
 		name   string
@@ -123,9 +120,9 @@ func TestPreFilterOutputEquivalence(t *testing.T) {
 }
 
 // TestPreFilterChurnFuzz: random interleaved Add/Remove schedules, applied
-// identically with the tier on and off, must keep outputs equal — the
-// churn path adds and drops rows of the cell table, and drops a cell whose
-// last row goes.
+// identically with PreFilter set and clear, must keep outputs equal — the
+// churn path adds and drops postings, and drops a cell whose last posting
+// goes.
 func TestPreFilterChurnFuzz(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(300 + trial)))
@@ -155,11 +152,11 @@ func TestPreFilterChurnFuzz(t *testing.T) {
 	}
 }
 
-// TestPreFilterSnapshotRoundTrip is the checkpoint satellite: a pre-filter
-// engine checkpointed mid-stream and restored — with the tier on or off —
-// must finish the stream with output byte-identical to the uninterrupted
-// run. PreFilter is excluded from the snapshot fingerprint (it is a runtime
-// choice); the cell table is rebuilt from the restored query set.
+// TestPreFilterSnapshotRoundTrip: an engine checkpointed mid-stream and
+// restored — with PreFilter set or clear on either side — must finish the
+// stream with output byte-identical to the uninterrupted run. PreFilter is
+// not in the snapshot fingerprint; the postings are rebuilt from the
+// restored sketches.
 func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 	ps := newPrefSchedule(21, Bit, Sequential)
 	uninterruptedM, uninterruptedS := ps.run(t, true)
@@ -206,7 +203,7 @@ func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 			cut := 110 // mid-stream, after the first removal
 			push(e, 0, cut)
 
-			// Through the real codec, so the cell table's absence from the
+			// Through the real codec, so the postings' absence from the
 			// durable form is exercised, not just ExportState.
 			var buf bytes.Buffer
 			if err := snapshot.Write(&buf, &snapshot.Checkpoint{Engine: *e.ExportState()}); err != nil {
@@ -235,35 +232,43 @@ func TestPreFilterSnapshotRoundTrip(t *testing.T) {
 		})
 	}
 	if !bytes.Equal(ckpt[true], ckpt[false]) {
-		t.Error("checkpoint bytes differ with the tier on and off")
+		t.Error("checkpoint bytes differ with PreFilter set and clear")
 	}
 }
 
-// TestPreFilterValidation: the tier requires the Hash-Query index.
+// TestPreFilterValidation: PreFilter no longer constrains a configuration,
+// with or without the index; what the one probe path needs is a window
+// whose cells fit 16-bit winner indices.
 func TestPreFilterValidation(t *testing.T) {
 	cfg := Default(10)
-	cfg.UseIndex = false
 	cfg.PreFilter = true
-	if err := cfg.Validate(); err == nil {
-		t.Error("PreFilter without UseIndex accepted")
+	for _, useIndex := range []bool{false, true} {
+		cfg.UseIndex = useIndex
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("PreFilter with UseIndex=%v rejected: %v", useIndex, err)
+		}
 	}
-	cfg.UseIndex = true
+	cfg.WindowFrames = maxWindowFrames
 	if err := cfg.Validate(); err != nil {
-		t.Errorf("PreFilter with UseIndex rejected: %v", err)
+		t.Errorf("a window of %d frames rejected: %v", cfg.WindowFrames, err)
+	}
+	cfg.WindowFrames++
+	if err := cfg.Validate(); err == nil {
+		t.Errorf("a window of %d frames accepted", cfg.WindowFrames)
 	}
 }
 
-// TestPreFilterWideWindow: a window with more distinct cells than
-// minhash.Winners can name is probed unmasked, with the same output.
+// TestPreFilterWideWindow: a window of 300 distinct cells goes through the
+// one probe path, its winners named, with the matches a scan finds.
 func TestPreFilterWideWindow(t *testing.T) {
-	wide := make([]uint64, minhash.MaxWinners+44)
+	wide := make([]uint64, 300)
 	for j := range wide {
 		wide[j] = uint64(j)<<29 | uint64(j&1)
 	}
 	var got [2][]Match
-	for n, pre := range []bool{false, true} {
+	for n, useIndex := range []bool{false, true} {
 		e, err := NewEngine(Config{K: 64, Seed: 3, Delta: 0.5, Lambda: 2, WindowFrames: len(wide),
-			Order: Sequential, Method: Bit, UseIndex: true, PreFilter: pre})
+			Order: Sequential, Method: Bit, UseIndex: useIndex})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,39 +279,41 @@ func TestPreFilterWideWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.PushFrames(wide)
-		e.PushFrames(wide[:8]) // a narrow window: masked
-		e.Flush()
-		if pf := e.PreFilterStats(); pf.EmptySearches != 0 || pre && pf.RowProbes != 64 {
-			t.Fatalf("pre-filter=%v: %+v, want one masked window of 64 rows and no empty search", pre, pf)
+		if len(e.winners.Cells) < len(wide) || len(e.winners.Row) != 64 {
+			t.Fatalf("index=%v: %d cells, %d rows named", useIndex, len(e.winners.Cells), len(e.winners.Row))
 		}
+		e.PushFrames(wide[:8])
+		e.Flush()
 		got[n] = e.Matches
 	}
 	if len(got[0]) == 0 || !reflect.DeepEqual(got[0], got[1]) {
-		t.Fatalf("matches off %+v, on %+v", got[0], got[1])
+		t.Fatalf("matches by scan %+v, by index %+v", got[0], got[1])
 	}
 }
 
-// FuzzPreFilterMask is the exactness harness. For every window, the mask
-// must be exactly the rows in which the unmasked probe meets an equal value,
-// and the masked probe's output that of the unmasked probe with no empty
-// search — on query sketches crafted around the windows' own values (equal,
-// sharing a 32-bit prefix, u<<29 and u<<29|1 of a small universe, ≥ p,
-// Empty), on the same set saved and restored through VQS1, and after every
-// step of a random Add/Remove schedule. A window too wide for its winners to
-// be named is probed unmasked.
+// FuzzPreFilterMask is the plane's exactness harness, named for the row
+// mask it checked until the index itself became exact. For every window the
+// plane's index, probed with the winners the window's sketch loop named as
+// the engine probes it, must answer — Related with signatures, Pruned,
+// Comparisons — as it does when it finds the window's cells by inverting
+// the sketch, and as the Build shim's scan of the same queries does; on
+// query sketches crafted around the windows' own values (equal, sharing a
+// 32-bit prefix, u<<29 and u<<29|1 of a small universe, ≥ p, Empty), on the
+// same set saved and restored through VQS1, and after every step of a
+// random Add/Remove schedule, windows of some hundred cells included.
 func FuzzPreFilterMask(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(seed, uint8(seed), uint8(3*seed))
 	}
 	f.Add(int64(42), uint8(2), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, kSel, uSel uint8) {
-		newMaskHarness(seed, kSel, uSel).run(t)
+		newPlaneHarness(seed, kSel, uSel).run(t)
 	})
 }
 
-// maskHarness is one exactness run: a family, windows over a small
+// planeHarness is one exactness run: a family, windows over a small
 // universe of cells, and the live sketches of the set under test.
-type maskHarness struct {
+type planeHarness struct {
 	rng      *rand.Rand
 	k        int
 	seed     int64
@@ -316,8 +323,8 @@ type maskHarness struct {
 	sks      []minhash.Sketch
 }
 
-func newMaskHarness(seed int64, kSel, uSel uint8) *maskHarness {
-	h := &maskHarness{
+func newPlaneHarness(seed int64, kSel, uSel uint8) *planeHarness {
+	h := &planeHarness{
 		rng:      rand.New(rand.NewSource(seed)),
 		k:        []int{8, 64, 130}[kSel%3],
 		seed:     seed,
@@ -327,7 +334,7 @@ func newMaskHarness(seed int64, kSel, uSel uint8) *maskHarness {
 	for w := 0; w < 6; w++ {
 		h.windows = append(h.windows, h.cells(1+h.rng.Intn(12)))
 	}
-	wide := h.cells(minhash.MaxWinners + 40)
+	wide := h.cells(300)
 	for j := range wide[h.universe:] {
 		wide[h.universe+j] = uint64(j+h.universe)<<29 | 1
 	}
@@ -339,7 +346,7 @@ func newMaskHarness(seed int64, kSel, uSel uint8) *maskHarness {
 }
 
 // cells draws n cell ids u<<29 and u<<29|1 from the universe.
-func (h *maskHarness) cells(n int) []uint64 {
+func (h *planeHarness) cells(n int) []uint64 {
 	ids := make([]uint64, n)
 	for j := range ids {
 		ids[j] = uint64(h.rng.Intn(h.universe))<<29 | uint64(h.rng.Intn(2))
@@ -349,7 +356,7 @@ func (h *maskHarness) cells(n int) []uint64 {
 
 // crafted returns a sketch whose every value is drawn around some window's
 // value at that row.
-func (h *maskHarness) crafted() minhash.Sketch {
+func (h *planeHarness) crafted() minhash.Sketch {
 	real := h.fam.SketchSet(h.cells(1 + h.rng.Intn(6)))
 	sk := make(minhash.Sketch, h.k)
 	for i := range sk {
@@ -376,7 +383,7 @@ func (h *maskHarness) crafted() minhash.Sketch {
 
 // add subscribes query id to qs: crafted (through the restore path) or
 // sketched from cell ids.
-func (h *maskHarness) add(t *testing.T, qs *QuerySet, id int) {
+func (h *planeHarness) add(t *testing.T, qs *QuerySet, id int) {
 	t.Helper()
 	var err error
 	if h.rng.Intn(2) == 0 {
@@ -389,21 +396,14 @@ func (h *maskHarness) add(t *testing.T, qs *QuerySet, id int) {
 	}
 }
 
-func (h *maskHarness) run(t *testing.T) {
+func (h *planeHarness) run(t *testing.T) {
 	orig, err := NewQuerySet(h.k, h.seed, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	early := h.rng.Intn(2) == 0
-	if early {
-		orig.EnablePreFilter()
-	}
 	next := 1
 	for ; next <= 1+h.rng.Intn(10); next++ {
 		h.add(t, orig, next)
-	}
-	if !early {
-		orig.EnablePreFilter()
 	}
 	h.check(t, "built", orig)
 
@@ -415,7 +415,6 @@ func (h *maskHarness) run(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs.EnablePreFilter()
 	h.check(t, "restored", qs)
 
 	for step := 0; step < 30; step++ {
@@ -432,46 +431,44 @@ func (h *maskHarness) run(t *testing.T) {
 	}
 }
 
-// check compares, for every window, the plane's mask with the rows some live
-// query holds the window's value in, and the masked probe with the unmasked.
-func (h *maskHarness) check(t *testing.T, when string, qs *QuerySet) {
+// check probes the plane's index for every window three ways — with the
+// window's winners, by inversion, and through the Build shim — and holds
+// the three answers to one another.
+func (h *planeHarness) check(t *testing.T, when string, qs *QuerySet) {
 	t.Helper()
 	v := qs.view()
+	if len(v.queries) == 0 {
+		return
+	}
+	shim, err := qindex.Build(v.scan.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var w minhash.Winners
+	ps := new(qindex.ProbeScratch)
 	for n, ids := range h.windows {
 		sk := h.fam.SketchWinners(ids, &w)
-		if !reflect.DeepEqual(sk, h.sks[n]) {
-			t.Fatalf("%s window %d: SketchWinners differs from SketchSet", when, n)
+		if !reflect.DeepEqual(sk, h.sks[n]) || len(w.Row) != h.k {
+			t.Fatalf("%s window %d: SketchWinners differs from SketchSet, or names %d of %d rows", when, n, len(w.Row), h.k)
 		}
-		mask := qindex.NewRowMask(h.k)
-		masked := v.windowRowMask(&w, mask)
-		if masked != (len(w.Row) > 0) {
-			t.Fatalf("%s window %d (%d cells): masked=%v", when, n, len(w.Cells), masked)
+		want := probeString(shim.Probe(sk, 0.5))
+		if got := probeString(*v.index.ProbeInto(ps, sk, 0.5, &w)); got != want {
+			t.Fatalf("%s window %d (%d cells): probe by winners %s, scan %s", when, n, len(w.Cells), got, want)
 		}
-		if !masked {
-			continue
-		}
-		for i := range sk {
-			held := false
-			for _, q := range v.queries {
-				held = held || q.sketch[i] == sk[i]
-			}
-			if mask.Admits(i) != held {
-				t.Fatalf("%s window %d row %d: mask admits=%v, a query holds the value=%v", when, n, i, mask.Admits(i), held)
-			}
-		}
-		want := v.index.Probe(sk, 0.5)
-		got := v.index.ProbeShardMasked(sk, 0.5, 0, 1, mask)
-		if got.EmptySearches != 0 || probeString(got) != probeString(want) {
-			t.Fatalf("%s window %d: masked probe %s (%d empty), unmasked %s", when, n, probeString(got), got.EmptySearches, probeString(want))
+		if got := probeString(v.index.Probe(sk, 0.5)); got != want {
+			t.Fatalf("%s window %d (%d cells): probe by inversion %s, scan %s", when, n, len(w.Cells), got, want)
 		}
 	}
 }
 
-// probeString renders a probe's output, signatures included, in its order.
+// probeString renders a probe's output, signatures included, in query-id
+// order.
 func probeString(po qindex.ProbeOutput) string {
-	s := fmt.Sprintf("pruned=%v comparisons=%d", po.Pruned, po.Comparisons)
-	for _, r := range po.Related {
+	rel, pruned := slices.Clone(po.Related), slices.Clone(po.Pruned)
+	slices.SortFunc(rel, func(a, b qindex.Result) int { return cmp.Compare(a.QID, b.QID) })
+	slices.Sort(pruned)
+	s := fmt.Sprintf("pruned=%v comparisons=%d", pruned, po.Comparisons)
+	for _, r := range rel {
 		s += fmt.Sprintf(" q%d:%x/%x", r.QID, r.Sig.Lo, r.Sig.Hi)
 	}
 	return s

@@ -12,11 +12,11 @@ import (
 	"vdsms/internal/qindex"
 )
 
-// QuerySet holds the subscribed continuous queries — sketches, lengths, the
-// Hash-Query index and its optional exact pre-filter — independently of any
-// stream. Multiple Engines (one per monitored stream, the paper's "many
-// concurrent video streams" setting) share one QuerySet, so query memory is
-// O(queries), not O(queries × streams).
+// QuerySet holds the subscribed continuous queries — sketches, lengths and
+// the query index — independently of any stream. Multiple Engines (one per
+// monitored stream, the paper's "many concurrent video streams" setting)
+// share one QuerySet, so query memory is O(queries), not O(queries ×
+// streams).
 //
 // The set is organised as a sequence of immutable versioned planes
 // (queryPlane): window processing loads the current plane once per basic
@@ -40,23 +40,20 @@ type QuerySet struct {
 }
 
 // queryPlane is one immutable version of the shared query plane: the
-// subscription map, the insertion-ordered authoritative list and the
-// Hash-Query index, all consistent with each other. Nothing in a published
-// plane is ever mutated — writers clone what they change — so engines read
-// it without locks.
+// subscription map, the insertion-ordered authoritative list and the query
+// index, all consistent with each other. Nothing in a published plane is
+// ever mutated — writers clone what they change — so engines read it
+// without locks.
 type queryPlane struct {
 	version   uint64
 	queries   map[int]*queryInfo
 	maxFrames int
 	scan      qindex.Scan   // insertion-ordered; rebuilds pass through the same sequence
-	index     *qindex.Index // nil until the first query when useIndex
-	// preFilter makes every index of the plane track cells (the exact
-	// pre-filter, qindex.TrackCells).
-	preFilter bool
+	index     *qindex.Index // nil unless useIndex
 
 	// ownedIndex is a builder-only flag, meaningful while the plane is under
 	// construction by a writer holding mu: it records that index is already
-	// a private copy, so a multi-insert operation (LoadQuerySet,
+	// a private copy, so a multi-insert operation (AddBatch, LoadQuerySet,
 	// RestoreEngine) clones once, not per query. begin() starts successors
 	// with it clear.
 	ownedIndex bool
@@ -65,31 +62,24 @@ type queryPlane struct {
 // lookup returns the plane's query with the given id, or nil.
 func (v *queryPlane) lookup(id int) *queryInfo { return v.queries[id] }
 
-// usingIndex reports whether this plane probes through the Hash-Query index.
+// usingIndex reports whether this plane probes through the query index.
 func (v *queryPlane) usingIndex() bool { return v.index != nil }
 
 // probe runs the configured prober against this plane into ps (the output
 // is valid until ps is probed again) and returns the number of full sketch
-// comparisons a scan made. Lock-free: the plane is immutable.
-func (v *queryPlane) probe(ps *qindex.ProbeScratch, sk minhash.Sketch, delta float64, mask qindex.RowMask) (*qindex.ProbeOutput, int) {
+// comparisons a scan made; w names the window's winning cells, which the
+// index reads its posting lists by. Lock-free: the plane is immutable.
+func (v *queryPlane) probe(ps *qindex.ProbeScratch, sk minhash.Sketch, delta float64, w *minhash.Winners) (*qindex.ProbeOutput, int) {
 	if v.index != nil {
-		return v.index.ProbeInto(ps, sk, delta, mask), 0
+		return v.index.ProbeInto(ps, sk, delta, w), 0
 	}
 	return v.scan.ProbeInto(ps, sk, delta), len(v.scan.Queries)
 }
 
-// windowRowMask fills mask with the exact pre-filter's admission set for
-// the window whose winners w recorded — the rows in which some query holds
-// the window's value — and reports whether it did: not when the tier is off
-// or w cannot name every row's winner, and the window is probed unmasked.
-func (v *queryPlane) windowRowMask(w *minhash.Winners, mask qindex.RowMask) bool {
-	return v.preFilter && v.index != nil && v.index.RowMaskInto(mask, w)
-}
-
 // bytes estimates the plane's memory footprint: sketches and retained raw
-// cell ids and the Hash-Query index with its cell table. This is the term
-// the fleet's bytes-per-stream accounting shows is paid once per process,
-// not once per stream.
+// cell ids and the query index. This is the term the fleet's
+// bytes-per-stream accounting shows is paid once per process, not once per
+// stream.
 func (v *queryPlane) bytes() int {
 	b := 0
 	for _, q := range v.queries {
@@ -114,11 +104,10 @@ func (qs *QuerySet) view() *queryPlane { return qs.cur.Load() }
 func (qs *QuerySet) begin() *queryPlane {
 	old := qs.cur.Load()
 	np := &queryPlane{
-		version:   old.version + 1,
-		queries:   make(map[int]*queryInfo, len(old.queries)+1),
-		scan:      qindex.Scan{Queries: append([]qindex.Query(nil), old.scan.Queries...)},
-		index:     old.index,
-		preFilter: old.preFilter,
+		version: old.version + 1,
+		queries: make(map[int]*queryInfo, len(old.queries)+1),
+		scan:    qindex.Scan{Queries: append([]qindex.Query(nil), old.scan.Queries...)},
+		index:   old.index,
 	}
 	for id, q := range old.queries {
 		np.queries[id] = q
@@ -136,13 +125,10 @@ func (qs *QuerySet) publish(np *queryPlane) {
 		}
 	}
 	qs.cur.Store(np)
-	if np.preFilter {
-		qs.publishPreFilterGauges(np)
-	}
 }
 
 // NewQuerySet builds an empty query set with K hash functions drawn from
-// seed. useIndex selects Hash-Query-index probing over linear scans.
+// seed. useIndex selects query-index probing over linear scans.
 func NewQuerySet(k int, seed int64, useIndex bool) (*QuerySet, error) {
 	fam, err := minhash.NewFamily(k, seed)
 	if err != nil {
@@ -154,7 +140,13 @@ func NewQuerySet(k int, seed int64, useIndex bool) (*QuerySet, error) {
 		seed:     seed,
 		useIndex: useIndex,
 	}
-	qs.cur.Store(&queryPlane{queries: make(map[int]*queryInfo)})
+	first := &queryPlane{queries: make(map[int]*queryInfo)}
+	if useIndex {
+		if first.index, err = qindex.New(fam, nil); err != nil {
+			return nil, err
+		}
+	}
+	qs.cur.Store(first)
 	return qs, nil
 }
 
@@ -168,16 +160,25 @@ func (qs *QuerySet) Family() *minhash.Family { return qs.fam }
 func (qs *QuerySet) Len() int { return len(qs.view().queries) }
 
 // Version returns the current query-plane version: 0 for the empty set,
-// incremented by every Add/AddBatch/Remove/EnablePreFilter. Engines stamp
-// the version they captured, so tests (and the fleet's stats surface) can
-// verify that in-flight windows stay on the plane they started with.
+// incremented by every Add/AddBatch/Remove. Engines stamp the version they
+// captured, so tests (and the fleet's stats surface) can verify that
+// in-flight windows stay on the plane they started with.
 func (qs *QuerySet) Version() uint64 { return qs.view().version }
 
 // PlaneBytes estimates the memory footprint of the current query plane —
-// sketches, Hash-Query index and pre-filter cells. Shared by every engine on the
-// set: the whole point of the plane split is that this figure is paid once
-// per process regardless of the stream count.
+// sketches and query index. Shared by every engine on the set: the whole
+// point of the plane split is that this figure is paid once per process
+// regardless of the stream count.
 func (qs *QuerySet) PlaneBytes() int { return qs.view().bytes() }
+
+// IndexBytes returns the memory the current plane's query index holds
+// beside the sketches (qindex.Index.Bytes); 0 without an index.
+func (qs *QuerySet) IndexBytes() int {
+	if idx := qs.view().index; idx != nil {
+		return idx.Bytes()
+	}
+	return 0
+}
 
 // IDs returns the subscribed query ids (unordered).
 func (qs *QuerySet) IDs() []int {
@@ -258,23 +259,15 @@ func (qs *QuerySet) Add(id int, cellIDs []uint64) error {
 }
 
 // insert wires an already-sketched query into a not-yet-published plane,
-// cloning the index it mutates; callers hold mu.
+// cloning the index it mutates once per plane; callers hold mu.
 func (qs *QuerySet) insert(np *queryPlane, q *queryInfo) error {
 	iq := qindex.Query{ID: q.id, Length: q.frames, Sketch: q.sketch}
-	if qs.useIndex {
-		if np.index == nil {
-			idx, err := qs.build(np, []qindex.Query{iq})
-			if err != nil {
-				return err
-			}
-			np.index, np.ownedIndex = idx, true
-		} else {
-			if !np.ownedIndex {
-				np.index, np.ownedIndex = np.index.Clone(), true
-			}
-			if err := np.index.Add(iq); err != nil {
-				return err
-			}
+	if np.index != nil {
+		if !np.ownedIndex {
+			np.index, np.ownedIndex = np.index.Clone(), true
+		}
+		if err := np.index.Add(iq); err != nil {
+			return err
 		}
 	}
 	np.queries[q.id] = q
@@ -282,22 +275,10 @@ func (qs *QuerySet) insert(np *queryPlane, q *queryInfo) error {
 	return nil
 }
 
-// build is qindex.Build for plane np, tracking cells when np has the tier.
-func (qs *QuerySet) build(np *queryPlane, queries []qindex.Query) (*qindex.Index, error) {
-	idx, err := qindex.Build(queries)
-	if err == nil && np.preFilter {
-		idx.TrackCells(qs.fam)
-	}
-	return idx, err
-}
-
-// AddBatch subscribes many queries in one operation. The Hash-Query index
-// is rebuilt once with a bulk Build — O(K·m log m) for the whole batch
-// instead of the O(K·m) slice insertions per query the incremental path
-// pays (O(K·m²) total), which is the difference between seconds and hours
-// at the 10⁵–10⁶ query scale the pre-filter tier targets. The batch is
-// validated before any mutation, so an error leaves the set unchanged, and
-// the whole batch lands as a single new plane version.
+// AddBatch subscribes many queries in one operation: one index clone, one
+// Add per query into it, and the whole batch lands as a single new plane
+// version. The batch is validated before any mutation, so an error leaves
+// the set unchanged.
 func (qs *QuerySet) AddBatch(ids []int, cellIDs [][]uint64) error {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
@@ -305,8 +286,6 @@ func (qs *QuerySet) AddBatch(ids []int, cellIDs [][]uint64) error {
 		return err
 	}
 	np := qs.begin()
-	batch := make([]*queryInfo, len(ids))
-	all := np.scan.Queries
 	for i, id := range ids {
 		q := &queryInfo{
 			id:      id,
@@ -314,20 +293,10 @@ func (qs *QuerySet) AddBatch(ids []int, cellIDs [][]uint64) error {
 			sketch:  qs.fam.SketchSet(cellIDs[i]),
 			cellIDs: append([]uint64(nil), cellIDs[i]...),
 		}
-		batch[i] = q
-		all = append(all, qindex.Query{ID: q.id, Length: q.frames, Sketch: q.sketch})
-	}
-	if qs.useIndex && len(all) > 0 {
-		idx, err := qs.build(np, all)
-		if err != nil {
+		if err := qs.insert(np, q); err != nil {
 			return err
 		}
-		np.index = idx
 	}
-	for _, q := range batch {
-		np.queries[q.id] = q
-	}
-	np.scan.Queries = all
 	qs.publish(np)
 	return nil
 }
@@ -360,49 +329,15 @@ func (qs *QuerySet) Remove(id int) error {
 	return nil
 }
 
-// EnablePreFilter turns the exact pre-filter on for this set (idempotent):
-// the index builds its cell table from the current subscriptions, and
-// subsequent Add/Remove keep it exact through the copy-on-write plane.
-func (qs *QuerySet) EnablePreFilter() {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	if qs.view().preFilter {
-		return
-	}
-	np := qs.begin()
-	np.preFilter = true
-	if np.index != nil {
-		np.index = np.index.Clone()
-		np.index.TrackCells(qs.fam)
-	}
-	qs.publish(np)
-}
-
-// publishPreFilterGauges refreshes the tier's memory-accounting gauges.
-// Gauge stores are single atomics, so doing this on every churn operation
-// is free relative to the O(K) cell-table work.
-func (qs *QuerySet) publishPreFilterGauges(np *queryPlane) {
-	_, b := np.cells()
-	telPrefilterBytes.Set(float64(b))
-	if n := len(np.queries); n > 0 {
-		telPrefilterBytesPerQuery.Set(float64(b) / float64(n))
-	} else {
-		telPrefilterBytesPerQuery.Set(0)
-	}
-}
-
-// cells returns the cells the plane's pre-filter holds and their bytes.
-func (v *queryPlane) cells() (cells, bytes int) {
-	if v.index == nil {
-		return 0, 0
-	}
-	return v.index.Cells()
-}
+// EnablePreFilter does nothing. It turned on a row pre-filter in front of
+// the query index, which the index now is itself (DESIGN.md §10); it stays
+// for one release so that code calling it still compiles.
+func (qs *QuerySet) EnablePreFilter() {}
 
 // Serialisation format "VQS1": K, seed, useIndex, count, then per query
 // id, length and K raw sketch values — everything needed to reconstruct
-// the set (the index is rebuilt on load, which the paper treats as an
-// offline step anyway).
+// the set (the index is rebuilt on load by inverting the sketches into
+// their cells, which the paper treats as an offline step anyway).
 var qsMagic = [4]byte{'V', 'Q', 'S', '1'}
 
 // ErrBadQuerySet is returned by LoadQuerySet on malformed input.
@@ -444,7 +379,7 @@ func (qs *QuerySet) Save(w io.Writer) error {
 }
 
 // LoadQuerySet reconstructs a query set saved with Save, rebuilding the
-// Hash-Query index through the same insertion sequence.
+// query index through the same insertion sequence.
 func LoadQuerySet(r io.Reader) (*QuerySet, error) {
 	var hdr [25]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -15,10 +15,8 @@ import (
 )
 
 // snapshotConfig maps the detection-relevant configuration into the durable
-// form. PreFilter is deliberately dropped: the tier is a runtime choice,
-// output-neutral (no false negatives) and its filter is rebuilt from the
-// restored queries, so a checkpoint taken with the tier on restores with
-// it off and vice versa.
+// form. PreFilter is dropped: it changes nothing, so a checkpoint taken
+// with it set restores with it clear and vice versa.
 func (c Config) snapshotConfig() snapshot.Config {
 	return snapshot.Config{
 		K:            c.K,
@@ -41,8 +39,8 @@ func (c Config) Fingerprint(m snapshot.Meta) uint64 {
 }
 
 // exportQueries returns the subscribed queries in insertion order, the
-// order restore re-inserts them so the rebuilt Hash-Query index passes
-// through the same construction sequence.
+// order restore re-inserts them so the rebuilt query index passes through
+// the same construction sequence.
 func (qs *QuerySet) exportQueries() []snapshot.Query {
 	v := qs.view()
 	out := make([]snapshot.Query, 0, len(v.scan.Queries))

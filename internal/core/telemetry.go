@@ -31,17 +31,6 @@ var (
 	telCompared = telemetry.Default.Counter("vcd_compared_total",
 		"Similarity evaluations (signature tests plus sketch comparisons), across all engines.")
 
-	telPrefilterProbes = telemetry.Default.Counter("vcd_prefilter_row_probes_total",
-		"Rows of windows the pre-filter masked (K per masked window).")
-	telPrefilterRejects = telemetry.Default.Counter("vcd_prefilter_row_rejects_total",
-		"Rows the pre-filter rejected before any Hash-Query index work.")
-	telPrefilterFP = telemetry.Default.Counter("vcd_prefilter_false_positives_total",
-		"Rows the pre-filter admitted whose index search found nothing; zero by construction.")
-	telPrefilterBytes = telemetry.Default.Gauge("vcd_prefilter_bytes",
-		"Memory footprint of the pre-filter's cell table, in bytes.")
-	telPrefilterBytesPerQuery = telemetry.Default.Gauge("vcd_prefilter_bytes_per_query",
-		"Pre-filter bytes divided by registered queries — the tier's marginal memory cost.")
-
 	telStageSketch  = stageHistogram("sketch")
 	telStageProbe   = stageHistogram("probe")
 	telStageCombine = stageHistogram("combine")

@@ -318,7 +318,7 @@ var Registry = []Experiment{
 	{"ablation-lambda", "Section IV.A tempo scaling", AblationLambda},
 	{"ablation-index-update", "Section V.C.1 online maintenance", AblationIndexUpdate},
 	{"recovery", "beyond the paper: checkpoint/restore + WAL replay", Recovery},
-	{"queryscale", "beyond the paper: pre-filter tier at 10³–10⁶ queries", QueryScale},
+	{"queryscale", "beyond the paper: query index vs scan at 10³–10⁶ queries", QueryScale},
 	{"overload", "beyond the paper: load shedding at 2× sustainable ingest", Overload},
 	{"fleet", "beyond the paper: multi-tenant pool, 64–1024 streams on one query plane", FleetScale},
 }

@@ -12,8 +12,7 @@ import (
 // AblationIndexUpdate measures the online subscription maintenance of
 // paper Section V.C.1 ("Addition of new queries and removal of old queries
 // can be performed online"): the cost of adding/removing one query to a
-// live Hash-Query index versus rebuilding it from scratch, across index
-// sizes.
+// live query index versus rebuilding it from scratch, across index sizes.
 func AblationIndexUpdate(l *Lab) (*stats.Table, error) {
 	const k = 800
 	fam, err := minhash.NewFamily(k, 1)
@@ -36,7 +35,7 @@ func AblationIndexUpdate(l *Lab) (*stats.Table, error) {
 		for i := range queries {
 			queries[i] = mkQuery(i + 1)
 		}
-		idx, err := qindex.Build(queries)
+		idx, err := qindex.New(fam, queries)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +55,7 @@ func AblationIndexUpdate(l *Lab) (*stats.Table, error) {
 				}
 			})
 			rebuildT += stats.Time(func() {
-				if _, err := qindex.Build(queries); err != nil {
+				if _, err := qindex.New(fam, queries); err != nil {
 					panic(err)
 				}
 			})

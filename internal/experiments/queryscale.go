@@ -9,22 +9,20 @@ import (
 	"vdsms/internal/stats"
 )
 
-// QueryScale measures the exact pre-filter tier (qindex.TrackCells) against
-// the bare Hash-Query index as the subscribed query count m grows 10³ → 10⁵
-// (10⁶ at -scale ≥ 4, where the index alone needs gigabytes). The workload
-// is synthetic — cell-id streams, not the video pipeline, because encoding
-// 10⁵ query videos is not the point — but structurally faithful: every
-// query draws from its own content alphabet, the monitored stream is
-// mostly unrelated background with a few true copies spliced in, exactly
-// the regime the paper's "millions of users" north star implies, where
-// almost every per-row probe finds nothing.
+// QueryScale measures the query index (internal/qindex) against the
+// index-free scan as the subscribed query count m grows 10³ → 10⁵ (10⁶ at
+// -scale ≥ 4, where the scan takes minutes). The workload is synthetic —
+// cell-id streams, not the video pipeline, because encoding 10⁵ query
+// videos is not the point — but structurally faithful: every query draws
+// from its own content alphabet, the monitored stream is mostly unrelated
+// background with a few true copies spliced in, exactly the regime the
+// paper's "millions of users" north star implies, where almost no query is
+// related to a window.
 //
-// Reported per level: subscription (bulk index build) time, stream
-// wall-clock with the tier off and on, the resulting speedup, match
-// equality (must always be true — the tier is output-neutral), the row
-// rejection rate (each rejected row rejects every candidate query at that
-// hash position before any index work), the false-positive rate (zero: the
-// tier is exact), and the tier's memory footprint per registered query.
+// Reported per level: subscription time, per-window time with the index
+// and with the scan, the resulting speedup, match equality (must always be
+// true — the index is exact), the index's work per window (value
+// comparisons) and its memory, in all and per registered query.
 func QueryScale(l *Lab) (*stats.Table, error) {
 	levels := []int{1_000, 10_000, 100_000}
 	if l.opt.Scale >= 4 {
@@ -32,9 +30,9 @@ func QueryScale(l *Lab) (*stats.Table, error) {
 	} else if l.opt.Scale < 1 {
 		levels = levels[:2]
 	}
-	tb := stats.NewTable("Query scale: pre-filter tier vs bare HQ index (synthetic, K=128)",
-		"queries", "subscribe", "probe off", "probe on", "speedup",
-		"identical", "matches", "reject%", "fp%", "filter", "B/query")
+	tb := stats.NewTable("Query scale: query index vs scan (synthetic, K=128)",
+		"queries", "subscribe", "index/window", "scan/window", "speedup",
+		"identical", "matches", "comparisons/window", "index", "B/query")
 	for _, m := range levels {
 		row, err := QueryScaleRun(m, l.opt.Seed)
 		if err != nil {
@@ -42,13 +40,12 @@ func QueryScale(l *Lab) (*stats.Table, error) {
 		}
 		tb.AddRow(row.Queries,
 			time.Duration(row.SubscribeSec*float64(time.Second)).Round(time.Millisecond),
-			time.Duration(row.BaseSec*float64(time.Second)).Round(time.Millisecond),
-			time.Duration(row.PreSec*float64(time.Second)).Round(time.Millisecond),
-			fmt.Sprintf("%.2fx", row.Speedup),
+			fmt.Sprintf("%.1fµs", row.IndexUS),
+			fmt.Sprintf("%.1fµs", row.ScanUS),
+			fmt.Sprintf("%.1fx", row.Speedup),
 			row.Identical, row.Matches,
-			fmt.Sprintf("%.1f", row.RejectPct),
-			fmt.Sprintf("%.2f", row.FPPct),
-			fmt.Sprintf("%.1fMB", float64(row.FilterBytes)/(1<<20)),
+			fmt.Sprintf("%.1f", row.ComparisonsPerWindow),
+			fmt.Sprintf("%.1fMB", float64(row.IndexBytes)/(1<<20)),
 			fmt.Sprintf("%.1f", row.BytesPerQuery))
 	}
 	return tb, nil
@@ -59,33 +56,32 @@ func QueryScale(l *Lab) (*stats.Table, error) {
 type QueryScaleRow struct {
 	Queries      int     `json:"queries"`
 	SubscribeSec float64 `json:"subscribe_sec"`
-	// BaseSec and PreSec are stream wall-clock with the tier off and on.
-	BaseSec float64 `json:"stream_sec_prefilter_off"`
-	PreSec  float64 `json:"stream_sec_prefilter_on"`
+	// IndexUS and ScanUS are stream wall-clock per basic window with the
+	// query index and with the scan.
+	IndexUS float64 `json:"index_us_per_window"`
+	ScanUS  float64 `json:"scan_us_per_window"`
 	Speedup float64 `json:"speedup"`
-	// Identical is the output-neutrality check: the two runs' match lists
-	// compared element-wise.
+	// Identical is the exactness check: the two runs' match lists compared
+	// element-wise.
 	Identical bool `json:"identical_matches"`
 	Matches   int  `json:"matches"`
-	// RejectPct is the percentage of per-row searches the tier rejected;
-	// FPPct the percentage of admitted rows whose index search found
-	// nothing, which an exact tier keeps at 0.
-	RejectPct     float64 `json:"reject_pct"`
-	FPPct         float64 `json:"fp_pct"`
-	FilterBytes   int     `json:"filter_bytes"`
-	BytesPerQuery float64 `json:"bytes_per_query"`
+	// ComparisonsPerWindow is the index's work (Stats.ProbeComparisons per
+	// window); IndexBytes its memory beside the sketches.
+	ComparisonsPerWindow float64 `json:"comparisons_per_window"`
+	IndexBytes           int     `json:"index_bytes"`
+	BytesPerQuery        float64 `json:"bytes_per_query"`
 }
 
 // QueryScaleRun measures one query-count level: m synthetic queries
 // subscribed in one batch, a mostly-background stream with 8 true copies,
-// streamed through two engines differing only in Config.PreFilter.
+// streamed through two engines differing only in Config.UseIndex.
 func QueryScaleRun(m int, seed int64) (QueryScaleRow, error) {
 	if seed == 0 {
 		seed = 20080407
 	}
 	rng := rand.New(rand.NewSource(seed))
 	const (
-		k           = 128 // keeps the 10⁵-query index in memory (K=800 would 6× it)
+		k           = 128 // keeps the 10⁵-query plane small (K=800 would 6× its sketches)
 		w           = 10
 		queryFrames = 40
 		copies      = 8
@@ -105,64 +101,60 @@ func QueryScaleRun(m int, seed int64) (QueryScaleRow, error) {
 	}
 	stream = append(stream, synthStream(rng, m+10+copies, 200)...)
 
-	run := func(pre bool) ([]core.Match, core.PreFilterStats, float64, float64, error) {
-		cfg := core.Config{
+	run := func(useIndex bool) (*core.Engine, float64, float64, error) {
+		eng, err := core.NewEngine(core.Config{
 			K: k, Seed: 11, Delta: 0.6, Lambda: 2, WindowFrames: w,
-			Order: core.Sequential, Method: core.Bit, UseIndex: true, PreFilter: pre,
-		}
-		eng, err := core.NewEngine(cfg)
+			Order: core.Sequential, Method: core.Bit, UseIndex: useIndex,
+		})
 		if err != nil {
-			return nil, core.PreFilterStats{}, 0, 0, err
+			return nil, 0, 0, err
 		}
 		sub := stats.Time(func() { err = eng.AddQueries(ids, queries) })
 		if err != nil {
-			return nil, core.PreFilterStats{}, 0, 0, err
+			return nil, 0, 0, err
 		}
 		elapsed := stats.Time(func() {
 			eng.PushFrames(stream)
 			eng.Flush()
 		})
-		return eng.Matches, eng.PreFilterStats(), sub.Seconds(), elapsed.Seconds(), nil
+		return eng, sub.Seconds(), elapsed.Seconds(), nil
 	}
 
-	baseM, _, subSec, baseSec, err := run(false)
+	idx, subSec, idxSec, err := run(true)
 	if err != nil {
 		return QueryScaleRow{}, err
 	}
-	preM, pf, _, preSec, err := run(true)
+	scan, _, scanSec, err := run(false)
 	if err != nil {
 		return QueryScaleRow{}, err
 	}
 
-	identical := len(baseM) == len(preM)
+	identical := len(idx.Matches) == len(scan.Matches)
 	if identical {
-		for i := range baseM {
-			if baseM[i] != preM[i] {
+		for i := range idx.Matches {
+			if idx.Matches[i] != scan.Matches[i] {
 				identical = false
 				break
 			}
 		}
 	}
+	st := idx.Stats()
+	windows := float64(st.Windows)
 	row := QueryScaleRow{
-		Queries:      m,
-		SubscribeSec: subSec,
-		BaseSec:      baseSec,
-		PreSec:       preSec,
-		Identical:    identical,
-		Matches:      len(preM),
-		FilterBytes:  pf.Bytes,
+		Queries:              m,
+		SubscribeSec:         subSec,
+		IndexUS:              idxSec * 1e6 / windows,
+		ScanUS:               scanSec * 1e6 / windows,
+		Identical:            identical,
+		Matches:              len(idx.Matches),
+		ComparisonsPerWindow: float64(st.ProbeComparisons) / windows,
+		IndexBytes:           idx.Queries().IndexBytes(),
 	}
-	if preSec > 0 {
-		row.Speedup = baseSec / preSec
-	}
-	if pf.RowProbes > 0 {
-		row.RejectPct = 100 * float64(pf.RowRejects) / float64(pf.RowProbes)
-	}
-	if admitted := pf.RowProbes - pf.RowRejects; admitted > 0 {
-		row.FPPct = 100 * float64(pf.EmptySearches) / float64(admitted)
+	if idxSec > 0 {
+		row.Speedup = scanSec / idxSec
 	}
 	if m > 0 {
-		row.BytesPerQuery = float64(pf.Bytes) / float64(m)
+		row.BytesPerQuery = float64(row.IndexBytes) / float64(m)
 	}
 	return row, nil
 }

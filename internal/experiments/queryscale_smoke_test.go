@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// TestQueryScaleSmoke is the reduced-scale CI gate for the pre-filter
-// tier: 10³ synthetic queries streamed with the tier off and on (the full
-// sweep's smallest level). It pins the tier's three contracts — match
-// output identical, ≥90% of per-row searches rejected before any index
-// work on this mostly-background workload, and not one false positive —
-// and, when QUERYSCALE_REPORT_DIR is set (the CI queryscale-smoke job),
-// writes the measured row as a JSON artifact.
+// TestQueryScaleSmoke is the reduced-scale CI gate for the query index:
+// 10³ synthetic queries streamed with the index and with the scan (the
+// full sweep's smallest level). It pins the index's contracts — match
+// output identical to the scan's, work done on the few related queries
+// only, and memory per query bounded — and, when QUERYSCALE_REPORT_DIR is
+// set (the CI queryscale-smoke job), writes the measured row as a JSON
+// artifact.
 func TestQueryScaleSmoke(t *testing.T) {
 	row, err := QueryScaleRun(1_000, 0)
 	if err != nil {
@@ -21,19 +21,18 @@ func TestQueryScaleSmoke(t *testing.T) {
 	}
 	t.Logf("queryscale m=1000: %+v", row)
 	if !row.Identical {
-		t.Error("pre-filter changed match output; the tier must be byte-identical")
+		t.Error("the index changed match output; it must equal the scan's")
 	}
 	if row.Matches == 0 {
 		t.Error("workload produced no matches; the equality check is vacuous")
 	}
-	if row.RejectPct < 90 {
-		t.Errorf("row rejection rate %.1f%% below the 90%% bar", row.RejectPct)
-	}
-	if row.FPPct != 0 {
-		t.Errorf("false-positive rate %.2f%%: the exact tier admitted an empty search", row.FPPct)
+	// A window is related to at most a true copy's query: comparing all K
+	// positions of every query would be 1 000·128.
+	if row.ComparisonsPerWindow <= 0 || row.ComparisonsPerWindow > 2*128 {
+		t.Errorf("%.1f comparisons per window: the index did work on unrelated queries, or none", row.ComparisonsPerWindow)
 	}
 	if row.BytesPerQuery <= 0 || row.BytesPerQuery > 4096 {
-		t.Errorf("bytes/query %.1f outside (0, 4096] — memory accounting broken or cell table oversized", row.BytesPerQuery)
+		t.Errorf("bytes/query %.1f outside (0, 4096] — memory accounting broken or postings oversized", row.BytesPerQuery)
 	}
 
 	if dir := os.Getenv("QUERYSCALE_REPORT_DIR"); dir != "" {

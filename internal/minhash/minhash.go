@@ -83,9 +83,18 @@ func (f *Family) Invert(i int, v uint64) (xm uint64, ok bool) {
 		return 0, false
 	}
 	f.invOnce.Do(func() {
+		// Montgomery's trick: one Fermat exponentiation inverts the product
+		// of all K multipliers, and prefix products peel each inverse off it.
 		f.ainv = make([]uint64, f.k)
+		prod := uint64(1)
 		for j, a := range f.a {
-			f.ainv[j] = powMod(a, mersennePrime-2) // Fermat
+			f.ainv[j] = prod // a_0 ⋯ a_{j−1}
+			prod = mulAddMod(prod, a, 0)
+		}
+		inv := powMod(prod, mersennePrime-2) // (a_0 ⋯ a_{K−1})⁻¹
+		for j := f.k - 1; j >= 0; j-- {
+			f.ainv[j] = mulAddMod(f.ainv[j], inv, 0)
+			inv = mulAddMod(inv, f.a[j], 0)
 		}
 	})
 	d := v - f.b[i]
@@ -150,7 +159,7 @@ func (f *Family) Add(s Sketch, x uint64) {
 // that a row's a_i and b_i stay in registers while the ≈5 elements of a
 // window are hashed. When row is not nil, row[i] is set to the index in xms
 // of the element that holds s[i], which must start Empty.
-func (f *Family) sketchRows(s Sketch, row []uint8, xms []uint64) {
+func (f *Family) sketchRows(s Sketch, row []uint16, xms []uint64) {
 	a, b := f.a[:len(s)], f.b[:len(s)]
 	for i := range s {
 		ai, bi := a[i], b[i]
@@ -162,7 +171,7 @@ func (f *Family) sketchRows(s Sketch, row []uint8, xms []uint64) {
 		}
 		s[i] = best
 		if row != nil {
-			row[i] = uint8(won)
+			row[i] = uint16(won)
 		}
 	}
 }
@@ -210,8 +219,9 @@ func (f *Family) SketchSet(ids []uint64) Sketch {
 	return s
 }
 
-// MaxWinners is the most elements a Winners can tell apart in Row.
-const MaxWinners = 256
+// MaxWinners is the most elements a Winners can tell apart in Row: more
+// than a basic window can hold, whose frames core.Config bounds at 65 535.
+const MaxWinners = 1 << 16
 
 // Winners is what SketchWinners records about a set beside its sketch:
 // which element holds each row's minimum. Since every row is a bijection
@@ -219,11 +229,12 @@ const MaxWinners = 256
 // same premixed element wins row i in both.
 type Winners struct {
 	// Cells are the set's premixed elements in first-seen order. A filter
-	// collision can list an element twice; both entries then name it.
+	// collision can list an element twice; the first entry then wins every
+	// row the element holds and the later one none.
 	Cells []uint64
 	// Row[i] indexes the element of Cells whose hash is the sketch's value
 	// at row i. Empty when Cells outnumber MaxWinners.
-	Row []uint8
+	Row []uint16
 }
 
 // SketchWinners is SketchSet that also fills w, whose buffers it reuses:

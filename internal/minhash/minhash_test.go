@@ -220,6 +220,39 @@ func TestSketchWinners(t *testing.T) {
 			}
 		}
 	}
+	wide := make([]uint64, MaxWinners+1)
+	for i := range wide {
+		wide[i] = uint64(i) << 20
+	}
+	if s := f.SketchWinners(wide, &w); len(w.Row) != 0 || !slices.Equal(s, f.SketchSet(wide)) {
+		t.Fatalf("%d cells: %d rows named, or the sketch differs from SketchSet's", len(w.Cells), len(w.Row))
+	}
+}
+
+// TestSketchWinnersRepeatedCell: two ids that evict each other from the
+// duplicate filter list an element twice, and then the first entry wins
+// every row the element holds.
+func TestSketchWinnersRepeatedCell(t *testing.T) {
+	f, _ := NewFamily(200, 10)
+	a, b := uint64(1), uint64(2)
+	for premix(b)%seenSlots != premix(a)%seenSlots {
+		b++
+	}
+	var w Winners
+	s := f.SketchWinners([]uint64{a, b, a}, &w)
+	if !slices.Equal(w.Cells, []uint64{premix(a), premix(b), premix(a)}) {
+		t.Fatalf("cells %v, want a, b, a", w.Cells)
+	}
+	won := [3]int{}
+	for i, j := range w.Row {
+		won[j]++
+		if mulAddMod(f.a[i], w.Cells[j], f.b[i]) != s[i] {
+			t.Fatalf("row %d: winner %d does not hash to the minimum", i, j)
+		}
+	}
+	if won[0] == 0 || won[1] == 0 || won[2] != 0 {
+		t.Fatalf("rows won by a, b, a again: %v", won)
+	}
 }
 
 func TestCombineIsUnionSketch(t *testing.T) {

@@ -15,13 +15,19 @@ import (
 //	go test -run '^$' -bench 'IndexChurn|ProbeInto' -benchtime 20x ./internal/qindex
 //
 // Queries are 24 cells out of a vocabulary of eight cells per query, which
-// keeps the runs of equal values in a row a few entries long at every size,
-// as they are on the benchmark corpus; a window is five cells of one query.
+// keeps a cell's posting list a few queries long at every size, as it is on
+// the benchmark corpus; a window is five cells of one query, probed with
+// the winners its sketch loop named, as the engine probes.
 var benchSizes = []int{20, 532, 2068, 20000}
 
 const benchK = 800
 
-func benchQueries(b *testing.B, fam *minhash.Family, m, extra int) (queries []Query, windows []minhash.Sketch) {
+type benchWindow struct {
+	sk minhash.Sketch
+	w  *minhash.Winners
+}
+
+func benchQueries(b *testing.B, fam *minhash.Family, m, extra int) (queries []Query, windows []benchWindow) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(m)))
 	queries = make([]Query, m+extra)
@@ -32,7 +38,8 @@ func benchQueries(b *testing.B, fam *minhash.Family, m, extra int) (queries []Qu
 		}
 		queries[i] = Query{ID: i + 1, Length: 24, Sketch: fam.SketchSet(ids)}
 		if i%max(1, m/64) == 0 && len(windows) < 64 {
-			windows = append(windows, fam.SketchSet(ids[:5]))
+			w := new(minhash.Winners)
+			windows = append(windows, benchWindow{fam.SketchWinners(ids[:5], w), w})
 		}
 	}
 	return queries, windows
@@ -48,7 +55,7 @@ func BenchmarkIndexChurn(b *testing.B) {
 		b.Run(fmt.Sprint(m), func(b *testing.B) {
 			const spare = 64
 			queries, _ := benchQueries(b, fam, m, spare)
-			x, err := Build(queries[:m])
+			x, err := New(fam, queries[:m])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -70,14 +77,14 @@ func BenchmarkIndexChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeInto is the engine's probe: one scratch, unmasked, over
-// windows that are each related to a few queries.
+// BenchmarkProbeInto is the engine's probe: one scratch, over windows that
+// are each related to a few queries.
 func BenchmarkProbeInto(b *testing.B) {
 	fam, _ := minhash.NewFamily(benchK, 1)
 	for _, m := range benchSizes {
 		b.Run(fmt.Sprint(m), func(b *testing.B) {
 			queries, windows := benchQueries(b, fam, m, 0)
-			x, err := Build(queries)
+			x, err := New(fam, queries)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -86,7 +93,8 @@ func BenchmarkProbeInto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				related += len(x.ProbeInto(ps, windows[n%len(windows)], 0.7, nil).Related)
+				win := windows[n%len(windows)]
+				related += len(x.ProbeInto(ps, win.sk, 0.7, win.w).Related)
 			}
 			b.ReportMetric(float64(related)/float64(b.N), "related/op")
 		})

@@ -3,7 +3,6 @@ package qindex
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -65,10 +64,7 @@ func TestAddRemoveErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			x, err := Build(append([]Query(nil), base...))
-			if err != nil {
-				t.Fatal(err)
-			}
+			x := newIndex(t, fam, append([]Query(nil), base...))
 			if err := tc.op(x); err == nil {
 				t.Fatal("operation succeeded, want error")
 			}
@@ -94,10 +90,7 @@ func TestProbeChurnEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 
 		// The churned index: start somewhere, add/remove at random.
-		churned, err := Build(append([]Query(nil), pool[:6]...))
-		if err != nil {
-			t.Fatal(err)
-		}
+		churned := newIndex(t, fam, append([]Query(nil), pool[:6]...))
 		in := map[int]Query{}
 		for _, q := range pool[:6] {
 			in[q.ID] = q
@@ -133,10 +126,7 @@ func TestProbeChurnEquivalence(t *testing.T) {
 				final = append(final, q)
 			}
 		}
-		fresh, err := Build(final)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := newIndex(t, fam, final)
 
 		// Probe both with windows overlapping the query universe.
 		for w := 0; w < 15; w++ {
@@ -161,21 +151,26 @@ func TestProbeChurnEquivalence(t *testing.T) {
 // (false-positive-free) pre-filter would compute.
 func exactRowMask(x *Index, sk minhash.Sketch) RowMask {
 	m := NewRowMask(x.k)
-	for i, v := range sk {
-		if vals, _, _ := rowOf(x, i); slices.Contains(vals, v) {
-			m.Set(i)
+	for _, id := range x.QueryIDs() {
+		q, _ := x.SketchOf(id)
+		for i, v := range sk {
+			if q[i] == v {
+				m.Set(i)
+			}
 		}
 	}
 	return m
 }
 
-// TestProbeShardMaskedMatchesUnmasked: under any sound mask (the exact one,
-// or the exact one widened by random false positives) the masked probe must
-// reproduce the unmasked output bit for bit.
+// TestProbeShardMaskedMatchesUnmasked: a mask — the exact one, or the exact
+// one widened by random false positives — changes nothing a probe finds,
+// nor its cost, and EmptySearches counts exactly the false positives, on
+// the keyed index and on the Build shim alike.
 func TestProbeShardMaskedMatchesUnmasked(t *testing.T) {
 	fam, _ := minhash.NewFamily(64, 34)
 	queries := makeQueries(t, fam, 30, 35)
-	x, err := Build(queries)
+	x := newIndex(t, fam, queries)
+	shim, err := Build(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,28 +184,27 @@ func TestProbeShardMaskedMatchesUnmasked(t *testing.T) {
 		delta := 0.4 + 0.5*rng.Float64()
 
 		exact := exactRowMask(x, sk)
-		widened := NewRowMask(x.k)
+		widened, added := NewRowMask(x.k), 0
 		copy(widened, exact)
 		for i := 0; i < x.k; i++ {
-			if rng.Intn(4) == 0 { // sprinkle false positives
+			if rng.Intn(4) == 0 && !widened.Admits(i) { // sprinkle false positives
 				widened.Set(i)
+				added++
 			}
 		}
 
 		want := x.ProbeShardMasked(sk, delta, 0, 1, nil)
 		for name, mask := range map[string]RowMask{"exact": exact, "widened": widened} {
-			got := x.ProbeShardMasked(sk, delta, 0, 1, mask)
-			if normalizeProbe(got) != normalizeProbe(want) {
-				t.Fatalf("trial %d mask=%s: masked probe diverges", trial, name)
+			for idx, y := range map[string]*Index{"keyed": x, "shim": shim} {
+				got := y.ProbeShardMasked(sk, delta, 0, 1, mask)
+				if normalizeProbe(got) != normalizeProbe(want) || got.Comparisons != want.Comparisons {
+					t.Fatalf("trial %d %s mask=%s: masked probe diverges (comparisons %d, want %d)",
+						trial, idx, name, got.Comparisons, want.Comparisons)
+				}
+				if wantEmpty := map[string]int{"exact": 0, "widened": added}[name]; got.EmptySearches != wantEmpty {
+					t.Fatalf("trial %d %s mask=%s: %d empty searches, want %d", trial, idx, name, got.EmptySearches, wantEmpty)
+				}
 			}
-			if got.Comparisons != want.Comparisons {
-				t.Fatalf("trial %d mask=%s: Comparisons %d != %d — masking must only skip empty searches",
-					trial, name, got.Comparisons, want.Comparisons)
-			}
-		}
-		// The exact mask by construction has no empty searches.
-		if got := x.ProbeShardMasked(sk, delta, 0, 1, exact); got.EmptySearches != 0 {
-			t.Fatalf("trial %d: exact mask reports %d empty searches", trial, got.EmptySearches)
 		}
 	}
 	defer func() {

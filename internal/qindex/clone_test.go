@@ -43,10 +43,7 @@ func probeEqual(t *testing.T, a, b ProbeOutput) {
 func TestCloneProbeEquivalence(t *testing.T) {
 	fam, _ := minhash.NewFamily(24, 4)
 	queries := makeQueries(t, fam, 12, 11)
-	x, err := Build(queries[:10])
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := newIndex(t, fam, queries[:10])
 
 	rng := rand.New(rand.NewSource(12))
 	windows := make([]minhash.Sketch, 8)

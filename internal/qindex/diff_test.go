@@ -12,17 +12,20 @@ import (
 )
 
 // oracleProbe is the specification the probers are held to, written with
-// none of their machinery: per query, the K relations one Compare at
-// a time; related iff some position is Equal; pruned iff related and the
-// Less count exceeds K(1−δ). It also counts the rows holding the window's
-// value nowhere, which is what a masked probe must report for the admitted
-// ones among them.
-func oracleProbe(queries []Query, sk minhash.Sketch, delta float64) (norm string, emptyRow []bool) {
+// none of their machinery: per query, the K relations one Compare at a
+// time; related iff some position is Equal; pruned iff related and the Less
+// count exceeds K(1−δ). comparisons is the closed form of the cost: per
+// related or pruned query, its Equal positions plus the positions the
+// kernel compares before Lemma 2 stops it, a 64-position word at a time.
+// emptyRow marks the rows holding the window's value nowhere, which is what
+// a mask's false positives are counted against.
+func oracleProbe(queries []Query, sk minhash.Sketch, delta float64) (norm string, comparisons int, emptyRow []bool) {
 	k := len(sk)
 	emptyRow = make([]bool, k)
 	for i := range emptyRow {
 		emptyRow[i] = !slices.ContainsFunc(queries, func(q Query) bool { return q.Sketch[i] == sk[i] })
 	}
+	limit := int(math.Floor(float64(k) * (1 - delta)))
 	var out ProbeOutput
 	for _, q := range queries {
 		sig := bitsig.New(k)
@@ -30,15 +33,26 @@ func oracleProbe(queries []Query, sk minhash.Sketch, delta float64) (norm string
 			sig.Set(r, bitsig.Compare(sk[r], q.Sketch[r]))
 		}
 		_, eq, less := sig.Counts()
-		switch {
-		case eq == 0:
-		case float64(less) > float64(k)*(1-delta):
+		if eq == 0 {
+			continue
+		}
+		compared, partial := 0, 0
+		for compared < k && partial <= limit {
+			for r := compared; r < min(compared+64, k); r++ {
+				if sig.At(r) == bitsig.Less {
+					partial++
+				}
+			}
+			compared = min(compared+64, k)
+		}
+		comparisons += eq + compared
+		if float64(less) > float64(k)*(1-delta) {
 			out.Pruned = append(out.Pruned, q.ID)
-		default:
+		} else {
 			out.Related = append(out.Related, Result{QID: q.ID, Length: q.Length, Sig: sig})
 		}
 	}
-	return normalizeProbe(out), emptyRow
+	return normalizeProbe(out), comparisons, emptyRow
 }
 
 // version is one immutable state of the churned index with the query list
@@ -52,17 +66,37 @@ type version struct {
 // and, between mutations, probes it — and an older clone of it, of another
 // size — on ONE scratch shared by every probe of the run, checking each
 // output against the oracle: Related ids, lengths and plane words, the
-// Pruned set, and for masked probes EmptySearches and Comparisons. Values
-// come from a universe of a few numbers u so that rows are mostly ties, and
-// vSel lays them across the cut between the prefix a row keeps and the bits
-// it drops: u itself (every prefix zero), u<<29 (the prefix decides),
-// u<<29 or u<<29|1 (equal prefixes over different values), or any of these
-// and Empty, draw by draw.
+// Pruned set, Comparisons against its closed form, and for masked probes
+// EmptySearches; the Scan and the Build shim are held to the same oracle.
+// Windows are the sketches of a few elements of a small universe, probed
+// with the winners their sketch loop named, or crafted sketches, whose
+// cells the index finds by inversion. Query sketches are such real ones or
+// crafted, vSel choosing the values a crafted row holds: a small number u
+// (0), u<<29 (1), u<<29|b (2), p−1 or a value ≥ p (3), Empty (4), a
+// window's value (5), another value with a window's 32-bit prefix (6), or
+// any of these, draw by draw (7).
 func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 	rng := rand.New(rand.NewSource(seed))
 	k := 1 + int(kSel)%130
+	fam, _ := minhash.NewFamily(k, seed)
 	universe := 2 + int(uSel)%6
-	value := func(form int) uint64 {
+	elements := func() []uint64 {
+		ids := make([]uint64, 1+rng.Intn(4))
+		for j := range ids {
+			ids[j] = uint64(rng.Intn(universe))
+		}
+		return ids
+	}
+	type window struct {
+		sk minhash.Sketch
+		w  *minhash.Winners
+	}
+	windows := make([]window, 4)
+	for n := range windows {
+		w := new(minhash.Winners)
+		windows[n] = window{fam.SketchWinners(elements(), w), w}
+	}
+	value := func(form, i int) uint64 {
 		u := uint64(rng.Intn(universe))
 		switch form {
 		case 0:
@@ -71,24 +105,33 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 			return u << 29
 		case 2:
 			return u<<29 | uint64(rng.Intn(2))
-		default:
+		case 3:
+			return 1<<61 - 2 + uint64(rng.Intn(4))
+		case 4:
 			return minhash.Empty
+		case 5:
+			return windows[rng.Intn(len(windows))].sk[i]
+		default:
+			return windows[rng.Intn(len(windows))].sk[i] ^ 1
 		}
 	}
-	sketch := func() minhash.Sketch {
+	crafted := func() minhash.Sketch {
 		sk := make(minhash.Sketch, k)
 		for i := range sk {
-			if form := int(vSel) % 4; form < 3 {
-				sk[i] = value(form)
-			} else {
-				sk[i] = value(rng.Intn(4))
+			form := int(vSel) % 8
+			if form == 7 {
+				form = rng.Intn(7)
 			}
+			sk[i] = value(form, i)
 		}
 		return sk
 	}
 	nextID := 1
 	fresh := func() Query {
-		q := Query{ID: nextID, Length: 1 + rng.Intn(50), Sketch: sketch()}
+		q := Query{ID: nextID, Length: 1 + rng.Intn(50), Sketch: crafted()}
+		if rng.Intn(3) == 0 {
+			q.Sketch = fam.SketchSet(elements())
+		}
 		nextID++
 		return q
 	}
@@ -98,7 +141,7 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 		cur.queries = append(cur.queries, fresh())
 	}
 	var err error
-	if cur.x, err = Build(cur.queries); err != nil {
+	if cur.x, err = New(fam, cur.queries); err != nil {
 		t.Fatal(err)
 	}
 	older := version{x: cur.x.Clone(), queries: slices.Clone(cur.queries)}
@@ -116,10 +159,14 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 	var removed []int
 
 	check := func(v version) {
-		sk := sketch()
+		sk, w := crafted(), (*minhash.Winners)(nil)
+		if rng.Intn(2) == 0 {
+			win := windows[rng.Intn(len(windows))]
+			sk, w = win.sk, win.w
+		}
 		delta := []float64{0, 0.25, 0.5, 0.7, 0.9}[rng.Intn(5)]
-		want, emptyRow := oracleProbe(v.queries, sk, delta)
-		where := fmt.Sprintf("seed %d K=%d δ=%.2f over %d queries", seed, k, delta, len(v.queries))
+		want, comparisons, emptyRow := oracleProbe(v.queries, sk, delta)
+		where := fmt.Sprintf("seed %d K=%d δ=%.2f winners=%v over %d queries", seed, k, delta, w != nil, len(v.queries))
 
 		scanOut := (&Scan{Queries: v.queries}).ProbeInto(ps, sk, delta)
 		if got := normalizeProbe(*scanOut); got != want {
@@ -129,16 +176,22 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 			t.Fatalf("%s: scan counted %d comparisons for %d sketches", where, scanOut.Comparisons, len(v.queries))
 		}
 
-		plain := v.x.ProbeInto(ps, sk, delta, nil)
-		if got := normalizeProbe(*plain); got != want {
-			t.Fatalf("%s: unmasked probe diverges from the oracle\ngot:\n%swant:\n%s", where, got, want)
+		shim, err := Build(v.queries)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if plain.EmptySearches != 0 {
-			t.Fatalf("%s: unmasked probe reports %d empty searches", where, plain.EmptySearches)
+		for name, x := range map[string]*Index{"keyed": v.x, "shim": shim} {
+			got := x.ProbeInto(ps, sk, delta, w)
+			if n := normalizeProbe(*got); n != want {
+				t.Fatalf("%s: %s probe diverges from the oracle\ngot:\n%swant:\n%s", where, name, n, want)
+			}
+			if got.Comparisons != comparisons || got.EmptySearches != 0 {
+				t.Fatalf("%s: %s probe counted %d comparisons (closed form %d), %d empty searches",
+					where, name, got.Comparisons, comparisons, got.EmptySearches)
+			}
 		}
-		comparisons := plain.Comparisons
 
-		// Sound masks: every non-empty row, plus random false positives.
+		// Masks: every non-empty row, plus random false positives.
 		mask, wantEmpty := NewRowMask(k), 0
 		for i, empty := range emptyRow {
 			if !empty {
@@ -148,12 +201,12 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 				wantEmpty++
 			}
 		}
-		masked := v.x.ProbeInto(ps, sk, delta, mask)
-		if got := normalizeProbe(*masked); got != want {
+		masked := v.x.ProbeShardMasked(sk, delta, 0, 1, mask)
+		if got := normalizeProbe(masked); got != want {
 			t.Fatalf("%s: masked probe diverges from the oracle\ngot:\n%swant:\n%s", where, got, want)
 		}
 		if masked.EmptySearches != wantEmpty || masked.Comparisons != comparisons {
-			t.Fatalf("%s: masked probe: %d empty searches (want %d), %d comparisons (unmasked %d)",
+			t.Fatalf("%s: masked probe: %d empty searches (want %d), %d comparisons (want %d)",
 				where, masked.EmptySearches, wantEmpty, masked.Comparisons, comparisons)
 		}
 	}
@@ -165,12 +218,12 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 			if n := len(removed); n > 0 && rng.Intn(2) == 0 {
 				q.ID, removed = removed[n-1], removed[:n-1]
 			}
-			slotsBefore, freeBefore := len(cur.x.slots), len(cur.x.free)
+			slotsBefore, freeBefore := cur.x.nslots, cur.x.nfree
 			if err := cur.x.Add(q); err != nil {
 				t.Fatalf("seed %d step %d: add: %v", seed, step, err)
 			}
-			if freeBefore > 0 && len(cur.x.slots) != slotsBefore {
-				t.Fatalf("seed %d step %d: Add grew the slot table with %d slots free", seed, step, freeBefore)
+			if freeBefore > 0 && cur.x.nslots != slotsBefore {
+				t.Fatalf("seed %d step %d: Add took a new slot number with %d free", seed, step, freeBefore)
 			}
 			cur.queries = append(cur.queries, q)
 		case op < 7 && len(cur.queries) > 1:
@@ -194,12 +247,12 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 
 func TestProbeVsScan(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		probeVsScan(t, seed, uint8(seed*37), uint8(seed), 0, uint8(seed*11))
-		probeVsScan(t, seed, uint8(seed*37), uint8(seed), 1+uint8(seed%3), uint8(seed*11))
+		probeVsScan(t, seed, uint8(seed*37), uint8(seed), uint8(seed%8), uint8(seed*11))
+		probeVsScan(t, seed, uint8(seed*37), uint8(seed), 7, uint8(seed*11))
 	}
 	// K = 64 and 128 exactly: no partial last word.
 	probeVsScan(t, 99, 63, 1, 0, 30)
-	probeVsScan(t, 100, 127, 0, 3, 30)
+	probeVsScan(t, 100, 127, 0, 7, 30)
 }
 
 func FuzzProbeVsScan(f *testing.F) {

@@ -12,8 +12,8 @@ import (
 )
 
 // vocabQueries draws n queries of one to four cells out of a vocabulary of
-// cells, so that a row holds at most that many distinct values and its runs
-// of equal values span leaves.
+// cells, so that a cell wins rows for many queries and its posting list is
+// long.
 func vocabQueries(fam *minhash.Family, rng *rand.Rand, n, cells, firstID int) []Query {
 	qs := make([]Query, n)
 	for i := range qs {
@@ -27,7 +27,7 @@ func vocabQueries(fam *minhash.Family, rng *rand.Rand, n, cells, firstID int) []
 }
 
 // probeSame holds two indexes over the same queries to the same answers,
-// costs included, whatever their rows look like inside.
+// costs included, whatever their postings look like inside.
 func probeSame(t *testing.T, where string, a, b *Index, sk minhash.Sketch, delta float64, mask RowMask) {
 	t.Helper()
 	pa, pb := a.ProbeShardMasked(sk, delta, 0, 1, mask), b.ProbeShardMasked(sk, delta, 0, 1, mask)
@@ -40,25 +40,27 @@ func probeSame(t *testing.T, where string, a, b *Index, sk minhash.Sketch, delta
 	}
 }
 
-// TestLeafChurn drives the leaf operations no small index reaches — splits,
-// folds, leaves emptied, runs that span leaves — through 1 500 steps of
-// Clone + Add or Remove on some 300 queries over 40 cells, and every 25th
-// step holds the result to the structure invariants and to the answers of
-// an index built from scratch.
-func TestLeafChurn(t *testing.T) {
-	const k, cells = 48, 40
+// TestCellRowsModel is the model test of the cell → rows relation: 600
+// steps of Clone + Add or Remove on some 120 queries over 24 cells — long
+// posting lists, lists copied and changed in place, cells whose last
+// posting leaves — and after every step the postings must equal a rebuild's
+// from the live sketches (verifyStructure). Every 25th step the index must
+// also answer as one built from scratch does.
+func TestCellRowsModel(t *testing.T) {
+	const k, cells = 48, 24
 	fam, _ := minhash.NewFamily(k, 41)
 	rng := rand.New(rand.NewSource(42))
-	live := vocabQueries(fam, rng, 320, cells, 1)
+	live := vocabQueries(fam, rng, 120, cells, 1)
 	nextID := len(live) + 1
-	x, err := Build(slices.Clone(live))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 1; step <= 1500; step++ {
-		x = x.Clone()
-		if add := rng.Intn(2) == 0; (add || len(live) <= 300) && len(live) < 340 {
-			q := vocabQueries(fam, rng, 1, cells, nextID)[0]
+	x := newIndex(t, fam, slices.Clone(live))
+	emptied := false
+	for step := 1; step <= 600; step++ {
+		if rng.Intn(4) != 0 {
+			x = x.Clone()
+		}
+		before := x.cells.n
+		if add := rng.Intn(2) == 0; (add || len(live) <= 100) && len(live) < 140 {
+			q := vocabQueries(fam, rng, 1, cells+8, nextID)[0] // now and then a cell no query has yet
 			nextID++
 			if err := x.Add(q); err != nil {
 				t.Fatalf("step %d: %v", step, err)
@@ -70,19 +72,17 @@ func TestLeafChurn(t *testing.T) {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			live = slices.Delete(live, i, i+1)
+			emptied = emptied || x.cells.n < before
 		}
+		verifyStructure(t, x, live)
 		if step%25 != 0 {
 			continue
 		}
-		verifyStructure(t, x, live)
-		fresh, err := Build(slices.Clone(live))
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := newIndex(t, fam, slices.Clone(live))
 		for w := 0; w < 6; w++ {
 			ids := make([]uint64, 1+rng.Intn(3))
 			for j := range ids {
-				ids[j] = uint64(rng.Intn(cells + 2)) // now and then a cell no query has
+				ids[j] = uint64(rng.Intn(cells + 10))
 			}
 			sk := fam.SketchSet(ids)
 			delta := []float64{0, 0.3, 0.7}[w%3]
@@ -93,26 +93,21 @@ func TestLeafChurn(t *testing.T) {
 			probeSame(t, where+" masked", x, fresh, sk, delta, mask)
 		}
 	}
-	leaves, full := 0, 0
-	for i := range x.rows {
-		for _, lf := range x.rows[i].leaves {
-			leaves++
-			if lf.size() == leafCap {
-				full++
-			}
-		}
-	}
-	if packed := x.k * ((len(live) + leafCap - 1) / leafCap); leaves == packed || full == leaves {
-		t.Fatalf("%d leaves, %d full, for %d entries a row: the churn never split or folded one", leaves, full, len(live))
+	if !emptied {
+		t.Fatal("no Remove took a cell's last posting")
 	}
 }
 
-// TestPrefixCollisions pins the nominate-then-verify rule where the prefix
-// cannot tell values apart. Each case is a list of query sketches (K = 3, so
-// that a slot met in row 0 is met again, kept or pruned, in rows 1 and 2)
-// built into an index — the first eight by Build, the rest by Add, which
-// splits the full leaf and leaves both halves partly filled — and a window;
-// the answer is the oracle's and the cost is counted by hand.
+// TestPrefixCollisions runs the cases that pinned the Hash-Query rows'
+// nominate-then-verify rule, where a 32-bit prefix could not tell values
+// apart, through the keyed index: values sharing a prefix are unrelated
+// cells, values no element hashes to (≥ p, Empty among them) are keyed by
+// themselves, and a value many queries hold is one long posting list. Each
+// case is a list of query sketches (K = 3, so that a query found at row 0 is
+// met again, kept or pruned, at rows 1 and 2) — the first eight built by
+// New, the rest added in place — and a window, whose cells the index finds
+// by inversion; the answer is the oracle's, the cost is counted by hand,
+// and the Build shim must give both too.
 func TestPrefixCollisions(t *testing.T) {
 	const (
 		v    = uint64(5<<29 | 100)   // a prefix with room on either side inside it
@@ -120,9 +115,10 @@ func TestPrefixCollisions(t *testing.T) {
 		far2 = far + 1<<29           // and its neighbour
 		far3 = far + 2<<29           //
 		last = uint64(1<<32-1) << 29 // the smallest value of the last prefix
-		top  = uint64(1<<61 - 1)     // the largest value the family hashes to
-		over = minhash.Empty - 1<<29 // clamped to the last prefix, like Empty itself
+		top  = uint64(1<<61 - 1)     // p, the smallest value no element hashes to
+		over = minhash.Empty - 1<<29 // ≥ p, like Empty itself
 	)
+	fam, _ := minhash.NewFamily(3, 7)
 	same := func(n int, sk ...uint64) (qs [][]uint64) {
 		for ; n > 0; n-- {
 			qs = append(qs, sk)
@@ -169,18 +165,19 @@ func TestPrefixCollisions(t *testing.T) {
 				for i, sk := range tc.queries {
 					queries[i] = Query{ID: i + 1, Length: 10 + i, Sketch: sk}
 				}
-				x, err := Build(queries[:min(leafCap, len(queries))])
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, q := range queries[min(leafCap, len(queries)):] {
+				x := newIndex(t, fam, queries[:min(8, len(queries))])
+				for _, q := range queries[min(8, len(queries)):] {
 					if err := x.Add(q); err != nil {
 						t.Fatal(err)
 					}
 				}
 				verifyStructure(t, x, queries)
+				shim, err := Build(queries)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-				want, emptyRow := oracleProbe(queries, tc.window, delta)
+				want, _, emptyRow := oracleProbe(queries, tc.window, delta)
 				comparisons, empty := 0, 0
 				for _, q := range queries {
 					equal := 0
@@ -201,17 +198,19 @@ func TestPrefixCollisions(t *testing.T) {
 					}
 				}
 				for name, m := range map[string]RowMask{"unmasked": nil, "masked": mask} {
-					got := x.ProbeShardMasked(tc.window, delta, 0, 1, m)
-					if n := normalizeProbe(got); n != want {
-						t.Fatalf("%s: got\n%swant\n%s", name, n, want)
-					}
-					wantEmpty := 0
-					if m != nil {
-						wantEmpty = empty
-					}
-					if got.Comparisons != comparisons || got.EmptySearches != wantEmpty {
-						t.Fatalf("%s: %d comparisons, %d empty searches; want %d, %d",
-							name, got.Comparisons, got.EmptySearches, comparisons, wantEmpty)
+					for _, y := range []*Index{x, shim} {
+						got := y.ProbeShardMasked(tc.window, delta, 0, 1, m)
+						if n := normalizeProbe(got); n != want {
+							t.Fatalf("%s (shim %v): got\n%swant\n%s", name, y == shim, n, want)
+						}
+						wantEmpty := 0
+						if m != nil {
+							wantEmpty = empty
+						}
+						if got.Comparisons != comparisons || got.EmptySearches != wantEmpty {
+							t.Fatalf("%s (shim %v): %d comparisons, %d empty searches; want %d, %d",
+								name, y == shim, got.Comparisons, got.EmptySearches, comparisons, wantEmpty)
+						}
 					}
 				}
 			})
@@ -226,10 +225,7 @@ func TestCloneMutateOriginal(t *testing.T) {
 	fam, _ := minhash.NewFamily(24, 4)
 	rng := rand.New(rand.NewSource(5))
 	queries := vocabQueries(fam, rng, 40, 12, 1)
-	x, err := Build(slices.Clone(queries[:36]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := newIndex(t, fam, slices.Clone(queries[:36]))
 	windows := []minhash.Sketch{queries[3].Sketch, queries[20].Sketch, fam.SketchSet([]uint64{1, 5}), fam.SketchSet([]uint64{99})}
 	c := x.Clone()
 	before := make([]ProbeOutput, len(windows))
@@ -291,10 +287,7 @@ func TestProbeWhileChurning(t *testing.T) {
 	fam, _ := minhash.NewFamily(k, 51)
 	rng := rand.New(rand.NewSource(52))
 	live := vocabQueries(fam, rng, 64, cells, 1)
-	x, err := Build(slices.Clone(live))
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := newIndex(t, fam, slices.Clone(live))
 	var cur atomic.Pointer[Index]
 	cur.Store(x)
 
@@ -324,6 +317,7 @@ func TestProbeWhileChurning(t *testing.T) {
 	}()
 	churned := slices.Clone(live[fixed:])
 	for step, nextID := 0, len(live)+1; step < 400; step++ {
+		var err error
 		x = x.Clone()
 		if step%2 == 0 {
 			i := rng.Intn(len(churned))
@@ -343,60 +337,46 @@ func TestProbeWhileChurning(t *testing.T) {
 	verifyStructure(t, x, append(slices.Clone(live[:fixed]), churned...))
 }
 
-// TestCellRowsModel drives a small cell table through random row additions
-// and drops against a map model: every cell with a row is found with exactly
-// its rows, no cell without one is kept, and the table grows, shrinks and
-// closes the gaps deletion leaves in its probe clusters.
-func TestCellRowsModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		const k = 70
-		c := newCellRows(nil, (k+63)/64)
-		model := map[uint64]map[int]bool{}
-		ncells := 4 + rng.Intn(200)
-		for step := 0; step < 3000; step++ {
-			xm, i := uint64(rng.Intn(ncells))*0x51ed27, rng.Intn(k)
-			if rng.Intn(3) == 0 || model[xm] == nil {
-				c.add(xm, i)
-				if model[xm] == nil {
-					model[xm] = map[int]bool{}
-				}
-				model[xm][i] = true
-			} else {
-				c.drop(xm, i)
-				if delete(model[xm], i); len(model[xm]) == 0 {
-					delete(model, xm)
-				}
+// TestProbeRepeatedWinnerCell: when two ids evict each other from the
+// sketch loop's duplicate filter, the window's winners list a cell twice,
+// and the later entry wins no row. The probe reads that cell's posting
+// list once more with an empty row set, which must change nothing: the
+// answer is the scan's, costs included, with the winners and by inversion.
+func TestProbeRepeatedWinnerCell(t *testing.T) {
+	fam, _ := minhash.NewFamily(256, 61)
+	var w minhash.Winners
+	a, b := uint64(7), uint64(8)
+	for fam.SketchWinners([]uint64{a, b, a}, &w); len(w.Cells) != 3; fam.SketchWinners([]uint64{a, b, a}, &w) {
+		b++ // until a and b share a slot of the filter
+	}
+	sk := fam.SketchWinners([]uint64{a, b, a}, &w)
+	if w.Cells[0] != w.Cells[2] {
+		t.Fatalf("winners %v do not list a cell twice", w.Cells)
+	}
+	queries := []Query{
+		{ID: 1, Length: 20, Sketch: fam.SketchSet([]uint64{a})},
+		{ID: 2, Length: 20, Sketch: fam.SketchSet([]uint64{a, b, 99})},
+		{ID: 3, Length: 20, Sketch: fam.SketchSet([]uint64{b, 100})},
+		{ID: 4, Length: 20, Sketch: fam.SketchSet([]uint64{101, 102})},
+	}
+	x := newIndex(t, fam, queries)
+	shim, err := Build(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, delta := range []float64{0, 0.5, 0.9} {
+		want := shim.Probe(sk, delta)
+		for name, got := range map[string]ProbeOutput{
+			"winners":   *x.ProbeInto(new(ProbeScratch), sk, delta, &w),
+			"inversion": x.Probe(sk, delta),
+		} {
+			if normalizeProbe(got) != normalizeProbe(want) || got.Comparisons != want.Comparisons {
+				t.Fatalf("δ=%.1f %s: got\n%s(%d comparisons)\nwant\n%s(%d comparisons)", delta, name,
+					normalizeProbe(got), got.Comparisons, normalizeProbe(want), want.Comparisons)
 			}
-			if step%50 != 0 {
-				continue
-			}
-			if c.n != len(model) || 4*c.n > 3*len(c.keys) {
-				t.Fatalf("trial %d step %d: %d cells in %d slots, model has %d", trial, step, c.n, len(c.keys), len(model))
-			}
-			used := 0
-			for _, key := range c.keys {
-				if key != noCell {
-					used++
-				}
-			}
-			if used != c.n {
-				t.Fatalf("trial %d step %d: %d slots used for %d cells", trial, step, used, c.n)
-			}
-			for key, rows := range model {
-				u := c.find(key)
-				if c.keys[u] != key {
-					t.Fatalf("trial %d step %d: cell %x lost", trial, step, key)
-				}
-				for r := 0; r < k; r++ {
-					if got := c.set(u)[r/64]>>(r%64)&1 == 1; got != rows[r] {
-						t.Fatalf("trial %d step %d: cell %x row %d = %v", trial, step, key, r, got)
-					}
-				}
-			}
-			if z := c.sets[len(c.keys)*c.nw:]; len(z) != c.nw || slices.ContainsFunc(z, func(w uint64) bool { return w != 0 }) {
-				t.Fatalf("trial %d step %d: the absent cell's set is %x", trial, step, z)
-			}
+		}
+		if len(want.Related)+len(want.Pruned) < 3 {
+			t.Fatalf("δ=%.1f: %d related, %d pruned; the window should meet queries 1–3", delta, len(want.Related), len(want.Pruned))
 		}
 	}
 }

@@ -23,27 +23,22 @@ type Result struct {
 type ProbeOutput struct {
 	Related []Result
 	Pruned  []int // query ids, each once, in discovery order
-	// Comparisons counts elementary value comparisons performed, the CPU
-	// proxy used by the cost experiments: one per equal entry the row
-	// searches turn up, plus the sketch positions compared for each query
-	// entering R_L (all K, or up to the word at which Lemma 2 gave up).
+	// Comparisons counts elementary value comparisons, the CPU proxy of the
+	// cost experiments, as the paper's row searches make them: per query
+	// entering R_L, one per row at which it holds the window's value, plus
+	// the sketch positions compared (all K, or up to the word at which
+	// Lemma 2 gave up).
 	Comparisons int
-	// EmptySearches counts rows that a RowMask admitted but whose equal
-	// search found no entry — the pre-filter tier's false positives. Zero
-	// when probing unmasked.
+	// EmptySearches counts rows that the RowMask handed to ProbeShardMasked
+	// admitted but in which no query holds the window's value — a row
+	// pre-filter's false positives. Zero from every other probe.
 	EmptySearches int
 }
 
-// RowMask is the optional per-window row admission set a pre-filter tier
-// computes before the exact probe: bit i set means row i may hold the
-// window's hash value sk[i] and must be searched; a clear bit rejects the
-// row's equal search — and with it every candidate query at that hash
-// position — before any index work, and the probe visits set bits only. A
-// nil RowMask admits every row.
-//
-// Masking is sound only when the mask is a superset of the truly-equal
-// rows (no false negatives); the masked probe output is then identical to
-// the unmasked one. RowMaskInto computes exactly the truly-equal rows.
+// RowMask is a row pre-filter's admission set for one window: bit i set
+// means row i may hold the window's value sk[i]. The index needs none — it
+// reads only rows that do — so a mask changes no answer, and
+// ProbeShardMasked only counts its false positives.
 type RowMask []uint64
 
 // NewRowMask returns an all-rejecting mask for k rows.
@@ -52,56 +47,33 @@ func NewRowMask(k int) RowMask { return make(RowMask, (k+63)/64) }
 // Set admits row i.
 func (m RowMask) Set(i int) { m[i/64] |= 1 << (i % 64) }
 
-// Admits reports whether row i must be searched. A nil mask admits all.
+// Admits reports whether row i is admitted. A nil mask admits all.
 func (m RowMask) Admits(i int) bool { return m == nil || m[i/64]&(1<<(i%64)) != 0 }
-
-// Count returns the number of rows the mask admits; not meaningful for nil.
-func (m RowMask) Count() int {
-	n := 0
-	for _, word := range m {
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
 
 // ProbeScratch is the reusable memory of one prober: the output lists, the
 // signature planes of the surviving queries, the per-slot marks that keep a
-// query from entering R_L twice, and the per-row state the index probe
-// carries from one pass to the next. A scratch serves one goroutine at a
-// time but any sequence of indexes and scans; the output of a probe —
-// signatures included — is valid until the scratch's next probe, so a
-// caller that keeps a signature clones it.
+// query from entering R_L twice, and the window's cells with their row
+// sets. A scratch serves one goroutine at a time but any sequence of indexes
+// and scans; the output of a probe — signatures included — is valid until
+// the scratch's next probe, so a caller that keeps a signature clones it.
 type ProbeScratch struct {
 	out ProbeOutput
-	// seen[s] == epoch marks slot s as already resolved in this probe, and
-	// at[s] then says how: the offset of its Lo plane in planes when it was
-	// kept, -1 when Lemma 2 pruned it. Stamping makes the reset O(1); marks
-	// left by earlier probes, of this or any other index, are below the
-	// current epoch and read as unseen.
+	// seen[n] == epoch marks slot number n as already resolved in this
+	// probe. Stamping makes the reset O(1); marks left by earlier probes, of
+	// this or any other index, are below the current epoch and read as
+	// unseen.
 	seen  []uint32
-	at    []int32
 	epoch uint32
 	// planes holds Lo then Hi (nw words each) for each survivor, back to
 	// back; sigs are the headers Related[i].Sig points at.
 	k, nw  int
 	planes []uint64
 	sigs   []bitsig.Signature
-	// rows is the index probe's pass state, one element per admitted row;
-	// sized by the first index probe, so a scan never pays for it.
-	rows []rowProbe
+	window grouping
 }
 
-// rowProbe is what the passes of an index probe hand each other about row
-// i: the leaf the fence search nominated and its index j in the row, and
-// the position in it at which the entries with the window value's prefix
-// start, if it has any.
-type rowProbe struct {
-	lf    *leaf
-	i, j  int32
-	start uint8
-}
-
-// begin opens a probe of a K=k sketch over nslots slots (0 for a scan).
+// begin opens a probe of a K=k sketch over nslots slot numbers (0 for a
+// scan).
 func (ps *ProbeScratch) begin(nslots, k int) *ProbeOutput {
 	ps.k, ps.nw = k, (k+63)/64
 	ps.epoch++
@@ -111,9 +83,6 @@ func (ps *ProbeScratch) begin(nslots, k int) *ProbeOutput {
 	}
 	if len(ps.seen) < nslots {
 		ps.seen = make([]uint32, nslots)
-	}
-	if len(ps.at) < nslots {
-		ps.at = make([]int32, nslots)
 	}
 	ps.planes = ps.planes[:0]
 	ps.out = ProbeOutput{Related: ps.out.Related[:0], Pruned: ps.out.Pruned[:0]}
@@ -146,176 +115,161 @@ func (ps *ProbeScratch) finish() *ProbeOutput {
 	return &ps.out
 }
 
+// resolve takes query s into R_L, unless this probe already did: one pass
+// of the signature kernel decides between Related and, by Lemma 2, Pruned.
+func (ps *ProbeScratch) resolve(s *slot, sk minhash.Sketch, limit int) {
+	if ps.seen[s.n] == ps.epoch {
+		return
+	}
+	ps.seen[s.n] = ps.epoch
+	lo, hi := ps.next()
+	less, compared := bitsig.CompareInto(lo, hi, sk, s.sketch, limit)
+	ps.out.Comparisons += compared
+	if less > limit {
+		ps.out.Pruned = append(ps.out.Pruned, s.qid)
+		return
+	}
+	ps.keep(s.qid, s.length)
+}
+
+// windowCells returns the window's cells and their row sets: from w when it
+// names the winner of every row, else by inverting sk.
+func (ps *ProbeScratch) windowCells(fam *minhash.Family, sk minhash.Sketch, w *minhash.Winners) (cells, rows []uint64) {
+	g, nw := &ps.window, ps.nw
+	if w == nil || len(w.Row) != len(sk) {
+		g.group(fam, sk, nw)
+		return g.cells, g.rows
+	}
+	n := len(w.Cells) * nw
+	g.rows = slices.Grow(g.rows[:0], n)[:n]
+	clear(g.rows)
+	for i, j := range w.Row {
+		g.rows[int(j)*nw+i/64] |= 1 << (i % 64)
+	}
+	return w.Cells, g.rows
+}
+
 // lessLimit is the Lemma 2 bound as an integer: a pair is prunable once its
 // Less count exceeds it, which is the same test as less > K(1−δ).
 func lessLimit(k int, delta float64) int {
 	return int(math.Floor(float64(k) * (1 - delta)))
 }
 
-// Probe implements the ProbeIndex algorithm (paper Figure 5) over every
-// indexed query, unmasked.
+// Probe implements the ProbeIndex algorithm (paper Figure 5) on a scratch
+// of its own.
 func (x *Index) Probe(sk minhash.Sketch, delta float64) ProbeOutput {
 	return *x.ProbeInto(new(ProbeScratch), sk, delta, nil)
 }
 
-// ProbeShardMasked is ProbeInto under mask on a scratch of its own: the
-// output is the caller's to keep. The index is not partitioned, so
-// (part, parts) = (0, 1) is the only pair it accepts; the two parameters
-// stay until the benchmark's replay stops passing them.
+// ProbeShardMasked is Probe that also counts, in EmptySearches, the rows
+// mask admits in which no query holds the window's value. The index is not
+// partitioned, so (part, parts) = (0, 1) is the only pair it accepts; the
+// two parameters and the mask stay until the benchmark's replay stops
+// passing them.
 func (x *Index) ProbeShardMasked(sk minhash.Sketch, delta float64, part, parts int, mask RowMask) ProbeOutput {
 	if part != 0 || parts != 1 {
 		panic("qindex: ProbeShardMasked takes part 0 of 1 only")
 	}
-	return *x.ProbeInto(new(ProbeScratch), sk, delta, mask)
-}
-
-// ProbeInto probes the index under a pre-filter row mask. For each row the
-// mask admits it finds the entries with the prefix of the window's value
-// sk[i]; every query among them that holds sk[i] itself
-// enters R_L, once. The entering query's relations at all K positions come
-// from one pass of the signature kernel over its sketch, which stops early
-// once Lemma 2 has condemned it. Rows the mask rejects are guaranteed to
-// hold no equal value, so skipping them changes nothing: the output is
-// identical to the unmasked probe whenever the mask has no false negatives.
-// A nil mask searches every row.
-func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, mask RowMask) *ProbeOutput {
 	if len(sk) != x.k {
 		panic("qindex: probe sketch K mismatch")
 	}
-	out := ps.begin(len(x.slots), x.k)
-	if cap(ps.rows) < x.k {
-		ps.rows = make([]rowProbe, x.k)
+	var held RowMask
+	if mask != nil {
+		held = NewRowMask(x.k)
 	}
-	// Pass 1: the leaf each admitted row's run starts in, for a mask's set
-	// bits only. Only an index emptied by Remove has rows without a leaf.
-	rows, n := ps.rows[:x.k], 0
-	switch {
-	case len(x.pos) == 0:
-		if mask != nil {
-			out.EmptySearches = mask.Count()
+	out := *x.probe(new(ProbeScratch), sk, delta, nil, held)
+	for i, m := range mask[:min(len(mask), len(held))] {
+		if i == len(held)-1 && x.k%64 != 0 {
+			m &= 1<<(x.k%64) - 1
 		}
-	case mask == nil:
-		for i, v := range sk {
-			rows[n] = x.nominate(i, v)
-			n++
+		out.EmptySearches += bits.OnesCount64(m &^ held[i])
+	}
+	return out
+}
+
+// ProbeInto finds the window's related queries on ps. The window's cells
+// and the rows each wins come from w, as minhash.Family.SketchWinners
+// recorded them beside sk; a nil w, or one that does not name every row's
+// winner, has them found by inverting sk instead. For each cell, every
+// posting whose rows meet the window's rows of that cell is a query holding
+// the window's value there, and enters R_L once.
+func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, w *minhash.Winners) *ProbeOutput {
+	if len(sk) != x.k {
+		panic("qindex: probe sketch K mismatch")
+	}
+	return x.probe(ps, sk, delta, w, nil)
+}
+
+// probe is ProbeInto that, when held is not nil, also sets in it every row
+// at which some query holds the window's value.
+func (x *Index) probe(ps *ProbeScratch, sk minhash.Sketch, delta float64, w *minhash.Winners, held RowMask) *ProbeOutput {
+	out := ps.begin(int(x.nslots), x.k)
+	limit := lessLimit(x.k, delta)
+	if x.fam == nil {
+		x.scan(ps, sk, limit, held)
+		return ps.finish()
+	}
+	cells, rows := ps.windowCells(x.fam, sk, w)
+	nw := ps.nw
+	for j, c := range cells {
+		p, ok := x.cells.get(c)
+		if !ok {
+			continue
 		}
-	default:
-		for w, word := range mask {
-			for ; word != 0; word &= word - 1 {
-				i := w*64 + bits.TrailingZeros64(word)
-				if i >= x.k {
-					break
-				}
-				rows[n] = x.nominate(i, sk[i])
-				n++
+		wr := rows[j*nw : (j+1)*nw : (j+1)*nw]
+		for at, s := range p.slots {
+			qr := p.rows[at*nw : (at+1)*nw : (at+1)*nw]
+			eq := 0
+			for word, r := range wr {
+				eq += bits.OnesCount64(qr[word] & r)
 			}
-		}
-	}
-	rows = rows[:n]
-	// Pass 2: where the run starts inside each leaf.
-	for n := range rows {
-		r := &rows[n]
-		r.start = uint8(r.lf.below(prefixOf(sk[r.i])))
-	}
-	// Pass 3: the hits, in row order.
-	h := hits{x: x, ps: ps, sk: sk, limit: lessLimit(x.k, delta)}
-	for n := range rows {
-		r := &rows[n]
-		i, found := int(r.i), false
-		if r.start < leafCap && uint32(r.lf[r.start]>>32) == prefixOf(sk[i]) {
-			var open bool
-			if found, open = h.leaf(r.lf, int(r.start), i); open {
-				found = h.runOn(i, int(r.j)) || found
+			if eq == 0 {
+				continue
 			}
-		}
-		if !found && mask != nil {
-			out.EmptySearches++
+			out.Comparisons += eq
+			for word := range held {
+				held[word] |= qr[word] & wr[word]
+			}
+			ps.resolve(s, sk, limit)
 		}
 	}
-	// A scratch at rest must not pin the leaves — and with them the row
-	// slabs — of an index that has since been superseded.
-	clear(rows)
 	return ps.finish()
 }
 
-// nominate is pass 1 for row i: the leaf the run of v's prefix starts in. A
-// value above the whole row is sent to the last leaf, where pass 2 finds
-// nothing, by arithmetic (min compiles to a branch), so that no branch here
-// depends on the data.
-func (x *Index) nominate(i int, v uint64) rowProbe {
-	r := &x.rows[i]
-	j, last := lowerBound(r.fence, prefixOf(v)), len(r.leaves)-1
-	j -= int(uint64(last-j) >> 63)
-	return rowProbe{lf: r.leaves[j], i: int32(i), j: int32(j)}
-}
-
-// hits is pass 3 of one probe: the constants of the probe around the
-// per-entry decision.
-type hits struct {
-	x     *Index
-	ps    *ProbeScratch
-	sk    minhash.Sketch
-	limit int
-}
-
-// runOn handles what is left of row i's run beyond leaf j, the one it starts
-// in, which it ran to the end of.
-func (h *hits) runOn(i, j int) (found bool) {
-	r := &h.x.rows[i]
-	for open := true; open && j+1 < len(r.leaves); {
-		j++
-		var f bool
-		f, open = h.leaf(r.leaves[j], 0, i)
-		found = found || f
-	}
-	return found
-}
-
-// leaf resolves the entries of lf from position start on that share the prefix
-// of the window's value v = sk[i] at row i. It reports whether any query
-// holds v there, and whether the run is still open: it has begun
-// and the leaf ended before it did. The prefix only nominates: a slot counts
-// as holding v when its sketch says so — or, for a slot this probe already
-// kept, when its signature has Equal at i, which is the same statement read
-// from memory the scratch already holds.
-func (h *hits) leaf(lf *leaf, start, i int) (found, open bool) {
-	x, ps, out, v := h.x, h.ps, &h.ps.out, h.sk[i]
-	p, t := prefixOf(v), start
-	for ; t < leafCap && lf[t] != pad; t++ {
-		if uint32(lf[t]>>32) != p {
-			return found, false
-		}
-		s := int32(uint32(lf[t]))
-		seen := ps.seen[s] == ps.epoch
-		if seen && ps.at[s] >= 0 {
-			w := int(ps.at[s]) + i/64
-			if (ps.planes[w]&^ps.planes[w+ps.nw])>>(i%64)&1 != 0 {
-				found = true
-				out.Comparisons++
+// scan is the probe of an index without postings: every slot through the
+// signature kernel, in full, answering as the keyed probe does.
+func (x *Index) scan(ps *ProbeScratch, sk minhash.Sketch, limit int, held RowMask) {
+	x.ids.each(func(s *slot) {
+		lo, hi := ps.next()
+		less, _ := bitsig.CompareInto(lo, hi, sk, s.sketch, x.k)
+		eq := 0
+		for word := range lo {
+			equal := lo[word] &^ hi[word]
+			eq += bits.OnesCount64(equal)
+			if held != nil {
+				held[word] |= equal
 			}
-			continue
 		}
-		sl := &x.slots[s]
-		if sl.sketch[i] != v {
-			continue
+		if eq == 0 {
+			return
 		}
-		found = true
-		out.Comparisons++
-		if seen {
-			continue
+		// The positions the kernel compares under the limit: up to the end
+		// of the first word at which Less exceeds it.
+		compared, partial := 0, 0
+		for _, word := range hi {
+			partial += bits.OnesCount64(word)
+			compared = min(compared+64, x.k)
+			if partial > limit {
+				break
+			}
 		}
-		ps.seen[s], ps.at[s] = ps.epoch, -1
-		plo, phi := ps.next()
-		less, compared := bitsig.CompareInto(plo, phi, h.sk, sl.sketch, h.limit)
-		out.Comparisons += compared
-		if less > h.limit {
-			out.Pruned = append(out.Pruned, sl.qid)
-			continue
+		ps.out.Comparisons += eq + compared
+		if less > limit {
+			ps.out.Pruned = append(ps.out.Pruned, s.qid)
+			return
 		}
-		ps.at[s] = int32(len(ps.planes))
-		ps.keep(sl.qid, sl.length)
-	}
-	return found, t > start
+		ps.keep(s.qid, s.length)
+	})
 }
 
 // Scan is the index-free prober: every query sketch is compared against the

@@ -1,8 +1,11 @@
 package qindex
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -27,83 +30,34 @@ func makeQueries(t testing.TB, fam *minhash.Family, n int, seed int64) []Query {
 	return qs
 }
 
-// rowOf is the tests' one way of reading a row: in row order, the owner slot
-// of every entry, the value that owner's sketch holds there, and the prefix
-// the entry carries for it.
-func rowOf(x *Index, i int) (vals []uint64, own []int32, prefixes []uint32) {
-	for _, lf := range x.rows[i].leaves {
-		for _, e := range lf[:lf.size()] {
-			s := int32(uint32(e))
-			vals, own, prefixes = append(vals, x.slots[s].sketch[i]), append(own, s), append(prefixes, uint32(e>>32))
-		}
+// newIndex is New for tests, whose queries are valid.
+func newIndex(t testing.TB, fam *minhash.Family, queries []Query) *Index {
+	t.Helper()
+	x, err := New(fam, queries)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return vals, own, prefixes
+	return x
 }
 
-// verifyStructure checks every invariant of the Hash-Query array against the
-// queries it should hold: every row in prefix order with one entry per
-// query, every entry's prefix that of the owner's sketch value at that row,
-// every live slot met exactly once per row, every leaf non-empty, ascending,
-// padded behind its entries and fenced by its last prefix, and the id map,
-// slot table and free list consistent.
+// verifyStructure checks every invariant of the index against the queries
+// it should hold: the postings are exactly a rebuild's from the live
+// sketches — each query in the list of every cell that wins one of its rows,
+// with exactly those rows, and nothing else — the tries are well formed and
+// hold what they count, slot numbers are dense and distinct, and Bytes adds
+// up what is reachable.
 func verifyStructure(t *testing.T, x *Index, queries []Query) {
 	t.Helper()
 	if x.Len() != len(queries) || x.SizeTriples() != x.k*len(queries) {
 		t.Fatalf("Len=%d SizeTriples=%d for %d queries", x.Len(), x.SizeTriples(), len(queries))
 	}
-	if len(x.slots) != len(queries)+len(x.free) {
-		t.Fatalf("%d slots for %d queries + %d free", len(x.slots), len(queries), len(x.free))
-	}
-	for _, s := range x.free {
-		if x.slots[s].length != 0 || x.slots[s].sketch != nil {
-			t.Fatalf("free slot %d still holds a query", s)
-		}
-	}
-	for i := 0; i < x.k; i++ {
-		r := x.rows[i]
-		if len(r.fence) != len(r.leaves) {
-			t.Fatalf("row %d has %d fence keys for %d leaves", i, len(r.fence), len(r.leaves))
-		}
-		last := uint64(0)
-		for j, lf := range r.leaves {
-			n := 0
-			for n < leafCap && lf[n] != pad {
-				if (j > 0 || n > 0) && lf[n] <= last {
-					t.Fatalf("row %d leaf %d not ascending at %d", i, j, n)
-				}
-				last = lf[n]
-				n++
-			}
-			if n == 0 || slices.ContainsFunc(lf[n:], func(e uint64) bool { return e != pad }) {
-				t.Fatalf("row %d leaf %d: %d entries, then %x", i, j, n, lf[n:])
-			}
-			if r.fence[j] != uint32(last>>32) {
-				t.Fatalf("row %d leaf %d fenced by %#x, ends in %#x", i, j, r.fence[j], last>>32)
-			}
-		}
-		vals, own, prefixes := rowOf(x, i)
-		if len(own) != x.Len() {
-			t.Fatalf("row %d has %d entries; index has %d queries", i, len(own), x.Len())
-		}
-		met := make(map[int32]bool, len(own))
-		for j, s := range own {
-			if j > 0 && prefixOf(vals[j-1]) > prefixOf(vals[j]) {
-				t.Fatalf("row %d not in prefix order at %d", i, j)
-			}
-			if x.slots[s].length == 0 || prefixes[j] != prefixOf(vals[j]) {
-				t.Fatalf("row %d col %d: prefix %#x does not belong to owner slot %d's value %d", i, j, prefixes[j], s, vals[j])
-			}
-			if met[s] {
-				t.Fatalf("row %d: slot %d appears twice", i, s)
-			}
-			met[s] = true
-		}
-	}
+	numbers := map[int32]bool{}
 	for _, q := range queries {
-		s, ok := x.pos[q.ID]
-		if !ok || x.slots[s].qid != q.ID {
-			t.Fatalf("query %d missing from index", q.ID)
+		s, ok := x.ids.get(uint64(q.ID))
+		if !ok || s.qid != q.ID || numbers[s.n] || s.n >= x.nslots {
+			t.Fatalf("query %d missing from index, or its slot number %v reused", q.ID, s)
 		}
+		numbers[s.n] = true
 		got, _ := x.SketchOf(q.ID)
 		if &got[0] != &q.Sketch[0] {
 			t.Fatalf("query %d: slot holds a copy of the sketch, want the caller's slice", q.ID)
@@ -112,12 +66,100 @@ func verifyStructure(t *testing.T, x *Index, queries []Query) {
 			t.Fatalf("query %d length %d, want %d", q.ID, l, q.Length)
 		}
 	}
+	nfree := 0
+	for f := x.free; f != nil; f = f.next {
+		if numbers[f.n] || f.n >= x.nslots {
+			t.Fatalf("free slot number %d is in use or never handed out", f.n)
+		}
+		numbers[f.n] = true
+		nfree++
+	}
+	if nfree != x.nfree || len(numbers) != int(x.nslots) {
+		t.Fatalf("%d free numbers (counted %d) and %d live of %d handed out", nfree, x.nfree, len(queries), x.nslots)
+	}
+
+	want := map[uint64]map[int]string{} // cell → qid → rows
+	if x.fam != nil {
+		for _, q := range queries {
+			var g grouping
+			g.group(x.fam, q.Sketch, x.nw)
+			for j, c := range g.cells {
+				if want[c] == nil {
+					want[c] = map[int]string{}
+				}
+				want[c][q.ID] = fmt.Sprintf("%x", g.rows[j*x.nw:(j+1)*x.nw])
+			}
+		}
+	}
+	got := map[uint64]map[int]string{}
+	bytes := x.nfree*freeBytes + slotBytes*len(queries)
+	x.cells.each(func(p *postings) {
+		if len(p.slots) == 0 || len(p.rows) != len(p.slots)*x.nw || got[p.cell] != nil {
+			t.Fatalf("cell %x: %d postings over %d row words, or listed twice", p.cell, len(p.slots), len(p.rows))
+		}
+		got[p.cell] = map[int]string{}
+		for at, s := range p.slots {
+			if live, _ := x.ids.get(uint64(s.qid)); live != s {
+				t.Fatalf("cell %x lists a slot of query %d that is not subscribed", p.cell, s.qid)
+			}
+			got[p.cell][s.qid] = fmt.Sprintf("%x", p.rows[at*x.nw:(at+1)*x.nw])
+		}
+		bytes += p.size()
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("postings differ from a rebuild from the live sketches:\ngot  %v\nwant %v", got, want)
+	}
+	bytes += verifyTrie(t, &x.ids) + verifyTrie(t, &x.cells)
+	if x.Bytes() != bytes {
+		t.Fatalf("Bytes() = %d, what is reachable adds up to %d", x.Bytes(), bytes)
+	}
+}
+
+// verifyTrie checks that every leaf sits on its hash's path at the
+// shallowest depth that tells it apart, and returns the nodes' footprint.
+func verifyTrie[V keyed](t *testing.T, tr *trie[V]) int {
+	t.Helper()
+	n, bytes := 0, 0
+	var walk func(nd *tnode[V], d int, path uint64) int // returns keys below
+	walk = func(nd *tnode[V], d int, path uint64) int {
+		bytes += nd.size()
+		if nd.leafBits&nd.subBits != 0 || bits.OnesCount32(nd.leafBits) != len(nd.leaves) || bits.OnesCount32(nd.subBits) != len(nd.subs) {
+			t.Fatalf("depth %d: %d leaves, %d nodes for bitmaps %b, %b", d, len(nd.leaves), len(nd.subs), nd.leafBits, nd.subBits)
+		}
+		keys, leaves, subs := 0, nd.leaves, nd.subs
+		for b := 0; b < 1<<fanBits; b++ {
+			prefix := path | uint64(b)<<(fanBits*d)
+			switch {
+			case nd.subBits&(1<<b) != 0:
+				keys += walk(subs[0], d+1, prefix)
+				subs = subs[1:]
+			case nd.leafBits&(1<<b) != 0:
+				if mask := uint64(1)<<(fanBits*(d+1)) - 1; spread(leaves[0].key())&mask != prefix&mask {
+					t.Fatalf("depth %d: leaf %d off its hash's path", d, leaves[0].key())
+				}
+				leaves = leaves[1:]
+				n++
+				keys++
+			}
+		}
+		if d > 0 && keys < 2 {
+			t.Fatalf("depth %d: a node over %d keys", d, keys)
+		}
+		return keys
+	}
+	if tr.root != nil {
+		walk(tr.root, 0, 0)
+	}
+	if n != tr.n || bytes != tr.bytes {
+		t.Fatalf("trie counts %d values and %d bytes, holds %d and %d", tr.n, tr.bytes, n, bytes)
+	}
+	return bytes
 }
 
 func TestBuildAndStructure(t *testing.T) {
 	fam, _ := minhash.NewFamily(32, 1)
 	queries := makeQueries(t, fam, 20, 2)
-	x, err := Build(queries)
+	x, err := New(fam, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,22 +175,28 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(nil); err == nil {
 		t.Error("empty build accepted")
 	}
-	if _, err := Build([]Query{{ID: 1, Length: 10, Sketch: s}, {ID: 1, Length: 10, Sketch: s}}); err == nil {
-		t.Error("duplicate ids accepted")
-	}
-	if _, err := Build([]Query{{ID: 1, Length: 0, Sketch: s}}); err == nil {
-		t.Error("zero length accepted")
+	if x, err := New(fam, nil); err != nil || x.Len() != 0 {
+		t.Errorf("empty New: %v", err)
 	}
 	short := make(minhash.Sketch, 4)
-	if _, err := Build([]Query{{ID: 1, Length: 10, Sketch: s}, {ID: 2, Length: 10, Sketch: short}}); err == nil {
-		t.Error("mismatched K accepted")
+	for name, queries := range map[string][]Query{
+		"duplicate ids": {{ID: 1, Length: 10, Sketch: s}, {ID: 1, Length: 10, Sketch: s}},
+		"zero length":   {{ID: 1, Length: 0, Sketch: s}},
+		"mismatched K":  {{ID: 1, Length: 10, Sketch: s}, {ID: 2, Length: 10, Sketch: short}},
+	} {
+		if _, err := Build(queries); err == nil {
+			t.Errorf("Build: %s accepted", name)
+		}
+		if _, err := New(fam, queries); err == nil {
+			t.Errorf("New: %s accepted", name)
+		}
 	}
 }
 
 func TestQueryIDs(t *testing.T) {
 	fam, _ := minhash.NewFamily(16, 1)
 	queries := makeQueries(t, fam, 5, 3)
-	x, _ := Build(queries)
+	x, _ := New(fam, queries)
 	ids := x.QueryIDs()
 	if len(ids) != 5 {
 		t.Fatalf("QueryIDs length %d", len(ids))
@@ -167,7 +215,7 @@ func TestQueryIDs(t *testing.T) {
 func TestAddRemoveOnline(t *testing.T) {
 	fam, _ := minhash.NewFamily(24, 4)
 	queries := makeQueries(t, fam, 10, 5)
-	x, err := Build(queries[:6])
+	x, err := New(fam, queries[:6])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +252,7 @@ func TestAddRemoveOnline(t *testing.T) {
 func TestAddRemoveFuzz(t *testing.T) {
 	fam, _ := minhash.NewFamily(16, 6)
 	all := makeQueries(t, fam, 30, 7)
-	x, err := Build(all[:5])
+	x, err := New(fam, all[:5])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +300,7 @@ func TestAddRemoveFuzz(t *testing.T) {
 func TestProbeMatchesScan(t *testing.T) {
 	fam, _ := minhash.NewFamily(64, 9)
 	queries := makeQueries(t, fam, 25, 10)
-	x, err := Build(queries)
+	x, err := New(fam, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +348,7 @@ func TestProbeMatchesScan(t *testing.T) {
 func TestProbeSelfQueryIsAllEqual(t *testing.T) {
 	fam, _ := minhash.NewFamily(32, 12)
 	queries := makeQueries(t, fam, 10, 13)
-	x, _ := Build(queries)
+	x, _ := New(fam, queries)
 	out := x.Probe(queries[3].Sketch, 0.7)
 	var found bool
 	for _, r := range out.Related {
@@ -322,7 +370,7 @@ func TestProbeSelfQueryIsAllEqual(t *testing.T) {
 func TestProbeUnrelatedWindow(t *testing.T) {
 	fam, _ := minhash.NewFamily(32, 14)
 	queries := makeQueries(t, fam, 10, 15)
-	x, _ := Build(queries)
+	x, _ := New(fam, queries)
 	// Ids far outside the queries' universe: no equal min-hash expected.
 	sk := fam.SketchSet([]uint64{1 << 40, 1<<40 + 1, 1<<40 + 2})
 	out := x.Probe(sk, 0.7)
@@ -338,7 +386,7 @@ func TestProbePrunesHopelessQueries(t *testing.T) {
 	qIDs := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	wIDs := []uint64{8, 100, 101, 102, 103, 104, 105, 106}
 	queries := []Query{{ID: 1, Length: 100, Sketch: fam.SketchSet(qIDs)}}
-	x, _ := Build(queries)
+	x, _ := New(fam, queries)
 	sk := fam.SketchSet(wIDs)
 	out := x.Probe(sk, 0.95)
 	if len(out.Related) != 0 {
@@ -364,7 +412,7 @@ func TestScanOmitsNoEqualQueries(t *testing.T) {
 func TestProbeAfterOnlineUpdates(t *testing.T) {
 	fam, _ := minhash.NewFamily(48, 19)
 	queries := makeQueries(t, fam, 12, 20)
-	x, _ := Build(queries[:8])
+	x, _ := New(fam, queries[:8])
 	for _, q := range queries[8:] {
 		if err := x.Add(q); err != nil {
 			t.Fatal(err)
@@ -389,35 +437,42 @@ func TestProbeAfterOnlineUpdates(t *testing.T) {
 func TestProbeIntoAllocatesNothing(t *testing.T) {
 	fam, _ := minhash.NewFamily(800, 1)
 	queries := makeQueries(t, fam, 200, 2)
-	x, err := Build(queries)
+	x, err := New(fam, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var w minhash.Winners
+	wsk := fam.SketchWinners([]uint64{7, 7, 9, 120, 300}, &w)
 	ps := new(ProbeScratch)
-	for name, sk := range map[string]minhash.Sketch{
-		"unrelated": fam.SketchSet([]uint64{1 << 40, 1<<40 + 1}),
-		"related":   queries[50].Sketch,
+	for _, c := range []struct {
+		name string
+		sk   minhash.Sketch
+		w    *minhash.Winners
+	}{
+		{"unrelated", fam.SketchSet([]uint64{1 << 40, 1<<40 + 1}), nil},
+		{"related", queries[50].Sketch, nil},
+		{"related, winners named", wsk, &w},
 	} {
-		related := len(x.ProbeInto(ps, sk, 0.7, nil).Related) // also warms the scratch
-		if (related > 0) != (name == "related") {
-			t.Fatalf("%s window has %d related queries", name, related)
+		related := len(x.ProbeInto(ps, c.sk, 0.7, c.w).Related) // also warms the scratch
+		if (related > 0) != (c.name != "unrelated") {
+			t.Fatalf("%s window has %d related queries", c.name, related)
 		}
-		if n := testing.AllocsPerRun(20, func() { x.ProbeInto(ps, sk, 0.7, nil) }); n != 0 {
-			t.Errorf("%s window (%d related): %.1f allocs per probe, want 0", name, related, n)
+		if n := testing.AllocsPerRun(20, func() { x.ProbeInto(ps, c.sk, 0.7, c.w) }); n != 0 {
+			t.Errorf("%s window (%d related): %.1f allocs per probe, want 0", c.name, related, n)
 		}
 	}
 }
 
 // TestBytesMatchesHeap holds Bytes to what the runtime says a 500-query
-// build put on the heap: the entries, the slot table and the id map, and
-// not the sketches, which were there before.
+// build put on the heap: the slots, posting lists and trie nodes, and not
+// the sketches, which were there before.
 func TestBytesMatchesHeap(t *testing.T) {
 	fam, _ := minhash.NewFamily(800, 1)
 	queries := makeQueries(t, fam, 500, 3)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	x, err := Build(queries)
+	x, err := New(fam, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +492,7 @@ func TestBytesMatchesHeap(t *testing.T) {
 func BenchmarkProbeIndex200Queries(b *testing.B) {
 	fam, _ := minhash.NewFamily(800, 1)
 	queries := makeQueries(b, fam, 200, 2)
-	x, err := Build(queries)
+	x, err := New(fam, queries)
 	if err != nil {
 		b.Fatal(err)
 	}

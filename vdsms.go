@@ -69,14 +69,11 @@ type Config struct {
 	UseSketchMethod bool
 	// NoIndex disables the Hash-Query index (linear scan per window).
 	NoIndex bool
-	// PreFilter enables the exact pre-filter tier in front of the
-	// Hash-Query index: per premixed cell, the rows in which it is some
-	// query's argmin, so that each window searches only the rows that hold
-	// its value — found with one lookup per distinct cell of the window.
-	// It pays off with many queries (2 068 on monitor-manyquery). Matches
-	// are byte-identical with the tier on or off; only probe cost and
-	// memory change. Incompatible with NoIndex. See DESIGN.md "Pre-filter
-	// tier".
+	// PreFilter is ignored. It put an exact row pre-filter in front of the
+	// Hash-Query index; the index now reads only the posting lists of each
+	// window's winning cells, which is the pre-filter's work done once
+	// (DESIGN.md §10). It stays for one release so that code setting it
+	// still compiles.
 	PreFilter bool
 	// ArchiveSec, when positive, keeps the most recent ArchiveSec seconds
 	// of the monitored stream's compressed frames in memory so that, on a
@@ -377,7 +374,6 @@ func NewDetector(cfg Config) (*Detector, error) {
 		Order:        core.Geometric,
 		Method:       core.Bit,
 		UseIndex:     !cfg.NoIndex,
-		PreFilter:    cfg.PreFilter,
 	}
 	if cfg.Sequential {
 		ecfg.Order = core.Sequential
@@ -505,11 +501,10 @@ func (d *Detector) AddQuery(id int, clip io.Reader) error {
 }
 
 // AddQueries subscribes a batch of continuous queries from encoded MVC1
-// clips in one bulk operation: clips are decoded, then the Hash-Query
-// index (and pre-filter, when enabled) is built once for the combined
-// query set instead of once per insert — the only practical path at
-// large query counts. Either every query lands or none does, in memory
-// and (one WAL record, one fsync) on disk.
+// clips in one bulk operation: clips are decoded, then the whole batch
+// joins the query index as one plane version, copied once rather than
+// once per insert. Either every query lands or none does, in memory and
+// (one WAL record, one fsync) on disk.
 func (d *Detector) AddQueries(ids []int, clips []io.Reader) error {
 	cellIDs, err := d.pipeline.batchCells(ids, clips)
 	if err != nil {

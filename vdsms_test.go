@@ -249,9 +249,9 @@ func TestAddQueryErrors(t *testing.T) {
 	}
 }
 
-// TestPreFilterFacade pins the facade contract of the pre-filter tier:
-// batch subscription via AddQueries and Config.PreFilter must reproduce
-// the incremental, unfiltered detector's matches exactly.
+// TestPreFilterFacade pins the facade contract of batch subscription:
+// AddQueries, with the ignored Config.PreFilter set, must reproduce the
+// incremental detector's matches exactly.
 func TestPreFilterFacade(t *testing.T) {
 	q1, q2 := clip(t, 21, 16), clip(t, 22, 16)
 	var stream bytes.Buffer
@@ -299,7 +299,7 @@ func TestPreFilterFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("prefilter run found %d matches, baseline %d", len(got), len(want))
+		t.Fatalf("batch run found %d matches, baseline %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -307,11 +307,11 @@ func TestPreFilterFacade(t *testing.T) {
 		}
 	}
 
-	bad := testConfig()
-	bad.PreFilter = true
-	bad.NoIndex = true
-	if _, err := NewDetector(bad); err == nil {
-		t.Error("PreFilter+NoIndex accepted")
+	ignored := testConfig()
+	ignored.PreFilter = true
+	ignored.NoIndex = true
+	if _, err := NewDetector(ignored); err != nil {
+		t.Errorf("PreFilter+NoIndex rejected: %v", err)
 	}
 	det, _ := NewDetector(testConfig())
 	if err := det.AddQueries([]int{1}, nil); err == nil {
