@@ -249,12 +249,7 @@ func Resume(cfg Config) (*Detector, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		d.engine = eng
-		eng.OnMatch = d.forward
-		d.armSlowWindow(eng)
-		d.armTrace(eng)
-		d.armOverload(eng)
-		d.armPerf(eng)
+		d.arm(eng)
 		ckFrame = ck.Engine.Frame
 	}
 

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vdsms/internal/core"
 	"vdsms/internal/degrade"
 	"vdsms/internal/feature"
 	"vdsms/internal/mpeg"
@@ -87,25 +86,6 @@ type ovlState struct {
 	retries     atomic.Int64
 }
 
-// armOverload wires eng's window-latency feed to the lineage's overload
-// controller. Called from every engine construction site (NewDetector,
-// NewStreamNamed, LoadDetector, Resume) so all engines of a lineage feed
-// one loop. A detector without a real-time budget stays unwired — the
-// timed window path then costs nothing extra.
-func (d *Detector) armOverload(eng *core.Engine) {
-	if d.ovl == nil {
-		d.ovl = &ovlState{sampler: degrade.NewSampler()}
-		d.front.shed = d.shedExtract
-	}
-	if d.ctl == nil {
-		if d.cfg.RealTimeBudget <= 0 {
-			return
-		}
-		d.ctl = degrade.NewController(degrade.ControllerConfig{Budget: d.cfg.RealTimeBudget})
-	}
-	eng.OnWindowDone = d.observeIngestWindow
-}
-
 // SetRealTimeBudget retunes (or arms) the overload controller at runtime.
 // The new budget takes effect at the next observed window of every stream
 // sharing this detector's lineage. On a detector constructed without a
@@ -118,7 +98,7 @@ func (d *Detector) SetRealTimeBudget(budget time.Duration) {
 			return
 		}
 		d.cfg.RealTimeBudget = budget
-		d.armOverload(d.engine)
+		d.arm(d.engine)
 		return
 	}
 	d.ctl.SetBudget(budget)
@@ -168,16 +148,13 @@ func (d *Detector) Overload() OverloadStats {
 	return s
 }
 
-// observeIngestWindow is the engine's OnWindowDone hook: it completes the
-// kernel's window duration with the front end's (decode + extract, stored
-// by the frontEndTimer at the window-filling frame) and feeds the loop.
-func (d *Detector) observeIngestWindow(kernel time.Duration) {
-	if d.ctl == nil {
-		return
-	}
-	dec, ext := d.front.timer.takeLast()
-	total := kernel + dec + ext
-	level := int32(d.ctl.Observe(total))
+// observeIngestWindow is the controller's feed (the record observer's
+// OnWindow, set by arm once the controller exists): the window's full
+// ingest latency, decode and extract of its frames plus the kernel's total,
+// read off the one record.
+func (d *Detector) observeIngestWindow(rec *perfobs.Span) {
+	total := rec.NS[perfobs.StageDecode] + rec.NS[perfobs.StageExtract] + rec.NS[perfobs.StageWindowTotal]
+	level := int32(d.ctl.Observe(time.Duration(total)))
 	if prev := d.ovl.lastLevel; level != prev {
 		d.ovl.lastLevel = level
 		telShedLevel.Set(float64(level))

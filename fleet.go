@@ -69,7 +69,9 @@ func NewFleet(cfg Config, fc FleetConfig) (*Fleet, error) {
 
 // NewFleet builds a fleet sharing this detector's query plane: queries
 // already subscribed (or subscribed later through either side) cover the
-// detector's own stream and every fleet stream alike.
+// detector's own stream and every fleet stream alike. Its streams share the
+// detector's slow-window budget too: a window over it is counted and kept
+// under the stream's id, but not passed to OnSlowWindow or logged.
 func (d *Detector) NewFleet(fc FleetConfig) (*Fleet, error) {
 	pcfg := fleet.Config{
 		Engine:      d.engine.Config(),
@@ -81,6 +83,7 @@ func (d *Detector) NewFleet(fc FleetConfig) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
+	pool.Observe(d.observer())
 	return &Fleet{cfg: d.cfg, pl: d.pipeline, winKeyF: d.winKeyF, pool: pool}, nil
 }
 
@@ -103,6 +106,7 @@ func RestoreFleet(cfg Config, fc FleetConfig, r io.Reader) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
+	pool.Observe(d.observer())
 	return &Fleet{cfg: cfg, pl: d.pipeline, winKeyF: d.winKeyF, pool: pool}, nil
 }
 

@@ -123,7 +123,7 @@ func BenchWindowSpans(name string, every int) (Result, error) {
 	}
 	col := perfobs.NewCollector(perfobs.DefaultRing)
 	col.SetSampleEvery(int64(every))
-	eng.SetPerf(col, "bench")
+	eng.Observe(core.Observer{Stream: "bench", Spans: col})
 	prev := telemetry.SetEnabled(false)
 	defer telemetry.SetEnabled(prev)
 	r := testing.Benchmark(func(b *testing.B) {

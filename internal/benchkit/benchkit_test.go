@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"vdsms/internal/core"
 	"vdsms/internal/perfobs"
 	"vdsms/internal/telemetry"
 )
@@ -21,7 +22,7 @@ func allocsPerWindow(t *testing.T, every int) float64 {
 	if every >= 0 {
 		col := perfobs.NewCollector(perfobs.DefaultRing)
 		col.SetSampleEvery(int64(every))
-		eng.SetPerf(col, "bench")
+		eng.Observe(core.Observer{Stream: "bench", Spans: col})
 	}
 	i := 0
 	return testing.AllocsPerRun(200, func() {

@@ -9,7 +9,6 @@ import (
 	"vdsms/internal/minhash"
 	"vdsms/internal/perfobs"
 	"vdsms/internal/qindex"
-	"vdsms/internal/telemetry"
 	"vdsms/internal/trace"
 )
 
@@ -79,24 +78,6 @@ type Engine struct {
 	// the goroutine calling PushFrame/PushFrames/Flush.
 	OnMatch func(Match)
 
-	// SlowWindow, when positive, arms the slow-window tracer: any basic
-	// window whose processing exceeds it is reported through OnSlowWindow
-	// with a per-stage breakdown. Set both before pushing frames.
-	SlowWindow time.Duration
-	// SlowVar, when non-nil, overrides SlowWindow with a runtime-adjustable
-	// budget read once per window (shared across a detector lineage so
-	// POST /debug/slow-window reaches every live engine).
-	SlowVar *SlowBudget
-	// OnSlowWindow receives slow-window traces; invoked synchronously on
-	// the pushing goroutine, so keep it cheap.
-	OnSlowWindow func(SlowWindowTrace)
-	// OnWindowDone, when non-nil, receives every basic window's total
-	// processing duration, synchronously on the pushing goroutine — the
-	// overload controller's feed. Setting it forces the timed path (the
-	// same clock reads telemetry uses), so leave it nil unless a consumer
-	// is actually listening.
-	OnWindowDone func(total time.Duration)
-
 	// Decision-provenance state (see trace.go). trc is nil unless tracing
 	// was armed; its enabled flag is sampled once per window into
 	// windowResult.tr, the pointer every kernel recording site checks.
@@ -112,15 +93,11 @@ type Engine struct {
 	auditReports uint64
 	auditPrunes  uint64
 
-	// perf is the span collector this engine samples into (nil = spans
-	// off; see SetPerf) and perfLabel the stream label on exported spans.
-	// pendingSpanNS stages out-of-kernel stage durations (front-end
-	// decode/extract from the facade, queue-wait/worker-hop from the fleet)
-	// for the next processed window; consumed — sampled or not — at the
-	// window's start so stale spans never leak across windows.
-	perf          *perfobs.Collector
-	perfLabel     string
-	pendingSpanNS [perfobs.NumStages]int64
+	// obs is the observer the per-window record rec goes to (perf.go). rec
+	// collects the stages staged for the window being filled, is completed
+	// by the kernel when the window is timed, and is cleared after it.
+	obs Observer
+	rec perfobs.Span
 
 	// winners records which cell won each row of the window being sketched,
 	// for the index to read its posting lists by; reused window after window.
@@ -268,37 +245,26 @@ func (e *Engine) maxWindowsOf(q *queryInfo) int { return e.cfg.maxWindows(q.fram
 // processWindow sketches the filled window, probes it against the query
 // plane, folds it into the candidate list and emits the window's matches.
 //
-// Stage timing (sketch → probe → combine → merge, plus the window total)
-// runs when telemetry is enabled or the slow-window tracer is armed: two
-// clock reads per stage, feeding the vcd_stage_duration_seconds histograms
-// and OnSlowWindow. The timed path allocates nothing beyond what the
-// untimed kernel already does.
+// A timed window (Timed) completes the record with its kernel stages —
+// sketch → probe → combine → merge, plus the window total, two clock reads
+// per stage — and hands it to observeWindow. The timed path allocates
+// nothing beyond what the untimed kernel already does.
 func (e *Engine) processWindow() {
 	e.stats.Windows++
 	telWindows.Inc()
-	// Span sampling: one atomic load when the collector is armed but this
-	// window loses the cadence draw; nothing at all when perf is unset.
-	var sp *perfobs.Span
-	if e.perf != nil {
-		sp = e.perf.Begin(e.perfLabel)
-		if sp != nil {
-			sp.NS = e.pendingSpanNS
-		}
-		e.pendingSpanNS = [perfobs.NumStages]int64{}
-	}
-	slow := e.slowBudget()
-	timed := telemetry.Enabled() || (slow > 0 && e.OnSlowWindow != nil) || e.OnWindowDone != nil || sp != nil
+	rec := &e.rec
+	timed := e.Timed()
 	var t0, t1 time.Time
 	if timed {
+		e.obs.Spans.Begin(rec)
 		t0 = time.Now()
 	}
 	wsk := e.qs.Family().SketchWinners(e.curIDs, &e.winners)
-	var sketchD time.Duration
 	if timed {
 		t1 = time.Now()
-		sketchD = t1.Sub(t0)
+		rec.NS[perfobs.StageSketch] = t1.Sub(t0).Nanoseconds()
 	}
-	sp.AllocMark(perfobs.StageSketch)
+	rec.AllocMark(perfobs.StageSketch)
 	// The entire window is processed against one immutable plane captured
 	// here with a single atomic load: the probe and candidate evaluation see
 	// the same subscription version even while a concurrent
@@ -331,19 +297,17 @@ func (e *Engine) processWindow() {
 	}
 	// The pre-pass accrues to the merge stage, together with the post-pass
 	// after the combine below.
-	var preD time.Duration
 	var tp time.Time
 	if timed {
 		tp = time.Now()
-		preD = tp.Sub(t1)
+		rec.NS[perfobs.StageMerge] = tp.Sub(t1).Nanoseconds()
 	}
 	if len(view.queries) > 0 {
 		e.probeWindow(win, wsk, view)
 	}
-	var probeD time.Duration
 	if timed {
 		now := time.Now()
-		probeD = now.Sub(tp)
+		rec.NS[perfobs.StageProbe] = now.Sub(tp).Nanoseconds()
 		tp = now
 	}
 	if e.cfg.Order == Sequential {
@@ -351,15 +315,14 @@ func (e *Engine) processWindow() {
 	} else {
 		e.geometric(win, view)
 	}
-	var combineD time.Duration
 	var tMerge time.Time
 	if timed {
 		tMerge = time.Now()
-		combineD = tMerge.Sub(tp)
+		rec.NS[perfobs.StageCombine] = tMerge.Sub(tp).Nanoseconds()
 	}
 	// Probe and combine allocations are attributed to the probe stage as
 	// one block.
-	sp.AllocMark(perfobs.StageProbe)
+	rec.AllocMark(perfobs.StageProbe)
 
 	if e.cfg.Order == Sequential {
 		e.seqPostPass(win, view)
@@ -379,15 +342,14 @@ func (e *Engine) processWindow() {
 	telCompared.Add(compared)
 	telProbeRelated.Add(e.stats.Probed - before.Probed)
 	telProbePruned.Add(e.stats.Pruned - before.Pruned)
-	sp.AllocMark(perfobs.StageMerge)
+	rec.AllocMark(perfobs.StageMerge)
 	if timed {
 		end := time.Now()
-		total := end.Sub(t0)
-		e.observeWindow(win, slow, sketchD, probeD, combineD, preD+end.Sub(tMerge), total, sp)
-		if e.OnWindowDone != nil {
-			e.OnWindowDone(total)
-		}
+		rec.NS[perfobs.StageMerge] += end.Sub(tMerge).Nanoseconds()
+		rec.NS[perfobs.StageWindowTotal] = end.Sub(t0).Nanoseconds()
+		e.observeWindow(win)
 	}
+	*rec = perfobs.Span{}
 }
 
 // probeWindow determines the window's related queries: bit signatures in

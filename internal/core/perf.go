@@ -1,30 +1,53 @@
-// Perf-span wiring: how an Engine joins the performance-attribution layer.
+// The per-window observation record: what an engine measures about each
+// basic window and who reads it.
 package core
 
-import "vdsms/internal/perfobs"
+import (
+	"sync/atomic"
 
-// SetPerf points the engine at a span collector with the given stream
-// label ("" for an anonymous engine). Every subsequently processed window
-// offers itself to the collector's sampler; with a nil collector (the
-// default) the kernel skips span work entirely. Call before pushing
-// frames, from the engine's own goroutine.
-func (e *Engine) SetPerf(c *perfobs.Collector, label string) {
-	e.perf = c
-	e.perfLabel = label
+	"vdsms/internal/perfobs"
+	"vdsms/internal/telemetry"
+)
+
+// Observer receives an engine's per-window record (see Engine.Observe).
+// The zero value feeds only the process-wide stage histograms.
+type Observer struct {
+	// Stream labels the records and the outlier top-K entries.
+	Stream string
+	// Spans keeps the records worth keeping — those its cadence head-samples
+	// and those over Budget — in its ring and outlier top-K. Nil keeps none.
+	Spans *perfobs.Collector
+	// Budget, when it holds a positive number of nanoseconds, is the
+	// slow-window budget: a window whose kernel total exceeds it is counted
+	// in vcd_slow_windows_total, kept by Spans and passed to OnSlow. Read
+	// once per window, so the engines of a lineage can share one and a Store
+	// retunes them all at their next window.
+	Budget *atomic.Int64
+	// OnSlow receives each over-budget record after it is kept.
+	OnSlow func(*perfobs.Span)
+	// OnWindow receives every timed record — the overload controller's
+	// feed. Setting it times every window, so leave it nil unless a
+	// consumer listens.
+	OnWindow func(*perfobs.Span)
 }
 
-// PerfArmed reports whether span capture could sample a window right now —
-// the cue for front ends that must pre-arm their own timing (the facade's
-// decode/extract timer).
-func (e *Engine) PerfArmed() bool {
-	return e.perf != nil && e.perf.Armed()
+// Observe installs the engine's observer, replacing the previous one. Call
+// before pushing frames, from the engine's own goroutine.
+func (e *Engine) Observe(o Observer) { e.obs = o }
+
+// Timed is the one timing predicate: it reports whether the next window's
+// record will be filled — telemetry is on, the observer has a feed, a
+// positive budget or an armed sampling cadence. The front end and the fleet
+// ask it before the clock reads they stage for the window.
+func (e *Engine) Timed() bool {
+	o := &e.obs
+	return telemetry.Enabled() || o.OnWindow != nil ||
+		o.Budget != nil && o.Budget.Load() > 0 || o.Spans.Armed()
 }
 
-// AddPendingSpanNS stages an out-of-kernel stage duration (front-end
-// decode/extract, fleet queue-wait or worker-hop) for the engine's next
-// processed window. If that window loses the sampling draw the staged
-// values are discarded with it, so attribution never smears across
-// windows. Call from the engine's owning goroutine only.
-func (e *Engine) AddPendingSpanNS(st perfobs.Stage, ns int64) {
-	e.pendingSpanNS[st] += ns
-}
+// Stage adds ns to an out-of-kernel stage of the window being filled —
+// front-end decode/extract of its frames, a fleet pass's queue wait and
+// worker hop. The window that consumes the frames carries it; the record
+// is cleared after every window, timed or not. Call from the engine's
+// owning goroutine only.
+func (e *Engine) Stage(st perfobs.Stage, ns int64) { e.rec.NS[st] += ns }

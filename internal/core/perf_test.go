@@ -28,7 +28,7 @@ func perfRun(t *testing.T, onWorker bool) perfobs.AggCounts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetPerf(col, "det-test")
+	e.Observe(Observer{Stream: "det-test", Spans: col})
 	rng := rand.New(rand.NewSource(42))
 	queries := make([][]uint64, 5)
 	for i := range queries {
@@ -56,7 +56,7 @@ func perfRun(t *testing.T, onWorker bool) perfobs.AggCounts {
 	e.Flush()
 	agg := col.Aggregate()
 	if agg.Windows == 0 {
-		t.Fatal("no spans sampled; SetPerf wiring is broken")
+		t.Fatal("no spans sampled; Observe wiring is broken")
 	}
 	return agg.Counts()
 }
@@ -81,7 +81,7 @@ func TestSpanFoldWorkerInvariant(t *testing.T) {
 }
 
 // TestPendingSpanConsumedOncePerWindow: staged front-end/fleet stage
-// nanoseconds must land on exactly the next window's span and never smear
+// nanoseconds must land on exactly the next window's record and never smear
 // into later windows, sampled or not.
 func TestPendingSpanConsumedOncePerWindow(t *testing.T) {
 	col := perfobs.NewCollector(64)
@@ -90,12 +90,12 @@ func TestPendingSpanConsumedOncePerWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetPerf(col, "s")
+	e.Observe(Observer{Stream: "s", Spans: col})
 	rng := rand.New(rand.NewSource(7))
 	if err := e.AddQuery(1, idStream(rng, 1, 12)); err != nil {
 		t.Fatal(err)
 	}
-	e.AddPendingSpanNS(perfobs.StageQueueWait, 12345)
+	e.Stage(perfobs.StageQueueWait, 12345)
 	e.PushFrames(idStream(rng, 9, 12)) // three basic windows
 	e.Flush()
 	spans := col.Spans(0)

@@ -1,18 +1,17 @@
 // Telemetry instrumentation of the matching kernel: per-stage latency
-// histograms, throughput and work counters and the slow-window tracer.
+// histograms, throughput and work counters, and the fan-out of the
+// per-window record to its consumers.
 //
 // Metric handles are package-level (resolved once against
 // telemetry.Default); every engine in the process folds into the same
 // series, which is the deployment reality — a server runs one engine per
 // concurrent stream and the operator wants the aggregate. Stage timing is
-// gated on telemetry.Enabled() (or an armed slow-window tracer) so the
-// kernel can be benchmarked with instrumentation cold; the counters are
+// gated on Engine.Timed (telemetry.Enabled() or a listening observer) so
+// the kernel can be benchmarked with instrumentation cold; the counters are
 // single atomic adds and stay on unconditionally.
 package core
 
 import (
-	"time"
-
 	"vdsms/internal/perfobs"
 	"vdsms/internal/telemetry"
 )
@@ -31,6 +30,11 @@ var (
 	telCompared = telemetry.Default.Counter("vcd_compared_total",
 		"Similarity evaluations (signature tests plus sketch comparisons), across all engines.")
 
+	telSlowWindows = telemetry.Default.Counter("vcd_slow_windows_total",
+		"Basic windows that exceeded the slow-window budget.")
+
+	telStageDecode  = stageHistogram("decode")
+	telStageExtract = stageHistogram("extract")
 	telStageSketch  = stageHistogram("sketch")
 	telStageProbe   = stageHistogram("probe")
 	telStageCombine = stageHistogram("combine")
@@ -45,60 +49,47 @@ func stageHistogram(stage string) *telemetry.Histogram {
 		telemetry.DurationBuckets, telemetry.L("stage", stage))
 }
 
-// SlowWindowTrace is the per-stage breakdown handed to OnSlowWindow when a
-// basic window exceeds the engine's SlowWindow budget. Merge covers the
-// candidate-list work around probe and combine (pre-pass, post-pass, trace
-// fold, match emission, stats fold).
-type SlowWindowTrace struct {
-	// StartFrame and EndFrame delimit the offending window in key frames.
-	StartFrame, EndFrame int
-	// Related is the number of related queries the probe surfaced.
-	Related int
-	// Budget is the threshold that was exceeded.
-	Budget time.Duration
-	// Total is the window's full processing time; the stage fields below
-	// decompose it (up to scheduler noise between clock reads).
-	Total, Sketch, Probe, Combine, Merge time.Duration
+// observeWindow completes a timed window's record and hands it to every
+// consumer: the stage histograms (when telemetry is on), the observer's
+// feed, and — when the window was head-sampled or blew the budget — the
+// span collector, then OnSlow for an over-budget one. Called once per timed
+// window from processWindow; decode and extract are observed only when the
+// front end staged them, so bare and fleet engines leave those series alone.
+func (e *Engine) observeWindow(win *windowResult) {
+	rec, o := &e.rec, &e.obs
+	rec.Stream = o.Stream
+	rec.Window = int64(e.stats.Windows)
+	rec.StartFrame, rec.EndFrame = win.startFrame, win.endFrame
+	rec.Related = win.relatedLen()
+	rec.Plane = e.planeVersion
+	if telemetry.Enabled() {
+		if rec.NS[perfobs.StageDecode]+rec.NS[perfobs.StageExtract] > 0 {
+			observeNS(telStageDecode, rec.NS[perfobs.StageDecode])
+			observeNS(telStageExtract, rec.NS[perfobs.StageExtract])
+		}
+		observeNS(telStageSketch, rec.NS[perfobs.StageSketch])
+		observeNS(telStageProbe, rec.NS[perfobs.StageProbe])
+		observeNS(telStageCombine, rec.NS[perfobs.StageCombine])
+		observeNS(telStageMerge, rec.NS[perfobs.StageMerge])
+		observeNS(telStageWindow, rec.NS[perfobs.StageWindowTotal])
+	}
+	if o.OnWindow != nil {
+		o.OnWindow(rec)
+	}
+	if o.Budget != nil {
+		budget := o.Budget.Load()
+		rec.Slow = budget > 0 && rec.NS[perfobs.StageWindowTotal] > budget
+	}
+	if rec.Slow {
+		telSlowWindows.Inc()
+	}
+	if rec.Sampled || rec.Slow {
+		o.Spans.Keep(rec)
+	}
+	if rec.Slow && o.OnSlow != nil {
+		o.OnSlow(rec)
+	}
 }
 
-// observeWindow publishes one processed window's stage spans into the
-// histograms, finishes the window's perf span (when sampled), and, when
-// the window blew its budget, hands the breakdown to the tracer. Called
-// once per window from processWindow, only when timing was armed. budget
-// is the slow-window threshold resolved for this window (the
-// runtime-adjustable SlowVar when wired, else SlowWindow).
-func (e *Engine) observeWindow(win *windowResult, budget time.Duration, sketch, probe, combine, merge, total time.Duration, sp *perfobs.Span) {
-	if telemetry.Enabled() {
-		telStageSketch.ObserveDuration(sketch)
-		telStageProbe.ObserveDuration(probe)
-		telStageCombine.ObserveDuration(combine)
-		telStageMerge.ObserveDuration(merge)
-		telStageWindow.ObserveDuration(total)
-	}
-	if sp != nil {
-		sp.Window = int64(e.stats.Windows)
-		sp.StartFrame = win.startFrame
-		sp.EndFrame = win.endFrame
-		sp.Related = win.relatedLen()
-		sp.Plane = e.planeVersion
-		sp.Set(perfobs.StageSketch, sketch)
-		sp.Set(perfobs.StageProbe, probe)
-		sp.Set(perfobs.StageCombine, combine)
-		sp.Set(perfobs.StageMerge, merge)
-		sp.Set(perfobs.StageWindowTotal, total)
-		e.perf.End(sp)
-	}
-	if budget > 0 && total > budget && e.OnSlowWindow != nil {
-		e.OnSlowWindow(SlowWindowTrace{
-			StartFrame: win.startFrame,
-			EndFrame:   win.endFrame,
-			Related:    win.relatedLen(),
-			Budget:     budget,
-			Total:      total,
-			Sketch:     sketch,
-			Probe:      probe,
-			Combine:    combine,
-			Merge:      merge,
-		})
-	}
-}
+// observeNS adds one duration in nanoseconds to a seconds histogram.
+func observeNS(h *telemetry.Histogram, ns int64) { h.Observe(float64(ns) / 1e9) }

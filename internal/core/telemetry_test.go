@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vdsms/internal/perfobs"
 	"vdsms/internal/telemetry"
 )
 
@@ -119,61 +121,73 @@ func TestStageTimingDisabled(t *testing.T) {
 	}
 }
 
-// TestSlowWindowTracer arms the tracer with a 1ns budget so every window
-// is slow, and checks the per-stage breakdown is sane.
+// slowObserver arms tail capture at budget and collects the records
+// handed to OnSlow.
+func slowObserver(budget time.Duration, into *[]perfobs.Span) Observer {
+	b := new(atomic.Int64)
+	b.Store(int64(budget))
+	return Observer{Budget: b, OnSlow: func(rec *perfobs.Span) { *into = append(*into, *rec) }}
+}
+
+// TestSlowWindowTracer arms tail capture with a 1ns budget so every window
+// is slow, and checks each window's record is sane.
 func TestSlowWindowTracer(t *testing.T) {
 	eng, wins := telemetryEngine(t)
-	var traces []SlowWindowTrace
-	eng.SlowWindow = time.Nanosecond
-	eng.OnSlowWindow = func(tr SlowWindowTrace) { traces = append(traces, tr) }
+	var recs []perfobs.Span
+	eng.Observe(slowObserver(time.Nanosecond, &recs))
+	before := telSlowWindows.Value()
 	for _, w := range wins {
 		eng.PushFrames(w)
 	}
 	windows := eng.Stats().Windows
-	if len(traces) != windows {
-		t.Fatalf("%d traces for %d windows", len(traces), windows)
+	if len(recs) != windows {
+		t.Fatalf("%d records for %d windows", len(recs), windows)
 	}
-	for i, tr := range traces {
-		if tr.Total <= 0 {
-			t.Errorf("trace %d: Total = %v, want > 0", i, tr.Total)
+	if got := telSlowWindows.Value() - before; got != int64(windows) {
+		t.Errorf("vcd_slow_windows_total moved by %d, want %d", got, windows)
+	}
+	for i, rec := range recs {
+		total := rec.NS[perfobs.StageWindowTotal]
+		if total <= 0 || !rec.Slow || rec.Sampled {
+			t.Errorf("record %d: total %d ns, slow %v, sampled %v", i, total, rec.Slow, rec.Sampled)
 		}
-		if tr.Budget != time.Nanosecond {
-			t.Errorf("trace %d: Budget = %v", i, tr.Budget)
+		if rec.Window != int64(i+1) || rec.EndFrame-rec.StartFrame != eng.cfg.WindowFrames {
+			t.Errorf("record %d: window %d, frames [%d,%d) not one window", i, rec.Window, rec.StartFrame, rec.EndFrame)
 		}
-		if tr.EndFrame-tr.StartFrame != eng.cfg.WindowFrames {
-			t.Errorf("trace %d: frames [%d,%d) not one window", i, tr.StartFrame, tr.EndFrame)
+		var sum int64
+		for _, st := range []perfobs.Stage{perfobs.StageSketch, perfobs.StageProbe, perfobs.StageCombine, perfobs.StageMerge} {
+			if rec.NS[st] < 0 {
+				t.Errorf("record %d: negative %s span: %+v", i, st, rec.NS)
+			}
+			sum += rec.NS[st]
 		}
-		if tr.Sketch < 0 || tr.Probe < 0 || tr.Combine < 0 || tr.Merge < 0 {
-			t.Errorf("trace %d: negative stage span: %+v", i, tr)
-		}
-		if sum := tr.Sketch + tr.Probe + tr.Combine + tr.Merge; sum > 10*tr.Total+time.Millisecond {
-			t.Errorf("trace %d: stage sum %v wildly exceeds total %v", i, sum, tr.Total)
+		if sum > 10*total+int64(time.Millisecond) {
+			t.Errorf("record %d: stage sum %d ns wildly exceeds total %d ns", i, sum, total)
 		}
 	}
 }
 
 // TestSlowWindowTracerQuietWhenUnderBudget gives every window an hour of
-// budget: no trace may fire.
+// budget: no record may be reported.
 func TestSlowWindowTracerQuietWhenUnderBudget(t *testing.T) {
 	eng, wins := telemetryEngine(t)
-	fired := 0
-	eng.SlowWindow = time.Hour
-	eng.OnSlowWindow = func(SlowWindowTrace) { fired++ }
+	var recs []perfobs.Span
+	eng.Observe(slowObserver(time.Hour, &recs))
 	for _, w := range wins {
 		eng.PushFrames(w)
 	}
-	if fired != 0 {
-		t.Errorf("tracer fired %d times under an hour budget", fired)
+	if len(recs) != 0 {
+		t.Errorf("%d windows reported slow under an hour budget", len(recs))
 	}
 }
 
-// TestTelemetryDeterminism: with the slow-window tracer armed,
-// instrumentation must not perturb matches.
+// TestTelemetryDeterminism: with tail capture armed, instrumentation must
+// not perturb matches.
 func TestTelemetryDeterminism(t *testing.T) {
 	run := func(slow time.Duration) []Match {
 		eng, wins := telemetryEngine(t)
-		eng.SlowWindow = slow
-		eng.OnSlowWindow = func(SlowWindowTrace) {}
+		var recs []perfobs.Span
+		eng.Observe(slowObserver(slow, &recs))
 		for _, w := range wins {
 			eng.PushFrames(w)
 		}
@@ -182,7 +196,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 	base := run(0)
 	got := run(time.Nanosecond)
 	if len(got) != len(base) {
-		t.Fatalf("%d matches with the tracer armed, want %d", len(got), len(base))
+		t.Fatalf("%d matches with tail capture armed, want %d", len(got), len(base))
 	}
 	for i := range got {
 		if got[i] != base[i] {

@@ -3,10 +3,13 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vdsms/internal/perfobs"
 	"vdsms/internal/qindex"
+	"vdsms/internal/telemetry"
 	"vdsms/internal/trace"
 )
 
@@ -212,27 +215,39 @@ func TestTraceDisabledAddsNoAllocations(t *testing.T) {
 	}
 }
 
+// TestSlowBudgetRuntimeAdjust: engines sharing one budget read it once per
+// window, so a Store retunes every one of them at its next window — and a
+// positive budget alone makes a window timed when telemetry is off.
 func TestSlowBudgetRuntimeAdjust(t *testing.T) {
+	prev := telemetry.SetEnabled(false)
+	defer telemetry.SetEnabled(prev)
 	cfg := Config{K: 64, Seed: 1, Delta: 0.7, Lambda: 2, WindowFrames: 10}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	budget := new(atomic.Int64)
+	slow := 0
+	var engs [2]*Engine
+	for i := range engs {
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Observe(Observer{Budget: budget, OnSlow: func(*perfobs.Span) { slow++ }})
+		engs[i] = e
 	}
-	e.SlowWindow = 5 * time.Millisecond
-	if got := e.slowBudget(); got != 5*time.Millisecond {
-		t.Errorf("static budget = %v", got)
-	}
-	b := NewSlowBudget(250 * time.Millisecond)
-	e.SlowVar = b
-	if got := e.slowBudget(); got != 250*time.Millisecond {
-		t.Errorf("shared budget = %v, want 250ms", got)
-	}
-	b.Set(0)
-	if got := e.slowBudget(); got != 0 {
-		t.Errorf("budget after Set(0) = %v", got)
-	}
-	b.Set(time.Second)
-	if got := b.Get(); got != time.Second {
-		t.Errorf("Get = %v", got)
+	window := idStream(rand.New(rand.NewSource(3)), 1, cfg.WindowFrames)
+	for _, step := range []struct {
+		budget time.Duration
+		slow   int
+	}{{0, 0}, {time.Nanosecond, 2}, {time.Hour, 0}, {time.Nanosecond, 2}, {0, 0}} {
+		budget.Store(int64(step.budget))
+		if timed := engs[0].Timed(); timed != (step.budget > 0) {
+			t.Errorf("budget %v: Timed() = %v", step.budget, timed)
+		}
+		slow = 0
+		for _, e := range engs {
+			e.PushFrames(window)
+		}
+		if slow != step.slow {
+			t.Errorf("budget %v: %d slow windows, want %d", step.budget, slow, step.slow)
+		}
 	}
 }

@@ -124,6 +124,9 @@ type Pool struct {
 	// (the vcd_fleet_queue_depth gauge — how deep the backlog has ever run).
 	queued   atomic.Int64
 	queuedHW atomic.Int64
+
+	// obs is the observer each stream's engine gets, labelled with its id.
+	obs core.Observer
 }
 
 // New builds a pool with a fresh query plane.
@@ -148,7 +151,8 @@ func NewWith(cfg Config, qs *core.QuerySet) (*Pool, error) {
 		return nil, fmt.Errorf("fleet: engine K=%d but query set K=%d", cfg.Engine.K, qs.K())
 	}
 	cfg = cfg.normalized()
-	p := &Pool{cfg: cfg, qs: qs, streams: make(map[string]*Stream)}
+	p := &Pool{cfg: cfg, qs: qs, streams: make(map[string]*Stream),
+		obs: core.Observer{Spans: perfobs.Default}}
 	p.wake = sync.NewCond(&p.sched)
 	p.helpers.New = func() any { return &runner{load: &p.helped} }
 	p.workers = make([]*runner, cfg.Workers)
@@ -235,13 +239,26 @@ func (p *Pool) attach(id string, eng *core.Engine) (*Stream, error) {
 		return nil, fmt.Errorf("%w: %d attached, limit %d", ErrFleetFull, len(p.streams), p.cfg.MaxStreams)
 	}
 	s := &Stream{id: id, p: p, eng: eng}
-	// Fleet engines report spans into the process collector under their
-	// stream id — wired before the stream is published, so no pass can race
-	// the assignment.
-	eng.SetPerf(perfobs.Default, id)
+	// Wired before the stream is published, so no pass can race it.
+	o := p.obs
+	o.Stream = id
+	eng.Observe(o)
 	p.streams[id] = s
 	telStreamsActive.Set(float64(len(p.streams)))
 	return s, nil
+}
+
+// Observe sets the observer of every stream's engine, attached now (a
+// restored pool's) or later, each labelled with its stream id. A new pool's
+// observer keeps spans in perfobs.Default. Call before pushing.
+func (p *Pool) Observe(o core.Observer) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.obs = o
+	for id, s := range p.streams {
+		o.Stream = id
+		s.eng.Observe(o)
+	}
 }
 
 // Stream returns the attached stream with the given id, or nil.
@@ -322,7 +339,7 @@ type Stream struct {
 	detached   bool
 	// enqAt marks when the current queue generation went non-empty and
 	// wakeAt when the stream entered the ready queue — the queue-wait and
-	// worker-hop span sources. Zero when timing is off (see timing()).
+	// worker-hop span sources. Zero when the engine is not timed.
 	enqAt  time.Time
 	wakeAt time.Time
 
@@ -371,7 +388,7 @@ func (s *Stream) Push(cellIDs []uint64) error {
 	if wake {
 		s.enqueued = true
 	}
-	if (fresh || wake) && s.timing() {
+	if (fresh || wake) && s.eng.Timed() {
 		now := time.Now()
 		if fresh {
 			s.enqAt = now
@@ -389,14 +406,6 @@ func (s *Stream) Push(cellIDs []uint64) error {
 		s.p.enqueue(s)
 	}
 	return nil
-}
-
-// timing reports whether queue-wait/worker-hop clock reads should run:
-// telemetry is on or the engine's span sampler is armed. Called with qmu
-// held; the engine's perf wiring is set before the stream is published and
-// never changes, so reading it here is safe.
-func (s *Stream) timing() bool {
-	return telemetry.Enabled() || s.eng.PerfArmed()
 }
 
 // noteQueued moves the pool-wide queued-frame gauge by delta and maintains
@@ -453,8 +462,8 @@ func (s *Stream) runPass(r *runner) {
 		r.frames.Add(int64(len(batch)))
 		s.emu.Lock()
 		if qwaitNS > 0 {
-			s.eng.AddPendingSpanNS(perfobs.StageQueueWait, qwaitNS)
-			s.eng.AddPendingSpanNS(perfobs.StageWorkerHop, hopNS)
+			s.eng.Stage(perfobs.StageQueueWait, qwaitNS)
+			s.eng.Stage(perfobs.StageWorkerHop, hopNS)
 			if telemetry.Enabled() {
 				telQueueWait.Observe(float64(qwaitNS) / 1e9)
 				telWorkerHop.Observe(float64(hopNS) / 1e9)

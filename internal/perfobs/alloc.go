@@ -55,16 +55,13 @@ func readAllocObjs() uint64 {
 // process-wide: concurrent streams bleed into each other's deltas; at
 // single-stream load the attribution is exact.
 func (sp *Span) AllocMark(st Stage) {
-	if sp == nil || !sp.allocOn {
+	if !sp.allocOn {
 		return
 	}
 	cur := readAllocObjs()
 	sp.AllocObjs[st] += int64(cur - sp.lastAllocObjs)
 	sp.lastAllocObjs = cur
 }
-
-// AllocSampled reports whether this span carries allocation attribution.
-func (sp *Span) AllocSampled() bool { return sp != nil && sp.allocOn }
 
 // beginAlloc arms allocation attribution on a freshly sampled span.
 func (c *Collector) beginAlloc(sp *Span) {
@@ -83,7 +80,7 @@ type gcState struct {
 
 // endAlloc closes the window-total delta, folds the per-stage means and
 // refreshes the GC gauges. Called once per alloc-sampled span, before the
-// span is folded into the aggregate.
+// span is kept.
 func (c *Collector) endAlloc(sp *Span) {
 	sp.AllocObjs[StageWindowTotal] = int64(readAllocObjs() - sp.beginAlloc)
 

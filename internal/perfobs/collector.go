@@ -1,5 +1,5 @@
-// The span collector: deterministic counter-based sampling, a pooled span
-// lifecycle, a bounded export ring, and the worker-invariant fold.
+// The span collector: deterministic counter-based head sampling, a bounded
+// ring the kept records are copied into, and the worker-invariant fold.
 package perfobs
 
 import (
@@ -12,7 +12,7 @@ import (
 	"vdsms/internal/telemetry"
 )
 
-// DefaultRing is the number of sampled spans retained for export when the
+// DefaultRing is the number of kept spans retained for export when the
 // collector is built with NewCollector.
 const DefaultRing = 2048
 
@@ -98,7 +98,9 @@ func (a *Aggregate) MeanNS(st Stage) float64 {
 }
 
 // SpanRecord is the schema-stable JSON shape of one exported span — the
-// /debug/spans and -span-log line format (schema "vcd_span/v1").
+// /debug/spans and -span-log line format (schema "vcd_span/v1"). Kept says
+// why the record was kept: "sampled" (head sampling), "slow" (over the
+// slow-window budget) or "sampled,slow".
 type SpanRecord struct {
 	Schema     string           `json:"schema"`
 	Stream     string           `json:"stream"`
@@ -107,6 +109,7 @@ type SpanRecord struct {
 	EndFrame   int              `json:"endFrame"`
 	Related    int              `json:"related"`
 	Plane      uint64           `json:"plane"`
+	Kept       string           `json:"kept"`
 	NS         map[string]int64 `json:"ns"`
 	AllocObjs  map[string]int64 `json:"allocObjs,omitempty"`
 }
@@ -122,7 +125,14 @@ func record(sp *Span) SpanRecord {
 		EndFrame:   sp.EndFrame,
 		Related:    sp.Related,
 		Plane:      sp.Plane,
+		Kept:       "sampled",
 		NS:         make(map[string]int64, NumStages),
+	}
+	switch {
+	case sp.Slow && sp.Sampled:
+		r.Kept = "sampled,slow"
+	case sp.Slow:
+		r.Kept = "slow"
 	}
 	for st := Stage(0); st < NumStages; st++ {
 		if ns := sp.NS[st]; ns != 0 {
@@ -140,10 +150,10 @@ func record(sp *Span) SpanRecord {
 	return r
 }
 
-// Collector samples basic-window spans. One process-wide Default instance
+// Collector keeps basic-window spans. One process-wide Default instance
 // is shared by every engine; tests build private collectors.
 type Collector struct {
-	// every is the sampling cadence: 0 = off, N ≥ 1 = every Nth processed
+	// every is the sampling cadence: 0 = off, N ≥ 1 = every Nth timed
 	// window (counter-based, hence deterministic for a fixed push sequence).
 	every atomic.Int64
 	// allocEvery sub-samples alloc attribution: every Nth *sampled* span
@@ -154,19 +164,16 @@ type Collector struct {
 	// sampledSeq counts sampled spans (drives allocEvery).
 	sampledSeq atomic.Int64
 
-	pool sync.Pool
-
 	mu   sync.Mutex
 	ring []Span // fixed capacity, overwrite-oldest
 	head int    // next write position
 	len  int
 	agg  Aggregate
-	// onSpan, when set, receives a copy of every sampled span at End (the
-	// -span-log hook). Called under mu: keep it cheap and never re-enter
-	// the collector.
+	// onSpan, when set, receives every kept span (the -span-log hook).
+	// Called under mu: keep it cheap and never re-enter the collector.
 	onSpan func(SpanRecord)
 	// outliers, when set, receives (stream, window-total) observations so
-	// the slowest-stream tracker sees every sampled window.
+	// the slowest-stream tracker sees every kept window.
 	outliers *Outliers
 
 	gc  gcState
@@ -185,7 +192,6 @@ func newCollector(ring int, tel bool) *Collector {
 		ring = 1
 	}
 	c := &Collector{ring: make([]Span, ring), tel: tel}
-	c.pool.New = func() any { return new(Span) }
 	for st := range c.agg.hist {
 		c.agg.hist[st] = make([]int64, len(telemetry.DurationBuckets)+1)
 	}
@@ -222,9 +228,9 @@ func (c *Collector) SetSampleFraction(f float64) {
 // SampleEvery returns the current cadence (0 = off).
 func (c *Collector) SampleEvery() int64 { return c.every.Load() }
 
-// Armed reports whether any window could be sampled — the cue for callers
-// that must pre-arm timing (the facade's front-end timer).
-func (c *Collector) Armed() bool { return c.every.Load() > 0 }
+// Armed reports whether any window could be sampled, so windows must be
+// timed (false for a nil collector).
+func (c *Collector) Armed() bool { return c != nil && c.every.Load() > 0 }
 
 // SetAllocEvery sets the allocation-attribution sub-sample: every Nth
 // sampled span also carries per-stage alloc deltas and a GC reading
@@ -237,7 +243,7 @@ func (c *Collector) SetAllocEvery(n int64) {
 	c.allocEvery.Store(n)
 }
 
-// SetOnSpan installs the span-log hook, invoked once per sampled span with
+// SetOnSpan installs the span-log hook, invoked once per kept span with
 // its export record. Pass nil to remove.
 func (c *Collector) SetOnSpan(fn func(SpanRecord)) {
 	c.mu.Lock()
@@ -245,7 +251,7 @@ func (c *Collector) SetOnSpan(fn func(SpanRecord)) {
 	c.mu.Unlock()
 }
 
-// SetOutliers wires a fleet outlier surface: every sampled span's window
+// SetOutliers wires a fleet outlier surface: every kept span's window
 // total feeds the slowest-stream tracker.
 func (c *Collector) SetOutliers(o *Outliers) {
 	c.mu.Lock()
@@ -253,54 +259,55 @@ func (c *Collector) SetOutliers(o *Outliers) {
 	c.mu.Unlock()
 }
 
-// Begin decides whether the next processed window is sampled. It returns a
-// pooled span to fill (stream label already set) or nil. The disabled path
-// is one atomic load.
-func (c *Collector) Begin(stream string) *Span {
+// Begin is the head-sampling draw for the window sp is about to record:
+// every Nth call marks it Sampled, and every Mth sampled one also gets
+// allocation attribution (SetAllocEvery). With sampling off it is one
+// atomic load; a nil collector samples nothing.
+func (c *Collector) Begin(sp *Span) {
+	if c == nil {
+		return
+	}
 	every := c.every.Load()
-	if every == 0 {
-		return nil
+	if every == 0 || c.seq.Add(1)%every != 0 {
+		return
 	}
-	if c.seq.Add(1)%every != 0 {
-		return nil
-	}
-	sp := c.pool.Get().(*Span)
-	sp.reset()
-	sp.Stream = stream
+	sp.Sampled = true
 	if ae := c.allocEvery.Load(); ae > 0 && c.sampledSeq.Add(1)%ae == 0 {
 		c.beginAlloc(sp)
 	}
-	return sp
 }
 
-// End folds a sampled span into the aggregate, retains a copy in the export
-// ring, publishes telemetry and returns the span to the pool. sp must come
-// from Begin; nil is ignored.
-func (c *Collector) End(sp *Span) {
-	if sp == nil {
+// Keep copies a filled record into the export ring, hands it to the
+// span-log hook and the slowest-stream tracker, and folds it into the
+// aggregate when it was head-sampled (tail-kept records would bias the
+// fold toward slow windows). A nil collector keeps nothing.
+func (c *Collector) Keep(sp *Span) {
+	if c == nil {
 		return
 	}
 	if sp.allocOn {
 		c.endAlloc(sp)
 	}
 	c.mu.Lock()
-	c.agg.Windows++
-	c.agg.RelatedSum += int64(sp.Related)
-	if sp.allocOn {
-		c.agg.AllocSampled++
-	}
-	for st := Stage(0); st < NumStages; st++ {
-		ns := sp.NS[st]
-		if ns == 0 && st != StageWindowTotal {
-			continue
+	if sp.Sampled {
+		c.agg.Windows++
+		c.agg.RelatedSum += int64(sp.Related)
+		if sp.allocOn {
+			c.agg.AllocSampled++
 		}
-		a := &c.agg.Stages[st]
-		a.Count++
-		a.SumNS += ns
-		if ns > a.MaxNS {
-			a.MaxNS = ns
+		for st := Stage(0); st < NumStages; st++ {
+			ns := sp.NS[st]
+			if ns == 0 && st != StageWindowTotal {
+				continue
+			}
+			a := &c.agg.Stages[st]
+			a.Count++
+			a.SumNS += ns
+			if ns > a.MaxNS {
+				a.MaxNS = ns
+			}
+			observeBucket(c.agg.hist[st], float64(ns)/1e9)
 		}
-		observeBucket(c.agg.hist[st], float64(ns)/1e9)
 	}
 	c.ring[c.head] = *sp
 	c.head = (c.head + 1) % len(c.ring)
@@ -311,16 +318,13 @@ func (c *Collector) End(sp *Span) {
 		c.onSpan(record(sp))
 	}
 	out := c.outliers
-	totalNS := sp.NS[StageWindowTotal]
-	stream := sp.Stream
 	c.mu.Unlock()
-	if out != nil && totalNS > 0 {
-		out.observeSlowest(stream, totalNS)
+	if out != nil && sp.NS[StageWindowTotal] > 0 {
+		out.observeSlowest(sp.Stream, sp.NS[StageWindowTotal])
 	}
-	if c.tel {
+	if c.tel && sp.Sampled {
 		telSpansSampled.Inc()
 	}
-	c.pool.Put(sp)
 }
 
 // observeBucket adds one observation to a DurationBuckets count slice.

@@ -16,10 +16,10 @@ var (
 )
 
 // Outliers groups the three per-fleet heavy-hitter sketches. Slowest is fed
-// by the span collector (cumulative window-total nanoseconds per stream, so
-// it only sees sampled windows), Shed by the degradation layer (frames shed
-// per stream) and Backpressure by the fleet's push path (frames rejected
-// per stream).
+// by the span collector (cumulative window-total nanoseconds per stream
+// over the kept windows: head-sampled or over budget), Shed by the
+// degradation layer (frames shed per stream) and Backpressure by the
+// fleet's push path (frames rejected per stream).
 type Outliers struct {
 	Slowest      *TopK
 	Shed         *TopK
@@ -63,7 +63,7 @@ func (o *Outliers) ObserveBackpressure(stream string, w int64) {
 	}
 }
 
-// observeSlowest is the span collector's feed (Collector.End).
+// observeSlowest is the span collector's feed (Collector.Keep).
 func (o *Outliers) observeSlowest(stream string, ns int64) {
 	o.Slowest.Observe(stream, ns)
 	if o.tel {
@@ -75,7 +75,7 @@ func (o *Outliers) observeSlowest(stream string, ns int64) {
 type Report struct {
 	Schema       string `json:"schema"` // "vcd_fleet_top/v1"
 	K            int    `json:"k"`
-	Slowest      []Item `json:"slowest"`      // weight: sampled window-total ns
+	Slowest      []Item `json:"slowest"`      // weight: kept window-total ns
 	Shed         []Item `json:"shed"`         // weight: shed frames
 	Backpressure []Item `json:"backpressure"` // weight: rejected frames
 }

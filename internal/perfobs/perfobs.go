@@ -6,12 +6,12 @@
 // It is built from four pieces, all stdlib-only and layered on
 // internal/telemetry:
 //
-//   - Span records. Every sampled basic window carries one pooled Span
-//     through the pipeline: front-end decode/extract, the kernel stages
-//     (sketch, probe, combine, merge), the fleet's queue-wait and
-//     worker-pin hop, and the window total. Spans are folded into a
-//     worker-invariant Aggregate and exported as JSON lines through
-//     /debug/spans and the CLIs' -span-log flag.
+//   - Span records. Every timed basic window fills its engine's Span: the
+//     stages staged before it runs (front-end decode/extract, fleet queue
+//     wait and worker hop), the kernel stages and the window total. Spans
+//     head-sampled or over the slow-window budget are kept: copied into a
+//     ring exported as JSON lines through /debug/spans and -span-log, and
+//     (head-sampled ones) folded into a worker-invariant Aggregate.
 //
 //   - Allocation and GC attribution. A configurable sub-sample of spans
 //     additionally brackets each kernel stage with runtime/metrics
@@ -28,15 +28,13 @@
 //     and heap profiles into a bounded ring of files so a production
 //     incident always has a recent profile on disk; see profiler.go.
 //
-// Hot-path contract: with sampling disabled (the default), the only cost a
-// window pays is one atomic load in Collector.Begin — no clock reads, no
-// allocations, no locks. Sampled windows draw their Span from a sync.Pool
-// and fold it back under one short mutex, so steady-state sampling
-// allocates nothing either (JSON rendering happens at export time, on the
-// reader's goroutine).
+// Hot-path contract: a window that is neither sampled nor over budget
+// takes no lock and allocates nothing; with sampling disabled (the
+// default) the head draw is one atomic load. A kept record is copied into
+// the ring under one short mutex, so steady-state keeping allocates
+// nothing either (JSON rendering happens at export time, on the reader's
+// goroutine).
 package perfobs
-
-import "time"
 
 // Stage enumerates the attributable pipeline stages of one basic window.
 // The order is the export order and is part of the /debug/spans schema.
@@ -84,10 +82,9 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Span is the per-window record carried through the pipeline for sampled
-// windows. Spans are pooled: obtain one from Collector.Begin (nil when the
-// window is not sampled) and return it with Collector.End — never retain a
-// Span after End.
+// Span is the per-window observation record. Each engine owns one and
+// fills it once per timed window; its observers read it during the call
+// and Collector.Keep copies it, so nobody retains the engine's Span.
 type Span struct {
 	// Stream is the owning stream's label (fleet stream id, facade stream
 	// name, or "" for an anonymous engine).
@@ -114,20 +111,14 @@ type Span struct {
 	// span was not alloc-sampled.
 	AllocObjs [NumStages]int64
 
+	// Sampled marks a window that won the head-sampling draw
+	// (Collector.Begin); Slow one whose window total exceeded its stream's
+	// slow-window budget. Either keeps the record.
+	Sampled, Slow bool
+
 	// allocOn marks an alloc-sampled span; lastAllocObjs is the running
 	// allocated-objects reading the next AllocMark diffs against.
 	allocOn       bool
 	lastAllocObjs uint64
 	beginAlloc    uint64
-}
-
-// SetNS records one stage's duration in nanoseconds.
-func (sp *Span) SetNS(st Stage, ns int64) { sp.NS[st] = ns }
-
-// Set records one stage's duration.
-func (sp *Span) Set(st Stage, d time.Duration) { sp.NS[st] = d.Nanoseconds() }
-
-// reset clears a span for reuse, keeping nothing from the previous window.
-func (sp *Span) reset() {
-	*sp = Span{}
 }

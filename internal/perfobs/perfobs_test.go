@@ -33,15 +33,25 @@ func TestStageString(t *testing.T) {
 	}
 }
 
+// offer puts one window's record through c the way an engine does: the
+// head draw, then Keep when the window won it. It reports whether it did.
+func offer(c *Collector, sp *Span) bool {
+	c.Begin(sp)
+	if sp.Sampled {
+		c.Keep(sp)
+	}
+	return sp.Sampled
+}
+
 func TestSamplingCadence(t *testing.T) {
 	c := NewCollector(16)
 	c.SetSampleEvery(3)
 	var sampled int
 	for i := 0; i < 30; i++ {
-		if sp := c.Begin("s"); sp != nil {
+		sp := Span{Stream: "s"}
+		sp.NS[StageWindowTotal] = 100
+		if offer(c, &sp) {
 			sampled++
-			sp.SetNS(StageWindowTotal, 100)
-			c.End(sp)
 		}
 	}
 	if sampled != 10 {
@@ -71,35 +81,59 @@ func TestSampleFractionMapping(t *testing.T) {
 func TestDisabledBeginIsNilAndAllocFree(t *testing.T) {
 	c := NewCollector(16)
 	c.SetSampleEvery(0)
-	if sp := c.Begin("s"); sp != nil {
-		t.Fatal("Begin with sampling off returned a span")
+	var sp Span
+	if offer(c, &sp) {
+		t.Fatal("Begin with sampling off sampled a window")
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if sp := c.Begin("s"); sp != nil {
-			c.End(sp)
-		}
-	})
+	allocs := testing.AllocsPerRun(1000, func() { offer(c, &sp) })
 	if allocs != 0 {
 		t.Fatalf("disabled Begin allocates %v objects/op, want 0", allocs)
+	}
+	var nilC *Collector
+	nilC.Begin(&sp)
+	nilC.Keep(&sp)
+	if sp.Sampled || nilC.Armed() {
+		t.Fatal("a nil collector sampled")
 	}
 }
 
 func TestSampledSteadyStateAllocFree(t *testing.T) {
 	c := NewCollector(16)
 	c.SetSampleEvery(1)
-	// Warm the pool, then verify steady-state sampling allocates nothing.
-	for i := 0; i < 8; i++ {
-		sp := c.Begin("warm")
-		sp.SetNS(StageWindowTotal, 1)
-		c.End(sp)
-	}
+	sp := Span{Stream: "warm"}
+	sp.NS[StageWindowTotal] = 1
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := c.Begin("warm")
-		sp.SetNS(StageWindowTotal, 1)
-		c.End(sp)
+		sp.Sampled = false
+		offer(c, &sp)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state sampled window allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// TestKeepTailRecordsBesideTheFold: a record kept for being slow, not
+// sampled, lands in the ring, the hook and the slowest-stream tracker, but
+// not in the head-sampled aggregate.
+func TestKeepTailRecordsBesideTheFold(t *testing.T) {
+	c := NewCollector(8)
+	o := NewOutliers(4)
+	c.SetOutliers(o)
+	var hooked []SpanRecord
+	c.SetOnSpan(func(r SpanRecord) { hooked = append(hooked, r) })
+	sp := Span{Stream: "tail", Slow: true}
+	sp.NS[StageWindowTotal] = 77
+	if offer(c, &sp) {
+		t.Fatal("sampling off sampled a window")
+	}
+	c.Keep(&sp)
+	if got := c.Spans(0); len(got) != 1 || got[0].Kept != "slow" || got[0].Stream != "tail" {
+		t.Fatalf("ring = %+v, want one slow record", got)
+	}
+	if len(hooked) != 1 || c.Sampled() != 0 || c.Aggregate().Windows != 0 {
+		t.Fatalf("hook saw %d, aggregate %d windows; want 1 and 0", len(hooked), c.Sampled())
+	}
+	if items := o.Slowest.Items(0); len(items) != 1 || items[0].Key != "tail" || items[0].Count != 77 {
+		t.Fatalf("slowest = %+v", items)
 	}
 }
 
@@ -107,11 +141,10 @@ func TestAggregateFold(t *testing.T) {
 	c := NewCollector(16)
 	c.SetSampleEvery(1)
 	for i := 1; i <= 4; i++ {
-		sp := c.Begin("s")
-		sp.Set(StageSketch, time.Duration(i)*time.Millisecond)
-		sp.Set(StageWindowTotal, time.Duration(2*i)*time.Millisecond)
-		sp.Related = i
-		c.End(sp)
+		sp := Span{Stream: "s", Related: i}
+		sp.NS[StageSketch] = int64(i) * 1e6
+		sp.NS[StageWindowTotal] = int64(2*i) * 1e6
+		offer(c, &sp)
 	}
 	a := c.Aggregate()
 	if a.Windows != 4 || a.RelatedSum != 10 {
@@ -144,10 +177,9 @@ func TestSpanRingOrderAndLimit(t *testing.T) {
 	c := NewCollector(4)
 	c.SetSampleEvery(1)
 	for i := 1; i <= 7; i++ {
-		sp := c.Begin("s")
-		sp.Window = int64(i)
-		sp.SetNS(StageWindowTotal, int64(i))
-		c.End(sp)
+		sp := Span{Stream: "s", Window: int64(i)}
+		sp.NS[StageWindowTotal] = int64(i)
+		offer(c, &sp)
 	}
 	got := c.Spans(0)
 	if len(got) != 4 {
@@ -166,15 +198,10 @@ func TestSpanRingOrderAndLimit(t *testing.T) {
 func TestWriteSpansJSONLines(t *testing.T) {
 	c := NewCollector(8)
 	c.SetSampleEvery(1)
-	sp := c.Begin("cam-1")
-	sp.Window = 42
-	sp.StartFrame = 10
-	sp.EndFrame = 19
-	sp.Related = 3
-	sp.Plane = 7
-	sp.Set(StageSketch, time.Millisecond)
-	sp.Set(StageWindowTotal, 2*time.Millisecond)
-	c.End(sp)
+	sp := Span{Stream: "cam-1", Window: 42, StartFrame: 10, EndFrame: 19, Related: 3, Plane: 7}
+	sp.NS[StageSketch] = 1e6
+	sp.NS[StageWindowTotal] = 2e6
+	offer(c, &sp)
 
 	var buf bytes.Buffer
 	if err := c.WriteSpans(&buf, 0); err != nil {
@@ -188,7 +215,7 @@ func TestWriteSpansJSONLines(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
 			t.Fatalf("line %d not JSON: %v", n, err)
 		}
-		if r.Stream != "cam-1" || r.Window != 42 || r.Plane != 7 {
+		if r.Stream != "cam-1" || r.Window != 42 || r.Plane != 7 || r.Kept != "sampled" {
 			t.Fatalf("record = %+v", r)
 		}
 		if r.NS["sketch"] != 1e6 || r.NS["window_total"] != 2e6 {
@@ -209,10 +236,9 @@ func TestOnSpanHook(t *testing.T) {
 	var seen []SpanRecord
 	c.SetOnSpan(func(r SpanRecord) { seen = append(seen, r) })
 	for i := 0; i < 6; i++ {
-		if sp := c.Begin("s"); sp != nil {
-			sp.SetNS(StageWindowTotal, 5)
-			c.End(sp)
-		}
+		sp := Span{Stream: "s"}
+		sp.NS[StageWindowTotal] = 5
+		offer(c, &sp)
 	}
 	if len(seen) != 3 {
 		t.Fatalf("hook saw %d spans, want 3", len(seen))
@@ -223,8 +249,9 @@ func TestAllocAttribution(t *testing.T) {
 	c := NewCollector(8)
 	c.SetSampleEvery(1)
 	c.SetAllocEvery(1)
-	sp := c.Begin("s")
-	if sp == nil || !sp.AllocSampled() {
+	var sp Span
+	c.Begin(&sp)
+	if !sp.Sampled || !sp.allocOn {
 		t.Fatal("span not alloc-sampled with allocEvery=1")
 	}
 	sink := make([]*int, 0, 1024)
@@ -238,8 +265,8 @@ func TestAllocAttribution(t *testing.T) {
 	runtime.GC()
 	sp.AllocMark(StageSketch)
 	_ = sink
-	sp.SetNS(StageWindowTotal, 1)
-	c.End(sp)
+	sp.NS[StageWindowTotal] = 1
+	c.Keep(&sp)
 	a := c.Aggregate()
 	if a.AllocSampled != 1 {
 		t.Fatalf("AllocSampled = %d", a.AllocSampled)
@@ -248,18 +275,16 @@ func TestAllocAttribution(t *testing.T) {
 	if len(got) != 1 || got[0].AllocObjs["sketch"] <= 0 {
 		t.Fatalf("sketch alloc delta = %v, want > 0", got[0].AllocObjs)
 	}
-	// AllocMark on a nil or unsampled span must be a safe no-op.
-	var nilSpan *Span
-	nilSpan.AllocMark(StageProbe)
+	// AllocMark on an unsampled span must be a safe no-op.
 	(&Span{}).AllocMark(StageProbe)
 }
 
 func TestResetClearsEverything(t *testing.T) {
 	c := NewCollector(8)
 	c.SetSampleEvery(1)
-	sp := c.Begin("s")
-	sp.SetNS(StageWindowTotal, 9)
-	c.End(sp)
+	sp := Span{Stream: "s"}
+	sp.NS[StageWindowTotal] = 9
+	offer(c, &sp)
 	c.Reset()
 	if c.Sampled() != 0 || len(c.Spans(0)) != 0 {
 		t.Fatal("Reset left state behind")
@@ -358,9 +383,9 @@ func TestCollectorFeedsOutliers(t *testing.T) {
 	o := NewOutliers(4)
 	c.SetOutliers(o)
 	c.SetSampleEvery(1)
-	sp := c.Begin("slow-stream")
-	sp.SetNS(StageWindowTotal, 123456)
-	c.End(sp)
+	sp := Span{Stream: "slow-stream"}
+	sp.NS[StageWindowTotal] = 123456
+	offer(c, &sp)
 	items := o.Slowest.Items(0)
 	if len(items) != 1 || items[0].Key != "slow-stream" || items[0].Count != 123456 {
 		t.Fatalf("slowest = %+v", items)

@@ -1,5 +1,5 @@
-// Performance-attribution surface: sampled span export, fleet outlier
-// top-K, and live sampling control. See internal/perfobs and DESIGN.md §14.
+// Performance-attribution surface: kept span export (head-sampled or over
+// the slow-window budget), fleet outlier top-K, and live sampling control. See internal/perfobs and DESIGN.md §14.
 package server
 
 import (
@@ -10,7 +10,7 @@ import (
 	"vdsms/internal/perfobs"
 )
 
-// handleDebugSpans exports the sampled span ring (GET, oldest first, one
+// handleDebugSpans exports the kept span ring (GET, oldest first, one
 // JSON object per line; ?limit=N caps the count) and retunes span sampling
 // live (POST {"sampleEvery": N} — 0 disables, 1 samples every window).
 func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {

@@ -57,6 +57,17 @@ func (r *Recorder) StreamName() string {
 // Journal returns the journal this recorder writes to.
 func (r *Recorder) Journal() *Journal { return r.j }
 
+// Matches returns the retained provenance records of this recorder's
+// stream, oldest first (up to limit; 0 means all retained). Records are
+// selected by stream id, so two streams sharing a name never read each
+// other's.
+func (r *Recorder) Matches(limit int) []MatchRecord { return r.j.matchesOf(limit, int64(r.stream)) }
+
+// Events is Matches for the retained lifecycle events.
+func (r *Recorder) Events(limit int) []Event {
+	return r.j.eventsOf(Filter{Kind: KindAny, Limit: limit}, int64(r.stream))
+}
+
 // Log is a single-writer event buffer for one window.
 type Log struct {
 	ev []Event

@@ -137,8 +137,9 @@ type AuditResult struct {
 type MatchRecord struct {
 	// ID is the journal-wide match id (1-based, assigned at emission).
 	ID uint64 `json:"id"`
-	// Stream is the monitored stream's name.
+	// Stream is the monitored stream's name; stream its journal id.
 	Stream string `json:"stream"`
+	stream uint32
 	// QueryID is the matched continuous query.
 	QueryID int `json:"query"`
 	// StartFrame/EndFrame delimit the matching candidate in key frames.
@@ -428,7 +429,11 @@ type Filter struct {
 
 // Events returns the retained events matching f, oldest first, with
 // StreamName resolved.
-func (j *Journal) Events(f Filter) []Event {
+func (j *Journal) Events(f Filter) []Event { return j.eventsOf(f, -1) }
+
+// eventsOf is Events restricted to the stream with journal id only,
+// unless only is negative.
+func (j *Journal) eventsOf(f Filter, only int64) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	n := len(j.events)
@@ -449,7 +454,8 @@ func (j *Journal) Events(f Filter) []Event {
 		if f.QID != 0 && int(ev.QID) != f.QID {
 			continue
 		}
-		if f.Stream != "" && j.streamName(ev.Stream) != f.Stream {
+		if f.Stream != "" && j.streamName(ev.Stream) != f.Stream ||
+			only >= 0 && int64(ev.Stream) != only {
 			continue
 		}
 		ev.StreamName = j.streamName(ev.Stream)
@@ -476,7 +482,7 @@ func (j *Journal) recordMatch(rec MatchRecord, stream uint32) uint64 {
 	defer j.mu.Unlock()
 	j.matchN++
 	rec.ID = j.matchN
-	rec.Stream = j.streamName(stream)
+	rec.Stream, rec.stream = j.streamName(stream), stream
 	for i := 0; i < len(j.events); i++ {
 		idx := i
 		if len(j.events) == j.eventCap {
@@ -524,7 +530,11 @@ func (j *Journal) Match(id uint64) (MatchRecord, bool) {
 
 // Matches returns the most recent retained provenance records (up to
 // limit; 0 means all retained), oldest first.
-func (j *Journal) Matches(limit int) []MatchRecord {
+func (j *Journal) Matches(limit int) []MatchRecord { return j.matchesOf(limit, -1) }
+
+// matchesOf is Matches restricted to the stream with journal id only,
+// unless only is negative.
+func (j *Journal) matchesOf(limit int, only int64) []MatchRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	n := len(j.matches)
@@ -534,7 +544,9 @@ func (j *Journal) Matches(limit int) []MatchRecord {
 		start = int(j.matchN) % j.matchCap
 	}
 	for i := 0; i < n; i++ {
-		out = append(out, j.matches[(start+i)%n])
+		if rec := j.matches[(start+i)%n]; only < 0 || int64(rec.stream) == only {
+			out = append(out, rec)
+		}
 	}
 	if limit > 0 && len(out) > limit {
 		out = out[len(out)-limit:]

@@ -98,6 +98,39 @@ func TestEventsFilter(t *testing.T) {
 	}
 }
 
+// TestRecorderReadsItsOwnStream: two streams that share a name on one
+// journal (two detectors of one process, both named by their config) each
+// read back only their own events and match records.
+func TestRecorderReadsItsOwnStream(t *testing.T) {
+	j := NewJournal(64, 8)
+	ra := NewRecorder(j, "same", "sequential", "bit")
+	rb := NewRecorder(j, "same", "sequential", "bit")
+	publishWindow(ra, Event{Kind: Extended, QID: 3, Start: 0, End: 10, Windows: 1, Estimate: 0.4})
+	publishWindow(rb,
+		Event{Kind: Born, QID: -1, Start: 0, End: 10, Windows: 1, Estimate: -1},
+		Event{Kind: Extended, QID: 5, Start: 0, End: 10, Windows: 1, Estimate: 0.2},
+	)
+	a := ra.RecordMatch(3, 0, 10, 10, 1, 0.8, nil)
+	rb.RecordMatch(5, 0, 10, 10, 1, 0.9, nil)
+	rb.RecordMatch(5, 10, 20, 20, 1, 0.9, nil)
+
+	if evs := ra.Events(0); len(evs) != 1 || evs[0].QID != 3 || evs[0].StreamName != "same" {
+		t.Errorf("first stream's events: %+v", evs)
+	}
+	if evs := rb.Events(1); len(evs) != 1 || evs[0].QID != 5 {
+		t.Errorf("second stream's latest event: %+v", evs)
+	}
+	if recs := ra.Matches(0); len(recs) != 1 || recs[0].ID != a {
+		t.Errorf("first stream's records: %+v", recs)
+	}
+	if recs := rb.Matches(0); len(recs) != 2 || recs[0].QueryID != 5 {
+		t.Errorf("second stream's records: %+v", recs)
+	}
+	if recs := rb.Matches(1); len(recs) != 1 || recs[0].StartFrame != 10 {
+		t.Errorf("limit keeps the most recent record: %+v", recs)
+	}
+}
+
 func TestMatchRecordTrajectoryAndEviction(t *testing.T) {
 	j := NewJournal(64, 2)
 	r := NewRecorder(j, "m", "sequential", "bit")

@@ -1,6 +1,7 @@
-// Facade-level performance attribution: wiring detectors into the
-// process-wide span collector and the knobs CLIs expose for it. See
-// internal/perfobs for the span model and DESIGN.md §14.
+// Facade-level performance attribution: the knobs CLIs expose for the
+// process-wide span collector every detector and fleet stream reports into
+// (Detector.arm, Detector.NewFleet). See internal/perfobs for the span model
+// and DESIGN.md §14.
 package vdsms
 
 import (
@@ -8,15 +9,14 @@ import (
 	"io"
 	"time"
 
-	"vdsms/internal/core"
 	"vdsms/internal/perfobs"
 )
 
-// SetSpanSampling sets the process-wide span sampling fraction: 0 disables
-// span capture (the default — the window hot path then pays one atomic
-// load), 1 samples every basic window, f in (0,1) samples every
-// round(1/f)th window deterministically. Applies to every detector, stream
-// and fleet engine in the process.
+// SetSpanSampling sets the process-wide head-sampling fraction: 0 disables
+// it (the default — windows over a slow-window budget are still kept), 1
+// samples every basic window, f in (0,1) samples every round(1/f)th window
+// deterministically. Applies to every detector, stream and fleet engine in
+// the process.
 func SetSpanSampling(fraction float64) {
 	perfobs.Default.SetSampleFraction(fraction)
 }
@@ -29,7 +29,7 @@ func SetAllocSampling(every int) {
 	perfobs.Default.SetAllocEvery(int64(every))
 }
 
-// SetSpanLog streams every sampled span to w as one JSON line each (the
+// SetSpanLog streams every kept span to w as one JSON line each (the
 // -span-log flag of vcdmon/vcdserve). Pass nil to stop. The writer is
 // called synchronously from the window path — wrap slow sinks in a
 // buffered writer.
@@ -53,16 +53,4 @@ func SetSpanLog(w io.Writer) {
 // for Stop.
 func StartProfiler(dir string, every time.Duration, keep int) (*perfobs.Profiler, error) {
 	return perfobs.StartProfiler(dir, every, keep)
-}
-
-// armPerf points eng at the process span collector under this detector's
-// stream label. Called from every engine construction site, after armTrace
-// (which resolves the stream name).
-func (d *Detector) armPerf(eng *core.Engine) {
-	label := d.StreamName()
-	if label == "" {
-		label = d.cfg.StreamName
-	}
-	d.perfLabel = label
-	eng.SetPerf(perfobs.Default, label)
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"vdsms/internal/mpeg"
+	"vdsms/internal/perfobs"
 	"vdsms/internal/telemetry"
 )
 
@@ -170,9 +172,16 @@ func TestWALTelemetryObserved(t *testing.T) {
 	}
 }
 
-// TestSlowWindowTracerFacade arms the tracer through Config.SlowWindow
+// slowWindowsTotal reads vcd_slow_windows_total off a scrape.
+func slowWindowsTotal(t *testing.T) float64 {
+	t.Helper()
+	v, _ := scrapeDefault(t).Value("vcd_slow_windows_total")
+	return v
+}
+
+// TestSlowWindowTracerFacade arms tail capture through Config.SlowWindow
 // with an impossible budget, so every basic window of a monitored stream
-// traces with stream-time positions.
+// reaches OnSlowWindow with its record, front-end stages included.
 func TestSlowWindowTracerFacade(t *testing.T) {
 	cfg := testConfig()
 	cfg.SlowWindow = time.Nanosecond
@@ -185,20 +194,188 @@ func TestSlowWindowTracerFacade(t *testing.T) {
 	}
 	var traces []SlowWindowTrace
 	det.OnSlowWindow = func(tr SlowWindowTrace) { traces = append(traces, tr) }
-	slowBefore := telSlowWindows.Value()
+	slowBefore := slowWindowsTotal(t)
 	if _, err := det.Monitor(bytes.NewReader(clip(t, 814, 30))); err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) == 0 {
-		t.Fatal("1 ns budget traced no windows")
+	if len(traces) != det.Stats().Windows {
+		t.Fatalf("1 ns budget reported %d of %d windows", len(traces), det.Stats().Windows)
 	}
-	if got := telSlowWindows.Value() - slowBefore; got != int64(len(traces)) {
-		t.Errorf("vcd_slow_windows_total moved by %d, want %d", got, len(traces))
+	if got := slowWindowsTotal(t) - slowBefore; got != float64(len(traces)) {
+		t.Errorf("vcd_slow_windows_total moved by %g, want %d", got, len(traces))
 	}
 	for _, tr := range traces {
-		if tr.Budget != time.Nanosecond || tr.Total <= 0 || tr.EndFrame <= tr.StartFrame {
-			t.Fatalf("malformed trace %+v", tr)
+		if !tr.Slow || tr.NS[perfobs.StageWindowTotal] <= 0 || tr.NS[perfobs.StageDecode] <= 0 ||
+			tr.NS[perfobs.StageExtract] <= 0 || tr.EndFrame <= tr.StartFrame {
+			t.Fatalf("malformed record %+v", tr)
 		}
+	}
+}
+
+// TestFrontEndTimeRidesItsWindow: the front end stages each frame's decode
+// and extract time on the engine, so the window that consumes the frames
+// carries it even when a Monitor call starts mid-window, and the overload
+// controller sees exactly that record's decode + extract + kernel total.
+// Monitor flushes its trailing partial window, so a call starts mid-window
+// after Resume replays a log that ends mid-window: here a crashed run that
+// logged five frames of a ten-frame window. The second five come through
+// Monitor and complete it.
+func TestFrontEndTimeRidesItsWindow(t *testing.T) {
+	cfg := testConfig() // w = 5 s at 2 key fps: ten frames a window
+	cfg.CheckpointDir = t.TempDir()
+	crashed, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crashed.AddQuery(1, bytes.NewReader(clip(t, 76, 10))); err != nil {
+		t.Fatal(err)
+	}
+	pd, err := mpeg.NewPartialDecoder(bytes.NewReader(clip(t, 816, 2.5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := crashed.pipeline.cells(pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crashed.pushLogged(cells); err != nil { // Monitor's frame path
+		t.Fatal(err)
+	}
+	if err := crashed.Close(); err != nil { // no final checkpoint
+		t.Fatal(err)
+	}
+
+	cfg.RealTimeBudget = time.Hour   // the controller is armed and never sheds
+	cfg.SlowWindow = time.Nanosecond // every record reaches OnSlowWindow
+	det, _, err := Resume(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer det.Close()
+	if n := det.engine.PendingFrames(); n != 5 {
+		t.Fatalf("resumed mid-window with %d frames pending, want 5", n)
+	}
+	var recs []SlowWindowTrace
+	det.OnSlowWindow = func(tr SlowWindowTrace) { recs = append(recs, tr) }
+	if _, err := det.Monitor(bytes.NewReader(clip(t, 817, 2.5))); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].StartFrame != 0 || recs[0].EndFrame != 10 {
+		t.Fatalf("records %+v, want one for the window [0,10)", recs)
+	}
+	ns := recs[0].NS
+	if ns[perfobs.StageDecode] <= 0 || ns[perfobs.StageExtract] <= 0 {
+		t.Fatalf("the window carries no front-end time: %v", ns)
+	}
+	o := det.Overload()
+	want := time.Duration(ns[perfobs.StageDecode] + ns[perfobs.StageExtract] + ns[perfobs.StageWindowTotal])
+	if o.Observed != 1 || o.RingP99 != want {
+		t.Fatalf("controller observed %d windows, last %v; want 1 of decode+extract+kernel = %v", o.Observed, o.RingP99, want)
+	}
+}
+
+// TestTailCaptureDetectorAndFleet: with head sampling off and a 1 ns
+// slow-window budget, every window of a detector stream and of its fleet's
+// two streams is counted, kept in the span ring and named in the fleet's
+// slowest list — fleet windows without reaching OnSlowWindow. With the
+// budget at 0 nothing is kept.
+func TestTailCaptureDetectorAndFleet(t *testing.T) {
+	every := perfobs.Default.SampleEvery()
+	reset := func() {
+		perfobs.Default.Reset()
+		perfobs.DefaultOutliers.Reset()
+	}
+	perfobs.Default.SetSampleEvery(0)
+	reset()
+	defer func() {
+		perfobs.Default.SetSampleEvery(every)
+		reset()
+	}()
+	cfg := testConfig()
+	cfg.SlowWindow = time.Nanosecond
+	cfg.StreamName = "tail-det"
+	det, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.AddQuery(1, bytes.NewReader(clip(t, 77, 10))); err != nil {
+		t.Fatal(err)
+	}
+	reported := 0
+	det.OnSlowWindow = func(SlowWindowTrace) { reported++ }
+	fl, err := det.NewFleet(FleetConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	var streams []*FleetStream
+	for _, id := range []string{"tail-a", "tail-b"} {
+		fs, err := fl.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, fs)
+	}
+	// run monitors 20 s on the detector and pushes 10 s to each fleet
+	// stream, returning the windows each stream label processed.
+	run := func(seed int64) map[string]int {
+		before := map[string]int{"tail-det": det.Stats().Windows}
+		for _, fs := range streams {
+			before[fs.ID()] = fs.Stats().Windows
+		}
+		if _, err := det.Monitor(bytes.NewReader(clip(t, seed, 20))); err != nil {
+			t.Fatal(err)
+		}
+		for i, fs := range streams {
+			if err := fs.PushSegment(bytes.NewReader(clip(t, seed+1+int64(i), 10))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fl.Drain()
+		got := map[string]int{"tail-det": det.Stats().Windows - before["tail-det"]}
+		for _, fs := range streams {
+			got[fs.ID()] = fs.Stats().Windows - before[fs.ID()]
+		}
+		return got
+	}
+
+	slowBefore := slowWindowsTotal(t)
+	windows := run(830)
+	kept := map[string]int{}
+	for _, sp := range perfobs.Default.Spans(0) {
+		if sp.Kept != "slow" {
+			t.Errorf("record kept as %q at 0%% sampling, want slow", sp.Kept)
+		}
+		kept[sp.Stream]++
+	}
+	total := 0
+	for label, n := range windows {
+		total += n
+		if n == 0 || kept[label] != n {
+			t.Errorf("stream %s: %d windows kept of %d", label, kept[label], n)
+		}
+	}
+	if got := slowWindowsTotal(t) - slowBefore; got != float64(total) {
+		t.Errorf("vcd_slow_windows_total moved by %g, want %d", got, total)
+	}
+	if reported != windows["tail-det"] {
+		t.Errorf("OnSlowWindow saw %d windows, want the detector's %d only", reported, windows["tail-det"])
+	}
+	slowest := map[string]bool{}
+	for _, it := range perfobs.DefaultOutliers.Report(0).Slowest {
+		slowest[it.Key] = true
+	}
+	for label := range windows {
+		if !slowest[label] {
+			t.Errorf("stream %s missing from the slowest list %v", label, slowest)
+		}
+	}
+
+	det.SetSlowWindow(0) // reaches the fleet's streams too
+	reset()
+	run(840)
+	if n := len(perfobs.Default.Spans(0)); n != 0 {
+		t.Errorf("%d records kept with budget 0 and sampling off", n)
 	}
 }
 

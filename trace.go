@@ -1,14 +1,10 @@
-// Facade-level decision provenance: arming the candidate-lifecycle event
-// journal and the sampled exact-audit channel, plus the explain API that
-// vcdmon -explain and the server's /debug endpoints consume.
+// Facade-level decision provenance: the explain API over the
+// candidate-lifecycle event journal and the sampled exact-audit channel
+// (armed by Detector.arm) that vcdmon -explain and the server's /debug
+// endpoints consume.
 package vdsms
 
-import (
-	"math"
-
-	"vdsms/internal/core"
-	"vdsms/internal/trace"
-)
+import "vdsms/internal/trace"
 
 // TraceEvent is one candidate-lifecycle observation; see internal/trace
 // for kind semantics (born, extended, pruned, dropped, expired, reported,
@@ -23,35 +19,6 @@ type MatchRecord = trace.MatchRecord
 // AuditResult is one sampled exact-Jaccard audit of a report or prune
 // decision, judged against Theorem 1's deviation bound.
 type AuditResult = trace.AuditResult
-
-// armTrace wires decision-provenance tracing into a freshly built engine.
-// The first call (per detector) creates the journal recorder; engine swaps
-// (LoadDetector, Resume) re-install the same recorder so the detector
-// keeps its journal stream. No-op when neither Config.TraceEvents nor
-// Config.AuditFraction arms tracing.
-func (d *Detector) armTrace(eng *core.Engine) {
-	if d.tracer == nil {
-		if d.cfg.TraceEvents <= 0 && d.cfg.AuditFraction <= 0 {
-			return
-		}
-		if d.cfg.TraceEvents > trace.DefaultEventCap {
-			trace.Default.SetEventCapacity(d.cfg.TraceEvents)
-		}
-		d.tracer = eng.Trace(trace.Default, d.cfg.StreamName)
-	} else {
-		eng.SetTracer(d.tracer)
-	}
-	if f := d.cfg.AuditFraction; f > 0 {
-		every := 1
-		if f < 1 {
-			every = int(math.Round(1 / f))
-			if every < 1 {
-				every = 1
-			}
-		}
-		eng.SetAudit(every)
-	}
-}
 
 // Tracing reports whether decision-provenance tracing is armed.
 func (d *Detector) Tracing() bool { return d.tracer != nil }
@@ -85,18 +52,7 @@ func (d *Detector) MatchRecords(limit int) []MatchRecord {
 	if d.tracer == nil {
 		return nil
 	}
-	name := d.tracer.StreamName()
-	all := d.tracer.Journal().Matches(0)
-	out := all[:0]
-	for _, rec := range all {
-		if rec.Stream == name {
-			out = append(out, rec)
-		}
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
-	}
-	return out
+	return d.tracer.Matches(limit)
 }
 
 // TraceEvents returns the retained lifecycle events of this detector's
@@ -105,9 +61,5 @@ func (d *Detector) TraceEvents(limit int) []TraceEvent {
 	if d.tracer == nil {
 		return nil
 	}
-	return d.tracer.Journal().Events(trace.Filter{
-		Stream: d.tracer.StreamName(),
-		Kind:   trace.KindAny,
-		Limit:  limit,
-	})
+	return d.tracer.Events(limit)
 }

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"vdsms/internal/core"
@@ -81,12 +82,6 @@ type Config struct {
 	// further analysis (delivered via OnMatchClip). This is the paper's
 	// "only store the video sequences which are relevant to the queries".
 	ArchiveSec float64
-	// Workers is ignored. It set the number of goroutines that split each
-	// window's queries between them, which measured slower than one on two
-	// cores (DESIGN.md "Intra-stream sharding, removed"); it stays for one
-	// release so that code setting it still compiles. Parallelism comes from
-	// a Fleet running whole streams on every core.
-	Workers int
 	// CheckpointDir, when non-empty, enables crash recovery: the detector
 	// keeps a checkpoint of its full matching state plus a write-ahead log
 	// of the frames consumed and the queries subscribed or unsubscribed
@@ -100,11 +95,14 @@ type Config struct {
 	// WAL outgrows the checkpoint it extends and on explicit Checkpoint
 	// calls, and recovery replays the WAL from the last such point.
 	CheckpointEvery time.Duration
-	// SlowWindow arms the slow-window tracer: any basic window whose
-	// processing exceeds this budget is reported with a per-stage latency
-	// breakdown (via OnSlowWindow when set, else as one log line). Zero
+	// SlowWindow is the slow-window budget: any basic window whose kernel
+	// processing exceeds it is counted, its per-window record is kept in
+	// the span ring and outlier top-K whatever the sampling rate (tail
+	// capture), and it is reported via OnSlowWindow when set, else as one
+	// log line. The budget covers this detector, its NewStream siblings and
+	// its fleets; fleet streams are counted and kept, not reported. Zero
 	// defers to the TELEMETRY_SLOW_WINDOW environment variable; negative
-	// disables tracing even when the variable is set. The natural budget
+	// disables capture even when the variable is set. The natural budget
 	// for live input is WindowSec — pass TELEMETRY_SLOW_WINDOW=budget for
 	// exactly that. The budget is runtime-adjustable after construction via
 	// Detector.SetSlowWindow (and POST /debug/slow-window on the server).
@@ -189,9 +187,9 @@ type Detector struct {
 	// clip is only as long as the retention window allows.
 	OnMatchClip func(Match, []byte)
 	// OnSlowWindow, when set together with an armed slow-window budget
-	// (Config.SlowWindow or TELEMETRY_SLOW_WINDOW), receives the per-stage
-	// breakdown of every basic window that exceeded it, replacing the
-	// default log line. Set before monitoring.
+	// (Config.SlowWindow or TELEMETRY_SLOW_WINDOW), receives the record of
+	// every basic window that exceeded it, replacing the default log line.
+	// Set before monitoring.
 	OnSlowWindow func(SlowWindowTrace)
 
 	// Replayed holds the matches re-derived from the WAL tail by Resume.
@@ -201,26 +199,25 @@ type Detector struct {
 	Replayed []Match
 
 	// Decision-provenance state (see trace.go): the journal recorder when
-	// tracing is armed, and the runtime-adjustable slow-window budget shared
-	// by every engine of this detector's lineage.
-	tracer  *trace.Recorder
-	slowVar *core.SlowBudget
+	// tracing is armed, and the slow-window budget in nanoseconds, shared by
+	// every engine of this detector's lineage and its fleets.
+	tracer *trace.Recorder
+	slow   *atomic.Int64
 
 	// Adaptive-ingest state (see degrade.go): the overload controller is
-	// shared across the lineage like slowVar; ovl holds this stream's
-	// sampler, motion scorer and damage counters.
+	// shared across the lineage like slow; ovl holds this stream's sampler,
+	// motion scorer and damage counters.
 	ctl *degrade.Controller
 	ovl *ovlState
 
 	// Front-end state Monitor calls hand on to one another: the reused
-	// buffers, the substitute cell id (a segment may open on a placeholder),
-	// the stage timer — read by the overload controller's feed, so that it
-	// sees full ingest latency, not just the kernel's — and the window batch.
+	// buffers, the substitute cell id (a segment may open on a placeholder)
+	// and the window batch.
 	front frontEnd
 	batch []uint64
 
-	// perfLabel is the stream label this detector's spans and outlier
-	// observations carry (resolved by armPerf from the trace stream name).
+	// perfLabel is the stream label this detector's records and outlier
+	// observations carry (resolved by arm from the trace stream name).
 	perfLabel string
 
 	// Checkpoint state (armed when Config.CheckpointDir is set): the open
@@ -247,15 +244,17 @@ type pipeline struct {
 // pipeline.next carries from key frame to key frame: the buffers every frame
 // is decoded and extracted into, the cell id that stands in for a frame with
 // nothing to extract, and Monitor's two additions — the shed hook and the
-// stage timer. The zero value is ready to use.
+// engine the frames are for. The zero value is ready to use.
 type frontEnd struct {
 	dcf  mpeg.DCFrame // the frame last decoded; its grid is reused
 	buf  []float64    // the feature vector, then CellInto's scratch
 	last uint64       // the most recent extracted cell id
 	// shed, when set, is asked about every decoded frame and answers true to
 	// skip its extraction.
-	shed  func(*mpeg.DCFrame) bool
-	timer frontEndTimer
+	shed func(*mpeg.DCFrame) bool
+	// eng, when set and timed, is staged each frame's decode and extract
+	// time, which the window that consumes the frame carries.
+	eng *core.Engine
 }
 
 // next is the one path from MVC1 bytes to cell ids, shared by Monitor,
@@ -266,14 +265,15 @@ type frontEnd struct {
 // repeats the most recent extracted id, which keeps the window cadence the
 // matcher expects. io.EOF is the clean end of the stream.
 func (p pipeline) next(pd *mpeg.PartialDecoder, fe *frontEnd) (uint64, error) {
+	timed := fe.eng != nil && fe.eng.Timed()
 	var tDec, tExt time.Time
-	if fe.timer.active {
+	if timed {
 		tDec = time.Now()
 	}
 	if err := pd.NextInto(&fe.dcf); err != nil {
 		return 0, err
 	}
-	if fe.timer.active {
+	if timed {
 		tExt = time.Now()
 	}
 	if len(fe.dcf.DC) > 0 && (fe.shed == nil || !fe.shed(&fe.dcf)) {
@@ -283,8 +283,9 @@ func (p pipeline) next(pd *mpeg.PartialDecoder, fe *frontEnd) (uint64, error) {
 		vec, scratch := fe.buf[:p.pt.D], fe.buf[p.pt.D:]
 		fe.last = p.pt.CellInto(p.ex.VectorInto(vec, &fe.dcf), scratch)
 	}
-	if fe.timer.active {
-		fe.timer.add(tExt.Sub(tDec), time.Since(tExt))
+	if timed {
+		fe.eng.Stage(perfobs.StageDecode, tExt.Sub(tDec).Nanoseconds())
+		fe.eng.Stage(perfobs.StageExtract, time.Since(tExt).Nanoseconds())
 	}
 	return fe.last, nil
 }
@@ -385,13 +386,56 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Detector{cfg: cfg, pipeline: pipeline{ex: ex, pt: pt}, engine: eng, winKeyF: winKeyF}
-	eng.OnMatch = d.forward
-	d.armSlowWindow(eng)
-	d.armTrace(eng)
-	d.armOverload(eng)
-	d.armPerf(eng)
+	d := &Detector{cfg: cfg, pipeline: pipeline{ex: ex, pt: pt}, winKeyF: winKeyF}
+	d.arm(eng)
 	return d, nil
+}
+
+// arm makes eng this detector's engine and wires it: matches to forward,
+// the front end's stage timing to the engine, decision tracing
+// (Config.TraceEvents, Config.AuditFraction) and the per-window record's
+// observer — the span collector under the stream's label, the lineage's
+// slow-window budget, the slow-window report and, when armed, the overload
+// controller. Called at every engine construction site (NewDetector,
+// NewStreamNamed, LoadDetector, Resume) and by SetRealTimeBudget when it
+// arms the controller; a Fleet's streams get the same observer minus the
+// report and the controller (Detector.NewFleet).
+func (d *Detector) arm(eng *core.Engine) {
+	d.engine, d.front.eng = eng, eng
+	eng.OnMatch = d.forward
+	if d.ovl == nil {
+		d.ovl = &ovlState{sampler: degrade.NewSampler()}
+		d.front.shed = d.shedExtract
+	}
+	if d.ctl == nil && d.cfg.RealTimeBudget > 0 {
+		d.ctl = degrade.NewController(degrade.ControllerConfig{Budget: d.cfg.RealTimeBudget})
+	}
+	if d.slow == nil {
+		d.slow = new(atomic.Int64)
+		d.slow.Store(int64(d.cfg.slowWindowBudget()))
+	}
+	// The first engine creates the journal recorder; engine swaps
+	// (LoadDetector, Resume) re-install it so the detector keeps its stream.
+	if d.tracer == nil && (d.cfg.TraceEvents > 0 || d.cfg.AuditFraction > 0) {
+		if d.cfg.TraceEvents > trace.DefaultEventCap {
+			trace.Default.SetEventCapacity(d.cfg.TraceEvents)
+		}
+		d.tracer = eng.Trace(trace.Default, d.cfg.StreamName)
+	}
+	d.perfLabel = d.cfg.StreamName
+	if d.tracer != nil {
+		eng.SetTracer(d.tracer)
+		if f := d.cfg.AuditFraction; f > 0 { // audit every round(1/f)th decision
+			eng.SetAudit(max(1, int(math.Round(1/min(f, 1)))))
+		}
+		d.perfLabel = d.tracer.StreamName()
+	}
+	o := d.observer()
+	o.Stream, o.OnSlow = d.perfLabel, d.slowWindow
+	if d.ctl != nil {
+		o.OnWindow = d.observeIngestWindow
+	}
+	eng.Observe(o)
 }
 
 // NewStream returns a fresh Detector monitoring an additional concurrent
@@ -418,13 +462,8 @@ func (d *Detector) NewStreamNamed(name string) (*Detector, error) {
 	// streams share the query set but must manage their own durability.
 	ncfg.CheckpointDir = ""
 	ncfg.StreamName = name
-	nd := &Detector{cfg: ncfg, pipeline: d.pipeline, engine: eng, winKeyF: d.winKeyF,
-		slowVar: d.slowVar, ctl: d.ctl}
-	eng.OnMatch = nd.forward
-	nd.armSlowWindow(eng)
-	nd.armTrace(eng)
-	nd.armOverload(eng)
-	nd.armPerf(eng)
+	nd := &Detector{cfg: ncfg, pipeline: d.pipeline, winKeyF: d.winKeyF, slow: d.slow, ctl: d.ctl}
+	nd.arm(eng)
 	return nd, nil
 }
 
@@ -454,12 +493,7 @@ func LoadDetector(cfg Config, r io.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.engine = eng
-	eng.OnMatch = d.forward
-	d.armSlowWindow(eng)
-	d.armTrace(eng)
-	d.armOverload(eng)
-	d.armPerf(eng)
+	d.arm(eng)
 	return d, nil
 }
 
@@ -637,16 +671,6 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 		d.batch = make([]uint64, 0, d.winKeyF)
 	}
 	batch := d.batch[:0] // never outgrows a window
-	// Front-end stage timing (decode, extract) aggregates per basic window
-	// to match the matching-kernel stages' granularity. When the overload
-	// controller is armed, the timer also runs so the controller sees full
-	// ingest latency (the engine only knows its own kernel time).
-	fe := &d.front.timer
-	*fe = newFrontEndTimer(d.winKeyF)
-	fe.eng = d.engine
-	if d.ctl != nil || d.engine.PerfArmed() {
-		fe.active = true
-	}
 	for {
 		id, err := d.pipeline.next(pd, &d.front)
 		if err == io.EOF {
@@ -672,7 +696,6 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 			room = d.winKeyF
 		}
 	}
-	fe.flush()
 	if len(batch) > 0 {
 		if err := d.pushLogged(batch); err != nil {
 			return nil, err
