@@ -22,6 +22,13 @@
 // interleaved layout; taken literally with '='→01 it does not hold, but its
 // own proof fixes the intent: n0 = #Greater, n1 = #Less, sim = (K−n0−n1)/K.
 // The plane representation implements that proof directly.)
+//
+// One kernel computes the planes: the Less mask of up to 64 positions, an
+// AVX2 routine on amd64 CPUs that have it (lessmask_amd64.s) and a Go loop
+// elsewhere. LessInto takes the Equal plane from its caller — the query
+// index knows it exactly from its postings — and runs the kernel once per
+// word; CompareInto, for callers that know nothing, runs it a second time
+// with the operands swapped to find Greater.
 package bitsig
 
 import (
@@ -117,10 +124,11 @@ func FromSketches(cand, query minhash.Sketch) *Signature {
 	return s
 }
 
-// CompareInto is the signature kernel: it streams cand against query 64
-// positions per word and writes the Lo and Hi planes (each at least
-// ⌈K/64⌉ words) with no branch per position. It returns the Less count and
-// the number of positions compared.
+// CompareInto writes the signature of cand against query into the Lo and
+// Hi planes (each at least ⌈K/64⌉ words), 64 positions per word, with no
+// branch per position: Less is lessMask(cand, query) and Greater the same
+// kernel with the operands swapped. It returns the Less count and the
+// number of positions compared.
 //
 // limit is Lemma 2's early exit: the kernel stops after the first word at
 // which less exceeds it, leaving the later words unwritten, so a caller that
@@ -132,7 +140,8 @@ func CompareInto(lo, hi []uint64, cand, query minhash.Sketch, limit int) (less, 
 	}
 	for w := 0; compared < len(cand) && less <= limit; w++ {
 		n := min(64, len(cand)-compared)
-		lt, gt := compareWord(cand[compared:compared+n], query[compared:])
+		c, q := cand[compared:compared+n], query[compared:compared+n]
+		lt, gt := lessMask(c, q), lessMask(q, c)
 		// Equal-or-Less is not-Greater, within the word's valid positions.
 		lo[w] = ^gt & (^uint64(0) >> (64 - uint(n)))
 		hi[w] = lt
@@ -142,22 +151,48 @@ func CompareInto(lo, hi []uint64, cand, query minhash.Sketch, limit int) (less, 
 	return less, compared
 }
 
-// compareWord returns, for up to 64 positions, the bit masks of c[j] < q[j]
-// and c[j] > q[j]: each is the borrow of one subtraction, shifted into its
-// mask by an add-with-carry (walking down from the top position, so that
-// position j lands on bit j). Kept out of line so the two masks stay in
-// registers; inlined into CompareInto the loop spills both every position.
-//
-//go:noinline
-func compareWord(c, q []uint64) (lt, gt uint64) {
+// LessInto is CompareInto for a caller that already knows the Equal plane:
+// eq (⌈K/64⌉ words, no bit at or past K) marks the positions at which cand
+// equals query, so only Less is computed, and lo = Less | eq, hi = Less.
+// It stops where CompareInto stops and returns what CompareInto returns.
+func LessInto(lo, hi, eq []uint64, cand, query minhash.Sketch, limit int) (less, compared int) {
+	if len(cand) != len(query) {
+		panic("bitsig: sketch length mismatch")
+	}
+	for w := 0; compared < len(cand) && less <= limit; w++ {
+		n := min(64, len(cand)-compared)
+		lt := lessMask(cand[compared:compared+n], query[compared:compared+n])
+		lo[w] = lt | eq[w]
+		hi[w] = lt
+		less += bits.OnesCount64(lt)
+		compared += n
+	}
+	return less, compared
+}
+
+// lessMaskVec is lessMask for a multiple of 4 positions at vector width,
+// set at start-up on CPUs that have it (lessmask_amd64.go), nil elsewhere.
+var lessMaskVec func(c, q []uint64) uint64
+
+// lessMask is the signature kernel: for up to 64 positions, the bit mask of
+// c[j] < q[j], unsigned. q must be at least as long as c.
+func lessMask(c, q []uint64) uint64 {
+	if len(c)%4 == 0 && lessMaskVec != nil {
+		return lessMaskVec(c, q[:len(c)])
+	}
+	return lessMaskGo(c, q)
+}
+
+// lessMaskGo is lessMask in Go: each position's bit is the borrow of one
+// subtraction, shifted into the mask by an add-with-carry (walking down from
+// the top position, so that position j lands on bit j).
+func lessMaskGo(c, q []uint64) (lt uint64) {
 	q = q[:len(c)]
 	for j := len(c) - 1; j >= 0; j-- {
 		_, below := bits.Sub64(c[j], q[j], 0)
-		_, above := bits.Sub64(q[j], c[j], 0)
 		lt, _ = bits.Add64(lt, lt, below)
-		gt, _ = bits.Add64(gt, gt, above)
 	}
-	return lt, gt
+	return lt
 }
 
 // Set records the relation at position r. Positions start as Greater; Set

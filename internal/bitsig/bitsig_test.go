@@ -1,6 +1,7 @@
 package bitsig
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -137,20 +138,29 @@ func TestFromSketchesSimilarityMatchesSketch(t *testing.T) {
 	}
 }
 
+// edge holds values at the edges of the hash range (p = 2⁶¹−1, the family's
+// modulus) and of uint64, where a kernel that compares signed would err.
+var edge = []uint64{0, 1, 1<<61 - 2, 1<<61 - 1, 1 << 61, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+
+// edgePair draws a candidate and a query value from edge, equal one time
+// in three.
+func edgePair(rng *rand.Rand) (c, q uint64) {
+	c, q = edge[rng.Intn(len(edge))], edge[rng.Intn(len(edge))]
+	if rng.Intn(3) == 0 {
+		c = q
+	}
+	return c, q
+}
+
 // TestCompareInto checks the word-at-a-time kernel against Compare position
 // by position: every relation, values at the edges of the hash range and of
 // uint64, K on and off a word boundary, and the Lemma 2 early exit.
 func TestCompareInto(t *testing.T) {
-	const p61 = 1<<61 - 1 // the hash family's modulus
-	edge := []uint64{0, 1, p61 - 1, p61, p61 + 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 63, 64, 65, 128, 130, 800} {
 		cand, query := make(minhash.Sketch, k), make(minhash.Sketch, k)
 		for r := range cand {
-			cand[r], query[r] = edge[rng.Intn(len(edge))], edge[rng.Intn(len(edge))]
-			if rng.Intn(3) == 0 {
-				cand[r] = query[r]
-			}
+			cand[r], query[r] = edgePair(rng)
 		}
 		n := (k + 63) / 64
 		// Dirty buffers: the kernel must overwrite, not OR into, its output.
@@ -202,6 +212,121 @@ func TestCompareInto(t *testing.T) {
 			}
 			if (l2 > limit) != (wantLess > limit) {
 				t.Fatalf("K=%d limit %d: early-exit verdict disagrees with the full count %d", k, limit, wantLess)
+			}
+		}
+	}
+}
+
+// checkLessMask holds every form of the kernel — the vector routine where
+// the CPU has one, the Go twin, and the dispatch between them — to Compare
+// position by position, in both operand orders.
+func checkLessMask(t *testing.T, c, q []uint64) {
+	t.Helper()
+	for _, ops := range [][2][]uint64{{c, q}, {q, c}} {
+		a, b := ops[0], ops[1]
+		var want uint64
+		for j := range a {
+			if Compare(a[j], b[j]) == Less {
+				want |= 1 << j
+			}
+		}
+		got := map[string]uint64{"Go twin": lessMaskGo(a, b), "dispatch": lessMask(a, b)}
+		if lessMaskVec != nil && len(a)%4 == 0 {
+			got["vector"] = lessMaskVec(a, b)
+		}
+		for name, m := range got {
+			if m != want {
+				t.Fatalf("n=%d %s: mask %064b, Compare gives %064b\nc=%x\nq=%x", len(a), name, m, want, a, b)
+			}
+		}
+	}
+}
+
+// TestLessMask runs the kernel at every length 1..64, on slices that start
+// at every word offset modulo a vector, over edge values and equal pairs.
+func TestLessMask(t *testing.T) {
+	if lessMaskVec == nil {
+		t.Log("no vector kernel on this CPU: checking the Go twin only")
+	}
+	rng := rand.New(rand.NewSource(13))
+	cbuf, qbuf := make([]uint64, 64+3), make([]uint64, 64+3)
+	for trial := 0; trial < 16; trial++ {
+		for n := 1; n <= 64; n++ {
+			c, q := cbuf[rng.Intn(4):][:n], qbuf[rng.Intn(4):][:n]
+			for j := range c {
+				c[j], q[j] = edgePair(rng)
+				if trial%4 == 3 { // random words besides the edges
+					c[j], q[j] = rng.Uint64(), rng.Uint64()
+				}
+			}
+			checkLessMask(t, c, q)
+		}
+	}
+}
+
+func FuzzLessMask(f *testing.F) {
+	f.Add([]byte{0xff, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	seed := make([]byte, 1+16*64)
+	for i := range seed {
+		seed[i] = byte(i * 37)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 17 {
+			return
+		}
+		// The first byte picks the offset; then 16 bytes a position.
+		off, data := int(data[0]%4), data[1:]
+		n := min(64, len(data)/16)
+		c, q := make([]uint64, off+n)[off:], make([]uint64, n)
+		for j := range c {
+			c[j] = binary.LittleEndian.Uint64(data[16*j:])
+			q[j] = binary.LittleEndian.Uint64(data[16*j+8:])
+		}
+		checkLessMask(t, c, q)
+	})
+}
+
+// TestLessInto holds LessInto, given the Equal plane, to CompareInto word
+// for word — K on and off a word and a vector boundary, dirty output
+// planes, and every early exit TestCompareInto checks.
+func TestLessInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, k := range []int{1, 3, 4, 63, 64, 65, 128, 800} {
+		cand, query := make(minhash.Sketch, k), make(minhash.Sketch, k)
+		for r := range cand {
+			cand[r], query[r] = edgePair(rng)
+		}
+		n := (k + 63) / 64
+		eq := make([]uint64, n)
+		wantLess := 0
+		for r := range cand {
+			switch Compare(cand[r], query[r]) {
+			case Equal:
+				eq[r/64] |= 1 << (r % 64)
+			case Less:
+				wantLess++
+			}
+		}
+		for _, limit := range []int{k, 0, wantLess / 2, wantLess - 1, wantLess} {
+			if limit < 0 {
+				continue
+			}
+			lo, hi := make([]uint64, n), make([]uint64, n)
+			wlo, whi := make([]uint64, n), make([]uint64, n)
+			for i := range lo {
+				lo[i], hi[i] = math.MaxUint64, math.MaxUint64
+			}
+			less, compared := LessInto(lo, hi, eq, cand, query, limit)
+			wl, wc := CompareInto(wlo, whi, cand, query, limit)
+			if less != wl || compared != wc {
+				t.Fatalf("K=%d limit %d: LessInto (less %d, compared %d), CompareInto (%d, %d)", k, limit, less, compared, wl, wc)
+			}
+			for w := 0; w < (compared+63)/64; w++ {
+				if lo[w] != wlo[w] || hi[w] != whi[w] {
+					t.Fatalf("K=%d limit %d word %d: LessInto lo %064b hi %064b, CompareInto lo %064b hi %064b",
+						k, limit, w, lo[w], hi[w], wlo[w], whi[w])
+				}
 			}
 		}
 	}
@@ -328,6 +453,69 @@ func BenchmarkCompareIntoK800(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		CompareInto(lo, hi, c, q, 800)
 	}
+	reportPerPosition(b)
+}
+
+func BenchmarkLessIntoK800(b *testing.B) {
+	fam, _ := minhash.NewFamily(800, 1)
+	q := fam.SketchSet([]uint64{1, 2, 3})
+	c := fam.SketchSet([]uint64{2, 3, 4})
+	lo, hi, eq := make([]uint64, 13), make([]uint64, 13), make([]uint64, 13)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		LessInto(lo, hi, eq, c, q, 800)
+	}
+	reportPerPosition(b)
+}
+
+// reportPerPosition adds the mean time per sketch position, each op being
+// one K=800 pair.
+func reportPerPosition(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(800*b.N), "ns/pos")
+}
+
+// coldSketches is the memory-bound case of a many-query probe: 2 068 query
+// sketches at K=800 (≈13 MB, past a core's L2, as on the benchmark's
+// monitor-manyquery plane), each resolved against one window sketch in a
+// shuffled order, so every query's sketch comes from beyond the L2.
+func coldSketches() (window minhash.Sketch, queries []minhash.Sketch) {
+	fam, _ := minhash.NewFamily(800, 1)
+	rng := rand.New(rand.NewSource(5))
+	set := func() []uint64 {
+		ids := make([]uint64, 12)
+		for j := range ids {
+			ids[j] = uint64(rng.Intn(4000))
+		}
+		return ids
+	}
+	queries = make([]minhash.Sketch, 2068)
+	for i := range queries {
+		queries[i] = fam.SketchSet(set())
+	}
+	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+	return fam.SketchSet(set()), queries
+}
+
+func BenchmarkCompareIntoK800Cold(b *testing.B) {
+	c, queries := coldSketches()
+	lo, hi := make([]uint64, 13), make([]uint64, 13)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CompareInto(lo, hi, c, queries[i%len(queries)], 800)
+	}
+	reportPerPosition(b)
+}
+
+func BenchmarkLessIntoK800Cold(b *testing.B) {
+	c, queries := coldSketches()
+	lo, hi, eq := make([]uint64, 13), make([]uint64, 13), make([]uint64, 13)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		LessInto(lo, hi, eq, c, queries[i%len(queries)], 800)
+	}
+	reportPerPosition(b)
 }
 
 func BenchmarkFromSketchesK800(b *testing.B) {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -232,5 +234,13 @@ func TestLoadQuerySetErrors(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-10]
 	if _, err := LoadQuerySet(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated input accepted")
+	}
+	// A lone header naming K = 2³²−1 and no queries: an error, not an
+	// allocation of K hash functions that kills the process.
+	hdr := make([]byte, 25)
+	copy(hdr, qsMagic[:])
+	binary.BigEndian.PutUint32(hdr[4:], math.MaxUint32)
+	if _, err := LoadQuerySet(bytes.NewReader(hdr)); err == nil {
+		t.Error("header with K=2³²−1 accepted")
 	}
 }

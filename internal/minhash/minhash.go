@@ -31,11 +31,21 @@ type Family struct {
 	invOnce sync.Once
 }
 
+// MaxK bounds the number of hash functions a family may have: far above
+// any K the method is run at (Figure 6 goes to 3 000), and low enough that
+// a K read from a corrupt or hostile file is refused with an error rather
+// than sizing an allocation the process cannot survive.
+const MaxK = 1 << 16
+
 // NewFamily draws K hash functions deterministically from seed. K must be
-// positive. Multipliers are drawn from [1, p−1] and offsets from [0, p−1].
+// in [1, MaxK]. Multipliers are drawn from [1, p−1] and offsets from
+// [0, p−1].
 func NewFamily(k int, seed int64) (*Family, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("minhash: K=%d must be positive", k)
+	}
+	if k > MaxK {
+		return nil, fmt.Errorf("minhash: K=%d exceeds the limit of %d", k, MaxK)
 	}
 	f := &Family{a: make([]uint64, k), b: make([]uint64, k), k: k}
 	state := uint64(seed) ^ 0x6a09e667f3bcc908

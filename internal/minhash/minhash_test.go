@@ -17,6 +17,9 @@ func TestNewFamilyValidation(t *testing.T) {
 	if _, err := NewFamily(-5, 1); err == nil {
 		t.Error("K<0 accepted")
 	}
+	if _, err := NewFamily(MaxK+1, 1); err == nil {
+		t.Error("K>MaxK accepted")
+	}
 	f, err := NewFamily(16, 1)
 	if err != nil || f.K() != 16 {
 		t.Fatalf("NewFamily(16) = %v, %v", f, err)

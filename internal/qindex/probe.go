@@ -52,18 +52,24 @@ func (m RowMask) Admits(i int) bool { return m == nil || m[i/64]&(1<<(i%64)) != 
 
 // ProbeScratch is the reusable memory of one prober: the output lists, the
 // signature planes of the surviving queries, the per-slot marks that keep a
-// query from entering R_L twice, and the window's cells with their row
-// sets. A scratch serves one goroutine at a time but any sequence of indexes
-// and scans; the output of a probe — signatures included — is valid until
-// the scratch's next probe, so a caller that keeps a signature clones it.
+// query from entering R_L twice with their Equal planes, and the window's
+// cells with their row sets. A scratch serves one goroutine at a time but
+// any sequence of indexes and scans; the output of a probe — signatures
+// included — is valid until the scratch's next probe, so a caller that
+// keeps a signature clones it.
 type ProbeScratch struct {
 	out ProbeOutput
-	// seen[n] == epoch marks slot number n as already resolved in this
-	// probe. Stamping makes the reset O(1); marks left by earlier probes, of
-	// this or any other index, are below the current epoch and read as
-	// unseen.
+	// seen[n] == epoch marks slot number n as met in this probe, and at[n]
+	// is then its place in met. Stamping makes the reset O(1); marks left
+	// by earlier probes, of this or any other index, are below the current
+	// epoch and read as unseen.
 	seen  []uint32
+	at    []int32
 	epoch uint32
+	// met lists the slots the probe found, in discovery order, and eq holds
+	// their Equal planes, nw words each in the same order.
+	met []*slot
+	eq  []uint64
 	// planes holds Lo then Hi (nw words each) for each survivor, back to
 	// back; sigs are the headers Related[i].Sig points at.
 	k, nw  int
@@ -84,6 +90,10 @@ func (ps *ProbeScratch) begin(nslots, k int) *ProbeOutput {
 	if len(ps.seen) < nslots {
 		ps.seen = make([]uint32, nslots)
 	}
+	if len(ps.at) < nslots {
+		ps.at = make([]int32, nslots)
+	}
+	ps.met, ps.eq = ps.met[:0], ps.eq[:0]
 	ps.planes = ps.planes[:0]
 	ps.out = ProbeOutput{Related: ps.out.Related[:0], Pruned: ps.out.Pruned[:0]}
 	return &ps.out
@@ -115,21 +125,37 @@ func (ps *ProbeScratch) finish() *ProbeOutput {
 	return &ps.out
 }
 
-// resolve takes query s into R_L, unless this probe already did: one pass
-// of the signature kernel decides between Related and, by Lemma 2, Pruned.
-func (ps *ProbeScratch) resolve(s *slot, sk minhash.Sketch, limit int) {
-	if ps.seen[s.n] == ps.epoch {
-		return
+// equal returns the Equal plane of query s, an all-clear one queued for
+// the resolve pass the first time this probe meets s.
+func (ps *ProbeScratch) equal(s *slot) []uint64 {
+	nw := ps.nw
+	if ps.seen[s.n] != ps.epoch {
+		ps.seen[s.n] = ps.epoch
+		ps.at[s.n] = int32(len(ps.met))
+		ps.met = append(ps.met, s)
+		n := len(ps.eq)
+		ps.eq = slices.Grow(ps.eq, nw)[:n+nw]
+		clear(ps.eq[n:])
 	}
-	ps.seen[s.n] = ps.epoch
-	lo, hi := ps.next()
-	less, compared := bitsig.CompareInto(lo, hi, sk, s.sketch, limit)
-	ps.out.Comparisons += compared
-	if less > limit {
-		ps.out.Pruned = append(ps.out.Pruned, s.qid)
-		return
+	i := int(ps.at[s.n]) * nw
+	return ps.eq[i : i+nw : i+nw]
+}
+
+// resolve takes every query the probe met into R_L, in discovery order:
+// the signature kernel finds its Less plane beside the Equal plane the
+// postings gave, and decides between Related and, by Lemma 2, Pruned.
+func (ps *ProbeScratch) resolve(sk minhash.Sketch, limit int) {
+	nw := ps.nw
+	for i, s := range ps.met {
+		lo, hi := ps.next()
+		less, compared := bitsig.LessInto(lo, hi, ps.eq[i*nw:(i+1)*nw], sk, s.sketch, limit)
+		ps.out.Comparisons += compared
+		if less > limit {
+			ps.out.Pruned = append(ps.out.Pruned, s.qid)
+			continue
+		}
+		ps.keep(s.qid, s.length)
 	}
-	ps.keep(s.qid, s.length)
 }
 
 // windowCells returns the window's cells and their row sets: from w when it
@@ -192,7 +218,8 @@ func (x *Index) ProbeShardMasked(sk minhash.Sketch, delta float64, part, parts i
 // recorded them beside sk; a nil w, or one that does not name every row's
 // winner, has them found by inverting sk instead. For each cell, every
 // posting whose rows meet the window's rows of that cell is a query holding
-// the window's value there, and enters R_L once.
+// the window's value there, and enters R_L once: the postings gather each
+// such query's Equal plane, and the kernel resolves its Less plane.
 func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, w *minhash.Winners) *ProbeOutput {
 	if len(sk) != x.k {
 		panic("qindex: probe sketch K mismatch")
@@ -227,12 +254,16 @@ func (x *Index) probe(ps *ProbeScratch, sk minhash.Sketch, delta float64, w *min
 				continue
 			}
 			out.Comparisons += eq
+			acc := ps.equal(s)
+			for word, r := range wr {
+				acc[word] |= qr[word] & r
+			}
 			for word := range held {
 				held[word] |= qr[word] & wr[word]
 			}
-			ps.resolve(s, sk, limit)
 		}
 	}
+	ps.resolve(sk, limit)
 	return ps.finish()
 }
 

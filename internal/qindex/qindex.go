@@ -18,10 +18,16 @@
 // is a related query, exactly, with no value compared. DESIGN.md §2.1
 // records the departure from the paper's layout.
 //
-// Each query enters R_L once and is resolved by one pass of
-// bitsig.CompareInto over its sketch, which stops once Lemma 2 condemns it.
-// Comparisons keeps the HQ probe's count: per query entering R_L, its
-// equal rows plus the positions compared.
+// A probe makes two passes. Gather reads the postings and ORs each meeting
+// of a posting's rows with the window's rows into that query's Equal
+// plane: the rows of cell c the window and q both win are rows at which
+// they hold the same value, and every row is won by exactly one cell on
+// each side, so the union over the window's cells is the Equal plane,
+// exactly. Resolve then takes each query found into R_L once, in discovery
+// order, through bitsig.LessInto, which computes only the Less plane from
+// its sketch and stops once Lemma 2 condemns it. Comparisons keeps the HQ
+// probe's count: per query entering R_L, its equal rows plus the positions
+// compared.
 //
 // A value no element hashes to (≥ p, minhash.Empty among them) has no
 // cell; it is keyed by itself, which no premixed cell equals, so such

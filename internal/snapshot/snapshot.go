@@ -31,6 +31,7 @@ import (
 	"math"
 
 	"vdsms/internal/bitio"
+	"vdsms/internal/minhash"
 )
 
 // Magic identifies a checkpoint stream.
@@ -538,6 +539,9 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	k, err := d.ue()
 	if err != nil {
 		return fail("config", err)
+	}
+	if k > minhash.MaxK {
+		return fail("config", fmt.Errorf("K=%d exceeds the limit of %d", k, minhash.MaxK))
 	}
 	seed, err := br.ReadBits(64)
 	if err != nil {

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"vdsms/internal/minhash"
 )
 
 // sampleCheckpoint builds a checkpoint exercising every section of the
@@ -120,6 +122,24 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Error("wrong magic accepted")
+	}
+}
+
+// TestCheckpointKBound: a checkpoint whose trailer and fingerprint are
+// valid but whose K is past minhash.MaxK is refused, before anything sizes
+// an allocation by it.
+func TestCheckpointKBound(t *testing.T) {
+	for _, k := range []int{minhash.MaxK, minhash.MaxK + 1, math.MaxUint32} {
+		ck := sampleCheckpoint()
+		ck.Engine.Config.K = k
+		var buf bytes.Buffer
+		if err := Write(&buf, ck); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Read(bytes.NewReader(buf.Bytes()))
+		if ok := k <= minhash.MaxK; (err == nil) != ok {
+			t.Errorf("K=%d: Read error %v, want accepted=%v", k, err, ok)
+		}
 	}
 }
 
