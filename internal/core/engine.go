@@ -58,19 +58,18 @@ type Engine struct {
 	// emitted after the trace fold, whose audit results their provenance
 	// records carry.
 	pending []Match
-	// newReported holds the Sequential window-alone reports of the window;
-	// the window's fresh candidate takes it over as its dedup set.
-	newReported map[int]bool
+	// newReported holds the Sequential window-alone reports of the window,
+	// ascending; the window's fresh candidate takes it over as its dedup
+	// set.
+	newReported []int
 
 	// Reused across windows: the prober's memory (the window's related list
-	// and its signatures live here until the next probe on it), the Sketch
-	// method's related ids, and the sorted-key buffer of the candidate
-	// walks. probe is made by the first probe, or lent for one call by
-	// PushFramesOn; nothing read after processWindow returns lives in it
-	// (signatures that are kept are cloned out of it).
+	// and its signatures live here until the next probe on it) and the
+	// window's related ids. probe is made by the first probe, or lent for
+	// one call by PushFramesOn; nothing read after processWindow returns
+	// lives in it (signatures that are kept are copied out of it).
 	probe *qindex.ProbeScratch
 	qids  []int
-	keys  []int
 
 	stats   Stats
 	Matches []Match
@@ -325,7 +324,7 @@ func (e *Engine) processWindow() {
 	rec.AllocMark(perfobs.StageProbe)
 
 	if e.cfg.Order == Sequential {
-		e.seqPostPass(win, view)
+		e.seqPostPass(win)
 	}
 	if win.tr != nil {
 		evs := win.tr.FoldWindow()
@@ -352,31 +351,33 @@ func (e *Engine) processWindow() {
 	*rec = perfobs.Span{}
 }
 
-// probeWindow determines the window's related queries: bit signatures in
-// query-id order under the Bit method, sorted query ids under Sketch. Both
-// live in the engine's probe scratch until its next window.
+// probeWindow determines the window's related queries: their ids,
+// ascending, and under the Bit method their signatures beside them, which
+// live in the engine's probe scratch until its next window. The Sketch
+// method without the index relates every query to the window.
 func (e *Engine) probeWindow(win *windowResult, wsk minhash.Sketch, view *queryPlane) {
-	if e.cfg.Method == Sketch && !view.usingIndex() {
-		e.qids = sortedKeys(e.qids, view.queries)
-		win.qids = e.qids
-		return
-	}
-	if e.probe == nil {
-		e.probe = new(qindex.ProbeScratch)
-	}
-	po, scanned := view.probe(e.probe, wsk, e.pruneDelta(), &e.winners)
-	e.stats.SketchCompares += int64(scanned)
-	e.stats.ProbeComparisons += int64(po.Comparisons)
-	e.stats.Probed += int64(len(po.Related))
-	e.stats.Pruned += int64(len(po.Pruned))
-	slices.SortFunc(po.Related, func(a, b qindex.Result) int { return cmp.Compare(a.QID, b.QID) })
-	if e.cfg.Method == Bit {
-		win.related = po.Related
-		return
-	}
 	ids := e.qids[:0]
-	for _, r := range po.Related {
-		ids = append(ids, r.QID)
+	if e.cfg.Method == Sketch && !view.usingIndex() {
+		for qid := range view.queries {
+			ids = append(ids, qid)
+		}
+		slices.Sort(ids)
+	} else {
+		if e.probe == nil {
+			e.probe = new(qindex.ProbeScratch)
+		}
+		po, scanned := view.probe(e.probe, wsk, e.pruneDelta(), &e.winners)
+		e.stats.SketchCompares += int64(scanned)
+		e.stats.ProbeComparisons += int64(po.Comparisons)
+		e.stats.Probed += int64(len(po.Related))
+		e.stats.Pruned += int64(len(po.Pruned))
+		slices.SortFunc(po.Related, func(a, b qindex.Result) int { return cmp.Compare(a.QID, b.QID) })
+		for _, r := range po.Related {
+			ids = append(ids, r.QID)
+		}
+		if e.cfg.Method == Bit {
+			win.related = po.Related
+		}
 	}
 	e.qids, win.qids = ids, ids
 }
@@ -406,27 +407,12 @@ type windowResult struct {
 	startFrame int
 	endFrame   int
 	maxW       int             // global candidate bound ⌈λL_max/w⌉
-	related    []qindex.Result // Bit: window-vs-query signatures, by query id
-	qids       []int           // Sketch: related query ids, sorted
+	qids       []int           // related query ids, ascending
+	related    []qindex.Result // Bit: window-vs-query signatures, parallel to qids
 	// tr is the lifecycle-event recorder for this window, nil when tracing
 	// is off — the single guard every kernel recording site checks.
 	tr      *trace.Recorder
 	nearEps float64 // near-miss band: estimates in [δ−ε, δ) are journaled
-}
-
-// relatedLen returns the number of related queries.
-func (w *windowResult) relatedLen() int { return len(w.related) + len(w.qids) }
-
-// newMatch builds the Match a candidate reports.
-func newMatch(qid, startFrame, endFrame, windows int, sim float64) Match {
-	return Match{
-		QueryID:    qid,
-		StartFrame: startFrame,
-		EndFrame:   endFrame,
-		DetectedAt: endFrame,
-		Similarity: sim,
-		Windows:    windows,
-	}
 }
 
 // emitOne records the match's provenance (when tracing is on) and emits

@@ -7,19 +7,18 @@ import (
 )
 
 // geoBucket is one stored candidate of the Geometric order: a contiguous
-// chunk of basic windows whose sketch (and, for the Bit method, per-query
-// signatures) have been pre-combined. The stored buckets form a binary
-// counter — sizes grow geometrically from newest to oldest — so an arriving
-// window only touches ⌈log i⌉ of them (paper Figures 2 and 3).
+// chunk of basic windows whose sketch (Sketch method) or per-query
+// signatures (Bit method, where no sketch is maintained — all hot-path work
+// is bit operations) have been pre-combined. The stored buckets form a
+// binary counter — sizes grow geometrically from newest to oldest — so an
+// arriving window only touches ⌈log i⌉ of them (paper Figures 2 and 3). No
+// step mutates a bucket once it is built, so the cascade's transient
+// buckets and the stored ones share freely.
 type geoBucket struct {
 	startFrame, endFrame int
 	windows              int
-	// Sketch method state: combined sketch plus the tracked query set.
-	sketch  minhash.Sketch
-	related map[int]bool
-	// Bit method state: one signature per tracked query (no sketch is
-	// maintained — all hot-path work is bit operations).
-	sigs map[int]*bitsig.Signature
+	sketch               minhash.Sketch
+	tracked
 }
 
 // geoKey identifies a (query, candidate start) pair for match dedup across
@@ -53,7 +52,7 @@ func (e *Engine) geometric(win *windowResult, view *queryPlane) {
 	// Merges whose result would exceed the λL bound are pointless (such a
 	// candidate can never match any query) and would starve the cascade,
 	// so they are suppressed.
-	e.geo = append(e.geo, e.cloneGeo(nb))
+	e.geo = append(e.geo, nb)
 	if win.tr != nil {
 		win.tr.Serial().Add(trace.Born, -1, nb.startFrame, nb.endFrame, 1, -1, 0)
 	}
@@ -80,11 +79,7 @@ func (e *Engine) geometric(win *windowResult, view *queryPlane) {
 	// Accounting over the stored buckets.
 	var sigCount int64
 	for _, b := range e.geo {
-		if e.cfg.Method == Bit {
-			sigCount += int64(len(b.sigs))
-		} else {
-			sigCount += int64(len(b.related))
-		}
+		sigCount += int64(len(b.ids))
 	}
 	e.stats.SignatureSum += sigCount
 	e.stats.CandidateSum += int64(len(e.geo))
@@ -100,113 +95,77 @@ func (e *Engine) geometric(win *windowResult, view *queryPlane) {
 	}
 }
 
-// newGeoBucket wraps the arriving window as a size-1 bucket holding the
-// probe results. The bucket is transient: its signatures (and sketch)
-// belong to the window and its probe scratch, and only cloneGeo's copy of
-// it may be stored.
+// newGeoBucket wraps the arriving window as a size-1 bucket holding its own
+// copy of the probe results.
 func (e *Engine) newGeoBucket(win *windowResult) *geoBucket {
 	b := &geoBucket{
 		startFrame: win.startFrame,
 		endFrame:   win.endFrame,
 		windows:    1,
+		tracked:    e.windowTracked(win),
 	}
-	if e.cfg.Method == Bit {
-		b.sigs = make(map[int]*bitsig.Signature, len(win.related))
-		for _, r := range win.related {
-			b.sigs[r.QID] = r.Sig
-		}
-	} else {
-		b.sketch = win.sketch
-		b.related = make(map[int]bool, len(win.qids))
-		for _, qid := range win.qids {
-			b.related[qid] = true
-		}
+	if e.cfg.Method == Sketch {
+		b.sketch = win.sketch.Clone()
 	}
 	return b
 }
 
-// cloneGeo deep-copies a bucket so stored state never aliases transient
-// cascade state.
-func (e *Engine) cloneGeo(b *geoBucket) *geoBucket {
-	c := &geoBucket{
-		startFrame: b.startFrame,
-		endFrame:   b.endFrame,
-		windows:    b.windows,
-		sketch:     b.sketch.Clone(),
-	}
-	if b.sigs != nil {
-		c.sigs = make(map[int]*bitsig.Signature, len(b.sigs))
-		for qid, s := range b.sigs {
-			c.sigs[qid] = s.Clone()
-		}
-	}
-	if b.related != nil {
-		c.related = make(map[int]bool, len(b.related))
-		for qid := range b.related {
-			c.related[qid] = true
-		}
-	}
-	return c
-}
-
-// mergeGeo combines an older bucket with a newer one into a fresh bucket.
-// Under the Bit method a query survives the merge only when both sides
-// track it (the paper's candidates keep signatures of queries related to
-// their consecutive candidate sequences; true-copy windows always stay
-// related, so this costs no detectable copies), and no sketch operations
-// are performed at all — the asymmetry behind the Fig. 6 CPU split.
+// mergeGeo combines an older bucket with a newer one into a fresh bucket by
+// one merge walk over their lists. Under the Bit method a query survives the
+// merge only when both sides track it (the paper's candidates keep
+// signatures of queries related to their consecutive candidate sequences;
+// true-copy windows always stay related, so this costs no detectable
+// copies), and no sketch operations are performed at all — the asymmetry
+// behind the Fig. 6 CPU split. Under the Sketch method the lists are
+// unioned. Either way a query that can no longer match the merged size is
+// expired.
 func (e *Engine) mergeGeo(win *windowResult, old, new_ *geoBucket, view *queryPlane) *geoBucket {
 	out := &geoBucket{
 		startFrame: old.startFrame,
 		endFrame:   new_.endFrame,
 		windows:    old.windows + new_.windows,
 	}
-	if e.cfg.Method == Bit {
-		out.sigs = make(map[int]*bitsig.Signature)
-		for qid, a := range old.sigs {
-			b := new_.sigs[qid]
-			if b == nil {
-				continue
-			}
-			q := view.lookup(qid)
-			if q == nil || out.windows > e.maxWindowsOf(q) {
-				if win.tr != nil {
-					win.tr.Query().Add(trace.Expired, qid, out.startFrame, out.endFrame, out.windows, -1, 0)
-				}
-				continue
-			}
-			sig := a.Clone()
-			sig.Or(b)
+	bit := e.cfg.Method == Bit
+	if bit {
+		out.sigs = bitsig.NewBlock(e.cfg.K, min(len(old.ids), len(new_.ids)))
+	} else {
+		out.sketch = minhash.Combined(old.sketch, new_.sketch)
+		e.stats.SketchCombines++
+	}
+	a, b := old.ids, new_.ids
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		var qid int
+		both := false
+		switch {
+		case j == len(b) || i < len(a) && a[i] < b[j]:
+			qid, i = a[i], i+1
+		case i == len(a) || b[j] < a[i]:
+			qid, j = b[j], j+1
+		default:
+			qid, both, i, j = a[i], true, i+1, j+1
+		}
+		if bit && !both {
+			continue // tracked on one side only
+		}
+		if !e.live(view.lookup(qid), out.windows) {
+			expire(win, qid, out.startFrame, out.endFrame, out.windows)
+			continue
+		}
+		if bit {
+			sig := &out.sigs[len(out.ids)]
+			copy(sig.Lo, old.sigs[i-1].Lo)
+			copy(sig.Hi, old.sigs[i-1].Hi)
+			sig.Or(&new_.sigs[j-1])
 			e.stats.SigOrs++
-			if !e.cfg.DisablePrune && sig.Prunable(e.cfg.Delta) {
-				if win.tr != nil {
-					margin := (float64(sig.LessCount()) - float64(e.cfg.K)*(1-e.cfg.Delta)) / float64(e.cfg.K)
-					win.tr.Query().Add(trace.Pruned, qid, out.startFrame, out.endFrame, out.windows, sig.Similarity(), margin)
-				}
-				e.stats.Pruned++
+			_, eq, less := sig.Counts()
+			if e.pruned(win, qid, out.startFrame, out.endFrame, out.windows, less, e.similarity(eq)) {
 				continue
 			}
-			out.sigs[qid] = sig
 		}
-		return out
+		out.ids = append(out.ids, qid)
 	}
-	out.sketch = minhash.Combined(old.sketch, new_.sketch)
-	e.stats.SketchCombines++
-	out.related = make(map[int]bool)
-	for qid := range old.related {
-		out.related[qid] = true
-	}
-	for qid := range new_.related {
-		out.related[qid] = true
-	}
-	for qid := range out.related {
-		q := view.lookup(qid)
-		if q == nil || out.windows > e.maxWindowsOf(q) {
-			if win.tr != nil {
-				win.tr.Query().Add(trace.Expired, qid, out.startFrame, out.endFrame, out.windows, -1, 0)
-			}
-			delete(out.related, qid)
-		}
+	if bit {
+		out.sigs = out.sigs[:len(out.ids)]
 	}
 	return out
 }
@@ -214,64 +173,22 @@ func (e *Engine) mergeGeo(win *windowResult, old, new_ *geoBucket, view *queryPl
 // testGeo evaluates one (possibly transient) candidate against its tracked
 // queries, buffering threshold crossings once per (query, start).
 func (e *Engine) testGeo(win *windowResult, b *geoBucket, view *queryPlane) {
-	if e.cfg.Method == Bit {
-		e.keys = sortedKeys(e.keys, b.sigs)
-		for _, qid := range e.keys {
-			sig := b.sigs[qid]
-			q := view.lookup(qid)
-			if q == nil || b.windows > e.maxWindowsOf(q) {
-				continue
-			}
-			e.stats.SigTests++
-			sim := sig.Similarity()
-			e.traceGeoTest(win, b, qid, sim)
-			if sim < e.cfg.Delta {
-				continue
-			}
-			k := geoKey{qid: qid, start: b.startFrame}
-			if !e.geoReported[k] {
-				e.geoReported[k] = true
-				e.pending = append(e.pending, newMatch(qid, b.startFrame, b.endFrame, b.windows, sim))
-			}
-		}
-		return
-	}
-	e.keys = sortedKeys(e.keys, b.related)
-	for _, qid := range e.keys {
+	for i, qid := range b.ids {
 		q := view.lookup(qid)
-		if q == nil || b.windows > e.maxWindowsOf(q) {
+		if !e.live(q, b.windows) {
 			continue
 		}
-		eq, _ := minhash.CompareCounts(b.sketch, q.sketch)
-		e.stats.SketchCompares++
-		sim := float64(eq) / float64(e.cfg.K)
-		e.traceGeoTest(win, b, qid, sim)
-		if sim < e.cfg.Delta {
-			continue
+		var eq int
+		if e.cfg.Method == Bit {
+			e.stats.SigTests++
+			_, eq, _ = b.sigs[i].Counts()
+		} else {
+			eq, _ = minhash.CompareCounts(b.sketch, q.sketch)
+			e.stats.SketchCompares++
 		}
 		k := geoKey{qid: qid, start: b.startFrame}
-		if !e.geoReported[k] {
+		if e.decide(win, qid, b.startFrame, b.endFrame, b.windows, e.similarity(eq), e.geoReported[k]) {
 			e.geoReported[k] = true
-			e.pending = append(e.pending, newMatch(qid, b.startFrame, b.endFrame, b.windows, sim))
 		}
-	}
-}
-
-// traceGeoTest records the lifecycle events of one geometric candidate
-// test: the Extended estimate point, plus the Reported / NearMiss decision
-// with the same once-per-(query, start) dedup the match buffer applies.
-func (e *Engine) traceGeoTest(win *windowResult, b *geoBucket, qid int, sim float64) {
-	if win.tr == nil {
-		return
-	}
-	l := win.tr.Query()
-	l.Add(trace.Extended, qid, b.startFrame, b.endFrame, b.windows, sim, 0)
-	if e.geoReported[geoKey{qid: qid, start: b.startFrame}] {
-		return
-	}
-	if sim >= e.cfg.Delta {
-		l.Add(trace.Reported, qid, b.startFrame, b.endFrame, b.windows, sim, 0)
-	} else if sim >= e.cfg.Delta-win.nearEps {
-		l.Add(trace.NearMiss, qid, b.startFrame, b.endFrame, b.windows, sim, e.cfg.Delta-sim)
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -19,6 +21,14 @@ var engineStateGolden = map[string]string{
 	"geo-bit":           "18a67becb43f790b52733b2b83c1595417109b44284626be74e8c6cdf5c6f309",
 	"geo-sketch":        "0a3aa9570a6816fdc583b18c25187bb4f92a3afba1257100bd10a6aa718c4f33",
 	"seq-bit-prefilter": "cf734df6673ac00046bd3308a321c3205ef170863498b8bab22d1675edca840e",
+	// Recorded at 775d5f2, before the candidate list became ascending id
+	// slices: the NoIndex probers (the Sketch one lists the plane itself)
+	// and the ablation without Lemma 2 pruning.
+	"seq-bit-noindex":    "e09f9b32365a336edccd998dda53df48bd89817f704921a7b58f00b79927c879",
+	"seq-sketch-noindex": "f109e9ab69a2f1c19106f9701016ad5271570351e5e85f7b0b28882388bfa08b",
+	"geo-bit-noindex":    "568569d0280be51385678bd528024424ef2d291da3e52cf9316128355f1ef814",
+	"geo-sketch-noindex": "44e17fc10eac661d36d756d027fee8a1c9d8bb866f306383109f3faf22dd8094",
+	"seq-bit-noprune":    "31b86529204b1bd2dc25d7e5648862958da10f57c684b45cf5c0f07d232a550b",
 }
 
 // goldenRun drives one engine through a seeded workload with subscription
@@ -71,30 +81,96 @@ func goldenRun(t *testing.T, cfg Config) []byte {
 }
 
 // TestEngineStateGolden pins the engine's exported state, byte for byte, for
-// both orders under both methods and for the pre-filter tier.
+// both orders under both methods, with and without the query index, for the
+// pre-filter tier and for the ablation without pruning.
 func TestEngineStateGolden(t *testing.T) {
 	cases := []struct {
-		name      string
-		order     Order
-		method    Method
-		prefilter bool
+		name         string
+		order        Order
+		method       Method
+		noIndex      bool
+		prefilter    bool
+		disablePrune bool
 	}{
-		{"seq-bit", Sequential, Bit, false},
-		{"seq-sketch", Sequential, Sketch, false},
-		{"geo-bit", Geometric, Bit, false},
-		{"geo-sketch", Geometric, Sketch, false},
-		{"seq-bit-prefilter", Sequential, Bit, true},
+		{name: "seq-bit", order: Sequential, method: Bit},
+		{name: "seq-sketch", order: Sequential, method: Sketch},
+		{name: "geo-bit", order: Geometric, method: Bit},
+		{name: "geo-sketch", order: Geometric, method: Sketch},
+		{name: "seq-bit-prefilter", order: Sequential, method: Bit, prefilter: true},
+		{name: "seq-bit-noindex", order: Sequential, method: Bit, noIndex: true},
+		{name: "seq-sketch-noindex", order: Sequential, method: Sketch, noIndex: true},
+		{name: "geo-bit-noindex", order: Geometric, method: Bit, noIndex: true},
+		{name: "geo-sketch-noindex", order: Geometric, method: Sketch, noIndex: true},
+		{name: "seq-bit-noprune", order: Sequential, method: Bit, disablePrune: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{
 				K: 192, Seed: 11, Delta: 0.5, Lambda: 2, WindowFrames: 10,
-				Order: c.order, Method: c.method, UseIndex: true, PreFilter: c.prefilter,
+				Order: c.order, Method: c.method, UseIndex: !c.noIndex,
+				PreFilter: c.prefilter, DisablePrune: c.disablePrune,
 			}
 			sum := sha256.Sum256(goldenRun(t, cfg))
 			if got, want := hex.EncodeToString(sum[:]), engineStateGolden[c.name]; got != want {
 				t.Errorf("exported state SHA-256 = %s, want %s", got, want)
 			}
 		})
+	}
+}
+
+// traceJournalGolden is the SHA-256 of the JSON of the events and match
+// records traceRun journals for each variant, with the exact audit off and
+// sampling every third decision; recorded at 775d5f2, before the five
+// copies of the report decision became one.
+var traceJournalGolden = map[string]string{
+	"bit-seq-index/audit0":        "dea0a9a40f8f22d73b1562850b01cbb9b2098d612141d6db6fbfdb822c4945b0",
+	"bit-seq-index/audit3":        "23d7e305f1c6a53327efa4cde68ad01074602e2302b2c1fe9b67b1708f054612",
+	"bit-seq-noindex/audit0":      "dea0a9a40f8f22d73b1562850b01cbb9b2098d612141d6db6fbfdb822c4945b0",
+	"bit-seq-noindex/audit3":      "23d7e305f1c6a53327efa4cde68ad01074602e2302b2c1fe9b67b1708f054612",
+	"bit-geo-index/audit0":        "581adbe78dcc142a091a03d762477831a164775e4a4fe73253967d2af69bd4f6",
+	"bit-geo-index/audit3":        "4ac7e6113c7d41de1589e86fb7303a2e75597eecacf60efb2bfda82275ba3a8d",
+	"bit-geo-noindex/audit0":      "581adbe78dcc142a091a03d762477831a164775e4a4fe73253967d2af69bd4f6",
+	"bit-geo-noindex/audit3":      "4ac7e6113c7d41de1589e86fb7303a2e75597eecacf60efb2bfda82275ba3a8d",
+	"sketch-seq-index/audit0":     "15fc1dba95207fa07e0263bbf3d91ca2c6ce3b4b2ee70e449f19ebe5c830e32a",
+	"sketch-seq-index/audit3":     "bc03c03c0d8b0caf9e155973685a9e6b4650670b469b46aaf1d9e9189f51f094",
+	"sketch-seq-noindex/audit0":   "ffb4dda4aec7e7a6f5ec7a0b5b9c33bc85f761d2233ef3aa6e8f248e5442dbf5",
+	"sketch-seq-noindex/audit3":   "aa20493c6642697766ada1a2b704fa567232889802f2616814ff12a33207a19e",
+	"sketch-geo-index/audit0":     "ffced8dd1b98dbea394fb479ad25769f3cd669139d24d1d224368c3c939d3249",
+	"sketch-geo-index/audit3":     "2e7441b5562dafe7a83bd760f8acd8515bc5ed9301cf92daea2ec5463edcec0c",
+	"sketch-geo-noindex/audit0":   "0a6a452636d14a7e839d49bb2ed0c242223380f77f8ad9d5f417b3463b156b3b",
+	"sketch-geo-noindex/audit3":   "a7998d0db8f3b39b5cea50e30d8327da9a2d52317cbef103be6a985efb9d7ba5",
+	"bit-seq-prefilter/audit0":    "dea0a9a40f8f22d73b1562850b01cbb9b2098d612141d6db6fbfdb822c4945b0",
+	"bit-seq-prefilter/audit3":    "23d7e305f1c6a53327efa4cde68ad01074602e2302b2c1fe9b67b1708f054612",
+	"bit-geo-prefilter/audit0":    "581adbe78dcc142a091a03d762477831a164775e4a4fe73253967d2af69bd4f6",
+	"bit-geo-prefilter/audit3":    "4ac7e6113c7d41de1589e86fb7303a2e75597eecacf60efb2bfda82275ba3a8d",
+	"sketch-seq-prefilter/audit0": "15fc1dba95207fa07e0263bbf3d91ca2c6ce3b4b2ee70e449f19ebe5c830e32a",
+	"sketch-seq-prefilter/audit3": "bc03c03c0d8b0caf9e155973685a9e6b4650670b469b46aaf1d9e9189f51f094",
+	"sketch-geo-prefilter/audit0": "ffced8dd1b98dbea394fb479ad25769f3cd669139d24d1d224368c3c939d3249",
+	"sketch-geo-prefilter/audit3": "2e7441b5562dafe7a83bd760f8acd8515bc5ed9301cf92daea2ec5463edcec0c",
+}
+
+// TestTraceJournalGolden pins the decision journal of every variant — the
+// Geometric order and the Sketch method have no command-line surface, so
+// this is where a change to their Extended / Reported / NearMiss / Pruned /
+// Expired events shows.
+func TestTraceJournalGolden(t *testing.T) {
+	for _, v := range variants {
+		for _, audit := range []int{0, 3} {
+			name := fmt.Sprintf("%s/audit%d", v.name, audit)
+			t.Run(name, func(t *testing.T) {
+				_, events, records := traceRun(t, v, 192, audit, false)
+				h := sha256.New()
+				enc := json.NewEncoder(h)
+				if err := enc.Encode(events); err != nil {
+					t.Fatal(err)
+				}
+				if err := enc.Encode(records); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := hex.EncodeToString(h.Sum(nil)), traceJournalGolden[name]; got != want {
+					t.Errorf("journal SHA-256 = %s, want %s", got, want)
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Checkpoint/restore glue between the live engine and the durable format
-// of internal/snapshot. Export canonicalises the engine's maps — every list
-// sorted — so identical logical state serialises to identical bytes, and a
+// of internal/snapshot. The candidate lists are held ascending, so export
+// copies them as they are and identical logical state serialises to
+// identical bytes; restore refuses lists the kernel cannot walk, and a
 // restored engine's subsequent matches and stats are byte-identical to an
 // uninterrupted run (see TestCrashPointSweep).
 package core
@@ -92,13 +93,10 @@ func (e *Engine) ExportState() *snapshot.EngineState {
 		sc := snapshot.SeqCandidate{
 			StartFrame: c.startFrame,
 			Windows:    c.windows,
-			Sigs:       exportSigs(c.sigs),
-			Related:    sortedKeys(nil, c.related),
-			Reported:   sortedKeys(nil, c.reported),
+			Sketch:     c.sketch.Clone(),
+			Reported:   append([]int(nil), c.reported...),
 		}
-		if c.sketch != nil {
-			sc.Sketch = append([]uint64(nil), c.sketch...)
-		}
+		sc.Sigs, sc.Related = c.export(e.cfg.Method)
 		st.Seq = append(st.Seq, sc)
 	}
 
@@ -107,12 +105,9 @@ func (e *Engine) ExportState() *snapshot.EngineState {
 			StartFrame: b.startFrame,
 			EndFrame:   b.endFrame,
 			Windows:    b.windows,
-			Sigs:       exportSigs(b.sigs),
-			Related:    sortedKeys(nil, b.related),
+			Sketch:     b.sketch.Clone(),
 		}
-		if b.sketch != nil {
-			gb.Sketch = append([]uint64(nil), b.sketch...)
-		}
+		gb.Sigs, gb.Related = b.export(e.cfg.Method)
 		st.Geo = append(st.Geo, gb)
 	}
 	for k := range e.geoReported {
@@ -169,47 +164,39 @@ func RestoreEngineWith(cfg Config, st *snapshot.EngineState, qs *QuerySet) (*Eng
 	}
 
 	e := newEngine(cfg, qs)
-	var err error
 	e.frame = st.Frame
 	e.curIDs = append([]uint64(nil), st.CurIDs...)
 	e.stats = restoreStats(st.Stats)
 
 	for _, sc := range st.Seq {
-		c := &seqCandidate{
+		t, sk, err := importTracked(cfg, sc.Sigs, sc.Related, sc.Sketch)
+		if err == nil {
+			err = ascending("reported", sc.Reported)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: restored candidate from frame %d: %w", sc.StartFrame, err)
+		}
+		e.seq = append(e.seq, &seqCandidate{
 			startFrame: sc.StartFrame,
 			windows:    sc.Windows,
-			reported:   importSet(sc.Reported),
-		}
-		if sc.Sketch != nil {
-			c.sketch = minhash.Sketch(append([]uint64(nil), sc.Sketch...))
-		}
-		if cfg.Method == Bit {
-			if c.sigs, err = importSigs(sc.Sigs, cfg.K); err != nil {
-				return nil, err
-			}
-		} else {
-			c.related = importSet(sc.Related)
-		}
-		e.seq = append(e.seq, c)
+			sketch:     sk,
+			tracked:    t,
+			reported:   append([]int(nil), sc.Reported...),
+		})
 	}
 
 	for _, gb := range st.Geo {
-		b := &geoBucket{
+		t, sk, err := importTracked(cfg, gb.Sigs, gb.Related, gb.Sketch)
+		if err != nil {
+			return nil, fmt.Errorf("core: restored bucket from frame %d: %w", gb.StartFrame, err)
+		}
+		e.geo = append(e.geo, &geoBucket{
 			startFrame: gb.StartFrame,
 			endFrame:   gb.EndFrame,
 			windows:    gb.Windows,
-		}
-		if gb.Sketch != nil {
-			b.sketch = minhash.Sketch(append([]uint64(nil), gb.Sketch...))
-		}
-		if cfg.Method == Bit {
-			if b.sigs, err = importSigs(gb.Sigs, cfg.K); err != nil {
-				return nil, err
-			}
-		} else {
-			b.related = importSet(gb.Related)
-		}
-		e.geo = append(e.geo, b)
+			sketch:     sk,
+			tracked:    t,
+		})
 	}
 	for _, r := range st.GeoReported {
 		e.geoReported[geoKey{qid: r.QID, start: r.Start}] = true
@@ -252,45 +239,59 @@ func restoreStats(s snapshot.Stats) Stats {
 	return out
 }
 
-// exportSigs flattens a signature map into one qid-ascending slice with
-// copied planes.
-func exportSigs(m map[int]*bitsig.Signature) []snapshot.Signature {
-	var out []snapshot.Signature
-	for _, qid := range sortedKeys(nil, m) {
-		sig := m[qid]
-		out = append(out, snapshot.Signature{
+// export writes the list in the checkpoint's form: signatures with copied
+// planes under the Bit method, ids under Sketch, both already ascending.
+func (t *tracked) export(method Method) (sigs []snapshot.Signature, related []int) {
+	if method == Sketch {
+		return nil, append([]int(nil), t.ids...)
+	}
+	for i, qid := range t.ids {
+		sigs = append(sigs, snapshot.Signature{
 			QID: qid,
-			Lo:  append([]uint64(nil), sig.Lo...),
-			Hi:  append([]uint64(nil), sig.Hi...),
+			Lo:  append([]uint64(nil), t.sigs[i].Lo...),
+			Hi:  append([]uint64(nil), t.sigs[i].Hi...),
 		})
 	}
-	return out
+	return sigs, nil
 }
 
-// importSigs rebuilds a signature map from its canonical list; the map is
-// never nil, since the kernels mutate it in place.
-func importSigs(sigs []snapshot.Signature, k int) (map[int]*bitsig.Signature, error) {
-	planeWords := (k + 63) / 64
-	m := make(map[int]*bitsig.Signature, len(sigs))
-	for _, s := range sigs {
+// importTracked rebuilds a candidate's list and sketch from their checkpoint
+// form under cfg's method, refusing what the kernel cannot run on: a list
+// that is not strictly ascending, signature planes of the wrong width, or a
+// Sketch-method candidate without a K-value sketch. A sketch the Bit method
+// never reads is carried over as it is.
+func importTracked(cfg Config, sigs []snapshot.Signature, related []int, sketch []uint64) (tracked, minhash.Sketch, error) {
+	var t tracked
+	sk := minhash.Sketch(sketch).Clone()
+	if cfg.Method == Sketch {
+		if len(sk) != cfg.K {
+			return t, nil, fmt.Errorf("sketch has %d values, K=%d", len(sk), cfg.K)
+		}
+		t.ids = append([]int(nil), related...)
+		return t, sk, ascending("related", t.ids)
+	}
+	planeWords := (cfg.K + 63) / 64
+	t.ids = make([]int, len(sigs))
+	t.sigs = bitsig.NewBlock(cfg.K, len(sigs))
+	for i, s := range sigs {
 		if len(s.Lo) != planeWords || len(s.Hi) != planeWords {
-			return nil, fmt.Errorf("core: restored signature for query %d has %d+%d plane words, K=%d needs %d",
-				s.QID, len(s.Lo), len(s.Hi), k, planeWords)
+			return t, nil, fmt.Errorf("signature for query %d has %d+%d plane words, K=%d needs %d",
+				s.QID, len(s.Lo), len(s.Hi), cfg.K, planeWords)
 		}
-		m[s.QID] = &bitsig.Signature{
-			K:  k,
-			Lo: append([]uint64(nil), s.Lo...),
-			Hi: append([]uint64(nil), s.Hi...),
-		}
+		t.ids[i] = s.QID
+		copy(t.sigs[i].Lo, s.Lo)
+		copy(t.sigs[i].Hi, s.Hi)
 	}
-	return m, nil
+	return t, sk, ascending("signature", t.ids)
 }
 
-// importSet rebuilds a non-nil query-id set from its canonical list.
-func importSet(ids []int) map[int]bool {
-	m := make(map[int]bool, len(ids))
-	for _, qid := range ids {
-		m[qid] = true
+// ascending returns an error naming the list unless ids is strictly
+// ascending, the order every candidate walk depends on.
+func ascending(list string, ids []int) error {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return fmt.Errorf("%s list is not strictly ascending at query %d", list, ids[i])
+		}
 	}
-	return m
+	return nil
 }

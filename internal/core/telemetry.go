@@ -60,7 +60,7 @@ func (e *Engine) observeWindow(win *windowResult) {
 	rec.Stream = o.Stream
 	rec.Window = int64(e.stats.Windows)
 	rec.StartFrame, rec.EndFrame = win.startFrame, win.endFrame
-	rec.Related = win.relatedLen()
+	rec.Related = len(win.qids)
 	rec.Plane = e.planeVersion
 	if telemetry.Enabled() {
 		if rec.NS[perfobs.StageDecode]+rec.NS[perfobs.StageExtract] > 0 {
