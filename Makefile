@@ -94,7 +94,7 @@ overload-smoke:
 fleet-smoke:
 	$(GO) test -race -count=1 ./internal/fleet
 	FLEET_REPORT_DIR=$(CURDIR)/fleet-report $(GO) test -race -count=1 \
-		-run 'TestFleetScaleSmoke|TestPlane|TestCloneProbeEquivalence|TestFleet' \
+		-run 'TestFleetScaleSmoke|TestPlane|TestCloneProbeEquivalence|TestFleet|TestQuerySet' \
 		./internal/core ./internal/qindex ./internal/experiments ./internal/server .
 
 # Performance-attribution gate: a 64-stream fleet run at 1% span sampling

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -99,12 +98,6 @@ func mustMonitor(t *testing.T, d *Detector, seg []byte) []Match {
 		t.Fatal(err)
 	}
 	return m
-}
-
-func sortedIDs(d *Detector) []int {
-	ids := d.QueryIDs()
-	sort.Ints(ids)
-	return ids
 }
 
 func readFile(t *testing.T, path string) []byte {
@@ -250,7 +243,7 @@ func TestResumeContinuesExactly(t *testing.T) {
 	}
 	for name, dir := range crashes {
 		d := mustResume(t, scfg, dir)
-		if ids := sortedIDs(d); !reflect.DeepEqual(ids, []int{1, 2}) {
+		if ids := d.QueryIDs(); !reflect.DeepEqual(ids, []int{1, 2}) {
 			t.Errorf("%s: resumed query set %v, want [1 2]", name, ids)
 		}
 		if name != "before rename" && len(d.Replayed) != 0 {
@@ -285,7 +278,7 @@ func TestResumeContinuesExactly(t *testing.T) {
 	if err := os.WriteFile(walPath, oldWAL, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if ids := sortedIDs(mustResume(t, rcfg, crashCopy(t, rcfg.CheckpointDir, -1))); !reflect.DeepEqual(ids, []int{2, 3}) {
+	if ids := mustResume(t, rcfg, crashCopy(t, rcfg.CheckpointDir, -1)).QueryIDs(); !reflect.DeepEqual(ids, []int{2, 3}) {
 		t.Errorf("frameless lineage resumed with %v, want [2 3]", ids)
 	}
 }
@@ -460,7 +453,7 @@ func TestQueryChurnIsDurable(t *testing.T) {
 		case cut < s2:
 			want = []int{2}
 		}
-		if ids := sortedIDs(d); !reflect.DeepEqual(ids, want) {
+		if ids := d.QueryIDs(); !reflect.DeepEqual(ids, want) {
 			t.Fatalf("log cut at %d of [%d %d %d]: resumed query set %v, want %v", cut, s0, s1, s2, ids, want)
 		}
 		// A call that never returned is made again by its caller.
@@ -532,7 +525,7 @@ func TestQueryChurnIsDurable(t *testing.T) {
 	got, gotTotals := run(mid, func(d *Detector) *Detector {
 		r := mustResume(t, mcfg, crashCopy(t, mcfg.CheckpointDir, -1))
 		d.Close()
-		if ids := sortedIDs(r); !reflect.DeepEqual(ids, []int{2, 3}) || r.engine.PendingFrames() != 5 {
+		if ids := r.QueryIDs(); !reflect.DeepEqual(ids, []int{2, 3}) || r.engine.PendingFrames() != 5 {
 			t.Fatalf("mid-window resume: queries %v, %d pending frames; want [2 3], 5", ids, r.engine.PendingFrames())
 		}
 		return r
@@ -585,10 +578,10 @@ func TestQueryChurnFailureLeavesNoTrace(t *testing.T) {
 		t.Fatalf("RemoveQuery after a log failure: %v", err)
 	}
 	mustAdd(t, det, 1, q1)
-	if ids := sortedIDs(det); !reflect.DeepEqual(ids, []int{1}) {
+	if ids := det.QueryIDs(); !reflect.DeepEqual(ids, []int{1}) {
 		t.Errorf("query set %v after a failed add, want [1]", ids)
 	}
-	if ids := sortedIDs(mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, -1))); !reflect.DeepEqual(ids, []int{1}) {
+	if ids := mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, -1)).QueryIDs(); !reflect.DeepEqual(ids, []int{1}) {
 		t.Errorf("resumed query set %v, want [1]", ids)
 	}
 
@@ -598,10 +591,10 @@ func TestQueryChurnFailureLeavesNoTrace(t *testing.T) {
 	if err := det.RemoveQuery(1); err == nil {
 		t.Fatal("RemoveQuery succeeded without a log to write to")
 	}
-	if ids := sortedIDs(det); !reflect.DeepEqual(ids, []int{1}) {
+	if ids := det.QueryIDs(); !reflect.DeepEqual(ids, []int{1}) {
 		t.Errorf("query set %v after a failed remove, want [1]", ids)
 	}
-	if ids := sortedIDs(mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, -1))); !reflect.DeepEqual(ids, []int{1}) {
+	if ids := mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, -1)).QueryIDs(); !reflect.DeepEqual(ids, []int{1}) {
 		t.Errorf("resumed query set %v after a failed remove, want [1]", ids)
 	}
 }

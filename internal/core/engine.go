@@ -12,17 +12,6 @@ import (
 	"vdsms/internal/trace"
 )
 
-// queryInfo is the per-query state held by a QuerySet.
-type queryInfo struct {
-	id     int
-	frames int // length L in key frames
-	sketch minhash.Sketch
-	// cellIDs retains the query's raw cell ids for the sampled exact audit
-	// (trace.go). Nil for queries restored from a VQS1 stream — the format
-	// carries sketches only — in which case their decisions are audit-skipped.
-	cellIDs []uint64
-}
-
 // Engine is the streaming detector for one stream. It consumes one cell id
 // per key frame via PushFrame (or batches via PushFrames); matches are
 // delivered to the OnMatch callback (if set) and accumulated in Matches.
@@ -239,7 +228,7 @@ func (e *Engine) Flush() {
 func (e *Engine) curWindowStartFrame() int { return e.frame - len(e.curIDs) }
 
 // maxWindowsOf returns ⌈λL/w⌉ for a query, under this engine's window.
-func (e *Engine) maxWindowsOf(q *queryInfo) int { return e.cfg.maxWindows(q.frames) }
+func (e *Engine) maxWindowsOf(q *qindex.Query) int { return e.cfg.maxWindows(q.Length) }
 
 // processWindow sketches the filled window, probes it against the query
 // plane, folds it into the candidate list and emits the window's matches.
@@ -301,7 +290,7 @@ func (e *Engine) processWindow() {
 		tp = time.Now()
 		rec.NS[perfobs.StageMerge] = tp.Sub(t1).Nanoseconds()
 	}
-	if len(view.queries) > 0 {
+	if view.index.Len() > 0 {
 		e.probeWindow(win, wsk, view)
 	}
 	if timed {
@@ -354,20 +343,21 @@ func (e *Engine) processWindow() {
 // probeWindow determines the window's related queries: their ids,
 // ascending, and under the Bit method their signatures beside them, which
 // live in the engine's probe scratch until its next window. The Sketch
-// method without the index relates every query to the window.
+// method without the index relates every query to the window; with the
+// Bit method a plane without the index is scanned, one full sketch
+// comparison per query.
 func (e *Engine) probeWindow(win *windowResult, wsk minhash.Sketch, view *queryPlane) {
 	ids := e.qids[:0]
-	if e.cfg.Method == Sketch && !view.usingIndex() {
-		for qid := range view.queries {
-			ids = append(ids, qid)
-		}
-		slices.Sort(ids)
+	if e.cfg.Method == Sketch && !e.qs.useIndex {
+		ids = view.index.QueryIDs(ids)
 	} else {
 		if e.probe == nil {
 			e.probe = new(qindex.ProbeScratch)
 		}
-		po, scanned := view.probe(e.probe, wsk, e.pruneDelta(), &e.winners)
-		e.stats.SketchCompares += int64(scanned)
+		po := view.index.ProbeInto(e.probe, wsk, e.pruneDelta(), &e.winners)
+		if !e.qs.useIndex {
+			e.stats.SketchCompares += int64(view.index.Len())
+		}
 		e.stats.ProbeComparisons += int64(po.Comparisons)
 		e.stats.Probed += int64(len(po.Related))
 		e.stats.Pruned += int64(len(po.Pruned))
@@ -394,10 +384,10 @@ func (e *Engine) pruneDelta() float64 {
 // globalMaxWindows returns the largest ⌈λL/w⌉ over the snapshot's queries
 // (1 when no queries are subscribed, so the structures stay bounded).
 func (e *Engine) globalMaxWindows(view *queryPlane) int {
-	if view.maxFrames == 0 {
-		return 1
+	if l := view.index.Longest(); l > 0 {
+		return e.cfg.maxWindows(l)
 	}
-	return e.cfg.maxWindows(view.maxFrames)
+	return 1
 }
 
 // windowResult carries everything downstream stages need about one basic

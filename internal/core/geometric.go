@@ -147,7 +147,7 @@ func (e *Engine) mergeGeo(win *windowResult, old, new_ *geoBucket, view *queryPl
 		if bit && !both {
 			continue // tracked on one side only
 		}
-		if !e.live(view.lookup(qid), out.windows) {
+		if !e.live(view.index.Lookup(qid), out.windows) {
 			expire(win, qid, out.startFrame, out.endFrame, out.windows)
 			continue
 		}
@@ -174,7 +174,7 @@ func (e *Engine) mergeGeo(win *windowResult, old, new_ *geoBucket, view *queryPl
 // queries, buffering threshold crossings once per (query, start).
 func (e *Engine) testGeo(win *windowResult, b *geoBucket, view *queryPlane) {
 	for i, qid := range b.ids {
-		q := view.lookup(qid)
+		q := view.index.Lookup(qid)
 		if !e.live(q, b.windows) {
 			continue
 		}
@@ -183,7 +183,7 @@ func (e *Engine) testGeo(win *windowResult, b *geoBucket, view *queryPlane) {
 			e.stats.SigTests++
 			_, eq, _ = b.sigs[i].Counts()
 		} else {
-			eq, _ = minhash.CompareCounts(b.sketch, q.sketch)
+			eq, _ = minhash.CompareCounts(b.sketch, q.Sketch)
 			e.stats.SketchCompares++
 		}
 		k := geoKey{qid: qid, start: b.startFrame}

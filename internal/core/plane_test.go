@@ -23,8 +23,8 @@ func TestPlaneVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := qs.view()
-	if old.version != 1 || len(old.queries) != 1 {
-		t.Fatalf("after one add: version=%d queries=%d", old.version, len(old.queries))
+	if old.version != 1 || old.index.Len() != 1 {
+		t.Fatalf("after one add: version=%d queries=%d", old.version, old.index.Len())
 	}
 
 	if err := qs.Add(2, idStream(rng, 2, 40)); err != nil {
@@ -38,14 +38,11 @@ func TestPlaneVersioning(t *testing.T) {
 	}
 	// The captured plane is frozen: still version 1, still only query 1,
 	// and its index still probes exactly that set.
-	if old.version != 1 || len(old.queries) != 1 || old.lookup(1) == nil {
-		t.Fatalf("captured plane mutated: version=%d queries=%d", old.version, len(old.queries))
-	}
-	if old.index == nil || old.index.Len() != 1 {
-		t.Fatal("captured plane's index mutated by churn")
+	if old.version != 1 || old.index.Len() != 1 || old.index.Lookup(1) == nil || old.index.Lookup(2) != nil {
+		t.Fatalf("captured plane mutated: version=%d queries=%d", old.version, old.index.Len())
 	}
 	cur := qs.view()
-	if len(cur.queries) != 1 || cur.lookup(2) == nil {
+	if cur.index.Len() != 1 || cur.index.Lookup(2) == nil {
 		t.Fatal("current plane does not reflect churn")
 	}
 	if qs.PlaneBytes() <= 0 {

@@ -387,7 +387,7 @@ func (h *planeHarness) add(t *testing.T, qs *QuerySet, id int) {
 	t.Helper()
 	var err error
 	if h.rng.Intn(2) == 0 {
-		err = qs.addSketched(id, 1+h.rng.Intn(30), h.crafted())
+		err = qs.insert([]qindex.Query{{ID: id, Length: 1 + h.rng.Intn(30), Sketch: h.crafted()}})
 	} else {
 		err = qs.Add(id, h.cells(1+h.rng.Intn(20)))
 	}
@@ -437,10 +437,10 @@ func (h *planeHarness) run(t *testing.T) {
 func (h *planeHarness) check(t *testing.T, when string, qs *QuerySet) {
 	t.Helper()
 	v := qs.view()
-	if len(v.queries) == 0 {
+	if v.index.Len() == 0 {
 		return
 	}
-	shim, err := qindex.Build(v.scan.Queries)
+	shim, err := qindex.Build(v.index.Queries())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,93 +39,19 @@ type QuerySet struct {
 	cur atomic.Pointer[queryPlane]
 }
 
-// queryPlane is one immutable version of the shared query plane: the
-// subscription map, the insertion-ordered authoritative list and the query
-// index, all consistent with each other. Nothing in a published plane is
-// ever mutated — writers clone what they change — so engines read it
-// without locks.
+// queryPlane is one immutable version of the shared query plane: its
+// number and the query index, whose slots are the plane's one copy of the
+// subscription set — with the index on, the index of paper Section V.C;
+// without it, the same slots without postings, which a probe scans. Nothing
+// in a published plane is ever mutated — writers build a successor beside
+// it — so engines read it without locks.
 type queryPlane struct {
-	version   uint64
-	queries   map[int]*queryInfo
-	maxFrames int
-	scan      qindex.Scan   // insertion-ordered; rebuilds pass through the same sequence
-	index     *qindex.Index // nil unless useIndex
-
-	// ownedIndex is a builder-only flag, meaningful while the plane is under
-	// construction by a writer holding mu: it records that index is already
-	// a private copy, so a multi-insert operation (AddBatch, LoadQuerySet,
-	// RestoreEngine) clones once, not per query. begin() starts successors
-	// with it clear.
-	ownedIndex bool
-}
-
-// lookup returns the plane's query with the given id, or nil.
-func (v *queryPlane) lookup(id int) *queryInfo { return v.queries[id] }
-
-// usingIndex reports whether this plane probes through the query index.
-func (v *queryPlane) usingIndex() bool { return v.index != nil }
-
-// probe runs the configured prober against this plane into ps (the output
-// is valid until ps is probed again) and returns the number of full sketch
-// comparisons a scan made; w names the window's winning cells, which the
-// index reads its posting lists by. Lock-free: the plane is immutable.
-func (v *queryPlane) probe(ps *qindex.ProbeScratch, sk minhash.Sketch, delta float64, w *minhash.Winners) (*qindex.ProbeOutput, int) {
-	if v.index != nil {
-		return v.index.ProbeInto(ps, sk, delta, w), 0
-	}
-	return v.scan.ProbeInto(ps, sk, delta), len(v.scan.Queries)
-}
-
-// bytes estimates the plane's memory footprint: sketches and retained raw
-// cell ids and the query index. This is the term the fleet's
-// bytes-per-stream accounting shows is paid once per process, not once per
-// stream.
-func (v *queryPlane) bytes() int {
-	b := 0
-	for _, q := range v.queries {
-		b += 8*len(q.sketch) + 8*len(q.cellIDs) + 64 // sketch + audit ids + struct/map overhead
-	}
-	// scan entries and index slots share sketch backing arrays with the
-	// queries map; count the slice headers only.
-	b += len(v.scan.Queries) * 40
-	if v.index != nil {
-		b += v.index.Bytes()
-	}
-	return b
+	version uint64
+	index   *qindex.Index
 }
 
 // view returns the current immutable plane (never nil).
 func (qs *QuerySet) view() *queryPlane { return qs.cur.Load() }
-
-// begin starts a copy-on-write successor of the current plane: the
-// subscription map and scan list are copied (their entries are immutable
-// and shared), the index pointer carries over until the mutating operation
-// clones or rebuilds it. Callers hold mu.
-func (qs *QuerySet) begin() *queryPlane {
-	old := qs.cur.Load()
-	np := &queryPlane{
-		version: old.version + 1,
-		queries: make(map[int]*queryInfo, len(old.queries)+1),
-		scan:    qindex.Scan{Queries: append([]qindex.Query(nil), old.scan.Queries...)},
-		index:   old.index,
-	}
-	for id, q := range old.queries {
-		np.queries[id] = q
-	}
-	return np
-}
-
-// publish recomputes the plane's derived fields and swaps it in as the
-// current version; callers hold mu.
-func (qs *QuerySet) publish(np *queryPlane) {
-	np.maxFrames = 0
-	for _, q := range np.queries {
-		if q.frames > np.maxFrames {
-			np.maxFrames = q.frames
-		}
-	}
-	qs.cur.Store(np)
-}
 
 // NewQuerySet builds an empty query set with K hash functions drawn from
 // seed. useIndex selects query-index probing over linear scans.
@@ -134,19 +60,16 @@ func NewQuerySet(k int, seed int64, useIndex bool) (*QuerySet, error) {
 	if err != nil {
 		return nil, err
 	}
-	qs := &QuerySet{
-		fam:      fam,
-		k:        k,
-		seed:     seed,
-		useIndex: useIndex,
-	}
-	first := &queryPlane{queries: make(map[int]*queryInfo)}
+	build := qindex.NewScan
 	if useIndex {
-		if first.index, err = qindex.New(fam, nil); err != nil {
-			return nil, err
-		}
+		build = qindex.New
 	}
-	qs.cur.Store(first)
+	idx, err := build(fam, nil)
+	if err != nil {
+		return nil, err
+	}
+	qs := &QuerySet{fam: fam, k: k, seed: seed, useIndex: useIndex}
+	qs.cur.Store(&queryPlane{index: idx})
 	return qs, nil
 }
 
@@ -157,7 +80,7 @@ func (qs *QuerySet) K() int { return qs.k }
 func (qs *QuerySet) Family() *minhash.Family { return qs.fam }
 
 // Len returns the number of subscribed queries.
-func (qs *QuerySet) Len() int { return len(qs.view().queries) }
+func (qs *QuerySet) Len() int { return qs.view().index.Len() }
 
 // Version returns the current query-plane version: 0 for the empty set,
 // incremented by every Add/AddBatch/Remove. Engines stamp the version they
@@ -165,63 +88,39 @@ func (qs *QuerySet) Len() int { return len(qs.view().queries) }
 // in-flight windows stay on the plane they started with.
 func (qs *QuerySet) Version() uint64 { return qs.view().version }
 
-// PlaneBytes estimates the memory footprint of the current query plane —
-// sketches and query index. Shared by every engine on the set: the whole
-// point of the plane split is that this figure is paid once per process
-// regardless of the stream count.
-func (qs *QuerySet) PlaneBytes() int { return qs.view().bytes() }
+// PlaneBytes estimates the memory footprint of the current query plane:
+// the index's slots, postings and tries and the sketches and retained cell
+// ids its slots carry, all counted as they change. Shared by every engine
+// on the set: the whole point of the plane split is that this figure is
+// paid once per process regardless of the stream count.
+func (qs *QuerySet) PlaneBytes() int {
+	idx := qs.view().index
+	return idx.Bytes() + idx.HeldBytes()
+}
 
 // IndexBytes returns the memory the current plane's query index holds
 // beside the sketches (qindex.Index.Bytes); 0 without an index.
 func (qs *QuerySet) IndexBytes() int {
-	if idx := qs.view().index; idx != nil {
-		return idx.Bytes()
+	if !qs.useIndex {
+		return 0
 	}
-	return 0
+	return qs.view().index.Bytes()
 }
 
-// IDs returns the subscribed query ids (unordered).
-func (qs *QuerySet) IDs() []int {
-	v := qs.view()
-	out := make([]int, 0, len(v.queries))
-	for id := range v.queries {
-		out = append(out, id)
-	}
-	return out
-}
+// IDs returns the subscribed query ids, ascending.
+func (qs *QuerySet) IDs() []int { return qs.view().index.QueryIDs(nil) }
 
-// checkAdd is every reason Add and AddBatch refuse a subscription, tested
-// against this plane without touching it.
-func (v *queryPlane) checkAdd(ids []int, cellIDs [][]uint64) error {
+// subscriptions pairs ids with the cell ids of their key frames as queries
+// the plane's index validates and, when they join, sketches.
+func subscriptions(ids []int, cellIDs [][]uint64) ([]qindex.Query, error) {
 	if len(ids) != len(cellIDs) {
-		return fmt.Errorf("core: AddBatch got %d ids but %d queries", len(ids), len(cellIDs))
+		return nil, fmt.Errorf("core: AddBatch got %d ids but %d queries", len(ids), len(cellIDs))
 	}
+	batch := make([]qindex.Query, len(ids))
 	for i, id := range ids {
-		if len(cellIDs[i]) == 0 {
-			return fmt.Errorf("core: query %d has no frames", id)
-		}
-		if _, dup := v.queries[id]; dup {
-			return fmt.Errorf("core: query id %d already subscribed", id)
-		}
+		batch[i] = qindex.Query{ID: id, Length: len(cellIDs[i]), CellIDs: cellIDs[i]}
 	}
-	if len(ids) > 1 {
-		seen := make(map[int]bool, len(ids))
-		for _, id := range ids {
-			if seen[id] {
-				return fmt.Errorf("core: query id %d duplicated in batch", id)
-			}
-			seen[id] = true
-		}
-	}
-	return nil
-}
-
-// checkRemove is the one reason Remove refuses.
-func (v *queryPlane) checkRemove(id int) error {
-	if _, ok := v.queries[id]; !ok {
-		return fmt.Errorf("core: query id %d not subscribed", id)
-	}
-	return nil
+	return batch, nil
 }
 
 // CheckAdd reports the error Add (one id) or AddBatch would return for
@@ -229,75 +128,53 @@ func (v *queryPlane) checkRemove(id int) error {
 // land. A caller that must make a change durable before it takes effect
 // validates with it first, so that nothing invalid is ever logged.
 func (qs *QuerySet) CheckAdd(ids []int, cellIDs [][]uint64) error {
-	return qs.view().checkAdd(ids, cellIDs)
+	batch, err := subscriptions(ids, cellIDs)
+	if err != nil {
+		return err
+	}
+	return qs.view().index.Check(batch)
 }
 
 // CheckRemove is CheckAdd's counterpart for Remove.
-func (qs *QuerySet) CheckRemove(id int) error { return qs.view().checkRemove(id) }
+func (qs *QuerySet) CheckRemove(id int) error {
+	if qs.view().index.Lookup(id) == nil {
+		return fmt.Errorf("core: query id %d not subscribed", id)
+	}
+	return nil
+}
 
 // Add subscribes a query given the cell ids of its key frames. The new
 // plane is built copy-on-write and published atomically: engines mid-window
 // finish on the old version and see the query at their next window.
 func (qs *QuerySet) Add(id int, cellIDs []uint64) error {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	if err := qs.view().checkAdd([]int{id}, [][]uint64{cellIDs}); err != nil {
-		return err
-	}
-	q := &queryInfo{
-		id:      id,
-		frames:  len(cellIDs),
-		sketch:  qs.fam.SketchSet(cellIDs),
-		cellIDs: append([]uint64(nil), cellIDs...),
-	}
-	np := qs.begin()
-	if err := qs.insert(np, q); err != nil {
-		return err
-	}
-	qs.publish(np)
-	return nil
-}
-
-// insert wires an already-sketched query into a not-yet-published plane,
-// cloning the index it mutates once per plane; callers hold mu.
-func (qs *QuerySet) insert(np *queryPlane, q *queryInfo) error {
-	iq := qindex.Query{ID: q.id, Length: q.frames, Sketch: q.sketch}
-	if np.index != nil {
-		if !np.ownedIndex {
-			np.index, np.ownedIndex = np.index.Clone(), true
-		}
-		if err := np.index.Add(iq); err != nil {
-			return err
-		}
-	}
-	np.queries[q.id] = q
-	np.scan.Queries = append(np.scan.Queries, iq)
-	return nil
+	return qs.AddBatch([]int{id}, [][]uint64{cellIDs})
 }
 
 // AddBatch subscribes many queries in one operation: one index clone, one
-// Add per query into it, and the whole batch lands as a single new plane
-// version. The batch is validated before any mutation, so an error leaves
-// the set unchanged.
+// insert per query into it, and the whole batch lands as a single new
+// plane version. The batch is validated before any mutation, so an error
+// leaves the set unchanged.
 func (qs *QuerySet) AddBatch(ids []int, cellIDs [][]uint64) error {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	if err := qs.view().checkAdd(ids, cellIDs); err != nil {
+	batch, err := subscriptions(ids, cellIDs)
+	if err != nil {
 		return err
 	}
-	np := qs.begin()
-	for i, id := range ids {
-		q := &queryInfo{
-			id:      id,
-			frames:  len(cellIDs[i]),
-			sketch:  qs.fam.SketchSet(cellIDs[i]),
-			cellIDs: append([]uint64(nil), cellIDs[i]...),
-		}
-		if err := qs.insert(np, q); err != nil {
-			return err
-		}
+	return qs.insert(batch)
+}
+
+// insert is the one way queries join the set — Add, AddBatch, LoadQuerySet
+// and RestoreEngine all come through it: the index validates the batch,
+// takes it into a clone of itself, and the clone is published as the next
+// plane version.
+func (qs *QuerySet) insert(batch []qindex.Query) error {
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	v := qs.view()
+	idx, err := v.index.With(batch)
+	if err != nil {
+		return err
 	}
-	qs.publish(np)
+	qs.cur.Store(&queryPlane{version: v.version + 1, index: idx})
 	return nil
 }
 
@@ -307,25 +184,12 @@ func (qs *QuerySet) AddBatch(ids []int, cellIDs [][]uint64) error {
 func (qs *QuerySet) Remove(id int) error {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	if err := qs.view().checkRemove(id); err != nil {
+	v := qs.view()
+	idx := v.index.Clone()
+	if err := idx.Remove(id); err != nil {
 		return err
 	}
-	np := qs.begin()
-	delete(np.queries, id)
-	for i, q := range np.scan.Queries {
-		if q.ID == id {
-			np.scan.Queries = append(np.scan.Queries[:i], np.scan.Queries[i+1:]...)
-			break
-		}
-	}
-	if np.index != nil {
-		idx := np.index.Clone()
-		if err := idx.Remove(id); err != nil {
-			return err
-		}
-		np.index, np.ownedIndex = idx, true
-	}
-	qs.publish(np)
+	qs.cur.Store(&queryPlane{version: v.version + 1, index: idx})
 	return nil
 }
 
@@ -355,12 +219,11 @@ func (qs *QuerySet) Save(w io.Writer) error {
 	if qs.useIndex {
 		hdr[16] = 1
 	}
-	binary.BigEndian.PutUint64(hdr[17:], uint64(len(v.queries)))
+	binary.BigEndian.PutUint64(hdr[17:], uint64(v.index.Len()))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	// Deterministic order via the scan list (insertion order).
-	for _, iq := range v.scan.Queries {
+	for _, iq := range v.index.Queries() {
 		var qh [16]byte
 		binary.BigEndian.PutUint64(qh[:8], uint64(iq.ID))
 		binary.BigEndian.PutUint64(qh[8:], uint64(iq.Length))
@@ -399,19 +262,13 @@ func LoadQuerySet(r io.Reader) (*QuerySet, error) {
 	if err != nil {
 		return nil, err
 	}
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	np := qs.begin()
+	var batch []qindex.Query
 	for n := uint64(0); n < count; n++ {
 		var qh [16]byte
 		if _, err := io.ReadFull(r, qh[:]); err != nil {
 			return nil, fmt.Errorf("core: reading query %d: %w", n, err)
 		}
 		id := int(binary.BigEndian.Uint64(qh[:8]))
-		length := int(binary.BigEndian.Uint64(qh[8:]))
-		if length <= 0 {
-			return nil, fmt.Errorf("core: query %d has non-positive length", id)
-		}
 		buf := make([]byte, 8*k)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("core: reading query %d sketch: %w", id, err)
@@ -420,13 +277,10 @@ func LoadQuerySet(r io.Reader) (*QuerySet, error) {
 		for i := range sk {
 			sk[i] = binary.BigEndian.Uint64(buf[i*8:])
 		}
-		if _, dup := np.queries[id]; dup {
-			return nil, fmt.Errorf("core: query id %d duplicated in stream", id)
-		}
-		if err := qs.insert(np, &queryInfo{id: id, frames: length, sketch: sk}); err != nil {
-			return nil, err
-		}
+		batch = append(batch, qindex.Query{ID: id, Length: int(binary.BigEndian.Uint64(qh[8:])), Sketch: sk})
 	}
-	qs.publish(np)
+	if err := qs.insert(batch); err != nil {
+		return nil, err
+	}
 	return qs, nil
 }

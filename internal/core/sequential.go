@@ -54,7 +54,7 @@ func (e *Engine) sequential(win *windowResult, view *queryPlane) {
 			e.stats.SigTests++
 			_, eq, _ = win.related[i].Sig.Counts()
 		} else {
-			eq, _ = minhash.CompareCounts(win.sketch, view.lookup(qid).sketch)
+			eq, _ = minhash.CompareCounts(win.sketch, view.index.Lookup(qid).Sketch)
 			e.stats.SketchCompares++
 		}
 		if e.decide(win, qid, win.startFrame, win.endFrame, 1, e.similarity(eq), false) {
@@ -67,7 +67,7 @@ func (e *Engine) sequential(win *windowResult, view *queryPlane) {
 	for _, c := range e.seq {
 		kept, j := 0, 0
 		for i, qid := range c.ids {
-			q := view.lookup(qid)
+			q := view.index.Lookup(qid)
 			if !e.live(q, c.windows) {
 				expire(win, qid, c.startFrame, win.endFrame, c.windows)
 				continue
@@ -88,7 +88,7 @@ func (e *Engine) sequential(win *windowResult, view *queryPlane) {
 				e.stats.SigOrs++
 				_, eq, less = sig.Counts()
 			} else {
-				eq, less = minhash.CompareCounts(c.sketch, q.sketch)
+				eq, less = minhash.CompareCounts(c.sketch, q.Sketch)
 				e.stats.SketchCompares++
 			}
 			sim := e.similarity(eq)

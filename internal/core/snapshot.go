@@ -8,10 +8,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vdsms/internal/bitsig"
 	"vdsms/internal/minhash"
+	"vdsms/internal/qindex"
 	"vdsms/internal/snapshot"
 )
 
@@ -43,38 +45,12 @@ func (c Config) Fingerprint(m snapshot.Meta) uint64 {
 // order restore re-inserts them so the rebuilt query index passes through
 // the same construction sequence.
 func (qs *QuerySet) exportQueries() []snapshot.Query {
-	v := qs.view()
-	out := make([]snapshot.Query, 0, len(v.scan.Queries))
-	for _, iq := range v.scan.Queries {
-		out = append(out, snapshot.Query{
-			ID:     iq.ID,
-			Frames: iq.Length,
-			Sketch: append([]uint64(nil), iq.Sketch...),
-		})
+	queries := qs.view().index.Queries()
+	out := make([]snapshot.Query, len(queries))
+	for i, q := range queries {
+		out[i] = snapshot.Query{ID: q.ID, Frames: q.Length, Sketch: slices.Clone(q.Sketch)}
 	}
 	return out
-}
-
-// addSketched inserts an already-sketched query, the restore-side inverse
-// of exportQueries.
-func (qs *QuerySet) addSketched(id, frames int, sk minhash.Sketch) error {
-	if frames <= 0 {
-		return fmt.Errorf("core: restored query %d has non-positive length", id)
-	}
-	if len(sk) != qs.k {
-		return fmt.Errorf("core: restored query %d sketch has %d values, engine K=%d", id, len(sk), qs.k)
-	}
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	if _, dup := qs.view().queries[id]; dup {
-		return fmt.Errorf("core: restored query id %d duplicated", id)
-	}
-	np := qs.begin()
-	if err := qs.insert(np, &queryInfo{id: id, frames: frames, sketch: sk}); err != nil {
-		return err
-	}
-	qs.publish(np)
-	return nil
 }
 
 // ExportState captures the engine's complete matching state in canonical
@@ -131,10 +107,12 @@ func RestoreEngine(cfg Config, st *snapshot.EngineState) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, q := range st.Queries {
-		if err := qs.addSketched(q.ID, q.Frames, minhash.Sketch(append([]uint64(nil), q.Sketch...))); err != nil {
-			return nil, err
-		}
+	batch := make([]qindex.Query, len(st.Queries))
+	for i, q := range st.Queries {
+		batch[i] = qindex.Query{ID: q.ID, Length: q.Frames, Sketch: slices.Clone(q.Sketch)}
+	}
+	if err := qs.insert(batch); err != nil {
+		return nil, fmt.Errorf("core: restored query: %w", err)
 	}
 	return RestoreEngineWith(cfg, st, qs)
 }

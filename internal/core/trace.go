@@ -91,8 +91,8 @@ func (e *Engine) retainAuditWindow(win *windowResult) {
 // raw sets are unavailable — the query predates id retention (checkpoint
 // restore) or the candidate spans windows the history no longer holds.
 func (e *Engine) exactJaccard(start, end, qid int, view *queryPlane) (float64, bool) {
-	q := view.lookup(qid)
-	if q == nil || q.cellIDs == nil {
+	q := view.index.Lookup(qid)
+	if q == nil || q.CellIDs == nil {
 		return 0, false
 	}
 	var union []uint64
@@ -106,7 +106,7 @@ func (e *Engine) exactJaccard(start, end, qid int, view *queryPlane) (float64, b
 	if len(union) == 0 {
 		return 0, false
 	}
-	return partition.Jaccard(union, q.cellIDs), true
+	return partition.Jaccard(union, q.CellIDs), true
 }
 
 // auditWindow samples the window's folded report and prune decisions,

@@ -151,10 +151,10 @@ func TestProbeChurnEquivalence(t *testing.T) {
 // (false-positive-free) pre-filter would compute.
 func exactRowMask(x *Index, sk minhash.Sketch) RowMask {
 	m := NewRowMask(x.k)
-	for _, id := range x.QueryIDs() {
-		q, _ := x.SketchOf(id)
+	for _, id := range x.QueryIDs(nil) {
+		q := x.Lookup(id)
 		for i, v := range sk {
-			if q[i] == v {
+			if q.Sketch[i] == v {
 				m.Set(i)
 			}
 		}

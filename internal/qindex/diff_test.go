@@ -59,7 +59,8 @@ func oracleProbe(queries []Query, sk minhash.Sketch, delta float64) (norm string
 // it must answer for.
 type version struct {
 	x       *Index
-	queries []Query // insertion order, as a Scan would hold them
+	scan    *Index  // the same history on a NewScan index
+	queries []Query // insertion order
 }
 
 // probeVsScan drives one index through a seeded Add/Remove/Clone history
@@ -67,7 +68,8 @@ type version struct {
 // size — on ONE scratch shared by every probe of the run, checking each
 // output against the oracle: Related ids, lengths and plane words, the
 // Pruned set, Comparisons against its closed form, and for masked probes
-// EmptySearches; the Scan and the Build shim are held to the same oracle.
+// EmptySearches; the NewScan index, churned alongside, and the Build shim
+// are held to the same oracle.
 // Windows are the sketches of a few elements of a small universe, probed
 // with the winners their sketch loop named, or crafted sketches, whose
 // cells the index finds by inversion. Query sketches are such real ones or
@@ -144,7 +146,10 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 	if cur.x, err = New(fam, cur.queries); err != nil {
 		t.Fatal(err)
 	}
-	older := version{x: cur.x.Clone(), queries: slices.Clone(cur.queries)}
+	if cur.scan, err = NewScan(fam, cur.queries); err != nil {
+		t.Fatal(err)
+	}
+	older := version{x: cur.x.Clone(), scan: cur.scan.Clone(), queries: slices.Clone(cur.queries)}
 
 	ps := new(ProbeScratch)
 	if seed%2 == 0 {
@@ -168,7 +173,7 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 		want, comparisons, emptyRow := oracleProbe(v.queries, sk, delta)
 		where := fmt.Sprintf("seed %d K=%d δ=%.2f winners=%v over %d queries", seed, k, delta, w != nil, len(v.queries))
 
-		scanOut := (&Scan{Queries: v.queries}).ProbeInto(ps, sk, delta)
+		scanOut := v.scan.ProbeInto(ps, sk, delta, w)
 		if got := normalizeProbe(*scanOut); got != want {
 			t.Fatalf("%s: scan diverges from the oracle\ngot:\n%swant:\n%s", where, got, want)
 		}
@@ -222,6 +227,9 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 			if err := cur.x.Add(q); err != nil {
 				t.Fatalf("seed %d step %d: add: %v", seed, step, err)
 			}
+			if err := cur.scan.Add(q); err != nil {
+				t.Fatalf("seed %d step %d: scan add: %v", seed, step, err)
+			}
 			if freeBefore > 0 && cur.x.nslots != slotsBefore {
 				t.Fatalf("seed %d step %d: Add took a new slot number with %d free", seed, step, freeBefore)
 			}
@@ -232,13 +240,17 @@ func probeVsScan(t *testing.T, seed int64, kSel, uSel, vSel, steps uint8) {
 			if err := cur.x.Remove(id); err != nil {
 				t.Fatalf("seed %d step %d: remove: %v", seed, step, err)
 			}
+			if err := cur.scan.Remove(id); err != nil {
+				t.Fatalf("seed %d step %d: scan remove: %v", seed, step, err)
+			}
 			cur.queries = slices.Delete(cur.queries, i, i+1)
 			removed = append(removed, id)
 		case op < 8: // copy-on-write: the old version lives on, frozen
 			older = cur
-			cur = version{x: cur.x.Clone(), queries: slices.Clone(cur.queries)}
+			cur = version{x: cur.x.Clone(), scan: cur.scan.Clone(), queries: slices.Clone(cur.queries)}
 		}
 		verifyStructure(t, cur.x, cur.queries)
+		verifyStructure(t, cur.scan, cur.queries)
 		check(cur)
 		check(older)
 	}

@@ -148,13 +148,13 @@ func (ps *ProbeScratch) resolve(sk minhash.Sketch, limit int) {
 	nw := ps.nw
 	for i, s := range ps.met {
 		lo, hi := ps.next()
-		less, compared := bitsig.LessInto(lo, hi, ps.eq[i*nw:(i+1)*nw], sk, s.sketch, limit)
+		less, compared := bitsig.LessInto(lo, hi, ps.eq[i*nw:(i+1)*nw], sk, s.Sketch, limit)
 		ps.out.Comparisons += compared
 		if less > limit {
-			ps.out.Pruned = append(ps.out.Pruned, s.qid)
+			ps.out.Pruned = append(ps.out.Pruned, s.ID)
 			continue
 		}
-		ps.keep(s.qid, s.length)
+		ps.keep(s.ID, s.Length)
 	}
 }
 
@@ -232,7 +232,7 @@ func (x *Index) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64, w 
 func (x *Index) probe(ps *ProbeScratch, sk minhash.Sketch, delta float64, w *minhash.Winners, held RowMask) *ProbeOutput {
 	out := ps.begin(int(x.nslots), x.k)
 	limit := lessLimit(x.k, delta)
-	if x.fam == nil {
+	if !x.keyed {
 		x.scan(ps, sk, limit, held)
 		return ps.finish()
 	}
@@ -268,11 +268,12 @@ func (x *Index) probe(ps *ProbeScratch, sk minhash.Sketch, delta float64, w *min
 }
 
 // scan is the probe of an index without postings: every slot through the
-// signature kernel, in full, answering as the keyed probe does.
+// signature kernel, in full. Each slot costs K comparisons, except on an
+// index made by Build, which counts them as the keyed probe would.
 func (x *Index) scan(ps *ProbeScratch, sk minhash.Sketch, limit int, held RowMask) {
 	x.ids.each(func(s *slot) {
 		lo, hi := ps.next()
-		less, _ := bitsig.CompareInto(lo, hi, sk, s.sketch, x.k)
+		less, _ := bitsig.CompareInto(lo, hi, sk, s.Sketch, x.k)
 		eq := 0
 		for word := range lo {
 			equal := lo[word] &^ hi[word]
@@ -281,60 +282,29 @@ func (x *Index) scan(ps *ProbeScratch, sk minhash.Sketch, limit int, held RowMas
 				held[word] |= equal
 			}
 		}
+		if x.fam != nil {
+			ps.out.Comparisons += x.k
+		}
 		if eq == 0 {
 			return
 		}
-		// The positions the kernel compares under the limit: up to the end
-		// of the first word at which Less exceeds it.
-		compared, partial := 0, 0
-		for _, word := range hi {
-			partial += bits.OnesCount64(word)
-			compared = min(compared+64, x.k)
-			if partial > limit {
-				break
+		if x.fam == nil {
+			// The positions the kernel compares under the limit: up to the
+			// end of the first word at which Less exceeds it.
+			compared, partial := 0, 0
+			for _, word := range hi {
+				partial += bits.OnesCount64(word)
+				compared = min(compared+64, x.k)
+				if partial > limit {
+					break
+				}
 			}
+			ps.out.Comparisons += eq + compared
 		}
-		ps.out.Comparisons += eq + compared
 		if less > limit {
-			ps.out.Pruned = append(ps.out.Pruned, s.qid)
+			ps.out.Pruned = append(ps.out.Pruned, s.ID)
 			return
 		}
-		ps.keep(s.qid, s.length)
+		ps.keep(s.ID, s.Length)
 	})
-}
-
-// Scan is the index-free prober: every query sketch is compared against the
-// window sketch in full (the SketchNoIndex / BitNoIndex baseline), through
-// the same signature kernel the index uses. Queries with no equal position
-// are omitted from the result, matching the index's notion of "related";
-// queries failing Lemma 2 are reported as pruned.
-type Scan struct {
-	Queries []Query
-}
-
-// Probe scans every query on a scratch of its own.
-func (s *Scan) Probe(sk minhash.Sketch, delta float64) ProbeOutput {
-	return *s.ProbeInto(new(ProbeScratch), sk, delta)
-}
-
-// ProbeInto scans every query; each costs one full sketch comparison, so
-// the scan count is len(s.Queries).
-func (s *Scan) ProbeInto(ps *ProbeScratch, sk minhash.Sketch, delta float64) *ProbeOutput {
-	k := len(sk)
-	out := ps.begin(0, k)
-	limit := lessLimit(k, delta)
-	for _, q := range s.Queries {
-		lo, hi := ps.next()
-		less, _ := bitsig.CompareInto(lo, hi, sk, q.Sketch, k)
-		out.Comparisons += k
-		_, equal, _ := (&bitsig.Signature{K: k, Lo: lo, Hi: hi}).Counts()
-		switch {
-		case equal == 0:
-		case less > limit:
-			out.Pruned = append(out.Pruned, q.ID)
-		default:
-			ps.keep(q.ID, q.Length)
-		}
-	}
-	return ps.finish()
 }

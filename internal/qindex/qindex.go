@@ -33,23 +33,31 @@
 // cell; it is keyed by itself, which no premixed cell equals, so such
 // values are indexed and found like any other.
 //
-// # Ownership
+// # What an index holds
 //
-// An index is a persistent value. The postings live in a hash trie
-// (trie.go) beside a second one from query id to slot, and Clone copies
-// neither: it returns a header and gives both sides a fresh token. Add and
-// Remove then copy, on the index they change, only what its token does not
-// own — the posting lists of the query's own ≈12–50 cells and the trie
-// nodes that lead to them, never anything whose size grows with the query
-// count. Readers of an index need no synchronisation with the writer of its
-// clone.
+// An index is a persistent value and the only copy of its subscription
+// set. Each query lives in one slot: its id, length, sketch and any raw
+// cell ids its caller keeps (the engine's exact audit reads them), with an
+// insertion sequence number, so Queries lists the set in the order it was
+// built even after removals. The slots sit in a hash trie (trie.go) from
+// query id to slot, beside a second one from cell to postings, and the
+// figures a reader needs of the whole set — its size, its longest query,
+// the bytes it holds — are running counts, kept by Add and Remove. Clone
+// copies none of it: it returns a header and gives both sides a fresh
+// token. Add and Remove then copy, on the index they change, only what its
+// token does not own — the slot's trie path, the posting lists of the
+// query's own ≈12–50 cells and the nodes that lead to them — never
+// anything whose size grows with the query count. Readers of an index need
+// no synchronisation with the writer of its clone.
 //
-// # The Build shim
+// # Without postings
 //
-// Build makes an index without a family, hence without postings; it probes
-// its slots with the scan kernel and answers as a keyed index would. It
-// exists for callers that sketch queries without handing over their
-// family, and goes when the last of them does.
+// NewScan makes the same slot store without postings: every probe compares
+// the window with every slot through the scan kernel, at K comparisons per
+// query — the SketchNoIndex / BitNoIndex baseline. Build makes one without
+// a family either, for callers that sketch queries without handing over
+// their family; its probes answer — Related, Pruned, Comparisons — as a
+// keyed index would, and it goes when the last of those callers does.
 package qindex
 
 import (
@@ -61,25 +69,34 @@ import (
 	"vdsms/internal/minhash"
 )
 
-// Query pairs a query id with its offline-computed sketch and its length in
-// frames (used by the engine for candidate expiry, λL). The index keeps the
-// Sketch slice itself; it must not be modified while subscribed.
+// Query is one subscription: an id, the query's length in frames (the
+// engine's candidate expiry, λL), its offline-computed sketch and, when its
+// caller keeps them, the raw cell ids of its key frames. A query given by
+// its cell ids without a sketch is sketched on joining, by the index's
+// family, from a copy of them. The index keeps the slices it is given;
+// they must not be modified while subscribed.
 type Query struct {
-	ID     int
-	Length int
-	Sketch minhash.Sketch
+	ID      int
+	Length  int
+	Sketch  minhash.Sketch
+	CellIDs []uint64
 }
 
-// slot is one subscribed query. n is its number, the place of its marks in
-// a ProbeScratch: numbers are dense, and Remove gives them back for reuse.
+// slot is one subscribed query. seq is its place in insertion order; n is
+// its number, the place of its marks in a ProbeScratch: numbers are dense,
+// and Remove gives them back for reuse.
 type slot struct {
-	qid    int
-	length int
-	sketch minhash.Sketch
-	n      int32
+	Query
+	seq uint64
+	n   int32
 }
 
-func (s *slot) key() uint64 { return uint64(s.qid) }
+func (s *slot) key() uint64 { return uint64(s.ID) }
+
+// lengthCount is how many subscribed queries have one length.
+type lengthCount struct{ length, n int }
+
+func (c *lengthCount) key() uint64 { return uint64(c.length) }
 
 // postings is the posting list of one cell: slots[p] holds the cell as its
 // winner in the rows rows[p·nw : (p+1)·nw].
@@ -100,41 +117,60 @@ type freeSlot struct {
 }
 
 const (
-	slotBytes     = 48 // a slot
+	slotBytes     = 80 // a slot
 	postingsBytes = 64 // a postings header
 	freeBytes     = 16 // a freeSlot
+	lengthBytes   = 16 // a lengthCount
 )
 
 func (p *postings) size() int { return postingsBytes + 8*cap(p.slots) + 8*cap(p.rows) }
 
-// Index is the query index. Concurrent readers are safe; Add, Remove and
-// Clone require external synchronisation among themselves.
+// Index is the query index. Concurrent readers are safe; Add, Remove,
+// Clone and With require external synchronisation among themselves.
 type Index struct {
 	k, nw int
-	fam   *minhash.Family // nil: made by Build, no postings
+	// fam sketches queries given by their cell ids and keys the postings;
+	// nil for an index made by Build.
+	fam *minhash.Family
+	// keyed is set when the index keeps postings (New); a probe of one
+	// without them (NewScan, Build) scans every slot.
+	keyed bool
 	own   *token
 	ids   trie[*slot]
 	cells trie[*postings]
-	// free holds the slot numbers Remove gave back; nslots numbers have been
-	// handed out.
+	// lengths is the multiset of the queries' lengths, longest its largest.
+	lengths trie[*lengthCount]
+	longest int
+	// seq is the insertion number of the next query to join; free holds
+	// the slot numbers Remove gave back; nslots numbers have been handed out.
+	seq    uint64
 	free   *freeSlot
 	nfree  int
 	nslots int32
 	bytes  int // slots and posting lists
+	held   int // the sketches and cell ids the slots carry
 }
 
 // New builds the index of queries sketched with fam: each query's K values
 // are inverted into the cells that win them, and the query joins the
-// posting list of each (BuildIndex of the paper, done offline). Sketches
-// must have fam's K, ids must be unique, and lengths positive.
+// posting list of each (BuildIndex of the paper, done offline). It refuses
+// the queries Check refuses.
 func New(fam *minhash.Family, queries []Query) (*Index, error) {
-	return build(fam, fam.K(), queries)
+	return build(fam, fam.K(), true, queries)
 }
 
-// Build is New for callers without the queries' family: the index holds
-// the queries but no postings, and probes them all with the scan kernel,
-// answering — Related, Pruned, Comparisons — as the keyed index does.
-// queries must not be empty; their first sketch sets K.
+// NewScan is New without postings: the index holds the same slots, and a
+// probe compares the window with every one of them in full, at K
+// comparisons each (the SketchNoIndex / BitNoIndex baseline). Queries with
+// no equal position are left out of the result, as the keyed probe leaves
+// them out, and queries failing Lemma 2 are reported as pruned.
+func NewScan(fam *minhash.Family, queries []Query) (*Index, error) {
+	return build(fam, fam.K(), false, queries)
+}
+
+// Build is NewScan for callers without the queries' family, whose probes
+// answer — Related, Pruned, Comparisons — as the keyed index does. queries
+// must not be empty; their first sketch sets K.
 func Build(queries []Query) (*Index, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("qindex: no queries")
@@ -143,29 +179,47 @@ func Build(queries []Query) (*Index, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("qindex: empty sketch")
 	}
-	return build(nil, k, queries)
+	return build(nil, k, false, queries)
 }
 
-func build(fam *minhash.Family, k int, queries []Query) (*Index, error) {
-	x := &Index{k: k, nw: (k + 63) / 64, fam: fam, own: new(token)}
+func build(fam *minhash.Family, k int, keyed bool, queries []Query) (*Index, error) {
+	x := &Index{k: k, nw: (k + 63) / 64, fam: fam, keyed: keyed, own: new(token)}
+	if err := x.Check(queries); err != nil {
+		return nil, err
+	}
 	for _, q := range queries {
-		if err := x.Add(q); err != nil {
-			return nil, err
-		}
+		x.add(q)
 	}
 	return x, nil
 }
 
-// check validates a query against the index it is about to join.
-func (x *Index) check(q Query) error {
-	if len(q.Sketch) != x.k {
-		return fmt.Errorf("qindex: query %d sketch has K=%d, want %d", q.ID, len(q.Sketch), x.k)
+// Check reports why the queries of batch could not join x together — a
+// query without frames, without a sketch or the cell ids to make one (an
+// index made by Build has no family to make it with), with a sketch of
+// other than K values, or with an id x holds or the batch repeats — and
+// nil when they can. It is the one validation of a subscription: New, Add
+// and With refuse what it refuses, before they change anything.
+func (x *Index) Check(batch []Query) error {
+	var seen map[int]bool
+	if len(batch) > 1 {
+		seen = make(map[int]bool, len(batch))
 	}
-	if q.Length <= 0 {
-		return fmt.Errorf("qindex: query %d has non-positive length", q.ID)
-	}
-	if _, dup := x.ids.get(uint64(q.ID)); dup {
-		return fmt.Errorf("qindex: duplicate query id %d", q.ID)
+	for _, q := range batch {
+		switch _, held := x.ids.get(uint64(q.ID)); {
+		case q.Length <= 0:
+			return fmt.Errorf("qindex: query %d has no frames", q.ID)
+		case q.Sketch == nil && (x.fam == nil || q.CellIDs == nil):
+			return fmt.Errorf("qindex: query %d has no sketch", q.ID)
+		case q.Sketch != nil && len(q.Sketch) != x.k:
+			return fmt.Errorf("qindex: query %d sketch has K=%d, want %d", q.ID, len(q.Sketch), x.k)
+		case held:
+			return fmt.Errorf("qindex: query id %d already subscribed", q.ID)
+		case seen[q.ID]:
+			return fmt.Errorf("qindex: query id %d duplicated in batch", q.ID)
+		}
+		if seen != nil {
+			seen[q.ID] = true
+		}
 	}
 	return nil
 }
@@ -179,12 +233,31 @@ func (x *Index) Clone() *Index {
 	return &c
 }
 
-// Bytes reports the memory the index itself holds: slots, posting lists,
-// trie nodes and free slot numbers. The sketches the slots point at belong
-// to the caller and are not counted.
-func (x *Index) Bytes() int {
-	return x.bytes + x.ids.bytes + x.cells.bytes + x.nfree*freeBytes
+// With returns a clone of x that holds batch as well, joined in batch
+// order, and leaves x as it is. A batch Check refuses is refused whole,
+// before anything is cloned.
+func (x *Index) With(batch []Query) (*Index, error) {
+	if err := x.Check(batch); err != nil {
+		return nil, err
+	}
+	c := x.Clone()
+	for _, q := range batch {
+		c.add(q)
+	}
+	return c, nil
 }
+
+// Bytes reports the memory the index itself holds: slots, posting lists,
+// length counts, trie nodes and free slot numbers. The sketches and cell
+// ids the slots carry belong to the callers and are HeldBytes.
+func (x *Index) Bytes() int {
+	return x.bytes + x.ids.bytes + x.cells.bytes + x.lengths.bytes +
+		x.lengths.n*lengthBytes + x.nfree*freeBytes
+}
+
+// HeldBytes reports the memory of the sketches and cell ids the slots
+// carry.
+func (x *Index) HeldBytes() int { return x.held }
 
 // K returns the number of hash functions (rows).
 func (x *Index) K() int { return x.k }
@@ -192,62 +265,77 @@ func (x *Index) K() int { return x.k }
 // Len returns the number of indexed queries.
 func (x *Index) Len() int { return x.ids.n }
 
+// Longest returns the length of the longest indexed query, 0 when there is
+// none.
+func (x *Index) Longest() int { return x.longest }
+
 // SizeTriples returns m×K, the paper's fixed query-index memory figure
 // (there counted in <value, up, down> triples).
 func (x *Index) SizeTriples() int { return x.k * x.ids.n }
 
-// QueryIDs returns the indexed query ids in slot order.
-func (x *Index) QueryIDs() []int {
+// Lookup returns query id as the index holds it (shared, read-only), or
+// nil when it is not subscribed.
+func (x *Index) Lookup(id int) *Query {
+	if s, ok := x.ids.get(uint64(id)); ok {
+		return &s.Query
+	}
+	return nil
+}
+
+// QueryIDs appends the indexed query ids to dst, ascending.
+func (x *Index) QueryIDs(dst []int) []int {
+	n := len(dst)
+	x.ids.each(func(s *slot) { dst = append(dst, s.ID) })
+	slices.Sort(dst[n:])
+	return dst
+}
+
+// Queries returns the indexed queries in the order they joined.
+func (x *Index) Queries() []Query {
 	slots := make([]*slot, 0, x.ids.n)
 	x.ids.each(func(s *slot) { slots = append(slots, s) })
-	slices.SortFunc(slots, func(a, b *slot) int { return cmp.Compare(a.n, b.n) })
-	out := make([]int, len(slots))
+	slices.SortFunc(slots, func(a, b *slot) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]Query, len(slots))
 	for i, s := range slots {
-		out[i] = s.qid
+		out[i] = s.Query
 	}
 	return out
-}
-
-// SketchOf returns the stored sketch of query id (shared, read-only).
-func (x *Index) SketchOf(id int) (minhash.Sketch, bool) {
-	s, ok := x.ids.get(uint64(id))
-	if !ok {
-		return nil, false
-	}
-	return s.sketch, true
-}
-
-// LengthOf returns the stored length of query id.
-func (x *Index) LengthOf(id int) (int, bool) {
-	s, ok := x.ids.get(uint64(id))
-	if !ok {
-		return 0, false
-	}
-	return s.length, true
 }
 
 // Add subscribes a new query online: it takes a free slot number and joins
 // the posting list of each cell that wins some row of its sketch.
 func (x *Index) Add(q Query) error {
-	if err := x.check(q); err != nil {
+	if err := x.Check([]Query{q}); err != nil {
 		return err
 	}
-	s := &slot{qid: q.ID, length: q.Length, sketch: q.Sketch}
+	x.add(q)
+	return nil
+}
+
+// add is Add of a query Check has passed.
+func (x *Index) add(q Query) {
+	if q.Sketch == nil {
+		q.CellIDs = slices.Clone(q.CellIDs)
+		q.Sketch = x.fam.SketchSet(q.CellIDs)
+	}
+	s := &slot{Query: q, seq: x.seq}
+	x.seq++
 	if f := x.free; f != nil {
 		s.n, x.free, x.nfree = f.n, f.next, x.nfree-1
 	} else {
 		s.n, x.nslots = x.nslots, x.nslots+1
 	}
 	x.ids.put(x.own, s)
+	x.count(q.Length, 1)
 	x.bytes += slotBytes
-	if x.fam != nil {
+	x.held += 8 * (len(q.Sketch) + len(q.CellIDs))
+	if x.keyed {
 		var g grouping
 		g.group(x.fam, q.Sketch, x.nw)
 		for j, c := range g.cells {
 			x.join(c, s, g.rows[j*x.nw:(j+1)*x.nw])
 		}
 	}
-	return nil
 }
 
 // Remove unsubscribes a query online, the inverse of Add: it leaves the
@@ -257,18 +345,39 @@ func (x *Index) Remove(id int) error {
 	if !ok {
 		return fmt.Errorf("qindex: query id %d not subscribed", id)
 	}
-	if x.fam != nil {
+	if x.keyed {
 		var g grouping
-		g.group(x.fam, s.sketch, x.nw)
+		g.group(x.fam, s.Sketch, x.nw)
 		for _, c := range g.cells {
 			x.leave(c, s)
 		}
 	}
 	x.ids.del(x.own, s.key())
+	x.count(s.Length, -1)
 	x.free = &freeSlot{n: s.n, next: x.free}
 	x.nfree++
 	x.bytes -= slotBytes
+	x.held -= 8 * (len(s.Sketch) + len(s.CellIDs))
 	return nil
+}
+
+// count adds d to the number of queries of length l and keeps longest. The
+// largest length is looked for among the lengths, never the queries, and
+// only when the last query of the longest one leaves.
+func (x *Index) count(l, d int) {
+	if c, ok := x.lengths.get(uint64(l)); ok {
+		d += c.n
+	}
+	if d > 0 {
+		x.lengths.put(x.own, &lengthCount{length: l, n: d})
+		x.longest = max(x.longest, l)
+		return
+	}
+	x.lengths.del(x.own, uint64(l))
+	if l == x.longest {
+		x.longest = 0
+		x.lengths.each(func(c *lengthCount) { x.longest = max(x.longest, c.length) })
+	}
 }
 
 // join adds slot s, winning rows at cell c, to c's posting list: in place

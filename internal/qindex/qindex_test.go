@@ -40,6 +40,16 @@ func newIndex(t testing.TB, fam *minhash.Family, queries []Query) *Index {
 	return x
 }
 
+// newScan is NewScan for tests, whose queries are valid.
+func newScan(t testing.TB, fam *minhash.Family, queries []Query) *Index {
+	t.Helper()
+	x, err := NewScan(fam, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
 // verifyStructure checks every invariant of the index against the queries
 // it should hold: the postings are exactly a rebuild's from the live
 // sketches — each query in the list of every cell that wins one of its rows,
@@ -52,19 +62,33 @@ func verifyStructure(t *testing.T, x *Index, queries []Query) {
 		t.Fatalf("Len=%d SizeTriples=%d for %d queries", x.Len(), x.SizeTriples(), len(queries))
 	}
 	numbers := map[int32]bool{}
+	lengths, longest, held := map[int]int{}, 0, 0
 	for _, q := range queries {
 		s, ok := x.ids.get(uint64(q.ID))
-		if !ok || s.qid != q.ID || numbers[s.n] || s.n >= x.nslots {
+		if !ok || s.ID != q.ID || numbers[s.n] || s.n >= x.nslots {
 			t.Fatalf("query %d missing from index, or its slot number %v reused", q.ID, s)
 		}
 		numbers[s.n] = true
-		got, _ := x.SketchOf(q.ID)
-		if &got[0] != &q.Sketch[0] {
+		if got := x.Lookup(q.ID); &got.Sketch[0] != &q.Sketch[0] {
 			t.Fatalf("query %d: slot holds a copy of the sketch, want the caller's slice", q.ID)
+		} else if got.Length != q.Length {
+			t.Fatalf("query %d length %d, want %d", q.ID, got.Length, q.Length)
 		}
-		if l, _ := x.LengthOf(q.ID); l != q.Length {
-			t.Fatalf("query %d length %d, want %d", q.ID, l, q.Length)
+		lengths[q.Length]++
+		longest = max(longest, q.Length)
+		held += 8 * (len(q.Sketch) + len(q.CellIDs))
+	}
+	if x.Longest() != longest || x.HeldBytes() != held {
+		t.Fatalf("Longest %d, HeldBytes %d; the queries' are %d and %d", x.Longest(), x.HeldBytes(), longest, held)
+	}
+	x.lengths.each(func(c *lengthCount) {
+		if lengths[c.length] != c.n {
+			t.Fatalf("%d queries of length %d counted, %d held", c.n, c.length, lengths[c.length])
 		}
+		delete(lengths, c.length)
+	})
+	if len(lengths) != 0 {
+		t.Fatalf("lengths %v not counted", lengths)
 	}
 	nfree := 0
 	for f := x.free; f != nil; f = f.next {
@@ -79,7 +103,7 @@ func verifyStructure(t *testing.T, x *Index, queries []Query) {
 	}
 
 	want := map[uint64]map[int]string{} // cell → qid → rows
-	if x.fam != nil {
+	if x.keyed {
 		for _, q := range queries {
 			var g grouping
 			g.group(x.fam, q.Sketch, x.nw)
@@ -92,24 +116,24 @@ func verifyStructure(t *testing.T, x *Index, queries []Query) {
 		}
 	}
 	got := map[uint64]map[int]string{}
-	bytes := x.nfree*freeBytes + slotBytes*len(queries)
+	bytes := x.nfree*freeBytes + slotBytes*len(queries) + lengthBytes*x.lengths.n
 	x.cells.each(func(p *postings) {
 		if len(p.slots) == 0 || len(p.rows) != len(p.slots)*x.nw || got[p.cell] != nil {
 			t.Fatalf("cell %x: %d postings over %d row words, or listed twice", p.cell, len(p.slots), len(p.rows))
 		}
 		got[p.cell] = map[int]string{}
 		for at, s := range p.slots {
-			if live, _ := x.ids.get(uint64(s.qid)); live != s {
-				t.Fatalf("cell %x lists a slot of query %d that is not subscribed", p.cell, s.qid)
+			if live, _ := x.ids.get(uint64(s.ID)); live != s {
+				t.Fatalf("cell %x lists a slot of query %d that is not subscribed", p.cell, s.ID)
 			}
-			got[p.cell][s.qid] = fmt.Sprintf("%x", p.rows[at*x.nw:(at+1)*x.nw])
+			got[p.cell][s.ID] = fmt.Sprintf("%x", p.rows[at*x.nw:(at+1)*x.nw])
 		}
 		bytes += p.size()
 	})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("postings differ from a rebuild from the live sketches:\ngot  %v\nwant %v", got, want)
 	}
-	bytes += verifyTrie(t, &x.ids) + verifyTrie(t, &x.cells)
+	bytes += verifyTrie(t, &x.ids) + verifyTrie(t, &x.cells) + verifyTrie(t, &x.lengths)
 	if x.Bytes() != bytes {
 		t.Fatalf("Bytes() = %d, what is reachable adds up to %d", x.Bytes(), bytes)
 	}
@@ -197,7 +221,7 @@ func TestQueryIDs(t *testing.T) {
 	fam, _ := minhash.NewFamily(16, 1)
 	queries := makeQueries(t, fam, 5, 3)
 	x, _ := New(fam, queries)
-	ids := x.QueryIDs()
+	ids := x.QueryIDs(nil)
 	if len(ids) != 5 {
 		t.Fatalf("QueryIDs length %d", len(ids))
 	}
@@ -236,7 +260,7 @@ func TestAddRemoveOnline(t *testing.T) {
 	remaining := append(append([]Query{}, queries[:2]...), queries[3:8]...)
 	remaining = append(remaining, queries[9])
 	verifyStructure(t, x, remaining)
-	if _, ok := x.SketchOf(queries[2].ID); ok {
+	if x.Lookup(queries[2].ID) != nil {
 		t.Error("removed query still resolvable")
 	}
 
@@ -304,7 +328,7 @@ func TestProbeMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := &Scan{Queries: queries}
+	scan := newScan(t, fam, queries)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		// Windows share ids with queries so some relations exist.
@@ -401,7 +425,7 @@ func TestProbePrunesHopelessQueries(t *testing.T) {
 func TestScanOmitsNoEqualQueries(t *testing.T) {
 	fam, _ := minhash.NewFamily(32, 17)
 	queries := makeQueries(t, fam, 10, 18)
-	s := &Scan{Queries: queries}
+	s := newScan(t, fam, queries)
 	sk := fam.SketchSet([]uint64{1 << 50})
 	out := s.Probe(sk, 0.5)
 	if len(out.Related) != 0 {
@@ -421,7 +445,7 @@ func TestProbeAfterOnlineUpdates(t *testing.T) {
 	x.Remove(queries[0].ID)
 	x.Remove(queries[5].ID)
 	remaining := append(append([]Query{}, queries[1:5]...), queries[6:]...)
-	scan := &Scan{Queries: remaining}
+	scan := newScan(t, fam, remaining)
 	sk := queries[9].Sketch
 	got := x.Probe(sk, 0.6)
 	want := scan.Probe(sk, 0.6)
@@ -507,7 +531,7 @@ func BenchmarkProbeIndex200Queries(b *testing.B) {
 func BenchmarkScan200Queries(b *testing.B) {
 	fam, _ := minhash.NewFamily(800, 1)
 	queries := makeQueries(b, fam, 200, 2)
-	s := &Scan{Queries: queries}
+	s := newScan(b, fam, queries)
 	sk := queries[50].Sketch
 	b.ReportAllocs()
 	b.ResetTimer()

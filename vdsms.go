@@ -597,7 +597,7 @@ func (d *Detector) RemoveQuery(id int) error {
 	return d.compactIfOutgrown()
 }
 
-// QueryIDs returns the subscribed query ids (unordered) — after Resume,
+// QueryIDs returns the subscribed query ids, ascending — after Resume,
 // the queries restored from the checkpoint.
 func (d *Detector) QueryIDs() []int { return d.engine.Queries().IDs() }
 
