@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./cmd/vcdeval -fuzz FuzzReadReports -fuzztime 30s
 	$(GO) test ./internal/qindex -fuzz FuzzProbeVsScan -fuzztime 30s
 	$(GO) test ./internal/bitsig -fuzz FuzzLessMask -fuzztime 30s
+	$(GO) test ./internal/minhash -fuzz FuzzSketchRows -fuzztime 30s
 	$(GO) test ./internal/snapshot -fuzz FuzzReplayWAL -fuzztime 30s
 
 # Reduced-scale temporal-attack robustness suite under the race detector:

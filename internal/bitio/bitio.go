@@ -325,15 +325,21 @@ func (r *Reader) SkipRunLevels(eob uint64) error {
 // codes through the run equal to eob, which must be at least 63 — storing
 // each block's delta, and returns how many blocks it finished; the rest of
 // deltas is scratch. It is ReadSE followed by SkipRunLevels once per block:
-// walkBlocks takes the blocks it can at word speed, and a block it stops in
-// front of is handed from its first bit to those two, so errors and the
-// cursor they leave are theirs.
+// the frame-level kernel takes the blocks it can at word speed, and a block
+// it stops in front of is handed from its first bit to those two, so errors
+// and the cursor they leave are theirs.
 func (r *Reader) DCBlocks(deltas []int64, eob uint64) (int, error) {
+	return r.dcBlocks(deltas, eob, walkKernel)
+}
+
+// dcBlocks is DCBlocks with the kernel named, so that tests can hold the
+// assembly routine and its Go twin to the same answers.
+func (r *Reader) dcBlocks(deltas []int64, eob uint64, walk blockWalker) (int, error) {
 	if eob < 1<<(skipPrefixBits/2)-1 {
 		panic(fmt.Sprintf("bitio: DCBlocks end marker %d has a code shorter than %d bits", eob, skipPrefixBits+1))
 	}
 	for b := 0; ; b++ {
-		b += r.walkBlocks(deltas[b:], eob+1)
+		b += r.walk(walk, deltas[b:], eob+1)
 		if b == len(deltas) {
 			return b, nil
 		}
@@ -348,9 +354,32 @@ func (r *Reader) DCBlocks(deltas []int64, eob uint64) (int, error) {
 	}
 }
 
+// walk runs the frame-level kernel from the cursor, whose byte a full load
+// can start at, and leaves the cursor behind the last block walked. It walks
+// nothing when the input is shorter than one load or the marker (eob+1) is
+// not a 13-bit code.
+func (r *Reader) walk(walk blockWalker, deltas []int64, mark uint64) int {
+	if len(r.data) < 8 || r.pos>>3 > len(r.data)-8 || mark>>(skipPrefixBits/2) != 1 {
+		return 0
+	}
+	b, end := walk(r.data, uint(r.pos), deltas, mark)
+	r.pos = int(end)
+	return b
+}
+
+// blockWalker is the frame-level kernel: from bit pos of data, it walks
+// blocks into deltas and returns how many it finished and the bit after the
+// last of them. Callers guarantee len(data) ≥ 8, pos>>3 ≤ len(data)−8 and a
+// 13-bit mark (eob+1).
+type blockWalker func(data []byte, pos uint, deltas []int64, mark uint64) (b int, end uint)
+
+// walkKernel is the kernel DCBlocks runs: walkBlocksGo, or its assembly
+// twin where there is one (walk_amd64.go).
+var walkKernel blockWalker = walkBlocksGo
+
 // walkTable is skipTable with the 13-bit codes added: a prefix of six zeros
 // and a one fixes the length of a code whose last bit lies outside it. The
-// end marker of walkBlocks is one of these, so its table retires the marker
+// end marker of the kernel is one of these, so its table retires the marker
 // like any other code.
 var walkTable = func() [1 << skipPrefixBits]skipEntry {
 	t := skipTable
@@ -360,18 +389,16 @@ var walkTable = func() [1 << skipPrefixBits]skipEntry {
 	return t
 }()
 
-// maxWalkCode is the longest code walkBlocks steps over: a step works on the
+// maxWalkCode is the longest code the kernel steps over: a step works on the
 // load made one step earlier, so two consecutive codes have to fit the 57
 // bits a load is sure to hold past its cursor.
 const maxWalkCode = 28
 
-// walkBlocks is the frame-level kernel behind DCBlocks; mark is the end
-// marker's code word, eob+1. It returns the number of blocks walked and
-// leaves the cursor behind the last of them: in front of a block holding a
-// code longer than maxWalkCode bits or reaching into the input's last 8
-// bytes, and in front of the first if the marker is not a 13-bit code. (The
-// luma plane of an encoded frame has neither: quantised levels stay under
-// 2¹³ and the chroma planes follow it.)
+// walkBlocksGo is the frame-level kernel in Go, and the oracle of its
+// assembly twin. It stops in front of a block holding a code longer than
+// maxWalkCode bits or reaching into the input's last 8 bytes. (The luma
+// plane of an encoded frame has neither: quantised levels stay under 2¹³
+// and the chroma planes follow it.)
 //
 // The walk has no branch that depends on the data. A frame is one
 // alternating sequence — a DC delta sits in level position, the end marker
@@ -383,17 +410,10 @@ const maxWalkCode = 28
 // its own cursor and works on the word the previous step loaded, shifted
 // past that step's code. The second pass reads each delta at the end of the
 // block before, independent loads that overlap.
-func (r *Reader) walkBlocks(deltas []int64, mark uint64) (b int) {
-	data := r.data
-	if len(data) < 8 || mark>>(skipPrefixBits/2) != 1 {
-		return 0
-	}
+func walkBlocksGo(data []byte, pos uint, deltas []int64, mark uint64) (b int, end uint) {
 	last := uint(len(data) - 8) // the last byte a full load can start at
-	cur := uint(r.pos)
+	cur := pos
 	i := cur >> 3
-	if i > last {
-		return 0
-	}
 	// w is a load and s how many of its leading bits lie behind the cursor.
 	w, s := binary.BigEndian.Uint64(data[i:]), cur&7
 	level := uint8(1) // low bit set when the next code is in level position
@@ -420,15 +440,14 @@ func (r *Reader) walkBlocks(deltas []int64, mark uint64) (b int) {
 		b += int(isMark &^ level)
 		level ^= codes
 	}
-	start := uint(r.pos)
-	for j, end := range deltas[:b] {
-		w = binary.BigEndian.Uint64(data[start>>3:]) << (start & 7)
+	end = pos
+	for j, next := range deltas[:b] {
+		w = binary.BigEndian.Uint64(data[end>>3:]) << (end & 7)
 		n := uint(2*bits.LeadingZeros64(w) + 1)
 		deltas[j] = seValue(w>>((64-n)&63) - 1)
-		start = uint(end)
+		end = uint(next)
 	}
-	r.pos = int(start)
-	return b
+	return b, end
 }
 
 // Align discards bits up to the next byte boundary.

@@ -145,11 +145,25 @@ func FuzzSkipVsReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { walkBlocks(t, data) })
 }
 
+// walkers returns the frame-level kernels DCBlocks can run here: the Go
+// twin and the one DCBlocks dispatches to (the assembly routine on amd64,
+// installed by an init function, so read at call time).
+func walkers() []namedWalker {
+	return []namedWalker{{"Go twin", walkBlocksGo}, {"dispatch", walkKernel}}
+}
+
+type namedWalker struct {
+	name string
+	walk blockWalker
+}
+
 // walkDCBlocks asks DCBlocks for more blocks than data can hold, so that it
 // runs to the input's first error, and requires what walkBlocks requires of
 // the per-block calls: the oracle's deltas, block count, error text and
 // final bit position. A second reader takes the same blocks in two calls,
-// split where the first call's load is still half used.
+// split where the first call's load is still half used. Every kernel is
+// held to that, and the kernels to each other from every bit of the first
+// bytes (walkersAgree).
 func walkDCBlocks(t *testing.T, data []byte) { walkDCBlocksTo(t, data, testEOB) }
 
 func walkDCBlocksTo(t *testing.T, data []byte, eob uint64) {
@@ -166,28 +180,66 @@ func walkDCBlocksTo(t *testing.T, data []byte, eob uint64) {
 			want = append(want, d)
 		}
 	}
-	for _, split := range []int{0, len(want) / 2} {
-		r := NewReader(data)
-		got := make([]int64, len(want)+1)
-		n, err := r.DCBlocks(got[:split], eob)
-		if n != split || err != nil {
-			t.Fatalf("first %d blocks: walked %d, error %v", split, n, err)
+	for _, k := range walkers() {
+		for _, split := range []int{0, len(want) / 2} {
+			r := NewReader(data)
+			got := make([]int64, len(want)+1)
+			n, err := r.dcBlocks(got[:split], eob, k.walk)
+			if n != split || err != nil {
+				t.Fatalf("%s: first %d blocks: walked %d, error %v", k.name, split, n, err)
+			}
+			n, err = r.dcBlocks(got[split:], eob, k.walk)
+			if n += split; n != len(want) || err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s: split %d: %d blocks then %v, oracle %d then %v", k.name, split, n, err, len(want), wantErr)
+			}
+			if !slices.Equal(got[:n], want) {
+				t.Fatalf("%s: split %d: deltas %v, oracle %v", k.name, split, got[:n], want)
+			}
+			if pos := len(data)*8 - r.Remaining(); pos != ref.bitPos() {
+				t.Fatalf("%s: split %d (err %v): bit position %d, oracle %d", k.name, split, err, pos, ref.bitPos())
+			}
 		}
-		n, err = r.DCBlocks(got[split:], eob)
-		if n += split; n != len(want) || err == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("split %d: %d blocks then %v, oracle %d then %v", split, n, err, len(want), wantErr)
-		}
-		if !slices.Equal(got[:n], want) {
-			t.Fatalf("split %d: deltas %v, oracle %v", split, got[:n], want)
-		}
-		if pos := len(data)*8 - r.Remaining(); pos != ref.bitPos() {
-			t.Fatalf("split %d (err %v): bit position %d, oracle %d", split, err, pos, ref.bitPos())
+	}
+	walkersAgree(t, data, eob)
+}
+
+// walkersAgree calls every kernel directly from each of the first 16 bit
+// positions with room for a load, asking for up to 3, 40 and 400 blocks,
+// and requires of them the twin's block count, end cursor and every slot of
+// deltas, scratch included.
+func walkersAgree(t *testing.T, data []byte, eob uint64) {
+	t.Helper()
+	if len(data) < 8 || eob+1 < 64 || eob+1 > 127 {
+		return
+	}
+	for pos := uint(0); pos < 16 && pos>>3 <= uint(len(data)-8); pos++ {
+		for _, size := range []int{3, 40, 400} {
+			want := scratchSlots(size)
+			wantB, wantEnd := walkBlocksGo(data, pos, want, eob+1)
+			for _, k := range walkers()[1:] {
+				got := scratchSlots(size)
+				b, end := k.walk(data, pos, got, eob+1)
+				if b != wantB || end != wantEnd || !slices.Equal(got, want) {
+					t.Fatalf("%s from bit %d into %d slots: %d blocks to bit %d, deltas %v; Go twin %d to %d, %v",
+						k.name, pos, size, b, end, got, wantB, wantEnd, want)
+				}
+			}
 		}
 	}
 }
 
-// FuzzDCBlocksVsReference: on arbitrary bytes the frame-level kernel and the
-// bit-at-a-time oracle agree on deltas, block count, error and cursor.
+// scratchSlots is a deltas buffer of n slots holding a value no walk stores.
+func scratchSlots(n int) []int64 {
+	d := make([]int64, n)
+	for i := range d {
+		d[i] = -1 << 40
+	}
+	return d
+}
+
+// FuzzDCBlocksVsReference: on arbitrary bytes the frame-level kernel — the
+// assembly routine and its Go twin — and the bit-at-a-time oracle agree on
+// deltas, block count, error and cursor.
 func FuzzDCBlocksVsReference(f *testing.F) {
 	for _, s := range skipSeeds(f) {
 		f.Add(s)

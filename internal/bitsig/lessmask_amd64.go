@@ -1,5 +1,7 @@
 package bitsig
 
+import "vdsms/internal/cpu"
+
 // lessMaskAVX2 is lessMask at vector width, one VPCMPGTQ per four
 // positions (lessmask_amd64.s). len(c) must be a multiple of 4 in [4, 64]
 // and len(q) must equal it.
@@ -7,12 +9,8 @@ package bitsig
 //go:noescape
 func lessMaskAVX2(c, q []uint64) uint64
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers across context switches.
-func hasAVX2() bool
-
 func init() {
-	if hasAVX2() {
+	if cpu.AVX2 {
 		lessMaskVec = lessMaskAVX2
 	}
 }

@@ -181,14 +181,24 @@ func writeBlob(w io.Writer, b []byte) error {
 	return err
 }
 
+// readBlob reads a length-prefixed blob. Its buffer grows with the bytes
+// that arrive, not to the declared length, so a length the input cannot
+// back (up to 4 GiB) costs no more than the input; a short blob fails as
+// io.ReadFull does.
 func readBlob(r io.Reader) ([]byte, error) {
 	var n uint32
 	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
 		return nil, err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	var b bytes.Buffer
+	b.Grow(int(min(n, 64<<10)))
+	switch got, err := b.ReadFrom(io.LimitReader(r, int64(n))); {
+	case err != nil:
 		return nil, err
+	case got == 0 && n > 0:
+		return nil, io.EOF
+	case got < int64(n):
+		return nil, io.ErrUnexpectedEOF
 	}
-	return b, nil
+	return b.Bytes(), nil
 }

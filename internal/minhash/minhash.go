@@ -162,15 +162,39 @@ func (f *Family) Add(s Sketch, x uint64) {
 	if len(s) != f.k {
 		panic("minhash: sketch length mismatch")
 	}
-	f.sketchRows(s, nil, []uint64{premix(x)})
+	buf := elementBufs.Get().(*[seenSlots]uint64)
+	buf[0] = premix(x)
+	f.sketchRows(s, nil, buf[:1])
+	elementBufs.Put(buf)
 }
+
+// sketchRowsVec is sketchRows for a multiple of 4 rows at vector width, set
+// at start-up on CPUs that have it (sketch_amd64.go), nil elsewhere.
+var sketchRowsVec func(a, b, s []uint64, row []uint16, xms []uint64)
 
 // sketchRows folds the premixed elements xms into s, the K rows outermost so
 // that a row's a_i and b_i stay in registers while the ≈5 elements of a
 // window are hashed. When row is not nil, row[i] is set to the index in xms
-// of the element that holds s[i], which must start Empty.
+// of the element that holds s[i], which must start Empty. The rows up to a
+// multiple of 4 run at vector width where the CPU allows, the rest on the
+// Go twin.
 func (f *Family) sketchRows(s Sketch, row []uint16, xms []uint64) {
 	a, b := f.a[:len(s)], f.b[:len(s)]
+	if n := len(s) &^ 3; n > 0 && sketchRowsVec != nil {
+		var head []uint16
+		if row != nil {
+			head, row = row[:n], row[n:]
+		}
+		sketchRowsVec(a[:n], b[:n], s[:n], head, xms)
+		a, b, s = a[n:], b[n:], s[n:]
+	}
+	sketchRowsGo(a, b, s, row, xms)
+}
+
+// sketchRowsGo is sketchRows in Go over the rows of a and b, and the oracle
+// of its vector twin: per row, the first element with the least hash wins.
+func sketchRowsGo(a, b []uint64, s Sketch, row []uint16, xms []uint64) {
+	a, b = a[:len(s)], b[:len(s)]
 	for i := range s {
 		ai, bi := a[i], b[i]
 		best, won := s[i], 0
@@ -185,6 +209,12 @@ func (f *Family) sketchRows(s Sketch, row []uint16, xms []uint64) {
 		}
 	}
 }
+
+// elementBufs lends Add and SketchSet the buffer they gather premixed
+// elements in. sketchRows may pass it to the vector routine through a
+// function variable, which escape analysis cannot follow, so a buffer on the
+// stack would be moved to the heap on every call.
+var elementBufs = sync.Pool{New: func() any { return new([seenSlots]uint64) }}
 
 // seenSlots is the size of SketchSet's duplicate filter: several times the
 // distinct cells of a basic window (about 5 of 10 frames on the benchmark
@@ -210,11 +240,13 @@ func fresh(seen *[seenSlots]uint64, x uint64) (xm uint64, ok bool) {
 // window's cell ids are a multiset, consecutive frames mostly share a cell
 // — and a repeat changes nothing because min is idempotent, so each
 // distinct id is hashed K times once, not once per occurrence. The
-// elements are gathered on the stack, up to seenSlots at a time, and folded
-// in rows-outermost; the sketch is the only allocation.
+// elements are gathered in a pooled buffer, up to seenSlots at a time, and
+// folded in rows-outermost; the sketch is the only allocation.
 func (f *Family) SketchSet(ids []uint64) Sketch {
 	s := f.NewSketch()
-	var seen, buf [seenSlots]uint64
+	var seen [seenSlots]uint64
+	buf := elementBufs.Get().(*[seenSlots]uint64)
+	defer elementBufs.Put(buf)
 	xms := buf[:0]
 	for _, x := range ids {
 		if xm, ok := fresh(&seen, x); ok {

@@ -397,13 +397,16 @@ func (d *decoder) bit() (bool, error) {
 
 func (d *decoder) ue() (uint64, error) { return d.r.ReadUE() }
 
-func (d *decoder) count(what string, limit uint64) (int, error) {
+// count reads a count of items that each take at least minBits bits and
+// refuses one above limit or above what the bits left can hold, so that no
+// count sizes an allocation its input cannot fill.
+func (d *decoder) count(what string, limit uint64, minBits int) (int, error) {
 	v, err := d.r.ReadUE()
 	if err != nil {
 		return 0, fmt.Errorf("snapshot: reading %s count: %w", what, err)
 	}
-	if v > limit {
-		return 0, fmt.Errorf("snapshot: implausible %s count %d", what, v)
+	if left := uint64(d.r.Remaining()); v > limit || v > left/uint64(minBits) {
+		return 0, fmt.Errorf("snapshot: implausible %s count %d (%d bits left)", what, v, left)
 	}
 	return int(v), nil
 }
@@ -436,7 +439,7 @@ func (d *decoder) sig() (Signature, error) {
 	if err != nil {
 		return s, err
 	}
-	n, err := d.count("signature words", 1<<20)
+	n, err := d.count("signature words", 1<<20, 128)
 	if err != nil {
 		return s, err
 	}
@@ -449,7 +452,7 @@ func (d *decoder) sig() (Signature, error) {
 }
 
 func (d *decoder) ints(what string) ([]int, error) {
-	n, err := d.count(what, 1<<24)
+	n, err := d.count(what, 1<<24, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -468,7 +471,7 @@ func (d *decoder) ints(what string) ([]int, error) {
 }
 
 func (d *decoder) sketch(what string) ([]uint64, error) {
-	n, err := d.count(what, 1<<24)
+	n, err := d.count(what, 1<<24, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -616,7 +619,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		return fail("stats", err)
 	}
 	st.Stats.Matches = int(sm)
-	nsh, err := d.count("shard stats", 1<<16)
+	nsh, err := d.count("shard stats", 1<<16, 3*64)
 	if err != nil {
 		return nil, err
 	}
@@ -633,7 +636,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		}
 	}
 
-	nq, err := d.count("query", 1<<20)
+	nq, err := d.count("query", 1<<20, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -654,7 +657,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		st.Queries[i] = Query{ID: int(id), Frames: int(frames), Sketch: sk}
 	}
 
-	nc, err := d.count("candidate", 1<<24)
+	nc, err := d.count("candidate", 1<<24, 6)
 	if err != nil {
 		return nil, err
 	}
@@ -679,7 +682,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 				return fail("candidate sketch", err)
 			}
 		}
-		ns, err := d.count("candidate signature", 1<<20)
+		ns, err := d.count("candidate signature", 1<<20, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -699,7 +702,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		}
 	}
 
-	nb, err := d.count("bucket", 1<<24)
+	nb, err := d.count("bucket", 1<<24, 6)
 	if err != nil {
 		return nil, err
 	}
@@ -728,7 +731,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 				return fail("bucket sketch", err)
 			}
 		}
-		ns, err := d.count("bucket signature", 1<<20)
+		ns, err := d.count("bucket signature", 1<<20, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -745,7 +748,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		}
 	}
 
-	nr, err := d.count("geo report", 1<<24)
+	nr, err := d.count("geo report", 1<<24, 2)
 	if err != nil {
 		return nil, err
 	}
