@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-quick bench-json vet vuln fmt experiments fuzz snapshot-fuzz robustness-smoke queryscale-smoke overload-smoke fleet-smoke perf-smoke clean
+.PHONY: all build test race bench bench-quick vet vuln fmt experiments fuzz snapshot-fuzz robustness-smoke queryscale-smoke overload-smoke fleet-smoke perf-smoke clean
 
 all: build test
 
@@ -23,12 +23,6 @@ bench:
 # from its reference; asserts no timing.
 bench-quick:
 	$(GO) run ./bench -quick
-
-# Machine-readable window-kernel benchmark results (same workload as the
-# BenchmarkWindow* suite, via internal/benchkit; includes the span-sampling
-# ladder with its per-stage breakdown).
-bench-json:
-	$(GO) run ./cmd/vcdbench -bench-json BENCH_PR10.json
 
 vet:
 	$(GO) vet ./...
@@ -56,6 +50,7 @@ fuzz:
 	$(GO) test ./internal/bitsig -fuzz FuzzLessMask -fuzztime 30s
 	$(GO) test ./internal/minhash -fuzz FuzzSketchRows -fuzztime 30s
 	$(GO) test ./internal/snapshot -fuzz FuzzReplayWAL -fuzztime 30s
+	$(GO) test ./internal/core -fuzz FuzzRestoreCheckpoint -fuzztime 30s -fuzzminimizetime 200x
 
 # Reduced-scale temporal-attack robustness suite under the race detector:
 # attack-transform invariants, per-family evaluation, and the end-to-end
@@ -110,7 +105,7 @@ perf-smoke:
 		$(GO) test -race -count=1 -run 'TestPerfSmoke' ./internal/server
 	$(GO) test -race -count=1 ./internal/perfobs
 	PERF_SMOKE=1 $(GO) test -count=1 \
-		-run 'TestZeroSamplingSpanCaptureAddsNoAllocs|TestZeroSamplingOverheadGate' ./internal/benchkit
+		-run 'TestZeroSamplingSpanCaptureAddsNoAllocs|TestZeroSamplingOverheadGate' ./internal/core
 
 # Crash-recovery sweep under the race detector, run twice (-count=2: the
 # tests share a process-global metrics registry): snapshot/restore at every

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"vdsms/internal/baseline"
-	"vdsms/internal/benchkit"
 	"vdsms/internal/core"
 	"vdsms/internal/feature"
 	"vdsms/internal/minhash"
@@ -374,35 +373,6 @@ func BenchmarkPipelineFrontEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fam.SketchSet(w)
 	}
-}
-
-// benchWindow times steady-state basic-window processing — probe plus
-// candidate evaluation — on the shared benchkit workload, so `go test
-// -bench` and `vcdbench -bench-json` measure the same thing (see
-// benchkit.WindowWorkload for its shape). One iteration is one full window
-// through PushFrames.
-func benchWindow(b *testing.B) {
-	eng, wins, err := benchkit.WindowWorkload()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.PushFrames(wins[i%len(wins)])
-	}
-}
-
-// BenchmarkWindowSerial is the window kernel with stage telemetry on.
-func BenchmarkWindowSerial(b *testing.B) { benchWindow(b) }
-
-// BenchmarkWindowSerialNoTelemetry is BenchmarkWindowSerial with stage
-// timing disabled — the pair quantifies the instrumentation overhead
-// EXPERIMENTS.md reports (the always-on counters remain, as in production).
-func BenchmarkWindowSerialNoTelemetry(b *testing.B) {
-	prev := telemetry.SetEnabled(false)
-	defer telemetry.SetEnabled(prev)
-	benchWindow(b)
 }
 
 // BenchmarkDetectorThroughput measures end-to-end key-frame throughput of

@@ -5,9 +5,6 @@
 //	vcdbench [-scale N] [-seed S] all            # every experiment
 //	vcdbench [-scale N] [-seed S] fig6 fig9 ...  # selected experiments
 //	vcdbench -list                                # list experiments
-//	vcdbench -bench-json BENCH.json               # window-kernel microbenchmarks as JSON
-//	vcdbench -bench-json NEW.json -bench-compare OLD.json   # run + regression gate
-//	vcdbench -bench-compare OLD.json,NEW.json     # gate two existing reports
 //	vcdbench -metrics-addr :8655 all              # expose /metrics while experiments run
 //	vcdbench -version                             # print build information
 //
@@ -21,10 +18,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
-	"vdsms/internal/benchkit"
 	"vdsms/internal/buildinfo"
 	"vdsms/internal/experiments"
 	"vdsms/internal/telemetry"
@@ -35,9 +30,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "workload seed (0 = default)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text tables")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	benchJSON := flag.String("bench-json", "", "run the window-kernel microbenchmarks and write JSON results to this file")
-	benchCompare := flag.String("bench-compare", "", "baseline JSON report to gate a -bench-json run against (old,new when no -bench-json)")
-	benchTol := flag.Float64("bench-tolerance", 0.35, "allowed fractional regression in windows/sec (and growth in allocs) for -bench-compare")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address while running (e.g. :8655)")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Usage = func() {
@@ -65,33 +57,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "vcdbench: metrics server:", err)
 			}
 		}()
-	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "vcdbench:", err)
-			os.Exit(1)
-		}
-		if *benchCompare != "" {
-			if err := compareBench(*benchCompare, *benchJSON, *benchTol); err != nil {
-				fmt.Fprintln(os.Stderr, "vcdbench:", err)
-				os.Exit(1)
-			}
-		}
-		if flag.NArg() == 0 {
-			return
-		}
-	} else if *benchCompare != "" {
-		// Gate two existing reports: -bench-compare old.json,new.json.
-		old, new_, ok := strings.Cut(*benchCompare, ",")
-		if !ok {
-			fmt.Fprintln(os.Stderr, "vcdbench: -bench-compare without -bench-json wants old.json,new.json")
-			os.Exit(2)
-		}
-		if err := compareBench(old, new_, *benchTol); err != nil {
-			fmt.Fprintln(os.Stderr, "vcdbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	args := flag.Args()
 	if len(args) == 0 {
@@ -136,60 +101,6 @@ func main() {
 		}
 		fmt.Printf("(%s reproduces %s; ran in %v)\n\n", e.Name, e.Paper, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// writeBenchJSON runs the shared window-kernel benchmark suite (the same
-// workload as `go test -bench BenchmarkWindow`) and writes a
-// machine-readable report — the artifact CI and EXPERIMENTS.md consume.
-func writeBenchJSON(path string) error {
-	fmt.Fprintln(os.Stderr, "running window-kernel benchmarks (one line per variant)...")
-	results, err := benchkit.RunWindowBenchmarks(func(r benchkit.Result) {
-		fmt.Fprintf(os.Stderr, "  %-24s %12.0f ns/op %8.1f windows/s %6d B/op %5d allocs/op\n",
-			r.Name, r.NsPerOp, r.WindowsPerSec, r.BytesPerOp, r.AllocsPerOp)
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := benchkit.WriteReport(f, results); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
-
-// compareBench gates a new benchmark report against a baseline: any
-// benchmark present in both whose windows/sec regressed (or allocs/op
-// grew) beyond the tolerance fails the run — the CI perf gate.
-func compareBench(oldPath, newPath string, tol float64) error {
-	old, err := benchkit.ReadReportFile(oldPath)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", oldPath, err)
-	}
-	new_, err := benchkit.ReadReportFile(newPath)
-	if err != nil {
-		return fmt.Errorf("candidate %s: %w", newPath, err)
-	}
-	cmps := benchkit.CompareReports(old, new_, tol)
-	bad := 0
-	for _, c := range cmps {
-		fmt.Fprintln(os.Stderr, "  "+c.String())
-		if c.Regressed {
-			bad++
-		}
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond tolerance %.0f%% against %s", bad, tol*100, oldPath)
-	}
-	fmt.Fprintf(os.Stderr, "bench gate passed: %d benchmarks within %.0f%% of %s\n", len(cmps), tol*100, oldPath)
-	return nil
 }
 
 func printList() {

@@ -60,12 +60,13 @@ import (
 // The single-stream monitor publishes the same fleet-ready stream gauges
 // as vcdserve, so one dashboard covers a lone vcdmon and a full fleet
 // alike: vcd_streams_active is 1 while the monitor runs, and rejected
-// counts queries that were skipped as unloadable.
+// counts -q specs that were skipped: unloadable, or naming an id an
+// earlier spec took.
 var (
 	telStreamsActive = telemetry.Default.Gauge("vcd_streams_active",
 		"Streams currently being monitored.")
 	telStreamsRejected = telemetry.Default.Counter("vcd_streams_rejected_total",
-		"Stream or query inputs rejected (bad paths, undecodable clips).")
+		"Stream or query inputs rejected (bad paths, undecodable clips, duplicate ids).")
 )
 
 // serveMetrics exposes the process-wide telemetry registry at
@@ -97,7 +98,6 @@ func main() {
 	saveSet := flag.String("save-queries", "", "after subscribing, save the query set to this file")
 	archiveDir := flag.String("archive-dir", "", "save matched stream segments as clips in this directory")
 	archiveSec := flag.Float64("archive-sec", 120, "seconds of stream retained for archiving")
-	flag.Bool("prefilter", false, "ignored: the query index reads only the posting lists of each window's winning cells (kept one release so that scripts passing it still run)")
 	ckptDir := flag.String("checkpoint-dir", "", "journal frames and checkpoint matching state in this directory")
 	ckptEvery := flag.Duration("checkpoint-every", 10*time.Second, "minimum interval between periodic checkpoints")
 	resume := flag.Bool("resume", false, "restore state from -checkpoint-dir and replay the frame log before monitoring")
@@ -325,13 +325,15 @@ func main() {
 // fatal: in a monitoring fleet one stale query file should not keep the
 // remaining queries from being watched. The caller decides whether zero
 // loaded queries is fatal. Returns the number of queries subscribed here
-// and the number of specs skipped as unloadable (bad path or undecodable;
-// already-restored duplicates are not failures and are not counted).
+// and the number of specs skipped: a bad path, an undecodable clip, or an
+// id an earlier -q spec of this run already took. An id restored by
+// -resume or -load-queries is not a failure and is not counted.
 func subscribeQueries(det *vdsms.Detector, qs []string) (loaded, skipped int) {
-	have := make(map[int]bool)
+	restored := make(map[int]bool)
 	for _, id := range det.QueryIDs() {
-		have[id] = true
+		restored[id] = true
 	}
+	taken := make(map[int]string)
 	for i, spec := range qs {
 		id := i + 1
 		path := spec
@@ -340,8 +342,14 @@ func subscribeQueries(det *vdsms.Detector, qs []string) (loaded, skipped int) {
 				id, path = v, spec[eq+1:]
 			}
 		}
-		if have[id] {
+		if restored[id] {
 			fmt.Fprintf(os.Stderr, "query %d already subscribed (restored); skipping %s\n", id, path)
+			continue
+		}
+		if prev, ok := taken[id]; ok {
+			fmt.Fprintf(os.Stderr, "vcdmon: skipping query %d (%s): id already taken by %s\n", id, path, prev)
+			skipped++
+			telStreamsRejected.Inc()
 			continue
 		}
 		f, err := os.Open(path)
@@ -359,7 +367,7 @@ func subscribeQueries(det *vdsms.Detector, qs []string) (loaded, skipped int) {
 			telStreamsRejected.Inc()
 			continue
 		}
-		have[id] = true
+		taken[id] = path
 		loaded++
 		fmt.Fprintf(os.Stderr, "subscribed query %d (%s)\n", id, path)
 	}

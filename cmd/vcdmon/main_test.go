@@ -101,6 +101,37 @@ func TestSubscribeQueriesSkipsRestoredIDs(t *testing.T) {
 	}
 }
 
+// TestSubscribeQueriesSkipsDuplicateSpecIDs: `-q a.mvc -q 1=b.mvc` gives
+// both specs id 1. The second is not a restored subscription but a clash
+// inside one run: it is counted as skipped and as a rejected input, and the
+// first spec's clip stays subscribed.
+func TestSubscribeQueriesSkipsDuplicateSpecIDs(t *testing.T) {
+	dir := t.TempDir()
+	a := writeClip(t, dir, "a.mvc", 5)
+	b := writeClip(t, dir, "b.mvc", 6)
+
+	cfg := vdsms.DefaultConfig()
+	cfg.K = 400
+	det, err := vdsms.NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := telStreamsRejected.Value()
+	loaded, skipped := subscribeQueries(det, []string{a, "1=" + b})
+	if loaded != 1 {
+		t.Fatalf("loaded %d queries, want 1", loaded)
+	}
+	if skipped != 1 {
+		t.Fatalf("skipped %d specs, want 1 (the second spec's id 1 was taken by the first)", skipped)
+	}
+	if d := telStreamsRejected.Value() - rejected; d != 1 {
+		t.Fatalf("vcd_streams_rejected_total rose by %d, want 1", d)
+	}
+	if ids := det.QueryIDs(); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("subscribed ids %v, want [1]", ids)
+	}
+}
+
 // TestSubscribeQueriesAllBad: nothing loads, nothing subscribed — the
 // caller's zero-queries check then aborts the run.
 func TestSubscribeQueriesAllBad(t *testing.T) {

@@ -35,7 +35,7 @@ var engineStateGolden = map[string]string{
 // churn — a removal, and an addition whose material the stream later
 // carries — and returns the canonical checkpoint bytes taken mid-window and
 // again at the end of the stream.
-func goldenRun(t *testing.T, cfg Config) []byte {
+func goldenRun(t testing.TB, cfg Config) (mid, end []byte) {
 	t.Helper()
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -57,8 +57,7 @@ func goldenRun(t *testing.T, cfg Config) []byte {
 		stream = append(stream, queries[qi]...)
 		stream = append(stream, idStream(rng, 60+qi, 47)...)
 	}
-	mid := len(stream)/2 + 3
-	var out []byte
+	half := len(stream)/2 + 3
 	for i, id := range stream {
 		e.PushFrame(id)
 		switch i {
@@ -70,47 +69,56 @@ func goldenRun(t *testing.T, cfg Config) []byte {
 			if err := e.AddQuery(8, queries[7]); err != nil {
 				t.Fatal(err)
 			}
-		case mid:
-			out = append(out, snapshot.Marshal(&snapshot.Checkpoint{Engine: *e.ExportState()})...)
+		case half:
+			mid = snapshot.Marshal(&snapshot.Checkpoint{Engine: *e.ExportState()})
 		}
 	}
 	if len(e.Matches) == 0 {
 		t.Fatal("workload produced no matches; the golden would pin nothing")
 	}
-	return append(out, snapshot.Marshal(&snapshot.Checkpoint{Engine: *e.ExportState()})...)
+	return mid, snapshot.Marshal(&snapshot.Checkpoint{Engine: *e.ExportState()})
+}
+
+// goldenCase is one configuration whose goldenRun state engineStateGolden
+// pins.
+type goldenCase struct {
+	name         string
+	order        Order
+	method       Method
+	noIndex      bool
+	prefilter    bool
+	disablePrune bool
+}
+
+func (c goldenCase) config() Config {
+	return Config{
+		K: 192, Seed: 11, Delta: 0.5, Lambda: 2, WindowFrames: 10,
+		Order: c.order, Method: c.method, UseIndex: !c.noIndex,
+		PreFilter: c.prefilter, DisablePrune: c.disablePrune,
+	}
+}
+
+var goldenCases = []goldenCase{
+	{name: "seq-bit", order: Sequential, method: Bit},
+	{name: "seq-sketch", order: Sequential, method: Sketch},
+	{name: "geo-bit", order: Geometric, method: Bit},
+	{name: "geo-sketch", order: Geometric, method: Sketch},
+	{name: "seq-bit-prefilter", order: Sequential, method: Bit, prefilter: true},
+	{name: "seq-bit-noindex", order: Sequential, method: Bit, noIndex: true},
+	{name: "seq-sketch-noindex", order: Sequential, method: Sketch, noIndex: true},
+	{name: "geo-bit-noindex", order: Geometric, method: Bit, noIndex: true},
+	{name: "geo-sketch-noindex", order: Geometric, method: Sketch, noIndex: true},
+	{name: "seq-bit-noprune", order: Sequential, method: Bit, disablePrune: true},
 }
 
 // TestEngineStateGolden pins the engine's exported state, byte for byte, for
 // both orders under both methods, with and without the query index, for the
 // pre-filter tier and for the ablation without pruning.
 func TestEngineStateGolden(t *testing.T) {
-	cases := []struct {
-		name         string
-		order        Order
-		method       Method
-		noIndex      bool
-		prefilter    bool
-		disablePrune bool
-	}{
-		{name: "seq-bit", order: Sequential, method: Bit},
-		{name: "seq-sketch", order: Sequential, method: Sketch},
-		{name: "geo-bit", order: Geometric, method: Bit},
-		{name: "geo-sketch", order: Geometric, method: Sketch},
-		{name: "seq-bit-prefilter", order: Sequential, method: Bit, prefilter: true},
-		{name: "seq-bit-noindex", order: Sequential, method: Bit, noIndex: true},
-		{name: "seq-sketch-noindex", order: Sequential, method: Sketch, noIndex: true},
-		{name: "geo-bit-noindex", order: Geometric, method: Bit, noIndex: true},
-		{name: "geo-sketch-noindex", order: Geometric, method: Sketch, noIndex: true},
-		{name: "seq-bit-noprune", order: Sequential, method: Bit, disablePrune: true},
-	}
-	for _, c := range cases {
+	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Config{
-				K: 192, Seed: 11, Delta: 0.5, Lambda: 2, WindowFrames: 10,
-				Order: c.order, Method: c.method, UseIndex: !c.noIndex,
-				PreFilter: c.prefilter, DisablePrune: c.disablePrune,
-			}
-			sum := sha256.Sum256(goldenRun(t, cfg))
+			mid, end := goldenRun(t, c.config())
+			sum := sha256.Sum256(append(mid, end...))
 			if got, want := hex.EncodeToString(sum[:]), engineStateGolden[c.name]; got != want {
 				t.Errorf("exported state SHA-256 = %s, want %s", got, want)
 			}

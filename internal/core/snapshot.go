@@ -248,14 +248,18 @@ func importTracked(cfg Config, sigs []snapshot.Signature, related []int, sketch 
 		t.ids = append([]int(nil), related...)
 		return t, sk, ascending("related", t.ids)
 	}
+	// Every signature is checked before the block is sized by their number:
+	// a list of empty signatures costs its input two bits apiece.
 	planeWords := (cfg.K + 63) / 64
-	t.ids = make([]int, len(sigs))
-	t.sigs = bitsig.NewBlock(cfg.K, len(sigs))
-	for i, s := range sigs {
+	for _, s := range sigs {
 		if len(s.Lo) != planeWords || len(s.Hi) != planeWords {
 			return t, nil, fmt.Errorf("signature for query %d has %d+%d plane words, K=%d needs %d",
 				s.QID, len(s.Lo), len(s.Hi), cfg.K, planeWords)
 		}
+	}
+	t.ids = make([]int, len(sigs))
+	t.sigs = bitsig.NewBlock(cfg.K, len(sigs))
+	for i, s := range sigs {
 		t.ids[i] = s.QID
 		copy(t.sigs[i].Lo, s.Lo)
 		copy(t.sigs[i].Hi, s.Hi)
