@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test ./internal/bitio -fuzz FuzzReader -fuzztime 30s
 	$(GO) test ./internal/bitio -fuzz FuzzSkipVsReference -fuzztime 30s
 	$(GO) test ./internal/bitio -fuzz FuzzDCBlocksVsReference -fuzztime 30s
+	$(GO) test ./internal/bitio -fuzz FuzzDCBlocksGroup -fuzztime 30s
 	$(GO) test ./internal/mpeg -fuzz FuzzPartialDecoder -fuzztime 30s
 	$(GO) test ./internal/mpeg -fuzz FuzzFullDecoder -fuzztime 30s
 	$(GO) test ./cmd/vcdeval -fuzz FuzzParseTruth -fuzztime 30s
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/minhash -fuzz FuzzSketchRows -fuzztime 30s
 	$(GO) test ./internal/snapshot -fuzz FuzzReplayWAL -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzRestoreCheckpoint -fuzztime 30s -fuzzminimizetime 200x
+	$(GO) test ./internal/core -fuzz FuzzLoadQuerySet -fuzztime 30s -parallel 1
 
 # Reduced-scale temporal-attack robustness suite under the race detector:
 # attack-transform invariants, per-family evaluation, and the end-to-end

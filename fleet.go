@@ -233,7 +233,7 @@ func (fs *FleetStream) PushSegment(segment io.Reader) error {
 	if err := fs.fl.cfg.checkKeyRate(pd.Header()); err != nil {
 		return err
 	}
-	cells, err := fs.fl.pl.cells(pd)
+	cells, err := fs.fl.pl.cells(pd, new(frontEnd), nil)
 	if err != nil || len(cells) == 0 {
 		return err
 	}

@@ -60,11 +60,11 @@ func TestPushSegmentValidatesFirst(t *testing.T) {
 	}
 }
 
-// TestFrontEndAllocations pins the front end's allocation contract: from the
-// second frame on, bytes to cell id — NextInto, VectorInto, CellInto through
-// pipeline.next — allocates nothing, and what a Monitor or PushSegment call
-// allocates around its frames is a small constant that does not grow with
-// the segment.
+// TestFrontEndAllocations pins the front end's allocation contract: once the
+// batch has met the largest frames, bytes to cell id — NextBatch,
+// VectorInto, CellInto through pipeline.next — allocates nothing, and what a
+// Monitor or PushSegment call allocates around its frames is a small
+// constant that does not grow with the segment.
 func TestFrontEndAllocations(t *testing.T) {
 	stream := clip(t, 5, 60) // 120 key frames
 	det, err := NewDetector(testConfig())
@@ -80,17 +80,18 @@ func TestFrontEndAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fe frontEnd
-	for i := 0; i < 120; i++ { // the first pass meets the largest frame
-		if _, err := det.pipeline.next(pd, &fe); err != nil {
+	ids := make([]uint64, 10)
+	for i := 0; i < 12; i++ { // the first pass meets the largest frames
+		if _, err := det.pipeline.next(pd, &fe, ids); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := det.pipeline.next(pd, &fe); err != nil {
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := det.pipeline.next(pd, &fe, ids); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("pipeline.next allocates %v times per frame, want 0", n)
+		t.Errorf("pipeline.next allocates %v times per batch of 10 frames, want 0", n)
 	}
 
 	// One basic window and six of them, so that the kernel's own per-window
@@ -121,8 +122,8 @@ func TestFrontEndAllocations(t *testing.T) {
 		a, b := call(one), call(six)
 		return a - (b-a)/5
 	}
-	if n := perCall(monitor); n > 6 {
-		t.Errorf("Monitor allocates %.1f times per call beyond its windows' work, want at most 6", n)
+	if n := perCall(monitor); n > 4 {
+		t.Errorf("Monitor allocates %.1f times per call beyond its windows' work, want at most 4", n)
 	}
 
 	fl, err := det.NewFleet(FleetConfig{Workers: 1, QueueWindows: 8})
@@ -265,6 +266,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 	var sink uint64
 	b.Run("streaming", func(b *testing.B) {
 		var fe frontEnd
+		ids := make([]uint64, window)
 		r := bytes.NewReader(nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -274,14 +276,16 @@ func BenchmarkFrontEnd(b *testing.B) {
 				b.Fatal(err)
 			}
 			for {
-				id, err := p.next(pd, &fe)
+				frames, err := p.next(pd, &fe, ids)
+				for _, id := range ids[:len(frames)] {
+					sink += id
+				}
 				if err == io.EOF {
 					break
 				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				sink += id
 			}
 		}
 	})

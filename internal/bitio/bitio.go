@@ -137,6 +137,9 @@ func NewReader(data []byte) *Reader {
 	return &Reader{data: data}
 }
 
+// Reset makes r a Reader over data from its first bit.
+func (r *Reader) Reset(data []byte) { *r = Reader{data: data} }
+
 // peek returns the upcoming bits left-aligned in a word, zero-padded, and
 // how many of them are input: at least 57 until the last 8 bytes.
 func (r *Reader) peek() (w uint64, valid int) {
@@ -335,14 +338,22 @@ func (r *Reader) DCBlocks(deltas []int64, eob uint64) (int, error) {
 // dcBlocks is DCBlocks with the kernel named, so that tests can hold the
 // assembly routine and its Go twin to the same answers.
 func (r *Reader) dcBlocks(deltas []int64, eob uint64, walk blockWalker) (int, error) {
+	checkEOB(eob)
+	return r.finishBlocks(deltas, eob, walk, r.walk(walk, deltas, eob+1))
+}
+
+// checkEOB panics on an end marker the kernels cannot take.
+func checkEOB(eob uint64) {
 	if eob < 1<<(skipPrefixBits/2)-1 {
 		panic(fmt.Sprintf("bitio: DCBlocks end marker %d has a code shorter than %d bits", eob, skipPrefixBits+1))
 	}
-	for b := 0; ; b++ {
-		b += r.walk(walk, deltas[b:], eob+1)
-		if b == len(deltas) {
-			return b, nil
-		}
+}
+
+// finishBlocks is the rest of DCBlocks once a kernel has walked the first b
+// blocks: a block the kernel stopped in front of is taken the per-block way,
+// and the kernel goes on after it.
+func (r *Reader) finishBlocks(deltas []int64, eob uint64, walk blockWalker, b int) (int, error) {
+	for b < len(deltas) {
 		d, err := r.ReadSE() // block b, the per-block way
 		if err == nil {
 			err = r.SkipRunLevels(eob)
@@ -351,6 +362,71 @@ func (r *Reader) dcBlocks(deltas []int64, eob uint64, walk blockWalker) (int, er
 			return b, err
 		}
 		deltas[b] = d
+		b++
+		b += r.walk(walk, deltas[b:], eob+1)
+	}
+	return b, nil
+}
+
+// GroupLanes is how many lanes the group kernel walks in one step.
+const GroupLanes = 16
+
+// minGroupLanes is the fewest lanes DCBlocksGroup hands the group kernel:
+// a vector step costs about three of the frame-level kernel's, so fewer
+// lanes are walked one after another.
+const minGroupLanes = 4
+
+// A Lane is one walk of DCBlocksGroup: a reader and the deltas it fills in
+// going in, DCBlocks' block count and error coming out.
+type Lane struct {
+	R      Reader
+	Deltas []int64
+	N      int
+	Err    error
+}
+
+// DCBlocksGroup is DCBlocks(l.Deltas, eob) on the reader of every lane,
+// with the same deltas, counts, errors and cursors, for payloads that are
+// independent of one another: a window's key frames. The group kernel walks
+// up to GroupLanes of them in one pass, a lane each (walk_amd64.s, on CPUs
+// with AVX-512; elsewhere the frame-level kernel once per lane), and a lane
+// it stops in front of a block finishes the way DCBlocks does.
+func DCBlocksGroup(lanes []Lane, eob uint64) { dcBlocksGroup(lanes, eob, groupKernel) }
+
+// dcBlocksGroup is DCBlocksGroup with the group kernel named, so that tests
+// can hold the vector routine and its twin to the same answers.
+func dcBlocksGroup(lanes []Lane, eob uint64, group laneWalker) {
+	checkEOB(eob)
+	for rest := lanes; len(rest) > 0; {
+		chunk := rest[:min(len(rest), GroupLanes)]
+		rest = rest[len(chunk):]
+		if len(chunk) < minGroupLanes || (eob+1)>>(skipPrefixBits/2) != 1 {
+			walkLanesSerial(chunk, eob+1) // the kernels' table knows 13-bit markers only
+		} else {
+			group(chunk, eob+1)
+		}
+	}
+	for i := range lanes {
+		l := &lanes[i]
+		l.N, l.Err = l.R.finishBlocks(l.Deltas, eob, walkKernel, l.N)
+	}
+}
+
+// laneWalker is the group kernel: for each of up to GroupLanes lanes, what
+// Reader.walk does with the lane's reader and deltas — lane.N is the blocks
+// walked and the reader's cursor is left behind the last of them.
+type laneWalker func(lanes []Lane, mark uint64)
+
+// groupKernel is the kernel DCBlocksGroup runs: walkLanesSerial, or the
+// vector routine where the CPU has one (walk_amd64.go).
+var groupKernel laneWalker = walkLanesSerial
+
+// walkLanesSerial is the group kernel's twin and oracle: the frame-level
+// kernel DCBlocks runs, once per lane.
+func walkLanesSerial(lanes []Lane, mark uint64) {
+	for i := range lanes {
+		l := &lanes[i]
+		l.N = l.R.walk(walkKernel, l.Deltas, mark)
 	}
 }
 

@@ -59,7 +59,12 @@ func BenchmarkDCBlocksCorpus(b *testing.B) {
 }
 
 // TestDCBlocksCorpus: every kernel walks every corpus frame's luma plane
-// whole, to the same deltas and cursor.
+// whole, to the same deltas and cursor. Then every 10-frame window (the
+// key frames of one basic window) and every 1- to 16-frame prefix of every
+// 16-frame run are walked as lanes by every frame-level and group kernel,
+// into exactly the luma's slots and into one slot more (a scratch slot the
+// walk goes on into, over chroma codes): the same block counts, cursors and
+// slots as the Go twin's.
 func TestDCBlocksCorpus(t *testing.T) {
 	payloads, blocks := corpusIFrames(t)
 	want, got := make([]int64, blocks), make([]int64, blocks)
@@ -74,4 +79,75 @@ func TestDCBlocksCorpus(t *testing.T) {
 			t.Fatalf("frame %d: dispatch and Go twin differ", i)
 		}
 	}
+	kernels := bitio.LaneKernels(t)
+	walk := func(k bitio.LaneKernel, frames [][]byte, slots int) []bitio.Lane {
+		lanes := make([]bitio.Lane, len(frames))
+		for i, p := range frames {
+			lanes[i].R.Reset(p)
+			lanes[i].Deltas = make([]int64, slots)
+			lanes[i].Deltas[slots-1] = -1 // a value no walk stores
+		}
+		k.Walk(lanes, corpusEOB+1)
+		return lanes
+	}
+	check := func(first int, frames [][]byte) {
+		for _, slots := range []int{blocks, blocks + 1} {
+			want := walk(kernels[0], frames, slots)
+			for _, k := range kernels[1:] {
+				for i, l := range walk(k, frames, slots) {
+					w := want[i]
+					if l.N != w.N || l.R.Remaining() != w.R.Remaining() || !slices.Equal(l.Deltas, w.Deltas) {
+						t.Fatalf("%s, frame %d as lane %d of %d, %d slots: %d blocks, %d bits left; Go twin %d, %d",
+							k.Name, first+i, i, len(frames), slots, l.N, l.R.Remaining(), w.N, w.R.Remaining())
+					}
+				}
+			}
+		}
+	}
+	const window = 10
+	for first := 0; first+window <= len(payloads); first += window {
+		check(first, payloads[first:first+window])
+	}
+	for first := 0; first+bitio.GroupLanes <= len(payloads); first += bitio.GroupLanes {
+		for n := 1; n <= bitio.GroupLanes; n++ {
+			check(first, payloads[first:first+n])
+		}
+	}
+}
+
+// BenchmarkDCBlocksWindow walks the benchmark corpus a 10-frame window at a
+// time — the key frames of one basic window, fresh codes on every call —
+// frame by frame on the kernel DCBlocks dispatches to (perframe) and all
+// together through DCBlocksGroup (group). It reports ns per window.
+func BenchmarkDCBlocksWindow(b *testing.B) {
+	payloads, blocks := corpusIFrames(b)
+	const window = 10
+	windows := len(payloads) / window
+	lanes := make([]bitio.Lane, window)
+	deltas := make([]int64, window*blocks)
+	b.Run("perframe", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			w := payloads[i%windows*window:][:window]
+			for j, p := range w {
+				if n, err := bitio.NewReader(p).DCBlocks(deltas[j*blocks:(j+1)*blocks], corpusEOB); n != blocks || err != nil {
+					b.Fatalf("window %d frame %d: %d of %d blocks, %v", i%windows, j, n, blocks, err)
+				}
+			}
+		}
+	})
+	b.Run("group", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			w := payloads[i%windows*window:][:window]
+			for j, p := range w {
+				lanes[j].R.Reset(p)
+				lanes[j].Deltas = deltas[j*blocks : (j+1)*blocks]
+			}
+			bitio.DCBlocksGroup(lanes, corpusEOB)
+			for j := range lanes {
+				if l := &lanes[j]; l.N != blocks || l.Err != nil {
+					b.Fatalf("window %d frame %d: %d of %d blocks, %v", i%windows, j, l.N, blocks, l.Err)
+				}
+			}
+		}
+	})
 }

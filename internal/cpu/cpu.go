@@ -1,9 +1,22 @@
 // Package cpu reports the instruction-set extensions the vector kernels
-// (bitsig's Less mask, minhash's sketch rows) may use. It holds the tree's
-// one CPUID check; every value is false off amd64.
+// (bitsig's Less mask, minhash's sketch rows, bitio's group walk) may use.
+// It holds the tree's one CPUID check; every value is false off amd64.
 package cpu
 
 // AVX2 reports whether the CPU has AVX2 and the OS saves the YMM registers
 // across context switches. It is set before any importing package's init
 // runs.
 var AVX2 bool
+
+// AVX512 reports whether the CPU has the AVX-512 subset F, CD, BW and DQ
+// and the OS saves the opmask and ZMM registers across context switches.
+// It is set like AVX2.
+var AVX512 bool
+
+// AVX512FP16 reports whether AVX512 holds and the CPU also has AVX512-FP16.
+// No kernel uses the instructions; the bit marks the CPU generation (Intel
+// Sapphire Rapids and later) whose gathers bitio's group walk was measured
+// on. The earlier AVX-512 parts — Skylake-SP to Ice Lake, whose gathers
+// run under the GDS microcode mitigation, and AMD Zen 4 — lack it. It is
+// set like AVX2.
+var AVX512FP16 bool

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -611,7 +612,20 @@ func TestPartialDecodeErrorAddress(t *testing.T) {
 		if _, _, err := ReadAllDC(bytes.NewReader(stream.Bytes())); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: error %v, want %s", tc.name, err, tc.want)
 		}
+		// In a batch, the failure ends the batch at its slot and ends the
+		// decoder: the third frame, read with it, is not delivered later.
 		dec, err := NewPartialDecoder(bytes.NewReader(stream.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, err := dec.NextBatch(new(Batch), MaxBatch)
+		if len(frames) != 1 || err == nil || err.Error() != tc.want {
+			t.Errorf("%s: batch of %d frames, error %v; want 1 frame and %s", tc.name, len(frames), err, tc.want)
+		}
+		if again := dec.NextInto(new(DCFrame)); again != err {
+			t.Errorf("%s: after the failure NextInto returns %v, want the same error", tc.name, again)
+		}
+		dec, err = NewPartialDecoder(bytes.NewReader(stream.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -655,5 +669,97 @@ func TestNextIntoAllocatesNothing(t *testing.T) {
 	}
 	if &dcf.DC[0] != grid {
 		t.Error("NextInto replaced a grid that was large enough")
+	}
+}
+
+// TestBatchReservesOneClaimedPayload: a frame's length is only a claim until
+// its bytes arrive, so a batch that meets a maximal I frame cut off after
+// its header reserves that payload once, with a quarter to spare, as
+// NextInto does — not once for every slot the batch might still read: the
+// room for those is batchSpare at most.
+func TestBatchReservesOneClaimedPayload(t *testing.T) {
+	hdr := StreamHeader{W: 4096, H: 4096, FPSNum: 25, FPSDen: 1, Quality: 75, GOP: 1}
+	var stream bytes.Buffer
+	if err := writeHeader(&stream, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrameHeader(&stream, frameTypeI, hdr.maxPayload()); err != nil {
+		t.Fatal(err)
+	}
+	// slack covers the decoder, the batch's fixed arrays and the error; the
+	// claim is ≈134 MB.
+	const slack = batchSpare + 1<<20
+	limit := uint64(hdr.maxPayload() + hdr.maxPayload()/4 + slack)
+	for _, resync := range []bool{false, true} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dec, err := NewPartialDecoder(bytes.NewReader(stream.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec.SetResync(resync)
+		frames, err := dec.NextBatch(new(Batch), MaxBatch)
+		runtime.ReadMemStats(&after)
+		if len(frames) != 0 || err == nil {
+			t.Errorf("resync %v: %d frames, error %v; want none and an error", resync, len(frames), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("resync %v: the batch allocated %d bytes, want at most %d (1.25 × the %d-byte claim + %d)",
+				resync, got, limit, hdr.maxPayload(), slack)
+		}
+	}
+}
+
+// TestBatchRetentionStaysBounded: with retention on, a batch over a stream
+// with P frames holds no more payloads than NextInto does — the P frames
+// read for later slots do not pile up behind the slots waiting for the
+// walk — and it ends holding the same frames.
+func TestBatchRetentionStaysBounded(t *testing.T) {
+	data := encode(t, synth(60, 63), 75, 6) // 10 GOPs
+	// More than a GOP, so that a clip can start at a retained I frame.
+	const keep = 8
+	clip := func(batch int) []byte {
+		dec, err := NewPartialDecoder(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec.SetRetention(keep)
+		most := 0
+		dec.SetShedCheck(func(int) bool { // asked before every I payload is read
+			held := 0
+			for _, rf := range dec.retained {
+				if rf.data != nil {
+					held++
+				}
+			}
+			most = max(most, held)
+			return false
+		})
+		var b Batch
+		slots := 0
+		for {
+			frames, err := dec.NextBatch(&b, batch)
+			slots += len(frames)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if slots != 10 {
+			t.Errorf("batches of %d: %d key frames, want 10", batch, slots)
+		}
+		if most > keep {
+			t.Errorf("batches of %d: %d payloads retained at once, want at most %d", batch, most, keep)
+		}
+		out, err := dec.ClipFrom(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if one, many := clip(1), clip(MaxBatch); !bytes.Equal(one, many) {
+		t.Error("batches of MaxBatch retain other frames than batches of one")
 	}
 }

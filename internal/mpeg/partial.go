@@ -38,13 +38,14 @@ type DCFrame struct {
 // (bitio.Reader.SkipRunLevels) — and the chroma payload is never touched.
 // This is the compressed-domain fast path of paper Section III.A.
 type PartialDecoder struct {
-	r       io.Reader
-	hdr     StreamHeader
-	qdc     float64 // luma DC quantiser step
-	count   int
-	payload []byte
-	deltas  []int64               // one frame's DC deltas, reused (see walkLuma)
-	fhdr    [frameHeaderSize]byte // a frame header's bytes, reused
+	r      io.Reader
+	hdr    StreamHeader
+	qdc    float64 // luma DC quantiser step
+	count  int
+	err    error                 // the parse failure that ended the decoder (see NextBatch)
+	one    *Batch                // NextInto's batch of one, made on first use
+	deltas []int64               // resync's candidate check's DC deltas (see plausibleIPayload)
+	fhdr   [frameHeaderSize]byte // a frame header's bytes, reused
 	// BytesRead accumulates the number of I-frame payload bytes read into
 	// memory for parsing, for instrumentation.
 	BytesRead int64
@@ -126,21 +127,6 @@ func (d *PartialDecoder) ResyncStats() ResyncStats { return d.rstats }
 // shedding.
 func (d *PartialDecoder) SetShedCheck(fn func(payloadBytes int) bool) { d.shedCheck = fn }
 
-// retainFrame buffers one frame's payload under the retention policy.
-func (d *PartialDecoder) retainFrame(typ byte, data []byte) {
-	if d.retainN <= 0 {
-		return
-	}
-	d.retained = append(d.retained, retainedFrame{
-		index: d.count,
-		typ:   typ,
-		data:  append([]byte(nil), data...),
-	})
-	if excess := len(d.retained) - d.retainN; excess > 0 {
-		d.retained = d.retained[excess:]
-	}
-}
-
 // ClipFrom assembles a standalone MVC1 clip of the retained frames
 // covering stream frame index from (and everything retained after it). The
 // clip starts at the newest retained I-frame at or before from — or the
@@ -197,35 +183,218 @@ func (d *PartialDecoder) Next() (*DCFrame, error) {
 // overwritten and the storage of dcf.DC is reused when it is large enough,
 // so a loop over one DCFrame decodes without allocating. The grid is valid
 // until the next call with the same frame; a placeholder leaves it empty
-// (length 0, storage kept).
+// (length 0, storage kept). It is NextBatch of one slot.
 func (d *PartialDecoder) NextInto(dcf *DCFrame) error {
+	if d.one == nil {
+		d.one = new(Batch)
+	}
+	d.one.frames[0] = *dcf // decode into dcf's storage
+	frames, err := d.NextBatch(d.one, 1)
+	if len(frames) == 1 {
+		*dcf = frames[0]
+	}
+	d.one.frames[0] = DCFrame{}
+	return err
+}
+
+// MaxBatch is the most key-frame slots one NextBatch call decodes: one
+// pass of bitio's group kernel.
+const MaxBatch = bitio.GroupLanes
+
+// A Batch is what NextBatch decodes into: up to MaxBatch key-frame slots and
+// the storage their payloads are read and walked in. The zero value is ready
+// to use. Storage grows on first use and is kept, so a Batch reused across
+// calls — and across the decoders of one consumer's successive segments —
+// decodes without allocating. The frames NextBatch returns are valid until
+// the next call with the same Batch.
+type Batch struct {
+	frames  [MaxBatch]DCFrame
+	slots   [MaxBatch]slot
+	lanes   [MaxBatch]bitio.Lane
+	read    int     // slots read by this call
+	done    int     // slots delivered; those from done to read wait for the walk
+	waiting int     // lanes in use: the waiting slots with a payload to walk
+	payload []byte  // the waiting slots' I-frame payloads, end to end
+	deltas  []int64 // one frame's DC deltas a lane
+}
+
+// slot is how a key-frame slot was read: a placeholder is final, a payload
+// to walk is delivered once its lane has been walked.
+type slot struct {
+	walk   bool
+	off, n int // the payload's span in Batch.payload
+	lane   int // its lane in Batch.lanes
+	rec    int // its reserved record in retained, or −1
+}
+
+// NextBatch decodes up to n (at most MaxBatch) key-frame slots into b and
+// returns them; fewer only together with the error that ended the batch —
+// io.EOF at a clean end of stream. It reads the slots' frames first, with
+// P frames skipped, shed checks, resync, retention and errors exactly as n
+// calls of NextInto would meet them, then walks the luma planes of all the
+// I-frame payloads in one call (bitio.DCBlocksGroup), then delivers the
+// slots in order. (With retention on, a retained record that would push out
+// one a waiting slot may still need walks the waiting slots first, so a
+// batch of a stream with P frames can take more than one walk.)
+//
+// A payload that fails to parse ends the batch at its slot unless resync
+// is on, and it ends the decoder: the slots read after it are lost, and
+// this call and every later one return the parse error. The failed frame
+// counts in BytesRead, is not retained, and its index is not consumed — as
+// NextInto leaves the decoder at that error.
+func (d *PartialDecoder) NextBatch(b *Batch, n int) ([]DCFrame, error) {
+	if d.err != nil {
+		return nil, d.err
+	}
+	n = min(n, MaxBatch)
+	b.read, b.done, b.waiting = 0, 0, 0
+	b.payload = b.payload[:0]
+	var err error
+	for b.read < n && err == nil {
+		var s slot
+		if s, err = d.readSlot(b, &b.frames[b.read], n-b.read); err == nil {
+			b.slots[b.read] = s
+			b.read++
+		}
+	}
+	if d.err == nil {
+		d.walk(b)
+	}
+	if d.err != nil {
+		// A parse failure comes before whatever error ended reading.
+		return b.frames[:b.done], d.err
+	}
+	return b.frames[:b.read], err
+}
+
+// walk entropy-walks the luma planes of the waiting slots' payloads, one
+// lane each, in one bitio.DCBlocksGroup call, and delivers the waiting
+// slots in order. A payload that fails to parse without resync stops
+// delivery at its slot and sets d.err.
+func (d *PartialDecoder) walk(b *Batch) {
+	blocks := (d.hdr.W / 8) * (d.hdr.H / 8)
+	if b.waiting > 0 {
+		if len(b.deltas) < b.waiting*blocks {
+			b.deltas = make([]int64, b.waiting*blocks)
+		}
+		for _, s := range b.slots[b.done:b.read] {
+			if s.walk {
+				l := &b.lanes[s.lane]
+				l.R.Reset(b.payload[s.off : s.off+s.n])
+				l.Deltas = b.deltas[s.lane*blocks : (s.lane+1)*blocks]
+			}
+		}
+		bitio.DCBlocksGroup(b.lanes[:b.waiting], eobRun)
+		b.grids(blocks)
+	}
+
+	removed := 0 // records of frames that failed to parse, dropped from retained
+	for ; b.done < b.read; b.done++ {
+		s, f := b.slots[b.done], &b.frames[b.done]
+		if !s.walk {
+			continue
+		}
+		d.BytesRead += int64(s.n)
+		l := &b.lanes[s.lane]
+		if l.Err != nil {
+			err := fmt.Errorf("mpeg: partial decode frame %d block (%d,%d): %w",
+				f.Info.Index, l.N%f.BW, l.N/f.BW, l.Err)
+			if !d.resync {
+				if s.rec >= 0 {
+					d.retained = d.retained[:s.rec-removed]
+				}
+				d.count = f.Info.Index
+				d.trimRetained()
+				d.err = err
+				return
+			}
+			// The payload was fully read, so the stream position is intact;
+			// only this frame's content is damaged. Substitute a placeholder
+			// (the corrupt bytes are not retained — a clip built from them
+			// would not decode).
+			d.rstats.CorruptFrames++
+			f.DC = f.DC[:0]
+			if s.rec >= 0 {
+				d.retained = append(d.retained[:s.rec-removed], d.retained[s.rec-removed+1:]...)
+				removed++
+			}
+			continue
+		}
+		payload := b.payload[s.off : s.off+s.n]
+		if s.rec >= 0 {
+			d.retained[s.rec-removed].data = append([]byte(nil), payload...)
+		}
+		f.DC = f.DC[:blocks]
+		level := int32(0) // DPCM predictor, reset at every frame
+		for i, delta := range l.Deltas {
+			level += int32(delta)
+			f.DC[i] = float64(level) * d.qdc
+		}
+		// Chroma blocks remain unparsed: the payload is length-prefixed, so
+		// the next frame header is found by position, not by parsing.
+	}
+	b.waiting = 0
+	b.payload = b.payload[:0]
+	d.trimRetained()
+}
+
+// grids makes sure the waiting frames walked whole have room for a grid of
+// blocks values: those that lack it share one new allocation.
+func (b *Batch) grids(blocks int) {
+	short := func(k int) bool {
+		s := b.slots[k]
+		return s.walk && b.lanes[s.lane].Err == nil && cap(b.frames[k].DC) < blocks
+	}
+	n := 0
+	for k := b.done; k < b.read; k++ {
+		if short(k) {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	grid := make([]float64, n*blocks)
+	for k := b.done; k < b.read; k++ {
+		if short(k) {
+			b.frames[k].DC, grid = grid[:0:blocks], grid[blocks:]
+		}
+	}
+}
+
+// readSlot reads frames up to and including the next key-frame slot and
+// stamps dcf with its info: a placeholder is final, an I-frame payload is
+// appended to b.payload, which holds left slots from this one on, and
+// takes the next lane. An error — io.EOF at a clean end — means the stream
+// yields no further slot.
+func (d *PartialDecoder) readSlot(b *Batch, dcf *DCFrame, left int) (slot, error) {
 	for {
 		typ, n, err := readFrameHeader(d.r, d.hdr, d.fhdr[:])
 		if err != nil {
 			if err == io.EOF {
-				return io.EOF
+				return slot{}, io.EOF
 			}
 			if !d.resync || permanentReadErr(err) {
-				return err
+				return slot{}, err
 			}
 			switch {
 			case errors.Is(err, io.ErrUnexpectedEOF):
 				// Torn frame header: the stream ends mid-header.
 				d.rstats.Truncated++
-				return io.EOF
+				return slot{}, io.EOF
 			case errors.Is(err, errUnknownFrameType) && n <= d.hdr.maxPayload():
 				// Damaged type byte but a readable length: skip the frame
 				// in place — stream position and frame cadence survive.
 				if derr := d.discard(n); derr != nil {
 					if permanentReadErr(derr) {
-						return derr
+						return slot{}, derr
 					}
 					d.rstats.Truncated++
-					return io.EOF
+					return slot{}, io.EOF
 				}
 				d.rstats.CorruptFrames++
 				if d.holeSlot(dcf, n) {
-					return nil
+					return slot{rec: -1}, nil
 				}
 				continue
 			default:
@@ -234,35 +403,26 @@ func (d *PartialDecoder) NextInto(dcf *DCFrame) error {
 				// independently decodable frame.
 				if serr := d.scanResync(); serr != nil {
 					if permanentReadErr(serr) {
-						return serr
+						return slot{}, serr
 					}
 					d.rstats.Truncated++
-					return io.EOF
+					return slot{}, io.EOF
 				}
 				d.rstats.Resyncs++
 				d.rstats.CorruptFrames++
 				if d.holeSlot(dcf, 0) {
-					return nil
+					return slot{rec: -1}, nil
 				}
 				continue
 			}
 		}
 		if typ == frameTypeP {
-			if d.retainN > 0 {
-				if err := d.buffer(n); err != nil {
-					if d.resync {
-						d.rstats.Truncated++
-						return io.EOF
-					}
-					return fmt.Errorf("mpeg: buffering P frame %d: %w", d.count, err)
-				}
-				d.retainFrame(frameTypeP, d.payload)
-			} else if err := d.discard(n); err != nil {
+			if err := d.skip(b, frameTypeP, n); err != nil {
 				if d.resync && !permanentReadErr(err) {
 					d.rstats.Truncated++
-					return io.EOF
+					return slot{}, io.EOF
 				}
-				return fmt.Errorf("mpeg: skipping P frame %d: %w", d.count, err)
+				return slot{}, fmt.Errorf("mpeg: %s P frame %d: %w", d.skipVerb(), d.count, err)
 			}
 			d.count++
 			continue
@@ -270,50 +430,85 @@ func (d *PartialDecoder) NextInto(dcf *DCFrame) error {
 		// I frame. Shedding is decided on the compressed size alone, before
 		// any payload byte is entropy-decoded.
 		if d.shedCheck != nil && d.shedCheck(n) {
-			if d.retainN > 0 {
-				if err := d.buffer(n); err != nil {
-					if d.resync {
-						d.rstats.Truncated++
-						return io.EOF
-					}
-					return fmt.Errorf("mpeg: buffering shed I frame %d: %w", d.count, err)
-				}
-				d.retainFrame(frameTypeI, d.payload)
-			} else if err := d.discard(n); err != nil {
+			if err := d.skip(b, frameTypeI, n); err != nil {
 				if d.resync && !permanentReadErr(err) {
 					d.rstats.Truncated++
-					return io.EOF
+					return slot{}, io.EOF
 				}
-				return fmt.Errorf("mpeg: skipping shed I frame %d: %w", d.count, err)
+				return slot{}, fmt.Errorf("mpeg: %s shed I frame %d: %w", d.skipVerb(), d.count, err)
 			}
 			d.placeholder(dcf, n)
 			d.count++
-			return nil
+			return slot{rec: -1}, nil
 		}
-		if err := d.buffer(n); err != nil {
+		off := len(b.payload)
+		if err := b.readPayload(d.r, n, left); err != nil {
 			if d.resync {
 				d.rstats.Truncated++
-				return io.EOF
+				return slot{}, io.EOF
 			}
-			return fmt.Errorf("mpeg: reading I frame %d payload: %w", d.count, err)
+			return slot{}, fmt.Errorf("mpeg: reading I frame %d payload: %w", d.count, err)
 		}
-		d.BytesRead += int64(n)
-		if perr := d.parseIDC(dcf, n); perr != nil {
-			if !d.resync {
-				return perr
-			}
-			// The payload was fully read, so the stream position is intact;
-			// only this frame's content is damaged. Substitute a placeholder
-			// (the corrupt bytes are not retained — a clip built from them
-			// would not decode).
-			d.rstats.CorruptFrames++
-			d.placeholder(dcf, n)
-			d.count++
-			return nil
+		s := slot{walk: true, off: off, n: n, lane: b.waiting, rec: -1}
+		b.waiting++
+		if d.retainN > 0 {
+			// Reserved now, so that records stay in stream order; filled, or
+			// dropped, when the frame is delivered. Nothing is trimmed while
+			// it waits (see retain).
+			s.rec = len(d.retained)
+			d.retained = append(d.retained, retainedFrame{index: d.count, typ: frameTypeI})
 		}
-		d.retainFrame(frameTypeI, d.payload)
+		d.frameInfo(dcf, n)
 		d.count++
-		return nil
+		return s, nil
+	}
+}
+
+// skip consumes the payload of a frame that is not walked: it is read and
+// retained under the retention policy, or skipped without buffering.
+func (d *PartialDecoder) skip(b *Batch, typ byte, n int) error {
+	if d.retainN <= 0 {
+		return d.discard(n)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(d.r, data); err != nil {
+		return err
+	}
+	d.retain(b, retainedFrame{index: d.count, typ: typ, data: data})
+	return d.err
+}
+
+// retain appends the record of a frame that is not walked and keeps the
+// retainN most recent records. While slots wait for the walk their
+// reserved records are not counted, and nothing is trimmed: a waiting
+// frame that fails to parse is dropped, or leaves the records before it as
+// the retention NextInto would hold. So a record that would make room by
+// pushing one out walks the waiting slots first. Retention thus holds at
+// most retainN payloads, beside at most MaxBatch empty reservations.
+func (d *PartialDecoder) retain(b *Batch, rf retainedFrame) {
+	if b.waiting > 0 && len(d.retained) >= d.retainN+b.waiting {
+		if d.walk(b); d.err != nil {
+			return
+		}
+	}
+	d.retained = append(d.retained, rf)
+	if b.waiting == 0 {
+		d.trimRetained()
+	}
+}
+
+// skipVerb names what skip does with a payload, for its errors.
+func (d *PartialDecoder) skipVerb() string {
+	if d.retainN > 0 {
+		return "buffering"
+	}
+	return "skipping"
+}
+
+// trimRetained drops all but the retainN most recent retained frames.
+func (d *PartialDecoder) trimRetained() {
+	if excess := len(d.retained) - d.retainN; excess > 0 && d.retainN > 0 {
+		d.retained = d.retained[excess:]
 	}
 }
 
@@ -353,60 +548,46 @@ func (d *PartialDecoder) holeSlot(dcf *DCFrame, payloadBytes int) bool {
 	return key
 }
 
-// buffer reads n payload bytes into the scratch buffer, which grows with a
-// quarter to spare: frame sizes wander, and an exact fit would be outgrown
-// by every new largest frame.
-func (d *PartialDecoder) buffer(n int) error {
-	if cap(d.payload) < n {
-		d.payload = make([]byte, n, n+n/4)
-	}
-	d.payload = d.payload[:n]
-	_, err := io.ReadFull(d.r, d.payload)
-	return err
-}
+// batchSpare is the most readPayload reserves for the slots after the one
+// it reads.
+const batchSpare = 1 << 20
 
-// parseIDC parses the luma portion of the I-frame payload sitting in
-// d.payload into dcf: one pass of the entropy walk collects the DC deltas
-// (AC codes are stepped over by length, chroma is never touched), a second
-// sums and dequantises them. Unlike readLevels the walk does not check that
-// the runs stay inside a block's 63 AC positions: a payload whose runs
-// overflow still parses as long as its codes do. It touches no stream bytes
-// — the caller has already buffered the payload — so a parse failure leaves
-// the decoder positioned at the next frame header.
-func (d *PartialDecoder) parseIDC(dcf *DCFrame, n int) error {
-	blocks := d.frameInfo(dcf, n)
-	if b, err := d.walkLuma(d.payload); err != nil {
-		return fmt.Errorf("mpeg: partial decode frame %d block (%d,%d): %w",
-			d.count, b%dcf.BW, b/dcf.BW, err)
+// readPayload appends the next n payload bytes of r to b.payload, which
+// holds left slots from this one on. When it has to grow, it doubles, or
+// makes room for left payloads of this size with a quarter to spare,
+// whichever is more: frame sizes wander, and an exact fit would be outgrown
+// by every new largest batch. But n is only what a frame header claims
+// until the bytes arrive, so the room for the later slots is at most
+// batchSpare: a batch reserves a claimed length once, as NextInto does.
+func (b *Batch) readPayload(r io.Reader, n, left int) error {
+	off := len(b.payload)
+	if cap(b.payload)-off < n {
+		want := off + n + n/4 + min((left-1)*(n+n/4), batchSpare)
+		grown := make([]byte, off, max(2*cap(b.payload), want))
+		copy(grown, b.payload)
+		b.payload = grown
 	}
-	if cap(dcf.DC) < blocks {
-		dcf.DC = make([]float64, blocks)
+	b.payload = b.payload[:off+n]
+	if _, err := io.ReadFull(r, b.payload[off:]); err != nil {
+		b.payload = b.payload[:off]
+		return err
 	}
-	dcf.DC = dcf.DC[:blocks]
-	level := int32(0) // DPCM predictor, reset at every frame
-	for i, delta := range d.deltas {
-		level += int32(delta)
-		dcf.DC[i] = float64(level) * d.qdc
-	}
-	// Chroma blocks remain unparsed: the payload is length-prefixed, so the
-	// next frame header is found by position, not by parsing.
 	return nil
 }
 
-// walkLuma entropy-walks an I-frame payload's luma plane into d.deltas and
-// returns the number of blocks that parsed. The buffer is made on first use:
-// a stream header alone should not cost a frame's worth of memory.
-func (d *PartialDecoder) walkLuma(payload []byte) (int, error) {
-	if d.deltas == nil {
-		d.deltas = make([]int64, (d.hdr.W/8)*(d.hdr.H/8))
-	}
-	return bitio.NewReader(payload).DCBlocks(d.deltas, eobRun)
-}
-
-// discard consumes n payload bytes without retaining them.
+// discard consumes n payload bytes without retaining them. A stream that
+// ends inside them is io.ErrUnexpectedEOF whatever the reader: a seeker,
+// which seeks past its end without complaint, reads the last byte to
+// confirm it is there.
 func (d *PartialDecoder) discard(n int) error {
-	if s, ok := d.r.(io.Seeker); ok {
-		_, err := s.Seek(int64(n), io.SeekCurrent)
+	if s, ok := d.r.(io.Seeker); ok && n > 0 {
+		if _, err := s.Seek(int64(n-1), io.SeekCurrent); err != nil {
+			return err
+		}
+		_, err := io.ReadFull(d.r, d.fhdr[:1])
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return err
 	}
 	m, err := io.CopyN(io.Discard, d.r, int64(n))

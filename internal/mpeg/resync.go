@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+
+	"vdsms/internal/bitio"
 )
 
 // scanChunk is the refill granularity of the resync byte scan.
@@ -121,8 +123,13 @@ func (d *PartialDecoder) scanResync() error {
 
 // plausibleIPayload reports whether payload entropy-parses as a complete
 // luma plane for this stream's geometry. Used only for resync candidate
-// validation; the deltas it leaves behind are scratch between decodes.
+// validation; the deltas it leaves behind are scratch between candidates,
+// and are made on first use: a stream header alone should not cost a
+// frame's worth of memory.
 func (d *PartialDecoder) plausibleIPayload(payload []byte) bool {
-	_, err := d.walkLuma(payload)
+	if d.deltas == nil {
+		d.deltas = make([]int64, (d.hdr.W/8)*(d.hdr.H/8))
+	}
+	_, err := bitio.NewReader(payload).DCBlocks(d.deltas, eobRun)
 	return err == nil
 }

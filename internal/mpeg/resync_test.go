@@ -3,6 +3,7 @@ package mpeg
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -302,5 +303,37 @@ func TestShedCheckWithRetention(t *testing.T) {
 	}
 	if got, _, err := ReadAllDC(bytes.NewReader(clip)); err != nil || len(got) != 8 {
 		t.Fatalf("retained clip decode = (%d frames, %v), want (8, nil)", len(got), err)
+	}
+}
+
+// TestTruncatedPFrameEveryReader: a GOP stream cut inside its last P frame is
+// one truncation whether the reader can seek or not — a seek past the end
+// succeeds, so it is no proof that the skipped bytes are there. Without
+// resync both readers fail skipping the frame; with it both end cleanly and
+// count the truncation.
+func TestTruncatedPFrameEveryReader(t *testing.T) {
+	data := encode(t, synth(14, 61), 75, 6) // I P P P P P I … I P: frame 13 is a P
+	cut := data[:len(data)-7]
+	for _, resync := range []bool{false, true} {
+		want := "3 frames, then mpeg: skipping P frame 13: unexpected EOF, {CorruptFrames:0 Resyncs:0 SkippedBytes:0 Truncated:0}"
+		if resync {
+			want = "3 frames, then EOF, {CorruptFrames:0 Resyncs:0 SkippedBytes:0 Truncated:1}"
+		}
+		for _, r := range []io.Reader{bytes.NewReader(cut), plainReader{bytes.NewReader(cut)}} {
+			pd, err := NewPartialDecoder(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pd.SetResync(resync)
+			frames := 0
+			for err == nil {
+				if _, err = pd.Next(); err == nil {
+					frames++
+				}
+			}
+			if got := fmt.Sprintf("%d frames, then %v, %+v", frames, err, pd.ResyncStats()); got != want {
+				t.Errorf("%T, resync %v: %s; want %s", r, resync, got, want)
+			}
+		}
 	}
 }

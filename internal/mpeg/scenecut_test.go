@@ -2,6 +2,7 @@ package mpeg
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -175,7 +176,8 @@ func TestDecodersSurviveCorruption(t *testing.T) {
 }
 
 // TestDecodersSurviveTruncationEverywhere cuts a valid stream at every
-// length and requires clean failure.
+// length and requires clean failure, the same from the partial decoder
+// whether its reader can seek or not.
 func TestDecodersSurviveTruncationEverywhere(t *testing.T) {
 	src := vframe.NewSynth(vframe.SynthConfig{W: 32, H: 32, NumFrames: 4, Seed: 5})
 	var buf bytes.Buffer
@@ -199,12 +201,21 @@ func TestDecodersSurviveTruncationEverywhere(t *testing.T) {
 					}
 				}
 			}
-			if pd, err := NewPartialDecoder(bytes.NewReader(data)); err == nil {
-				for {
-					if _, err := pd.Next(); err != nil {
-						break
+			// The partial decoder skips P payloads by seeking where it can;
+			// a plain reader must meet the cut the same way.
+			var ends []string
+			for _, r := range []io.Reader{bytes.NewReader(data), plainReader{bytes.NewReader(data)}} {
+				pd, err := NewPartialDecoder(r)
+				frames := 0
+				for err == nil {
+					if _, err = pd.Next(); err == nil {
+						frames++
 					}
 				}
+				ends = append(ends, fmt.Sprintf("%d frames, then %v", frames, err))
+			}
+			if ends[0] != ends[1] {
+				t.Fatalf("cut %d: seekable reader: %s; plain reader: %s", cut, ends[0], ends[1])
 			}
 		}()
 	}

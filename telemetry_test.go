@@ -234,7 +234,7 @@ func TestFrontEndTimeRidesItsWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := crashed.pipeline.cells(pd)
+	cells, err := crashed.pipeline.cells(pd, new(frontEnd), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

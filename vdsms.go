@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -241,68 +242,78 @@ type pipeline struct {
 }
 
 // frontEnd is the front end's moving half, what one consumer of
-// pipeline.next carries from key frame to key frame: the buffers every frame
-// is decoded and extracted into, the cell id that stands in for a frame with
-// nothing to extract, and Monitor's two additions — the shed hook and the
-// engine the frames are for. The zero value is ready to use.
+// pipeline.next carries from batch to batch: the batch every frame is
+// decoded into (made on first ingest), the extraction buffers, the cell id
+// that stands in for a frame with nothing to extract, and Monitor's two
+// additions — the shed hook and the engine the frames are for. The zero
+// value is ready to use.
 type frontEnd struct {
-	dcf  mpeg.DCFrame // the frame last decoded; its grid is reused
-	buf  []float64    // the feature vector, then CellInto's scratch
-	last uint64       // the most recent extracted cell id
+	batch *mpeg.Batch // the key frames last decoded; their grids are reused
+	buf   []float64   // the feature vector, then CellInto's scratch
+	last  uint64      // the most recent extracted cell id
 	// shed, when set, is asked about every decoded frame and answers true to
 	// skip its extraction.
 	shed func(*mpeg.DCFrame) bool
-	// eng, when set and timed, is staged each frame's decode and extract
-	// time, which the window that consumes the frame carries.
+	// eng, when set and timed, is staged each batch's decode and extract
+	// time, which the window that consumes the frames carries.
 	eng *core.Engine
 }
 
 // next is the one path from MVC1 bytes to cell ids, shared by Monitor,
-// PushSegment and AddQuery: it decodes pd's next key frame into fe's grid
-// and returns its grid-pyramid cell id, allocating nothing from the second
-// frame on. A frame with nothing to extract — a placeholder (lost to
-// corruption, or shed before decoding) or one the shed hook gives up —
-// repeats the most recent extracted id, which keeps the window cadence the
-// matcher expects. io.EOF is the clean end of the stream.
-func (p pipeline) next(pd *mpeg.PartialDecoder, fe *frontEnd) (uint64, error) {
+// PushSegment and AddQuery: it decodes up to len(ids) of pd's next key
+// frames (at most mpeg.MaxBatch) as one batch, writes their grid-pyramid
+// cell ids to ids and returns the frames, one per id written — fewer than
+// len(ids) only with the error that ended the batch, io.EOF at the clean
+// end of the stream. It allocates nothing once the batch has seen the
+// stream's largest frames. A frame with nothing to extract — a placeholder
+// (lost to corruption, or shed before decoding) or one the shed hook gives
+// up — repeats the most recent extracted id, which keeps the window cadence
+// the matcher expects.
+func (p pipeline) next(pd *mpeg.PartialDecoder, fe *frontEnd, ids []uint64) ([]mpeg.DCFrame, error) {
+	if fe.batch == nil {
+		fe.batch = new(mpeg.Batch)
+	}
 	timed := fe.eng != nil && fe.eng.Timed()
 	var tDec, tExt time.Time
 	if timed {
 		tDec = time.Now()
 	}
-	if err := pd.NextInto(&fe.dcf); err != nil {
-		return 0, err
-	}
+	frames, err := pd.NextBatch(fe.batch, len(ids))
 	if timed {
 		tExt = time.Now()
 	}
-	if len(fe.dcf.DC) > 0 && (fe.shed == nil || !fe.shed(&fe.dcf)) {
-		if fe.buf == nil {
-			fe.buf = make([]float64, 2*p.pt.D)
+	for i := range frames {
+		dcf := &frames[i]
+		if len(dcf.DC) > 0 && (fe.shed == nil || !fe.shed(dcf)) {
+			if fe.buf == nil {
+				fe.buf = make([]float64, 2*p.pt.D)
+			}
+			vec, scratch := fe.buf[:p.pt.D], fe.buf[p.pt.D:]
+			fe.last = p.pt.CellInto(p.ex.VectorInto(vec, dcf), scratch)
 		}
-		vec, scratch := fe.buf[:p.pt.D], fe.buf[p.pt.D:]
-		fe.last = p.pt.CellInto(p.ex.VectorInto(vec, &fe.dcf), scratch)
+		ids[i] = fe.last
 	}
 	if timed {
 		fe.eng.Stage(perfobs.StageDecode, tExt.Sub(tDec).Nanoseconds())
 		fe.eng.Stage(perfobs.StageExtract, time.Since(tExt).Nanoseconds())
 	}
-	return fe.last, nil
+	return frames, err
 }
 
-// cells runs next to the end of pd's stream.
-func (p pipeline) cells(pd *mpeg.PartialDecoder) ([]uint64, error) {
-	fe := new(frontEnd)
-	out := make([]uint64, 0, 16)
+// cells runs next to the end of pd's stream, mpeg.MaxBatch frames a batch,
+// and appends the cell ids to out.
+func (p pipeline) cells(pd *mpeg.PartialDecoder, fe *frontEnd, out []uint64) ([]uint64, error) {
 	for {
-		id, err := p.next(pd, fe)
+		n := len(out)
+		out = slices.Grow(out, mpeg.MaxBatch)
+		frames, err := p.next(pd, fe, out[n:n+mpeg.MaxBatch])
+		out = out[:n+len(frames)]
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, id)
 	}
 }
 
@@ -311,7 +322,7 @@ func (p pipeline) queryCells(id int, clip io.Reader) ([]uint64, error) {
 	pd, err := mpeg.NewPartialDecoder(clip)
 	var cells []uint64
 	if err == nil {
-		cells, err = p.cells(pd)
+		cells, err = p.cells(pd, new(frontEnd), nil)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("vdsms: decoding query %d: %w", id, err)
@@ -661,27 +672,24 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 	maxKeys := int(d.cfg.ArchiveSec*d.cfg.KeyFPS) + 2
 
 	before := len(d.engine.Matches)
-	// Decoded cell ids are pushed in batches aligned to basic-window
-	// boundaries: the engine processes each window at exactly the same
-	// stream position as per-frame pushing would (so match latency and
-	// archival state are unchanged) while the per-frame call overhead is
-	// amortised.
+	// Key frames are decoded a batch at a time and pushed in batches
+	// aligned to basic-window boundaries: a decode batch never reads past
+	// the window being filled, and the engine processes each window at
+	// exactly the same stream position as per-frame pushing would (so match
+	// latency and archival state are unchanged) while the per-frame call
+	// overhead is amortised.
 	room := d.winKeyF - d.engine.PendingFrames()
 	if d.batch == nil {
 		d.batch = make([]uint64, 0, d.winKeyF)
 	}
 	batch := d.batch[:0] // never outgrows a window
 	for {
-		id, err := d.pipeline.next(pd, &d.front)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		batch = append(batch, id)
+		frames, err := d.pipeline.next(pd, &d.front, d.batch[len(batch):room])
+		batch = batch[:len(batch)+len(frames)]
 		if d.curPD != nil {
-			d.keyMap = append(d.keyMap, d.front.dcf.Info.Index)
+			for i := range frames {
+				d.keyMap = append(d.keyMap, frames[i].Info.Index)
+			}
 			if len(d.keyMap) > maxKeys {
 				trim := len(d.keyMap) - maxKeys
 				d.keyMap = d.keyMap[trim:]
@@ -694,6 +702,12 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 			}
 			batch = batch[:0]
 			room = d.winKeyF
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	if len(batch) > 0 {
