@@ -16,13 +16,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
-	"vdsms/internal/buildinfo"
+	"vdsms/internal/cli"
 	"vdsms/internal/experiments"
-	"vdsms/internal/telemetry"
 )
 
 func main() {
@@ -31,7 +29,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text tables")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address while running (e.g. :8655)")
-	version := flag.Bool("version", false, "print build information and exit")
+	version := cli.Version(flag.CommandLine, "vcdbench")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: vcdbench [flags] all | <experiment>...\n\nflags:\n")
 		flag.PrintDefaults()
@@ -39,25 +37,13 @@ func main() {
 		printList()
 	}
 	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.String("vcdbench"))
-		return
-	}
-	buildinfo.Metric()
+	version()
 
 	if *list {
 		printList()
 		return
 	}
-	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", telemetry.Handler(telemetry.Default))
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "vcdbench: metrics server:", err)
-			}
-		}()
-	}
+	defer cli.ServeMetrics("vcdbench", *metricsAddr)()
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()

@@ -19,8 +19,8 @@
 // REPLAY prefix — the crashed run may already have printed them).
 //
 // With -metrics-addr the monitor serves Prometheus metrics (GET /metrics)
-// on a side listener while it runs; set TELEMETRY_SLOW_WINDOW=budget to
-// also log any basic window that processes slower than real time.
+// on a side listener while it runs; -slow-window budget also logs any
+// basic window that processes slower than real time.
 //
 // With -real-time-budget the overload controller watches per-window ingest
 // latency against the budget; adding -shed lets it drop low-information
@@ -38,21 +38,23 @@
 // and an exact-Jaccard audit of the reported similarity against Theorem
 // 1's deviation bound. A final stderr line counts the decisions that never
 // became matches (prunes, drops, expiries, near misses).
+//
+// The detection, durability, overload and observability flags are the
+// ones vcdserve takes too (internal/cli); -checkpoint-every, -resume, -q,
+// the query-set, archive, -explain and -metrics-addr flags are vcdmon's.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"vdsms"
-	"vdsms/internal/buildinfo"
+	"vdsms/internal/cli"
 	"vdsms/internal/perfobs"
 	"vdsms/internal/telemetry"
 )
@@ -69,19 +71,6 @@ var (
 		"Stream or query inputs rejected (bad paths, undecodable clips, duplicate ids).")
 )
 
-// serveMetrics exposes the process-wide telemetry registry at
-// addr/metrics in the background, so a long-running monitor can be
-// scraped while it works.
-func serveMetrics(tool, addr string) {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", telemetry.Handler(telemetry.Default))
-	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: metrics server: %v\n", tool, err)
-		}
-	}()
-}
-
 // queryFlags accumulates repeated -q flags.
 type queryFlags []string
 
@@ -90,70 +79,32 @@ func (q *queryFlags) Set(v string) error { *q = append(*q, v); return nil }
 
 func main() {
 	var qs queryFlags
-	delta := flag.Float64("delta", 0.7, "similarity threshold δ")
-	k := flag.Int("k", 800, "number of min-hash functions")
-	window := flag.Float64("window", 5, "basic window (seconds)")
-	keyFPS := flag.Float64("keyfps", 2, "expected key-frame rate of the stream")
+	shared := cli.Register(flag.CommandLine, "vcdmon")
 	loadSet := flag.String("load-queries", "", "restore subscriptions from a saved query set")
 	saveSet := flag.String("save-queries", "", "after subscribing, save the query set to this file")
 	archiveDir := flag.String("archive-dir", "", "save matched stream segments as clips in this directory")
 	archiveSec := flag.Float64("archive-sec", 120, "seconds of stream retained for archiving")
-	ckptDir := flag.String("checkpoint-dir", "", "journal frames and checkpoint matching state in this directory")
 	ckptEvery := flag.Duration("checkpoint-every", 10*time.Second, "minimum interval between periodic checkpoints")
 	resume := flag.Bool("resume", false, "restore state from -checkpoint-dir and replay the frame log before monitoring")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address while monitoring (e.g. :8655)")
-	rtBudget := flag.Duration("real-time-budget", 0, "per-window ingest latency budget; when the p99 breaches, load is shed to recover (0 = off)")
-	shed := flag.Bool("shed", false, "allow the overload controller to actually shed work (without it the budget is observe-only)")
-	resync := flag.Bool("resync", false, "tolerate corrupt or truncated streams: resynchronise and keep monitoring instead of erroring")
-	explain := flag.Bool("explain", false, "trace candidate lifecycles and print an EXPLAIN line (trajectory, audit) per match")
-	spanSample := flag.Float64("span-sample", 0, "fraction of basic windows captured as perf spans (0 = off, 1 = every window; -explain implies 1)")
-	spanLog := flag.String("span-log", "", "append sampled perf spans as JSON lines to this file (\"-\" = stderr)")
-	profileDir := flag.String("profile-dir", "", "capture periodic CPU+heap profiles into a bounded file ring in this directory")
-	profileEvery := flag.Duration("profile-every", time.Minute, "interval between continuous profile captures (with -profile-dir)")
-	version := flag.Bool("version", false, "print build information and exit")
+	explain := flag.Bool("explain", false, "trace candidate lifecycles and print an EXPLAIN line (trajectory, audit) per match; samples every window's perf span")
 	flag.Var(&qs, "q", "query clip path, or id=path (repeatable)")
 	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.String("vcdmon"))
-		return
-	}
-	buildinfo.Metric()
-
-	if *metricsAddr != "" {
-		serveMetrics("vcdmon", *metricsAddr)
-	}
 
 	// -explain is a request for the full story of a run; include the
 	// per-stage latency breakdown by sampling every window's span.
-	if *explain && *spanSample == 0 {
-		*spanSample = 1
+	if *explain && shared.SpanSample == 0 {
+		shared.SpanSample = 1
 	}
-	if *spanSample > 0 {
-		vdsms.SetSpanSampling(*spanSample)
-		vdsms.SetAllocSampling(16)
+	stopObs, err := shared.Start()
+	if err != nil {
+		fatal(err)
 	}
-	if *spanLog != "" {
-		out := io.Writer(os.Stderr)
-		if *spanLog != "-" {
-			f, err := os.OpenFile(*spanLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fatal(err)
-			}
-			bw := bufio.NewWriter(f)
-			defer func() { bw.Flush(); f.Close() }()
-			out = bw
-		}
-		vdsms.SetSpanLog(out)
-	}
-	if *profileDir != "" {
-		prof, err := vdsms.StartProfiler(*profileDir, *profileEvery, 4)
-		if err != nil {
-			fatal(err)
-		}
-		defer prof.Stop()
-	}
+	defer stopObs()
+	defer cli.ServeMetrics("vcdmon", *metricsAddr)()
 
-	if *resume && *ckptDir == "" {
+	cfg := shared.Config()
+	if *resume && cfg.CheckpointDir == "" {
 		fmt.Fprintln(os.Stderr, "vcdmon: -resume requires -checkpoint-dir")
 		os.Exit(2)
 	}
@@ -164,19 +115,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := vdsms.DefaultConfig()
-	cfg.Delta = *delta
-	cfg.K = *k
-	cfg.WindowSec = *window
-	cfg.KeyFPS = *keyFPS
 	if *archiveDir != "" {
 		cfg.ArchiveSec = *archiveSec
 	}
-	cfg.CheckpointDir = *ckptDir
 	cfg.CheckpointEvery = *ckptEvery
-	cfg.RealTimeBudget = *rtBudget
-	cfg.Shed = *shed
-	cfg.Resync = *resync
 	if *explain {
 		// Journal every lifecycle decision and exact-audit every report and
 		// prune — for a one-shot CLI run the audit cost is irrelevant and
@@ -186,20 +128,19 @@ func main() {
 		cfg.StreamName = "vcdmon"
 	}
 	var det *vdsms.Detector
-	var err error
 	if *resume {
 		var found bool
 		det, found, err = vdsms.Resume(cfg)
 		if err == nil {
 			if found {
 				fmt.Fprintf(os.Stderr, "resumed %d queries from %s (%d matches replayed)\n",
-					det.NumQueries(), *ckptDir, len(det.Replayed))
+					det.NumQueries(), cfg.CheckpointDir, len(det.Replayed))
 				for _, m := range det.Replayed {
 					fmt.Printf("REPLAY MATCH query=%d at=%.1fs start=%.1fs end=%.1fs sim=%.3f\n",
 						m.QueryID, m.DetectedAt.Seconds(), m.Start.Seconds(), m.End.Seconds(), m.Similarity)
 				}
 			} else {
-				fmt.Fprintf(os.Stderr, "no checkpoint in %s; starting fresh\n", *ckptDir)
+				fmt.Fprintf(os.Stderr, "no checkpoint in %s; starting fresh\n", cfg.CheckpointDir)
 			}
 		}
 	} else if *loadSet != "" {
@@ -287,7 +228,7 @@ func main() {
 		if err := det.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "final checkpoint written to %s\n", *ckptDir)
+		fmt.Fprintf(os.Stderr, "final checkpoint written to %s\n", cfg.CheckpointDir)
 	}
 	st := det.Stats()
 	summary := fmt.Sprintf("done: %d key frames, %d windows, %d matches, avg %.1f signatures in memory",
@@ -298,13 +239,13 @@ func main() {
 		summary += fmt.Sprintf(", %d query path(s) skipped", skippedQueries)
 	}
 	fmt.Fprintln(os.Stderr, summary)
-	if *rtBudget > 0 || *resync {
+	if cfg.RealTimeBudget > 0 || cfg.Resync {
 		o := det.Overload()
 		if o.Armed {
 			fmt.Fprintf(os.Stderr, "overload: level %d/%d, %d/%d windows in shed mode, steady p99 %s (budget %s), shed extract=%d decode=%d\n",
 				o.Level, o.MaxLevel, o.ShedWindows, o.Observed, o.RunP99, o.Budget, o.ExtractShed, o.DecodeShed)
 		}
-		if *resync {
+		if cfg.Resync {
 			fmt.Fprintf(os.Stderr, "resync: %d corrupt frames, %d scans (%d bytes skipped), %d truncations, %d read retries\n",
 				o.CorruptFrames, o.Resyncs, o.SkippedBytes, o.Truncated, o.ReadRetries)
 		}
@@ -313,7 +254,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, explainSummary(det))
 		fmt.Fprintf(os.Stderr, "work: %d related, %d pruned, %d compared\n", st.Probed, st.Pruned, st.Compared)
 	}
-	if *spanSample > 0 {
+	if shared.SpanSample > 0 {
 		if line := perfSummary(); line != "" {
 			fmt.Fprintln(os.Stderr, line)
 		}

@@ -1,7 +1,7 @@
 // Command vcdserve runs the copy-detection HTTP service.
 //
 //	vcdserve [-addr :8654] [-delta 0.7] [-k 800] [-window 5] [-keyfps 2]
-//	         [-checkpoint-dir state/] [-checkpoint-every 30s]
+//	         [-checkpoint-dir state/] [-slow-window budget]
 //
 // Endpoints:
 //
@@ -39,6 +39,10 @@
 // so load balancers route new streams elsewhere. With -resync, corrupt or
 // truncated uploads are resynchronised rather than failing the POST.
 //
+// The detection, durability, overload and observability flags are the
+// ones vcdmon takes too (internal/cli); -addr, -drain, -pprof, the -fleet-*
+// and the tracing flags are vcdserve's.
+//
 // Example session (with vcdgen-produced files):
 //
 //	curl -X PUT --data-binary @ad.mvc     localhost:8654/queries/1
@@ -46,12 +50,10 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -61,23 +63,15 @@ import (
 	"time"
 
 	"vdsms"
-	"vdsms/internal/buildinfo"
+	"vdsms/internal/cli"
 	"vdsms/internal/server"
 	"vdsms/internal/trace"
 )
 
 func main() {
+	shared := cli.Register(flag.CommandLine, "vcdserve")
 	addr := flag.String("addr", ":8654", "listen address")
-	delta := flag.Float64("delta", 0.7, "similarity threshold δ")
-	k := flag.Int("k", 800, "number of min-hash functions")
-	window := flag.Float64("window", 5, "basic window (seconds)")
-	keyFPS := flag.Float64("keyfps", 2, "expected key-frame rate of monitored streams")
-	ckptDir := flag.String("checkpoint-dir", "", "persist service state in this directory (restore on boot)")
-	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "minimum interval between periodic checkpoints")
 	drain := flag.Duration("drain", 30*time.Second, "in-flight stream drain timeout on shutdown")
-	rtBudget := flag.Duration("real-time-budget", 0, "per-window ingest latency budget shared by all streams; breaching p99 raises the shed level and /readyz degrades at the maximum (0 = off)")
-	shed := flag.Bool("shed", false, "allow the overload controller to actually shed work (without it the budget is observe-only)")
-	resync := flag.Bool("resync", false, "tolerate corrupt or truncated uploaded streams: resynchronise and keep monitoring instead of failing the POST")
 	pprof := flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
 	fleetWorkers := flag.Int("fleet-workers", 0, "workers for the attached-stream fleet pool (0 = GOMAXPROCS)")
 	fleetMaxStreams := flag.Int("fleet-max-streams", 0, "admission limit for attached fleet streams (0 = unlimited)")
@@ -85,28 +79,15 @@ func main() {
 	traceEvents := flag.Int("trace-events", 0, "arm decision-provenance tracing with an event journal of this capacity (0 = off)")
 	auditFraction := flag.Float64("audit-fraction", 0, "exact-audit this fraction of report/prune decisions against Theorem 1's bound (implies tracing; 0 = off)")
 	traceLog := flag.Bool("trace-log", false, "emit journaled lifecycle events as structured JSON logs on stderr (requires tracing)")
-	spanSample := flag.Float64("span-sample", 0, "fraction of basic windows captured as perf spans, across all streams (0 = off, 1 = every window; retune live via POST /debug/spans)")
-	spanLog := flag.String("span-log", "", "append sampled perf spans as JSON lines to this file (\"-\" = stderr)")
-	profileDir := flag.String("profile-dir", "", "capture periodic CPU+heap profiles into a bounded file ring in this directory")
-	profileEvery := flag.Duration("profile-every", time.Minute, "interval between continuous profile captures (with -profile-dir)")
-	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.String("vcdserve"))
-		return
+	stopObs, err := shared.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vcdserve:", err)
+		os.Exit(1)
 	}
-	buildinfo.Metric()
+	defer stopObs()
 
-	cfg := vdsms.DefaultConfig()
-	cfg.Delta = *delta
-	cfg.K = *k
-	cfg.WindowSec = *window
-	cfg.KeyFPS = *keyFPS
-	cfg.CheckpointDir = *ckptDir
-	cfg.CheckpointEvery = *ckptEvery
-	cfg.RealTimeBudget = *rtBudget
-	cfg.Shed = *shed
-	cfg.Resync = *resync
+	cfg := shared.Config()
 	cfg.TraceEvents = *traceEvents
 	cfg.AuditFraction = *auditFraction
 	cfg.StreamName = "root"
@@ -119,33 +100,6 @@ func main() {
 		logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 		stopLog := trace.LogEvents(trace.Default, logger)
 		defer stopLog()
-	}
-
-	if *spanSample > 0 {
-		vdsms.SetSpanSampling(*spanSample)
-		vdsms.SetAllocSampling(16)
-	}
-	if *spanLog != "" {
-		out := io.Writer(os.Stderr)
-		if *spanLog != "-" {
-			f, err := os.OpenFile(*spanLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "vcdserve:", err)
-				os.Exit(1)
-			}
-			bw := bufio.NewWriter(f)
-			defer func() { bw.Flush(); f.Close() }()
-			out = bw
-		}
-		vdsms.SetSpanLog(out)
-	}
-	if *profileDir != "" {
-		prof, err := vdsms.StartProfiler(*profileDir, *profileEvery, 4)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vcdserve:", err)
-			os.Exit(1)
-		}
-		defer prof.Stop()
 	}
 
 	srv, err := server.NewWithOptions(cfg, server.Options{
@@ -161,7 +115,7 @@ func main() {
 		os.Exit(1)
 	}
 	if srv.Restored() {
-		log.Printf("restored %d queries from checkpoint in %s", srv.NumQueries(), *ckptDir)
+		log.Printf("restored %d queries from checkpoint in %s", srv.NumQueries(), cfg.CheckpointDir)
 	}
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -187,11 +141,11 @@ func main() {
 	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("vcdserve: shutdown: %v", err)
 	}
-	if *ckptDir != "" {
+	if cfg.CheckpointDir != "" {
 		if err := srv.Checkpoint(); err != nil {
 			log.Printf("vcdserve: final checkpoint: %v", err)
 			os.Exit(1)
 		}
-		log.Printf("final checkpoint written to %s", *ckptDir)
+		log.Printf("final checkpoint written to %s", cfg.CheckpointDir)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"vdsms/internal/core"
 	"vdsms/internal/fleet"
 	"vdsms/internal/mpeg"
-	"vdsms/internal/snapshot"
 )
 
 // Re-exported fleet errors; branch with errors.Is.
@@ -52,10 +51,8 @@ type FleetConfig struct {
 // be called concurrently; subscription churn lands through the plane's
 // copy-on-write swap without stalling any stream's ingest.
 type Fleet struct {
-	cfg     Config
-	pl      pipeline
-	winKeyF int
-	pool    *fleet.Pool
+	d    *Detector
+	pool *fleet.Pool
 }
 
 // NewFleet builds a fleet with a fresh query plane.
@@ -72,20 +69,7 @@ func NewFleet(cfg Config, fc FleetConfig) (*Fleet, error) {
 // detector's own stream and every fleet stream alike. Its streams share the
 // detector's slow-window budget too: a window over it is counted and kept
 // under the stream's id, but not passed to OnSlowWindow or logged.
-func (d *Detector) NewFleet(fc FleetConfig) (*Fleet, error) {
-	pcfg := fleet.Config{
-		Engine:      d.engine.Config(),
-		Workers:     fc.Workers,
-		MaxStreams:  fc.MaxStreams,
-		QueueFrames: fc.QueueWindows * d.winKeyF,
-	}
-	pool, err := fleet.NewWith(pcfg, d.engine.Queries())
-	if err != nil {
-		return nil, err
-	}
-	pool.Observe(d.observer())
-	return &Fleet{cfg: d.cfg, pl: d.pipeline, winKeyF: d.winKeyF, pool: pool}, nil
-}
+func (d *Detector) NewFleet(fc FleetConfig) (*Fleet, error) { return d.fleet(fc, nil) }
 
 // RestoreFleet rebuilds a fleet from a Fleet.Checkpoint stream: the shared
 // plane is loaded once, and every checkpointed stream re-attaches with its
@@ -96,37 +80,43 @@ func RestoreFleet(cfg Config, fc FleetConfig, r io.Reader) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
+	return d.fleet(fc, r)
+}
+
+// fleet builds a pool on d's engine configuration and observer: over d's
+// plane, or restored from checkpoint r when r is not nil.
+func (d *Detector) fleet(fc FleetConfig, r io.Reader) (*Fleet, error) {
 	pcfg := fleet.Config{
 		Engine:      d.engine.Config(),
 		Workers:     fc.Workers,
 		MaxStreams:  fc.MaxStreams,
 		QueueFrames: fc.QueueWindows * d.winKeyF,
 	}
-	pool, err := fleet.Restore(pcfg, r, d.meta())
+	var pool *fleet.Pool
+	var err error
+	if r == nil {
+		pool, err = fleet.NewWith(pcfg, d.engine.Queries())
+	} else {
+		pool, err = fleet.Restore(pcfg, r, d.meta())
+	}
 	if err != nil {
 		return nil, err
 	}
 	pool.Observe(d.observer())
-	return &Fleet{cfg: cfg, pl: d.pipeline, winKeyF: d.winKeyF, pool: pool}, nil
+	return &Fleet{d: d, pool: pool}, nil
 }
 
 // Checkpoint writes the fleet's full state: the shared query plane once,
 // plus one small delta per stream. Producers and query churn must pause
 // while it runs (it drains every stream queue first).
 func (f *Fleet) Checkpoint(w io.Writer) error {
-	return f.pool.Checkpoint(w, fleetMeta(f.cfg))
-}
-
-// fleetMeta mirrors Detector.meta: the pipeline-level parameters stamped
-// into every stream blob's fingerprint.
-func fleetMeta(cfg Config) snapshot.Meta {
-	return snapshot.Meta{U: cfg.U, D: cfg.D, KeyFPS: cfg.KeyFPS}
+	return f.pool.Checkpoint(w, f.d.meta())
 }
 
 // AddQuery subscribes a continuous query from an encoded MVC1 clip,
 // fleet-wide: every attached stream sees it at its next window.
 func (f *Fleet) AddQuery(id int, clip io.Reader) error {
-	cells, err := f.pl.queryCells(id, clip)
+	cells, err := f.d.pipeline.queryCells(id, clip)
 	if err != nil {
 		return err
 	}
@@ -136,7 +126,7 @@ func (f *Fleet) AddQuery(id int, clip io.Reader) error {
 // AddQueries subscribes a batch of MVC1 clips in one bulk index build and
 // one plane version.
 func (f *Fleet) AddQueries(ids []int, clips []io.Reader) error {
-	cellIDs, err := f.pl.batchCells(ids, clips)
+	cellIDs, err := f.d.pipeline.batchCells(ids, clips)
 	if err != nil {
 		return err
 	}
@@ -230,10 +220,10 @@ func (fs *FleetStream) PushSegment(segment io.Reader) error {
 	}
 	// Validate before working: a mis-configured producer costs a header
 	// read, not a decode.
-	if err := fs.fl.cfg.checkKeyRate(pd.Header()); err != nil {
+	if err := fs.fl.d.cfg.checkKeyRate(pd.Header()); err != nil {
 		return err
 	}
-	cells, err := fs.fl.pl.cells(pd, new(frontEnd), nil)
+	cells, err := fs.fl.d.pipeline.cells(pd, new(frontEnd), nil)
 	if err != nil || len(cells) == 0 {
 		return err
 	}
@@ -245,7 +235,7 @@ func (fs *FleetStream) Matches() []Match {
 	raw := fs.s.Matches()
 	out := make([]Match, len(raw))
 	for i, m := range raw {
-		out[i] = convertMatch(m, fs.fl.cfg.KeyFPS)
+		out[i] = convertMatch(m, fs.fl.d.cfg.KeyFPS)
 	}
 	return out
 }

@@ -69,7 +69,7 @@ func NewQuerySet(k int, seed int64, useIndex bool) (*QuerySet, error) {
 		return nil, err
 	}
 	qs := &QuerySet{fam: fam, k: k, seed: seed, useIndex: useIndex}
-	qs.cur.Store(&queryPlane{index: idx})
+	qs.publish(&queryPlane{index: idx})
 	return qs, nil
 }
 
@@ -174,7 +174,7 @@ func (qs *QuerySet) insert(batch []qindex.Query) error {
 	if err != nil {
 		return err
 	}
-	qs.cur.Store(&queryPlane{version: v.version + 1, index: idx})
+	qs.publish(&queryPlane{version: v.version + 1, index: idx})
 	return nil
 }
 
@@ -189,8 +189,17 @@ func (qs *QuerySet) Remove(id int) error {
 	if err := idx.Remove(id); err != nil {
 		return err
 	}
-	qs.cur.Store(&queryPlane{version: v.version + 1, index: idx})
+	qs.publish(&queryPlane{version: v.version + 1, index: idx})
 	return nil
+}
+
+// publish makes p the current plane and reports it on the
+// vcd_fleet_plane_bytes and vcd_fleet_plane_version gauges, whichever
+// caller — a fleet, a detector, the server — changed the subscription set.
+func (qs *QuerySet) publish(p *queryPlane) {
+	qs.cur.Store(p)
+	telPlaneBytes.Set(float64(qs.PlaneBytes()))
+	telPlaneVersion.Set(float64(p.version))
 }
 
 // EnablePreFilter does nothing. It turned on a row pre-filter in front of

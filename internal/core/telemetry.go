@@ -33,6 +33,12 @@ var (
 	telSlowWindows = telemetry.Default.Counter("vcd_slow_windows_total",
 		"Basic windows that exceeded the slow-window budget.")
 
+	// The query plane, as of its last published version (QuerySet.publish).
+	telPlaneBytes = telemetry.Default.Gauge("vcd_fleet_plane_bytes",
+		"Memory footprint of the shared query plane (index, sketches, pre-filter) — paid once, not per stream.")
+	telPlaneVersion = telemetry.Default.Gauge("vcd_fleet_plane_version",
+		"Current version of the shared copy-on-write query plane.")
+
 	telStageDecode  = stageHistogram("decode")
 	telStageExtract = stageHistogram("extract")
 	telStageSketch  = stageHistogram("sketch")

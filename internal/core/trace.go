@@ -44,9 +44,6 @@ func (e *Engine) SetTracer(r *trace.Recorder) {
 	e.nearEps = trace.ErrorBound(e.cfg.K, trace.DefaultConfidence)
 }
 
-// Tracer returns the armed recorder, or nil.
-func (e *Engine) Tracer() *trace.Recorder { return e.trc }
-
 // SetAudit arms the sampled exact-audit channel: every Nth report decision
 // and every Nth prune decision is re-derived exactly from raw cell-id sets
 // and scored against Theorem 1's bound. every <= 0 disables auditing.

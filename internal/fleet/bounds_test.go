@@ -3,44 +3,58 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"vdsms/internal/minhash"
 	"vdsms/internal/snapshot"
 )
 
-// TestRestoreBlobBoundedByInput: a VFLT container whose plane blob, or
-// whose stream blob, declares 2³²−1 bytes and holds a few is refused, and
-// reading it allocates with the bytes that arrive, not the length declared.
-func TestRestoreBlobBoundedByInput(t *testing.T) {
-	cfg := testConfig(1)
-	p, err := New(cfg)
+// boundsMeta is the pipeline stamp of every container these tests build.
+var boundsMeta = snapshot.Meta{U: 16, D: 8, KeyFPS: 3}
+
+// hostileBlob is a VFLT container whose plane blob, or whose stream blob,
+// declares 2³²−1 bytes and holds a few.
+type hostileBlob struct {
+	name string
+	data []byte
+}
+
+// hostileBlobs cuts the two hostile containers from the checkpoint of a
+// pool with one idle stream.
+func hostileBlobs(tb testing.TB) []hostileBlob {
+	p, err := New(testConfig(1))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer p.Close()
 	if _, err := p.Attach("cam"); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	meta := snapshot.Meta{U: 16, D: 8, KeyFPS: 3}
 	var ck bytes.Buffer
-	if err := p.Checkpoint(&ck, meta); err != nil {
-		t.Fatal(err)
+	if err := p.Checkpoint(&ck, boundsMeta); err != nil {
+		tb.Fatal(err)
 	}
 	full := ck.Bytes()
 	planeLen := int(binary.BigEndian.Uint32(full[6:]))
 	streamAt := 6 + 4 + planeLen + 4 + 2 + len("cam") // the stream blob's length
 	huge := binary.BigEndian.AppendUint32(nil, 1<<32-1)
-	for _, c := range []struct {
-		name string
-		data []byte
-	}{
+	return []hostileBlob{
 		{"plane", append(append(bytes.Clone(full[:6]), huge...), "VQS1"...)},
 		{"stream", append(append(bytes.Clone(full[:streamAt]), huge...), "VCKP"...)},
-	} {
+	}
+}
+
+// TestRestoreBlobBoundedByInput: a container whose plane or stream blob
+// declares 2³²−1 bytes is refused, and reading it allocates with the bytes
+// that arrive, not the length declared.
+func TestRestoreBlobBoundedByInput(t *testing.T) {
+	for _, c := range hostileBlobs(t) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r, err := Restore(cfg, bytes.NewReader(c.data), meta)
+		r, err := Restore(testConfig(1), bytes.NewReader(c.data), boundsMeta)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			r.Close()
@@ -50,4 +64,95 @@ func TestRestoreBlobBoundedByInput(t *testing.T) {
 			t.Errorf("%s: restoring a %d-byte container allocated %d bytes, want < 1 MB", c.name, len(c.data), alloc)
 		}
 	}
+}
+
+// The restore path may allocate at most restoreAllocPerByte bytes per
+// input byte, plus K/16 per input byte at the K the plane's header
+// declares, plus restoreAllocConst. The per-byte term is the engine
+// checkpoint's (core's FuzzRestoreCheckpoint: ≈ 570 measured on its
+// densest input), which covers the plane's 128 (core's FuzzLoadQuerySet);
+// the K/16 term is the plane index's, quadratic in K, as in
+// FuzzLoadQuerySet. The constant covers a hash family, a window's scratch
+// and the decoder buffers at K = minhash.MaxK, and the pool's worker.
+const (
+	restoreAllocPerByte = 1024
+	restoreAllocConst   = 16 << 20
+)
+
+// FuzzRestoreFleet feeds bytes down the path a restarting fleet takes:
+// Restore (container framing, the shared plane, every stream's engine
+// checkpoint), then one window pushed to a stream and drained. Whatever
+// the bytes say, the path must not panic and must stay inside the
+// allocation bound above. Stream blobs keep their FNV trailers, so a
+// mutation inside one mostly stops at the integrity check; the engine
+// decoder behind it is FuzzRestoreCheckpoint's (internal/core).
+//
+//	go test -run '^$' -fuzz FuzzRestoreFleet -fuzztime 2m -parallel 1 ./internal/fleet
+func FuzzRestoreFleet(f *testing.F) {
+	// A two-stream fleet mid-window, one stream with a candidate running.
+	p, err := New(testConfig(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	query := idStream(rng, 1, 30)
+	if err := p.AddQuery(1, query); err != nil {
+		f.Fatal(err)
+	}
+	for i, frames := range [][]uint64{append(idStream(rng, 9, 20), query[:15]...), idStream(rng, 8, 25)} {
+		s, err := p.Attach(fmt.Sprintf("cam-%d", i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := s.Push(frames); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var ck bytes.Buffer
+	if err := p.Checkpoint(&ck, boundsMeta); err != nil {
+		f.Fatal(err)
+	}
+	p.Close()
+	if !restoreAndPush(ck.Bytes()) {
+		f.Fatal("a two-stream checkpoint does not restore")
+	}
+	f.Add(ck.Bytes())
+	for _, c := range hostileBlobs(f) {
+		f.Add(c.data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		restoreAndPush(data)
+		runtime.ReadMemStats(&after)
+		k := uint64(0)
+		if len(data) >= 18 { // magic, version, plane length, VQS1 magic, K
+			k = min(uint64(binary.BigEndian.Uint32(data[14:])), minhash.MaxK)
+		}
+		limit := (restoreAllocPerByte+k/16)*uint64(len(data)) + restoreAllocConst
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Fatalf("restoring %d bytes allocated %d bytes, bound %d", len(data), got, limit)
+		}
+	})
+}
+
+// restoreAndPush restores a pool from VFLT bytes, pushes one window of
+// cell ids to its first stream (attaching one when it has none) and
+// drains. It reports whether the container restored.
+func restoreAndPush(data []byte) bool {
+	p, err := Restore(testConfig(1), bytes.NewReader(data), boundsMeta)
+	if err != nil {
+		return false
+	}
+	defer p.Close()
+	var s *Stream
+	if ids := p.StreamIDs(); len(ids) > 0 {
+		s = p.Stream(ids[0])
+	} else if s, err = p.Attach("fuzz"); err != nil {
+		return true
+	}
+	_ = s.Push(idStream(rand.New(rand.NewSource(1)), 3, 10)) // a refusal is an outcome too
+	p.Drain()
+	return true
 }

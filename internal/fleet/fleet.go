@@ -166,7 +166,6 @@ func NewWith(cfg Config, qs *core.QuerySet) (*Pool, error) {
 		}()
 	}
 	telWorkers.Set(float64(cfg.Workers))
-	p.publishPlaneGauges()
 	return p, nil
 }
 
@@ -180,35 +179,20 @@ func (p *Pool) Queries() *core.QuerySet { return p.qs }
 // plane publishes the successor without stalling any stream: in-flight
 // windows finish on the old version, the next window of every stream sees
 // the new one.
-func (p *Pool) AddQuery(id int, cellIDs []uint64) error {
-	err := p.qs.Add(id, cellIDs)
-	p.publishPlaneGauges()
-	return err
-}
+func (p *Pool) AddQuery(id int, cellIDs []uint64) error { return p.qs.Add(id, cellIDs) }
 
 // AddQueries subscribes a batch in one bulk index build and one plane
 // version.
 func (p *Pool) AddQueries(ids []int, cellIDs [][]uint64) error {
-	err := p.qs.AddBatch(ids, cellIDs)
-	p.publishPlaneGauges()
-	return err
+	return p.qs.AddBatch(ids, cellIDs)
 }
 
 // RemoveQuery unsubscribes a query fleet-wide.
-func (p *Pool) RemoveQuery(id int) error {
-	err := p.qs.Remove(id)
-	p.publishPlaneGauges()
-	return err
-}
+func (p *Pool) RemoveQuery(id int) error { return p.qs.Remove(id) }
 
 // PlaneBytes returns the shared query plane's memory footprint — the term
 // that would be multiplied by the stream count without the split.
 func (p *Pool) PlaneBytes() int { return p.qs.PlaneBytes() }
-
-func (p *Pool) publishPlaneGauges() {
-	telPlaneBytes.Set(float64(p.qs.PlaneBytes()))
-	telPlaneVersion.Set(float64(p.qs.Version()))
-}
 
 // Attach admits a new stream. The error is ErrClosed, ErrDuplicateStream
 // or ErrFleetFull (wrapped with the concrete limit) — admission control

@@ -26,10 +26,6 @@ var (
 	telWorkerHop = telemetry.Default.Histogram("vcd_fleet_worker_hop_seconds",
 		"Scheduling hop between a stream entering the ready queue and its pass starting.",
 		telemetry.DurationBuckets)
-	telPlaneBytes = telemetry.Default.Gauge("vcd_fleet_plane_bytes",
-		"Memory footprint of the shared query plane (index, sketches, pre-filter) — paid once, not per stream.")
-	telPlaneVersion = telemetry.Default.Gauge("vcd_fleet_plane_version",
-		"Current version of the shared copy-on-write query plane.")
 	telWorkers = telemetry.Default.Gauge("vcd_fleet_workers",
 		"Worker goroutines popping the fleet pool's ready queue; goroutines waiting in Drain or Detach help beside them.")
 )

@@ -172,6 +172,34 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPlaneGaugesFollowSubscriptions: a subscription through the server's
+// root detector publishes the new plane on the vcd_fleet_plane_* gauges,
+// as a fleet's own AddQuery does.
+func TestPlaneGaugesFollowSubscriptions(t *testing.T) {
+	_, ts := testServer(t)
+	before := scrape(t, ts)
+	resp := do(t, http.MethodPut, ts.URL+"/queries/1", clip(t, 1, 16))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT query: %d", resp.StatusCode)
+	}
+	after := scrape(t, ts)
+	value := func(e *telemetry.Exposition, name string) float64 {
+		t.Helper()
+		v, ok := e.Value(name)
+		if !ok {
+			t.Fatalf("scrape is missing %s", name)
+		}
+		return v
+	}
+	if b, a := value(before, "vcd_fleet_plane_version"), value(after, "vcd_fleet_plane_version"); a != b+1 {
+		t.Errorf("vcd_fleet_plane_version = %g after one PUT, was %g: want one version more", a, b)
+	}
+	if b, a := value(before, "vcd_fleet_plane_bytes"), value(after, "vcd_fleet_plane_bytes"); a <= b {
+		t.Errorf("vcd_fleet_plane_bytes = %g after one PUT, was %g: want the sketch counted", a, b)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := testServer(t)
 	resp := do(t, http.MethodGet, ts.URL+"/healthz", nil)

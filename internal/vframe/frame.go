@@ -49,12 +49,6 @@ func (f *Frame) Clone() *Frame {
 	return g
 }
 
-// YAt returns the luma sample at (x, y) with edge clamping.
-func (f *Frame) YAt(x, y int) uint8 {
-	x, y = clamp(x, f.W-1), clamp(y, f.H-1)
-	return f.Y[y*f.W+x]
-}
-
 func clamp(v, max int) int {
 	if v < 0 {
 		return 0

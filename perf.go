@@ -16,17 +16,14 @@ import (
 // it (the default — windows over a slow-window budget are still kept), 1
 // samples every basic window, f in (0,1) samples every round(1/f)th window
 // deterministically. Applies to every detector, stream and fleet engine in
-// the process.
+// the process. A positive fraction also arms allocation attribution
+// (per-stage allocated-object deltas and a GC snapshot) on every 16th
+// sampled span: each reading costs a few runtime metric reads.
 func SetSpanSampling(fraction float64) {
 	perfobs.Default.SetSampleFraction(fraction)
-}
-
-// SetAllocSampling sets how many sampled spans pass between
-// allocation-attribution readings (per-stage allocated-object deltas and a
-// GC snapshot). 0 disables alloc attribution; keep ≥ 8 in production —
-// each reading costs a few runtime metric reads.
-func SetAllocSampling(every int) {
-	perfobs.Default.SetAllocEvery(int64(every))
+	if fraction > 0 {
+		perfobs.Default.SetAllocEvery(16)
+	}
 }
 
 // SetSpanLog streams every kept span to w as one JSON line each (the

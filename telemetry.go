@@ -4,48 +4,19 @@ package vdsms
 
 import (
 	"log"
-	"os"
 	"time"
 
 	"vdsms/internal/core"
 	"vdsms/internal/perfobs"
 )
 
-// SlowWindowEnv is the environment variable that sets the slow-window
-// budget when Config.SlowWindow is zero: a Go duration ("250ms", "2s")
-// sets the budget directly; "budget" derives it from the stream's
-// real-time budget (a w-second basic window must process in under w
-// seconds, or the detector falls behind live input).
-const SlowWindowEnv = "TELEMETRY_SLOW_WINDOW"
-
 // SlowWindowTrace is the record of one basic window that blew its
 // slow-window budget, as OnSlowWindow receives it; see perfobs.Span.
 type SlowWindowTrace = perfobs.Span
 
 // slowWindowBudget resolves the slow-window budget for this detector:
-// Config.SlowWindow when set, else the SlowWindowEnv variable. Zero means
-// disabled.
-func (cfg Config) slowWindowBudget() time.Duration {
-	if cfg.SlowWindow != 0 {
-		if cfg.SlowWindow < 0 {
-			return 0 // explicit off, overriding the environment
-		}
-		return cfg.SlowWindow
-	}
-	v := os.Getenv(SlowWindowEnv)
-	switch v {
-	case "", "off", "0":
-		return 0
-	case "budget":
-		return time.Duration(cfg.WindowSec * float64(time.Second))
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d <= 0 {
-		log.Printf("vdsms: ignoring %s=%q: want a positive duration or \"budget\"", SlowWindowEnv, v)
-		return 0
-	}
-	return d
-}
+// Config.SlowWindow, where zero or negative means disabled.
+func (cfg Config) slowWindowBudget() time.Duration { return max(cfg.SlowWindow, 0) }
 
 // observer is the record observer a lineage shares: spans kept in the
 // process collector, tail capture at the lineage's slow-window budget. arm

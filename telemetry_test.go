@@ -379,28 +379,21 @@ func TestTailCaptureDetectorAndFleet(t *testing.T) {
 	}
 }
 
-// TestSlowWindowBudgetResolution pins the Config/environment precedence of
-// the tracer threshold.
+// TestSlowWindowBudgetResolution pins how Config.SlowWindow arms the
+// tracer threshold; the -slow-window spellings are internal/cli's.
 func TestSlowWindowBudgetResolution(t *testing.T) {
-	base := testConfig() // WindowSec = 5
+	base := testConfig()
 	cases := []struct {
 		name string
 		cfg  time.Duration
-		env  string
 		want time.Duration
 	}{
-		{"default off", 0, "", 0},
-		{"env off", 0, "off", 0},
-		{"env zero", 0, "0", 0},
-		{"env duration", 0, "250ms", 250 * time.Millisecond},
-		{"env budget", 0, "budget", 5 * time.Second},
-		{"env garbage", 0, "shrug", 0},
-		{"config wins", time.Second, "250ms", time.Second},
-		{"config disables env", -1, "250ms", 0},
+		{"default off", 0, 0},
+		{"config wins", time.Second, time.Second},
+		{"config disables env", -1, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Setenv(SlowWindowEnv, tc.env)
 			cfg := base
 			cfg.SlowWindow = tc.cfg
 			if got := cfg.slowWindowBudget(); got != tc.want {

@@ -102,11 +102,10 @@ type Config struct {
 	// capture), and it is reported via OnSlowWindow when set, else as one
 	// log line. The budget covers this detector, its NewStream siblings and
 	// its fleets; fleet streams are counted and kept, not reported. Zero
-	// defers to the TELEMETRY_SLOW_WINDOW environment variable; negative
-	// disables capture even when the variable is set. The natural budget
-	// for live input is WindowSec — pass TELEMETRY_SLOW_WINDOW=budget for
-	// exactly that. The budget is runtime-adjustable after construction via
-	// Detector.SetSlowWindow (and POST /debug/slow-window on the server).
+	// or negative disables capture. The natural budget for live input is
+	// WindowSec (-slow-window budget on vcdmon and vcdserve). The budget is
+	// runtime-adjustable after construction via Detector.SetSlowWindow (and
+	// POST /debug/slow-window on the server).
 	SlowWindow time.Duration
 	// TraceEvents arms decision-provenance tracing: candidate-lifecycle
 	// events (born, extended, pruned, dropped, expired, reported, near_miss)
@@ -188,7 +187,7 @@ type Detector struct {
 	// clip is only as long as the retention window allows.
 	OnMatchClip func(Match, []byte)
 	// OnSlowWindow, when set together with an armed slow-window budget
-	// (Config.SlowWindow or TELEMETRY_SLOW_WINDOW), receives the record of
+	// (Config.SlowWindow or SetSlowWindow), receives the record of
 	// every basic window that exceeded it, replacing the default log line.
 	// Set before monitoring.
 	OnSlowWindow func(SlowWindowTrace)
@@ -351,7 +350,7 @@ func (p pipeline) batchCells(ids []int, clips []io.Reader) ([][]uint64, error) {
 
 // checkKeyRate rejects a stream whose key-frame rate is too far from the
 // configured one for window durations to mean what they say.
-func (c Config) checkKeyRate(hdr mpeg.StreamHeader) error {
+func (c *Config) checkKeyRate(hdr mpeg.StreamHeader) error {
 	keyRate := hdr.FPS() / float64(hdr.GOP)
 	if keyRate < c.KeyFPS*0.8 || keyRate > c.KeyFPS*1.25 {
 		return fmt.Errorf("vdsms: stream key-frame rate %.2f/s incompatible with configured %.2f/s",
