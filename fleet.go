@@ -69,41 +69,52 @@ func NewFleet(cfg Config, fc FleetConfig) (*Fleet, error) {
 // detector's own stream and every fleet stream alike. Its streams share the
 // detector's slow-window budget too: a window over it is counted and kept
 // under the stream's id, but not passed to OnSlowWindow or logged.
-func (d *Detector) NewFleet(fc FleetConfig) (*Fleet, error) { return d.fleet(fc, nil) }
+func (d *Detector) NewFleet(fc FleetConfig) (*Fleet, error) {
+	pool, err := fleet.NewWith(d.poolConfig(fc, d.engine.Config()), d.engine.Queries())
+	if err != nil {
+		return nil, err
+	}
+	return d.withPool(pool), nil
+}
 
 // RestoreFleet rebuilds a fleet from a Fleet.Checkpoint stream: the shared
 // plane is loaded once, and every checkpointed stream re-attaches with its
 // matching state (candidates, partial window, stats) intact. cfg must be
-// detection-compatible with the checkpointing run.
+// detection-compatible with the checkpointing run. The fleet's detector
+// runs on the restored plane; no other plane is built.
 func RestoreFleet(cfg Config, fc FleetConfig, r io.Reader) (*Fleet, error) {
-	d, err := NewDetector(cfg)
+	d, ecfg, err := newDetector(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return d.fleet(fc, r)
+	pool, err := fleet.Restore(d.poolConfig(fc, ecfg), r, d.meta())
+	if err != nil {
+		return nil, err
+	}
+	eng, err := core.NewEngineWith(ecfg, pool.Queries())
+	if err != nil {
+		pool.Close()
+		return nil, err
+	}
+	d.arm(eng)
+	return d.withPool(pool), nil
 }
 
-// fleet builds a pool on d's engine configuration and observer: over d's
-// plane, or restored from checkpoint r when r is not nil.
-func (d *Detector) fleet(fc FleetConfig, r io.Reader) (*Fleet, error) {
-	pcfg := fleet.Config{
-		Engine:      d.engine.Config(),
+// poolConfig is the pool configuration of a fleet of d's streams under
+// engine configuration ecfg.
+func (d *Detector) poolConfig(fc FleetConfig, ecfg core.Config) fleet.Config {
+	return fleet.Config{
+		Engine:      ecfg,
 		Workers:     fc.Workers,
 		MaxStreams:  fc.MaxStreams,
 		QueueFrames: fc.QueueWindows * d.winKeyF,
 	}
-	var pool *fleet.Pool
-	var err error
-	if r == nil {
-		pool, err = fleet.NewWith(pcfg, d.engine.Queries())
-	} else {
-		pool, err = fleet.Restore(pcfg, r, d.meta())
-	}
-	if err != nil {
-		return nil, err
-	}
+}
+
+// withPool wraps pool as d's fleet, its streams observed as d's are.
+func (d *Detector) withPool(pool *fleet.Pool) *Fleet {
 	pool.Observe(d.observer())
-	return &Fleet{d: d, pool: pool}, nil
+	return &Fleet{d: d, pool: pool}
 }
 
 // Checkpoint writes the fleet's full state: the shared query plane once,

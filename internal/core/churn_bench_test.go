@@ -66,8 +66,9 @@ func BenchmarkQuerySetChurn(b *testing.B) {
 
 // BenchmarkRestoreQueries rebuilds the 2 068-query plane of
 // monitor-manyquery (K=800) two ways: RestoreEngine from an exported
-// engine state, and LoadQuerySet from the set's VQS1 bytes. Both insert
-// the same sketches in the same order, so their costs should agree:
+// engine state, which inserts the plane's own sketches, and LoadQuerySet
+// from the set's saved bytes, which derives each sketch again from the
+// query's cells:
 //
 //	go test -run '^$' -bench RestoreQueries -benchmem ./internal/core
 func BenchmarkRestoreQueries(b *testing.B) {
@@ -97,7 +98,7 @@ func BenchmarkRestoreQueries(b *testing.B) {
 	b.Run("load", func(b *testing.B) {
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
-			if _, err := LoadQuerySet(bytes.NewReader(saved.Bytes())); err != nil {
+			if _, err := LoadQuerySet(cfg, bytes.NewReader(saved.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"time"
 
@@ -107,14 +106,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // NewEngineWith builds an engine monitoring one stream against a shared
 // QuerySet (the multi-stream deployment: one query set, one engine per
-// concurrent stream). cfg.K must match the set's K; cfg.Seed and
-// cfg.UseIndex are taken from the set.
+// concurrent stream). cfg.K and cfg.Seed must be the set's (CheckConfig);
+// cfg.UseIndex is taken from the set.
 func NewEngineWith(cfg Config, qs *QuerySet) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.K != qs.K() {
-		return nil, fmt.Errorf("core: engine K=%d but query set K=%d", cfg.K, qs.K())
+	if err := qs.CheckConfig(cfg); err != nil {
+		return nil, err
 	}
 	return newEngine(cfg, qs), nil
 }

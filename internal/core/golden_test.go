@@ -12,23 +12,26 @@ import (
 )
 
 // engineStateGolden is the SHA-256 of the checkpoint bytes goldenRun
-// produces for each configuration, recorded at bdeec16 — before the kernel
-// lost its sharded copy — so that every later change to the kernel or to
-// ExportState must leave the exported state byte-identical.
+// produces for each configuration, so that every change to the kernel or
+// to ExportState must leave the exported state byte-identical. First
+// recorded at bdeec16, before the kernel lost its sharded copy; re-recorded
+// for checkpoint format version 2, whose plane section holds each query's
+// cells instead of its sketch, once the kernel sections were found to be
+// the version 1 writer's bytes.
 var engineStateGolden = map[string]string{
-	"seq-bit":           "cf734df6673ac00046bd3308a321c3205ef170863498b8bab22d1675edca840e",
-	"seq-sketch":        "ea42a5410c7fd59ddf435e76a17608909a8a965e5e576fb4b48a10b2955adc01",
-	"geo-bit":           "18a67becb43f790b52733b2b83c1595417109b44284626be74e8c6cdf5c6f309",
-	"geo-sketch":        "0a3aa9570a6816fdc583b18c25187bb4f92a3afba1257100bd10a6aa718c4f33",
-	"seq-bit-prefilter": "cf734df6673ac00046bd3308a321c3205ef170863498b8bab22d1675edca840e",
-	// Recorded at 775d5f2, before the candidate list became ascending id
-	// slices: the NoIndex probers (the Sketch one lists the plane itself)
-	// and the ablation without Lemma 2 pruning.
-	"seq-bit-noindex":    "e09f9b32365a336edccd998dda53df48bd89817f704921a7b58f00b79927c879",
-	"seq-sketch-noindex": "f109e9ab69a2f1c19106f9701016ad5271570351e5e85f7b0b28882388bfa08b",
-	"geo-bit-noindex":    "568569d0280be51385678bd528024424ef2d291da3e52cf9316128355f1ef814",
-	"geo-sketch-noindex": "44e17fc10eac661d36d756d027fee8a1c9d8bb866f306383109f3faf22dd8094",
-	"seq-bit-noprune":    "31b86529204b1bd2dc25d7e5648862958da10f57c684b45cf5c0f07d232a550b",
+	"seq-bit":           "33a05f560e10167ee90fd77a4af948677994ab8369f6b1c0c09e604355a8dbd9",
+	"seq-sketch":        "0f7fc87968991f2927e9c83f2d3bb52a32397e904826305a75daecf0d5b7da3c",
+	"geo-bit":           "be0e585796f18379929b8c2301a9522c6161921a6b74eec6e99bf809dcb53f93",
+	"geo-sketch":        "689a2d8c4c9a09234e328562dd53304bab28a70642b93df1f81ddcac8d53dfa9",
+	"seq-bit-prefilter": "33a05f560e10167ee90fd77a4af948677994ab8369f6b1c0c09e604355a8dbd9",
+	// First recorded at 775d5f2, before the candidate list became
+	// ascending id slices: the NoIndex probers (the Sketch one lists the
+	// plane itself) and the ablation without Lemma 2 pruning.
+	"seq-bit-noindex":    "c86db72398c3952810f778af9aa917576d479404fe0062527adffeb1cb9e90dd",
+	"seq-sketch-noindex": "8b5577c49a600b422682e4e962cf80fec43b809bce330934897cc5c98816e41c",
+	"geo-bit-noindex":    "3fee5c3d7c6255589796af8d2c6186c2a2af3aa516ada9a5716009e222917f57",
+	"geo-sketch-noindex": "26cc5f4d75b26dd9e46edf69d977d3404d5ae0498de37eacd705d5d7fe29094b",
+	"seq-bit-noprune":    "b1b6bf0c2aef00901bc316e0848be6d332ab4b31ade1ec44d2fddae742864c06",
 }
 
 // goldenRun drives one engine through a seeded workload with subscription

@@ -411,7 +411,7 @@ func (h *planeHarness) run(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	qs, err := LoadQuerySet(&buf)
+	qs, err := LoadQuerySet(Config{K: h.k, Seed: h.seed, UseIndex: true}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

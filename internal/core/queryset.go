@@ -10,6 +10,7 @@ import (
 
 	"vdsms/internal/minhash"
 	"vdsms/internal/qindex"
+	"vdsms/internal/snapshot"
 )
 
 // QuerySet holds the subscribed continuous queries — sketches, lengths and
@@ -75,6 +76,17 @@ func NewQuerySet(k int, seed int64, useIndex bool) (*QuerySet, error) {
 
 // K returns the number of hash functions.
 func (qs *QuerySet) K() int { return qs.k }
+
+// CheckConfig reports why an engine under cfg cannot run on the set — a K
+// or a seed other than the set's, which would compare sketches of two hash
+// families — and nil when it can.
+func (qs *QuerySet) CheckConfig(cfg Config) error {
+	if cfg.K != qs.k || cfg.Seed != qs.seed {
+		return fmt.Errorf("core: config has K=%d seed=%d but the query set has K=%d seed=%d",
+			cfg.K, cfg.Seed, qs.k, qs.seed)
+	}
+	return nil
+}
 
 // Family exposes the shared hash family.
 func (qs *QuerySet) Family() *minhash.Family { return qs.fam }
@@ -207,89 +219,96 @@ func (qs *QuerySet) publish(p *queryPlane) {
 // for one release so that code calling it still compiles.
 func (qs *QuerySet) EnablePreFilter() {}
 
-// Serialisation format "VQS1": K, seed, useIndex, count, then per query
-// id, length and K raw sketch values — everything needed to reconstruct
-// the set (the index is rebuilt on load by inverting the sketches into
-// their cells, which the paper treats as an offline step anyway).
-var qsMagic = [4]byte{'V', 'Q', 'S', '1'}
+// Saved query sets. Save writes "VQS2": the magic, K (32 bits) and the
+// seed (64 bits), big-endian, then the query codec's bytes
+// (internal/snapshot) — each query's id and key-frame cell ids, from which
+// LoadQuerySet derives its sketch. "VQS1", the format before it, went on
+// with an index flag and a count (8 bytes) and then per query its id and
+// length (8 bytes each) and its K raw sketch values; LoadQuerySet still
+// reads it, to sketch-only queries, which Save writes back as the codec's
+// sketch entries.
+var (
+	qsMagic       = [4]byte{'V', 'Q', 'S', '2'}
+	qsMagicSketch = [4]byte{'V', 'Q', 'S', '1'}
+)
 
-// ErrBadQuerySet is returned by LoadQuerySet on malformed input.
-var ErrBadQuerySet = errors.New("core: not a VQS1 query-set stream")
+// ErrBadQuerySet is returned by LoadQuerySet on input that is not a saved
+// query set.
+var ErrBadQuerySet = errors.New("core: not a saved query-set stream")
 
 // Save writes the query set to w. The snapshot is one consistent plane:
 // concurrent churn lands in the next version and is not torn across the
 // written stream.
 func (qs *QuerySet) Save(w io.Writer) error {
-	v := qs.view()
-	var hdr [25]byte
-	copy(hdr[:4], qsMagic[:])
-	binary.BigEndian.PutUint32(hdr[4:], uint32(qs.k))
-	binary.BigEndian.PutUint64(hdr[8:], uint64(qs.seed))
-	if qs.useIndex {
-		hdr[16] = 1
-	}
-	binary.BigEndian.PutUint64(hdr[17:], uint64(v.index.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, iq := range v.index.Queries() {
-		var qh [16]byte
-		binary.BigEndian.PutUint64(qh[:8], uint64(iq.ID))
-		binary.BigEndian.PutUint64(qh[8:], uint64(iq.Length))
-		if _, err := w.Write(qh[:]); err != nil {
-			return err
-		}
-		buf := make([]byte, 8*len(iq.Sketch))
-		for i, val := range iq.Sketch {
-			binary.BigEndian.PutUint64(buf[i*8:], val)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	hdr := binary.BigEndian.AppendUint32(qsMagic[:], uint32(qs.k))
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(qs.seed))
+	_, err := w.Write(snapshot.AppendQueries(hdr, qs.view().index.Queries()))
+	return err
 }
 
-// LoadQuerySet reconstructs a query set saved with Save, rebuilding the
-// query index through the same insertion sequence.
-func LoadQuerySet(r io.Reader) (*QuerySet, error) {
-	var hdr [25]byte
+// LoadQuerySet reconstructs a query set saved with Save under cfg's K, seed
+// and UseIndex. The K and seed its header names must be cfg's, and a
+// mismatch is refused before one query is read. The queries join in saved
+// order through the one validated insert, which sketches each from its
+// cells under cfg's hash family.
+func LoadQuerySet(cfg Config, r io.Reader) (*QuerySet, error) {
+	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: reading query-set header: %w", err)
 	}
-	if [4]byte(hdr[:4]) != qsMagic {
+	magic := [4]byte(hdr[:4])
+	if magic != qsMagic && magic != qsMagicSketch {
 		return nil, ErrBadQuerySet
 	}
-	k := int(binary.BigEndian.Uint32(hdr[4:]))
-	seed := int64(binary.BigEndian.Uint64(hdr[8:]))
-	useIndex := hdr[16] == 1
-	count := binary.BigEndian.Uint64(hdr[17:])
-	if count > 1<<20 {
-		return nil, fmt.Errorf("core: implausible query count %d", count)
+	k, seed := binary.BigEndian.Uint32(hdr[4:]), int64(binary.BigEndian.Uint64(hdr[8:]))
+	if int64(k) != int64(cfg.K) || seed != cfg.Seed {
+		return nil, fmt.Errorf("core: saved query set has K=%d seed=%d, config has K=%d seed=%d", k, seed, cfg.K, cfg.Seed)
 	}
-	qs, err := NewQuerySet(k, seed, useIndex)
+	qs, err := NewQuerySet(cfg.K, cfg.Seed, cfg.UseIndex)
 	if err != nil {
 		return nil, err
 	}
 	var batch []qindex.Query
-	for n := uint64(0); n < count; n++ {
-		var qh [16]byte
-		if _, err := io.ReadFull(r, qh[:]); err != nil {
-			return nil, fmt.Errorf("core: reading query %d: %w", n, err)
+	if magic == qsMagic {
+		var data []byte
+		if data, err = io.ReadAll(r); err == nil {
+			batch, err = snapshot.ParseQueries(data)
 		}
-		id := int(binary.BigEndian.Uint64(qh[:8]))
-		buf := make([]byte, 8*k)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("core: reading query %d sketch: %w", id, err)
-		}
-		sk := make(minhash.Sketch, k)
-		for i := range sk {
-			sk[i] = binary.BigEndian.Uint64(buf[i*8:])
-		}
-		batch = append(batch, qindex.Query{ID: id, Length: int(binary.BigEndian.Uint64(qh[8:])), Sketch: sk})
+	} else {
+		batch, err = readSketchQueries(r, cfg.K)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: reading saved queries: %w", err)
 	}
 	if err := qs.insert(batch); err != nil {
 		return nil, err
 	}
 	return qs, nil
+}
+
+// readSketchQueries reads the rest of a VQS1 stream, whose K and seed have
+// been checked: the index flag (the loader's UseIndex rules instead), the
+// count, then per query its id, its length and its k sketch values.
+func readSketchQueries(r io.Reader, k int) ([]qindex.Query, error) {
+	buf := make([]byte, 16+8*k)
+	if _, err := io.ReadFull(r, buf[:9]); err != nil {
+		return nil, err
+	}
+	count := binary.BigEndian.Uint64(buf[1:])
+	if count > 1<<20 {
+		return nil, fmt.Errorf("implausible query count %d", count)
+	}
+	var batch []qindex.Query
+	for n := uint64(0); n < count; n++ {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, fmt.Errorf("query %d: %w", n, err)
+		}
+		sk := make(minhash.Sketch, k)
+		for i := range sk {
+			sk[i] = binary.BigEndian.Uint64(buf[16+8*i:])
+		}
+		batch = append(batch, qindex.Query{ID: int(binary.BigEndian.Uint64(buf)),
+			Length: int(binary.BigEndian.Uint64(buf[8:])), Sketch: sk})
+	}
+	return batch, nil
 }

@@ -11,17 +11,20 @@ import (
 	"vdsms/internal/snapshot"
 )
 
-// querySetOrderGolden is the SHA-256 of a VQS1 Save and of the checkpoint
-// bytes orderRun produces, recorded at 9ff8721 — before the plane kept its
-// subscription set once — so that both keep writing queries in insertion
-// order, which orderRun makes differ from id order.
+// querySetOrderGolden is the SHA-256 of a Save and of the checkpoint bytes
+// orderRun produces, so that both keep writing queries in insertion order,
+// which orderRun makes differ from id order. First recorded at 9ff8721,
+// before the plane kept its subscription set once; re-recorded when Save
+// became "VQS2" and checkpoints version 2, both holding each query's cells
+// instead of its sketch. The saved bytes no longer depend on the index or
+// the method, so the three cases save the same bytes.
 var querySetOrderGolden = map[string]string{
-	"index/save":    "82431d9441758e2ee4d478f06b96c30d933a2816e8aa7462372f12440aa74e1a",
-	"index/state":   "816f8ebf6bddb9b899383919582ac88b56a26bebcdf57eff14d95baa292a441b",
-	"noindex/save":  "55965b2fdcc2bcab650bcde1980302add98e0f71fba790743c5fa3b92a5c35eb",
-	"noindex/state": "cd2487c55d57ce359dbc26bd5cbabe471b1839766d2877b65215fae0d4d08b8f",
-	"sketch/save":   "55965b2fdcc2bcab650bcde1980302add98e0f71fba790743c5fa3b92a5c35eb",
-	"sketch/state":  "205eac347995005597544e57ba2675e38db4f0bdc412387046f1ccc9530c3ec7",
+	"index/save":    "09c47ec6202361bb0cb65bc0692dcbcbb06441134291ae38d6f76db47de6e53a",
+	"index/state":   "756afc9013cfa1459ce48edf6eedb36f0e1904f103ed841684b3b9a7687f4b6e",
+	"noindex/save":  "09c47ec6202361bb0cb65bc0692dcbcbb06441134291ae38d6f76db47de6e53a",
+	"noindex/state": "6b5b32680c4009ac48028fe5ad7b7989e1aa50354b8e003ba428ed408470c993",
+	"sketch/save":   "09c47ec6202361bb0cb65bc0692dcbcbb06441134291ae38d6f76db47de6e53a",
+	"sketch/state":  "411e206980b219fc06d763b2c447094ca39a4f05367e0c64e9d22c26349efa42",
 }
 
 // orderRun subscribes queries in an order unlike their ids' — descending
@@ -109,7 +112,7 @@ func TestQuerySetInsertionOrderGolden(t *testing.T) {
 					t.Errorf("%s SHA-256 = %s, want %s", part, got, want)
 				}
 			}
-			qs, err := LoadQuerySet(bytes.NewReader(save))
+			qs, err := LoadQuerySet(cfg, bytes.NewReader(save))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +150,7 @@ func TestQuerySetRestoreVersion(t *testing.T) {
 	if err := e.Queries().Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadQuerySet(&saved)
+	loaded, err := LoadQuerySet(cfg, &saved)
 	if err != nil {
 		t.Fatal(err)
 	}

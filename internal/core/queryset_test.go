@@ -92,6 +92,13 @@ func TestNewEngineWithValidation(t *testing.T) {
 		t.Error("K mismatch accepted")
 	}
 	cfg.K = 128
+	if _, err := NewEngineWith(cfg, qs); err == nil {
+		t.Error("seed mismatch accepted")
+	}
+	cfg.Seed = 1
+	if _, err := NewEngineWith(cfg, qs); err != nil {
+		t.Errorf("matching K and seed refused: %v", err)
+	}
 	cfg.Delta = 0
 	if _, err := NewEngineWith(cfg, qs); err == nil {
 		t.Error("invalid config accepted")
@@ -185,7 +192,9 @@ func TestQuerySetSaveLoad(t *testing.T) {
 	if err := qs.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadQuerySet(bytes.NewReader(buf.Bytes()))
+	cfg := Config{K: 64, Seed: 9, Delta: 0.6, Lambda: 2, WindowFrames: 5,
+		Order: Sequential, Method: Bit, UseIndex: true}
+	loaded, err := LoadQuerySet(cfg, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +203,6 @@ func TestQuerySetSaveLoad(t *testing.T) {
 	}
 	// Detection behaviour must be identical: run the same stream through
 	// engines over the original and loaded sets.
-	cfg := Config{K: 64, Seed: 9, Delta: 0.6, Lambda: 2, WindowFrames: 5,
-		Order: Sequential, Method: Bit, UseIndex: true}
 	stream := append(append(idStream(rng, 50, 40), orig[3]...), idStream(rng, 51, 40)...)
 	run := func(set *QuerySet) []Match {
 		eng, err := NewEngineWith(cfg, set)
@@ -220,27 +227,53 @@ func TestQuerySetSaveLoad(t *testing.T) {
 }
 
 func TestLoadQuerySetErrors(t *testing.T) {
-	if _, err := LoadQuerySet(bytes.NewReader([]byte("garbage data here........."))); err == nil {
+	cfg := Config{K: 32, Seed: 1}
+	if _, err := LoadQuerySet(cfg, bytes.NewReader([]byte("garbage data here........."))); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := LoadQuerySet(bytes.NewReader(nil)); err == nil {
+	if _, err := LoadQuerySet(cfg, bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
-	// Truncated payload.
+	// Truncated payload, in both formats.
 	qs, _ := NewQuerySet(32, 1, false)
-	qs.Add(1, []uint64{1, 2, 3})
+	qs.Add(1, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	var buf bytes.Buffer
 	qs.Save(&buf)
-	trunc := buf.Bytes()[:buf.Len()-10]
-	if _, err := LoadQuerySet(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated input accepted")
+	for _, saved := range [][]byte{buf.Bytes(), saveSketches(qs)} {
+		if _, err := LoadQuerySet(cfg, bytes.NewReader(saved)); err != nil {
+			t.Fatalf("%.4s: %v", saved, err)
+		}
+		if _, err := LoadQuerySet(cfg, bytes.NewReader(saved[:len(saved)-10])); err == nil {
+			t.Errorf("%.4s: truncated input accepted", saved)
+		}
+		// A header naming another K or seed is refused, in either format,
+		// K = 2³²−1 included: an error, not an allocation of K hash
+		// functions that kills the process.
+		for _, other := range []Config{{K: 64, Seed: 1}, {K: 32, Seed: 2}, {K: math.MaxUint32, Seed: 1}} {
+			hdr := bytes.Clone(saved)
+			binary.BigEndian.PutUint32(hdr[4:], uint32(other.K))
+			binary.BigEndian.PutUint64(hdr[8:], uint64(other.Seed))
+			if _, err := LoadQuerySet(cfg, bytes.NewReader(hdr)); err == nil {
+				t.Errorf("%.4s: header with K=%d seed=%d accepted under K=32 seed=1", saved, other.K, other.Seed)
+			}
+		}
 	}
-	// A lone header naming K = 2³²−1 and no queries: an error, not an
-	// allocation of K hash functions that kills the process.
-	hdr := make([]byte, 25)
-	copy(hdr, qsMagic[:])
-	binary.BigEndian.PutUint32(hdr[4:], math.MaxUint32)
-	if _, err := LoadQuerySet(bytes.NewReader(hdr)); err == nil {
-		t.Error("header with K=2³²−1 accepted")
+}
+
+// saveSketches writes qs as the VQS1 writer did: K (32 bits), seed (64),
+// an index flag (8) and a count (64), then per query its id and length (64
+// bits each) and its K raw sketch values, all big-endian.
+func saveSketches(qs *QuerySet) []byte {
+	b := binary.BigEndian.AppendUint32(qsMagicSketch[:], uint32(qs.k))
+	b = binary.BigEndian.AppendUint64(b, uint64(qs.seed))
+	b = append(b, 0)
+	b = binary.BigEndian.AppendUint64(b, uint64(qs.Len()))
+	for _, q := range qs.view().index.Queries() {
+		b = binary.BigEndian.AppendUint64(b, uint64(q.ID))
+		b = binary.BigEndian.AppendUint64(b, uint64(q.Length))
+		for _, v := range q.Sketch {
+			b = binary.BigEndian.AppendUint64(b, v)
+		}
 	}
+	return b
 }

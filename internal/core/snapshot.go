@@ -8,12 +8,10 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"vdsms/internal/bitsig"
 	"vdsms/internal/minhash"
-	"vdsms/internal/qindex"
 	"vdsms/internal/snapshot"
 )
 
@@ -41,18 +39,6 @@ func (c Config) Fingerprint(m snapshot.Meta) uint64 {
 	return snapshot.Fingerprint(m, c.snapshotConfig())
 }
 
-// exportQueries returns the subscribed queries in insertion order, the
-// order restore re-inserts them so the rebuilt query index passes through
-// the same construction sequence.
-func (qs *QuerySet) exportQueries() []snapshot.Query {
-	queries := qs.view().index.Queries()
-	out := make([]snapshot.Query, len(queries))
-	for i, q := range queries {
-		out[i] = snapshot.Query{ID: q.ID, Frames: q.Length, Sketch: slices.Clone(q.Sketch)}
-	}
-	return out
-}
-
 // ExportState captures the engine's complete matching state in canonical
 // form. The engine must be quiescent — between PushFrame/PushFrames calls —
 // which is the only state an Engine is ever observed in by its caller.
@@ -63,7 +49,10 @@ func (e *Engine) ExportState() *snapshot.EngineState {
 		CurIDs: append([]uint64(nil), e.curIDs...),
 		Stats:  exportStats(e.stats),
 	}
-	st.Queries = e.qs.exportQueries()
+	// The plane in insertion order, the order restore re-inserts it so the
+	// rebuilt index passes through the same construction sequence. Its
+	// slices are the plane's own, which nothing changes.
+	st.Queries = e.qs.view().index.Queries()
 
 	for _, c := range e.seq {
 		sc := snapshot.SeqCandidate{
@@ -101,36 +90,42 @@ func (e *Engine) ExportState() *snapshot.EngineState {
 
 // RestoreEngine rebuilds an engine from exported state under cfg, which
 // must be detection-compatible with the state's recorded configuration
-// (same fingerprint fields).
+// (same fingerprint fields). The plane is built under cfg's K and seed, and
+// only once the state is known to be compatible.
 func RestoreEngine(cfg Config, st *snapshot.EngineState) (*Engine, error) {
+	if err := compatible(cfg, st); err != nil {
+		return nil, err
+	}
 	qs, err := NewQuerySet(cfg.K, cfg.Seed, cfg.UseIndex)
 	if err != nil {
 		return nil, err
 	}
-	batch := make([]qindex.Query, len(st.Queries))
-	for i, q := range st.Queries {
-		batch[i] = qindex.Query{ID: q.ID, Length: q.Frames, Sketch: slices.Clone(q.Sketch)}
-	}
-	if err := qs.insert(batch); err != nil {
+	if err := qs.insert(st.Queries); err != nil {
 		return nil, fmt.Errorf("core: restored query: %w", err)
 	}
 	return RestoreEngineWith(cfg, st, qs)
 }
 
+// compatible reports a cfg that is invalid or that differs from the
+// state's recorded configuration.
+func compatible(cfg Config, st *snapshot.EngineState) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return snapshot.CompatibilityError(snapshot.Meta{}, snapshot.Meta{}, st.Config, cfg.snapshotConfig())
+}
+
 // RestoreEngineWith is RestoreEngine against an existing shared QuerySet:
 // the state's own Queries section is ignored (it may be empty — fleet
 // checkpoints strip it, storing the shared plane once instead of once per
-// stream) and the engine joins qs like NewEngineWith would. cfg.K must
-// match the set's K.
+// stream) and the engine joins qs like NewEngineWith would. cfg's K and
+// seed must be the set's.
 func RestoreEngineWith(cfg Config, st *snapshot.EngineState, qs *QuerySet) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := compatible(cfg, st); err != nil {
 		return nil, err
 	}
-	if err := snapshot.CompatibilityError(snapshot.Meta{}, snapshot.Meta{}, st.Config, cfg.snapshotConfig()); err != nil {
+	if err := qs.CheckConfig(cfg); err != nil {
 		return nil, err
-	}
-	if cfg.K != qs.K() {
-		return nil, fmt.Errorf("core: engine K=%d but query set K=%d", cfg.K, qs.K())
 	}
 	if len(st.CurIDs) >= cfg.WindowFrames {
 		return nil, fmt.Errorf("core: restored window holds %d frames but w=%d (a full window is never checkpointed unprocessed)",

@@ -23,7 +23,11 @@ type hostileBlob struct {
 }
 
 // hostileBlobs cuts the two hostile containers from the checkpoint of a
-// pool with one idle stream.
+// pool with one idle stream, and adds a version 1 container whose VQS1
+// plane declares K = minhash.MaxK and holds one query of that K: a plane
+// that once cost ≈ 1 GB to build (a posting per winning cell, each with a
+// K-bit row set) before the K was refused. The loader takes K from its
+// caller, so the header is refused before the body is read.
 func hostileBlobs(tb testing.TB) []hostileBlob {
 	p, err := New(testConfig(1))
 	if err != nil {
@@ -41,15 +45,28 @@ func hostileBlobs(tb testing.TB) []hostileBlob {
 	planeLen := int(binary.BigEndian.Uint32(full[6:]))
 	streamAt := 6 + 4 + planeLen + 4 + 2 + len("cam") // the stream blob's length
 	huge := binary.BigEndian.AppendUint32(nil, 1<<32-1)
+	rng := rand.New(rand.NewSource(1))
+	vqs1 := binary.BigEndian.AppendUint32([]byte("VQS1"), minhash.MaxK)
+	vqs1 = binary.BigEndian.AppendUint64(vqs1, uint64(testConfig(1).Engine.Seed))
+	vqs1 = binary.BigEndian.AppendUint64(append(vqs1, 1), 1) // index flag, count
+	vqs1 = binary.BigEndian.AppendUint64(vqs1, 1)            // id
+	vqs1 = binary.BigEndian.AppendUint64(vqs1, 30)           // length
+	for range minhash.MaxK {
+		vqs1 = binary.BigEndian.AppendUint64(vqs1, rng.Uint64()>>4) // below p, so each value has a winner
+	}
+	maxK := binary.BigEndian.AppendUint16([]byte("VFLT"), 1)
+	maxK = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(maxK, uint32(len(vqs1))), 0)
 	return []hostileBlob{
 		{"plane", append(append(bytes.Clone(full[:6]), huge...), "VQS1"...)},
 		{"stream", append(append(bytes.Clone(full[:streamAt]), huge...), "VCKP"...)},
+		{"plane at K = minhash.MaxK", append(maxK[:10], append(vqs1, maxK[10:]...)...)},
 	}
 }
 
 // TestRestoreBlobBoundedByInput: a container whose plane or stream blob
 // declares 2³²−1 bytes is refused, and reading it allocates with the bytes
-// that arrive, not the length declared.
+// that arrive, not the length declared; a container whose plane declares a
+// K other than the caller's is refused before the plane is built.
 func TestRestoreBlobBoundedByInput(t *testing.T) {
 	for _, c := range hostileBlobs(t) {
 		var before, after runtime.MemStats
@@ -67,13 +84,13 @@ func TestRestoreBlobBoundedByInput(t *testing.T) {
 }
 
 // The restore path may allocate at most restoreAllocPerByte bytes per
-// input byte, plus K/16 per input byte at the K the plane's header
-// declares, plus restoreAllocConst. The per-byte term is the engine
-// checkpoint's (core's FuzzRestoreCheckpoint: ≈ 570 measured on its
-// densest input), which covers the plane's 128 (core's FuzzLoadQuerySet);
-// the K/16 term is the plane index's, quadratic in K, as in
-// FuzzLoadQuerySet. The constant covers a hash family, a window's scratch
-// and the decoder buffers at K = minhash.MaxK, and the pool's worker.
+// input byte plus restoreAllocConst, at the K of testConfig, which the
+// plane and every stream are restored under whatever their bytes say. The
+// per-byte term is the engine checkpoint's (core's FuzzRestoreCheckpoint:
+// ≈ 570 measured on its densest input), which covers the plane's: a
+// one-frame query is three or four bytes of input and, at K = 64, ≈ 1 KB
+// once sketched and indexed. The constant covers a hash family, a
+// window's scratch and the decoder buffers, and the pool's worker.
 const (
 	restoreAllocPerByte = 1024
 	restoreAllocConst   = 16 << 20
@@ -87,7 +104,7 @@ const (
 // mutation inside one mostly stops at the integrity check; the engine
 // decoder behind it is FuzzRestoreCheckpoint's (internal/core).
 //
-//	go test -run '^$' -fuzz FuzzRestoreFleet -fuzztime 2m -parallel 1 ./internal/fleet
+//	go test -run '^$' -fuzz FuzzRestoreFleet -fuzztime 2m ./internal/fleet
 func FuzzRestoreFleet(f *testing.F) {
 	// A two-stream fleet mid-window, one stream with a candidate running.
 	p, err := New(testConfig(1))
@@ -118,19 +135,32 @@ func FuzzRestoreFleet(f *testing.F) {
 	}
 	f.Add(ck.Bytes())
 	for _, c := range hostileBlobs(f) {
-		f.Add(c.data)
+		f.Add(c.data[:min(len(c.data), 4096)]) // the K = MaxK plane, cut short
 	}
+	// The same fleet in a version 1 container, its plane a VQS1 blob of
+	// sketches at the caller's K.
+	full := ck.Bytes()
+	planeLen := int(binary.BigEndian.Uint32(full[6:]))
+	vqs1 := binary.BigEndian.AppendUint32([]byte("VQS1"), uint32(testConfig(1).Engine.K))
+	vqs1 = binary.BigEndian.AppendUint64(vqs1, uint64(testConfig(1).Engine.Seed))
+	vqs1 = binary.BigEndian.AppendUint64(append(vqs1, 1), 1)
+	vqs1 = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(vqs1, 1), uint64(len(query)))
+	for range testConfig(1).Engine.K {
+		vqs1 = binary.BigEndian.AppendUint64(vqs1, rng.Uint64()>>4)
+	}
+	v1 := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint16([]byte("VFLT"), 1), uint32(len(vqs1)))
+	v1 = append(append(v1, vqs1...), full[10+planeLen:]...)
+	if !restoreAndPush(v1) {
+		f.Fatal("a version 1 container does not restore")
+	}
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		restoreAndPush(data)
 		runtime.ReadMemStats(&after)
-		k := uint64(0)
-		if len(data) >= 18 { // magic, version, plane length, VQS1 magic, K
-			k = min(uint64(binary.BigEndian.Uint32(data[14:])), minhash.MaxK)
-		}
-		limit := (restoreAllocPerByte+k/16)*uint64(len(data)) + restoreAllocConst
+		limit := restoreAllocPerByte*uint64(len(data)) + restoreAllocConst
 		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 			t.Fatalf("restoring %d bytes allocated %d bytes, bound %d", len(data), got, limit)
 		}

@@ -1,5 +1,6 @@
 // Fleet checkpoint/restore. A fleet checkpoint stores the shared query
-// plane ONCE (the VQS1 blob core.QuerySet.Save produces) followed by one
+// plane ONCE (the saved query set core.QuerySet.Save produces: each
+// query's cells, in the query codec of internal/snapshot) followed by one
 // per-stream delta: a standard engine checkpoint with its Queries section
 // stripped. That keeps the durable form aligned with the runtime memory
 // model — plane O(queries), streams O(streams) — where embedding the query
@@ -8,7 +9,7 @@
 // Container layout (big-endian):
 //
 //	magic "VFLT" | format version (u16)
-//	u32 plane-blob length | plane blob (core.QuerySet.Save)
+//	u32 plane-blob length | plane blob (core.QuerySet.Save: "VQS2")
 //	u32 stream count
 //	per stream, id-sorted: u16 id length | id bytes |
 //	                       u32 blob length | snapshot checkpoint blob
@@ -17,6 +18,10 @@
 // that format's fingerprint and trailer integrity checks; the container
 // adds only framing. Streams are written id-sorted and every nested codec
 // is canonical, so identical fleet state serialises to identical bytes.
+// Version 1 is the same container around a "VQS1" plane blob of sketches;
+// Restore still reads it. Either way the plane is loaded under the
+// caller's K and seed, and a blob naming others is refused before one
+// query is read.
 package fleet
 
 import (
@@ -32,8 +37,9 @@ import (
 // FleetMagic identifies a fleet checkpoint container.
 var FleetMagic = [4]byte{'V', 'F', 'L', 'T'}
 
-// FleetFormatVersion is the current container version.
-const FleetFormatVersion = 1
+// FleetFormatVersion is the current container version; Restore reads
+// version 1 too.
+const FleetFormatVersion = 2
 
 // Checkpoint writes the fleet's full state. The pool must be quiescent:
 // Checkpoint drains every stream first, but producers have to pause
@@ -110,15 +116,21 @@ func Restore(cfg Config, r io.Reader, meta snapshot.Meta) (*Pool, error) {
 	if err := binary.Read(r, binary.BigEndian, &version); err != nil {
 		return nil, err
 	}
-	if version != FleetFormatVersion {
+	if version != 1 && version != FleetFormatVersion {
 		return nil, fmt.Errorf("fleet: unsupported format version %d", version)
 	}
 
-	plane, err := readBlob(r)
-	if err != nil {
+	// The plane is read from the container as it arrives, so that a header
+	// naming another K or seed is refused before the body is read.
+	var n uint32
+	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
 		return nil, fmt.Errorf("fleet: read query plane: %w", err)
 	}
-	qs, err := core.LoadQuerySet(bytes.NewReader(plane))
+	plane := &io.LimitedReader{R: r, N: int64(n)}
+	qs, err := core.LoadQuerySet(cfg.Engine, plane)
+	if err == nil && plane.N != 0 {
+		err = fmt.Errorf("%d bytes past the saved set", plane.N)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: load query plane: %w", err)
 	}

@@ -147,8 +147,8 @@ func NewWith(cfg Config, qs *core.QuerySet) (*Pool, error) {
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Engine.K != qs.K() {
-		return nil, fmt.Errorf("fleet: engine K=%d but query set K=%d", cfg.Engine.K, qs.K())
+	if err := qs.CheckConfig(cfg.Engine); err != nil {
+		return nil, err
 	}
 	cfg = cfg.normalized()
 	p := &Pool{cfg: cfg, qs: qs, streams: make(map[string]*Stream),

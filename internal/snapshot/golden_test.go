@@ -9,13 +9,15 @@ import (
 
 // TestCheckpointGolden pins every byte of a checkpoint that exercises all
 // sections of the format (TestHeaderGolden pins only the header). The hash
-// was taken with the bit-at-a-time writer.
+// was re-recorded for format version 2, whose plane section is the query
+// codec's bytes; the kernel sections are the bytes the version 1 writer
+// wrote (testdata/v1-sample.vckp is the version 1 file).
 func TestCheckpointGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, sampleCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
-	const want = "1ea1a5a6ee9123ee897e50fbdb86d0a6e1c4ab099563883d0c3e88e9129c9f79"
+	const want = "ef79839cf74a3bec0a0c266a4e6cd8fd77aba61e2445ee3875de879a1bf6f2ad"
 	sum := sha256.Sum256(buf.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("checkpoint bytes drifted (%d bytes):\ngot  %s\nwant %s", buf.Len(), got, want)

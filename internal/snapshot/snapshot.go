@@ -1,8 +1,9 @@
 // Package snapshot defines the durable on-disk representation of a running
 // detection engine: a versioned binary checkpoint of the full matching
-// state (query set, candidate lists, sketches, signatures, counters) and a
-// frame-granular write-ahead log of the cell ids consumed since the last
-// checkpoint. Recovery is load-checkpoint + replay-WAL-tail through the
+// state (query set, candidate lists, sketches, signatures, counters), a
+// write-ahead log of the cell ids consumed and the subscription changes
+// made since the last checkpoint, and the one query codec both use
+// (queries.go). Recovery is load-checkpoint + replay-WAL-tail through the
 // ordinary matching kernel, and is deterministic: a restored engine emits
 // exactly the matches and stats an uninterrupted run would have.
 //
@@ -14,6 +15,15 @@
 //
 //	magic "VCKP" | format version (16 bits) | config fingerprint (64 bits)
 //	meta section | config section | engine section | FNV-1a trailer
+//
+// The engine section holds the frame position, the partial window, the
+// counters, the plane, and the kernel: candidates, buckets and reports.
+// The plane is ue(byte length) | the query codec's bytes, byte-aligned (an
+// empty plane is the length 0 alone), so a query costs its cells, not its
+// K sketch values.
+// Version 1 stored each query as ue-coded id and length and its K raw
+// sketch values; Read still reads it, to a plane of sketch-only queries,
+// and the kernel sections of both versions are the same bytes.
 //
 // The header triple is byte-aligned and pinned by a golden test: any layout
 // drift fails CI rather than corrupting user checkpoints. The fingerprint
@@ -32,14 +42,16 @@ import (
 
 	"vdsms/internal/bitio"
 	"vdsms/internal/minhash"
+	"vdsms/internal/qindex"
 )
 
 // Magic identifies a checkpoint stream.
 var Magic = [4]byte{'V', 'C', 'K', 'P'}
 
 // FormatVersion is the current checkpoint format version. Bump on any
-// layout change; readers reject versions they do not understand.
-const FormatVersion = 1
+// layout change; readers reject versions they do not understand. Read
+// takes version 1 too.
+const FormatVersion = 2
 
 // Config holds the detection-relevant engine configuration. Every field
 // participates in the fingerprint; worker count is structurally absent.
@@ -62,15 +74,6 @@ type Meta struct {
 	U      int
 	D      int
 	KeyFPS float64
-}
-
-// Query is one subscribed query. Queries are stored in subscription order
-// so the restored query set (and its Hash-Query index) is rebuilt through
-// the same insertion sequence.
-type Query struct {
-	ID     int
-	Frames int
-	Sketch []uint64
 }
 
 // Signature is one query's 2K-bit relation signature (two K-bit planes).
@@ -130,11 +133,14 @@ type Stats struct {
 // every list is sorted, so the same logical state serialises to the same
 // bytes.
 type EngineState struct {
-	Config      Config
-	Frame       int
-	CurIDs      []uint64
-	Stats       Stats
-	Queries     []Query
+	Config Config
+	Frame  int
+	CurIDs []uint64
+	Stats  Stats
+	// Queries is the plane in subscription order, so that the restored
+	// query set (and its index) is rebuilt through the same insertion
+	// sequence.
+	Queries     []qindex.Query
 	Seq         []SeqCandidate
 	Geo         []GeoBucket
 	GeoReported []GeoReport // ascending (QID, Start)
@@ -330,11 +336,13 @@ func Marshal(c *Checkpoint) []byte {
 		bw.WriteBits(uint64(sh.Compared), 64)
 	}
 
-	enc.ue(uint64(len(st.Queries)))
-	for _, q := range st.Queries {
-		enc.se(int64(q.ID))
-		enc.ue(uint64(q.Frames))
-		enc.sketch(q.Sketch)
+	var plane []byte
+	if len(st.Queries) > 0 {
+		plane = AppendQueries(nil, st.Queries)
+	}
+	enc.ue(uint64(len(plane)))
+	if len(plane) > 0 { // an empty plane forces no alignment, as in version 1
+		bw.WriteBytes(plane)
 	}
 
 	enc.ue(uint64(len(st.Seq)))
@@ -386,99 +394,144 @@ func Marshal(c *Checkpoint) []byte {
 
 // ---------------------------------------------------------------- decoding
 
+// decoder reads a checkpoint body and keeps its first error: after one,
+// every read returns zero and every count 0, so Read walks to the end
+// without a check per field and returns that error.
 type decoder struct {
-	r *bitio.Reader
+	r   *bitio.Reader
+	err error
 }
 
-func (d *decoder) bit() (bool, error) {
-	b, err := d.r.ReadBit()
-	return b == 1, err
+// keep records err, if it is the first, as a failure to read what.
+func (d *decoder) keep(what string, err error) {
+	if err != nil && d.err == nil {
+		d.err = fmt.Errorf("snapshot: reading %s: %w", what, err)
+	}
 }
 
-func (d *decoder) ue() (uint64, error) { return d.r.ReadUE() }
+func (d *decoder) bits(what string, n uint) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := d.r.ReadBits(n)
+	d.keep(what, err)
+	return v
+}
+
+func (d *decoder) bit(what string) bool    { return d.bits(what, 1) == 1 }
+func (d *decoder) f64(what string) float64 { return math.Float64frombits(d.bits(what, 64)) }
+
+func (d *decoder) ue(what string) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := d.r.ReadUE()
+	d.keep(what, err)
+	return v
+}
+
+func (d *decoder) se(what string) int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := d.r.ReadSE()
+	d.keep(what, err)
+	return v
+}
 
 // count reads a count of items that each take at least minBits bits and
 // refuses one above limit or above what the bits left can hold, so that no
 // count sizes an allocation its input cannot fill.
-func (d *decoder) count(what string, limit uint64, minBits int) (int, error) {
-	v, err := d.r.ReadUE()
-	if err != nil {
-		return 0, fmt.Errorf("snapshot: reading %s count: %w", what, err)
+func (d *decoder) count(what string, limit uint64, minBits int) int {
+	v := d.ue(what + " count")
+	if left := uint64(d.r.Remaining()); d.err == nil && (v > limit || v > left/uint64(minBits)) {
+		d.keep(what+" count", fmt.Errorf("implausible count %d (%d bits left)", v, left))
 	}
-	if left := uint64(d.r.Remaining()); v > limit || v > left/uint64(minBits) {
-		return 0, fmt.Errorf("snapshot: implausible %s count %d (%d bits left)", what, v, left)
+	if d.err != nil {
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (d *decoder) se() (int64, error) { return d.r.ReadSE() }
-
-func (d *decoder) f64() (float64, error) {
-	v, err := d.r.ReadBits(64)
-	return math.Float64frombits(v), err
+// bytes reads n whole bytes; nil when n is 0.
+func (d *decoder) bytes(what string, n int) []byte {
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	b, err := d.r.ReadBytes(n)
+	d.keep(what, err)
+	return b
 }
 
-func (d *decoder) u64s(n int) ([]uint64, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	b, err := d.r.ReadBytes(8 * n)
-	if err != nil {
-		return nil, err
+func (d *decoder) u64s(what string, n int) []uint64 {
+	b := d.bytes(what, 8*n)
+	if b == nil {
+		return nil
 	}
 	vs := make([]uint64, n)
 	for i := range vs {
 		vs[i] = binary.BigEndian.Uint64(b[i*8:])
 	}
-	return vs, nil
+	return vs
 }
 
-func (d *decoder) sig() (Signature, error) {
-	var s Signature
-	qid, err := d.se()
-	if err != nil {
-		return s, err
-	}
-	n, err := d.count("signature words", 1<<20, 128)
-	if err != nil {
-		return s, err
-	}
-	s.QID = int(qid)
-	if s.Lo, err = d.u64s(n); err != nil {
-		return s, err
-	}
-	s.Hi, err = d.u64s(n)
-	return s, err
+func (d *decoder) sketch(what string) []uint64 {
+	return d.u64s(what, d.count(what, 1<<24, 64))
 }
 
-func (d *decoder) ints(what string) ([]int, error) {
-	n, err := d.count(what, 1<<24, 1)
-	if err != nil {
-		return nil, err
+// optSketch reads a sketch behind the bit that says whether there is one.
+func (d *decoder) optSketch(what string) []uint64 {
+	if !d.bit(what) {
+		return nil
 	}
+	return d.sketch(what)
+}
+
+func (d *decoder) sigs(what string) []Signature {
+	n := d.count(what, 1<<20, 2)
 	if n == 0 {
-		return nil, nil
+		return nil
+	}
+	sigs := make([]Signature, n)
+	for i := range sigs {
+		sigs[i].QID = int(d.se(what))
+		words := d.count(what+" words", 1<<20, 128)
+		sigs[i].Lo, sigs[i].Hi = d.u64s(what, words), d.u64s(what, words)
+	}
+	return sigs
+}
+
+func (d *decoder) ints(what string) []int {
+	n := d.count(what, 1<<24, 1)
+	if n == 0 {
+		return nil
 	}
 	vs := make([]int, n)
 	for i := range vs {
-		v, err := d.se()
-		if err != nil {
-			return nil, err
-		}
-		vs[i] = int(v)
+		vs[i] = int(d.se(what))
 	}
-	return vs, nil
+	return vs
 }
 
-func (d *decoder) sketch(what string) ([]uint64, error) {
-	n, err := d.count(what, 1<<24, 64)
-	if err != nil {
-		return nil, err
+// plane reads a version 2 plane section: the query codec's bytes.
+func (d *decoder) plane() []qindex.Query {
+	b := d.bytes("plane", d.count("plane byte", 1<<40, 8))
+	if b == nil {
+		return nil
 	}
-	if n == 0 {
-		return nil, nil
+	queries, err := ParseQueries(b)
+	d.keep("plane", err)
+	return queries
+}
+
+// sketchQueries reads a version 1 plane section: a count, then per query
+// its id, its length and its K raw sketch values.
+func (d *decoder) sketchQueries() []qindex.Query {
+	queries := make([]qindex.Query, d.count("query", 1<<20, 3))
+	for i := range queries {
+		queries[i] = qindex.Query{ID: int(d.se("query")), Length: int(d.ue("query")), Sketch: d.sketch("query sketch")}
 	}
-	return d.u64s(n)
+	return queries
 }
 
 // Read parses a checkpoint, verifying magic, version, integrity trailer and
@@ -498,271 +551,75 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("snapshot: checkpoint integrity check failed (hash %016x, trailer %016x)", got, want)
 	}
 
-	br := bitio.NewReader(body)
-	d := &decoder{r: br}
-
-	magic, err := br.ReadBytes(4)
-	if err != nil || [4]byte(magic) != Magic {
+	d := &decoder{r: bitio.NewReader(body)}
+	if magic := d.bytes("magic", 4); [4]byte(magic) != Magic {
 		return nil, fmt.Errorf("snapshot: not a checkpoint stream (magic %q)", magic)
 	}
-	ver, err := br.ReadBits(16)
-	if err != nil {
-		return nil, err
+	ver := d.bits("version", 16)
+	if ver != 1 && ver != FormatVersion {
+		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads 1 and %d)", ver, FormatVersion)
 	}
-	if ver != FormatVersion {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads %d)", ver, FormatVersion)
-	}
-	wantFP, err := br.ReadBits(64)
-	if err != nil {
-		return nil, err
-	}
+	wantFP := d.bits("fingerprint", 64)
 
-	c := &Checkpoint{}
-	fail := func(what string, err error) (*Checkpoint, error) {
-		return nil, fmt.Errorf("snapshot: reading %s: %w", what, err)
-	}
-
-	// Meta section.
-	u, err := d.se()
-	if err != nil {
-		return fail("meta", err)
-	}
-	dd, err := d.se()
-	if err != nil {
-		return fail("meta", err)
-	}
-	fps, err := d.f64()
-	if err != nil {
-		return fail("meta", err)
-	}
-	c.Meta = Meta{U: int(u), D: int(dd), KeyFPS: fps}
-
-	// Config section.
-	var cfg Config
-	k, err := d.ue()
-	if err != nil {
-		return fail("config", err)
-	}
-	if k > minhash.MaxK {
-		return fail("config", fmt.Errorf("K=%d exceeds the limit of %d", k, minhash.MaxK))
-	}
-	seed, err := br.ReadBits(64)
-	if err != nil {
-		return fail("config", err)
-	}
-	if cfg.Delta, err = d.f64(); err != nil {
-		return fail("config", err)
-	}
-	if cfg.Lambda, err = d.f64(); err != nil {
-		return fail("config", err)
-	}
-	wf, err := d.ue()
-	if err != nil {
-		return fail("config", err)
-	}
-	order, err := br.ReadBits(8)
-	if err != nil {
-		return fail("config", err)
-	}
-	method, err := br.ReadBits(8)
-	if err != nil {
-		return fail("config", err)
-	}
-	if cfg.UseIndex, err = d.bit(); err != nil {
-		return fail("config", err)
-	}
-	if cfg.DisablePrune, err = d.bit(); err != nil {
-		return fail("config", err)
-	}
-	cfg.K, cfg.Seed = int(k), int64(seed)
-	cfg.WindowFrames = int(wf)
-	cfg.Order, cfg.Method = uint8(order), uint8(method)
-	c.Engine.Config = cfg
-
-	if got := Fingerprint(c.Meta, cfg); got != wantFP {
-		return nil, fmt.Errorf("snapshot: header fingerprint %016x does not match config sections (%016x); checkpoint corrupt", wantFP, got)
+	c := &Checkpoint{Meta: Meta{U: int(d.se("meta")), D: int(d.se("meta")), KeyFPS: d.f64("meta")}}
+	k := d.ue("config")
+	cfg := Config{K: int(k), Seed: int64(d.bits("config", 64)), Delta: d.f64("config"), Lambda: d.f64("config"),
+		WindowFrames: int(d.ue("config")), Order: uint8(d.bits("config", 8)), Method: uint8(d.bits("config", 8)),
+		UseIndex: d.bit("config"), DisablePrune: d.bit("config")}
+	switch {
+	case d.err != nil:
+		return nil, d.err
+	case k > minhash.MaxK:
+		return nil, fmt.Errorf("snapshot: reading config: K=%d exceeds the limit of %d", k, minhash.MaxK)
+	case Fingerprint(c.Meta, cfg) != wantFP:
+		return nil, fmt.Errorf("snapshot: header fingerprint %016x does not match config sections (%016x); checkpoint corrupt",
+			wantFP, Fingerprint(c.Meta, cfg))
 	}
 
 	// Engine section.
 	st := &c.Engine
-	frame, err := d.ue()
-	if err != nil {
-		return fail("frame", err)
-	}
-	st.Frame = int(frame)
-	if st.CurIDs, err = d.sketch("current window"); err != nil {
-		return fail("current window", err)
-	}
-
-	sf, err := d.ue()
-	if err != nil {
-		return fail("stats", err)
-	}
-	sw, err := d.ue()
-	if err != nil {
-		return fail("stats", err)
-	}
-	st.Stats.Frames, st.Stats.Windows = int(sf), int(sw)
+	st.Config = cfg
+	st.Frame = int(d.ue("frame"))
+	st.CurIDs = d.sketch("current window")
+	st.Stats.Frames, st.Stats.Windows = int(d.ue("stats")), int(d.ue("stats"))
 	for _, dst := range []*int64{
 		&st.Stats.SketchCombines, &st.Stats.SketchCompares,
 		&st.Stats.SigOrs, &st.Stats.SigTests, &st.Stats.ProbeComparisons,
 		&st.Stats.SignatureSum, &st.Stats.CandidateSum,
 	} {
-		v, err := br.ReadBits(64)
-		if err != nil {
-			return fail("stats", err)
-		}
-		*dst = int64(v)
+		*dst = int64(d.bits("stats", 64))
 	}
-	sm, err := d.ue()
-	if err != nil {
-		return fail("stats", err)
-	}
-	st.Stats.Matches = int(sm)
-	nsh, err := d.count("shard stats", 1<<16, 3*64)
-	if err != nil {
-		return nil, err
-	}
-	st.Stats.Shards = make([]ShardStats, nsh)
+	st.Stats.Matches = int(d.ue("stats"))
+	st.Stats.Shards = make([]ShardStats, d.count("shard stats", 1<<16, 3*64))
 	for i := range st.Stats.Shards {
-		for _, dst := range []*int64{
-			&st.Stats.Shards[i].Probed, &st.Stats.Shards[i].Pruned, &st.Stats.Shards[i].Compared,
-		} {
-			v, err := br.ReadBits(64)
-			if err != nil {
-				return fail("shard stats", err)
-			}
-			*dst = int64(v)
-		}
+		st.Stats.Shards[i] = ShardStats{Probed: int64(d.bits("shard stats", 64)),
+			Pruned: int64(d.bits("shard stats", 64)), Compared: int64(d.bits("shard stats", 64))}
 	}
 
-	nq, err := d.count("query", 1<<20, 3)
-	if err != nil {
-		return nil, err
-	}
-	st.Queries = make([]Query, nq)
-	for i := range st.Queries {
-		id, err := d.se()
-		if err != nil {
-			return fail("query", err)
-		}
-		frames, err := d.ue()
-		if err != nil {
-			return fail("query", err)
-		}
-		sk, err := d.sketch("query sketch")
-		if err != nil {
-			return fail("query sketch", err)
-		}
-		st.Queries[i] = Query{ID: int(id), Frames: int(frames), Sketch: sk}
+	if ver == 1 {
+		st.Queries = d.sketchQueries()
+	} else {
+		st.Queries = d.plane()
 	}
 
-	nc, err := d.count("candidate", 1<<24, 6)
-	if err != nil {
-		return nil, err
-	}
-	st.Seq = make([]SeqCandidate, nc)
+	st.Seq = make([]SeqCandidate, d.count("candidate", 1<<24, 6))
 	for i := range st.Seq {
-		cand := &st.Seq[i]
-		start, err := d.se()
-		if err != nil {
-			return fail("candidate", err)
-		}
-		wins, err := d.ue()
-		if err != nil {
-			return fail("candidate", err)
-		}
-		cand.StartFrame, cand.Windows = int(start), int(wins)
-		hasSketch, err := d.bit()
-		if err != nil {
-			return fail("candidate", err)
-		}
-		if hasSketch {
-			if cand.Sketch, err = d.sketch("candidate sketch"); err != nil {
-				return fail("candidate sketch", err)
-			}
-		}
-		ns, err := d.count("candidate signature", 1<<20, 2)
-		if err != nil {
-			return nil, err
-		}
-		if ns > 0 {
-			cand.Sigs = make([]Signature, ns)
-		}
-		for j := range cand.Sigs {
-			if cand.Sigs[j], err = d.sig(); err != nil {
-				return fail("candidate signature", err)
-			}
-		}
-		if cand.Related, err = d.ints("candidate related"); err != nil {
-			return nil, err
-		}
-		if cand.Reported, err = d.ints("candidate reported"); err != nil {
-			return nil, err
-		}
+		st.Seq[i] = SeqCandidate{StartFrame: int(d.se("candidate")), Windows: int(d.ue("candidate")),
+			Sketch: d.optSketch("candidate sketch"), Sigs: d.sigs("candidate signature"),
+			Related: d.ints("candidate related"), Reported: d.ints("candidate reported")}
 	}
-
-	nb, err := d.count("bucket", 1<<24, 6)
-	if err != nil {
-		return nil, err
-	}
-	st.Geo = make([]GeoBucket, nb)
+	st.Geo = make([]GeoBucket, d.count("bucket", 1<<24, 6))
 	for i := range st.Geo {
-		b := &st.Geo[i]
-		start, err := d.se()
-		if err != nil {
-			return fail("bucket", err)
-		}
-		end, err := d.se()
-		if err != nil {
-			return fail("bucket", err)
-		}
-		wins, err := d.ue()
-		if err != nil {
-			return fail("bucket", err)
-		}
-		b.StartFrame, b.EndFrame, b.Windows = int(start), int(end), int(wins)
-		hasSketch, err := d.bit()
-		if err != nil {
-			return fail("bucket", err)
-		}
-		if hasSketch {
-			if b.Sketch, err = d.sketch("bucket sketch"); err != nil {
-				return fail("bucket sketch", err)
-			}
-		}
-		ns, err := d.count("bucket signature", 1<<20, 2)
-		if err != nil {
-			return nil, err
-		}
-		if ns > 0 {
-			b.Sigs = make([]Signature, ns)
-		}
-		for j := range b.Sigs {
-			if b.Sigs[j], err = d.sig(); err != nil {
-				return fail("bucket signature", err)
-			}
-		}
-		if b.Related, err = d.ints("bucket related"); err != nil {
-			return nil, err
-		}
+		st.Geo[i] = GeoBucket{StartFrame: int(d.se("bucket")), EndFrame: int(d.se("bucket")),
+			Windows: int(d.ue("bucket")), Sketch: d.optSketch("bucket sketch"),
+			Sigs: d.sigs("bucket signature"), Related: d.ints("bucket related")}
 	}
-
-	nr, err := d.count("geo report", 1<<24, 2)
-	if err != nil {
-		return nil, err
-	}
-	st.GeoReported = make([]GeoReport, nr)
+	st.GeoReported = make([]GeoReport, d.count("geo report", 1<<24, 2))
 	for i := range st.GeoReported {
-		qid, err := d.se()
-		if err != nil {
-			return fail("geo report", err)
-		}
-		start, err := d.se()
-		if err != nil {
-			return fail("geo report", err)
-		}
-		st.GeoReported[i] = GeoReport{QID: int(qid), Start: int(start)}
+		st.GeoReported[i] = GeoReport{QID: int(d.se("geo report")), Start: int(d.se("geo report"))}
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return c, nil
 }

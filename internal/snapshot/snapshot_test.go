@@ -5,11 +5,13 @@ import (
 	"encoding/hex"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"vdsms/internal/minhash"
+	"vdsms/internal/qindex"
 )
 
 // sampleCheckpoint builds a checkpoint exercising every section of the
@@ -30,9 +32,12 @@ func sampleCheckpoint() *Checkpoint {
 				ProbeComparisons: 5, SignatureSum: 6, CandidateSum: 7, Matches: 8,
 				Shards: []ShardStats{{Probed: 9, Pruned: 10, Compared: 11}, {Compared: 3}},
 			},
-			Queries: []Query{
-				{ID: 3, Frames: 40, Sketch: []uint64{1, 2, 3}},
-				{ID: 1, Frames: 25, Sketch: []uint64{7, 0, math.MaxUint64}},
+			// Two queries known by their sketches alone, as a version 1
+			// checkpoint holds them, and one by its cells.
+			Queries: []qindex.Query{
+				{ID: 3, Length: 40, Sketch: []uint64{1, 2, 3}},
+				{ID: 1, Length: 25, Sketch: []uint64{7, 0, math.MaxUint64}},
+				{ID: -4, Length: 3, CellIDs: []uint64{300, 0, math.MaxUint64}},
 			},
 			Seq: []SeqCandidate{
 				{
@@ -70,6 +75,31 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip diverges:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// TestCheckpointV1Reads: the version 1 layout, whose plane section holds K
+// raw sketch values per query, still reads. The file is sampleCheckpoint as
+// the version 1 writer wrote it, before the plane held cells.
+func TestCheckpointV1Reads(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v1-sample.vckp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sampleCheckpoint()
+	want.Engine.Queries = want.Engine.Queries[:2]
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("version 1 checkpoint reads as\n%+v\nwant\n%+v", got, want)
+	}
+	// Written again, it is the current version, and its sketch-only
+	// queries keep their sketches.
+	again, err := Read(bytes.NewReader(Marshal(got)))
+	if err != nil || !reflect.DeepEqual(again, want) {
+		t.Errorf("rewritten version 1 checkpoint reads as %+v, %v", again, err)
 	}
 }
 
@@ -207,10 +237,10 @@ func TestHeaderGolden(t *testing.T) {
 	if err := Write(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	// magic "VCKP" | version 0x0001 | FNV-1a fingerprint of meta+config.
+	// magic "VCKP" | version 0x0002 | FNV-1a fingerprint of meta+config.
 	// Pinning the fingerprint bytes also pins the fingerprint algorithm:
 	// changing it would orphan every deployed checkpoint.
-	const wantHeader = "56434b50000168b80b607d7494f1"
+	const wantHeader = "56434b50000268b80b607d7494f1"
 	if got := hex.EncodeToString(buf.Bytes()[:14]); got != wantHeader {
 		t.Errorf("checkpoint header drifted:\ngot  %s\nwant %s", got, wantHeader)
 	}

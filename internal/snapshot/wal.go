@@ -10,7 +10,8 @@
 //	record  = frame | add | remove
 //	frame   = 0xA5 | uvarint cell id
 //	add     = 0xA6 | uvarint len | payload | CRC-32 (IEEE, big-endian)
-//	          payload = uvarint n | n × ( varint id | uvarint cells | cells × uvarint )
+//	          payload = the query codec's cell entries (queries.go):
+//	          uvarint n | n × ( varint id | uvarint cells | cells × uvarint )
 //	remove  = 0xA7 | uvarint len | payload | CRC-32
 //	          payload = varint id
 //
@@ -19,8 +20,9 @@
 // against their checkpoint by base frame instead. A plane record carries a
 // query's cell ids — a few hundred bytes — never its sketch: replay
 // re-derives sketch, index rows and filter keys with the code that built
-// them. The CRC covers the record from its marker; a batch of queries is one
-// record, so it lands whole or not at all.
+// them, and a checkpoint's plane is the same encoding. The CRC covers the
+// record from its marker; a batch of queries is one record, so it lands
+// whole or not at all.
 //
 // A crash can cut the file anywhere. A file that ends inside its last
 // record has a torn tail, which replay discards: every non-final byte of a
@@ -39,6 +41,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"vdsms/internal/qindex"
 	"vdsms/internal/telemetry"
 )
 
@@ -213,15 +216,11 @@ func (w *WAL) Append(ids []uint64) error {
 // LogAdd durably logs the subscription of queries ids with key-frame cell
 // ids cells as one record: one write, one fsync.
 func (w *WAL) LogAdd(ids []int, cells [][]uint64) error {
-	p := binary.AppendUvarint(nil, uint64(len(ids)))
+	queries := make([]qindex.Query, len(ids))
 	for i, id := range ids {
-		p = binary.AppendVarint(p, int64(id))
-		p = binary.AppendUvarint(p, uint64(len(cells[i])))
-		for _, c := range cells[i] {
-			p = binary.AppendUvarint(p, c)
-		}
+		queries[i] = qindex.Query{ID: id, Length: len(cells[i]), CellIDs: cells[i]}
 	}
-	if err := w.logPlane(walMarkerAdd, p); err != nil {
+	if err := w.logPlane(walMarkerAdd, AppendQueries(nil, queries)); err != nil {
 		return err
 	}
 	telWALAdds.Inc()
@@ -409,57 +408,28 @@ func parseLog(data []byte) (*Log, error) {
 }
 
 // parsePlaneOp decodes the checksummed payload of an add or remove record.
-// Counts are held against the bytes that remain, so a record cannot make
-// the reader allocate more than its own length.
+// An add is the query codec's (ParseQueries), whose counts are held against
+// the bytes that remain, so a record cannot make the reader allocate more
+// than a small multiple of its own length. A log carries cells only: a
+// query given by its sketch is corruption.
 func parsePlaneOp(marker byte, p []byte) (PlaneOp, error) {
-	fail := func(what string) (PlaneOp, error) {
-		return PlaneOp{}, fmt.Errorf("malformed %s", what)
-	}
-	uvarint := func() (uint64, bool) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, false
-		}
-		p = p[n:]
-		return v, true
-	}
-	id := func() (int, bool) {
-		v, n := binary.Varint(p)
-		if n <= 0 {
-			return 0, false
-		}
-		p = p[n:]
-		return int(v), true
-	}
 	if marker == walMarkerRemove {
-		qid, ok := id()
-		if !ok || len(p) != 0 {
-			return fail("remove record")
+		qid, n := binary.Varint(p)
+		if n <= 0 || n != len(p) {
+			return PlaneOp{}, fmt.Errorf("malformed remove record")
 		}
-		return PlaneOp{Remove: true, IDs: []int{qid}}, nil
+		return PlaneOp{Remove: true, IDs: []int{int(qid)}}, nil
 	}
-	nq, ok := uvarint()
-	if !ok || nq > uint64(len(p)) {
-		return fail("query count")
+	queries, err := ParseQueries(p)
+	if err != nil {
+		return PlaneOp{}, err
 	}
-	op := PlaneOp{IDs: make([]int, nq), Cells: make([][]uint64, nq)}
-	for i := range op.IDs {
-		if op.IDs[i], ok = id(); !ok {
-			return fail("query id")
+	op := PlaneOp{IDs: make([]int, len(queries)), Cells: make([][]uint64, len(queries))}
+	for i, q := range queries {
+		if q.CellIDs == nil {
+			return PlaneOp{}, fmt.Errorf("query %d logged by its sketch", q.ID)
 		}
-		nc, ok := uvarint()
-		if !ok || nc > uint64(len(p)) {
-			return fail("cell count")
-		}
-		op.Cells[i] = make([]uint64, nc)
-		for j := range op.Cells[i] {
-			if op.Cells[i][j], ok = uvarint(); !ok {
-				return fail("cell id")
-			}
-		}
-	}
-	if len(p) != 0 {
-		return fail("add record (trailing bytes)")
+		op.IDs[i], op.Cells[i] = q.ID, q.CellIDs
 	}
 	return op, nil
 }

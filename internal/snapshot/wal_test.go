@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"vdsms/internal/qindex"
 )
 
 func TestWALRoundTrip(t *testing.T) {
@@ -266,6 +268,21 @@ func FuzzReplayWAL(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// An add record of a query given by its sketch, the codec's entry for a
+	// query that arrived through an older format: no log holds one.
+	if w, err = CreateWALExtending(path, 3, 9, 1); err != nil {
+		f.Fatal(err)
+	}
+	w.logPlane(walMarkerAdd, AppendQueries(nil, []qindex.Query{{ID: 4, Length: 3, Sketch: []uint64{1, 2, 1 << 60}}}))
+	w.Close()
+	tagged, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := parseLog(tagged); err == nil {
+		f.Fatal("a log holding a query by its sketch was accepted")
+	}
+	f.Add(tagged)
 	f.Add([]byte{})
 	f.Add(v1)
 	f.Add(v2)

@@ -361,19 +361,35 @@ func (c *Config) checkKeyRate(hdr mpeg.StreamHeader) error {
 
 // NewDetector validates cfg and builds a detector.
 func NewDetector(cfg Config) (*Detector, error) {
+	d, ecfg, err := newDetector(cfg)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := core.NewEngine(ecfg)
+	if err != nil {
+		return nil, err
+	}
+	d.arm(eng)
+	return d, nil
+}
+
+// newDetector validates cfg and builds a detector without its engine, and
+// the configuration that engine runs under: NewDetector gives it a fresh
+// plane, LoadDetector and RestoreFleet the plane they read.
+func newDetector(cfg Config) (*Detector, core.Config, error) {
 	if cfg.WindowSec <= 0 {
-		return nil, fmt.Errorf("vdsms: WindowSec %g must be positive", cfg.WindowSec)
+		return nil, core.Config{}, fmt.Errorf("vdsms: WindowSec %g must be positive", cfg.WindowSec)
 	}
 	if cfg.KeyFPS <= 0 {
-		return nil, fmt.Errorf("vdsms: KeyFPS %g must be positive", cfg.KeyFPS)
+		return nil, core.Config{}, fmt.Errorf("vdsms: KeyFPS %g must be positive", cfg.KeyFPS)
 	}
 	ex, err := feature.NewExtractor(feature.Config{D: cfg.D})
 	if err != nil {
-		return nil, err
+		return nil, core.Config{}, err
 	}
 	pt, err := partition.New(cfg.U, cfg.D, partition.GridPyramid)
 	if err != nil {
-		return nil, err
+		return nil, core.Config{}, err
 	}
 	winKeyF := int(math.Round(cfg.WindowSec * cfg.KeyFPS))
 	if winKeyF < 1 {
@@ -392,13 +408,7 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if cfg.UseSketchMethod {
 		ecfg.Method = core.Sketch
 	}
-	eng, err := core.NewEngine(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	d := &Detector{cfg: cfg, pipeline: pipeline{ex: ex, pt: pt}, winKeyF: winKeyF}
-	d.arm(eng)
-	return d, nil
+	return &Detector{cfg: cfg, pipeline: pipeline{ex: ex, pt: pt}, winKeyF: winKeyF}, ecfg, nil
 }
 
 // arm makes eng this detector's engine and wires it: matches to forward,
@@ -477,29 +487,28 @@ func (d *Detector) NewStreamNamed(name string) (*Detector, error) {
 	return nd, nil
 }
 
-// SaveQueries serialises the subscribed queries (ids, lengths, sketches)
-// so a monitor can restart — or fan out to other processes — without
-// re-decoding the query videos. Load with LoadDetector.
+// SaveQueries serialises the subscribed queries — each one's id and the
+// cell ids of its key frames, under a header naming K and the seed — so a
+// monitor can restart, or fan out to other processes, without re-decoding
+// the query videos. Load with LoadDetector.
 func (d *Detector) SaveQueries(w io.Writer) error {
 	return d.engine.Queries().Save(w)
 }
 
 // LoadDetector builds a detector from cfg with its query set restored from
-// a SaveQueries stream. cfg.K and cfg.Seed must match the values used when
-// the queries were subscribed (the sketches embed the hash family).
+// a SaveQueries stream (or one in the older sketch format). The stream's K
+// and seed must be cfg's, and a mismatch is refused before any query is
+// read; each query's sketch is derived again under cfg's hash family.
 func LoadDetector(cfg Config, r io.Reader) (*Detector, error) {
-	d, err := NewDetector(cfg)
+	d, ecfg, err := newDetector(cfg)
 	if err != nil {
 		return nil, err
 	}
-	qs, err := core.LoadQuerySet(r)
+	qs, err := core.LoadQuerySet(ecfg, r)
 	if err != nil {
 		return nil, err
 	}
-	if qs.K() != cfg.K {
-		return nil, fmt.Errorf("vdsms: saved query set has K=%d, config has K=%d", qs.K(), cfg.K)
-	}
-	eng, err := core.NewEngineWith(d.engine.Config(), qs)
+	eng, err := core.NewEngineWith(ecfg, qs)
 	if err != nil {
 		return nil, err
 	}
