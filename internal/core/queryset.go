@@ -250,7 +250,8 @@ func (qs *QuerySet) Save(w io.Writer) error {
 // and UseIndex. The K and seed its header names must be cfg's, and a
 // mismatch is refused before one query is read. The queries join in saved
 // order through the one validated insert, which sketches each from its
-// cells under cfg's hash family.
+// cells under cfg's hash family. r must end where the set ends: a VQS2
+// set is read to the end of r, and bytes after it are refused.
 func LoadQuerySet(cfg Config, r io.Reader) (*QuerySet, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vdsms/internal/minhash"
+	"vdsms/internal/qindex"
 	"vdsms/internal/snapshot"
 )
 
@@ -22,35 +23,28 @@ const hostileCandidateCount = "" +
 	"000000000000000000000000000000000000000000000000000000000000000000000000" +
 	"000380000040000070fa868c71bd1f2ee5"
 
-// restoreK and restoreSeed are what FuzzRestoreCheckpoint restores under,
-// whatever K and seed a checkpoint records: the caller's, as for every
-// plane reader. A plane is each query's cells, so a three-byte query costs
-// an 8·K-byte sketch, and a K the input chose would let a few bytes cost
-// megabytes; a checkpoint that records another K is refused before its
-// plane is built.
-const (
-	restoreK    = 192
-	restoreSeed = 11
-)
-
 // The restore path may allocate at most restoreAllocPerByte bytes per input
-// byte plus restoreAllocConst. The densest input is a run of empty
+// byte, plus restoreAllocPerPlaneByte·K bytes per byte of the cell queries
+// in its plane, plus restoreAllocConst. The densest input is a run of empty
 // Geometric buckets: six bits of input each, ≈ 430 bytes once decoded,
-// restored and carried through a window (≈ 570 per input byte, measured);
-// a plane of one-frame queries, three or four bytes each, costs ≈ 2 KB a
-// query at restoreK. The constant covers what does not grow with the
-// input: a hash family, a window's sketch and a frame buffer at restoreK
-// and w = 65 535, and the decoder's copy of the input.
+// restored and carried through a window (≈ 570 per input byte, measured).
+// A query of cells is three bytes or more but derives a K-value sketch and
+// its index entries: ≈ 9·K bytes for a one-cell query, ≈ 3·K a plane byte,
+// measured up to K = minhash.MaxK, with or without the index. The constant
+// covers what does not grow with the input: a hash family, a window's
+// sketch and a frame buffer at K = minhash.MaxK and w = 65 535 (≈ 2.8 MB
+// in all, measured), and the decoder's copy of the input.
 const (
-	restoreAllocPerByte = 1024
-	restoreAllocConst   = 16 << 20
+	restoreAllocPerByte      = 1024
+	restoreAllocPerPlaneByte = 8
+	restoreAllocConst        = 16 << 20
 )
 
 // FuzzRestoreCheckpoint feeds bytes down the path a resuming detector takes:
-// snapshot.Read, RestoreEngine under the checkpoint's own configuration
-// but restoreK and restoreSeed, then one basic window through PushFrames.
-// The FNV-1a trailer is re-signed first, so that a mutation reaches the
-// decoder instead of failing the integrity check. Whatever the bytes say, the path must not panic and must
+// snapshot.Read, RestoreEngine under the checkpoint's own configuration,
+// then one basic window through PushFrames. The FNV-1a trailer is re-signed
+// first, so that a mutation reaches the decoder instead of failing the
+// integrity check. Whatever the bytes say, the path must not panic and must
 // stay inside the allocation bound above.
 //
 //	go test -run '^$' -fuzz FuzzRestoreCheckpoint -fuzztime 2m ./internal/core
@@ -72,11 +66,12 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		f.Fatal("a checkpoint claiming 2²⁴ candidates restored")
 	}
 	f.Add(hostile)
-	// An idle engine at the largest K and w a checkpoint can hold, which is
-	// refused; one at restoreK and the largest w; the same with one
-	// candidate of 4 096 empty signatures, by whose number RestoreEngine
-	// once sized a 64 MB block before it checked one; and the densest
-	// input, 8 192 empty Geometric buckets.
+	// An idle engine at the largest K and w a checkpoint can hold; the same
+	// with the index on and a plane of 64 one-cell queries, the densest a
+	// plane can cost; the idle one with one candidate of 4 096 empty
+	// signatures, by whose number RestoreEngine once sized a 64 MB block
+	// before it checked one; and the densest input, 8 192 empty Geometric
+	// buckets.
 	idle := func(cfg Config) *snapshot.EngineState {
 		e, err := NewEngine(cfg)
 		if err != nil {
@@ -84,13 +79,24 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		}
 		return e.ExportState()
 	}
-	st := idle(Config{K: minhash.MaxK, Seed: restoreSeed, Delta: 0.7, Lambda: 2, WindowFrames: maxWindowFrames})
-	f.Add(snapshot.Marshal(&snapshot.Checkpoint{Engine: *st}))
-	st = idle(Config{K: restoreK, Seed: restoreSeed, Delta: 0.7, Lambda: 2, WindowFrames: maxWindowFrames})
-	f.Add(snapshot.Marshal(&snapshot.Checkpoint{Engine: *st}))
+	st := idle(Config{K: minhash.MaxK, Seed: 1, Delta: 0.7, Lambda: 2, WindowFrames: maxWindowFrames})
+	cells := *st
+	cells.Config.UseIndex = true
+	for i := range 64 {
+		cells.Queries = append(cells.Queries, qindex.Query{ID: i, Length: 1, CellIDs: []uint64{uint64(i)}})
+	}
+	for _, ck := range [][]byte{
+		snapshot.Marshal(&snapshot.Checkpoint{Engine: *st}),
+		snapshot.Marshal(&snapshot.Checkpoint{Engine: cells}),
+	} {
+		if !restoreOneWindow(ck) {
+			f.Fatal("an engine at the largest K and w does not restore")
+		}
+		f.Add(ck)
+	}
 	st.Seq = []snapshot.SeqCandidate{{Sigs: make([]snapshot.Signature, 4096)}}
 	f.Add(snapshot.Marshal(&snapshot.Checkpoint{Engine: *st}))
-	st = idle(Config{K: restoreK, Seed: restoreSeed, Delta: 0.7, Lambda: 2, WindowFrames: 10, Order: Geometric})
+	st = idle(Config{K: 192, Seed: 1, Delta: 0.7, Lambda: 2, WindowFrames: 10, Order: Geometric})
 	st.Geo = make([]snapshot.GeoBucket, 8192)
 	f.Add(snapshot.Marshal(&snapshot.Checkpoint{Engine: *st}))
 
@@ -101,21 +107,41 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			h.Write(data[:len(data)-8])
 			binary.BigEndian.PutUint64(data[len(data)-8:], h.Sum64())
 		}
+		limit := restoreAllocPerByte*uint64(len(data)) + restoreAllocConst + planeAllowance(data)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		restoreOneWindow(data)
 		runtime.ReadMemStats(&after)
-		limit := restoreAllocPerByte*uint64(len(data)) + restoreAllocConst
 		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 			t.Fatalf("restoring %d bytes allocated %d bytes, bound %d", len(data), got, limit)
 		}
 	})
 }
 
+// planeAllowance is the bound's plane term for a checkpoint: per byte of
+// the query codec's encoding of the cell queries in its plane,
+// restoreAllocPerPlaneByte·K, at the K the checkpoint records. It is 0 for
+// bytes that do not read as a checkpoint.
+func planeAllowance(data []byte) uint64 {
+	ck, err := snapshot.Read(bytes.NewReader(data))
+	if err != nil {
+		return 0
+	}
+	var cells []qindex.Query
+	for _, q := range ck.Engine.Queries {
+		if q.CellIDs != nil {
+			cells = append(cells, q)
+		}
+	}
+	if cells == nil {
+		return 0
+	}
+	return restoreAllocPerPlaneByte * uint64(ck.Engine.Config.K) * uint64(len(snapshot.AppendQueries(nil, cells)))
+}
+
 // restoreOneWindow restores an engine from a checkpoint under the
-// configuration it records, but restoreK and restoreSeed, and pushes the
-// frames that complete one basic window. It reports whether the checkpoint
-// was accepted.
+// configuration it records and pushes the frames that complete one basic
+// window. It reports whether the checkpoint was accepted.
 func restoreOneWindow(data []byte) bool {
 	ck, err := snapshot.Read(bytes.NewReader(data))
 	if err != nil {
@@ -123,7 +149,7 @@ func restoreOneWindow(data []byte) bool {
 	}
 	sc := ck.Engine.Config
 	cfg := Config{
-		K: restoreK, Seed: restoreSeed, Delta: sc.Delta, Lambda: sc.Lambda,
+		K: sc.K, Seed: sc.Seed, Delta: sc.Delta, Lambda: sc.Lambda,
 		WindowFrames: sc.WindowFrames, Order: Order(sc.Order), Method: Method(sc.Method),
 		UseIndex: sc.UseIndex, DisablePrune: sc.DisablePrune,
 	}

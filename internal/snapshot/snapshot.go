@@ -394,144 +394,138 @@ func Marshal(c *Checkpoint) []byte {
 
 // ---------------------------------------------------------------- decoding
 
-// decoder reads a checkpoint body and keeps its first error: after one,
-// every read returns zero and every count 0, so Read walks to the end
-// without a check per field and returns that error.
 type decoder struct {
-	r   *bitio.Reader
-	err error
+	r *bitio.Reader
 }
 
-// keep records err, if it is the first, as a failure to read what.
-func (d *decoder) keep(what string, err error) {
-	if err != nil && d.err == nil {
-		d.err = fmt.Errorf("snapshot: reading %s: %w", what, err)
-	}
+func (d *decoder) bit() (bool, error) {
+	b, err := d.r.ReadBit()
+	return b == 1, err
 }
 
-func (d *decoder) bits(what string, n uint) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := d.r.ReadBits(n)
-	d.keep(what, err)
-	return v
-}
-
-func (d *decoder) bit(what string) bool    { return d.bits(what, 1) == 1 }
-func (d *decoder) f64(what string) float64 { return math.Float64frombits(d.bits(what, 64)) }
-
-func (d *decoder) ue(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := d.r.ReadUE()
-	d.keep(what, err)
-	return v
-}
-
-func (d *decoder) se(what string) int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := d.r.ReadSE()
-	d.keep(what, err)
-	return v
-}
+func (d *decoder) ue() (uint64, error) { return d.r.ReadUE() }
 
 // count reads a count of items that each take at least minBits bits and
 // refuses one above limit or above what the bits left can hold, so that no
 // count sizes an allocation its input cannot fill.
-func (d *decoder) count(what string, limit uint64, minBits int) int {
-	v := d.ue(what + " count")
-	if left := uint64(d.r.Remaining()); d.err == nil && (v > limit || v > left/uint64(minBits)) {
-		d.keep(what+" count", fmt.Errorf("implausible count %d (%d bits left)", v, left))
+func (d *decoder) count(what string, limit uint64, minBits int) (int, error) {
+	v, err := d.r.ReadUE()
+	if err != nil {
+		return 0, fmt.Errorf("snapshot: reading %s count: %w", what, err)
 	}
-	if d.err != nil {
-		return 0
+	if left := uint64(d.r.Remaining()); v > limit || v > left/uint64(minBits) {
+		return 0, fmt.Errorf("snapshot: implausible %s count %d (%d bits left)", what, v, left)
 	}
-	return int(v)
+	return int(v), nil
 }
 
-// bytes reads n whole bytes; nil when n is 0.
-func (d *decoder) bytes(what string, n int) []byte {
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	b, err := d.r.ReadBytes(n)
-	d.keep(what, err)
-	return b
+func (d *decoder) se() (int64, error) { return d.r.ReadSE() }
+
+func (d *decoder) f64() (float64, error) {
+	v, err := d.r.ReadBits(64)
+	return math.Float64frombits(v), err
 }
 
-func (d *decoder) u64s(what string, n int) []uint64 {
-	b := d.bytes(what, 8*n)
-	if b == nil {
-		return nil
+func (d *decoder) u64s(n int) ([]uint64, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	b, err := d.r.ReadBytes(8 * n)
+	if err != nil {
+		return nil, err
 	}
 	vs := make([]uint64, n)
 	for i := range vs {
 		vs[i] = binary.BigEndian.Uint64(b[i*8:])
 	}
-	return vs
+	return vs, nil
 }
 
-func (d *decoder) sketch(what string) []uint64 {
-	return d.u64s(what, d.count(what, 1<<24, 64))
-}
-
-// optSketch reads a sketch behind the bit that says whether there is one.
-func (d *decoder) optSketch(what string) []uint64 {
-	if !d.bit(what) {
-		return nil
+func (d *decoder) sig() (Signature, error) {
+	var s Signature
+	qid, err := d.se()
+	if err != nil {
+		return s, err
 	}
-	return d.sketch(what)
+	n, err := d.count("signature words", 1<<20, 128)
+	if err != nil {
+		return s, err
+	}
+	s.QID = int(qid)
+	if s.Lo, err = d.u64s(n); err != nil {
+		return s, err
+	}
+	s.Hi, err = d.u64s(n)
+	return s, err
 }
 
-func (d *decoder) sigs(what string) []Signature {
-	n := d.count(what, 1<<20, 2)
+func (d *decoder) ints(what string) ([]int, error) {
+	n, err := d.count(what, 1<<24, 1)
+	if err != nil {
+		return nil, err
+	}
 	if n == 0 {
-		return nil
-	}
-	sigs := make([]Signature, n)
-	for i := range sigs {
-		sigs[i].QID = int(d.se(what))
-		words := d.count(what+" words", 1<<20, 128)
-		sigs[i].Lo, sigs[i].Hi = d.u64s(what, words), d.u64s(what, words)
-	}
-	return sigs
-}
-
-func (d *decoder) ints(what string) []int {
-	n := d.count(what, 1<<24, 1)
-	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	vs := make([]int, n)
 	for i := range vs {
-		vs[i] = int(d.se(what))
+		v, err := d.se()
+		if err != nil {
+			return nil, err
+		}
+		vs[i] = int(v)
 	}
-	return vs
+	return vs, nil
+}
+
+func (d *decoder) sketch(what string) ([]uint64, error) {
+	n, err := d.count(what, 1<<24, 64)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	return d.u64s(n)
 }
 
 // plane reads a version 2 plane section: the query codec's bytes.
-func (d *decoder) plane() []qindex.Query {
-	b := d.bytes("plane", d.count("plane byte", 1<<40, 8))
-	if b == nil {
-		return nil
+func (d *decoder) plane() ([]qindex.Query, error) {
+	n, err := d.count("plane byte", 1<<40, 8)
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	queries, err := ParseQueries(b)
-	d.keep("plane", err)
-	return queries
+	b, err := d.r.ReadBytes(n)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: reading plane: %w", err)
+	}
+	return ParseQueries(b)
 }
 
 // sketchQueries reads a version 1 plane section: a count, then per query
 // its id, its length and its K raw sketch values.
-func (d *decoder) sketchQueries() []qindex.Query {
-	queries := make([]qindex.Query, d.count("query", 1<<20, 3))
-	for i := range queries {
-		queries[i] = qindex.Query{ID: int(d.se("query")), Length: int(d.ue("query")), Sketch: d.sketch("query sketch")}
+func (d *decoder) sketchQueries() ([]qindex.Query, error) {
+	nq, err := d.count("query", 1<<20, 3)
+	if err != nil {
+		return nil, err
 	}
-	return queries
+	queries := make([]qindex.Query, nq)
+	for i := range queries {
+		id, err := d.se()
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: reading query: %w", err)
+		}
+		length, err := d.ue()
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: reading query: %w", err)
+		}
+		sk, err := d.sketch("query sketch")
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: reading query sketch: %w", err)
+		}
+		queries[i] = qindex.Query{ID: int(id), Length: int(length), Sketch: sk}
+	}
+	return queries, nil
 }
 
 // Read parses a checkpoint, verifying magic, version, integrity trailer and
@@ -551,75 +545,259 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("snapshot: checkpoint integrity check failed (hash %016x, trailer %016x)", got, want)
 	}
 
-	d := &decoder{r: bitio.NewReader(body)}
-	if magic := d.bytes("magic", 4); [4]byte(magic) != Magic {
+	br := bitio.NewReader(body)
+	d := &decoder{r: br}
+
+	magic, err := br.ReadBytes(4)
+	if err != nil || [4]byte(magic) != Magic {
 		return nil, fmt.Errorf("snapshot: not a checkpoint stream (magic %q)", magic)
 	}
-	ver := d.bits("version", 16)
+	ver, err := br.ReadBits(16)
+	if err != nil {
+		return nil, err
+	}
 	if ver != 1 && ver != FormatVersion {
 		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads 1 and %d)", ver, FormatVersion)
 	}
-	wantFP := d.bits("fingerprint", 64)
+	wantFP, err := br.ReadBits(64)
+	if err != nil {
+		return nil, err
+	}
 
-	c := &Checkpoint{Meta: Meta{U: int(d.se("meta")), D: int(d.se("meta")), KeyFPS: d.f64("meta")}}
-	k := d.ue("config")
-	cfg := Config{K: int(k), Seed: int64(d.bits("config", 64)), Delta: d.f64("config"), Lambda: d.f64("config"),
-		WindowFrames: int(d.ue("config")), Order: uint8(d.bits("config", 8)), Method: uint8(d.bits("config", 8)),
-		UseIndex: d.bit("config"), DisablePrune: d.bit("config")}
-	switch {
-	case d.err != nil:
-		return nil, d.err
-	case k > minhash.MaxK:
-		return nil, fmt.Errorf("snapshot: reading config: K=%d exceeds the limit of %d", k, minhash.MaxK)
-	case Fingerprint(c.Meta, cfg) != wantFP:
-		return nil, fmt.Errorf("snapshot: header fingerprint %016x does not match config sections (%016x); checkpoint corrupt",
-			wantFP, Fingerprint(c.Meta, cfg))
+	c := &Checkpoint{}
+	fail := func(what string, err error) (*Checkpoint, error) {
+		return nil, fmt.Errorf("snapshot: reading %s: %w", what, err)
+	}
+
+	// Meta section.
+	u, err := d.se()
+	if err != nil {
+		return fail("meta", err)
+	}
+	dd, err := d.se()
+	if err != nil {
+		return fail("meta", err)
+	}
+	fps, err := d.f64()
+	if err != nil {
+		return fail("meta", err)
+	}
+	c.Meta = Meta{U: int(u), D: int(dd), KeyFPS: fps}
+
+	// Config section.
+	var cfg Config
+	k, err := d.ue()
+	if err != nil {
+		return fail("config", err)
+	}
+	if k > minhash.MaxK {
+		return fail("config", fmt.Errorf("K=%d exceeds the limit of %d", k, minhash.MaxK))
+	}
+	seed, err := br.ReadBits(64)
+	if err != nil {
+		return fail("config", err)
+	}
+	if cfg.Delta, err = d.f64(); err != nil {
+		return fail("config", err)
+	}
+	if cfg.Lambda, err = d.f64(); err != nil {
+		return fail("config", err)
+	}
+	wf, err := d.ue()
+	if err != nil {
+		return fail("config", err)
+	}
+	order, err := br.ReadBits(8)
+	if err != nil {
+		return fail("config", err)
+	}
+	method, err := br.ReadBits(8)
+	if err != nil {
+		return fail("config", err)
+	}
+	if cfg.UseIndex, err = d.bit(); err != nil {
+		return fail("config", err)
+	}
+	if cfg.DisablePrune, err = d.bit(); err != nil {
+		return fail("config", err)
+	}
+	cfg.K, cfg.Seed = int(k), int64(seed)
+	cfg.WindowFrames = int(wf)
+	cfg.Order, cfg.Method = uint8(order), uint8(method)
+	c.Engine.Config = cfg
+
+	if got := Fingerprint(c.Meta, cfg); got != wantFP {
+		return nil, fmt.Errorf("snapshot: header fingerprint %016x does not match config sections (%016x); checkpoint corrupt", wantFP, got)
 	}
 
 	// Engine section.
 	st := &c.Engine
-	st.Config = cfg
-	st.Frame = int(d.ue("frame"))
-	st.CurIDs = d.sketch("current window")
-	st.Stats.Frames, st.Stats.Windows = int(d.ue("stats")), int(d.ue("stats"))
+	frame, err := d.ue()
+	if err != nil {
+		return fail("frame", err)
+	}
+	st.Frame = int(frame)
+	if st.CurIDs, err = d.sketch("current window"); err != nil {
+		return fail("current window", err)
+	}
+
+	sf, err := d.ue()
+	if err != nil {
+		return fail("stats", err)
+	}
+	sw, err := d.ue()
+	if err != nil {
+		return fail("stats", err)
+	}
+	st.Stats.Frames, st.Stats.Windows = int(sf), int(sw)
 	for _, dst := range []*int64{
 		&st.Stats.SketchCombines, &st.Stats.SketchCompares,
 		&st.Stats.SigOrs, &st.Stats.SigTests, &st.Stats.ProbeComparisons,
 		&st.Stats.SignatureSum, &st.Stats.CandidateSum,
 	} {
-		*dst = int64(d.bits("stats", 64))
+		v, err := br.ReadBits(64)
+		if err != nil {
+			return fail("stats", err)
+		}
+		*dst = int64(v)
 	}
-	st.Stats.Matches = int(d.ue("stats"))
-	st.Stats.Shards = make([]ShardStats, d.count("shard stats", 1<<16, 3*64))
+	sm, err := d.ue()
+	if err != nil {
+		return fail("stats", err)
+	}
+	st.Stats.Matches = int(sm)
+	nsh, err := d.count("shard stats", 1<<16, 3*64)
+	if err != nil {
+		return nil, err
+	}
+	st.Stats.Shards = make([]ShardStats, nsh)
 	for i := range st.Stats.Shards {
-		st.Stats.Shards[i] = ShardStats{Probed: int64(d.bits("shard stats", 64)),
-			Pruned: int64(d.bits("shard stats", 64)), Compared: int64(d.bits("shard stats", 64))}
+		for _, dst := range []*int64{
+			&st.Stats.Shards[i].Probed, &st.Stats.Shards[i].Pruned, &st.Stats.Shards[i].Compared,
+		} {
+			v, err := br.ReadBits(64)
+			if err != nil {
+				return fail("shard stats", err)
+			}
+			*dst = int64(v)
+		}
 	}
 
 	if ver == 1 {
-		st.Queries = d.sketchQueries()
+		st.Queries, err = d.sketchQueries()
 	} else {
-		st.Queries = d.plane()
+		st.Queries, err = d.plane()
+	}
+	if err != nil {
+		return nil, err
 	}
 
-	st.Seq = make([]SeqCandidate, d.count("candidate", 1<<24, 6))
+	nc, err := d.count("candidate", 1<<24, 6)
+	if err != nil {
+		return nil, err
+	}
+	st.Seq = make([]SeqCandidate, nc)
 	for i := range st.Seq {
-		st.Seq[i] = SeqCandidate{StartFrame: int(d.se("candidate")), Windows: int(d.ue("candidate")),
-			Sketch: d.optSketch("candidate sketch"), Sigs: d.sigs("candidate signature"),
-			Related: d.ints("candidate related"), Reported: d.ints("candidate reported")}
+		cand := &st.Seq[i]
+		start, err := d.se()
+		if err != nil {
+			return fail("candidate", err)
+		}
+		wins, err := d.ue()
+		if err != nil {
+			return fail("candidate", err)
+		}
+		cand.StartFrame, cand.Windows = int(start), int(wins)
+		hasSketch, err := d.bit()
+		if err != nil {
+			return fail("candidate", err)
+		}
+		if hasSketch {
+			if cand.Sketch, err = d.sketch("candidate sketch"); err != nil {
+				return fail("candidate sketch", err)
+			}
+		}
+		ns, err := d.count("candidate signature", 1<<20, 2)
+		if err != nil {
+			return nil, err
+		}
+		if ns > 0 {
+			cand.Sigs = make([]Signature, ns)
+		}
+		for j := range cand.Sigs {
+			if cand.Sigs[j], err = d.sig(); err != nil {
+				return fail("candidate signature", err)
+			}
+		}
+		if cand.Related, err = d.ints("candidate related"); err != nil {
+			return nil, err
+		}
+		if cand.Reported, err = d.ints("candidate reported"); err != nil {
+			return nil, err
+		}
 	}
-	st.Geo = make([]GeoBucket, d.count("bucket", 1<<24, 6))
+
+	nb, err := d.count("bucket", 1<<24, 6)
+	if err != nil {
+		return nil, err
+	}
+	st.Geo = make([]GeoBucket, nb)
 	for i := range st.Geo {
-		st.Geo[i] = GeoBucket{StartFrame: int(d.se("bucket")), EndFrame: int(d.se("bucket")),
-			Windows: int(d.ue("bucket")), Sketch: d.optSketch("bucket sketch"),
-			Sigs: d.sigs("bucket signature"), Related: d.ints("bucket related")}
+		b := &st.Geo[i]
+		start, err := d.se()
+		if err != nil {
+			return fail("bucket", err)
+		}
+		end, err := d.se()
+		if err != nil {
+			return fail("bucket", err)
+		}
+		wins, err := d.ue()
+		if err != nil {
+			return fail("bucket", err)
+		}
+		b.StartFrame, b.EndFrame, b.Windows = int(start), int(end), int(wins)
+		hasSketch, err := d.bit()
+		if err != nil {
+			return fail("bucket", err)
+		}
+		if hasSketch {
+			if b.Sketch, err = d.sketch("bucket sketch"); err != nil {
+				return fail("bucket sketch", err)
+			}
+		}
+		ns, err := d.count("bucket signature", 1<<20, 2)
+		if err != nil {
+			return nil, err
+		}
+		if ns > 0 {
+			b.Sigs = make([]Signature, ns)
+		}
+		for j := range b.Sigs {
+			if b.Sigs[j], err = d.sig(); err != nil {
+				return fail("bucket signature", err)
+			}
+		}
+		if b.Related, err = d.ints("bucket related"); err != nil {
+			return nil, err
+		}
 	}
-	st.GeoReported = make([]GeoReport, d.count("geo report", 1<<24, 2))
+
+	nr, err := d.count("geo report", 1<<24, 2)
+	if err != nil {
+		return nil, err
+	}
+	st.GeoReported = make([]GeoReport, nr)
 	for i := range st.GeoReported {
-		st.GeoReported[i] = GeoReport{QID: int(d.se("geo report")), Start: int(d.se("geo report"))}
-	}
-	if d.err != nil {
-		return nil, d.err
+		qid, err := d.se()
+		if err != nil {
+			return fail("geo report", err)
+		}
+		start, err := d.se()
+		if err != nil {
+			return fail("geo report", err)
+		}
+		st.GeoReported[i] = GeoReport{QID: int(qid), Start: int(start)}
 	}
 	return c, nil
 }

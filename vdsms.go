@@ -498,7 +498,9 @@ func (d *Detector) SaveQueries(w io.Writer) error {
 // LoadDetector builds a detector from cfg with its query set restored from
 // a SaveQueries stream (or one in the older sketch format). The stream's K
 // and seed must be cfg's, and a mismatch is refused before any query is
-// read; each query's sketch is derived again under cfg's hash family.
+// read; each query's sketch is derived again under cfg's hash family. r
+// must end where the set ends: a SaveQueries stream is read to its end, and
+// bytes after the set are refused.
 func LoadDetector(cfg Config, r io.Reader) (*Detector, error) {
 	d, ecfg, err := newDetector(cfg)
 	if err != nil {
