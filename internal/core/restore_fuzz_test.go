@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/fnv"
+	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -45,7 +47,8 @@ const (
 // then one basic window through PushFrames. The FNV-1a trailer is re-signed
 // first, so that a mutation reaches the decoder instead of failing the
 // integrity check. Whatever the bytes say, the path must not panic and must
-// stay inside the allocation bound above.
+// stay inside the allocation bound above; and whatever snapshot.Read
+// accepts must read the same once snapshot.Marshal has written it back.
 //
 //	go test -run '^$' -fuzz FuzzRestoreCheckpoint -fuzztime 2m ./internal/core
 func FuzzRestoreCheckpoint(f *testing.F) {
@@ -107,7 +110,16 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			h.Write(data[:len(data)-8])
 			binary.BigEndian.PutUint64(data[len(data)-8:], h.Sum64())
 		}
-		limit := restoreAllocPerByte*uint64(len(data)) + restoreAllocConst + planeAllowance(data)
+		limit := restoreAllocPerByte*uint64(len(data)) + restoreAllocConst
+		if ck, err := snapshot.Read(bytes.NewReader(data)); err == nil {
+			// One walk writes and reads the layout: what it reads, it
+			// writes back to bytes that read the same.
+			again, err := snapshot.Read(bytes.NewReader(snapshot.Marshal(ck)))
+			if err != nil || !sameCheckpoint(again, ck) {
+				t.Fatalf("a checkpoint written back reads as %+v, %v; want %+v", again, err, ck)
+			}
+			limit += planeAllowance(ck)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		restoreOneWindow(data)
@@ -120,13 +132,8 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 
 // planeAllowance is the bound's plane term for a checkpoint: per byte of
 // the query codec's encoding of the cell queries in its plane,
-// restoreAllocPerPlaneByte·K, at the K the checkpoint records. It is 0 for
-// bytes that do not read as a checkpoint.
-func planeAllowance(data []byte) uint64 {
-	ck, err := snapshot.Read(bytes.NewReader(data))
-	if err != nil {
-		return 0
-	}
+// restoreAllocPerPlaneByte·K, at the K the checkpoint records.
+func planeAllowance(ck *snapshot.Checkpoint) uint64 {
 	var cells []qindex.Query
 	for _, q := range ck.Engine.Queries {
 		if q.CellIDs != nil {
@@ -137,6 +144,23 @@ func planeAllowance(data []byte) uint64 {
 		return 0
 	}
 	return restoreAllocPerPlaneByte * uint64(ck.Engine.Config.K) * uint64(len(snapshot.AppendQueries(nil, cells)))
+}
+
+// sameCheckpoint is reflect.DeepEqual with the floats compared by their
+// bits, since a NaN equals nothing, itself included.
+func sameCheckpoint(a, b *snapshot.Checkpoint) bool {
+	ca, cb := *a, *b
+	for _, f := range [][2]*float64{
+		{&ca.Meta.KeyFPS, &cb.Meta.KeyFPS},
+		{&ca.Engine.Config.Delta, &cb.Engine.Config.Delta},
+		{&ca.Engine.Config.Lambda, &cb.Engine.Config.Lambda},
+	} {
+		if math.Float64bits(*f[0]) != math.Float64bits(*f[1]) {
+			return false
+		}
+		*f[0], *f[1] = 0, 0
+	}
+	return reflect.DeepEqual(ca, cb)
 }
 
 // restoreOneWindow restores an engine from a checkpoint under the

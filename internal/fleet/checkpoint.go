@@ -16,8 +16,9 @@
 //
 // Each stream blob is a full internal/snapshot checkpoint, so it inherits
 // that format's fingerprint and trailer integrity checks; the container
-// adds only framing. Streams are written id-sorted and every nested codec
-// is canonical, so identical fleet state serialises to identical bytes.
+// adds only framing, and nothing follows its last stream. Streams are
+// written id-sorted and every nested codec is canonical, so identical
+// fleet state serialises to identical bytes.
 // Version 1 is the same container around a "VQS1" plane blob of sketches;
 // Restore still reads it. Either way the plane is loaded under the
 // caller's K and seed, and a blob naming others is refused before one
@@ -27,6 +28,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -103,7 +105,8 @@ func (p *Pool) Checkpoint(w io.Writer, meta snapshot.Meta) error {
 // loaded once and every stream joins it via core.RestoreEngineWith.
 // cfg.Engine must be detection-compatible with the checkpointed
 // configuration (each stream blob's fingerprint is checked) and meta must
-// match the value the checkpoint was taken with.
+// match the value the checkpoint was taken with. r must end where the
+// container does: a byte after the last stream is refused.
 func Restore(cfg Config, r io.Reader, meta snapshot.Meta) (*Pool, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -138,51 +141,65 @@ func Restore(cfg Config, r io.Reader, meta snapshot.Meta) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	var count uint32
-	if err := binary.Read(r, binary.BigEndian, &count); err != nil {
+	if err := p.restoreStreams(r, meta); err != nil {
 		p.Close()
 		return nil, err
 	}
-	for i := uint32(0); i < count; i++ {
+	return p, nil
+}
+
+// restoreStreams attaches the streams of the rest of a fleet container to
+// p, and refuses a byte after the last one.
+func (p *Pool) restoreStreams(r io.Reader, meta snapshot.Meta) error {
+	var count uint32
+	if err := binary.Read(r, binary.BigEndian, &count); err != nil {
+		return err
+	}
+	for range count {
 		var idLen uint16
 		if err := binary.Read(r, binary.BigEndian, &idLen); err != nil {
-			p.Close()
-			return nil, err
+			return err
 		}
-		idBuf := make([]byte, idLen)
-		if _, err := io.ReadFull(r, idBuf); err != nil {
-			p.Close()
-			return nil, err
+		id := make([]byte, idLen)
+		if _, err := io.ReadFull(r, id); err != nil {
+			return err
 		}
-		id := string(idBuf)
-		blob, err := readBlob(r)
-		if err != nil {
-			p.Close()
-			return nil, fmt.Errorf("fleet: stream %q: %w", id, err)
-		}
-		ck, err := snapshot.Read(bytes.NewReader(blob))
-		if err != nil {
-			p.Close()
-			return nil, fmt.Errorf("fleet: stream %q: %w", id, err)
-		}
-		// Config compatibility (fingerprint fields) is checked inside
-		// RestoreEngineWith; the container only needs the Meta comparison.
-		if cerr := snapshot.CompatibilityError(ck.Meta, meta, ck.Engine.Config, ck.Engine.Config); cerr != nil {
-			p.Close()
-			return nil, fmt.Errorf("fleet: stream %q: %w", id, cerr)
-		}
-		eng, err := core.RestoreEngineWith(cfg.Engine, &ck.Engine, qs)
-		if err != nil {
-			p.Close()
-			return nil, fmt.Errorf("fleet: stream %q: %w", id, err)
-		}
-		if _, err := p.attach(id, eng); err != nil {
-			p.Close()
-			return nil, fmt.Errorf("fleet: stream %q: %w", id, err)
+		if err := p.restoreStream(string(id), r, meta); err != nil {
+			return fmt.Errorf("fleet: stream %q: %w", id, err)
 		}
 	}
-	return p, nil
+	var more [1]byte
+	switch _, err := io.ReadFull(r, more[:]); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("fleet: bytes past the last stream")
+	default:
+		return err
+	}
+}
+
+// restoreStream reads one stream's checkpoint blob and attaches it as id.
+func (p *Pool) restoreStream(id string, r io.Reader, meta snapshot.Meta) error {
+	blob, err := readBlob(r)
+	if err != nil {
+		return err
+	}
+	ck, err := snapshot.Read(bytes.NewReader(blob))
+	if err != nil {
+		return err
+	}
+	// Config compatibility (fingerprint fields) is checked inside
+	// RestoreEngineWith; the container only needs the Meta comparison.
+	if err := snapshot.CompatibilityError(ck.Meta, meta, ck.Engine.Config, ck.Engine.Config); err != nil {
+		return err
+	}
+	eng, err := core.RestoreEngineWith(p.cfg.Engine, &ck.Engine, p.qs)
+	if err != nil {
+		return err
+	}
+	_, err = p.attach(id, eng)
+	return err
 }
 
 func writeBlob(w io.Writer, b []byte) error {

@@ -545,6 +545,38 @@ func TestFleetCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
+// TestRestoreStopsAtContainerEnd: bytes after a fleet checkpoint's last
+// stream are refused. Thirteen appended bytes once restored as the
+// original fleet.
+func TestRestoreStopsAtContainerEnd(t *testing.T) {
+	cfg := testConfig(1)
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.AddQuery(1, idStream(rand.New(rand.NewSource(5)), 1, 30)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Attach("cam"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Checkpoint(&buf, boundsMeta); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(cfg, bytes.NewReader(buf.Bytes()), boundsMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	buf.WriteString("thirteen more")
+	if r, err := Restore(cfg, bytes.NewReader(buf.Bytes()), boundsMeta); err == nil {
+		r.Close()
+		t.Fatal("a fleet checkpoint with 13 bytes appended was restored")
+	}
+}
+
 // TestFleetSmoke is the CI gate behind `make fleet-smoke`: 64 streams,
 // concurrent producers and live query churn under -race, then an
 // equivalence spot-check of a sample of streams against isolated engines.

@@ -3,7 +3,6 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/fnv"
 	"runtime"
 	"testing"
 
@@ -27,12 +26,12 @@ func idleCheckpoint() *Checkpoint {
 	}
 }
 
-// withCandidateCount returns a re-signed engine checkpoint with nothing in
-// flight whose candidate count reads n. Such a checkpoint's body ends in
-// the three empty counts — candidates, buckets, geo reports, one bit each
-// — and its padding; the bits before them are kept, the count is rewritten
-// and the FNV trailer recomputed.
-func withCandidateCount(t *testing.T, n uint64) []byte {
+// idleWithTail returns a re-signed idleCheckpoint of the given format
+// version whose sections from the plane on are what tail writes. Its body
+// ends in those four sections — plane, candidates, buckets, geo reports,
+// an empty one a bit each, the same bit in either version — and its
+// padding; the bits before them are kept and the FNV trailer recomputed.
+func idleWithTail(t *testing.T, version uint16, tail func(w *bitio.Writer)) []byte {
 	t.Helper()
 	body := Marshal(idleCheckpoint())
 	body = body[:len(body)-8]
@@ -41,20 +40,27 @@ func withCandidateCount(t *testing.T, n uint64) []byte {
 		last--
 	}
 	r, w := bitio.NewReader(body), bitio.NewWriter(len(body)+8)
-	for left := last - 2; left > 0; left -= 32 {
+	for left := last - 3; left > 0; left -= 32 {
 		v, err := r.ReadBits(uint(min(left, 32)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.WriteBits(v, uint(min(left, 32)))
 	}
-	w.WriteUE(n)
-	w.WriteUE(0)
-	w.WriteUE(0)
+	tail(w)
 	out := bytes.Clone(w.Bytes())
-	h := fnv.New64a()
-	h.Write(out)
-	return binary.BigEndian.AppendUint64(out, h.Sum64())
+	binary.BigEndian.PutUint16(out[4:], version)
+	return signed(out)
+}
+
+// withCandidateCount returns a re-signed engine checkpoint with nothing in
+// flight whose candidate count reads n.
+func withCandidateCount(t *testing.T, n uint64) []byte {
+	return idleWithTail(t, FormatVersion, func(w *bitio.Writer) {
+		for _, v := range []uint64{0, n, 0, 0} {
+			w.WriteUE(v)
+		}
+	})
 }
 
 // TestCandidateCountBoundedByInput: a checkpoint of 125 bytes

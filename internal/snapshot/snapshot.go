@@ -25,6 +25,11 @@
 // sketch values; Read still reads it, to a plane of sketch-only queries,
 // and the kernel sections of both versions are the same bytes.
 //
+// One walk over the layout (walk.checkpoint) is its only description: it
+// writes each field for Marshal and reads it into place for Read, so the
+// two cannot disagree. A reader stops where the layout ends: any bit after
+// the last section but the last byte's zero padding is refused.
+//
 // The header triple is byte-aligned and pinned by a golden test: any layout
 // drift fails CI rather than corrupting user checkpoints. The fingerprint
 // covers every configuration field that shapes detection state. Loading a
@@ -39,6 +44,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 
 	"vdsms/internal/bitio"
 	"vdsms/internal/minhash"
@@ -209,64 +215,6 @@ func CompatibilityError(have, want Meta, haveC, wantC Config) error {
 	return fmt.Errorf("snapshot: checkpoint incompatible with running configuration: %v", diffs)
 }
 
-// ---------------------------------------------------------------- encoding
-
-type encoder struct {
-	w   *bitio.Writer
-	buf []byte
-}
-
-func (e *encoder) bit(b bool) {
-	if b {
-		e.w.WriteBit(1)
-	} else {
-		e.w.WriteBit(0)
-	}
-}
-
-func (e *encoder) ue(v uint64) { e.w.WriteUE(v) }
-func (e *encoder) se(v int64)  { e.w.WriteSE(v) }
-func (e *encoder) f64(v float64) {
-	e.w.WriteBits(math.Float64bits(v), 64)
-}
-
-// u64s writes a word slice byte-aligned, big-endian — the bulk payload
-// path. Empty slices write nothing (and force no alignment), mirroring the
-// decoder's early return.
-func (e *encoder) u64s(vs []uint64) {
-	if len(vs) == 0 {
-		return
-	}
-	need := 8 * len(vs)
-	if cap(e.buf) < need {
-		e.buf = make([]byte, need)
-	}
-	b := e.buf[:need]
-	for i, v := range vs {
-		binary.BigEndian.PutUint64(b[i*8:], v)
-	}
-	e.w.WriteBytes(b)
-}
-
-func (e *encoder) sig(s Signature) {
-	e.se(int64(s.QID))
-	e.ue(uint64(len(s.Lo)))
-	e.u64s(s.Lo)
-	e.u64s(s.Hi)
-}
-
-func (e *encoder) ints(vs []int) {
-	e.ue(uint64(len(vs)))
-	for _, v := range vs {
-		e.se(int64(v))
-	}
-}
-
-func (e *encoder) sketch(s []uint64) {
-	e.ue(uint64(len(s)))
-	e.u64s(s)
-}
-
 // Write serialises a checkpoint to w.
 func Write(w io.Writer, c *Checkpoint) error {
 	_, err := w.Write(Marshal(c))
@@ -289,247 +237,17 @@ func Identity(checkpoint []byte) uint64 {
 // Marshal serialises a checkpoint: the layout of the package comment, the
 // trailer last (see Identity).
 func Marshal(c *Checkpoint) []byte {
-	bw := bitio.NewWriter(4096)
-	enc := &encoder{w: bw}
-
-	// Header: magic, version, fingerprint — byte-aligned, golden-pinned.
-	bw.WriteBytes(Magic[:])
-	bw.WriteBits(FormatVersion, 16)
-	bw.WriteBits(Fingerprint(c.Meta, c.Engine.Config), 64)
-
-	// Meta section.
-	enc.se(int64(c.Meta.U))
-	enc.se(int64(c.Meta.D))
-	enc.f64(c.Meta.KeyFPS)
-
-	// Config section.
-	cfg := c.Engine.Config
-	enc.ue(uint64(cfg.K))
-	bw.WriteBits(uint64(cfg.Seed), 64)
-	enc.f64(cfg.Delta)
-	enc.f64(cfg.Lambda)
-	enc.ue(uint64(cfg.WindowFrames))
-	bw.WriteBits(uint64(cfg.Order), 8)
-	bw.WriteBits(uint64(cfg.Method), 8)
-	enc.bit(cfg.UseIndex)
-	enc.bit(cfg.DisablePrune)
-
-	// Engine section.
-	st := &c.Engine
-	enc.ue(uint64(st.Frame))
-	enc.sketch(st.CurIDs)
-
-	enc.ue(uint64(st.Stats.Frames))
-	enc.ue(uint64(st.Stats.Windows))
-	for _, v := range []int64{
-		st.Stats.SketchCombines, st.Stats.SketchCompares,
-		st.Stats.SigOrs, st.Stats.SigTests, st.Stats.ProbeComparisons,
-		st.Stats.SignatureSum, st.Stats.CandidateSum,
-	} {
-		bw.WriteBits(uint64(v), 64)
-	}
-	enc.ue(uint64(st.Stats.Matches))
-	enc.ue(uint64(len(st.Stats.Shards)))
-	for _, sh := range st.Stats.Shards {
-		bw.WriteBits(uint64(sh.Probed), 64)
-		bw.WriteBits(uint64(sh.Pruned), 64)
-		bw.WriteBits(uint64(sh.Compared), 64)
-	}
-
-	var plane []byte
-	if len(st.Queries) > 0 {
-		plane = AppendQueries(nil, st.Queries)
-	}
-	enc.ue(uint64(len(plane)))
-	if len(plane) > 0 { // an empty plane forces no alignment, as in version 1
-		bw.WriteBytes(plane)
-	}
-
-	enc.ue(uint64(len(st.Seq)))
-	for _, cand := range st.Seq {
-		enc.se(int64(cand.StartFrame))
-		enc.ue(uint64(cand.Windows))
-		enc.bit(cand.Sketch != nil)
-		if cand.Sketch != nil {
-			enc.sketch(cand.Sketch)
-		}
-		enc.ue(uint64(len(cand.Sigs)))
-		for _, s := range cand.Sigs {
-			enc.sig(s)
-		}
-		enc.ints(cand.Related)
-		enc.ints(cand.Reported)
-	}
-
-	enc.ue(uint64(len(st.Geo)))
-	for _, b := range st.Geo {
-		enc.se(int64(b.StartFrame))
-		enc.se(int64(b.EndFrame))
-		enc.ue(uint64(b.Windows))
-		enc.bit(b.Sketch != nil)
-		if b.Sketch != nil {
-			enc.sketch(b.Sketch)
-		}
-		enc.ue(uint64(len(b.Sigs)))
-		for _, s := range b.Sigs {
-			enc.sig(s)
-		}
-		enc.ints(b.Related)
-	}
-
-	enc.ue(uint64(len(st.GeoReported)))
-	for _, r := range st.GeoReported {
-		enc.se(int64(r.QID))
-		enc.se(int64(r.Start))
-	}
-
-	// Integrity trailer: FNV-1a over every byte written so far.
+	x := &walk{w: bitio.NewWriter(4096)}
+	x.checkpoint(c)
+	body := x.w.Bytes()
 	h := fnv.New64a()
-	h.Write(bw.Bytes())
-	var tr [8]byte
-	binary.BigEndian.PutUint64(tr[:], h.Sum64())
-	bw.WriteBytes(tr[:])
-	return bw.Bytes()
+	h.Write(body)
+	return binary.BigEndian.AppendUint64(body, h.Sum64())
 }
 
-// ---------------------------------------------------------------- decoding
-
-type decoder struct {
-	r *bitio.Reader
-}
-
-func (d *decoder) bit() (bool, error) {
-	b, err := d.r.ReadBit()
-	return b == 1, err
-}
-
-func (d *decoder) ue() (uint64, error) { return d.r.ReadUE() }
-
-// count reads a count of items that each take at least minBits bits and
-// refuses one above limit or above what the bits left can hold, so that no
-// count sizes an allocation its input cannot fill.
-func (d *decoder) count(what string, limit uint64, minBits int) (int, error) {
-	v, err := d.r.ReadUE()
-	if err != nil {
-		return 0, fmt.Errorf("snapshot: reading %s count: %w", what, err)
-	}
-	if left := uint64(d.r.Remaining()); v > limit || v > left/uint64(minBits) {
-		return 0, fmt.Errorf("snapshot: implausible %s count %d (%d bits left)", what, v, left)
-	}
-	return int(v), nil
-}
-
-func (d *decoder) se() (int64, error) { return d.r.ReadSE() }
-
-func (d *decoder) f64() (float64, error) {
-	v, err := d.r.ReadBits(64)
-	return math.Float64frombits(v), err
-}
-
-func (d *decoder) u64s(n int) ([]uint64, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	b, err := d.r.ReadBytes(8 * n)
-	if err != nil {
-		return nil, err
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = binary.BigEndian.Uint64(b[i*8:])
-	}
-	return vs, nil
-}
-
-func (d *decoder) sig() (Signature, error) {
-	var s Signature
-	qid, err := d.se()
-	if err != nil {
-		return s, err
-	}
-	n, err := d.count("signature words", 1<<20, 128)
-	if err != nil {
-		return s, err
-	}
-	s.QID = int(qid)
-	if s.Lo, err = d.u64s(n); err != nil {
-		return s, err
-	}
-	s.Hi, err = d.u64s(n)
-	return s, err
-}
-
-func (d *decoder) ints(what string) ([]int, error) {
-	n, err := d.count(what, 1<<24, 1)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		v, err := d.se()
-		if err != nil {
-			return nil, err
-		}
-		vs[i] = int(v)
-	}
-	return vs, nil
-}
-
-func (d *decoder) sketch(what string) ([]uint64, error) {
-	n, err := d.count(what, 1<<24, 64)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	return d.u64s(n)
-}
-
-// plane reads a version 2 plane section: the query codec's bytes.
-func (d *decoder) plane() ([]qindex.Query, error) {
-	n, err := d.count("plane byte", 1<<40, 8)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	b, err := d.r.ReadBytes(n)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: reading plane: %w", err)
-	}
-	return ParseQueries(b)
-}
-
-// sketchQueries reads a version 1 plane section: a count, then per query
-// its id, its length and its K raw sketch values.
-func (d *decoder) sketchQueries() ([]qindex.Query, error) {
-	nq, err := d.count("query", 1<<20, 3)
-	if err != nil {
-		return nil, err
-	}
-	queries := make([]qindex.Query, nq)
-	for i := range queries {
-		id, err := d.se()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: reading query: %w", err)
-		}
-		length, err := d.ue()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: reading query: %w", err)
-		}
-		sk, err := d.sketch("query sketch")
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: reading query sketch: %w", err)
-		}
-		queries[i] = qindex.Query{ID: int(id), Length: int(length), Sketch: sk}
-	}
-	return queries, nil
-}
-
-// Read parses a checkpoint, verifying magic, version, integrity trailer and
-// the internal consistency of the fingerprint.
+// Read parses a checkpoint, verifying magic, version, integrity trailer,
+// the internal consistency of the fingerprint, and that nothing follows
+// the layout but the last byte's zero padding.
 func Read(r io.Reader) (*Checkpoint, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -545,259 +263,324 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("snapshot: checkpoint integrity check failed (hash %016x, trailer %016x)", got, want)
 	}
 
-	br := bitio.NewReader(body)
-	d := &decoder{r: br}
-
-	magic, err := br.ReadBytes(4)
-	if err != nil || [4]byte(magic) != Magic {
-		return nil, fmt.Errorf("snapshot: not a checkpoint stream (magic %q)", magic)
-	}
-	ver, err := br.ReadBits(16)
-	if err != nil {
-		return nil, err
-	}
-	if ver != 1 && ver != FormatVersion {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads 1 and %d)", ver, FormatVersion)
-	}
-	wantFP, err := br.ReadBits(64)
-	if err != nil {
-		return nil, err
-	}
-
 	c := &Checkpoint{}
-	fail := func(what string, err error) (*Checkpoint, error) {
-		return nil, fmt.Errorf("snapshot: reading %s: %w", what, err)
+	x := &walk{r: bitio.NewReader(body)}
+	x.checkpoint(c)
+	if left := x.r.Remaining(); x.reading() && left > 0 {
+		// Eight bits or more are refused as they are; fewer are the last
+		// byte's padding, which reads without fail and must be zero.
+		if pad, _ := x.r.ReadBits(uint(min(left, 8))); left >= 8 || pad != 0 {
+			x.err = fmt.Errorf("%d bits past the end of the layout", left)
+		}
+	}
+	if x.err != nil {
+		return nil, fmt.Errorf("snapshot: reading %s: %w", x.at, x.err)
+	}
+	return c, nil
+}
+
+// ------------------------------------------------------------------ layout
+
+// walk is one pass over the checkpoint layout, the only description of it:
+// with w set each step writes its field, with r set it reads the field into
+// place. A read keeps its first error, after which every step does nothing
+// and every count is 0, so the layout is spelled without a check per field.
+type walk struct {
+	w   *bitio.Writer
+	r   *bitio.Reader
+	err error
+	at  string // the section the first error was met in
+	buf []byte // a write's scratch for word slices
+}
+
+// checkpoint walks the whole layout of the package comment but the trailer.
+func (x *walk) checkpoint(c *Checkpoint) {
+	// Header: magic, version, fingerprint — byte-aligned, golden-pinned.
+	x.section("header")
+	magic, ver, fp := Magic[:], uint64(FormatVersion), uint64(0)
+	if x.w != nil {
+		fp = Fingerprint(c.Meta, c.Engine.Config)
+	}
+	x.raw(&magic, len(Magic))
+	num(x, &ver, 16)
+	num(x, &fp, 64)
+	switch {
+	case x.reading() && [4]byte(magic) != Magic:
+		x.err = fmt.Errorf("not a checkpoint stream (magic %q)", magic)
+	case x.reading() && ver != 1 && ver != FormatVersion:
+		x.err = fmt.Errorf("unsupported format version %d (this build reads 1 and %d)", ver, FormatVersion)
 	}
 
-	// Meta section.
-	u, err := d.se()
-	if err != nil {
-		return fail("meta", err)
-	}
-	dd, err := d.se()
-	if err != nil {
-		return fail("meta", err)
-	}
-	fps, err := d.f64()
-	if err != nil {
-		return fail("meta", err)
-	}
-	c.Meta = Meta{U: int(u), D: int(dd), KeyFPS: fps}
+	x.section("meta section")
+	num(x, &c.Meta.U, se)
+	num(x, &c.Meta.D, se)
+	x.f64(&c.Meta.KeyFPS)
 
-	// Config section.
-	var cfg Config
-	k, err := d.ue()
-	if err != nil {
-		return fail("config", err)
+	x.section("config section")
+	cfg := &c.Engine.Config
+	num(x, &cfg.K, ue)
+	if x.reading() && uint64(cfg.K) > minhash.MaxK {
+		x.err = fmt.Errorf("K=%d exceeds the limit of %d", uint64(cfg.K), minhash.MaxK)
 	}
-	if k > minhash.MaxK {
-		return fail("config", fmt.Errorf("K=%d exceeds the limit of %d", k, minhash.MaxK))
-	}
-	seed, err := br.ReadBits(64)
-	if err != nil {
-		return fail("config", err)
-	}
-	if cfg.Delta, err = d.f64(); err != nil {
-		return fail("config", err)
-	}
-	if cfg.Lambda, err = d.f64(); err != nil {
-		return fail("config", err)
-	}
-	wf, err := d.ue()
-	if err != nil {
-		return fail("config", err)
-	}
-	order, err := br.ReadBits(8)
-	if err != nil {
-		return fail("config", err)
-	}
-	method, err := br.ReadBits(8)
-	if err != nil {
-		return fail("config", err)
-	}
-	if cfg.UseIndex, err = d.bit(); err != nil {
-		return fail("config", err)
-	}
-	if cfg.DisablePrune, err = d.bit(); err != nil {
-		return fail("config", err)
-	}
-	cfg.K, cfg.Seed = int(k), int64(seed)
-	cfg.WindowFrames = int(wf)
-	cfg.Order, cfg.Method = uint8(order), uint8(method)
-	c.Engine.Config = cfg
-
-	if got := Fingerprint(c.Meta, cfg); got != wantFP {
-		return nil, fmt.Errorf("snapshot: header fingerprint %016x does not match config sections (%016x); checkpoint corrupt", wantFP, got)
+	num(x, &cfg.Seed, 64)
+	x.f64(&cfg.Delta)
+	x.f64(&cfg.Lambda)
+	num(x, &cfg.WindowFrames, ue)
+	num(x, &cfg.Order, 8)
+	num(x, &cfg.Method, 8)
+	x.bit(&cfg.UseIndex)
+	x.bit(&cfg.DisablePrune)
+	if x.reading() && Fingerprint(c.Meta, *cfg) != fp {
+		x.err = fmt.Errorf("header fingerprint %016x does not match config sections; checkpoint corrupt", fp)
 	}
 
-	// Engine section.
+	x.section("engine section")
 	st := &c.Engine
-	frame, err := d.ue()
-	if err != nil {
-		return fail("frame", err)
-	}
-	st.Frame = int(frame)
-	if st.CurIDs, err = d.sketch("current window"); err != nil {
-		return fail("current window", err)
-	}
-
-	sf, err := d.ue()
-	if err != nil {
-		return fail("stats", err)
-	}
-	sw, err := d.ue()
-	if err != nil {
-		return fail("stats", err)
-	}
-	st.Stats.Frames, st.Stats.Windows = int(sf), int(sw)
-	for _, dst := range []*int64{
+	num(x, &st.Frame, ue)
+	x.sketch(&st.CurIDs, "current window")
+	num(x, &st.Stats.Frames, ue)
+	num(x, &st.Stats.Windows, ue)
+	for _, v := range []*int64{
 		&st.Stats.SketchCombines, &st.Stats.SketchCompares,
 		&st.Stats.SigOrs, &st.Stats.SigTests, &st.Stats.ProbeComparisons,
 		&st.Stats.SignatureSum, &st.Stats.CandidateSum,
 	} {
-		v, err := br.ReadBits(64)
-		if err != nil {
-			return fail("stats", err)
-		}
-		*dst = int64(v)
+		num(x, v, 64)
 	}
-	sm, err := d.ue()
-	if err != nil {
-		return fail("stats", err)
-	}
-	st.Stats.Matches = int(sm)
-	nsh, err := d.count("shard stats", 1<<16, 3*64)
-	if err != nil {
-		return nil, err
-	}
-	st.Stats.Shards = make([]ShardStats, nsh)
-	for i := range st.Stats.Shards {
-		for _, dst := range []*int64{
-			&st.Stats.Shards[i].Probed, &st.Stats.Shards[i].Pruned, &st.Stats.Shards[i].Compared,
-		} {
-			v, err := br.ReadBits(64)
-			if err != nil {
-				return fail("shard stats", err)
-			}
-			*dst = int64(v)
-		}
-	}
+	num(x, &st.Stats.Matches, ue)
+	each(x, &st.Stats.Shards, x.count(len(st.Stats.Shards), "shard stats", 1<<16, 3*64), func(sh *ShardStats) {
+		num(x, &sh.Probed, 64)
+		num(x, &sh.Pruned, 64)
+		num(x, &sh.Compared, 64)
+	})
 
-	if ver == 1 {
-		st.Queries, err = d.sketchQueries()
+	x.section("plane")
+	x.plane(&st.Queries, ver)
+
+	x.section("candidates")
+	each(x, &st.Seq, x.count(len(st.Seq), "candidate", 1<<24, 6), func(cand *SeqCandidate) {
+		num(x, &cand.StartFrame, se)
+		num(x, &cand.Windows, ue)
+		x.optSketch(&cand.Sketch, "candidate sketch")
+		x.sigs(&cand.Sigs, "candidate signature")
+		x.ints(&cand.Related, "candidate related")
+		x.ints(&cand.Reported, "candidate reported")
+	})
+	x.section("buckets")
+	each(x, &st.Geo, x.count(len(st.Geo), "bucket", 1<<24, 6), func(b *GeoBucket) {
+		num(x, &b.StartFrame, se)
+		num(x, &b.EndFrame, se)
+		num(x, &b.Windows, ue)
+		x.optSketch(&b.Sketch, "bucket sketch")
+		x.sigs(&b.Sigs, "bucket signature")
+		x.ints(&b.Related, "bucket related")
+	})
+	x.section("geo reports")
+	each(x, &st.GeoReported, x.count(len(st.GeoReported), "geo report", 1<<24, 2), func(r *GeoReport) {
+		num(x, &r.QID, se)
+		num(x, &r.Start, se)
+	})
+}
+
+// plane walks the plane section. Version 2, the one written, is the query
+// codec's bytes behind their length; version 1, read only, is a count and
+// per query its id, its length and its K raw sketch values. An empty plane
+// reads as nil in either.
+func (x *walk) plane(qs *[]qindex.Query, version uint64) {
+	if version == 1 {
+		each(x, qs, x.count(len(*qs), "query", 1<<20, 3), func(q *qindex.Query) {
+			num(x, &q.ID, se)
+			num(x, &q.Length, ue)
+			x.sketch((*[]uint64)(&q.Sketch), "query sketch")
+			if x.reading() && (q.Length <= 0 || q.Sketch == nil) {
+				x.err = fmt.Errorf("query %d has no frames or no sketch", q.ID)
+			}
+		})
 	} else {
-		st.Queries, err = d.plane()
+		var b []byte
+		if x.w != nil && len(*qs) > 0 {
+			b = AppendQueries(nil, *qs)
+		}
+		// An empty plane forces no alignment, as in version 1.
+		if n := x.count(len(b), "plane byte", 1<<40, 8); n > 0 {
+			x.raw(&b, n)
+			if x.reading() {
+				*qs, x.err = ParseQueries(b)
+			}
+		}
 	}
-	if err != nil {
-		return nil, err
+	if x.r != nil && len(*qs) == 0 {
+		*qs = nil
 	}
+}
 
-	nc, err := d.count("candidate", 1<<24, 6)
-	if err != nil {
-		return nil, err
+// section names the part of the layout a read is in, for its first error.
+func (x *walk) section(name string) {
+	if x.err == nil {
+		x.at = name
 	}
-	st.Seq = make([]SeqCandidate, nc)
-	for i := range st.Seq {
-		cand := &st.Seq[i]
-		start, err := d.se()
-		if err != nil {
-			return fail("candidate", err)
-		}
-		wins, err := d.ue()
-		if err != nil {
-			return fail("candidate", err)
-		}
-		cand.StartFrame, cand.Windows = int(start), int(wins)
-		hasSketch, err := d.bit()
-		if err != nil {
-			return fail("candidate", err)
-		}
-		if hasSketch {
-			if cand.Sketch, err = d.sketch("candidate sketch"); err != nil {
-				return fail("candidate sketch", err)
-			}
-		}
-		ns, err := d.count("candidate signature", 1<<20, 2)
-		if err != nil {
-			return nil, err
-		}
-		if ns > 0 {
-			cand.Sigs = make([]Signature, ns)
-		}
-		for j := range cand.Sigs {
-			if cand.Sigs[j], err = d.sig(); err != nil {
-				return fail("candidate signature", err)
-			}
-		}
-		if cand.Related, err = d.ints("candidate related"); err != nil {
-			return nil, err
-		}
-		if cand.Reported, err = d.ints("candidate reported"); err != nil {
-			return nil, err
-		}
-	}
+}
 
-	nb, err := d.count("bucket", 1<<24, 6)
-	if err != nil {
-		return nil, err
-	}
-	st.Geo = make([]GeoBucket, nb)
-	for i := range st.Geo {
-		b := &st.Geo[i]
-		start, err := d.se()
-		if err != nil {
-			return fail("bucket", err)
-		}
-		end, err := d.se()
-		if err != nil {
-			return fail("bucket", err)
-		}
-		wins, err := d.ue()
-		if err != nil {
-			return fail("bucket", err)
-		}
-		b.StartFrame, b.EndFrame, b.Windows = int(start), int(end), int(wins)
-		hasSketch, err := d.bit()
-		if err != nil {
-			return fail("bucket", err)
-		}
-		if hasSketch {
-			if b.Sketch, err = d.sketch("bucket sketch"); err != nil {
-				return fail("bucket sketch", err)
-			}
-		}
-		ns, err := d.count("bucket signature", 1<<20, 2)
-		if err != nil {
-			return nil, err
-		}
-		if ns > 0 {
-			b.Sigs = make([]Signature, ns)
-		}
-		for j := range b.Sigs {
-			if b.Sigs[j], err = d.sig(); err != nil {
-				return fail("bucket signature", err)
-			}
-		}
-		if b.Related, err = d.ints("bucket related"); err != nil {
-			return nil, err
-		}
-	}
+// reading reports whether the walk reads and has not failed: whether a
+// rule of the layout is to be checked.
+func (x *walk) reading() bool { return x.r != nil && x.err == nil }
 
-	nr, err := d.count("geo report", 1<<24, 2)
-	if err != nil {
-		return nil, err
-	}
-	st.GeoReported = make([]GeoReport, nr)
-	for i := range st.GeoReported {
-		qid, err := d.se()
-		if err != nil {
-			return fail("geo report", err)
+// Codings of an integer field: an unsigned or a signed Exp-Golomb code;
+// any other value is a width in bits.
+const (
+	ue = -1
+	se = -2
+)
+
+// num walks an integer field in the given coding.
+func num[T ~int | ~int64 | ~uint8 | ~uint64](x *walk, v *T, coding int) {
+	if x.w != nil {
+		switch coding {
+		case ue:
+			x.w.WriteUE(uint64(*v))
+		case se:
+			x.w.WriteSE(int64(*v))
+		default:
+			x.w.WriteBits(uint64(*v), uint(coding))
 		}
-		start, err := d.se()
-		if err != nil {
-			return fail("geo report", err)
-		}
-		st.GeoReported[i] = GeoReport{QID: int(qid), Start: int(start)}
+		return
 	}
-	return c, nil
+	if x.err != nil {
+		return
+	}
+	var u uint64
+	switch coding {
+	case ue:
+		u, x.err = x.r.ReadUE()
+	case se:
+		var s int64
+		s, x.err = x.r.ReadSE()
+		u = uint64(s)
+	default:
+		u, x.err = x.r.ReadBits(uint(coding))
+	}
+	*v = T(u)
+}
+
+// f64 walks a float as its 64 bits.
+func (x *walk) f64(v *float64) {
+	u := math.Float64bits(*v)
+	num(x, &u, 64)
+	if x.r != nil {
+		*v = math.Float64frombits(u)
+	}
+}
+
+// bit walks a one-bit flag.
+func (x *walk) bit(v *bool) {
+	var u uint8
+	if *v {
+		u = 1
+	}
+	num(x, &u, 1)
+	if x.r != nil {
+		*v = u == 1
+	}
+}
+
+// count walks the length n of a list whose items take at least minBits
+// bits each. A read refuses a count above limit or above what the bits
+// left can hold, so that no count sizes an allocation its input cannot
+// fill; it returns 0 once the read has failed.
+func (x *walk) count(n int, what string, limit uint64, minBits int) int {
+	v := uint64(n)
+	num(x, &v, ue)
+	if x.w != nil {
+		return n
+	}
+	if left := uint64(x.r.Remaining()); x.reading() && (v > limit || v > left/uint64(minBits)) {
+		x.err = fmt.Errorf("implausible %s count %d (%d bits left)", what, v, left)
+	}
+	if x.err != nil {
+		return 0
+	}
+	return int(v)
+}
+
+// each walks the items of *s, n of them on a read, which sizes *s first.
+func each[T any](x *walk, s *[]T, n int, item func(*T)) {
+	if x.r != nil {
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		if x.err != nil {
+			return
+		}
+		item(&(*s)[i])
+	}
+}
+
+// raw walks n bytes, byte-aligned; a read's bytes alias the input.
+func (x *walk) raw(b *[]byte, n int) {
+	switch {
+	case x.w != nil:
+		x.w.WriteBytes(*b)
+	case x.err == nil:
+		*b, x.err = x.r.ReadBytes(n)
+	}
+}
+
+// words walks n words byte-aligned, big-endian — the bulk payload path. No
+// words write nothing, force no alignment, and read as nil.
+func (x *walk) words(vs *[]uint64, n int) {
+	if x.w != nil {
+		if len(*vs) > 0 {
+			x.buf = slices.Grow(x.buf[:0], 8*len(*vs))
+			for _, v := range *vs {
+				x.buf = binary.BigEndian.AppendUint64(x.buf, v)
+			}
+			x.w.WriteBytes(x.buf)
+		}
+		return
+	}
+	if n == 0 || x.err != nil {
+		return
+	}
+	var b []byte
+	x.raw(&b, 8*n)
+	if x.err != nil {
+		return
+	}
+	*vs = make([]uint64, n)
+	for i := range *vs {
+		(*vs)[i] = binary.BigEndian.Uint64(b[i*8:])
+	}
+}
+
+// sketch walks a counted word slice: a sketch, or a window's cell ids.
+func (x *walk) sketch(s *[]uint64, what string) {
+	x.words(s, x.count(len(*s), what, 1<<24, 64))
+}
+
+// optSketch walks a presence bit and, when it is set, a sketch.
+func (x *walk) optSketch(s *[]uint64, what string) {
+	has := *s != nil
+	x.bit(&has)
+	if has {
+		x.sketch(s, what)
+	}
+}
+
+// sigs walks a counted list of signatures, nil when empty.
+func (x *walk) sigs(s *[]Signature, what string) {
+	if n := x.count(len(*s), what, 1<<20, 2); n > 0 {
+		each(x, s, n, func(sig *Signature) {
+			num(x, &sig.QID, se)
+			n := x.count(len(sig.Lo), "signature words", 1<<20, 128)
+			x.words(&sig.Lo, n)
+			x.words(&sig.Hi, n)
+		})
+	}
+}
+
+// ints walks a counted list of signed integers, nil when empty.
+func (x *walk) ints(s *[]int, what string) {
+	if n := x.count(len(*s), what, 1<<24, 1); n > 0 {
+		each(x, s, n, func(v *int) { num(x, v, se) })
+	}
 }

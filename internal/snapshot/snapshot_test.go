@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"vdsms/internal/bitio"
 	"vdsms/internal/minhash"
 	"vdsms/internal/qindex"
 )
@@ -103,6 +106,58 @@ func TestCheckpointV1Reads(t *testing.T) {
 	}
 }
 
+// TestCheckpointV1Plane: version 1's plane section reads to sketch-only
+// queries, an empty one to nil as in version 2, and what it reads is
+// written back as version 2 bytes that read the same. A query without
+// frames or without a sketch value, which no plane accepts, is refused.
+func TestCheckpointV1Plane(t *testing.T) {
+	plane := func(length uint64, sketch ...uint64) func(*bitio.Writer) {
+		return func(w *bitio.Writer) {
+			w.WriteUE(1)
+			w.WriteSE(-5)
+			w.WriteUE(length)
+			w.WriteUE(uint64(len(sketch)))
+			for _, v := range sketch {
+				w.WriteBytes(binary.BigEndian.AppendUint64(nil, v))
+			}
+			for range 3 { // no candidates, buckets or geo reports
+				w.WriteUE(0)
+			}
+		}
+	}
+	empty := func(w *bitio.Writer) {
+		for range 4 {
+			w.WriteUE(0)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		tail func(*bitio.Writer)
+		want []qindex.Query
+		ok   bool
+	}{
+		{"empty", empty, nil, true},
+		{"one query", plane(30, 7, math.MaxUint64), []qindex.Query{{ID: -5, Length: 30, Sketch: []uint64{7, math.MaxUint64}}}, true},
+		{"no frames", plane(0, 7), nil, false},
+		{"no sketch", plane(30), nil, false},
+	} {
+		ck, err := Read(bytes.NewReader(idleWithTail(t, 1, c.tail)))
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Read error %v, want accepted=%v", c.name, err, c.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(ck.Engine.Queries, c.want) {
+			t.Errorf("%s: plane reads as %#v, want %#v", c.name, ck.Engine.Queries, c.want)
+		}
+		if again, err := Read(bytes.NewReader(Marshal(ck))); err != nil || !reflect.DeepEqual(again, ck) {
+			t.Errorf("%s: written back, reads as %+v, %v", c.name, again, err)
+		}
+	}
+}
+
 func TestCheckpointEmptySections(t *testing.T) {
 	want := &Checkpoint{
 		Engine: EngineState{
@@ -152,6 +207,39 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Error("wrong magic accepted")
+	}
+}
+
+// signed appends body's FNV-1a trailer, as Marshal does.
+func signed(body []byte) []byte {
+	h := fnv.New64a()
+	h.Write(body)
+	return binary.BigEndian.AppendUint64(body, h.Sum64())
+}
+
+// TestReadStopsAtLayoutEnd: a re-signed checkpoint with anything after its
+// last section but the last byte's zero padding is refused. Four bytes
+// appended before the trailer once read back as the original state.
+func TestReadStopsAtLayoutEnd(t *testing.T) {
+	for _, ck := range []*Checkpoint{sampleCheckpoint(), idleCheckpoint()} {
+		data := Marshal(ck)
+		body := data[:len(data)-8]
+		for _, junk := range [][]byte{{0xde, 0xad, 0xbe, 0xef}, {0, 0, 0, 0}, {0}} {
+			if _, err := Read(bytes.NewReader(signed(append(bytes.Clone(body), junk...)))); err == nil {
+				t.Errorf("%d bytes past the layout (%x) accepted", len(junk), junk)
+			}
+		}
+	}
+	// An idle checkpoint ends in the geo-report count's one bit, so the
+	// bits after its last set bit are padding.
+	body := bytes.Clone(Marshal(idleCheckpoint()))
+	body = body[:len(body)-8]
+	if body[len(body)-1]&1 != 0 {
+		t.Fatal("the idle checkpoint has no padding")
+	}
+	body[len(body)-1] |= 1
+	if _, err := Read(bytes.NewReader(signed(body))); err == nil {
+		t.Error("a set padding bit accepted")
 	}
 }
 
