@@ -53,7 +53,6 @@ fuzz:
 	$(GO) test ./internal/snapshot -fuzz FuzzReplayWAL -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzRestoreCheckpoint -fuzztime 30s -fuzzminimizetime 200x
 	$(GO) test ./internal/core -fuzz FuzzLoadQuerySet -fuzztime 30s -fuzzminimizetime 200x
-	$(GO) test ./internal/fleet -fuzz FuzzRestoreFleet -fuzztime 30s -fuzzminimizetime 200x
 
 # Reduced-scale temporal-attack robustness suite under the race detector:
 # attack-transform invariants, per-family evaluation, and the end-to-end

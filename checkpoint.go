@@ -19,16 +19,15 @@
 // plane costs.
 //
 // Full checkpoints are taken when a lineage starts (the first durable
-// change finds no log to extend), every Config.CheckpointEvery during
-// Monitor, after a Monitor-final partial-window flush (a mutation no record
-// describes), on explicit Checkpoint calls, and by one size rule: at a
-// window boundary, once the log has outgrown the checkpoint it extends
-// (compactIfOutgrown). The rule bounds both directions. Writing: a
-// checkpoint of C bytes is followed by more than C bytes of log before the
-// next, so with the state's size steady the checkpoints add at most as many
-// bytes as the log itself — write amplification ≤ 2×. Reading: recovery
-// replays at most one checkpoint's worth of log (plus the window or the
-// change that crossed the line).
+// change finds no log to extend), after a Monitor-final partial-window
+// flush (a mutation no record describes), on explicit Checkpoint calls, and
+// by one size rule: at a window boundary, once the log has outgrown the
+// checkpoint it extends (compactIfOutgrown). The rule bounds both
+// directions. Writing: a checkpoint of C bytes is followed by more than C
+// bytes of log before the next, so with the state's size steady the
+// checkpoints add at most as many bytes as the log itself — write
+// amplification ≤ 2×. Reading: recovery replays at most one checkpoint's
+// worth of log (plus the window or the change that crossed the line).
 //
 // Recovery = Resume: load the checkpoint, read the log, decide which of its
 // records the checkpoint already holds, replay the rest in log order —
@@ -67,7 +66,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"vdsms/internal/core"
 	"vdsms/internal/snapshot"
@@ -135,7 +133,6 @@ func (d *Detector) Checkpoint() error {
 		return fmt.Errorf("vdsms: rotating WAL: %w", err)
 	}
 	d.wal, d.ckptBytes = wal, int64(len(data))
-	d.lastCkpt = time.Now()
 	return nil
 }
 
@@ -185,7 +182,7 @@ func (d *Detector) compactIfOutgrown() error {
 }
 
 // pushLogged is Monitor's frame path with durability: log and sync the
-// batch, push it, and take a periodic checkpoint at window boundaries.
+// batch, push it, and compact by the size rule at a window boundary.
 func (d *Detector) pushLogged(batch []uint64) error {
 	if d.CheckpointingEnabled() {
 		if err := d.startLineage(); err != nil {
@@ -202,10 +199,6 @@ func (d *Detector) pushLogged(batch []uint64) error {
 		}
 	}
 	d.engine.PushFrames(batch)
-	if d.wal != nil && d.cfg.CheckpointEvery > 0 &&
-		d.engine.PendingFrames() == 0 && time.Since(d.lastCkpt) >= d.cfg.CheckpointEvery {
-		return d.Checkpoint()
-	}
 	return d.compactIfOutgrown()
 }
 

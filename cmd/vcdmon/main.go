@@ -13,10 +13,11 @@
 //
 // With -checkpoint-dir the monitor journals every frame and every
 // subscription change to a write-ahead log and checkpoints its full
-// matching state periodically and whenever the log has outgrown the last
-// checkpoint; after a crash, rerunning with -resume restores that state,
-// replays the log, and continues the stream exactly where it left off (replayed matches are reported with a
-// REPLAY prefix — the crashed run may already have printed them).
+// matching state whenever the log has outgrown the last checkpoint and at
+// the end of the stream; after a crash, rerunning with -resume restores
+// that state, replays the log, and continues the stream exactly where it
+// left off (replayed matches are reported with a REPLAY prefix — the
+// crashed run may already have printed them).
 //
 // With -metrics-addr the monitor serves Prometheus metrics (GET /metrics)
 // on a side listener while it runs; -slow-window budget also logs any
@@ -40,8 +41,8 @@
 // became matches (prunes, drops, expiries, near misses).
 //
 // The detection, durability, overload and observability flags are the
-// ones vcdserve takes too (internal/cli); -checkpoint-every, -resume, -q,
-// the query-set, archive, -explain and -metrics-addr flags are vcdmon's.
+// ones vcdserve takes too (internal/cli); -resume, -q, the query-set,
+// archive, -explain and -metrics-addr flags are vcdmon's.
 package main
 
 import (
@@ -84,7 +85,6 @@ func main() {
 	saveSet := flag.String("save-queries", "", "after subscribing, save the query set to this file")
 	archiveDir := flag.String("archive-dir", "", "save matched stream segments as clips in this directory")
 	archiveSec := flag.Float64("archive-sec", 120, "seconds of stream retained for archiving")
-	ckptEvery := flag.Duration("checkpoint-every", 10*time.Second, "minimum interval between periodic checkpoints")
 	resume := flag.Bool("resume", false, "restore state from -checkpoint-dir and replay the frame log before monitoring")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address while monitoring (e.g. :8655)")
 	explain := flag.Bool("explain", false, "trace candidate lifecycles and print an EXPLAIN line (trajectory, audit) per match; samples every window's perf span")
@@ -118,7 +118,6 @@ func main() {
 	if *archiveDir != "" {
 		cfg.ArchiveSec = *archiveSec
 	}
-	cfg.CheckpointEvery = *ckptEvery
 	if *explain {
 		// Journal every lifecycle decision and exact-audit every report and
 		// prune — for a one-shot CLI run the audit cost is irrelevant and

@@ -1,13 +1,14 @@
 // Fleet facade: many monitored streams over one shared query plane. This
 // is the multi-tenant face of the Detector — where NewStream hands each
 // concurrent stream its own goroutine and Monitor loop, a Fleet multiplexes
-// N streams (1k+) over a fixed worker pool with bounded per-stream queues,
-// admission control and one fleet-wide checkpoint. See internal/fleet for
-// the pool mechanics and DESIGN.md §13 for the memory model.
+// N streams (1k+) over a fixed worker pool with bounded per-stream queues
+// and admission control. See internal/fleet for the pool mechanics and
+// DESIGN.md §13 for the memory model.
 package vdsms
 
 import (
 	"io"
+	"sync"
 	"time"
 
 	"vdsms/internal/core"
@@ -53,6 +54,14 @@ type FleetConfig struct {
 type Fleet struct {
 	d    *Detector
 	pool *fleet.Pool
+	// fronts is the free list of the front ends PushSegment decodes on.
+	fronts sync.Pool
+}
+
+// segmentFront is a front end with the cell buffer it decodes into.
+type segmentFront struct {
+	fe    frontEnd
+	cells []uint64
 }
 
 // NewFleet builds a fleet with a fresh query plane.
@@ -70,58 +79,19 @@ func NewFleet(cfg Config, fc FleetConfig) (*Fleet, error) {
 // detector's slow-window budget too: a window over it is counted and kept
 // under the stream's id, but not passed to OnSlowWindow or logged.
 func (d *Detector) NewFleet(fc FleetConfig) (*Fleet, error) {
-	pool, err := fleet.NewWith(d.poolConfig(fc, d.engine.Config()), d.engine.Queries())
-	if err != nil {
-		return nil, err
-	}
-	return d.withPool(pool), nil
-}
-
-// RestoreFleet rebuilds a fleet from a Fleet.Checkpoint stream: the shared
-// plane is loaded once, and every checkpointed stream re-attaches with its
-// matching state (candidates, partial window, stats) intact. cfg must be
-// detection-compatible with the checkpointing run. The fleet's detector
-// runs on the restored plane; no other plane is built.
-func RestoreFleet(cfg Config, fc FleetConfig, r io.Reader) (*Fleet, error) {
-	d, ecfg, err := newDetector(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := fleet.Restore(d.poolConfig(fc, ecfg), r, d.meta())
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngineWith(ecfg, pool.Queries())
-	if err != nil {
-		pool.Close()
-		return nil, err
-	}
-	d.arm(eng)
-	return d.withPool(pool), nil
-}
-
-// poolConfig is the pool configuration of a fleet of d's streams under
-// engine configuration ecfg.
-func (d *Detector) poolConfig(fc FleetConfig, ecfg core.Config) fleet.Config {
-	return fleet.Config{
-		Engine:      ecfg,
+	pool, err := fleet.NewWith(fleet.Config{
+		Engine:      d.engine.Config(),
 		Workers:     fc.Workers,
 		MaxStreams:  fc.MaxStreams,
 		QueueFrames: fc.QueueWindows * d.winKeyF,
+	}, d.engine.Queries())
+	if err != nil {
+		return nil, err
 	}
-}
-
-// withPool wraps pool as d's fleet, its streams observed as d's are.
-func (d *Detector) withPool(pool *fleet.Pool) *Fleet {
 	pool.Observe(d.observer())
-	return &Fleet{d: d, pool: pool}
-}
-
-// Checkpoint writes the fleet's full state: the shared query plane once,
-// plus one small delta per stream. Producers and query churn must pause
-// while it runs (it drains every stream queue first).
-func (f *Fleet) Checkpoint(w io.Writer) error {
-	return f.pool.Checkpoint(w, f.d.meta())
+	f := &Fleet{d: d, pool: pool}
+	f.fronts.New = func() any { return new(segmentFront) }
+	return f, nil
 }
 
 // AddQuery subscribes a continuous query from an encoded MVC1 clip,
@@ -180,8 +150,8 @@ func (f *Fleet) StreamIDs() []string { return f.pool.StreamIDs() }
 func (f *Fleet) Len() int { return f.pool.Len() }
 
 // FleetWorkerStats is the passes and frames one worker has run, or, with
-// ID -1, the goroutines that helped while they waited in Drain, Checkpoint
-// or Detach; see fleet.WorkerStats.
+// ID -1, the goroutines that helped while they waited in Drain or Detach;
+// see fleet.WorkerStats.
 type FleetWorkerStats = fleet.WorkerStats
 
 // WorkerStats returns one row per worker, ordered by id, then the helpers'
@@ -217,13 +187,13 @@ func (fs *FleetStream) ID() string { return fs.s.ID() }
 
 // PushSegment decodes an encoded MVC1 segment (a chunk of the stream;
 // consecutive calls concatenate) and enqueues its key-frame fingerprints.
-// Decoding happens on the caller's goroutine — producers parallelise the
-// front-end while the pool runs the matching kernel. A full stream queue
-// rejects the whole segment with ErrBackpressure: nothing is enqueued, so
-// a retried segment cannot double-feed frames. A segment longer than the
-// whole queue is rejected with ErrSegmentTooLarge, whatever the queue holds,
-// and any segment with an error once the stream is detached or the fleet
-// closed.
+// Decoding happens on the caller's goroutine, on a front end borrowed from
+// the fleet's free list — producers parallelise the front-end while the
+// pool runs the matching kernel. A full stream queue rejects the whole
+// segment with ErrBackpressure: nothing is enqueued, so a retried segment
+// cannot double-feed frames. A segment longer than the whole queue is
+// rejected with ErrSegmentTooLarge, whatever the queue holds, and any
+// segment with an error once the stream is detached or the fleet closed.
 func (fs *FleetStream) PushSegment(segment io.Reader) error {
 	pd, err := mpeg.NewPartialDecoder(segment)
 	if err != nil {
@@ -234,11 +204,15 @@ func (fs *FleetStream) PushSegment(segment io.Reader) error {
 	if err := fs.fl.d.cfg.checkKeyRate(pd.Header()); err != nil {
 		return err
 	}
-	cells, err := fs.fl.d.pipeline.cells(pd, new(frontEnd), nil)
+	sf := fs.fl.fronts.Get().(*segmentFront)
+	defer fs.fl.fronts.Put(sf)
+	sf.fe.last = 0 // a segment's leading placeholders repeat no other segment's id
+	cells, err := fs.fl.d.pipeline.cells(pd, &sf.fe, sf.cells[:0])
 	if err != nil || len(cells) == 0 {
 		return err
 	}
-	return fs.s.Push(cells)
+	sf.cells = cells
+	return fs.s.Push(cells) // Push copies cells
 }
 
 // Matches returns the matches reported so far, in stream time.

@@ -137,94 +137,6 @@ func TestFleetClosedRejectsSegments(t *testing.T) {
 	fs.Detach(true)
 }
 
-// TestFleetFacadeCheckpoint round-trips a fleet through Checkpoint/
-// RestoreFleet mid-stream and checks the restored streams finish their
-// feeds with the same matches as an uninterrupted run.
-func TestFleetFacadeCheckpoint(t *testing.T) {
-	query := clip(t, 62, 20)
-	head := clip(t, 700, 30)
-	tail := clip(t, 701, 30)
-
-	run := func(fl *Fleet, segs ...[]byte) {
-		t.Helper()
-		fs := fl.Stream("cam-1")
-		if fs == nil {
-			t.Fatal("cam-1 not attached")
-		}
-		for i, seg := range segs {
-			err := fs.PushSegment(bytes.NewReader(seg))
-			if errors.Is(err, ErrBackpressure) {
-				// Nothing was enqueued; wait out the queue and resend.
-				fl.Drain()
-				err = fs.PushSegment(bytes.NewReader(seg))
-			}
-			if err != nil {
-				t.Fatalf("segment %d: %v", i, err)
-			}
-		}
-	}
-
-	// Reference: one fleet plays the whole feed without interruption.
-	ref, err := NewFleet(testConfig(), FleetConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	if err := ref.AddQuery(1, bytes.NewReader(query)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Attach("cam-1"); err != nil {
-		t.Fatal(err)
-	}
-	run(ref, head, query, tail)
-	want := ref.Stream("cam-1")
-	want.Detach(true)
-
-	// Checkpointed: same feed, suspended to disk after the head segment.
-	fl, err := NewFleet(testConfig(), FleetConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.AddQuery(1, bytes.NewReader(query)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fl.Attach("cam-1"); err != nil {
-		t.Fatal(err)
-	}
-	run(fl, head)
-	var blob bytes.Buffer
-	if err := fl.Checkpoint(&blob); err != nil {
-		t.Fatal(err)
-	}
-	fl.Close()
-
-	restored, err := RestoreFleet(testConfig(), FleetConfig{}, bytes.NewReader(blob.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if restored.NumQueries() != 1 {
-		t.Fatalf("restored %d queries, want 1", restored.NumQueries())
-	}
-	run(restored, query, tail)
-	got := restored.Stream("cam-1")
-	got.Detach(true)
-
-	if !reflect.DeepEqual(got.Matches(), want.Matches()) {
-		t.Errorf("restored matches diverge:\n got %+v\nwant %+v", got.Matches(), want.Matches())
-	}
-	if gs, ws := got.Stats(), want.Stats(); gs.Frames != ws.Frames || gs.Windows != ws.Windows {
-		t.Errorf("restored stats %+v, want %+v", gs, ws)
-	}
-
-	// A detection-incompatible config must be rejected at restore.
-	bad := testConfig()
-	bad.Delta = 0.9
-	if _, err := RestoreFleet(bad, FleetConfig{}, bytes.NewReader(blob.Bytes())); err == nil {
-		t.Error("incompatible config accepted at restore")
-	}
-}
-
 // TestFleetBadSegment checks the facade-level guards around PushSegment.
 func TestFleetBadSegment(t *testing.T) {
 	fl, err := NewFleet(testConfig(), FleetConfig{})

@@ -71,45 +71,6 @@ func TestLoadSketchSet(t *testing.T) {
 	}
 }
 
-// TestRestoreSketchFleet: testdata/v1-fleet.vflt, a version 1 fleet
-// container (its plane a VQS1 blob) written by that format's writer after
-// the stream "cam" took the first segment, restores and monitors the second
-// to the writing run's matches; so does the version 2 container the
-// restored fleet checkpoints to.
-func TestRestoreSketchFleet(t *testing.T) {
-	_, seg2, _, want2 := fixtureRun(t)
-	fc := FleetConfig{Workers: 1, QueueWindows: 32}
-	second := func(blob []byte) []Match {
-		t.Helper()
-		f, err := RestoreFleet(sweepConfig(""), fc, bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(f.Close)
-		fs := f.Stream("cam")
-		if err := fs.PushSegment(bytes.NewReader(seg2)); err != nil {
-			t.Fatal(err)
-		}
-		f.Drain()
-		return fs.Matches()
-	}
-	if got := second(readFile(t, filepath.Join("testdata", "v1-fleet.vflt"))); !reflect.DeepEqual(got, want2) {
-		t.Errorf("restored fleet's matches diverge:\nwant %+v\ngot  %+v", want2, got)
-	}
-	f, err := RestoreFleet(sweepConfig(""), fc, bytes.NewReader(readFile(t, filepath.Join("testdata", "v1-fleet.vflt"))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var v2 bytes.Buffer
-	if err := f.Checkpoint(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if got := second(v2.Bytes()); !reflect.DeepEqual(got, want2) {
-		t.Errorf("fleet restored from its version 2 checkpoint diverges:\nwant %+v\ngot  %+v", want2, got)
-	}
-}
-
 // TestSavedSetRefusesOtherSeed: a saved set names the K and seed it was
 // saved under, and a detector under another seed refuses it. It used to
 // load: the detector matched through the file's hash family, its
@@ -194,18 +155,5 @@ func TestCheckpointHoldsCells(t *testing.T) {
 	r := mustResume(t, cfg, cfg.CheckpointDir)
 	if got, want := r.engine.Queries().PlaneBytes(), d.engine.Queries().PlaneBytes(); got != want || r.NumQueries() != 532 {
 		t.Errorf("resumed plane: %d queries, %d bytes; want 532, %d", r.NumQueries(), got, want)
-	}
-}
-
-// TestRestoreFleetRunsOnItsPlane: the detector behind a restored fleet runs
-// on the restored plane, and builds no other.
-func TestRestoreFleetRunsOnItsPlane(t *testing.T) {
-	f, err := RestoreFleet(sweepConfig(""), FleetConfig{Workers: 1}, bytes.NewReader(readFile(t, filepath.Join("testdata", "v1-fleet.vflt"))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if f.d.engine.Queries() != f.pool.Queries() {
-		t.Error("the restored fleet's detector runs on a plane that is not the pool's")
 	}
 }

@@ -3,7 +3,9 @@ package vdsms
 import (
 	"bytes"
 	"io"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -305,4 +307,72 @@ func BenchmarkFrontEnd(b *testing.B) {
 		}
 	})
 	_ = sink
+}
+
+// TestPushSegmentReusesFrontEnd: a fleet push decodes on a front end taken
+// from the fleet's free list, so once the list holds one, a push of a
+// 10-frame segment allocates what Monitor allocates on the same bytes (the
+// decoder, its header and the window's sketch) plus the queue's copy of the
+// cells and Drain's list of streams. It does not allocate a fresh batch of
+// payload, delta and grid buffers and a fresh cell slice, as it did with a
+// front end per push: 11 allocations and ≈ 51 KB a push, against Monitor's
+// 3 and ≈ 3.4 KB.
+func TestPushSegmentReusesFrontEnd(t *testing.T) {
+	stream := clip(t, 5, 60)
+	spans, err := mpeg.Frames(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := stream[:spans[10].Off] // one basic window
+	det, err := NewDetector(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.AddQuery(1, bytes.NewReader(clip(t, 6, 10))); err != nil {
+		t.Fatal(err)
+	}
+	fl, err := det.NewFleet(FleetConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	fs, err := fl.Attach("cam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(seg)
+	// cheapest is the fewest allocations and bytes any of 20 warm calls of
+	// f makes. The free list is a sync.Pool, which under the race detector
+	// drops a quarter of what it is given: there, not every push finds a
+	// front end on it.
+	cheapest := func(f func() error) (allocs, size float64) {
+		call := func() {
+			r.Reset(seg)
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs, size = math.Inf(1), math.Inf(1)
+		for range 20 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs = min(allocs, testing.AllocsPerRun(1, call)) // a warm-up call, then one measured
+			runtime.ReadMemStats(&after)
+			size = min(size, float64(after.TotalAlloc-before.TotalAlloc)/2)
+		}
+		return allocs, size
+	}
+	monA, monB := cheapest(func() error { _, err := det.Monitor(r); return err })
+	pushA, pushB := cheapest(func() error {
+		err := fs.PushSegment(r)
+		fl.Drain() // the count is process-wide: let the worker finish inside it
+		return err
+	})
+	t.Logf("a 10-frame segment: Monitor %.1f allocations, %.0f B; PushSegment %.1f, %.0f B", monA, monB, pushA, pushB)
+	if pushA > monA+2 {
+		t.Errorf("PushSegment allocates %.1f times a 10-frame segment, Monitor %.1f; want at most 2 more", pushA, monA)
+	}
+	if pushB > monB+1024 {
+		t.Errorf("PushSegment allocates %.0f bytes a 10-frame segment, Monitor %.0f; want at most 1 KB more", pushB, monB)
+	}
 }

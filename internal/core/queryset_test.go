@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+
+	"vdsms/internal/minhash"
 )
 
 func TestQuerySetBasics(t *testing.T) {
@@ -257,6 +260,30 @@ func TestLoadQuerySetErrors(t *testing.T) {
 				t.Errorf("%.4s: header with K=%d seed=%d accepted under K=32 seed=1", saved, other.K, other.Seed)
 			}
 		}
+	}
+	// A whole VQS1 set at K = minhash.MaxK: one query and its ≈ 0.5 MB of
+	// values, each below p so each has a winning cell. Built, its plane
+	// once cost ≈ 1 GB (a posting per winning cell, each with a K-bit row
+	// set); the header is refused before the body is read, so loading it
+	// allocates far less than the input.
+	rng := rand.New(rand.NewSource(1))
+	maxK := binary.BigEndian.AppendUint32(qsMagicSketch[:], minhash.MaxK)
+	maxK = binary.BigEndian.AppendUint64(maxK, uint64(cfg.Seed))
+	maxK = binary.BigEndian.AppendUint64(append(maxK, 1), 1) // index flag, count
+	maxK = binary.BigEndian.AppendUint64(maxK, 1)            // id
+	maxK = binary.BigEndian.AppendUint64(maxK, 30)           // length
+	for range minhash.MaxK {
+		maxK = binary.BigEndian.AppendUint64(maxK, rng.Uint64()>>4)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadQuerySet(cfg, bytes.NewReader(maxK))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Errorf("a %d-byte set at K=%d loaded under K=%d", len(maxK), minhash.MaxK, cfg.K)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("refusing a %d-byte set at K=%d allocated %d bytes, want < 1 MB", len(maxK), minhash.MaxK, alloc)
 	}
 }
 

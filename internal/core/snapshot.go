@@ -90,41 +90,13 @@ func (e *Engine) ExportState() *snapshot.EngineState {
 
 // RestoreEngine rebuilds an engine from exported state under cfg, which
 // must be detection-compatible with the state's recorded configuration
-// (same fingerprint fields). The plane is built under cfg's K and seed, and
-// only once the state is known to be compatible.
+// (same fingerprint fields). Every check of the state runs before its
+// plane is built, under cfg's K and seed.
 func RestoreEngine(cfg Config, st *snapshot.EngineState) (*Engine, error) {
-	if err := compatible(cfg, st); err != nil {
-		return nil, err
-	}
-	qs, err := NewQuerySet(cfg.K, cfg.Seed, cfg.UseIndex)
-	if err != nil {
-		return nil, err
-	}
-	if err := qs.insert(st.Queries); err != nil {
-		return nil, fmt.Errorf("core: restored query: %w", err)
-	}
-	return RestoreEngineWith(cfg, st, qs)
-}
-
-// compatible reports a cfg that is invalid or that differs from the
-// state's recorded configuration.
-func compatible(cfg Config, st *snapshot.EngineState) error {
 	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	return snapshot.CompatibilityError(snapshot.Meta{}, snapshot.Meta{}, st.Config, cfg.snapshotConfig())
-}
-
-// RestoreEngineWith is RestoreEngine against an existing shared QuerySet:
-// the state's own Queries section is ignored (it may be empty — fleet
-// checkpoints strip it, storing the shared plane once instead of once per
-// stream) and the engine joins qs like NewEngineWith would. cfg's K and
-// seed must be the set's.
-func RestoreEngineWith(cfg Config, st *snapshot.EngineState, qs *QuerySet) (*Engine, error) {
-	if err := compatible(cfg, st); err != nil {
 		return nil, err
 	}
-	if err := qs.CheckConfig(cfg); err != nil {
+	if err := snapshot.CompatibilityError(snapshot.Meta{}, snapshot.Meta{}, st.Config, cfg.snapshotConfig()); err != nil {
 		return nil, err
 	}
 	if len(st.CurIDs) >= cfg.WindowFrames {
@@ -136,11 +108,7 @@ func RestoreEngineWith(cfg Config, st *snapshot.EngineState, qs *QuerySet) (*Eng
 			st.Frame, len(st.CurIDs))
 	}
 
-	e := newEngine(cfg, qs)
-	e.frame = st.Frame
-	e.curIDs = append([]uint64(nil), st.CurIDs...)
-	e.stats = restoreStats(st.Stats)
-
+	var seq []*seqCandidate
 	for _, sc := range st.Seq {
 		t, sk, err := importTracked(cfg, sc.Sigs, sc.Related, sc.Sketch)
 		if err == nil {
@@ -149,7 +117,7 @@ func RestoreEngineWith(cfg Config, st *snapshot.EngineState, qs *QuerySet) (*Eng
 		if err != nil {
 			return nil, fmt.Errorf("core: restored candidate from frame %d: %w", sc.StartFrame, err)
 		}
-		e.seq = append(e.seq, &seqCandidate{
+		seq = append(seq, &seqCandidate{
 			startFrame: sc.StartFrame,
 			windows:    sc.Windows,
 			sketch:     sk,
@@ -157,13 +125,13 @@ func RestoreEngineWith(cfg Config, st *snapshot.EngineState, qs *QuerySet) (*Eng
 			reported:   append([]int(nil), sc.Reported...),
 		})
 	}
-
+	var geo []*geoBucket
 	for _, gb := range st.Geo {
 		t, sk, err := importTracked(cfg, gb.Sigs, gb.Related, gb.Sketch)
 		if err != nil {
 			return nil, fmt.Errorf("core: restored bucket from frame %d: %w", gb.StartFrame, err)
 		}
-		e.geo = append(e.geo, &geoBucket{
+		geo = append(geo, &geoBucket{
 			startFrame: gb.StartFrame,
 			endFrame:   gb.EndFrame,
 			windows:    gb.Windows,
@@ -171,6 +139,19 @@ func RestoreEngineWith(cfg Config, st *snapshot.EngineState, qs *QuerySet) (*Eng
 			tracked:    t,
 		})
 	}
+
+	qs, err := NewQuerySet(cfg.K, cfg.Seed, cfg.UseIndex)
+	if err != nil {
+		return nil, err
+	}
+	if err := qs.insert(st.Queries); err != nil {
+		return nil, fmt.Errorf("core: restored query: %w", err)
+	}
+	e := newEngine(cfg, qs)
+	e.frame = st.Frame
+	e.curIDs = append([]uint64(nil), st.CurIDs...)
+	e.stats = restoreStats(st.Stats)
+	e.seq, e.geo = seq, geo
 	for _, r := range st.GeoReported {
 		e.geoReported[geoKey{qid: r.QID, start: r.Start}] = true
 	}

@@ -141,8 +141,8 @@ func New(cfg Config) (*Pool, error) {
 	return NewWith(cfg, qs)
 }
 
-// NewWith builds a pool over an existing query plane (restore, or sharing
-// with a legacy single-stream engine). cfg.Engine.K must match the set's.
+// NewWith builds a pool over an existing query plane, shared with a
+// single-stream engine. cfg.Engine.K must match the set's.
 func NewWith(cfg Config, qs *core.QuerySet) (*Pool, error) {
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, err
@@ -205,10 +205,6 @@ func (p *Pool) Attach(id string) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.attach(id, eng)
-}
-
-func (p *Pool) attach(id string, eng *core.Engine) (*Stream, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
@@ -232,9 +228,9 @@ func (p *Pool) attach(id string, eng *core.Engine) (*Stream, error) {
 	return s, nil
 }
 
-// Observe sets the observer of every stream's engine, attached now (a
-// restored pool's) or later, each labelled with its stream id. A new pool's
-// observer keeps spans in perfobs.Default. Call before pushing.
+// Observe sets the observer of every stream's engine, attached now or
+// later, each labelled with its stream id. A new pool's observer keeps
+// spans in perfobs.Default. Call before pushing.
 func (p *Pool) Observe(o core.Observer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -274,8 +270,8 @@ func (p *Pool) StreamIDs() []string {
 // Drain blocks until every stream's pending queue is empty and no pass is
 // in flight, running queued passes on the calling goroutine meanwhile — so
 // it may return up to one pass after the instant its streams went idle.
-// Producers must pause pushing for Drain to terminate; it is the quiescence
-// barrier Checkpoint uses. On a closed pool it returns at once.
+// Producers must pause pushing for Drain to terminate. On a closed pool it
+// returns at once.
 func (p *Pool) Drain() {
 	p.mu.Lock()
 	streams := make([]*Stream, 0, len(p.streams))

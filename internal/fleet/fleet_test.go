@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"vdsms/internal/core"
-	"vdsms/internal/snapshot"
 )
 
 // idStream generates a shot-structured cell-id stream for synthetic
@@ -432,148 +430,6 @@ func TestFleetChurnUnderLoad(t *testing.T) {
 			t.Errorf("stream %d plane version %d ahead of set version %d",
 				i, s.PlaneVersion(), p.Queries().Version())
 		}
-	}
-}
-
-func TestFleetCheckpointRoundtrip(t *testing.T) {
-	cfg := testConfig(2)
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	qrng := rand.New(rand.NewSource(11))
-	query := idStream(qrng, 1, 40)
-	if err := p.AddQuery(1, query); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddQuery(2, idStream(qrng, 2, 30)); err != nil {
-		t.Fatal(err)
-	}
-
-	const nStreams = 6
-	workloads := make([][][]uint64, nStreams)
-	for i := 0; i < nStreams; i++ {
-		s, err := p.Attach(fmt.Sprintf("cam-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		workloads[i] = streamWorkload(i, cfg.Engine.WindowFrames, query)
-		// Push a prefix so checkpoints carry mid-stream state, including a
-		// partial window (batch sizes are not window-aligned).
-		for _, b := range workloads[i][:len(workloads[i])/2] {
-			if err := s.Push(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	p.Drain()
-
-	var buf bytes.Buffer
-	meta := snapshot.Meta{U: 16, D: 8, KeyFPS: 3}
-	if err := p.Checkpoint(&buf, meta); err != nil {
-		t.Fatal(err)
-	}
-	blob := append([]byte(nil), buf.Bytes()...)
-
-	// Determinism: a second checkpoint of the same quiescent state is
-	// byte-identical.
-	var buf2 bytes.Buffer
-	if err := p.Checkpoint(&buf2, meta); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, buf2.Bytes()) {
-		t.Fatal("repeated checkpoint of quiescent fleet differs")
-	}
-
-	r, err := Restore(cfg, bytes.NewReader(blob), meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Len() != nStreams {
-		t.Fatalf("restored %d streams, want %d", r.Len(), nStreams)
-	}
-	if r.Queries().Len() != 2 {
-		t.Fatalf("restored plane has %d queries, want 2", r.Queries().Len())
-	}
-
-	// Both pools replay the workload tails; outputs must stay identical.
-	for i := 0; i < nStreams; i++ {
-		id := fmt.Sprintf("cam-%d", i)
-		for _, pool := range []*Pool{p, r} {
-			s := pool.Stream(id)
-			if s == nil {
-				t.Fatalf("stream %s missing", id)
-			}
-			for _, b := range workloads[i][len(workloads[i])/2:] {
-				for errors.Is(s.Push(b), ErrBackpressure) {
-					s.waitIdle()
-				}
-			}
-		}
-	}
-	p.Drain()
-	r.Drain()
-	for i := 0; i < nStreams; i++ {
-		id := fmt.Sprintf("cam-%d", i)
-		orig, rest := p.Stream(id), r.Stream(id)
-		orig.Detach(true)
-		rest.Detach(true)
-		if !reflect.DeepEqual(orig.Matches(), rest.Matches()) {
-			t.Errorf("stream %s: restored matches diverge", id)
-		}
-		if a, b := orig.Stats(), rest.Stats(); !reflect.DeepEqual(a, b) {
-			t.Errorf("stream %s: restored stats diverge:\norig %+v\nrest %+v", id, a, b)
-		}
-	}
-
-	// Meta mismatch is rejected loudly.
-	if _, err := Restore(cfg, bytes.NewReader(blob), snapshot.Meta{U: 4}); err == nil {
-		t.Fatal("meta mismatch accepted")
-	}
-	// Config mismatch (different Delta → different fingerprint) too.
-	bad := cfg
-	bad.Engine.Delta = 0.9
-	if _, err := Restore(bad, bytes.NewReader(blob), meta); err == nil {
-		t.Fatal("config mismatch accepted")
-	}
-	// Truncated container.
-	if _, err := Restore(cfg, bytes.NewReader(blob[:len(blob)/3]), meta); err == nil {
-		t.Fatal("truncated checkpoint accepted")
-	}
-}
-
-// TestRestoreStopsAtContainerEnd: bytes after a fleet checkpoint's last
-// stream are refused. Thirteen appended bytes once restored as the
-// original fleet.
-func TestRestoreStopsAtContainerEnd(t *testing.T) {
-	cfg := testConfig(1)
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.AddQuery(1, idStream(rand.New(rand.NewSource(5)), 1, 30)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Attach("cam"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.Checkpoint(&buf, boundsMeta); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Restore(cfg, bytes.NewReader(buf.Bytes()), boundsMeta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	buf.WriteString("thirteen more")
-	if r, err := Restore(cfg, bytes.NewReader(buf.Bytes()), boundsMeta); err == nil {
-		r.Close()
-		t.Fatal("a fleet checkpoint with 13 bytes appended was restored")
 	}
 }
 

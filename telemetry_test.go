@@ -58,7 +58,6 @@ func settleGoroutines(t *testing.T, base int) {
 func TestMonitorCancelNoLeakWritesCheckpoint(t *testing.T) {
 	cfg := testConfig()
 	cfg.CheckpointDir = t.TempDir()
-	cfg.CheckpointEvery = time.Hour // periodic path off: only cancel checkpoints
 
 	det, err := NewDetector(cfg)
 	if err != nil {
@@ -128,13 +127,13 @@ func TestMonitorCancelWithoutCheckpointing(t *testing.T) {
 
 // TestWALTelemetryObserved checks the durability-path histograms move when
 // a checkpointed monitor runs: every pushed batch is appended and fsynced,
-// and the boundary checkpoints time their atomic writes.
+// and the lineage's checkpoints (its start, the size rule, the final
+// flush) time their atomic writes.
 func TestWALTelemetryObserved(t *testing.T) {
 	before := scrapeDefault(t)
 
 	cfg := testConfig()
 	cfg.CheckpointDir = t.TempDir()
-	cfg.CheckpointEvery = time.Nanosecond // checkpoint at every window boundary
 	det, err := NewDetector(cfg)
 	if err != nil {
 		t.Fatal(err)

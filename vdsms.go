@@ -90,12 +90,6 @@ type Config struct {
 	// where a crashed run stopped. One directory serves one detector
 	// lineage; see DESIGN.md "Checkpoint/restore".
 	CheckpointDir string
-	// CheckpointEvery is the minimum wall-clock interval between periodic
-	// checkpoints during Monitor (taken at basic-window boundaries). Zero
-	// disables periodic checkpoints: state is then captured only when the
-	// WAL outgrows the checkpoint it extends and on explicit Checkpoint
-	// calls, and recovery replays the WAL from the last such point.
-	CheckpointEvery time.Duration
 	// SlowWindow is the slow-window budget: any basic window whose kernel
 	// processing exceeds it is counted, its per-window record is kept in
 	// the span ring and outlier top-K whatever the sampling rate (tail
@@ -221,10 +215,9 @@ type Detector struct {
 	perfLabel string
 
 	// Checkpoint state (armed when Config.CheckpointDir is set): the open
-	// log, the size of the checkpoint it extends, and when that was taken.
+	// log and the size of the checkpoint it extends.
 	wal       *snapshot.WAL
 	ckptBytes int64
-	lastCkpt  time.Time
 
 	// Per-Monitor-call archival state.
 	curPD   *mpeg.PartialDecoder
@@ -375,7 +368,7 @@ func NewDetector(cfg Config) (*Detector, error) {
 
 // newDetector validates cfg and builds a detector without its engine, and
 // the configuration that engine runs under: NewDetector gives it a fresh
-// plane, LoadDetector and RestoreFleet the plane they read.
+// plane, LoadDetector the plane it reads.
 func newDetector(cfg Config) (*Detector, core.Config, error) {
 	if cfg.WindowSec <= 0 {
 		return nil, core.Config{}, fmt.Errorf("vdsms: WindowSec %g must be positive", cfg.WindowSec)
