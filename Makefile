@@ -66,13 +66,15 @@ robustness-smoke:
 # Reduced-scale query-index gate under the race detector: 10³ queries
 # streamed through the index and through the scan — match output must be
 # identical, the index's work per window bounded by the related queries —
-# plus the exactness harnesses' seeds (FuzzProbeVsScan, FuzzPreFilterMask)
-# and the postings-model, churn and equivalence suites. Writes the measured
-# level as a JSON artifact into queryscale-report/.
+# plus the exactness harnesses' seeds (FuzzProbeVsScan, FuzzPreFilterMask),
+# the signature kernel's oracle (its AVX2 routine and Go twin against the
+# 64-bit Compare, key ties included, and FuzzLessMask's seeds), the split
+# sketch's round trip and the postings-model, churn and equivalence suites.
+# Writes the measured level as a JSON artifact into queryscale-report/.
 queryscale-smoke:
 	QUERYSCALE_REPORT_DIR=$(CURDIR)/queryscale-report $(GO) test -race -count=1 \
-		-run 'TestQueryScaleSmoke|TestPreFilter|FuzzPreFilterMask|FuzzProbeVsScan|TestInvert|TestSketchWinners|TestCellRowsModel|TestPrefixCollisions|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestBytesMatchesHeap' \
-		./internal/minhash ./internal/qindex ./internal/core ./internal/experiments
+		-run 'TestQueryScaleSmoke|TestPreFilter|FuzzPreFilterMask|FuzzProbeVsScan|TestInvert|TestSketchWinners|TestCellRowsModel|TestPrefixCollisions|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestBytesMatchesHeap|TestLessMask|TestLessInto|TestCompareInto|FuzzLessMask|TestSplitSketchRoundTrip' \
+		./internal/bitsig ./internal/minhash ./internal/qindex ./internal/core ./internal/experiments
 
 # Overload gate under the race detector: the degrade-layer unit suites plus
 # the calibrate → observe → shed sweep at 2× sustainable ingest. The shed

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"vdsms/internal/cpu"
 	"vdsms/internal/minhash"
 )
 
@@ -139,175 +141,219 @@ func TestFromSketchesSimilarityMatchesSketch(t *testing.T) {
 }
 
 // edge holds values at the edges of the hash range (p = 2⁶¹−1, the family's
-// modulus) and of uint64, where a kernel that compares signed would err.
-var edge = []uint64{0, 1, 1<<61 - 2, 1<<61 - 1, 1 << 61, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+// modulus), of a key (the high 32-bit word) and of uint64, where a kernel
+// that compares signed, or keys alone, would err.
+var edge = []uint64{0, 1, 1<<32 - 1, 1 << 32, 1<<61 - 2, (1<<61 - 2) &^ (1<<32 - 1), 1<<61 - 1, 1 << 61,
+	1 << 63, 1<<63 | 5, math.MaxUint64 - 1, math.MaxUint64}
 
-// edgePair draws a candidate and a query value from edge, equal one time
-// in three.
+// edgePair draws a candidate and a query value: from edge, equal one time
+// in four and sharing the key with unequal low words (in either order) one
+// in four, so that both tie kinds — Equal and resolved by the low words —
+// come up, Empty against Empty and against MaxUint64−1 among them.
 func edgePair(rng *rand.Rand) (c, q uint64) {
 	c, q = edge[rng.Intn(len(edge))], edge[rng.Intn(len(edge))]
-	if rng.Intn(3) == 0 {
-		c = q
+	if rng.Intn(4) == 0 {
+		q = c
+	} else if rng.Intn(3) == 0 {
+		q = c&^(1<<32-1) | uint64(rng.Uint32())
 	}
 	return c, q
 }
 
-// TestCompareInto checks the word-at-a-time kernel against Compare position
-// by position: every relation, values at the edges of the hash range and of
-// uint64, K on and off a word boundary, and the Lemma 2 early exit.
-func TestCompareInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, k := range []int{1, 63, 64, 65, 128, 130, 800} {
-		cand, query := make(minhash.Sketch, k), make(minhash.Sketch, k)
-		for r := range cand {
-			cand[r], query[r] = edgePair(rng)
-		}
-		n := (k + 63) / 64
-		// Dirty buffers: the kernel must overwrite, not OR into, its output.
-		lo, hi := make([]uint64, n), make([]uint64, n)
-		for i := range lo {
-			lo[i], hi[i] = math.MaxUint64, math.MaxUint64
-		}
-		less, compared := CompareInto(lo, hi, cand, query, k)
-		if compared != k {
-			t.Fatalf("K=%d: compared %d positions", k, compared)
-		}
-		got := &Signature{K: k, Lo: lo, Hi: hi}
-		wantLess := 0
-		for r := 0; r < k; r++ {
-			want := Compare(cand[r], query[r])
-			if want == Less {
-				wantLess++
-			}
-			if got.At(r) != want {
-				t.Fatalf("K=%d position %d (%d vs %d): kernel %v, Compare %v", k, r, cand[r], query[r], got.At(r), want)
-			}
-		}
-		if less != wantLess || got.LessCount() != wantLess {
-			t.Fatalf("K=%d: less %d, planes hold %d, want %d", k, less, got.LessCount(), wantLess)
-		}
-		if g, e, l := got.Counts(); g+e+l != k || g < 0 {
-			t.Fatalf("K=%d: padding bits leaked into the planes: counts (%d,%d,%d)", k, g, e, l)
-		}
+// kernels are the routines keyWords may run, read at call time: the Go
+// twin always, the vector routine where the CPU has it.
+func kernels(t testing.TB) map[string]kernel {
+	ks := map[string]kernel{"Go twin": keyWordsGo}
+	if cpu.AVX2 {
+		ks["AVX2"] = keyWordsAVX2
+	} else {
+		t.Log("no vector kernel on this CPU: checking the Go twin only")
+	}
+	return ks
+}
 
-		// Early exit: stops at the end of the first word that takes the Less
-		// count over the limit, and never before.
-		for _, limit := range []int{0, wantLess / 2, wantLess - 1, wantLess} {
+// reference is the 64-bit oracle: the relation of every position by
+// Compare, the Equal plane, and the Less count.
+func reference(cand, query []uint64) (rel []Relation, eq []uint64, less int) {
+	eq = make([]uint64, words(len(cand)))
+	for r := range cand {
+		rel = append(rel, Compare(cand[r], query[r]))
+		switch rel[r] {
+		case Equal:
+			eq[r/64] |= 1 << (r % 64)
+		case Less:
+			less++
+		}
+	}
+	return rel, eq, less
+}
+
+// stopAt is where the kernel must stop under limit: after the first word
+// at which the Less count exceeds it, else at K; with the count there.
+func stopAt(rel []Relation, limit int) (compared, less int) {
+	for r := range rel {
+		if rel[r] == Less {
+			less++
+		}
+		if less > limit && (r%64 == 63 || r == len(rel)-1) {
+			return r + 1, less
+		}
+	}
+	return len(rel), less
+}
+
+// checkPlanes holds the signature kernel, on each routine, to Compare
+// position by position: CompareInto's and LessInto's planes into dirty
+// buffers (the kernel must overwrite, not OR into, its output), the Less
+// count, and the early exit at every limit given.
+func checkPlanes(t *testing.T, cand, query []uint64, limits ...int) {
+	t.Helper()
+	k := len(cand)
+	rel, eq, wantLess := reference(cand, query)
+	c, q := SplitOf(cand), SplitOf(query)
+	for name, kw := range kernels(t) {
+		for _, limit := range append([]int{k}, limits...) {
 			if limit < 0 {
 				continue
 			}
-			l2, c2 := CompareInto(lo, hi, cand, query, limit)
-			prefix, stop := 0, k
-			for r := 0; r < k; r++ {
-				if Compare(cand[r], query[r]) == Less {
-					prefix++
+			wantCompared, wantPartial := stopAt(rel, limit)
+			for _, known := range []bool{false, true} {
+				lo, hi := make([]uint64, len(eq)), make([]uint64, len(eq))
+				for i := range lo {
+					lo[i], hi[i] = math.MaxUint64, math.MaxUint64
 				}
-				if prefix > limit && (r%64 == 63 || r == k-1) {
-					stop = r + 1
-					break
+				var e []uint64
+				if known {
+					e = eq
 				}
-			}
-			if c2 != stop || l2 != prefix {
-				t.Fatalf("K=%d limit %d: stopped after %d positions with less=%d, want %d with %d", k, limit, c2, l2, stop, prefix)
-			}
-			if (l2 > limit) != (wantLess > limit) {
-				t.Fatalf("K=%d limit %d: early-exit verdict disagrees with the full count %d", k, limit, wantLess)
+				less, compared := planes(kw, lo, hi, e, c, q, limit)
+				if less != wantPartial || compared != wantCompared {
+					t.Fatalf("%s K=%d limit %d eq %v: less %d after %d positions, want %d after %d",
+						name, k, limit, known, less, compared, wantPartial, wantCompared)
+				}
+				got := &Signature{K: k, Lo: lo, Hi: hi}
+				for r := 0; r < compared; r++ {
+					if got.At(r) != rel[r] {
+						t.Fatalf("%s K=%d limit %d eq %v position %d (%#x vs %#x): kernel %v, Compare %v",
+							name, k, limit, known, r, cand[r], query[r], got.At(r), rel[r])
+					}
+				}
+				if compared == k {
+					if g, e, l := got.Counts(); g+e+l != k || g < 0 || l != wantLess {
+						t.Fatalf("%s K=%d: planes hold (%d,%d,%d), want %d Less and no bit past K", name, k, g, e, l, wantLess)
+					}
+				}
 			}
 		}
 	}
 }
 
-// checkLessMask holds every form of the kernel — the vector routine where
-// the CPU has one, the Go twin, and the dispatch between them — to Compare
-// position by position, in both operand orders.
-func checkLessMask(t *testing.T, c, q []uint64) {
-	t.Helper()
-	for _, ops := range [][2][]uint64{{c, q}, {q, c}} {
-		a, b := ops[0], ops[1]
-		var want uint64
-		for j := range a {
-			if Compare(a[j], b[j]) == Less {
-				want |= 1 << j
+// randomPair draws a candidate and a query value of random words, equal
+// one time in four: key ties come only where the values are Equal, so that
+// given the Equal plane the kernel runs every word without a stop.
+func randomPair(rng *rand.Rand) (c, q uint64) {
+	c, q = rng.Uint64(), rng.Uint64()
+	if rng.Intn(4) == 0 {
+		q = c
+	}
+	return c, q
+}
+
+// TestCompareInto checks the whole-K kernel against Compare: every
+// relation, values at the edges of the hash range, of a key and of uint64,
+// key ties of both kinds, random words whose only ties are Equal, K on and
+// off a multiple of 8 and of 64, and the Lemma 2 early exit.
+func TestCompareInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, pair := range []func(*rand.Rand) (uint64, uint64){edgePair, randomPair} {
+		for _, k := range []int{1, 3, 7, 8, 63, 64, 65, 100, 128, 130, 803, 800} {
+			cand, query := make([]uint64, k), make([]uint64, k)
+			for r := range cand {
+				cand[r], query[r] = pair(rng)
 			}
-		}
-		got := map[string]uint64{"Go twin": lessMaskGo(a, b), "dispatch": lessMask(a, b)}
-		if lessMaskVec != nil && len(a)%4 == 0 {
-			got["vector"] = lessMaskVec(a, b)
-		}
-		for name, m := range got {
-			if m != want {
-				t.Fatalf("n=%d %s: mask %064b, Compare gives %064b\nc=%x\nq=%x", len(a), name, m, want, a, b)
-			}
+			_, _, less := reference(cand, query)
+			checkPlanes(t, cand, query, 0, less/2, less-1, less)
 		}
 	}
 }
 
-// TestLessMask runs the kernel at every length 1..64, on slices that start
-// at every word offset modulo a vector, over edge values and equal pairs.
+// TestLessMask runs the kernel on every K from 1 to 200 — every length of
+// the last word, on and off a vector step — on edge values and crafted
+// ties, on random words of random widths (whose high words often tie), and
+// on random words whose only ties are Equal, alone and with a tie placed at
+// the first and the last position.
 func TestLessMask(t *testing.T) {
-	if lessMaskVec == nil {
-		t.Log("no vector kernel on this CPU: checking the Go twin only")
-	}
 	rng := rand.New(rand.NewSource(13))
-	cbuf, qbuf := make([]uint64, 64+3), make([]uint64, 64+3)
-	for trial := 0; trial < 16; trial++ {
-		for n := 1; n <= 64; n++ {
-			c, q := cbuf[rng.Intn(4):][:n], qbuf[rng.Intn(4):][:n]
-			for j := range c {
-				c[j], q[j] = edgePair(rng)
-				if trial%4 == 3 { // random words besides the edges
-					c[j], q[j] = rng.Uint64(), rng.Uint64()
+	for trial := 0; trial < 4; trial++ {
+		for k := 1; k <= 200; k++ {
+			cand, query := make([]uint64, k), make([]uint64, k)
+			for r := range cand {
+				switch trial {
+				case 0:
+					cand[r], query[r] = edgePair(rng)
+				case 1:
+					cand[r], query[r] = rng.Uint64()>>uint(rng.Intn(64)), rng.Uint64()>>uint(rng.Intn(64))
+				default:
+					cand[r], query[r] = randomPair(rng)
 				}
 			}
-			checkLessMask(t, c, q)
+			if trial != 2 {
+				for _, r := range []int{0, k - 1} {
+					query[r] = cand[r]&^(1<<32-1) | uint64(rng.Uint32())
+				}
+			}
+			_, _, less := reference(cand, query)
+			checkPlanes(t, cand, query, 0, less/2, less-1)
 		}
 	}
 }
 
 func FuzzLessMask(f *testing.F) {
 	f.Add([]byte{0xff, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x80})
-	seed := make([]byte, 1+16*64)
+	// Empty against MaxUint64−1, against Empty, and a key tie whose low
+	// words decide Less then Greater.
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		1, 0, 0, 0, 7, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0,
+		2, 0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0})
+	seed := make([]byte, 16*131+1)
 	for i := range seed {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 17 {
+		// 16 bytes a position, the candidate's value then the query's; the
+		// byte left over, if any, sets the limit.
+		k := len(data) / 16
+		if k == 0 || k > 1024 {
 			return
 		}
-		// The first byte picks the offset; then 16 bytes a position.
-		off, data := int(data[0]%4), data[1:]
-		n := min(64, len(data)/16)
-		c, q := make([]uint64, off+n)[off:], make([]uint64, n)
-		for j := range c {
-			c[j] = binary.LittleEndian.Uint64(data[16*j:])
-			q[j] = binary.LittleEndian.Uint64(data[16*j+8:])
+		cand, query := make([]uint64, k), make([]uint64, k)
+		for r := range cand {
+			cand[r] = binary.LittleEndian.Uint64(data[16*r:])
+			query[r] = binary.LittleEndian.Uint64(data[16*r+8:])
 		}
-		checkLessMask(t, c, q)
+		limit := k
+		if len(data)%16 != 0 {
+			limit = int(data[len(data)-1]) % (k + 1)
+		}
+		checkPlanes(t, cand, query, limit)
 	})
 }
 
 // TestLessInto holds LessInto, given the Equal plane, to CompareInto word
-// for word — K on and off a word and a vector boundary, dirty output
-// planes, and every early exit TestCompareInto checks.
+// for word through the dispatch — K on and off a word and a vector step,
+// dirty output planes, and every early exit TestCompareInto checks.
 func TestLessInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, k := range []int{1, 3, 4, 63, 64, 65, 128, 800} {
+	for _, k := range []int{1, 3, 4, 63, 64, 65, 100, 128, 803, 800} {
 		cand, query := make(minhash.Sketch, k), make(minhash.Sketch, k)
 		for r := range cand {
 			cand[r], query[r] = edgePair(rng)
 		}
-		n := (k + 63) / 64
-		eq := make([]uint64, n)
-		wantLess := 0
-		for r := range cand {
-			switch Compare(cand[r], query[r]) {
-			case Equal:
-				eq[r/64] |= 1 << (r % 64)
-			case Less:
-				wantLess++
-			}
-		}
+		_, eq, wantLess := reference(cand, query)
+		c, q := SplitOf(cand), SplitOf(query)
+		n := len(eq)
 		for _, limit := range []int{k, 0, wantLess / 2, wantLess - 1, wantLess} {
 			if limit < 0 {
 				continue
@@ -317,8 +363,8 @@ func TestLessInto(t *testing.T) {
 			for i := range lo {
 				lo[i], hi[i] = math.MaxUint64, math.MaxUint64
 			}
-			less, compared := LessInto(lo, hi, eq, cand, query, limit)
-			wl, wc := CompareInto(wlo, whi, cand, query, limit)
+			less, compared := LessInto(lo, hi, eq, c, q, limit)
+			wl, wc := CompareInto(wlo, whi, c, q, limit)
 			if less != wl || compared != wc {
 				t.Fatalf("K=%d limit %d: LessInto (less %d, compared %d), CompareInto (%d, %d)", k, limit, less, compared, wl, wc)
 			}
@@ -328,6 +374,39 @@ func TestLessInto(t *testing.T) {
 						k, limit, w, lo[w], hi[w], wlo[w], whi[w])
 				}
 			}
+		}
+	}
+}
+
+// TestSplitRoundTrip: a split rebuilds every value exactly — Empty, 2⁶¹−2
+// and the rest of the edges — whatever block it reuses, and CompareCounts
+// on it agrees with Compare on the values.
+func TestSplitRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var s Split
+	for _, k := range []int{1, 9, 800, 5} {
+		sk := make(minhash.Sketch, k)
+		cand := make(minhash.Sketch, k)
+		for r := range sk {
+			sk[r], cand[r] = edgePair(rng)
+		}
+		s.Load(sk)
+		if got := s.Sketch(); s.Len() != k || !slices.Equal(got, sk) {
+			t.Fatalf("K=%d: split rebuilds %x, want %x", k, got, sk)
+		}
+		if s.Bytes() != 8*((k+7)&^7) {
+			t.Fatalf("K=%d: Bytes %d", k, s.Bytes())
+		}
+		e, l := s.CompareCounts(cand)
+		rel, _, wl := reference(cand, sk)
+		we := 0
+		for _, r := range rel {
+			if r == Equal {
+				we++
+			}
+		}
+		if e != we || l != wl {
+			t.Fatalf("K=%d: CompareCounts (%d, %d), want (%d, %d)", k, e, l, we, wl)
 		}
 	}
 }
@@ -446,8 +525,8 @@ func BenchmarkSimilarityK800(b *testing.B) {
 
 func BenchmarkCompareIntoK800(b *testing.B) {
 	fam, _ := minhash.NewFamily(800, 1)
-	q := fam.SketchSet([]uint64{1, 2, 3})
-	c := fam.SketchSet([]uint64{2, 3, 4})
+	q := SplitOf(fam.SketchSet([]uint64{1, 2, 3}))
+	c := SplitOf(fam.SketchSet([]uint64{2, 3, 4}))
 	lo, hi := make([]uint64, 13), make([]uint64, 13)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -458,9 +537,10 @@ func BenchmarkCompareIntoK800(b *testing.B) {
 
 func BenchmarkLessIntoK800(b *testing.B) {
 	fam, _ := minhash.NewFamily(800, 1)
-	q := fam.SketchSet([]uint64{1, 2, 3})
-	c := fam.SketchSet([]uint64{2, 3, 4})
-	lo, hi, eq := make([]uint64, 13), make([]uint64, 13), make([]uint64, 13)
+	qs, cs := fam.SketchSet([]uint64{1, 2, 3}), fam.SketchSet([]uint64{2, 3, 4})
+	_, eq, _ := reference(cs, qs)
+	q, c := SplitOf(qs), SplitOf(cs)
+	lo, hi := make([]uint64, 13), make([]uint64, 13)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		LessInto(lo, hi, eq, c, q, 800)
@@ -475,10 +555,12 @@ func reportPerPosition(b *testing.B) {
 }
 
 // coldSketches is the memory-bound case of a many-query probe: 2 068 query
-// sketches at K=800 (≈13 MB, past a core's L2, as on the benchmark's
+// sketches at K=800 (≈13 MB split, past a core's L2, as on the benchmark's
 // monitor-manyquery plane), each resolved against one window sketch in a
-// shuffled order, so every query's sketch comes from beyond the L2.
-func coldSketches() (window minhash.Sketch, queries []minhash.Sketch) {
+// shuffled order, so every query's keys come from beyond the L2. eq[i] is
+// the Equal plane of the window against queries[i], as the index's
+// postings give it.
+func coldSketches() (window Split, queries []Split, eq [][]uint64) {
 	fam, _ := minhash.NewFamily(800, 1)
 	rng := rand.New(rand.NewSource(5))
 	set := func() []uint64 {
@@ -488,16 +570,22 @@ func coldSketches() (window minhash.Sketch, queries []minhash.Sketch) {
 		}
 		return ids
 	}
-	queries = make([]minhash.Sketch, 2068)
-	for i := range queries {
-		queries[i] = fam.SketchSet(set())
+	sketches := make([]minhash.Sketch, 2068)
+	for i := range sketches {
+		sketches[i] = fam.SketchSet(set())
 	}
-	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
-	return fam.SketchSet(set()), queries
+	rng.Shuffle(len(sketches), func(i, j int) { sketches[i], sketches[j] = sketches[j], sketches[i] })
+	w := fam.SketchSet(set())
+	queries, eq = make([]Split, len(sketches)), make([][]uint64, len(sketches))
+	for i, sk := range sketches {
+		queries[i] = SplitOf(sk)
+		_, eq[i], _ = reference(w, sk)
+	}
+	return SplitOf(w), queries, eq
 }
 
 func BenchmarkCompareIntoK800Cold(b *testing.B) {
-	c, queries := coldSketches()
+	c, queries, _ := coldSketches()
 	lo, hi := make([]uint64, 13), make([]uint64, 13)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -508,12 +596,13 @@ func BenchmarkCompareIntoK800Cold(b *testing.B) {
 }
 
 func BenchmarkLessIntoK800Cold(b *testing.B) {
-	c, queries := coldSketches()
-	lo, hi, eq := make([]uint64, 13), make([]uint64, 13), make([]uint64, 13)
+	c, queries, eq := coldSketches()
+	lo, hi := make([]uint64, 13), make([]uint64, 13)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LessInto(lo, hi, eq, c, queries[i%len(queries)], 800)
+		n := i % len(queries)
+		LessInto(lo, hi, eq[n], c, queries[n], 800)
 	}
 	reportPerPosition(b)
 }

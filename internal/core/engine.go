@@ -227,7 +227,7 @@ func (e *Engine) Flush() {
 func (e *Engine) curWindowStartFrame() int { return e.frame - len(e.curIDs) }
 
 // maxWindowsOf returns ⌈λL/w⌉ for a query, under this engine's window.
-func (e *Engine) maxWindowsOf(q *qindex.Query) int { return e.cfg.maxWindows(q.Length) }
+func (e *Engine) maxWindowsOf(q *qindex.Entry) int { return e.cfg.maxWindows(q.Length) }
 
 // processWindow sketches the filled window, probes it against the query
 // plane, folds it into the candidate list and emits the window's matches.

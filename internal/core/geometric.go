@@ -183,7 +183,7 @@ func (e *Engine) testGeo(win *windowResult, b *geoBucket, view *queryPlane) {
 			e.stats.SigTests++
 			_, eq, _ = b.sigs[i].Counts()
 		} else {
-			eq, _ = minhash.CompareCounts(b.sketch, q.Sketch)
+			eq, _ = q.Sketch.CompareCounts(b.sketch)
 			e.stats.SketchCompares++
 		}
 		k := geoKey{qid: qid, start: b.startFrame}

@@ -40,7 +40,7 @@ func (e *Engine) windowTracked(win *windowResult) tracked {
 
 // live reports whether query q can still match a candidate of the given
 // size: it is subscribed on the window's plane and within its λL bound.
-func (e *Engine) live(q *qindex.Query, windows int) bool {
+func (e *Engine) live(q *qindex.Entry, windows int) bool {
 	return q != nil && windows <= e.maxWindowsOf(q)
 }
 

@@ -54,7 +54,7 @@ func (e *Engine) sequential(win *windowResult, view *queryPlane) {
 			e.stats.SigTests++
 			_, eq, _ = win.related[i].Sig.Counts()
 		} else {
-			eq, _ = minhash.CompareCounts(win.sketch, view.index.Lookup(qid).Sketch)
+			eq, _ = view.index.Lookup(qid).Sketch.CompareCounts(win.sketch)
 			e.stats.SketchCompares++
 		}
 		if e.decide(win, qid, win.startFrame, win.endFrame, 1, e.similarity(eq), false) {
@@ -88,7 +88,7 @@ func (e *Engine) sequential(win *windowResult, view *queryPlane) {
 				e.stats.SigOrs++
 				_, eq, less = sig.Counts()
 			} else {
-				eq, less = minhash.CompareCounts(c.sketch, q.Sketch)
+				eq, less = q.Sketch.CompareCounts(c.sketch)
 				e.stats.SketchCompares++
 			}
 			sim := e.similarity(eq)

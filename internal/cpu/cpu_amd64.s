@@ -11,12 +11,12 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	CMPL AX, $7
 	JCS  no
 
-	// Leaf 1, ECX: OSXSAVE (bit 27) and AVX (bit 28).
+	// Leaf 1, ECX: POPCNT (bit 23), OSXSAVE (bit 27) and AVX (bit 28).
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
+	ANDL $0x18800000, CX
+	CMPL CX, $0x18800000
 	JNE  no
 
 	// XCR0: the OS saves the XMM (bit 1) and YMM (bit 2) state.

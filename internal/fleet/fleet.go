@@ -410,7 +410,9 @@ func (p *Pool) QueueDepthHW() int64 { return p.queuedHW.Load() }
 
 // runPass is one visit by the runner that popped s from the ready queue:
 // swap out everything pending, run it through the engine, then reschedule
-// if more arrived meanwhile. The stream re-enters the queue only at the end
+// if more arrived meanwhile. The batch's slice, which the engine does not
+// keep, becomes the next pending queue when no push started a new one, so
+// a steady stream's pushes append into memory they already grew. The stream re-enters the queue only at the end
 // of the pass, so engine access is serialised per stream while other
 // streams' passes run on other runners.
 func (s *Stream) runPass(r *runner) {
@@ -457,6 +459,9 @@ func (s *Stream) runPass(r *runner) {
 	s.qmu.Lock()
 	s.inflight = 0
 	s.processing = false
+	if s.pending == nil {
+		s.pending = batch[:0]
+	}
 	again := len(s.pending) > 0
 	if again {
 		s.enqueued = true

@@ -354,24 +354,6 @@ func Similarity(a, b Sketch) float64 {
 	return float64(eq) / float64(len(a))
 }
 
-// CompareCounts returns the number of positions where cand equals q and
-// where cand is below q — the quantities Lemma 1 (similarity) and Lemma 2
-// (pruning) need when working on raw sketches.
-func CompareCounts(cand, q Sketch) (equal, less int) {
-	if len(cand) != len(q) {
-		panic("minhash: CompareCounts length mismatch")
-	}
-	for i, v := range cand {
-		switch {
-		case v == q[i]:
-			equal++
-		case v < q[i]:
-			less++
-		}
-	}
-	return equal, less
-}
-
 // EqualCount returns the number of equal positions between a and b.
 func EqualCount(a, b Sketch) int {
 	if len(a) != len(b) {

@@ -154,7 +154,7 @@ func exactRowMask(x *Index, sk minhash.Sketch) RowMask {
 	for _, id := range x.QueryIDs(nil) {
 		q := x.Lookup(id)
 		for i, v := range sk {
-			if q.Sketch[i] == v {
+			if q.Sketch.At(i) == v {
 				m.Set(i)
 			}
 		}

@@ -150,13 +150,13 @@ func TestWithCheck(t *testing.T) {
 		}
 		cells[0] = 99 // the index sketched, and keeps, its own copy
 		got := c.Lookup(40)
-		if !slices.Equal(got.Sketch, fam.SketchSet([]uint64{5, 6, 6, 7})) || !slices.Equal(got.CellIDs, []uint64{5, 6, 6, 7}) {
-			t.Fatalf("keyed=%v: query given by cell ids holds %v / %v", keyed, got.Sketch, got.CellIDs)
+		if !slices.Equal(got.Sketch.Sketch(), fam.SketchSet([]uint64{5, 6, 6, 7})) || !slices.Equal(got.CellIDs, []uint64{5, 6, 6, 7}) {
+			t.Fatalf("keyed=%v: query given by cell ids holds %v / %v", keyed, got.Sketch.Sketch(), got.CellIDs)
 		}
 		if x.Len() != 4 || x.Lookup(40) != nil {
 			t.Fatalf("keyed=%v: With changed the index it started from", keyed)
 		}
-		held := Query{ID: 40, Length: 4, Sketch: got.Sketch, CellIDs: got.CellIDs}
+		held := Query{ID: 40, Length: 4, Sketch: got.Sketch.Sketch(), CellIDs: got.CellIDs}
 		verifyStructure(t, c, append(slices.Clone(queries[:4]), queries[5], held, queries[4]))
 
 		// Remove then re-add: the query joins again at the end.

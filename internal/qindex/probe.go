@@ -76,6 +76,9 @@ type ProbeScratch struct {
 	planes []uint64
 	sigs   []bitsig.Signature
 	window grouping
+	// win is the window's sketch split for the kernel, loaded only by a
+	// probe that has a query to resolve.
+	win bitsig.Split
 }
 
 // begin opens a probe of a K=k sketch over nslots slot numbers (0 for a
@@ -143,12 +146,18 @@ func (ps *ProbeScratch) equal(s *slot) []uint64 {
 
 // resolve takes every query the probe met into R_L, in discovery order:
 // the signature kernel finds its Less plane beside the Equal plane the
-// postings gave, and decides between Related and, by Lemma 2, Pruned.
+// postings gave, and decides between Related and, by Lemma 2, Pruned. The
+// window's sketch is split for the kernel only when there is a query to
+// resolve.
 func (ps *ProbeScratch) resolve(sk minhash.Sketch, limit int) {
+	if len(ps.met) == 0 {
+		return
+	}
+	ps.win.Load(sk)
 	nw := ps.nw
 	for i, s := range ps.met {
 		lo, hi := ps.next()
-		less, compared := bitsig.LessInto(lo, hi, ps.eq[i*nw:(i+1)*nw], sk, s.Sketch, limit)
+		less, compared := bitsig.LessInto(lo, hi, ps.eq[i*nw:(i+1)*nw], ps.win, s.Sketch, limit)
 		ps.out.Comparisons += compared
 		if less > limit {
 			ps.out.Pruned = append(ps.out.Pruned, s.ID)
@@ -163,16 +172,11 @@ func (ps *ProbeScratch) resolve(sk minhash.Sketch, limit int) {
 func (ps *ProbeScratch) windowCells(fam *minhash.Family, sk minhash.Sketch, w *minhash.Winners) (cells, rows []uint64) {
 	g, nw := &ps.window, ps.nw
 	if w == nil || len(w.Row) != len(sk) {
-		g.group(fam, sk, nw)
-		return g.cells, g.rows
+		g.group(fam, len(sk), func(i int) uint64 { return sk[i] }, nw)
+	} else {
+		g.winners(w, nw)
 	}
-	n := len(w.Cells) * nw
-	g.rows = slices.Grow(g.rows[:0], n)[:n]
-	clear(g.rows)
-	for i, j := range w.Row {
-		g.rows[int(j)*nw+i/64] |= 1 << (i % 64)
-	}
-	return w.Cells, g.rows
+	return g.cells, g.rows
 }
 
 // lessLimit is the Lemma 2 bound as an integer: a pair is prunable once its
@@ -271,9 +275,10 @@ func (x *Index) probe(ps *ProbeScratch, sk minhash.Sketch, delta float64, w *min
 // signature kernel, in full. Each slot costs K comparisons, except on an
 // index made by Build, which counts them as the keyed probe would.
 func (x *Index) scan(ps *ProbeScratch, sk minhash.Sketch, limit int, held RowMask) {
+	ps.win.Load(sk)
 	x.ids.each(func(s *slot) {
 		lo, hi := ps.next()
-		less, _ := bitsig.CompareInto(lo, hi, sk, s.Sketch, x.k)
+		less, _ := bitsig.CompareInto(lo, hi, ps.win, s.Sketch, x.k)
 		eq := 0
 		for word := range lo {
 			equal := lo[word] &^ hi[word]

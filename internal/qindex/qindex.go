@@ -25,9 +25,9 @@
 // each side, so the union over the window's cells is the Equal plane,
 // exactly. Resolve then takes each query found into R_L once, in discovery
 // order, through bitsig.LessInto, which computes only the Less plane from
-// its sketch and stops once Lemma 2 condemns it. Comparisons keeps the HQ
-// probe's count: per query entering R_L, its equal rows plus the positions
-// compared.
+// the keys of its split sketch and stops once Lemma 2 condemns it.
+// Comparisons keeps the HQ probe's count: per query entering R_L, its equal
+// rows plus the positions compared.
 //
 // A value no element hashes to (≥ p, minhash.Empty among them) has no
 // cell; it is keyed by itself, which no premixed cell equals, so such
@@ -36,10 +36,11 @@
 // # What an index holds
 //
 // An index is a persistent value and the only copy of its subscription
-// set. Each query lives in one slot: its id, length, sketch and any raw
-// cell ids its caller keeps (the engine's exact audit reads them), with an
-// insertion sequence number, so Queries lists the set in the order it was
-// built even after removals. The slots sit in a hash trie (trie.go) from
+// set. Each query lives in one slot, an Entry: its id, length, sketch —
+// split for the signature kernel (bitsig.Split), which rebuilds every value
+// — and any raw cell ids its caller keeps (the engine's exact audit reads
+// them), with an insertion sequence number, so Queries lists the set in
+// the order it was built even after removals. The slots sit in a hash trie (trie.go) from
 // query id to slot, beside a second one from cell to postings, and the
 // figures a reader needs of the whole set — its size, its longest query,
 // the bytes it holds — are running counts, kept by Add and Remove. Clone
@@ -65,7 +66,9 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
+	"vdsms/internal/bitsig"
 	"vdsms/internal/minhash"
 )
 
@@ -73,8 +76,9 @@ import (
 // engine's candidate expiry, λL), its offline-computed sketch and, when its
 // caller keeps them, the raw cell ids of its key frames. A query given by
 // its cell ids without a sketch is sketched on joining, by the index's
-// family, from a copy of them. The index keeps the slices it is given;
-// they must not be modified while subscribed.
+// family, from a copy of them. The index splits a sketch it is given into
+// its own block and keeps the cell ids it is given, which must not be
+// modified while subscribed.
 type Query struct {
 	ID      int
 	Length  int
@@ -82,11 +86,20 @@ type Query struct {
 	CellIDs []uint64
 }
 
+// Entry is a query as the index holds it: its sketch split for the
+// signature kernel, whose At reads any value back exactly.
+type Entry struct {
+	ID      int
+	Length  int
+	Sketch  bitsig.Split
+	CellIDs []uint64
+}
+
 // slot is one subscribed query. seq is its place in insertion order; n is
 // its number, the place of its marks in a ProbeScratch: numbers are dense,
 // and Remove gives them back for reuse.
 type slot struct {
-	Query
+	Entry
 	seq uint64
 	n   int32
 }
@@ -117,10 +130,10 @@ type freeSlot struct {
 }
 
 const (
-	slotBytes     = 80 // a slot
-	postingsBytes = 64 // a postings header
-	freeBytes     = 16 // a freeSlot
-	lengthBytes   = 16 // a lengthCount
+	slotBytes     = 104 // a slot
+	postingsBytes = 64  // a postings header
+	freeBytes     = 16  // a freeSlot
+	lengthBytes   = 16  // a lengthCount
 )
 
 func (p *postings) size() int { return postingsBytes + 8*cap(p.slots) + 8*cap(p.rows) }
@@ -255,8 +268,8 @@ func (x *Index) Bytes() int {
 		x.lengths.n*lengthBytes + x.nfree*freeBytes
 }
 
-// HeldBytes reports the memory of the sketches and cell ids the slots
-// carry.
+// HeldBytes reports the memory of the split sketches and the cell ids the
+// slots carry: 8 bytes a sketch position, as the values themselves took.
 func (x *Index) HeldBytes() int { return x.held }
 
 // K returns the number of hash functions (rows).
@@ -275,9 +288,9 @@ func (x *Index) SizeTriples() int { return x.k * x.ids.n }
 
 // Lookup returns query id as the index holds it (shared, read-only), or
 // nil when it is not subscribed.
-func (x *Index) Lookup(id int) *Query {
+func (x *Index) Lookup(id int) *Entry {
 	if s, ok := x.ids.get(uint64(id)); ok {
-		return &s.Query
+		return &s.Entry
 	}
 	return nil
 }
@@ -290,14 +303,15 @@ func (x *Index) QueryIDs(dst []int) []int {
 	return dst
 }
 
-// Queries returns the indexed queries in the order they joined.
+// Queries returns the indexed queries in the order they joined, each with
+// its sketch rebuilt from the split.
 func (x *Index) Queries() []Query {
 	slots := make([]*slot, 0, x.ids.n)
 	x.ids.each(func(s *slot) { slots = append(slots, s) })
 	slices.SortFunc(slots, func(a, b *slot) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]Query, len(slots))
 	for i, s := range slots {
-		out[i] = s.Query
+		out[i] = Query{ID: s.ID, Length: s.Length, Sketch: s.Sketch.Sketch(), CellIDs: s.CellIDs}
 	}
 	return out
 }
@@ -312,13 +326,28 @@ func (x *Index) Add(q Query) error {
 	return nil
 }
 
-// add is Add of a query Check has passed.
+// add is Add of a query Check has passed. A query given by its cells is
+// sketched by the loop that names each row's winning cell, so its postings
+// come from the same pass as its sketch; one given by a sketch, or with more
+// cells than Winners tells apart, has its cells found by inverting the
+// sketch.
 func (x *Index) add(q Query) {
-	if q.Sketch == nil {
+	a := adders.Get().(*adder)
+	defer adders.Put(a)
+	g := &a.g
+	g.cells = g.cells[:0]
+	sk, named := q.Sketch, false
+	if sk == nil {
 		q.CellIDs = slices.Clone(q.CellIDs)
-		q.Sketch = x.fam.SketchSet(q.CellIDs)
+		sk = x.fam.SketchWinners(q.CellIDs, &a.w)
+		if named = len(a.w.Row) == len(sk); named && x.keyed {
+			g.winners(&a.w, x.nw)
+		}
 	}
-	s := &slot{Query: q, seq: x.seq}
+	if x.keyed && !named {
+		g.group(x.fam, len(sk), func(i int) uint64 { return sk[i] }, x.nw)
+	}
+	s := &slot{Entry: Entry{ID: q.ID, Length: q.Length, Sketch: bitsig.SplitOf(sk), CellIDs: q.CellIDs}, seq: x.seq}
 	x.seq++
 	if f := x.free; f != nil {
 		s.n, x.free, x.nfree = f.n, f.next, x.nfree-1
@@ -328,15 +357,20 @@ func (x *Index) add(q Query) {
 	x.ids.put(x.own, s)
 	x.count(q.Length, 1)
 	x.bytes += slotBytes
-	x.held += 8 * (len(q.Sketch) + len(q.CellIDs))
-	if x.keyed {
-		var g grouping
-		g.group(x.fam, q.Sketch, x.nw)
-		for j, c := range g.cells {
-			x.join(c, s, g.rows[j*x.nw:(j+1)*x.nw])
-		}
+	x.held += s.Sketch.Bytes() + 8*len(s.CellIDs)
+	for j, c := range g.cells {
+		x.join(c, s, g.rows[j*x.nw:(j+1)*x.nw])
 	}
 }
+
+// adder is the memory add builds a query's postings in; join copies what
+// it keeps, so the memory goes back to adders for the next query.
+type adder struct {
+	w minhash.Winners
+	g grouping
+}
+
+var adders = sync.Pool{New: func() any { return new(adder) }}
 
 // Remove unsubscribes a query online, the inverse of Add: it leaves the
 // posting list of each of its cells, and its slot number is free again.
@@ -347,7 +381,7 @@ func (x *Index) Remove(id int) error {
 	}
 	if x.keyed {
 		var g grouping
-		g.group(x.fam, s.Sketch, x.nw)
+		g.group(x.fam, s.Sketch.Len(), s.Sketch.At, x.nw)
 		for _, c := range g.cells {
 			x.leave(c, s)
 		}
@@ -357,7 +391,7 @@ func (x *Index) Remove(id int) error {
 	x.free = &freeSlot{n: s.n, next: x.free}
 	x.nfree++
 	x.bytes -= slotBytes
-	x.held -= 8 * (len(s.Sketch) + len(s.CellIDs))
+	x.held -= s.Sketch.Bytes() + 8*len(s.CellIDs)
 	return nil
 }
 
@@ -456,18 +490,39 @@ type grouping struct {
 	rows  []uint64
 }
 
-// group fills g from sk, reusing its memory.
-func (g *grouping) group(fam *minhash.Family, sk minhash.Sketch, nw int) {
+// group fills g from the k values of a sketch, value(i) the one at row i,
+// reusing its memory.
+func (g *grouping) group(fam *minhash.Family, k int, value func(int) uint64, nw int) {
 	g.cells, g.rows = g.cells[:0], g.rows[:0]
 	if g.at == nil {
 		g.at = make([]int32, 64)
 	} else {
 		clear(g.at)
 	}
-	for i, v := range sk {
-		j := g.index(cellOf(fam, i, v), nw)
+	for i := range k {
+		j := g.index(cellOf(fam, i, value(i)), nw)
 		g.rows[j*nw+i/64] |= 1 << (i % 64)
 	}
+}
+
+// winners fills g from w, which names the winner of every row, reusing its
+// memory: w's cells in their order, less those left without a row (a cell
+// a filter collision listed twice).
+func (g *grouping) winners(w *minhash.Winners, nw int) {
+	n := len(w.Cells) * nw
+	g.rows = slices.Grow(g.rows[:0], n)[:n]
+	clear(g.rows)
+	for i, j := range w.Row {
+		g.rows[int(j)*nw+i/64] |= 1 << (i % 64)
+	}
+	g.cells = slices.Grow(g.cells[:0], len(w.Cells))
+	for j, c := range w.Cells {
+		if rows := g.rows[j*nw : (j+1)*nw]; slices.ContainsFunc(rows, func(r uint64) bool { return r != 0 }) {
+			copy(g.rows[len(g.cells)*nw:], rows)
+			g.cells = append(g.cells, c)
+		}
+	}
+	g.rows = g.rows[:len(g.cells)*nw]
 }
 
 // index returns the place of cell c in cells, adding it with an empty row

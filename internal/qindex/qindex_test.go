@@ -69,14 +69,14 @@ func verifyStructure(t *testing.T, x *Index, queries []Query) {
 			t.Fatalf("query %d missing from index, or its slot number %v reused", q.ID, s)
 		}
 		numbers[s.n] = true
-		if got := x.Lookup(q.ID); &got.Sketch[0] != &q.Sketch[0] {
-			t.Fatalf("query %d: slot holds a copy of the sketch, want the caller's slice", q.ID)
+		if got := x.Lookup(q.ID); !slices.Equal(got.Sketch.Sketch(), q.Sketch) {
+			t.Fatalf("query %d: the split sketch rebuilds %x, want %x", q.ID, got.Sketch.Sketch(), q.Sketch)
 		} else if got.Length != q.Length {
 			t.Fatalf("query %d length %d, want %d", q.ID, got.Length, q.Length)
 		}
 		lengths[q.Length]++
 		longest = max(longest, q.Length)
-		held += 8 * (len(q.Sketch) + len(q.CellIDs))
+		held += 8*((len(q.Sketch)+7)&^7) + 8*len(q.CellIDs)
 	}
 	if x.Longest() != longest || x.HeldBytes() != held {
 		t.Fatalf("Longest %d, HeldBytes %d; the queries' are %d and %d", x.Longest(), x.HeldBytes(), longest, held)
@@ -106,7 +106,7 @@ func verifyStructure(t *testing.T, x *Index, queries []Query) {
 	if x.keyed {
 		for _, q := range queries {
 			var g grouping
-			g.group(x.fam, q.Sketch, x.nw)
+			g.group(x.fam, len(q.Sketch), func(i int) uint64 { return q.Sketch[i] }, x.nw)
 			for j, c := range g.cells {
 				if want[c] == nil {
 					want[c] = map[int]string{}
@@ -487,9 +487,10 @@ func TestProbeIntoAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestBytesMatchesHeap holds Bytes to what the runtime says a 500-query
-// build put on the heap: the slots, posting lists and trie nodes, and not
-// the sketches, which were there before.
+// TestBytesMatchesHeap holds Bytes and HeldBytes to what the runtime says
+// a 500-query build put on the heap: the slots, posting lists and trie
+// nodes, and the split sketches, which the index holds in place of the
+// callers' values.
 func TestBytesMatchesHeap(t *testing.T) {
 	fam, _ := minhash.NewFamily(800, 1)
 	queries := makeQueries(t, fam, 500, 3)
@@ -503,8 +504,8 @@ func TestBytesMatchesHeap(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-	if got := float64(x.Bytes()); math.Abs(got-heap) > 0.10*heap {
-		t.Errorf("Bytes() = %.0f, heap grew by %.0f (%.1f%% apart, want within 10%%)", got, heap, 100*(got-heap)/heap)
+	if got := float64(x.Bytes() + x.HeldBytes()); math.Abs(got-heap) > 0.10*heap {
+		t.Errorf("Bytes() + HeldBytes() = %.0f, heap grew by %.0f (%.1f%% apart, want within 10%%)", got, heap, 100*(got-heap)/heap)
 	}
 	if want := 500 * 800; x.SizeTriples() != want {
 		t.Errorf("SizeTriples() = %d, want m·K = %d", x.SizeTriples(), want)
@@ -537,5 +538,56 @@ func BenchmarkScan200Queries(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Probe(sk, 0.7)
+	}
+}
+
+// TestSplitSketchRoundTrip: Lookup and Queries give back the exact values a
+// query's sketch was added with — Empty and 2⁶¹−2, the largest value a
+// family makes, among them, and a value sharing 2⁶¹−2's key — or, for a
+// query added by its cells, the family's sketch of them; and HeldBytes is
+// 8 bytes a position, as the values took.
+func TestSplitSketchRoundTrip(t *testing.T) {
+	fam, _ := minhash.NewFamily(800, 1)
+	queries := makeQueries(t, fam, 3, 5)
+	queries[0].Sketch[0] = minhash.Empty
+	queries[0].Sketch[799] = 1<<61 - 2
+	queries[1].Sketch[5] = (1<<61 - 2) &^ (1<<32 - 1)
+	for r := range queries[2].Sketch {
+		queries[2].Sketch[r] = minhash.Empty
+	}
+	cells := []uint64{3, 1, 4, 1, 5}
+	byCells := Query{ID: 9, Length: 5, CellIDs: cells}
+	for name, build := range map[string]func([]Query) (*Index, error){
+		"New":     func(q []Query) (*Index, error) { return New(fam, q) },
+		"NewScan": func(q []Query) (*Index, error) { return NewScan(fam, q) },
+		"Build":   Build,
+	} {
+		x, err := build(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(queries)
+		if name != "Build" {
+			if err := x.Add(byCells); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, Query{ID: 9, Length: 5, Sketch: fam.SketchSet(cells), CellIDs: cells})
+		}
+		got := x.Queries()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d queries back, want %d", name, len(got), len(want))
+		}
+		for i, q := range got {
+			w := want[i]
+			if q.ID != w.ID || q.Length != w.Length || !slices.Equal(q.Sketch, w.Sketch) || !slices.Equal(q.CellIDs, w.CellIDs) {
+				t.Fatalf("%s: query %d comes back as %v, want %v", name, w.ID, q, w)
+			}
+			if e := x.Lookup(w.ID); !slices.Equal(e.Sketch.Sketch(), w.Sketch) || e.Sketch.At(0) != w.Sketch[0] {
+				t.Fatalf("%s: Lookup(%d) rebuilds another sketch", name, w.ID)
+			}
+		}
+		if want := 8*800*len(want) + 8*len(cells)*(len(want)-3); x.HeldBytes() != want {
+			t.Fatalf("%s: HeldBytes %d, want %d", name, x.HeldBytes(), want)
+		}
 	}
 }
