@@ -69,12 +69,14 @@ robustness-smoke:
 # plus the exactness harnesses' seeds (FuzzProbeVsScan, FuzzPreFilterMask),
 # the signature kernel's oracle (its AVX2 routine and Go twin against the
 # 64-bit Compare, key ties included, and FuzzLessMask's seeds), the split
-# sketch's round trip and the postings-model, churn and equivalence suites.
+# sketch's round trip, the postings-model, churn and equivalence suites,
+# and a bulk subscription — clips decoded and queries derived on every
+# core — at GOMAXPROCS 1, 2 and 4, failing clips and clip readers included.
 # Writes the measured level as a JSON artifact into queryscale-report/.
 queryscale-smoke:
 	QUERYSCALE_REPORT_DIR=$(CURDIR)/queryscale-report $(GO) test -race -count=1 \
-		-run 'TestQueryScaleSmoke|TestPreFilter|FuzzPreFilterMask|FuzzProbeVsScan|TestInvert|TestSketchWinners|TestCellRowsModel|TestPrefixCollisions|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestBytesMatchesHeap|TestLessMask|TestLessInto|TestCompareInto|FuzzLessMask|TestSplitSketchRoundTrip' \
-		./internal/bitsig ./internal/minhash ./internal/qindex ./internal/core ./internal/experiments
+		-run 'TestQueryScaleSmoke|TestPreFilter|FuzzPreFilterMask|FuzzProbeVsScan|TestInvert|TestSketchWinners|TestCellRowsModel|TestPrefixCollisions|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestBytesMatchesHeap|TestLessMask|TestLessInto|TestCompareInto|FuzzLessMask|TestSplitSketchRoundTrip|TestWithAnyCoreCount|TestAddBatchAnyCoreCount|TestExportStateAllocs|TestAddQueriesAnyCoreCount|TestAddQueriesFailingClip|TestAddQueriesOneGoroutinePerClip' \
+		. ./internal/bitsig ./internal/minhash ./internal/qindex ./internal/core ./internal/experiments
 
 # Overload gate under the race detector: the degrade-layer unit suites plus
 # the calibrate → observe → shed sweep at 2× sustainable ingest. The shed

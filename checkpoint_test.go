@@ -474,11 +474,11 @@ func TestQueryChurnIsDurable(t *testing.T) {
 
 	// Churn with a window half filled: the changes replay between the same
 	// two frames they were made between.
-	cells1, err := det.pipeline.queryCells(0, bytes.NewReader(seg1))
+	cells1, err := det.pipeline.queryCells(0, bytes.NewReader(seg1), new(frontEnd))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells2, err := det.pipeline.queryCells(0, bytes.NewReader(seg2))
+	cells2, err := det.pipeline.queryCells(0, bytes.NewReader(seg2), new(frontEnd))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestCheckpointCompactionRule(t *testing.T) {
 	}
 	defer det.Close()
 	mustAdd(t, det, 1, clip(t, 61, 20))
-	cells, err := det.pipeline.queryCells(0, bytes.NewReader(clip(t, 160, 60)))
+	cells, err := det.pipeline.queryCells(0, bytes.NewReader(clip(t, 160, 60)), new(frontEnd))
 	if err != nil {
 		t.Fatal(err)
 	}

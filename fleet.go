@@ -97,7 +97,7 @@ func (d *Detector) NewFleet(fc FleetConfig) (*Fleet, error) {
 // AddQuery subscribes a continuous query from an encoded MVC1 clip,
 // fleet-wide: every attached stream sees it at its next window.
 func (f *Fleet) AddQuery(id int, clip io.Reader) error {
-	cells, err := f.d.pipeline.queryCells(id, clip)
+	cells, err := f.d.pipeline.queryCells(id, clip, new(frontEnd))
 	if err != nil {
 		return err
 	}
@@ -105,7 +105,9 @@ func (f *Fleet) AddQuery(id int, clip io.Reader) error {
 }
 
 // AddQueries subscribes a batch of MVC1 clips in one bulk index build and
-// one plane version.
+// one plane version. As Detector.AddQueries, it works on every core:
+// distinct clips may be read concurrently, one goroutine per clip, and on
+// an error clips after the failing one may have been read.
 func (f *Fleet) AddQueries(ids []int, clips []io.Reader) error {
 	cellIDs, err := f.d.pipeline.batchCells(ids, clips)
 	if err != nil {

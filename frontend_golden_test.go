@@ -23,7 +23,7 @@ func cellHash(t *testing.T, det *Detector, clips ...vframe.Source) string {
 		if _, err := mpeg.EncodeSource(&buf, src, 75, 1); err != nil {
 			t.Fatal(err)
 		}
-		cells, err := det.pipeline.queryCells(0, &buf)
+		cells, err := det.pipeline.queryCells(0, &buf, new(frontEnd))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -150,6 +150,14 @@ func SplitOf(sk minhash.Sketch) Split {
 	return s
 }
 
+// MakeSplit returns a split of k positions whose values are yet to come:
+// its block, which Load then fills in place.
+func MakeSplit(k int) Split {
+	pad := (k + 7) &^ 7
+	buf := make([]uint32, 2*pad)
+	return Split{keys: buf[:pad], low: buf[pad : pad+k : 2*pad]}
+}
+
 // Load makes s the split of sk, reusing its block when it is large enough.
 func (s *Split) Load(sk minhash.Sketch) {
 	k, pad := len(sk), (len(sk)+7)&^7

@@ -66,11 +66,11 @@ func BenchmarkQuerySetChurn(b *testing.B) {
 
 // BenchmarkRestoreQueries rebuilds the 2 068-query plane of
 // monitor-manyquery (K=800) two ways: RestoreEngine from an exported
-// engine state, which inserts the plane's own sketches, and LoadQuerySet
-// from the set's saved bytes, which derives each sketch again from the
-// query's cells:
+// engine state and LoadQuerySet from the set's saved bytes. Both derive
+// each sketch again from the query's cells, on every core; -cpu 1,2 shows
+// what the second core gives:
 //
-//	go test -run '^$' -bench RestoreQueries -benchmem ./internal/core
+//	go test -run '^$' -bench RestoreQueries -benchmem -cpu 1,2 ./internal/core
 func BenchmarkRestoreQueries(b *testing.B) {
 	cfg := Config{K: 800, Seed: 1, Delta: 0.6, Lambda: 2, WindowFrames: 10,
 		Order: Sequential, Method: Bit, UseIndex: true}

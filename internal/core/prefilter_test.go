@@ -440,7 +440,7 @@ func (h *planeHarness) check(t *testing.T, when string, qs *QuerySet) {
 	if v.index.Len() == 0 {
 		return
 	}
-	shim, err := qindex.Build(v.index.Queries())
+	shim, err := qindex.Build(sketched(v.index))
 	if err != nil {
 		t.Fatal(err)
 	}

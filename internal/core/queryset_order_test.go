@@ -88,30 +88,46 @@ func orderRun(t *testing.T, cfg Config) (save, state []byte) {
 	return buf.Bytes(), state
 }
 
+// orderCases are the configurations querySetOrderGolden pins.
+var orderCases = []struct {
+	name    string
+	method  Method
+	noIndex bool
+}{
+	{name: "index", method: Bit},
+	{name: "noindex", method: Bit, noIndex: true},
+	{name: "sketch", method: Sketch, noIndex: true},
+}
+
+// orderConfig is the configuration of an orderCases entry.
+func orderConfig(method Method, noIndex bool) Config {
+	return Config{K: 192, Seed: 11, Delta: 0.5, Lambda: 2, WindowFrames: 10,
+		Order: Sequential, Method: method, UseIndex: !noIndex}
+}
+
+// checkOrderGolden holds the bytes orderRun gives under cfg to case name's
+// hashes, and returns the saved bytes.
+func checkOrderGolden(t *testing.T, name string, cfg Config) []byte {
+	t.Helper()
+	save, state := orderRun(t, cfg)
+	for part, b := range map[string][]byte{"save": save, "state": state} {
+		sum := sha256.Sum256(b)
+		if got, want := hex.EncodeToString(sum[:]), querySetOrderGolden[name+"/"+part]; got != want {
+			t.Errorf("%s SHA-256 = %s, want %s", part, got, want)
+		}
+	}
+	return save
+}
+
 // TestQuerySetInsertionOrderGolden pins the bytes of Save and ExportState
 // after a history whose insertion order is not id order, with and without
 // the index and under both methods, and checks that a set loaded from the
 // saved bytes saves them again unchanged.
 func TestQuerySetInsertionOrderGolden(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		method  Method
-		noIndex bool
-	}{
-		{name: "index", method: Bit},
-		{name: "noindex", method: Bit, noIndex: true},
-		{name: "sketch", method: Sketch, noIndex: true},
-	} {
+	for _, c := range orderCases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Config{K: 192, Seed: 11, Delta: 0.5, Lambda: 2, WindowFrames: 10,
-				Order: Sequential, Method: c.method, UseIndex: !c.noIndex}
-			save, state := orderRun(t, cfg)
-			for part, b := range map[string][]byte{"save": save, "state": state} {
-				sum := sha256.Sum256(b)
-				if got, want := hex.EncodeToString(sum[:]), querySetOrderGolden[c.name+"/"+part]; got != want {
-					t.Errorf("%s SHA-256 = %s, want %s", part, got, want)
-				}
-			}
+			cfg := orderConfig(c.method, c.noIndex)
+			save := checkOrderGolden(t, c.name, cfg)
 			qs, err := LoadQuerySet(cfg, bytes.NewReader(save))
 			if err != nil {
 				t.Fatal(err)

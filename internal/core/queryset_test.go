@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vdsms/internal/minhash"
+	"vdsms/internal/qindex"
 )
 
 func TestQuerySetBasics(t *testing.T) {
@@ -295,7 +296,7 @@ func saveSketches(qs *QuerySet) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(qs.seed))
 	b = append(b, 0)
 	b = binary.BigEndian.AppendUint64(b, uint64(qs.Len()))
-	for _, q := range qs.view().index.Queries() {
+	for _, q := range sketched(qs.view().index) {
 		b = binary.BigEndian.AppendUint64(b, uint64(q.ID))
 		b = binary.BigEndian.AppendUint64(b, uint64(q.Length))
 		for _, v := range q.Sketch {
@@ -303,4 +304,14 @@ func saveSketches(qs *QuerySet) []byte {
 		}
 	}
 	return b
+}
+
+// sketched is x.Queries with every query's sketch, those held by their
+// cells too, as the plane holds it.
+func sketched(x *qindex.Index) []qindex.Query {
+	queries := x.Queries()
+	for i, q := range queries {
+		queries[i].Sketch = x.Lookup(q.ID).Sketch.Sketch()
+	}
+	return queries
 }

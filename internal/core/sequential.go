@@ -63,15 +63,13 @@ func (e *Engine) sequential(win *windowResult, view *queryPlane) {
 	}
 
 	// (2) Extend every candidate, filtering its list in place by one merge
-	// walk against the window's related list.
+	// walk against the window's related list. Under the Bit method a query
+	// the window relates is on the window's plane and brings its length for
+	// the λL bound; the plane is asked about one it does not relate only
+	// when a journal must tell its expiry from its drop.
 	for _, c := range e.seq {
 		kept, j := 0, 0
 		for i, qid := range c.ids {
-			q := view.index.Lookup(qid)
-			if !e.live(q, c.windows) {
-				expire(win, qid, c.startFrame, win.endFrame, c.windows)
-				continue
-			}
 			var eq, less int
 			if bit {
 				for j < len(win.qids) && win.qids[j] < qid {
@@ -79,8 +77,16 @@ func (e *Engine) sequential(win *windowResult, view *queryPlane) {
 				}
 				if j == len(win.qids) || win.qids[j] != qid { // unrelated or pruned: cascade the drop
 					if win.tr != nil {
-						win.tr.Query().Add(trace.Dropped, qid, c.startFrame, win.endFrame, c.windows, -1, 0)
+						if !e.live(view.index.Lookup(qid), c.windows) {
+							expire(win, qid, c.startFrame, win.endFrame, c.windows)
+						} else {
+							win.tr.Query().Add(trace.Dropped, qid, c.startFrame, win.endFrame, c.windows, -1, 0)
+						}
 					}
+					continue
+				}
+				if c.windows > e.cfg.maxWindows(win.related[j].Length) {
+					expire(win, qid, c.startFrame, win.endFrame, c.windows)
 					continue
 				}
 				sig := &c.sigs[i]
@@ -88,6 +94,11 @@ func (e *Engine) sequential(win *windowResult, view *queryPlane) {
 				e.stats.SigOrs++
 				_, eq, less = sig.Counts()
 			} else {
+				q := view.index.Lookup(qid)
+				if !e.live(q, c.windows) {
+					expire(win, qid, c.startFrame, win.endFrame, c.windows)
+					continue
+				}
 				eq, less = q.Sketch.CompareCounts(c.sketch)
 				e.stats.SketchCompares++
 			}

@@ -50,8 +50,10 @@ func (e *Engine) ExportState() *snapshot.EngineState {
 		Stats:  exportStats(e.stats),
 	}
 	// The plane in insertion order, the order restore re-inserts it so the
-	// rebuilt index passes through the same construction sequence. Its
-	// slices are the plane's own, which nothing changes.
+	// rebuilt index passes through the same construction sequence. A query
+	// held by its cells comes without a sketch, which the checkpoint does
+	// not write and a restore derives again; its cells are the plane's own
+	// slice, which nothing changes.
 	st.Queries = e.qs.view().index.Queries()
 
 	for _, c := range e.seq {

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -248,6 +249,62 @@ func TestSlowBudgetRuntimeAdjust(t *testing.T) {
 		}
 		if slow != step.slow {
 			t.Errorf("budget %v: %d slow windows, want %d", step.budget, slow, step.slow)
+		}
+	}
+}
+
+// TestSequentialBitExpiryJournal: under the Bit method a candidate stops
+// tracking a query as Expired — not Dropped — when it has outgrown the
+// query's λL bound, whether the window relates the query or not, and when
+// the query has left the plane; only a live query the window does not
+// relate is Dropped.
+func TestSequentialBitExpiryJournal(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	q, other := idStream(rng, 1, 10), idStream(rng, 50, 10)
+	// kinds runs the stream through a traced engine subscribed to q as
+	// query 1 (λL = 2 windows), calling between before window n+1, and
+	// returns query 1's Expired and Dropped events by candidate start.
+	kinds := func(stream []uint64, n int, between func(*Engine)) map[int32]trace.Kind {
+		t.Helper()
+		e, err := NewEngine(Config{K: 64, Seed: 5, Delta: 0.5, Lambda: 2, WindowFrames: 10,
+			Order: Sequential, Method: Bit, UseIndex: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := trace.NewJournal(1<<12, 64)
+		e.Trace(j, "t")
+		if err := e.AddQuery(1, q); err != nil {
+			t.Fatal(err)
+		}
+		e.PushFrames(stream[:10*n])
+		between(e)
+		e.PushFrames(stream[10*n:])
+		got := map[int32]trace.Kind{}
+		for _, ev := range j.Events(trace.Filter{QID: 1, Kind: trace.KindAny}) {
+			if ev.Kind == trace.Expired || ev.Kind == trace.Dropped {
+				got[ev.Start] = ev.Kind
+			}
+		}
+		return got
+	}
+	same := func(*Engine) {}
+	for name, c := range map[string]struct {
+		got, want map[int32]trace.Kind
+	}{
+		// Window 3 relates q: the candidate from frame 0 has outgrown λL.
+		"related": {kinds(slices.Concat(q, q, q), 0, same), map[int32]trace.Kind{0: trace.Expired}},
+		// Window 3 does not relate q: the candidate from frame 0 has
+		// outgrown λL, the one from frame 10 has not.
+		"unrelated": {kinds(slices.Concat(q, q, other), 0, same), map[int32]trace.Kind{0: trace.Expired, 10: trace.Dropped}},
+		// q leaves the plane before window 3.
+		"removed": {kinds(slices.Concat(q, q, other), 2, func(e *Engine) {
+			if err := e.RemoveQuery(1); err != nil {
+				t.Fatal(err)
+			}
+		}), map[int32]trace.Kind{0: trace.Expired, 10: trace.Expired}},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s: query 1 left its candidates as %v, want %v", name, c.got, c.want)
 		}
 	}
 }

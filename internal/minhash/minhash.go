@@ -283,7 +283,18 @@ type Winners struct {
 // the same single loop over the rows, which keeps the index of the element
 // it takes each minimum from.
 func (f *Family) SketchWinners(ids []uint64, w *Winners) Sketch {
-	s := f.NewSketch()
+	return f.SketchWinnersInto(make(Sketch, f.k), ids, w)
+}
+
+// SketchWinnersInto is SketchWinners into s, which must hold K values: it
+// overwrites them and returns s.
+func (f *Family) SketchWinnersInto(s Sketch, ids []uint64, w *Winners) Sketch {
+	if len(s) != f.k {
+		panic("minhash: sketch length mismatch")
+	}
+	for i := range s {
+		s[i] = Empty
+	}
 	var seen [seenSlots]uint64
 	w.Cells, w.Row = w.Cells[:0], w.Row[:0]
 	for _, x := range ids {

@@ -181,6 +181,11 @@ func TestWithCheck(t *testing.T) {
 
 		// Longest follows the lengths: drop queries longest first.
 		byLength := d.Queries()
+		for i, q := range byLength {
+			if q.Sketch == nil {
+				byLength[i].Sketch = fam.SketchSet(q.CellIDs)
+			}
+		}
 		slices.SortFunc(byLength, func(a, b Query) int { return b.Length - a.Length })
 		for i, q := range byLength {
 			if d.Longest() != q.Length {

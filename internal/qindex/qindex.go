@@ -66,7 +66,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"vdsms/internal/bitsig"
 	"vdsms/internal/minhash"
@@ -200,9 +199,7 @@ func build(fam *minhash.Family, k int, keyed bool, queries []Query) (*Index, err
 	if err := x.Check(queries); err != nil {
 		return nil, err
 	}
-	for _, q := range queries {
-		x.add(q)
-	}
+	x.addBatch(queries)
 	return x, nil
 }
 
@@ -248,15 +245,14 @@ func (x *Index) Clone() *Index {
 
 // With returns a clone of x that holds batch as well, joined in batch
 // order, and leaves x as it is. A batch Check refuses is refused whole,
-// before anything is cloned.
+// before anything is cloned. The queries are derived on every core
+// (addBatch); the clone is the same whatever their number.
 func (x *Index) With(batch []Query) (*Index, error) {
 	if err := x.Check(batch); err != nil {
 		return nil, err
 	}
 	c := x.Clone()
-	for _, q := range batch {
-		c.add(q)
-	}
+	c.addBatch(batch)
 	return c, nil
 }
 
@@ -303,74 +299,34 @@ func (x *Index) QueryIDs(dst []int) []int {
 	return dst
 }
 
-// Queries returns the indexed queries in the order they joined, each with
-// its sketch rebuilt from the split.
+// Queries returns the indexed queries in the order they joined. A query
+// held by its cell ids comes back with them and no sketch, which its cells
+// give again under the index's family; only one without cells has its
+// sketch rebuilt from the split.
 func (x *Index) Queries() []Query {
 	slots := make([]*slot, 0, x.ids.n)
 	x.ids.each(func(s *slot) { slots = append(slots, s) })
 	slices.SortFunc(slots, func(a, b *slot) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]Query, len(slots))
 	for i, s := range slots {
-		out[i] = Query{ID: s.ID, Length: s.Length, Sketch: s.Sketch.Sketch(), CellIDs: s.CellIDs}
+		out[i] = Query{ID: s.ID, Length: s.Length, CellIDs: s.CellIDs}
+		if s.CellIDs == nil {
+			out[i].Sketch = s.Sketch.Sketch()
+		}
 	}
 	return out
 }
 
 // Add subscribes a new query online: it takes a free slot number and joins
-// the posting list of each cell that wins some row of its sketch.
+// the posting list of each cell that wins some row of its sketch. It is a
+// batch of one and starts no goroutine.
 func (x *Index) Add(q Query) error {
 	if err := x.Check([]Query{q}); err != nil {
 		return err
 	}
-	x.add(q)
+	x.addBatch([]Query{q})
 	return nil
 }
-
-// add is Add of a query Check has passed. A query given by its cells is
-// sketched by the loop that names each row's winning cell, so its postings
-// come from the same pass as its sketch; one given by a sketch, or with more
-// cells than Winners tells apart, has its cells found by inverting the
-// sketch.
-func (x *Index) add(q Query) {
-	a := adders.Get().(*adder)
-	defer adders.Put(a)
-	g := &a.g
-	g.cells = g.cells[:0]
-	sk, named := q.Sketch, false
-	if sk == nil {
-		q.CellIDs = slices.Clone(q.CellIDs)
-		sk = x.fam.SketchWinners(q.CellIDs, &a.w)
-		if named = len(a.w.Row) == len(sk); named && x.keyed {
-			g.winners(&a.w, x.nw)
-		}
-	}
-	if x.keyed && !named {
-		g.group(x.fam, len(sk), func(i int) uint64 { return sk[i] }, x.nw)
-	}
-	s := &slot{Entry: Entry{ID: q.ID, Length: q.Length, Sketch: bitsig.SplitOf(sk), CellIDs: q.CellIDs}, seq: x.seq}
-	x.seq++
-	if f := x.free; f != nil {
-		s.n, x.free, x.nfree = f.n, f.next, x.nfree-1
-	} else {
-		s.n, x.nslots = x.nslots, x.nslots+1
-	}
-	x.ids.put(x.own, s)
-	x.count(q.Length, 1)
-	x.bytes += slotBytes
-	x.held += s.Sketch.Bytes() + 8*len(s.CellIDs)
-	for j, c := range g.cells {
-		x.join(c, s, g.rows[j*x.nw:(j+1)*x.nw])
-	}
-}
-
-// adder is the memory add builds a query's postings in; join copies what
-// it keeps, so the memory goes back to adders for the next query.
-type adder struct {
-	w minhash.Winners
-	g grouping
-}
-
-var adders = sync.Pool{New: func() any { return new(adder) }}
 
 // Remove unsubscribes a query online, the inverse of Add: it leaves the
 // posting list of each of its cells, and its slot number is free again.

@@ -28,7 +28,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -309,12 +311,15 @@ func (p pipeline) cells(pd *mpeg.PartialDecoder, fe *frontEnd, out []uint64) ([]
 	}
 }
 
-// queryCells decodes query clip id to the cell ids of its key frames.
-func (p pipeline) queryCells(id int, clip io.Reader) ([]uint64, error) {
+// queryCells decodes query clip id to the cell ids of its key frames on
+// front end fe, which carries nothing from one clip to the next but its
+// buffers.
+func (p pipeline) queryCells(id int, clip io.Reader, fe *frontEnd) ([]uint64, error) {
+	fe.last = 0
 	pd, err := mpeg.NewPartialDecoder(clip)
 	var cells []uint64
 	if err == nil {
-		cells, err = p.cells(pd, new(frontEnd), nil)
+		cells, err = p.cells(pd, fe, nil)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("vdsms: decoding query %d: %w", id, err)
@@ -325,18 +330,47 @@ func (p pipeline) queryCells(id int, clip io.Reader) ([]uint64, error) {
 	return cells, nil
 }
 
-// batchCells is queryCells over a batch of clips.
+// batchCells is queryCells over a batch of clips, on min(GOMAXPROCS,
+// len(clips)) goroutines, the caller among them: each goroutine decodes on
+// a front end of its own and takes the next clip from a shared counter,
+// which it then reads start to end. Its error is that of the first clip in
+// batch order that fails; no clip is taken once one has failed, so every
+// clip before the failing one has been read, and some after it may have
+// been. A batch of one starts no goroutine.
 func (p pipeline) batchCells(ids []int, clips []io.Reader) ([][]uint64, error) {
 	if len(ids) != len(clips) {
 		return nil, fmt.Errorf("vdsms: AddQueries: %d ids but %d clips", len(ids), len(clips))
 	}
 	cellIDs := make([][]uint64, len(clips))
-	for i, clip := range clips {
-		cells, err := p.queryCells(ids[i], clip)
+	errs := make([]error, len(clips))
+	var next atomic.Int64
+	var failed atomic.Bool
+	decode := func() {
+		var fe frontEnd
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= len(clips) {
+				return
+			}
+			if cellIDs[i], errs[i] = p.queryCells(ids[i], clips[i], &fe); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(clips)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			decode()
+		}()
+	}
+	decode()
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		cellIDs[i] = cells
 	}
 	return cellIDs, nil
 }
@@ -541,7 +575,7 @@ func (d *Detector) convert(m core.Match) Match {
 // a durable detector the change is logged and synced before it takes
 // effect (see subscribe), at the cost of one WAL record — not a checkpoint.
 func (d *Detector) AddQuery(id int, clip io.Reader) error {
-	cells, err := d.pipeline.queryCells(id, clip)
+	cells, err := d.pipeline.queryCells(id, clip, new(frontEnd))
 	if err != nil {
 		return err
 	}
@@ -552,7 +586,12 @@ func (d *Detector) AddQuery(id int, clip io.Reader) error {
 // clips in one bulk operation: clips are decoded, then the whole batch
 // joins the query index as one plane version, copied once rather than
 // once per insert. Either every query lands or none does, in memory and
-// (one WAL record, one fsync) on disk.
+// (one WAL record, one fsync) on disk. The work runs on every core:
+// distinct clips may be read concurrently, each by one goroutine from
+// start to end, and the sketches are derived in parallel, while the plane
+// is built in batch order and is the same whatever the core count. On an
+// error, which is that of the first failing clip in batch order, clips
+// after the failing one may have been read.
 func (d *Detector) AddQueries(ids []int, clips []io.Reader) error {
 	cellIDs, err := d.pipeline.batchCells(ids, clips)
 	if err != nil {
