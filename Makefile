@@ -50,7 +50,7 @@ fuzz:
 	$(GO) test ./internal/qindex -fuzz FuzzProbeVsScan -fuzztime 30s
 	$(GO) test ./internal/bitsig -fuzz FuzzLessMask -fuzztime 30s
 	$(GO) test ./internal/minhash -fuzz FuzzSketchRows -fuzztime 30s
-	$(GO) test ./internal/snapshot -fuzz FuzzReplayWAL -fuzztime 30s
+	$(GO) test ./internal/snapshot -fuzz FuzzReplayWAL -fuzztime 30s -fuzzminimizetime 200x
 	$(GO) test ./internal/core -fuzz FuzzRestoreCheckpoint -fuzztime 30s -fuzzminimizetime 200x
 	$(GO) test ./internal/core -fuzz FuzzLoadQuerySet -fuzztime 30s -fuzzminimizetime 200x
 
@@ -115,10 +115,13 @@ perf-smoke:
 
 # Crash-recovery sweep under the race detector, run twice (-count=2: the
 # tests share a process-global metrics registry): snapshot/restore at every
-# window boundary and worker-count combination, a crash after every byte
-# of a logged subscription change and at every step of a checkpoint, and
-# the version 1 lineage fixture must reproduce the uninterrupted run byte
-# for byte; the WAL reader's fuzz seeds run as tests.
+# window boundary and worker-count combination, every crash image of the
+# preallocated log while a subscription change is written (the synced
+# prefix plus any subset of the write's 512-byte sectors), a crash at every
+# step of a checkpoint, and the version 1 lineage fixture must reproduce
+# the uninterrupted run byte for byte; the WAL reader's crash images and
+# fuzz seeds (version 1 and 2 logs cut at every byte, version 3 logs
+# zeroed from any offset or in any sector of the last record) run as tests.
 snapshot-fuzz:
 	$(GO) test -race -count=2 -run 'TestCrashPointSweep|TestExportStateCanonical|TestRestoreRejects' ./internal/core
 	$(GO) test -race -count=2 -run 'TestResume|TestQueryChurn|TestCheckpoint|TestWAL|TestHeaderGolden|FuzzReplayWAL' ./...

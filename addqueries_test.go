@@ -140,7 +140,7 @@ func TestAddQueriesFailingClip(t *testing.T) {
 					t.Fatalf("GOMAXPROCS %d, junk at %d: the failed batch wrote %v", procs, i, entries)
 				}
 				mustAdd(t, det, 99, good[0])
-				if got := mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, -1)).QueryIDs(); !reflect.DeepEqual(got, []int{99}) {
+				if got := mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, nil)).QueryIDs(); !reflect.DeepEqual(got, []int{99}) {
 					t.Fatalf("GOMAXPROCS %d, junk at %d: resumed queries %v, want [99]", procs, i, got)
 				}
 			})

@@ -25,9 +25,11 @@
 // checkpoint it extends (compactIfOutgrown). The rule bounds both
 // directions. Writing: a checkpoint of C bytes is followed by more than C
 // bytes of log before the next, so with the state's size steady the
-// checkpoints add at most as many bytes as the log itself — write
-// amplification ≤ 2×. Reading: recovery replays at most one checkpoint's
-// worth of log (plus the window or the change that crossed the line).
+// checkpoints add at most as many bytes as the log itself, and the zeros a
+// new log is preallocated with (sized from its checkpoint) about as many
+// again — write amplification ≤ 3×. Reading: recovery replays at most one
+// checkpoint's worth of log (plus the window or the change that crossed
+// the line).
 //
 // Recovery = Resume: load the checkpoint, read the log, decide which of its
 // records the checkpoint already holds, replay the rest in log order —
@@ -128,7 +130,7 @@ func (d *Detector) Checkpoint() error {
 		}
 	}
 	wal, err := snapshot.CreateWALExtending(filepath.Join(d.cfg.CheckpointDir, WALFileName),
-		d.fingerprint(), ck.Engine.Frame, snapshot.Identity(data))
+		d.fingerprint(), ck.Engine.Frame, snapshot.Identity(data), int64(len(data)))
 	if err != nil {
 		return fmt.Errorf("vdsms: rotating WAL: %w", err)
 	}

@@ -40,8 +40,8 @@ func sweepConfig(dir string) Config {
 }
 
 // crashCopy copies a checkpoint directory as a crash would leave it, with
-// the WAL cut to walBytes bytes (negative: whole), and returns the copy.
-func crashCopy(t *testing.T, dir string, walBytes int64) string {
+// the WAL's bytes replaced by wal unless wal is nil, and returns the copy.
+func crashCopy(t *testing.T, dir string, wal []byte) string {
 	t.Helper()
 	dst := t.TempDir()
 	entries, err := os.ReadDir(dir)
@@ -53,14 +53,53 @@ func crashCopy(t *testing.T, dir string, walBytes int64) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Name() == WALFileName && walBytes >= 0 {
-			data = data[:walBytes]
+		if e.Name() == WALFileName && wal != nil {
+			data = wal
 		}
 		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return dst
+}
+
+// crashImages returns what a crash can leave of a file that held before
+// while after was being written over it and not yet synced — the crash
+// model of the preallocated WAL (internal/snapshot/wal.go): for every
+// subset of the 512-byte sectors the write changed, those sectors as in
+// after and the others as in before (zeros past before's end). The last
+// image is after itself.
+func crashImages(t *testing.T, before, after []byte) [][]byte {
+	t.Helper()
+	old := make([]byte, len(after))
+	copy(old, before)
+	lo, hi := 0, len(after)
+	for lo < hi && old[lo] == after[lo] {
+		lo++
+	}
+	for hi > lo && old[hi-1] == after[hi-1] {
+		hi--
+	}
+	if lo == hi {
+		return [][]byte{after}
+	}
+	first, n := lo/512, (hi-1)/512-lo/512+1
+	if n > 8 {
+		t.Fatalf("a write across %d sectors: too many crash images", n)
+	}
+	var images [][]byte
+	for mask := 0; mask < 1<<n; mask++ {
+		img := bytes.Clone(old)
+		for s := 0; s < n; s++ {
+			if mask&(1<<s) != 0 {
+				a := (first + s) * 512
+				b := min(a+512, len(after))
+				copy(img[a:b], after[a:b])
+			}
+		}
+		images = append(images, img)
+	}
+	return images
 }
 
 func mustResume(t *testing.T, cfg Config, dir string) *Detector {
@@ -124,6 +163,10 @@ func TestResumeContinuesExactly(t *testing.T) {
 	// checkpoint and bypass replay).
 	seg1 := composeSeg(t, clip(t, 110, 30), query) // copy at [30s, 50s)
 	seg2 := composeSeg(t, clip(t, 111, 30))
+	// A second query the stream does not hold makes the lineage's
+	// checkpoint larger than segment 1's log, so that no compaction folds
+	// the segment into a checkpoint before the crash.
+	filler := clip(t, 19, 40)
 
 	// Reference: uninterrupted run without checkpointing.
 	refCfg := cfg
@@ -135,6 +178,7 @@ func TestResumeContinuesExactly(t *testing.T) {
 	if err := ref.AddQuery(1, bytes.NewReader(query)); err != nil {
 		t.Fatal(err)
 	}
+	mustAdd(t, ref, 9, filler)
 	refM1, err := ref.Monitor(bytes.NewReader(seg1))
 	if err != nil {
 		t.Fatal(err)
@@ -156,16 +200,20 @@ func TestResumeContinuesExactly(t *testing.T) {
 	if err := det1.AddQuery(1, bytes.NewReader(query)); err != nil {
 		t.Fatal(err)
 	}
+	mustAdd(t, det1, 9, filler)
 	m1, err := det1.Monitor(bytes.NewReader(seg1))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if det1.wal.Frames != 100 {
+		t.Fatalf("the crashed run's log holds %d frames of segment 1's 100; the test would not replay them", det1.wal.Frames)
 	}
 	if !reflect.DeepEqual(m1, refM1) {
 		t.Fatalf("pre-crash matches diverge from reference:\nwant %+v\ngot  %+v", refM1, m1)
 	}
 	det1 = nil // crash
 
-	// Recovery: the checkpoint holds frame 0 state (query subscription);
+	// Recovery: the checkpoint holds frame 0 state (query subscriptions);
 	// every segment-1 frame comes back through WAL replay.
 	det2, found, err := Resume(cfg)
 	if err != nil {
@@ -220,11 +268,11 @@ func TestResumeContinuesExactly(t *testing.T) {
 	if l, err := snapshot.ReplayWAL(walPath); err != nil || len(l.Frames) == 0 || len(l.Plane) == 0 {
 		t.Fatalf("the log to be orphaned holds %+v (%v); want frames and subscription changes", l, err)
 	}
-	before := crashCopy(t, scfg.CheckpointDir, -1)
+	before := crashCopy(t, scfg.CheckpointDir, nil)
 	if err := det3.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	crashes := map[string]string{"after rotation": crashCopy(t, scfg.CheckpointDir, -1)}
+	crashes := map[string]string{"after rotation": crashCopy(t, scfg.CheckpointDir, nil)}
 	// Temp file half-written: the old pair plus litter.
 	if err := os.WriteFile(filepath.Join(before, ".snapshot-123"), []byte("VCKP torn"), 0o644); err != nil {
 		t.Fatal(err)
@@ -233,13 +281,15 @@ func TestResumeContinuesExactly(t *testing.T) {
 	// Renamed, not rotated: the new checkpoint beside the old log, whose
 	// every record — frames and the subscription at the checkpoint's own
 	// frame — it already holds. Position cannot tell; identity does.
-	crashes["between rename and rotate"] = crashCopy(t, scfg.CheckpointDir, -1)
+	crashes["between rename and rotate"] = crashCopy(t, scfg.CheckpointDir, nil)
 	if err := os.WriteFile(filepath.Join(crashes["between rename and rotate"], WALFileName), oldWAL, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Rotating: the new log truncated, its header absent or torn.
-	for _, n := range []int64{0, 10, 25} {
-		crashes[fmt.Sprintf("header cut at %d", n)] = crashCopy(t, scfg.CheckpointDir, n)
+	// Rotating: the new log truncated and its creation write — header and
+	// zeros — in flight.
+	created := readFile(t, walPath)
+	for i, img := range append(crashImages(t, nil, created), []byte{}) {
+		crashes[fmt.Sprintf("creation image %d of %d bytes", i, len(img))] = crashCopy(t, scfg.CheckpointDir, img)
 	}
 	for name, dir := range crashes {
 		d := mustResume(t, scfg, dir)
@@ -278,7 +328,7 @@ func TestResumeContinuesExactly(t *testing.T) {
 	if err := os.WriteFile(walPath, oldWAL, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if ids := mustResume(t, rcfg, crashCopy(t, rcfg.CheckpointDir, -1)).QueryIDs(); !reflect.DeepEqual(ids, []int{2, 3}) {
+	if ids := mustResume(t, rcfg, crashCopy(t, rcfg.CheckpointDir, nil)).QueryIDs(); !reflect.DeepEqual(ids, []int{2, 3}) {
 		t.Errorf("frameless lineage resumed with %v, want [2 3]", ids)
 	}
 }
@@ -303,7 +353,7 @@ func TestResumeV1Lineage(t *testing.T) {
 		t.Fatal("reference run found no matches; the test would prove nothing")
 	}
 
-	dir := crashCopy(t, filepath.Join("testdata", "v1-lineage"), -1)
+	dir := crashCopy(t, filepath.Join("testdata", "v1-lineage"), nil)
 	v1WAL := readFile(t, filepath.Join(dir, WALFileName))
 	if l, err := snapshot.ReplayWAL(filepath.Join(dir, WALFileName)); err != nil || l.Version != 1 || len(l.Frames) != 100 {
 		t.Fatalf("fixture WAL: %+v, %v", l, err)
@@ -393,9 +443,10 @@ func TestResumeFreshDirectory(t *testing.T) {
 }
 
 // TestQueryChurnIsDurable: AddQuery/RemoveQuery are logged and synced
-// before they take effect — one WAL record each, no checkpoint — so a crash
-// at any byte of the log resumes with the query set of the uninterrupted
-// run at that point, and finishes the stream with its matches.
+// before they take effect — one WAL record each, no checkpoint — so every
+// image a crash can leave of the log while either record is written resumes
+// with the query set of the uninterrupted run at that point, and finishes
+// the stream with its matches.
 func TestQueryChurnIsDurable(t *testing.T) {
 	cfg := sweepConfig(t.TempDir())
 	q1, q2, q3 := clip(t, 41, 20), clip(t, 42, 20), clip(t, 43, 20)
@@ -428,13 +479,19 @@ func TestQueryChurnIsDurable(t *testing.T) {
 	mustAdd(t, det, 1, q1)
 	mustAdd(t, det, 2, q2)
 	mustMonitor(t, det, seg1)
+	// Fold segment 1 into a checkpoint, so that the two changes are what the
+	// log holds and neither outgrows the checkpoint.
+	if err := det.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	ckptPath := filepath.Join(cfg.CheckpointDir, CheckpointFileName)
+	walPath := filepath.Join(cfg.CheckpointDir, WALFileName)
 	ckpt := readFile(t, ckptPath)
-	s0 := det.wal.Size()
+	s0, wal0 := det.wal.Size(), readFile(t, walPath)
 	mustRemove(t, det, 1)
-	s1 := det.wal.Size()
+	s1, wal1 := det.wal.Size(), readFile(t, walPath)
 	mustAdd(t, det, 3, q3)
-	s2 := det.wal.Size()
+	s2, wal2 := det.wal.Size(), readFile(t, walPath)
 	if !bytes.Equal(ckpt, readFile(t, ckptPath)) {
 		t.Error("a subscription change rewrote the checkpoint")
 	}
@@ -442,34 +499,36 @@ func TestQueryChurnIsDurable(t *testing.T) {
 		t.Errorf("log sizes %d → %d → %d: want one small record per change", s0, s1, s2)
 	}
 
-	// Crash after every byte of the remove + add pair: record torn before
-	// its fsync, whole but not yet applied, between the two calls.
-	for cut := s0; cut <= s2; cut++ {
-		d := mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, cut))
-		want := []int{2, 3}
-		switch {
-		case cut < s1:
-			want = []int{1, 2}
-		case cut < s2:
-			want = []int{2}
+	// A crash while either record is written: it landed whole, or in part
+	// and is discarded as a torn tail.
+	images := 0
+	for i, change := range []struct{ before, after []byte }{{wal0, wal1}, {wal1, wal2}} {
+		for _, img := range crashImages(t, change.before, change.after) {
+			images++
+			landed := i
+			if bytes.Equal(img, change.after) {
+				landed++
+			}
+			d := mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, img))
+			want := [][]int{{1, 2}, {2}, {2, 3}}[landed]
+			if ids := d.QueryIDs(); !reflect.DeepEqual(ids, want) {
+				t.Fatalf("change %d in flight, image %d: resumed query set %v, want %v", i, images, ids, want)
+			}
+			// A call that never returned is made again by its caller.
+			if landed < 1 {
+				mustRemove(t, d, 1)
+			}
+			if landed < 2 {
+				mustAdd(t, d, 3, q3)
+			}
+			if m := mustMonitor(t, d, seg2); !reflect.DeepEqual(m, refM2) {
+				t.Fatalf("change %d in flight, image %d: post-resume matches diverge from reference:\nwant %+v\ngot  %+v", i, images, refM2, m)
+			}
+			if got := d.Stats(); !reflect.DeepEqual(got, refTotals) {
+				t.Fatalf("change %d in flight, image %d: post-resume stats totals diverge:\nwant %+v\ngot  %+v", i, images, refTotals, got)
+			}
+			d.Close()
 		}
-		if ids := d.QueryIDs(); !reflect.DeepEqual(ids, want) {
-			t.Fatalf("log cut at %d of [%d %d %d]: resumed query set %v, want %v", cut, s0, s1, s2, ids, want)
-		}
-		// A call that never returned is made again by its caller.
-		if cut < s1 {
-			mustRemove(t, d, 1)
-		}
-		if cut < s2 {
-			mustAdd(t, d, 3, q3)
-		}
-		if m := mustMonitor(t, d, seg2); !reflect.DeepEqual(m, refM2) {
-			t.Fatalf("log cut at %d: post-resume matches diverge from reference:\nwant %+v\ngot  %+v", cut, refM2, m)
-		}
-		if got := d.Stats(); !reflect.DeepEqual(got, refTotals) {
-			t.Fatalf("log cut at %d: post-resume stats totals diverge:\nwant %+v\ngot  %+v", cut, refTotals, got)
-		}
-		d.Close()
 	}
 
 	// Churn with a window half filled: the changes replay between the same
@@ -523,7 +582,7 @@ func TestQueryChurnIsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, gotTotals := run(mid, func(d *Detector) *Detector {
-		r := mustResume(t, mcfg, crashCopy(t, mcfg.CheckpointDir, -1))
+		r := mustResume(t, mcfg, crashCopy(t, mcfg.CheckpointDir, nil))
 		d.Close()
 		if ids := r.QueryIDs(); !reflect.DeepEqual(ids, []int{2, 3}) || r.engine.PendingFrames() != 5 {
 			t.Fatalf("mid-window resume: queries %v, %d pending frames; want [2 3], 5", ids, r.engine.PendingFrames())
@@ -581,7 +640,7 @@ func TestQueryChurnFailureLeavesNoTrace(t *testing.T) {
 	if ids := det.QueryIDs(); !reflect.DeepEqual(ids, []int{1}) {
 		t.Errorf("query set %v after a failed add, want [1]", ids)
 	}
-	if ids := mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, -1)).QueryIDs(); !reflect.DeepEqual(ids, []int{1}) {
+	if ids := mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, nil)).QueryIDs(); !reflect.DeepEqual(ids, []int{1}) {
 		t.Errorf("resumed query set %v, want [1]", ids)
 	}
 
@@ -594,14 +653,16 @@ func TestQueryChurnFailureLeavesNoTrace(t *testing.T) {
 	if ids := det.QueryIDs(); !reflect.DeepEqual(ids, []int{1}) {
 		t.Errorf("query set %v after a failed remove, want [1]", ids)
 	}
-	if ids := mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, -1)).QueryIDs(); !reflect.DeepEqual(ids, []int{1}) {
+	if ids := mustResume(t, cfg, crashCopy(t, cfg.CheckpointDir, nil)).QueryIDs(); !reflect.DeepEqual(ids, []int{1}) {
 		t.Errorf("resumed query set %v after a failed remove, want [1]", ids)
 	}
 }
 
 // TestCheckpointCompactionRule: with no periodic checkpoints, a checkpoint
 // is taken exactly when, at a window boundary, the log has outgrown the
-// checkpoint it extends — never mid-window, never sooner, never later.
+// checkpoint it extends — never mid-window, never sooner, never later. A
+// batch costs the log one fsync, and a compaction one more: the new log's
+// creation, since the old one has nothing left to sync when it is closed.
 func TestCheckpointCompactionRule(t *testing.T) {
 	cfg := sweepConfig(t.TempDir())
 	det, err := NewDetector(cfg)
@@ -615,19 +676,26 @@ func TestCheckpointCompactionRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckptPath := filepath.Join(cfg.CheckpointDir, CheckpointFileName)
+	walFsyncs := func() float64 {
+		v, _ := scrapeDefault(t).Value("vcd_wal_fsync_duration_seconds_count")
+		return v
+	}
 	compactions := snapshot.Compactions.Value()
 	fired := 0
 	for loop := 0; loop < 12; loop++ {
 		for off := 0; off+4 <= len(cells); off += 4 { // 4-frame batches against 10-frame windows
 			batch := cells[off : off+4]
-			grown := det.wal.Size()
+			var payload []byte
 			for _, c := range batch {
-				grown += int64(1 + len(binary.AppendUvarint(nil, c)))
+				payload = binary.AppendUvarint(payload, c)
 			}
+			// One frames record: marker, length, payload, CRC-32.
+			grown := det.wal.Size() + int64(1+len(binary.AppendUvarint(nil, uint64(len(payload))))+len(payload)+4)
 			ckptBytes := det.ckptBytes
 			if st, err := os.Stat(ckptPath); err != nil || st.Size() != ckptBytes {
 				t.Fatalf("checkpoint file: %v, %v; detector believes %d bytes", st, err, ckptBytes)
 			}
+			fsyncs := walFsyncs()
 			if err := det.pushLogged(batch); err != nil {
 				t.Fatal(err)
 			}
@@ -637,8 +705,13 @@ func TestCheckpointCompactionRule(t *testing.T) {
 				t.Fatalf("log of %d bytes over a checkpoint of %d, %d frames pending: checkpointed = %v",
 					grown, ckptBytes, det.engine.PendingFrames(), got)
 			}
+			wantFsyncs := 1.0
 			if got {
 				fired++
+				wantFsyncs++
+			}
+			if n := walFsyncs() - fsyncs; n != wantFsyncs {
+				t.Fatalf("a batch (compacted: %v) cost %g WAL fsyncs, want %g", got, n, wantFsyncs)
 			}
 		}
 	}

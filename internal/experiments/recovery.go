@@ -96,7 +96,7 @@ func Recovery(l *Lab) (*stats.Table, error) {
 		var aerr error
 		appendT := stats.Time(func() {
 			var wal *snapshot.WAL
-			wal, aerr = snapshot.CreateWALExtending(walPath, cfg.Fingerprint(meta), cut, snapshot.Identity(ckpt))
+			wal, aerr = snapshot.CreateWALExtending(walPath, cfg.Fingerprint(meta), cut, snapshot.Identity(ckpt), int64(len(ckpt)))
 			if aerr != nil {
 				return
 			}

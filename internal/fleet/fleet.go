@@ -273,13 +273,14 @@ func (p *Pool) StreamIDs() []string {
 // Producers must pause pushing for Drain to terminate. On a closed pool it
 // returns at once.
 func (p *Pool) Drain() {
+	r := p.helpers.Get().(*runner)
+	defer p.helpers.Put(r)
 	p.mu.Lock()
-	streams := make([]*Stream, 0, len(p.streams))
 	for _, s := range p.streams {
-		streams = append(streams, s)
+		r.waitFor = append(r.waitFor, s)
 	}
 	p.mu.Unlock()
-	p.helpUntilIdle(streams)
+	p.helpUntilIdle(r)
 }
 
 // Close stops the workers. Attached streams stay readable (Stats, Matches)
@@ -491,7 +492,12 @@ func (s *Stream) idle() bool {
 
 // waitIdle blocks until the stream is idle or the pool closed, running
 // queued passes — of any stream — on the calling goroutine meanwhile.
-func (s *Stream) waitIdle() { s.p.helpUntilIdle([]*Stream{s}) }
+func (s *Stream) waitIdle() {
+	r := s.p.helpers.Get().(*runner)
+	defer s.p.helpers.Put(r)
+	r.waitFor = append(r.waitFor, s)
+	s.p.helpUntilIdle(r)
+}
 
 // Detach removes the stream from the pool. With drain true, queued frames
 // are processed and a final partial window flushed before return; with
@@ -567,6 +573,9 @@ type runner struct {
 	// a pass for, so the pool holds one probe scratch per runner, not per
 	// stream. Touched only inside runPass.
 	probe qindex.ProbeScratch
+	// waitFor holds, for a helper, the streams its Drain or Detach waits
+	// for, in memory the helper keeps from call to call.
+	waitFor []*Stream
 }
 
 // load counts completed non-empty passes and the frames they carried.
@@ -631,18 +640,20 @@ func (p *Pool) run(r *runner, done func() bool) {
 	p.sched.Unlock()
 }
 
-// helpUntilIdle returns when every one of streams is idle, or the pool
-// closed. While one is not, the caller runs whatever is ready — the stream
-// it waits for or any other — and sleeps only when nothing is.
-func (p *Pool) helpUntilIdle(streams []*Stream) {
-	r := p.helpers.Get().(*runner)
-	defer p.helpers.Put(r)
+// helpUntilIdle returns when every one of the helper r's waitFor streams
+// is idle, or the pool closed, and empties the list. While one is not, the
+// caller runs whatever is ready on r — the stream it waits for or any
+// other — and sleeps only when nothing is.
+func (p *Pool) helpUntilIdle(r *runner) {
+	streams := r.waitFor
 	p.run(r, func() bool {
 		for len(streams) > 0 && streams[0].idle() {
 			streams = streams[1:]
 		}
 		return len(streams) == 0
 	})
+	clear(r.waitFor) // hold no detached stream past the call
+	r.waitFor = r.waitFor[:0]
 }
 
 // ring is a FIFO of streams in a circular buffer whose length is a power of

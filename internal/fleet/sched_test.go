@@ -374,3 +374,54 @@ func TestOneRunnerPerStream(t *testing.T) {
 		t.Fatalf("pushed %d frames, engines saw %d, runners counted %d", pushed.Load(), processed, runnerFrames(p))
 	}
 }
+
+// TestDrainDoesNotAllocate: Drain lists the streams it waits for in memory
+// its helper keeps, so a warm Drain over idle streams allocates nothing.
+// Under the race detector sync.Pool drops a quarter of what it is given, so
+// the count is the fewest of 20 calls. Then Drain and Detach run from
+// several goroutines at once, for the race detector.
+func TestDrainDoesNotAllocate(t *testing.T) {
+	p, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	streams := make([]*Stream, 32)
+	for i := range streams {
+		if streams[i], err = p.Attach(fmt.Sprintf("cam-%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := streams[i].Push(make([]uint64, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Drain()
+	allocs := 1.0
+	for range 20 {
+		allocs = min(allocs, testing.AllocsPerRun(1, p.Drain))
+	}
+	if allocs != 0 {
+		t.Errorf("Drain over %d idle streams allocates %g times a call, want 0", len(streams), allocs)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(streams); i += 4 {
+				if err := streams[i].Push(make([]uint64, 10)); err != nil {
+					t.Error(err)
+				}
+				p.Drain()
+				streams[i].Detach(true)
+			}
+		}()
+	}
+	returns(t, "concurrent Drain and Detach", wg.Wait)
+	for _, s := range streams {
+		if s.Pending() != 0 || s.Stats().Frames != 20 {
+			t.Errorf("stream %s: %d pending, %d frames processed; want 0 and 20", s.ID(), s.Pending(), s.Stats().Frames)
+		}
+	}
+}

@@ -348,4 +348,19 @@ func TestHeaderGolden(t *testing.T) {
 	if got := hex.EncodeToString(data); got != wantWAL {
 		t.Errorf("WAL header drifted:\ngot  %s\nwant %s", got, wantWAL)
 	}
+
+	// Version 3: the same fields, the extended checkpoint's identity, and
+	// zeros to the end of the preallocated file; then one frames record.
+	if w, err = CreateWALExtending(dir+"/wal", 0x0123456789abcdef, 77, 0xfedcba9876543210, 0); err != nil {
+		t.Fatal(err)
+	}
+	w.Append([]uint64{300, 9})
+	w.Close()
+	if data, err = os.ReadFile(dir + "/wal"); err != nil {
+		t.Fatal(err)
+	}
+	const wantV3 = "5643574c00030123456789abcdef000000000000004dfedcba9876543210" + "a803ac02090f48f286"
+	if got := hex.EncodeToString(data[:w.Size()]); got != wantV3 || len(data) != 64<<10 || !allZero(data[w.Size():]) {
+		t.Errorf("version 3 WAL drifted:\ngot  %s (file of %d bytes)\nwant %s", got, len(data), wantV3)
+	}
 }
