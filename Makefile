@@ -1,5 +1,9 @@
 GO ?= go
 
+# The determinism harness (internal/core/contracts_test.go): one test per
+# axis, every cell of the method matrix against one reference.
+CONTRACTS = TestEngineDeterministic|TestPushFramesMatchesPushFrame|TestPlaneChurnEquivalence|TestParallelMatchesSerial|TestCrashPointSweep|TestPreFilter|TestDeterminismContracts
+
 .PHONY: all build test race bench bench-quick vet vuln fmt experiments fuzz snapshot-fuzz robustness-smoke queryscale-smoke overload-smoke fleet-smoke perf-smoke clean
 
 all: build test
@@ -66,7 +70,7 @@ robustness-smoke:
 # Reduced-scale query-index gate under the race detector: 10³ queries
 # streamed through the index and through the scan — match output must be
 # identical, the index's work per window bounded by the related queries —
-# plus the exactness harnesses' seeds (FuzzProbeVsScan, FuzzPreFilterMask),
+# plus the exactness harnesses' seeds (FuzzProbeVsScan, FuzzPlaneProbe),
 # the signature kernel's oracle (its AVX2 routine and Go twin against the
 # 64-bit Compare, key ties included, and FuzzLessMask's seeds), the split
 # sketch's round trip, the postings-model, churn and equivalence suites,
@@ -75,7 +79,7 @@ robustness-smoke:
 # Writes the measured level as a JSON artifact into queryscale-report/.
 queryscale-smoke:
 	QUERYSCALE_REPORT_DIR=$(CURDIR)/queryscale-report $(GO) test -race -count=1 \
-		-run 'TestQueryScaleSmoke|TestPreFilter|FuzzPreFilterMask|FuzzProbeVsScan|TestInvert|TestSketchWinners|TestCellRowsModel|TestPrefixCollisions|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestBytesMatchesHeap|TestLessMask|TestLessInto|TestCompareInto|FuzzLessMask|TestSplitSketchRoundTrip|TestWithAnyCoreCount|TestAddBatchAnyCoreCount|TestExportStateAllocs|TestAddQueriesAnyCoreCount|TestAddQueriesFailingClip|TestAddQueriesOneGoroutinePerClip' \
+		-run 'TestQueryScaleSmoke|$(CONTRACTS)|FuzzPlaneProbe|TestPlaneWideWindow|FuzzProbeVsScan|TestInvert|TestSketchWinners|TestCellRowsModel|TestPrefixCollisions|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestBytesMatchesHeap|TestLessMask|TestLessInto|TestCompareInto|FuzzLessMask|TestSplitSketchRoundTrip|TestWithAnyCoreCount|TestAddBatchAnyCoreCount|TestExportStateAllocs|TestAddQueriesAnyCoreCount|TestAddQueriesFailingClip|TestAddQueriesOneGoroutinePerClip' \
 		. ./internal/bitsig ./internal/minhash ./internal/qindex ./internal/core ./internal/experiments
 
 # Overload gate under the race detector: the degrade-layer unit suites plus
@@ -90,13 +94,13 @@ overload-smoke:
 
 # Fleet gate under the race detector: the stream-pool unit suites, the
 # query-plane copy-on-write suites, the HTTP fleet endpoints, and the
-# 64-stream pooled-vs-isolated equivalence checks (pooling must be
-# output-neutral, per-stream memory O(1) in queries). The measured level
-# lands in fleet-report/.
+# 64-stream pooled-vs-isolated checks, with the determinism harness's
+# pooled axis (pooling must be output-neutral, per-stream memory O(1) in
+# queries). The measured level lands in fleet-report/.
 fleet-smoke:
 	$(GO) test -race -count=1 ./internal/fleet
 	FLEET_REPORT_DIR=$(CURDIR)/fleet-report $(GO) test -race -count=1 \
-		-run 'TestFleetScaleSmoke|TestPlane|TestCloneProbeEquivalence|TestFleet|TestQuerySet' \
+		-run 'TestFleetScaleSmoke|TestParallelMatchesSerial|TestPlane|TestCloneProbeEquivalence|TestFleet|TestQuerySet' \
 		./internal/core ./internal/qindex ./internal/experiments ./internal/server .
 
 # Performance-attribution gate: a 64-stream fleet run at 1% span sampling
@@ -115,7 +119,9 @@ perf-smoke:
 
 # Crash-recovery sweep under the race detector, run twice (-count=2: the
 # tests share a process-global metrics registry): snapshot/restore at every
-# window boundary and worker-count combination, every crash image of the
+# window boundary of every cell of the method matrix (the determinism
+# harness's restored axes, TestCrashPointSweep and
+# TestPreFilterSnapshotRoundTrip), every crash image of the
 # preallocated log while a subscription change is written (the synced
 # prefix plus any subset of the write's 512-byte sectors), a crash at every
 # step of a checkpoint, and the version 1 lineage fixture must reproduce
@@ -123,7 +129,7 @@ perf-smoke:
 # fuzz seeds (version 1 and 2 logs cut at every byte, version 3 logs
 # zeroed from any offset or in any sector of the last record) run as tests.
 snapshot-fuzz:
-	$(GO) test -race -count=2 -run 'TestCrashPointSweep|TestExportStateCanonical|TestRestoreRejects' ./internal/core
+	$(GO) test -race -count=2 -run 'TestCrashPointSweep|TestPreFilterSnapshotRoundTrip|TestExportStateCanonical|TestRestoreRejects' ./internal/core
 	$(GO) test -race -count=2 -run 'TestResume|TestQueryChurn|TestCheckpoint|TestWAL|TestHeaderGolden|FuzzReplayWAL' ./...
 	$(GO) test -race -count=2 -run 'TestSnapshot|TestMetricsEndToEnd' ./internal/server
 

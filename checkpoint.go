@@ -298,10 +298,11 @@ func Resume(cfg Config) (*Detector, bool, error) {
 }
 
 // applyPlaneOp replays one logged subscription change through the engine
-// calls the live change went through.
+// call the live change went through: a remove, or one AddQueries of the
+// logged batch, however many queries it holds.
 func (d *Detector) applyPlaneOp(op snapshot.PlaneOp) error {
 	if op.Remove {
 		return d.engine.RemoveQuery(op.IDs[0])
 	}
-	return d.applyAdd(op.IDs, op.Cells)
+	return d.engine.AddQueries(op.IDs, op.Cells)
 }

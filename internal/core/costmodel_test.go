@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -105,73 +104,5 @@ func TestGeometricStorageLogarithmic(t *testing.T) {
 	}
 	if seqAvg := es.Stats().AvgCandidates(); seqAvg < 4*avg {
 		t.Errorf("sequential stores %.1f candidates vs geometric %.1f; expected ≫", seqAvg, avg)
-	}
-}
-
-// TestEngineDeterministic: identical inputs yield identical matches and
-// stats — required for reproducible experiments.
-func TestEngineDeterministic(t *testing.T) {
-	build := func() (Stats, []Match) {
-		rng := rand.New(rand.NewSource(11))
-		q := idStream(rng, 1, 60)
-		stream := append(append(idStream(rng, 2, 100), q...), idStream(rng, 3, 100)...)
-		e, err := NewEngine(Config{K: 128, Seed: 3, Delta: 0.6, Lambda: 2,
-			WindowFrames: 10, Order: Sequential, Method: Bit, UseIndex: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.AddQuery(1, q)
-		for _, id := range stream {
-			e.PushFrame(id)
-		}
-		e.Flush()
-		return e.Stats(), e.Matches
-	}
-	s1, m1 := build()
-	s2, m2 := build()
-	if !reflect.DeepEqual(s1, s2) {
-		t.Errorf("stats differ across identical runs:\n%+v\n%+v", s1, s2)
-	}
-	if len(m1) != len(m2) {
-		t.Fatalf("match counts differ: %d vs %d", len(m1), len(m2))
-	}
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Errorf("match %d differs: %+v vs %+v", i, m1[i], m2[i])
-		}
-	}
-}
-
-// TestEngineDeterministicMultiQuery extends the determinism check to many
-// overlapping queries, which exercises the sorted-iteration report paths.
-func TestEngineDeterministicMultiQuery(t *testing.T) {
-	build := func(order Order) []Match {
-		rng := rand.New(rand.NewSource(12))
-		e, err := NewEngine(Config{K: 128, Seed: 3, Delta: 0.4, Lambda: 2,
-			WindowFrames: 10, Order: order, Method: Bit, UseIndex: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Overlapping queries drawn from the same alphabet so one window
-		// often relates to several queries at once.
-		for q := 1; q <= 6; q++ {
-			e.AddQuery(q, idStream(rand.New(rand.NewSource(int64(q/2))), 1, 40))
-		}
-		for _, id := range idStream(rng, 1, 400) {
-			e.PushFrame(id)
-		}
-		e.Flush()
-		return e.Matches
-	}
-	for _, order := range []Order{Sequential, Geometric} {
-		a, b := build(order), build(order)
-		if len(a) != len(b) {
-			t.Fatalf("%v: %d vs %d matches", order, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%v: match %d differs: %+v vs %+v", order, i, a[i], b[i])
-			}
-		}
 	}
 }

@@ -150,9 +150,8 @@ func (e *Engine) AddQuery(id int, cellIDs []uint64) error {
 	return e.qs.Add(id, cellIDs)
 }
 
-// AddQueries subscribes a batch of continuous queries in one bulk index
-// build; see QuerySet.AddBatch for the cost argument. Use it when
-// subscribing large query populations (the queryscale workloads).
+// AddQueries subscribes a batch of continuous queries as one plane version
+// (QuerySet.AddBatch); AddQuery is the batch of one.
 func (e *Engine) AddQueries(ids []int, cellIDs [][]uint64) error {
 	return e.qs.AddBatch(ids, cellIDs)
 }

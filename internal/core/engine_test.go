@@ -21,30 +21,23 @@ func idStream(rng *rand.Rand, content, frames int) []uint64 {
 	return out
 }
 
-// variant enumerates the method/order/index/prefilter configurations under
-// test. The prefilter variants pin the exact tier's byte-identical-output
-// contract across every suite that iterates this table.
+// variant enumerates the method/order/index configurations under test.
 type variant struct {
-	name      string
-	method    Method
-	order     Order
-	useIndex  bool
-	prefilter bool
+	name     string
+	method   Method
+	order    Order
+	useIndex bool
 }
 
 var variants = []variant{
-	{"bit-seq-index", Bit, Sequential, true, false},
-	{"bit-seq-noindex", Bit, Sequential, false, false},
-	{"bit-geo-index", Bit, Geometric, true, false},
-	{"bit-geo-noindex", Bit, Geometric, false, false},
-	{"sketch-seq-index", Sketch, Sequential, true, false},
-	{"sketch-seq-noindex", Sketch, Sequential, false, false},
-	{"sketch-geo-index", Sketch, Geometric, true, false},
-	{"sketch-geo-noindex", Sketch, Geometric, false, false},
-	{"bit-seq-prefilter", Bit, Sequential, true, true},
-	{"bit-geo-prefilter", Bit, Geometric, true, true},
-	{"sketch-seq-prefilter", Sketch, Sequential, true, true},
-	{"sketch-geo-prefilter", Sketch, Geometric, true, true},
+	{"bit-seq-index", Bit, Sequential, true},
+	{"bit-seq-noindex", Bit, Sequential, false},
+	{"bit-geo-index", Bit, Geometric, true},
+	{"bit-geo-noindex", Bit, Geometric, false},
+	{"sketch-seq-index", Sketch, Sequential, true},
+	{"sketch-seq-noindex", Sketch, Sequential, false},
+	{"sketch-geo-index", Sketch, Geometric, true},
+	{"sketch-geo-noindex", Sketch, Geometric, false},
 }
 
 func newTestEngine(t *testing.T, v variant, k int, delta float64, w int) *Engine {
@@ -52,7 +45,6 @@ func newTestEngine(t *testing.T, v variant, k int, delta float64, w int) *Engine
 	cfg := Config{
 		K: k, Seed: 7, Delta: delta, Lambda: 2, WindowFrames: w,
 		Order: v.order, Method: v.method, UseIndex: v.useIndex,
-		PreFilter: v.prefilter,
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -78,6 +70,28 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := Default(10).Validate(); err != nil {
 		t.Errorf("Default config invalid: %v", err)
+	}
+}
+
+// TestPreFilterValidation: PreFilter no longer constrains a configuration,
+// with or without the index; what the one probe path needs is a window
+// whose cells fit 16-bit winner indices.
+func TestPreFilterValidation(t *testing.T) {
+	cfg := Default(10)
+	cfg.PreFilter = true
+	for _, useIndex := range []bool{false, true} {
+		cfg.UseIndex = useIndex
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("PreFilter with UseIndex=%v rejected: %v", useIndex, err)
+		}
+	}
+	cfg.WindowFrames = maxWindowFrames
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("a window of %d frames rejected: %v", cfg.WindowFrames, err)
+	}
+	cfg.WindowFrames++
+	if err := cfg.Validate(); err == nil {
+		t.Errorf("a window of %d frames accepted", cfg.WindowFrames)
 	}
 }
 
@@ -326,7 +340,7 @@ func TestSequentialCandidateListBounded(t *testing.T) {
 func TestGeometricBucketsLogarithmic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	q := idStream(rng, 1, 320) // maxWindows = 64
-	v := variant{"bit-geo-index", Bit, Geometric, true, false}
+	v := variant{"bit-geo-index", Bit, Geometric, true}
 	e := newTestEngine(t, v, 256, 0.5, 10)
 	if err := e.AddQuery(1, q); err != nil {
 		t.Fatal(err)
@@ -348,7 +362,7 @@ func TestStatsMethodSplit(t *testing.T) {
 	stream := idStream(rng, 1, 400) // same alphabet: plenty of candidates
 
 	run := func(m Method) Stats {
-		e := newTestEngine(t, variant{"x", m, Sequential, true, false}, 256, 0.6, 10)
+		e := newTestEngine(t, variant{"x", m, Sequential, true}, 256, 0.6, 10)
 		if err := e.AddQuery(1, q); err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +437,7 @@ func TestIndexAndScanAgreeOnMatches(t *testing.T) {
 	stream = append(stream, idStream(rng, 41, 70)...)
 
 	collect := func(useIndex bool) map[int]bool {
-		e := newTestEngine(t, variant{"x", Bit, Sequential, useIndex, false}, 400, 0.6, 10)
+		e := newTestEngine(t, variant{"x", Bit, Sequential, useIndex}, 400, 0.6, 10)
 		for i, q := range queries {
 			if err := e.AddQuery(i+1, q); err != nil {
 				t.Fatal(err)

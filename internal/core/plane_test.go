@@ -1,9 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+
+	"vdsms/internal/minhash"
+	"vdsms/internal/qindex"
 )
 
 // TestPlaneVersioning pins the copy-on-write contract at the QuerySet
@@ -64,141 +72,6 @@ func TestPlaneVersioning(t *testing.T) {
 	}
 }
 
-// churnPlan is one deterministic churn action executed at a window
-// boundary: before pushing window winIdx, add or remove a query.
-type churnPlan struct {
-	winIdx int
-	add    bool
-	id     int
-	cells  []uint64
-}
-
-// runChurned pushes the stream window by window, executing each planned
-// churn action at its boundary. When concurrent is true the churn runs on
-// a second goroutine with a channel handshake per boundary — same ordering
-// as inline, but the plane swap is exercised cross-goroutine so the race
-// detector checks the lock-free reader path; the handshake keeps the
-// output comparable to the inline (pause-churn-resume) run byte for byte.
-func runChurned(t *testing.T, v variant, stream []uint64, w int, plan []churnPlan, concurrent bool) ([]Match, Stats, uint64) {
-	t.Helper()
-	e := newTestEngine(t, v, 64, 0.6, w)
-	rng := rand.New(rand.NewSource(42))
-	if err := e.AddQuery(1, idStream(rng, 1, 4*w)); err != nil {
-		t.Fatal(err)
-	}
-
-	var churn func(p churnPlan)
-	inline := func(p churnPlan) {
-		if p.add {
-			if err := e.AddQuery(p.id, p.cells); err != nil {
-				t.Error(err)
-			}
-		} else if err := e.RemoveQuery(p.id); err != nil {
-			t.Error(err)
-		}
-	}
-	var (
-		req  chan churnPlan
-		done chan struct{}
-		wg   sync.WaitGroup
-	)
-	if concurrent {
-		req = make(chan churnPlan)
-		done = make(chan struct{})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range req {
-				inline(p)
-				done <- struct{}{}
-			}
-		}()
-		churn = func(p churnPlan) {
-			req <- p
-			<-done
-		}
-	} else {
-		churn = inline
-	}
-
-	next := 0
-	for off := 0; off < len(stream); off += w {
-		for next < len(plan) && plan[next].winIdx == off/w {
-			churn(plan[next])
-			next++
-		}
-		end := off + w
-		if end > len(stream) {
-			end = len(stream)
-		}
-		e.PushFrames(stream[off:end])
-	}
-	if concurrent {
-		close(req)
-		wg.Wait()
-	}
-	e.Flush()
-	return e.Matches, e.Stats(), e.PlaneVersion()
-}
-
-// TestPlaneChurnEquivalence runs add/remove churn mid-stream from a second
-// goroutine (the copy-on-write fast path, under -race in CI) and asserts
-// the output is byte-identical to the same churn applied inline between
-// pushes — the pause-churn-resume reference. Covers indexed and scan
-// planes, and PreFilter set.
-func TestPlaneChurnEquivalence(t *testing.T) {
-	for _, v := range []variant{
-		{"bit-seq-index", Bit, Sequential, true, false},
-		{"bit-geo-noindex", Bit, Geometric, false, false},
-		{"bit-seq-prefilter", Bit, Sequential, true, true},
-		{"sketch-seq-index", Sketch, Sequential, true, false},
-	} {
-		t.Run(v.name, func(t *testing.T) {
-			const w = 10
-			rng := rand.New(rand.NewSource(42))
-			q1 := idStream(rng, 1, 4*w) // must match runChurned's subscription
-			qX := idStream(rng, 5, 3*w)
-			rng2 := rand.New(rand.NewSource(99))
-			// Background with two embedded copies of q1 and one of qX.
-			var stream []uint64
-			stream = append(stream, idStream(rng2, 100, 6*w)...)
-			stream = append(stream, q1...)
-			stream = append(stream, idStream(rng2, 101, 4*w)...)
-			stream = append(stream, qX...)
-			stream = append(stream, idStream(rng2, 102, 4*w)...)
-			stream = append(stream, q1...)
-			stream = append(stream, idStream(rng2, 103, 2*w)...)
-
-			plan := []churnPlan{
-				{winIdx: 3, add: true, id: 5, cells: qX},
-				{winIdx: 8, add: true, id: 6, cells: idStream(rng2, 104, 2*w)},
-				{winIdx: 12, add: false, id: 6},
-			}
-			inlineM, inlineS, _ := runChurned(t, v, stream, w, plan, false)
-			concM, concS, ver := runChurned(t, v, stream, w, plan, true)
-
-			if len(inlineM) != len(concM) {
-				t.Fatalf("inline churn found %d matches, concurrent churn %d", len(inlineM), len(concM))
-			}
-			for i := range inlineM {
-				if inlineM[i] != concM[i] {
-					t.Errorf("match %d differs: %+v vs %+v", i, inlineM[i], concM[i])
-				}
-			}
-			if inlineS != concS {
-				t.Errorf("stats diverge:\ninline     %+v\nconcurrent %+v", inlineS, concS)
-			}
-			if len(inlineM) == 0 {
-				t.Fatal("workload found no matches; churn equivalence vacuous")
-			}
-			// 1 initial subscription + 3 churn ops.
-			if ver != 4 {
-				t.Errorf("final window ran on plane version %d, want 4", ver)
-			}
-		})
-	}
-}
-
 // TestPlaneChurnInFlight verifies the never-stall contract directly: while
 // an engine goroutine streams continuously (no handshake), another hammers
 // Add/Remove. Under -race this proves window processing never touches a
@@ -207,7 +80,7 @@ func TestPlaneChurnEquivalence(t *testing.T) {
 // unaffected by unrelated churn.
 func TestPlaneChurnInFlight(t *testing.T) {
 	const w = 10
-	e := newTestEngine(t, variant{"bit-seq-index", Bit, Sequential, true, false}, 64, 0.6, w)
+	e := newTestEngine(t, variant{"bit-seq-index", Bit, Sequential, true}, 64, 0.6, w)
 	rng := rand.New(rand.NewSource(7))
 	stable := idStream(rng, 1, 4*w)
 	if err := e.AddQuery(1, stable); err != nil {
@@ -267,4 +140,219 @@ func TestPlaneChurnInFlight(t *testing.T) {
 		t.Fatalf("engine plane version %d ahead of query set version %d",
 			e.PlaneVersion(), e.Queries().Version())
 	}
+}
+
+// TestPlaneWideWindow: a window of 300 distinct cells goes through the one
+// probe path, its winners named, with the matches a scan finds.
+func TestPlaneWideWindow(t *testing.T) {
+	wide := make([]uint64, 300)
+	for j := range wide {
+		wide[j] = uint64(j)<<29 | uint64(j&1)
+	}
+	var got [2][]Match
+	for n, useIndex := range []bool{false, true} {
+		e, err := NewEngine(Config{K: 64, Seed: 3, Delta: 0.5, Lambda: 2, WindowFrames: len(wide),
+			Order: Sequential, Method: Bit, UseIndex: useIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddQuery(1, wide); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddQuery(2, wide[:9]); err != nil {
+			t.Fatal(err)
+		}
+		e.PushFrames(wide)
+		if len(e.winners.Cells) < len(wide) || len(e.winners.Row) != 64 {
+			t.Fatalf("index=%v: %d cells, %d rows named", useIndex, len(e.winners.Cells), len(e.winners.Row))
+		}
+		e.PushFrames(wide[:8])
+		e.Flush()
+		got[n] = e.Matches
+	}
+	if len(got[0]) == 0 || !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("matches by scan %+v, by index %+v", got[0], got[1])
+	}
+}
+
+// FuzzPlaneProbe is the plane's exactness harness. For every window the
+// plane's index, probed with the winners the window's sketch loop named as
+// the engine probes it, must answer — Related with signatures, Pruned,
+// Comparisons — as it does when it finds the window's cells by inverting
+// the sketch, and as the Build shim's scan of the same queries does; on
+// query sketches crafted around the windows' own values (equal, sharing a
+// 32-bit prefix, u<<29 and u<<29|1 of a small universe, ≥ p, Empty), on the
+// same set saved and restored through VQS1, and after every step of a
+// random Add/Remove schedule, windows of some hundred cells included.
+func FuzzPlaneProbe(f *testing.F) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(seed, uint8(seed), uint8(3*seed))
+	}
+	f.Add(int64(42), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, kSel, uSel uint8) {
+		newPlaneHarness(seed, kSel, uSel).run(t)
+	})
+}
+
+// planeHarness is one exactness run: a family, windows over a small
+// universe of cells, and the live sketches of the set under test.
+type planeHarness struct {
+	rng      *rand.Rand
+	k        int
+	seed     int64
+	universe int
+	fam      *minhash.Family
+	windows  [][]uint64
+	sks      []minhash.Sketch
+}
+
+func newPlaneHarness(seed int64, kSel, uSel uint8) *planeHarness {
+	h := &planeHarness{
+		rng:      rand.New(rand.NewSource(seed)),
+		k:        []int{8, 64, 130}[kSel%3],
+		seed:     seed,
+		universe: 1 + int(uSel%24),
+	}
+	h.fam, _ = minhash.NewFamily(h.k, seed)
+	for w := 0; w < 6; w++ {
+		h.windows = append(h.windows, h.cells(1+h.rng.Intn(12)))
+	}
+	wide := h.cells(300)
+	for j := range wide[h.universe:] {
+		wide[h.universe+j] = uint64(j+h.universe)<<29 | 1
+	}
+	h.windows = append(h.windows, wide)
+	for _, ids := range h.windows {
+		h.sks = append(h.sks, h.fam.SketchSet(ids))
+	}
+	return h
+}
+
+// cells draws n cell ids u<<29 and u<<29|1 from the universe.
+func (h *planeHarness) cells(n int) []uint64 {
+	ids := make([]uint64, n)
+	for j := range ids {
+		ids[j] = uint64(h.rng.Intn(h.universe))<<29 | uint64(h.rng.Intn(2))
+	}
+	return ids
+}
+
+// crafted returns a sketch whose every value is drawn around some window's
+// value at that row.
+func (h *planeHarness) crafted() minhash.Sketch {
+	real := h.fam.SketchSet(h.cells(1 + h.rng.Intn(6)))
+	sk := make(minhash.Sketch, h.k)
+	for i := range sk {
+		v := h.sks[h.rng.Intn(len(h.sks))][i]
+		switch h.rng.Intn(7) {
+		case 0: // the window's value itself
+		case 1:
+			v ^= 1 // the same prefix, another value
+		case 2:
+			v = v>>29<<29 | uint64(h.rng.Intn(2))
+		case 3:
+			v = uint64(h.rng.Intn(h.universe))<<29 | uint64(h.rng.Intn(2))
+		case 4:
+			v = 1<<61 - 1 + uint64(h.rng.Intn(4)) // ≥ p: no element hashes here
+		case 5:
+			v = minhash.Empty
+		default:
+			v = real[i]
+		}
+		sk[i] = v
+	}
+	return sk
+}
+
+// add subscribes query id to qs: crafted (through the restore path) or
+// sketched from cell ids.
+func (h *planeHarness) add(t *testing.T, qs *QuerySet, id int) {
+	t.Helper()
+	var err error
+	if h.rng.Intn(2) == 0 {
+		err = qs.insert([]qindex.Query{{ID: id, Length: 1 + h.rng.Intn(30), Sketch: h.crafted()}})
+	} else {
+		err = qs.Add(id, h.cells(1+h.rng.Intn(20)))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (h *planeHarness) run(t *testing.T) {
+	orig, err := NewQuerySet(h.k, h.seed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 1
+	for ; next <= 1+h.rng.Intn(10); next++ {
+		h.add(t, orig, next)
+	}
+	h.check(t, "built", orig)
+
+	var buf bytes.Buffer
+	if err := orig.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	qs, err := LoadQuerySet(Config{K: h.k, Seed: h.seed, UseIndex: true}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.check(t, "restored", qs)
+
+	for step := 0; step < 30; step++ {
+		ids := qs.IDs()
+		if len(ids) > 0 && h.rng.Intn(5) < 2 {
+			if err := qs.Remove(ids[h.rng.Intn(len(ids))]); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			h.add(t, qs, next)
+			next++
+		}
+		h.check(t, fmt.Sprintf("step %d", step), qs)
+	}
+}
+
+// check probes the plane's index for every window three ways — with the
+// window's winners, by inversion, and through the Build shim — and holds
+// the three answers to one another.
+func (h *planeHarness) check(t *testing.T, when string, qs *QuerySet) {
+	t.Helper()
+	v := qs.view()
+	if v.index.Len() == 0 {
+		return
+	}
+	shim, err := qindex.Build(sketched(v.index))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w minhash.Winners
+	ps := new(qindex.ProbeScratch)
+	for n, ids := range h.windows {
+		sk := h.fam.SketchWinners(ids, &w)
+		if !reflect.DeepEqual(sk, h.sks[n]) || len(w.Row) != h.k {
+			t.Fatalf("%s window %d: SketchWinners differs from SketchSet, or names %d of %d rows", when, n, len(w.Row), h.k)
+		}
+		want := probeString(shim.Probe(sk, 0.5))
+		if got := probeString(*v.index.ProbeInto(ps, sk, 0.5, &w)); got != want {
+			t.Fatalf("%s window %d (%d cells): probe by winners %s, scan %s", when, n, len(w.Cells), got, want)
+		}
+		if got := probeString(v.index.Probe(sk, 0.5)); got != want {
+			t.Fatalf("%s window %d (%d cells): probe by inversion %s, scan %s", when, n, len(w.Cells), got, want)
+		}
+	}
+}
+
+// probeString renders a probe's output, signatures included, in query-id
+// order.
+func probeString(po qindex.ProbeOutput) string {
+	rel, pruned := slices.Clone(po.Related), slices.Clone(po.Pruned)
+	slices.SortFunc(rel, func(a, b qindex.Result) int { return cmp.Compare(a.QID, b.QID) })
+	slices.Sort(pruned)
+	s := fmt.Sprintf("pruned=%v comparisons=%d", pruned, po.Comparisons)
+	for _, r := range rel {
+		s += fmt.Sprintf(" q%d:%x/%x", r.QID, r.Sig.Lo, r.Sig.Hi)
+	}
+	return s
 }

@@ -8,7 +8,7 @@ import (
 
 // TestAddBatchMatchesIncremental: batch subscription must be functionally
 // indistinguishable from per-query AddQuery — same matches on the same
-// stream — for indexed, unindexed and pre-filtered engines.
+// stream — for indexed and unindexed engines.
 func TestAddBatchMatchesIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	queries := make([][]uint64, 9)
@@ -25,9 +25,8 @@ func TestAddBatchMatchesIncremental(t *testing.T) {
 	stream = append(stream, idStream(rng, 42, 50)...)
 
 	for _, v := range []variant{
-		{"bit-seq-index", Bit, Sequential, true, false},
-		{"bit-seq-noindex", Bit, Sequential, false, false},
-		{"bit-seq-prefilter", Bit, Sequential, true, true},
+		{"bit-seq-index", Bit, Sequential, true},
+		{"bit-seq-noindex", Bit, Sequential, false},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			run := func(batch bool) []Match {

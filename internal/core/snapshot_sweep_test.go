@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -43,101 +42,6 @@ func sweepScript(seed int64, order Order, method Method, useIndex bool) *fuzzScr
 	// One mid-stream removal so the sweep crosses subscription churn.
 	fs.removeAt[frames/2] = 2
 	return fs
-}
-
-// runSplit replays fs with a crash at frame index cut: the first engine
-// consumes frames[:cut] and is checkpointed through a full
-// serialise/deserialise cycle; the second engine resumes from the decoded
-// state and consumes the rest. It returns the concatenated matches and the
-// final stats.
-func runSplit(t *testing.T, fs *fuzzScript, cut int) ([]Match, Stats) {
-	t.Helper()
-	cfg := fs.cfg
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ids := range fs.queries {
-		if err := e.AddQuery(i+1, ids); err != nil {
-			t.Fatal(err)
-		}
-	}
-	removed := map[int]bool{}
-	push := func(e *Engine, from, to int) {
-		for i := from; i < to; i++ {
-			e.PushFrame(fs.frames[i])
-			if victim, ok := fs.removeAt[i]; ok && !removed[victim] {
-				removed[victim] = true
-				if err := e.RemoveQuery(victim); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	push(e, 0, cut)
-
-	// Serialise the exported state through the real codec so the sweep also
-	// exercises the on-disk format, not just the in-memory conversion.
-	var buf bytes.Buffer
-	ck := &snapshot.Checkpoint{Engine: *e.ExportState()}
-	if err := snapshot.Write(&buf, ck); err != nil {
-		t.Fatalf("cut %d: %v", cut, err)
-	}
-	dec, err := snapshot.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("cut %d: %v", cut, err)
-	}
-	e2, err := RestoreEngine(cfg, &dec.Engine)
-	if err != nil {
-		t.Fatalf("cut %d: restore: %v", cut, err)
-	}
-	push(e2, cut, len(fs.frames))
-	e2.Flush()
-	return append(append([]Match(nil), e.Matches...), e2.Matches...), e2.Stats()
-}
-
-// TestCrashPointSweep is the headline determinism guarantee of the
-// checkpoint subsystem: for every engine variant, snapshotting at every
-// window boundary (and mid-window) and restoring yields exactly the
-// matches and stats of an uninterrupted run.
-func TestCrashPointSweep(t *testing.T) {
-	variants := []struct {
-		name     string
-		order    Order
-		method   Method
-		useIndex bool
-	}{
-		{"seq-bit-index", Sequential, Bit, true},
-		{"seq-sketch-noindex", Sequential, Sketch, false},
-		{"geo-bit-noindex", Geometric, Bit, false},
-		{"geo-sketch-index", Geometric, Sketch, true},
-	}
-	for vi, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			t.Parallel()
-			fs := sweepScript(int64(7000+vi), v.order, v.method, v.useIndex)
-			wantM, wantS := fs.replay(t)
-			if len(wantM) == 0 {
-				t.Fatalf("script produced no matches; sweep would prove nothing")
-			}
-			var cuts []int
-			for f := 0; f <= len(fs.frames); f += fs.cfg.WindowFrames {
-				cuts = append(cuts, f)
-			}
-			// Mid-window cuts: the checkpoint carries a partial window.
-			cuts = append(cuts, 3, len(fs.frames)/2+2, len(fs.frames)-1)
-			for _, cut := range cuts {
-				gotM, gotS := runSplit(t, fs, cut)
-				if !reflect.DeepEqual(gotM, wantM) {
-					t.Fatalf("cut %d: matches diverge\nwant %+v\ngot  %+v", cut, wantM, gotM)
-				}
-				if gotS != wantS {
-					t.Fatalf("cut %d: stats diverge\nwant %+v\ngot  %+v", cut, wantS, gotS)
-				}
-			}
-		})
-	}
 }
 
 // TestRestoreRejectsIncompatibleConfig pins the loud-failure contract: a

@@ -14,47 +14,64 @@ import (
 	"vdsms/internal/trace"
 )
 
-// traceRun pushes determinism_test.go's workload through an engine with
-// tracing (and optionally auditing) armed, returning the match stream, the
-// journaled events and the provenance records. With onWorker set the
-// engine is driven as a fleet worker drives it: in 7-frame pushes on a
-// probe scratch it shares with a sibling engine, whose pushes of other
-// material come in between.
-func traceRun(t *testing.T, v variant, k, auditEvery int, onWorker bool) ([]Match, []trace.Event, []trace.MatchRecord) {
+// detWorkload is a fixed multi-query workload: seven queries, and a stream
+// of background with copies of several queries separated by more
+// background, so windows relate to overlapping query subsets.
+func detWorkload() (queries [][]uint64, stream []uint64) {
+	rng := rand.New(rand.NewSource(42))
+	queries = make([][]uint64, 7)
+	for i := range queries {
+		queries[i] = idStream(rng, i+1, 40+10*i)
+	}
+	stream = append(stream, idStream(rng, 50, 95)...)
+	for _, qi := range []int{2, 0, 5, 3} {
+		stream = append(stream, queries[qi]...)
+		stream = append(stream, idStream(rng, 60+qi, 57)...)
+	}
+	return queries, stream
+}
+
+// detEngine builds an engine for variant v subscribed to detWorkload's
+// queries.
+func detEngine(t *testing.T, v variant, k int) *Engine {
 	t.Helper()
-	cfg := Config{
+	e, err := NewEngine(Config{
 		K: k, Seed: 5, Delta: 0.5, Lambda: 2, WindowFrames: 10,
 		Order: v.order, Method: v.method, UseIndex: v.useIndex,
-	}
-	e, err := NewEngine(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := trace.NewJournal(1<<17, 512)
-	e.Trace(j, "t")
-	if auditEvery > 0 {
-		e.SetAudit(auditEvery)
-	}
-	queries, stream := detWorkload()
+	queries, _ := detWorkload()
 	for i, ids := range queries {
 		if err := e.AddQuery(i+1, ids); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return e
+}
+
+// traceRun pushes detWorkload through an engine with tracing (and
+// optionally auditing) armed, returning the match stream, the journaled
+// events and the provenance records. With onWorker set the engine is driven
+// as a fleet worker drives it: in 7-frame pushes on a probe scratch it
+// shares with a sibling engine, whose pushes of other material come in
+// between.
+func traceRun(t *testing.T, v variant, k, auditEvery int, onWorker bool) ([]Match, []trace.Event, []trace.MatchRecord) {
+	t.Helper()
+	e := detEngine(t, v, k)
+	j := trace.NewJournal(1<<17, 512)
+	e.Trace(j, "t")
+	if auditEvery > 0 {
+		e.SetAudit(auditEvery)
+	}
+	_, stream := detWorkload()
 	if !onWorker {
 		e.PushFrames(stream)
 		e.Flush()
 		return e.Matches, j.Events(trace.Filter{Kind: trace.KindAny}), j.Matches(0)
 	}
-	sib, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ids := range queries {
-		if err := sib.AddQuery(i+1, ids); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sib := detEngine(t, v, k)
 	other := append(append([]uint64(nil), stream[len(stream)/2:]...), stream[:len(stream)/2]...)
 	ps := new(qindex.ProbeScratch)
 	for i := 0; i < len(stream); i += 7 {
@@ -72,7 +89,11 @@ func traceRun(t *testing.T, v variant, k, auditEvery int, onWorker bool) ([]Matc
 func TestTracingDoesNotPerturbMatches(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			wantM, _ := detRun(t, v, true)
+			e := detEngine(t, v, 192)
+			_, stream := detWorkload()
+			e.PushFrames(stream)
+			e.Flush()
+			wantM := e.Matches
 			gotM, _, _ := traceRun(t, v, 192, 3, false)
 			if !reflect.DeepEqual(gotM, wantM) {
 				t.Errorf("tracing perturbed matches\nuntraced: %+v\ntraced:   %+v", wantM, gotM)

@@ -187,137 +187,6 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// runIsolated replays stream i's workload through a private single-stream
-// engine with its own query set — the reference the fleet must match
-// byte for byte.
-func runIsolated(t *testing.T, cfg core.Config, batches [][]uint64, qids []int, qcells [][]uint64) ([]core.Match, core.Stats) {
-	t.Helper()
-	e, err := core.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddQueries(qids, qcells); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		e.PushFrames(b)
-	}
-	e.Flush()
-	return e.Matches, e.Stats()
-}
-
-// TestFleetEquivalence is the core correctness property: N streams
-// multiplexed over a small worker pool, pushed from concurrent producers,
-// must each produce exactly the matches and stats of an isolated engine
-// fed the same frames — same query subscription sequence, same windows,
-// same plane contents — whichever goroutines ran their passes: the workers,
-// one draining goroutine, two, or the detaching goroutines alone.
-func TestFleetEquivalence(t *testing.T) {
-	finishes := []struct {
-		name string
-		fn   func(p *Pool)
-	}{
-		{"drain", func(p *Pool) { p.Drain() }},
-		{"two drains", func(p *Pool) {
-			var wg sync.WaitGroup
-			for i := 0; i < 2; i++ {
-				wg.Add(1)
-				go func() { defer wg.Done(); p.Drain() }()
-			}
-			wg.Wait()
-		}},
-		// No barrier: each Detach(true) below finds other streams queued.
-		{"detach", func(*Pool) {}},
-	}
-	for _, workers := range []int{1, 3, 4} {
-		for _, f := range finishes {
-			t.Run(fmt.Sprintf("workers=%d/%s", workers, f.name), func(t *testing.T) {
-				testFleetEquivalence(t, workers, f.fn)
-			})
-		}
-	}
-}
-
-func testFleetEquivalence(t *testing.T, workers int, finish func(*Pool)) {
-	const nStreams = 24
-	cfg := testConfig(workers)
-	cfg.Engine.PreFilter = true
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	qrng := rand.New(rand.NewSource(77))
-	query := idStream(qrng, 1, 40)
-	decoy := idStream(qrng, 2, 30)
-	qids := []int{1, 2}
-	qcells := [][]uint64{query, decoy}
-	if err := p.AddQueries(qids, qcells); err != nil {
-		t.Fatal(err)
-	}
-
-	streams := make([]*Stream, nStreams)
-	workloads := make([][][]uint64, nStreams)
-	pushed := 0
-	for i := range streams {
-		s, err := p.Attach(fmt.Sprintf("cam-%03d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams[i] = s
-		workloads[i] = streamWorkload(i, cfg.Engine.WindowFrames, query)
-		for _, b := range workloads[i] {
-			pushed += len(b)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for i, s := range streams {
-		wg.Add(1)
-		go func(s *Stream, batches [][]uint64) {
-			defer wg.Done()
-			for _, b := range batches {
-				for {
-					err := s.Push(b)
-					if err == nil {
-						break
-					}
-					if !errors.Is(err, ErrBackpressure) {
-						t.Error(err)
-						return
-					}
-					s.waitIdle() // retry once the queue drains
-				}
-			}
-		}(s, workloads[i])
-	}
-	wg.Wait()
-	finish(p)
-
-	matched := 0
-	for i, s := range streams {
-		s.Detach(true) // flush the final partial window, like the reference
-		wantM, wantS := runIsolated(t, cfg.Engine, workloads[i], qids, qcells)
-		gotM, gotS := s.Matches(), s.Stats()
-		if !reflect.DeepEqual(gotM, wantM) {
-			t.Errorf("stream %d: matches diverge from isolated engine:\nfleet    %+v\nisolated %+v", i, gotM, wantM)
-		}
-		if it, ct := gotS, wantS; !reflect.DeepEqual(it, ct) {
-			t.Errorf("stream %d: stats diverge:\nfleet    %+v\nisolated %+v", i, it, ct)
-		}
-		if len(gotM) > 0 {
-			matched++
-		}
-	}
-	if matched == 0 {
-		t.Fatal("no stream matched; equivalence check vacuous")
-	}
-	if got := runnerFrames(p); got != int64(pushed) {
-		t.Errorf("runner rows count %d frames, %d were pushed", got, pushed)
-	}
-}
-
 // runnerFrames sums the frames of every WorkerStats row.
 func runnerFrames(p *Pool) int64 {
 	var n int64
@@ -392,25 +261,7 @@ func TestFleetChurnUnderLoad(t *testing.T) {
 		}()
 	}
 
-	var wg sync.WaitGroup
-	streams := make([]*Stream, nStreams)
-	for i := range streams {
-		s, err := p.Attach(fmt.Sprintf("s-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams[i] = s
-		wg.Add(1)
-		go func(i int, s *Stream) {
-			defer wg.Done()
-			for _, b := range streamWorkload(i, cfg.Engine.WindowFrames, query) {
-				for errors.Is(s.Push(b), ErrBackpressure) {
-					s.waitIdle()
-				}
-			}
-		}(i, s)
-	}
-	wg.Wait()
+	streams, _ := pushAll(t, p, nStreams, query)
 	close(stop)
 	churnWG.Wait()
 	p.Drain()
@@ -429,6 +280,120 @@ func TestFleetChurnUnderLoad(t *testing.T) {
 		if s.PlaneVersion() > p.Queries().Version() {
 			t.Errorf("stream %d plane version %d ahead of set version %d",
 				i, s.PlaneVersion(), p.Queries().Version())
+		}
+	}
+}
+
+// runIsolated replays a stream's batches through a private single-stream
+// engine with its own query set, the reference a pooled stream is held to.
+func runIsolated(t *testing.T, cfg core.Config, batches [][]uint64, qids []int, qcells [][]uint64) ([]core.Match, core.Stats) {
+	t.Helper()
+	e, err := core.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddQueries(qids, qcells); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		e.PushFrames(b)
+	}
+	e.Flush()
+	return e.Matches, e.Stats()
+}
+
+// pushAll attaches n streams to p and pushes stream i's streamWorkload from
+// a producer of its own, retrying on backpressure once the queue drains. It
+// returns when every producer is done, with the streams and their batches.
+func pushAll(t *testing.T, p *Pool, n int, query []uint64) ([]*Stream, [][][]uint64) {
+	streams := make([]*Stream, n)
+	workloads := make([][][]uint64, n)
+	var wg sync.WaitGroup
+	for i := range streams {
+		s, err := p.Attach(fmt.Sprintf("cam-%03d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = s
+		workloads[i] = streamWorkload(i, p.cfg.Engine.WindowFrames, query)
+		wg.Add(1)
+		go func(s *Stream, batches [][]uint64) {
+			defer wg.Done()
+			for _, b := range batches {
+				for errors.Is(s.Push(b), ErrBackpressure) {
+					s.waitIdle()
+				}
+			}
+		}(s, workloads[i])
+	}
+	wg.Wait()
+	return streams, workloads
+}
+
+// TestFleetEquivalence: 24 streams multiplexed over a small worker pool,
+// pushed from concurrent producers against backpressure, must each end with
+// exactly the matches and stats of an isolated engine fed the same
+// batches, whichever goroutines ran their passes: the workers, one draining
+// goroutine, two, or the detaching goroutines alone. Core's
+// TestParallelMatchesSerial holds the pool to the same contract over every
+// cell of the method matrix and through churn.
+func TestFleetEquivalence(t *testing.T) {
+	finishes := []struct {
+		name string
+		fn   func(p *Pool)
+	}{
+		{"drain", (*Pool).Drain},
+		{"two drains", func(p *Pool) {
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() { defer wg.Done(); p.Drain() }()
+			}
+			wg.Wait()
+		}},
+		// No barrier: each Detach(true) below finds other streams queued.
+		{"detach", func(*Pool) {}},
+	}
+	for _, workers := range []int{1, 3, 4} {
+		for _, f := range finishes {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, f.name), func(t *testing.T) {
+				p, err := New(testConfig(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				qrng := rand.New(rand.NewSource(77))
+				query := idStream(qrng, 1, 40)
+				qids, qcells := []int{1, 2}, [][]uint64{query, idStream(qrng, 2, 30)}
+				if err := p.AddQueries(qids, qcells); err != nil {
+					t.Fatal(err)
+				}
+				streams, workloads := pushAll(t, p, 24, query)
+				f.fn(p)
+				matched, pushed := 0, 0
+				for i, s := range streams {
+					s.Detach(true) // flush the final partial window, like the reference
+					wantM, wantS := runIsolated(t, p.cfg.Engine, workloads[i], qids, qcells)
+					if gotM := s.Matches(); !reflect.DeepEqual(gotM, wantM) {
+						t.Errorf("stream %d: matches diverge from isolated engine:\nfleet    %+v\nisolated %+v", i, gotM, wantM)
+					}
+					if gotS := s.Stats(); gotS != wantS {
+						t.Errorf("stream %d: stats diverge:\nfleet    %+v\nisolated %+v", i, gotS, wantS)
+					}
+					if len(wantM) > 0 {
+						matched++
+					}
+					for _, b := range workloads[i] {
+						pushed += len(b)
+					}
+				}
+				if matched == 0 {
+					t.Fatal("no stream matched; equivalence check vacuous")
+				}
+				if got := runnerFrames(p); got != int64(pushed) {
+					t.Errorf("runner rows count %d frames, %d were pushed", got, pushed)
+				}
+			})
 		}
 	}
 }
@@ -453,27 +418,7 @@ func TestFleetSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	streams := make([]*Stream, nStreams)
-	workloads := make([][][]uint64, nStreams)
-	var wg sync.WaitGroup
-	for i := range streams {
-		s, err := p.Attach(fmt.Sprintf("cam-%03d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams[i] = s
-		workloads[i] = streamWorkload(i, cfg.Engine.WindowFrames, query)
-		wg.Add(1)
-		go func(s *Stream, batches [][]uint64) {
-			defer wg.Done()
-			for _, b := range batches {
-				for errors.Is(s.Push(b), ErrBackpressure) {
-					s.waitIdle()
-				}
-			}
-		}(s, workloads[i])
-	}
-	wg.Wait()
+	streams, workloads := pushAll(t, p, nStreams, query)
 	p.Drain()
 
 	for i, s := range streams {

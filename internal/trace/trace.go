@@ -553,10 +553,3 @@ func (j *Journal) matchesOf(limit int, only int64) []MatchRecord {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

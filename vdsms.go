@@ -616,19 +616,10 @@ func (d *Detector) subscribe(ids []int, cells [][]uint64) error {
 			return d.logFailed(err)
 		}
 	}
-	if err := d.applyAdd(ids, cells); err != nil {
+	if err := d.engine.AddQueries(ids, cells); err != nil {
 		return err
 	}
 	return d.compactIfOutgrown()
-}
-
-// applyAdd is the engine call behind a subscription, live or replayed: one
-// query is inserted into the index, several rebuild it in bulk.
-func (d *Detector) applyAdd(ids []int, cells [][]uint64) error {
-	if len(ids) == 1 {
-		return d.engine.AddQuery(ids[0], cells[0])
-	}
-	return d.engine.AddQueries(ids, cells)
 }
 
 // RemoveQuery unsubscribes a query; durable like AddQuery.

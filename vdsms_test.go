@@ -251,7 +251,9 @@ func TestAddQueryErrors(t *testing.T) {
 
 // TestPreFilterFacade pins the facade contract of batch subscription:
 // AddQueries, with the ignored Config.PreFilter set, must reproduce the
-// incremental detector's matches exactly.
+// incremental detector's matches exactly. It is the one test that sets
+// PreFilter: the benchmark still does, so such a Config must validate and
+// run.
 func TestPreFilterFacade(t *testing.T) {
 	q1, q2 := clip(t, 21, 16), clip(t, 22, 16)
 	var stream bytes.Buffer
