@@ -37,8 +37,9 @@
 // MATCH line is followed by an EXPLAIN line: the per-window estimate
 // trajectory that crossed δ, the combination order and signature method,
 // and an exact-Jaccard audit of the reported similarity against Theorem
-// 1's deviation bound. A final stderr line counts the decisions that never
-// became matches (prunes, drops, expiries, near misses).
+// 1's deviation bound. Final stderr lines count the decisions that never
+// became matches (prunes, drops, expiries, near misses) and give each
+// stage's p50/p99 over every timed window (the "perf:" line).
 //
 // The detection, durability, overload and observability flags are the
 // ones vcdserve takes too (internal/cli); -resume, -q, the query-set,
@@ -87,15 +88,10 @@ func main() {
 	archiveSec := flag.Float64("archive-sec", 120, "seconds of stream retained for archiving")
 	resume := flag.Bool("resume", false, "restore state from -checkpoint-dir and replay the frame log before monitoring")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address while monitoring (e.g. :8655)")
-	explain := flag.Bool("explain", false, "trace candidate lifecycles and print an EXPLAIN line (trajectory, audit) per match; samples every window's perf span")
+	explain := flag.Bool("explain", false, "trace candidate lifecycles and print an EXPLAIN line (trajectory, audit) per match, and a per-stage perf line at exit")
 	flag.Var(&qs, "q", "query clip path, or id=path (repeatable)")
 	flag.Parse()
 
-	// -explain is a request for the full story of a run; include the
-	// per-stage latency breakdown by sampling every window's span.
-	if *explain && shared.SpanSample == 0 {
-		shared.SpanSample = 1
-	}
 	stopObs, err := shared.Start()
 	if err != nil {
 		fatal(err)
@@ -158,6 +154,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	stopSpans, err := shared.Observe(det)
+	if err != nil {
+		fatal(err)
+	}
+	defer stopSpans()
 
 	_, skippedQueries := subscribeQueries(det, qs)
 	if det.NumQueries() == 0 {
@@ -252,8 +253,6 @@ func main() {
 	if *explain {
 		fmt.Fprintln(os.Stderr, explainSummary(det))
 		fmt.Fprintf(os.Stderr, "work: %d related, %d pruned, %d compared\n", st.Probed, st.Pruned, st.Compared)
-	}
-	if shared.SpanSample > 0 {
 		if line := perfSummary(); line != "" {
 			fmt.Fprintln(os.Stderr, line)
 		}
@@ -354,23 +353,23 @@ func explainSummary(det *vdsms.Detector) string {
 		counts["expired"], counts["reported"], counts["near_miss"])
 }
 
-// perfSummary renders the per-stage latency breakdown of the sampled spans
-// — one "perf:" line with p50/p99 per observed stage, in pipeline order.
-// Empty when nothing was sampled.
+// perfSummary renders the per-stage latency breakdown of every timed
+// window — one "perf:" line with p50/p99 per observed stage, in pipeline
+// order, read off the stage histograms. Empty when no window was timed.
 func perfSummary() string {
-	agg := perfobs.Default.Aggregate()
-	if agg.Windows == 0 {
+	windows := perfobs.StageSeconds[perfobs.StageWindowTotal].Count()
+	if windows == 0 {
 		return ""
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "perf: %d windows sampled", agg.Windows)
-	for st := perfobs.Stage(0); st < perfobs.NumStages; st++ {
-		if agg.Stages[st].Count == 0 {
+	fmt.Fprintf(&sb, "perf: %d windows timed", windows)
+	for st, h := range perfobs.StageSeconds {
+		if h.Count() == 0 {
 			continue
 		}
-		p50 := time.Duration(agg.Quantile(st, 0.5) * float64(time.Second))
-		p99 := time.Duration(agg.Quantile(st, 0.99) * float64(time.Second))
-		fmt.Fprintf(&sb, ", %s p50=%s p99=%s", st, p50.Round(time.Microsecond), p99.Round(time.Microsecond))
+		p50 := time.Duration(h.Quantile(0.5) * float64(time.Second))
+		p99 := time.Duration(h.Quantile(0.99) * float64(time.Second))
+		fmt.Fprintf(&sb, ", %s p50=%s p99=%s", perfobs.Stage(st), p50.Round(time.Microsecond), p99.Round(time.Microsecond))
 	}
 	return sb.String()
 }

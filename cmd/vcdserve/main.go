@@ -92,14 +92,9 @@ func main() {
 	cfg.AuditFraction = *auditFraction
 	cfg.StreamName = "root"
 
-	if *traceLog {
-		if *traceEvents <= 0 && *auditFraction <= 0 {
-			fmt.Fprintln(os.Stderr, "vcdserve: -trace-log requires -trace-events or -audit-fraction")
-			os.Exit(2)
-		}
-		logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-		stopLog := trace.LogEvents(trace.Default, logger)
-		defer stopLog()
+	if *traceLog && *traceEvents <= 0 && *auditFraction <= 0 {
+		fmt.Fprintln(os.Stderr, "vcdserve: -trace-log requires -trace-events or -audit-fraction")
+		os.Exit(2)
 	}
 
 	srv, err := server.NewWithOptions(cfg, server.Options{
@@ -114,6 +109,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vcdserve:", err)
 		os.Exit(1)
 	}
+	if *traceLog {
+		// The journal's retained events — the restore-on-boot replay's
+		// among them — are logged first, then every event after.
+		stopLog := trace.LogEvents(srv.Lineage().Journal(), slog.New(slog.NewJSONHandler(os.Stderr, nil)))
+		defer stopLog()
+	}
+	stopSpans, err := shared.Observe(srv.Lineage())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vcdserve:", err)
+		os.Exit(1)
+	}
+	defer stopSpans()
 	if srv.Restored() {
 		log.Printf("restored %d queries from checkpoint in %s", srv.NumQueries(), cfg.CheckpointDir)
 	}

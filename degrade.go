@@ -180,7 +180,7 @@ func (d *Detector) shedExtract(dcf *mpeg.DCFrame) bool {
 	}
 	o.extractShed.Add(1)
 	telShedExtract.Inc()
-	perfobs.DefaultOutliers.ObserveShed(d.perfLabel, 1)
+	d.spans.Outliers().ObserveShed(d.perfLabel, 1)
 	return true
 }
 

@@ -1,9 +1,10 @@
 // Package cli is the command-line surface vcdmon and vcdserve share: the
 // detection parameters of paper Table I, durability, overload and resync,
 // the slow-window budget and the performance-attribution knobs, registered
-// once and bound to one vdsms.Config, plus the process observability they
-// arm (span sampling, the span log, the profiler ring and the /metrics
-// side listener). Flags only one binary takes stay in its main.
+// once and bound to one vdsms.Config, plus the observability they arm: span
+// sampling and the span log on the detector lineage, the process profiler
+// ring and the /metrics side listener. Flags only one binary takes stay in
+// its main.
 package cli
 
 import (
@@ -17,7 +18,6 @@ import (
 
 	"vdsms"
 	"vdsms/internal/buildinfo"
-	"vdsms/internal/perfobs"
 	"vdsms/internal/telemetry"
 )
 
@@ -28,9 +28,7 @@ type Flags struct {
 	budget  bool // -slow-window budget: one basic window, resolved by Config
 	version func()
 
-	// SpanSample is the -span-sample fraction; a binary may raise it
-	// before Start (vcdmon's -explain samples every window).
-	SpanSample   float64
+	spanSample   float64
 	spanLog      string
 	profileDir   string
 	profileEvery time.Duration
@@ -51,7 +49,7 @@ func Register(fs *flag.FlagSet, tool string) *Flags {
 	fs.BoolVar(&c.Shed, "shed", false, "allow the overload controller to actually shed work (without it the budget is observe-only)")
 	fs.BoolVar(&c.Resync, "resync", false, "tolerate corrupt or truncated streams: resynchronise and keep monitoring instead of failing")
 	fs.Func("slow-window", "log and keep every basic window slower than this: a duration, \"budget\" (one basic window) or \"off\" (default off)", f.setSlowWindow)
-	fs.Float64Var(&f.SpanSample, "span-sample", 0, "fraction of basic windows captured as perf spans, across all streams (0 = off, 1 = every window)")
+	fs.Float64Var(&f.spanSample, "span-sample", 0, "fraction of basic windows captured as perf spans, across all streams (0 = off, 1 = every window)")
 	fs.StringVar(&f.spanLog, "span-log", "", "append sampled perf spans as JSON lines to this file (\"-\" = stderr)")
 	fs.StringVar(&f.profileDir, "profile-dir", "", "capture periodic CPU+heap profiles into a bounded file ring in this directory")
 	fs.DurationVar(&f.profileEvery, "profile-every", time.Minute, "interval between continuous profile captures (with -profile-dir)")
@@ -84,41 +82,43 @@ func (f *Flags) setSlowWindow(v string) error {
 }
 
 // Start acts on the parsed flags before any work: -version prints the
-// build and exits; otherwise it publishes vcd_build_info, sets span
-// sampling (allocation attribution included), opens the span log and
-// starts the profiler. stop stops the profiler and flushes the span log.
+// build and exits; otherwise it publishes vcd_build_info and starts the
+// profiler. stop stops the profiler.
 func (f *Flags) Start() (stop func(), err error) {
 	f.version()
-	if f.SpanSample > 0 {
-		vdsms.SetSpanSampling(f.SpanSample)
+	if f.profileDir == "" {
+		return func() {}, nil
 	}
-	closeLog := func() error { return nil }
-	if f.spanLog == "-" {
-		vdsms.SetSpanLog(os.Stderr)
-	} else if f.spanLog != "" {
-		file, err := os.OpenFile(f.spanLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		bw := bufio.NewWriter(file)
-		vdsms.SetSpanLog(bw)
-		closeLog = func() error {
-			vdsms.SetSpanLog(nil)
-			return errors.Join(bw.Flush(), file.Close())
-		}
+	prof, err := vdsms.StartProfiler(f.profileDir, f.profileEvery, 4)
+	if err != nil {
+		return nil, err
 	}
-	var prof *perfobs.Profiler
-	if f.profileDir != "" {
-		if prof, err = vdsms.StartProfiler(f.profileDir, f.profileEvery, 4); err != nil {
-			closeLog()
-			return nil, err
-		}
+	return prof.Stop, nil
+}
+
+// Observe arms the span flags on d's lineage: -span-sample (allocation
+// attribution included) and -span-log. stop detaches and flushes the span
+// log.
+func (f *Flags) Observe(d *vdsms.Detector) (stop func(), err error) {
+	if f.spanSample > 0 {
+		d.SetSpanSampling(f.spanSample)
 	}
+	switch f.spanLog {
+	case "":
+		return func() {}, nil
+	case "-":
+		d.SetSpanLog(os.Stderr)
+		return func() { d.SetSpanLog(nil) }, nil
+	}
+	file, err := os.OpenFile(f.spanLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	bw := bufio.NewWriter(file)
+	d.SetSpanLog(bw)
 	return func() {
-		if prof != nil {
-			prof.Stop()
-		}
-		if err := closeLog(); err != nil {
+		d.SetSpanLog(nil)
+		if err := errors.Join(bw.Flush(), file.Close()); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: span log: %v\n", f.tool, err)
 		}
 	}, nil

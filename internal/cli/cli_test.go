@@ -44,8 +44,8 @@ func TestSharedCommandLine(t *testing.T) {
 	if got := f.Config(); got != want {
 		t.Errorf("Config() = %+v\nwant       %+v", got, want)
 	}
-	if f.SpanSample != 0.5 || f.spanLog != "spans.ndjson" || f.profileDir != "prof" || f.profileEvery != 10*time.Second {
-		t.Errorf("observability flags = %v %q %q %v", f.SpanSample, f.spanLog, f.profileDir, f.profileEvery)
+	if f.spanSample != 0.5 || f.spanLog != "spans.ndjson" || f.profileDir != "prof" || f.profileEvery != 10*time.Second {
+		t.Errorf("observability flags = %v %q %q %v", f.spanSample, f.spanLog, f.profileDir, f.profileEvery)
 	}
 }
 

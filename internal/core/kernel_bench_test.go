@@ -109,7 +109,8 @@ var kernelVariants = []kernelVariant{
 // fresh m-query fixture run as v. Beside ns/op it reports ns/window,
 // allocs/window, the queries tracked per window (the candidate walk's
 // length, summed over the candidate list) and, when spans were sampled,
-// each stage's mean span duration as <stage>-ns/window.
+// each stage's mean duration over the kept spans (the collector's ring
+// holds the last perfobs.DefaultRing) as <stage>-ns/window.
 func benchKernel(b *testing.B, m int, v kernelVariant) {
 	f := newKernelFixture(b, m)
 	var col *perfobs.Collector
@@ -133,10 +134,18 @@ func benchKernel(b *testing.B, m int, v kernelVariant) {
 	if col == nil {
 		return
 	}
-	agg := col.Aggregate()
-	for st := perfobs.Stage(0); st < perfobs.NumStages; st++ {
-		if agg.Stages[st].Count > 0 {
-			b.ReportMetric(agg.MeanNS(st), st.String()+"-ns/window")
+	var sum, n [perfobs.NumStages]int64
+	for _, r := range col.Spans(0) {
+		for st := range sum {
+			if ns, ok := r.NS[perfobs.Stage(st).String()]; ok {
+				sum[st] += ns
+				n[st]++
+			}
+		}
+	}
+	for st := range sum {
+		if n[st] > 0 {
+			b.ReportMetric(float64(sum[st])/float64(n[st]), perfobs.Stage(st).String()+"-ns/window")
 		}
 	}
 }

@@ -1,113 +1,122 @@
-package core
+package core_test
 
 import (
-	"encoding/json"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"vdsms/internal/core"
+	"vdsms/internal/fleet"
 	"vdsms/internal/perfobs"
-	"vdsms/internal/qindex"
 )
 
-// perfRun pushes a fixed multi-query workload through one engine wired to a
-// private span collector sampling every window, and returns the
-// deterministic projection of the fold. With onWorker set the engine is
-// driven as a fleet worker drives it: in 7-frame pushes on a probe scratch
-// it shares with a sibling engine that has no collector.
-func perfRun(t *testing.T, onWorker bool) perfobs.AggCounts {
+// keptSpan is what a kept span says independently of the clock: whose
+// window it is, which one, and which stages observed it.
+type keptSpan struct {
+	stream string
+	window int64
+	stages []string
+}
+
+// perfRun pushes one multi-query stream under three labels into a span
+// collector sampling every window, and returns the kept spans sorted by
+// stream and window. With workers 0 each label runs on an isolated engine;
+// otherwise the three streams share a fleet.Pool of that many workers,
+// pushed concurrently in 7-frame batches. The fleet's queue stages are left
+// out: they fall on the first window of each pass, which scheduling picks.
+func perfRun(t *testing.T, workers int) []keptSpan {
 	t.Helper()
-	col := perfobs.NewCollector(256)
-	col.SetSampleEvery(1)
-	cfg := Config{K: 192, Seed: 5, Delta: 0.5, Lambda: 2, WindowFrames: 10}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sib, err := NewEngineWith(cfg, e.Queries())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Observe(Observer{Stream: "det-test", Spans: col})
+	cfg := core.Config{K: 192, Seed: 5, Delta: 0.5, Lambda: 2, WindowFrames: 10}
 	rng := rand.New(rand.NewSource(42))
-	queries := make([][]uint64, 5)
+	ids := []int{1, 2, 3, 4, 5}
+	queries := make([][]uint64, len(ids))
 	for i := range queries {
-		queries[i] = idStream(rng, i+1, 40+10*i)
-		if err := e.AddQuery(i+1, queries[i]); err != nil {
-			t.Fatal(err)
-		}
+		queries[i] = shots(rng, i+1, 40+10*i)
 	}
-	var stream []uint64
-	stream = append(stream, idStream(rng, 50, 95)...)
+	stream := shots(rng, 50, 95)
 	for _, qi := range []int{2, 0, 3} {
 		stream = append(stream, queries[qi]...)
-		stream = append(stream, idStream(rng, 60+qi, 57)...)
+		stream = append(stream, shots(rng, 60+qi, 57)...)
 	}
-	if onWorker {
-		ps := new(qindex.ProbeScratch)
-		for i := 0; i < len(stream); i += 7 {
-			end := min(i+7, len(stream))
-			e.PushFramesOn(ps, stream[i:end])
-			sib.PushFramesOn(ps, stream[len(stream)-end:len(stream)-i])
+	labels := []string{"a", "b", "c"}
+	col := perfobs.NewCollector(1024)
+	col.SetSampleEvery(1)
+	if workers == 0 {
+		for _, label := range labels {
+			e, err := core.NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.AddQueries(ids, queries); err != nil {
+				t.Fatal(err)
+			}
+			e.Observe(core.Observer{Stream: label, Spans: col})
+			e.PushFrames(stream)
+			e.Flush()
 		}
 	} else {
-		e.PushFrames(stream)
+		p, err := fleet.New(fleet.Config{Engine: cfg, Workers: workers, QueueFrames: len(stream)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if err := p.AddQueries(ids, queries); err != nil {
+			t.Fatal(err)
+		}
+		p.Observe(core.Observer{Spans: col})
+		var wg sync.WaitGroup
+		for _, label := range labels {
+			s, err := p.Attach(label)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < len(stream); i += 7 {
+					if err := s.Push(stream[i:min(i+7, len(stream))]); err != nil {
+						t.Error(err)
+					}
+				}
+				s.Detach(true)
+			}()
+		}
+		wg.Wait()
 	}
-	e.Flush()
-	agg := col.Aggregate()
-	if agg.Windows == 0 {
-		t.Fatal("no spans sampled; Observe wiring is broken")
+	var kept []keptSpan
+	for _, r := range col.Spans(0) {
+		k := keptSpan{stream: r.Stream, window: r.Window}
+		for st := perfobs.Stage(0); st < perfobs.NumStages; st++ {
+			if _, ok := r.NS[st.String()]; ok && st != perfobs.StageQueueWait && st != perfobs.StageWorkerHop {
+				k.stages = append(k.stages, st.String())
+			}
+		}
+		kept = append(kept, k)
 	}
-	return agg.Counts()
+	slices.SortFunc(kept, func(x, y keptSpan) int {
+		return cmp.Or(strings.Compare(x.stream, y.stream), cmp.Compare(x.window, y.window))
+	})
+	if len(kept) == 0 {
+		t.Fatal("no spans kept; Observe wiring is broken")
+	}
+	return kept
 }
 
-// TestSpanFoldWorkerInvariant: the deterministic projection of the span
-// fold — windows sampled, per-stage observation counts, related-candidate
-// sum — must be byte-identical whether the engine runs alone or on a fleet
-// worker beside another engine. Durations are wall-clock and necessarily
-// vary; the counts must not, or span aggregates become a function of
-// deployment shape.
+// TestSpanFoldWorkerInvariant: the kept spans — stream, window and the
+// stages each observed — must be the same whether every stream runs on an
+// engine of its own or on a fleet pool of 1, 3 or 4 workers. Durations are
+// wall-clock and necessarily vary; the set must not, or what the span ring
+// says becomes a function of deployment shape.
 func TestSpanFoldWorkerInvariant(t *testing.T) {
-	alone := perfRun(t, false)
-	pooled := perfRun(t, true)
-	if !reflect.DeepEqual(pooled, alone) {
-		t.Errorf("span fold counts diverge\nalone:       %+v\non a worker: %+v", alone, pooled)
-	}
-	aj, _ := json.Marshal(alone)
-	pj, _ := json.Marshal(pooled)
-	if string(aj) != string(pj) {
-		t.Errorf("JSON projection diverges\nalone:       %s\non a worker: %s", aj, pj)
-	}
-}
-
-// TestPendingSpanConsumedOncePerWindow: staged front-end/fleet stage
-// nanoseconds must land on exactly the next window's record and never smear
-// into later windows, sampled or not.
-func TestPendingSpanConsumedOncePerWindow(t *testing.T) {
-	col := perfobs.NewCollector(64)
-	col.SetSampleEvery(1)
-	e, err := NewEngine(Config{K: 64, Seed: 1, Delta: 0.5, Lambda: 2, WindowFrames: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Observe(Observer{Stream: "s", Spans: col})
-	rng := rand.New(rand.NewSource(7))
-	if err := e.AddQuery(1, idStream(rng, 1, 12)); err != nil {
-		t.Fatal(err)
-	}
-	e.Stage(perfobs.StageQueueWait, 12345)
-	e.PushFrames(idStream(rng, 9, 12)) // three basic windows
-	e.Flush()
-	spans := col.Spans(0)
-	if len(spans) < 2 {
-		t.Fatalf("sampled %d spans, want >= 2", len(spans))
-	}
-	if got := spans[0].NS["queue_wait"]; got != 12345 {
-		t.Errorf("first window queue_wait = %d, want 12345", got)
-	}
-	for i, sp := range spans[1:] {
-		if ns, ok := sp.NS["queue_wait"]; ok {
-			t.Errorf("window %d inherited stale queue_wait = %d", i+1, ns)
+	alone := perfRun(t, 0)
+	for _, workers := range []int{1, 3, 4} {
+		if pooled := perfRun(t, workers); !reflect.DeepEqual(pooled, alone) {
+			t.Errorf("kept spans diverge at %d workers\nalone:  %v\npooled: %v",
+				workers, alone, pooled)
 		}
 	}
 }

@@ -1,6 +1,6 @@
-// Telemetry instrumentation of the matching kernel: per-stage latency
-// histograms, throughput and work counters, and the fan-out of the
-// per-window record to its consumers.
+// Telemetry instrumentation of the matching kernel: the per-stage latency
+// histograms (perfobs.StageSeconds), throughput and work counters, and the
+// fan-out of the per-window record to its consumers.
 //
 // Metric handles are package-level (resolved once against
 // telemetry.Default); every engine in the process folds into the same
@@ -38,22 +38,7 @@ var (
 		"Memory footprint of the shared query plane (index, sketches, pre-filter) — paid once, not per stream.")
 	telPlaneVersion = telemetry.Default.Gauge("vcd_fleet_plane_version",
 		"Current version of the shared copy-on-write query plane.")
-
-	telStageDecode  = stageHistogram("decode")
-	telStageExtract = stageHistogram("extract")
-	telStageSketch  = stageHistogram("sketch")
-	telStageProbe   = stageHistogram("probe")
-	telStageCombine = stageHistogram("combine")
-	telStageMerge   = stageHistogram("merge")
-	telStageWindow  = stageHistogram("window_total")
 )
-
-// stageHistogram registers one series of the per-stage latency histogram.
-func stageHistogram(stage string) *telemetry.Histogram {
-	return telemetry.Default.Histogram("vcd_stage_duration_seconds",
-		"Wall-clock duration of pipeline stages, one observation per basic window.",
-		telemetry.DurationBuckets, telemetry.L("stage", stage))
-}
 
 // observeWindow completes a timed window's record and hands it to every
 // consumer: the stage histograms (when telemetry is on), the observer's
@@ -69,15 +54,15 @@ func (e *Engine) observeWindow(win *windowResult) {
 	rec.Related = len(win.qids)
 	rec.Plane = e.planeVersion
 	if telemetry.Enabled() {
-		if rec.NS[perfobs.StageDecode]+rec.NS[perfobs.StageExtract] > 0 {
-			observeNS(telStageDecode, rec.NS[perfobs.StageDecode])
-			observeNS(telStageExtract, rec.NS[perfobs.StageExtract])
+		h, ns := &perfobs.StageSeconds, &rec.NS
+		if ns[perfobs.StageDecode]+ns[perfobs.StageExtract] > 0 {
+			observeNS(h[perfobs.StageDecode], ns[perfobs.StageDecode])
+			observeNS(h[perfobs.StageExtract], ns[perfobs.StageExtract])
 		}
-		observeNS(telStageSketch, rec.NS[perfobs.StageSketch])
-		observeNS(telStageProbe, rec.NS[perfobs.StageProbe])
-		observeNS(telStageCombine, rec.NS[perfobs.StageCombine])
-		observeNS(telStageMerge, rec.NS[perfobs.StageMerge])
-		observeNS(telStageWindow, rec.NS[perfobs.StageWindowTotal])
+		for st := perfobs.StageSketch; st <= perfobs.StageMerge; st++ {
+			observeNS(h[st], ns[st])
+		}
+		observeNS(h[perfobs.StageWindowTotal], ns[perfobs.StageWindowTotal])
 	}
 	if o.OnWindow != nil {
 		o.OnWindow(rec)

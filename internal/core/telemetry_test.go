@@ -83,10 +83,10 @@ func TestStageHistogramsObserve(t *testing.T) {
 	prev := telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(prev)
 	eng, wins := telemetryEngine(t)
-	stages := map[string]*telemetry.Histogram{
-		"sketch": telStageSketch, "probe": telStageProbe,
-		"combine": telStageCombine, "merge": telStageMerge,
-		"window_total": telStageWindow,
+	stages := map[string]*telemetry.Histogram{}
+	for _, st := range []perfobs.Stage{perfobs.StageSketch, perfobs.StageProbe,
+		perfobs.StageCombine, perfobs.StageMerge, perfobs.StageWindowTotal} {
+		stages[st.String()] = perfobs.StageSeconds[st]
 	}
 	before := make(map[string]int64, len(stages))
 	for name, h := range stages {
@@ -112,11 +112,12 @@ func TestStageTimingDisabled(t *testing.T) {
 	prev := telemetry.SetEnabled(false)
 	defer telemetry.SetEnabled(prev)
 	eng, wins := telemetryEngine(t)
-	before := telStageWindow.Count()
+	window := perfobs.StageSeconds[perfobs.StageWindowTotal]
+	before := window.Count()
 	for _, w := range wins {
 		eng.PushFrames(w)
 	}
-	if got := telStageWindow.Count() - before; got != 0 {
+	if got := window.Count() - before; got != 0 {
 		t.Errorf("stage histograms observed %d windows with telemetry disabled, want 0", got)
 	}
 }
@@ -201,6 +202,38 @@ func TestTelemetryDeterminism(t *testing.T) {
 	for i := range got {
 		if got[i] != base[i] {
 			t.Fatalf("match %d = %+v, want %+v", i, got[i], base[i])
+		}
+	}
+}
+
+// TestPendingSpanConsumedOncePerWindow: staged front-end/fleet stage
+// nanoseconds must land on exactly the next window's record and never smear
+// into later windows, sampled or not.
+func TestPendingSpanConsumedOncePerWindow(t *testing.T) {
+	col := perfobs.NewCollector(64)
+	col.SetSampleEvery(1)
+	e, err := NewEngine(Config{K: 64, Seed: 1, Delta: 0.5, Lambda: 2, WindowFrames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Observe(Observer{Stream: "s", Spans: col})
+	rng := rand.New(rand.NewSource(7))
+	if err := e.AddQuery(1, idStream(rng, 1, 12)); err != nil {
+		t.Fatal(err)
+	}
+	e.Stage(perfobs.StageQueueWait, 12345)
+	e.PushFrames(idStream(rng, 9, 12)) // three basic windows
+	e.Flush()
+	spans := col.Spans(0)
+	if len(spans) < 2 {
+		t.Fatalf("sampled %d spans, want >= 2", len(spans))
+	}
+	if got := spans[0].NS["queue_wait"]; got != 12345 {
+		t.Errorf("first window queue_wait = %d, want 12345", got)
+	}
+	for i, sp := range spans[1:] {
+		if ns, ok := sp.NS["queue_wait"]; ok {
+			t.Errorf("window %d inherited stale queue_wait = %d", i+1, ns)
 		}
 	}
 }

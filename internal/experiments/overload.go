@@ -25,6 +25,11 @@ func Overload(l *Lab) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return overloadTable(rep), nil
+}
+
+// overloadTable renders a sweep's rows as the experiment's table.
+func overloadTable(rep *OverloadReport) *stats.Table {
 	tb := stats.NewTable("Overload: shed level vs steady p99 vs recall at 2× sustainable ingest",
 		"mode", "budget", "level", "steady-p99", "windows", "shed-windows",
 		"extract-shed", "decode-shed", "matches", "recall", "recall-loss")
@@ -38,7 +43,7 @@ func Overload(l *Lab) (*stats.Table, error) {
 			fmt.Sprintf("%.2f", r.Recall),
 			fmt.Sprintf("%.1f%%", r.RecallLossPct))
 	}
-	return tb, nil
+	return tb
 }
 
 // OverloadRow is one monitored pass of the overload sweep, in

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -80,6 +81,12 @@ func TestOverloadSmoke(t *testing.T) {
 	}
 	for _, v := range violations {
 		t.Error(v)
+	}
+	// The vcdbench table of the sweep, which the registry sweep leaves to
+	// this test.
+	tb := overloadTable(rep)
+	if tb.NumRows() != len(rep.Rows) || !strings.Contains(tb.String(), "#") {
+		t.Errorf("overload table has %d rows for %d passes, or no title:\n%s", tb.NumRows(), len(rep.Rows), tb)
 	}
 
 	if dir := os.Getenv("OVERLOAD_REPORT_DIR"); dir != "" {

@@ -151,8 +151,7 @@ func NewWith(cfg Config, qs *core.QuerySet) (*Pool, error) {
 		return nil, err
 	}
 	cfg = cfg.normalized()
-	p := &Pool{cfg: cfg, qs: qs, streams: make(map[string]*Stream),
-		obs: core.Observer{Spans: perfobs.Default}}
+	p := &Pool{cfg: cfg, qs: qs, streams: make(map[string]*Stream)}
 	p.wake = sync.NewCond(&p.sched)
 	p.helpers.New = func() any { return &runner{load: &p.helped} }
 	p.workers = make([]*runner, cfg.Workers)
@@ -230,7 +229,7 @@ func (p *Pool) Attach(id string) (*Stream, error) {
 
 // Observe sets the observer of every stream's engine, attached now or
 // later, each labelled with its stream id. A new pool's observer keeps
-// spans in perfobs.Default. Call before pushing.
+// no spans. Call before pushing.
 func (p *Pool) Observe(o core.Observer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -359,7 +358,7 @@ func (s *Stream) Push(cellIDs []uint64) error {
 	if depth+len(cellIDs) > s.p.cfg.QueueFrames {
 		s.qmu.Unlock()
 		telPushRejected.Inc()
-		perfobs.DefaultOutliers.ObserveBackpressure(s.id, int64(len(cellIDs)))
+		s.p.obs.Spans.Outliers().ObserveBackpressure(s.id, int64(len(cellIDs)))
 		return fmt.Errorf("%w: stream %q holds %d frames, batch of %d exceeds budget %d",
 			ErrBackpressure, s.id, depth, len(cellIDs), s.p.cfg.QueueFrames)
 	}
@@ -448,8 +447,8 @@ func (s *Stream) runPass(r *runner) {
 			s.eng.Stage(perfobs.StageQueueWait, qwaitNS)
 			s.eng.Stage(perfobs.StageWorkerHop, hopNS)
 			if telemetry.Enabled() {
-				telQueueWait.Observe(float64(qwaitNS) / 1e9)
-				telWorkerHop.Observe(float64(hopNS) / 1e9)
+				perfobs.StageSeconds[perfobs.StageQueueWait].Observe(float64(qwaitNS) / 1e9)
+				perfobs.StageSeconds[perfobs.StageWorkerHop].Observe(float64(hopNS) / 1e9)
 			}
 		}
 		s.eng.PushFramesOn(&r.probe, batch)

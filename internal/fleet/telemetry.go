@@ -20,12 +20,6 @@ var (
 		"Frames queued or in flight across all streams of the pool.")
 	telQueueDepth = telemetry.Default.Gauge("vcd_fleet_queue_depth",
 		"High-watermark of vcd_fleet_queue_frames — the deepest the pool-wide backlog has ever run.")
-	telQueueWait = telemetry.Default.Histogram("vcd_fleet_queue_wait_seconds",
-		"Time a pass's frames waited in a stream queue before a runner picked them up.",
-		telemetry.DurationBuckets)
-	telWorkerHop = telemetry.Default.Histogram("vcd_fleet_worker_hop_seconds",
-		"Scheduling hop between a stream entering the ready queue and its pass starting.",
-		telemetry.DurationBuckets)
 	telWorkers = telemetry.Default.Gauge("vcd_fleet_workers",
 		"Worker goroutines popping the fleet pool's ready queue; goroutines waiting in Drain or Detach help beside them.")
 )

@@ -6,7 +6,6 @@ package perfobs
 import (
 	"runtime"
 	"runtime/metrics"
-	"sync"
 
 	"vdsms/internal/telemetry"
 )
@@ -70,34 +69,11 @@ func (c *Collector) beginAlloc(sp *Span) {
 	sp.lastAllocObjs = sp.beginAlloc
 }
 
-// gcState tracks the alloc-attribution fold: running per-stage object
-// totals (for the per-window mean gauges) and the last GC snapshot.
-type gcState struct {
-	mu      sync.Mutex
-	spans   int64
-	objSums [NumStages]int64
-}
-
-// endAlloc closes the window-total delta, folds the per-stage means and
-// refreshes the GC gauges. Called once per alloc-sampled span, before the
-// span is kept.
-func (c *Collector) endAlloc(sp *Span) {
-	sp.AllocObjs[StageWindowTotal] = int64(readAllocObjs() - sp.beginAlloc)
-
-	c.gc.mu.Lock()
-	c.gc.spans++
-	n := c.gc.spans
+// publishAlloc sets the per-window allocation mean gauges from a kept
+// alloc-sampled span's fold and refreshes the GC gauges.
+func publishAlloc(means *[NumStages]float64) {
 	for _, st := range allocStages {
-		c.gc.objSums[st] += sp.AllocObjs[st]
-	}
-	sums := c.gc.objSums
-	c.gc.mu.Unlock()
-
-	if !c.tel {
-		return
-	}
-	for _, st := range allocStages {
-		telAllocsPerWindow[st].Set(float64(sums[st]) / float64(n))
+		telAllocsPerWindow[st].Set(means[st])
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -1,5 +1,5 @@
-// The span collector: deterministic counter-based head sampling, a bounded
-// ring the kept records are copied into, and the worker-invariant fold.
+// The span collector: deterministic counter-based head sampling and a
+// bounded ring the kept records are copied into.
 package perfobs
 
 import (
@@ -12,8 +12,8 @@ import (
 	"vdsms/internal/telemetry"
 )
 
-// DefaultRing is the number of kept spans retained for export when the
-// collector is built with NewCollector.
+// DefaultRing is the number of kept spans a detector lineage's collector
+// retains for export.
 const DefaultRing = 2048
 
 var (
@@ -22,80 +22,6 @@ var (
 	telSpanEvery = telemetry.Default.Gauge("vcd_perf_span_sample_every",
 		"Span sampling cadence: every Nth window is sampled (0 = sampling off).")
 )
-
-// StageAgg is one stage's slice of an Aggregate.
-type StageAgg struct {
-	// Count is the number of sampled spans that observed this stage (equal
-	// to the sampled-window count for always-on stages, fewer for fleet-only
-	// ones). Worker-count invariant.
-	Count int64 `json:"count"`
-	// SumNS and MaxNS summarise the observed durations (wall-clock; NOT
-	// worker-count invariant).
-	SumNS int64 `json:"sum_ns"`
-	MaxNS int64 `json:"max_ns"`
-}
-
-// Aggregate is the fold of every sampled span so far. The Counts projection
-// is deterministic for a fixed frame sequence regardless of worker count or
-// scheduling; the duration fields are wall-clock measurements.
-type Aggregate struct {
-	// Windows counts sampled spans; AllocSampled those that also carried
-	// allocation attribution.
-	Windows      int64 `json:"windows"`
-	AllocSampled int64 `json:"alloc_sampled"`
-	// RelatedSum totals the related-query counts of sampled windows.
-	RelatedSum int64 `json:"related_sum"`
-	// Stages indexes per-stage summaries by Stage.
-	Stages [NumStages]StageAgg `json:"stages"`
-
-	// hist holds per-stage duration bucket counts over
-	// telemetry.DurationBuckets (+Inf last) for quantile estimation.
-	hist [NumStages][]int64
-}
-
-// AggCounts is the deterministic projection of an Aggregate: sampled-window
-// and per-stage observation counts plus the related-query total, with every
-// wall-clock measurement stripped. Two runs of the same frame sequence
-// produce byte-identical marshalled AggCounts at any worker count — the
-// invariant TestSpanFoldDeterminism pins.
-type AggCounts struct {
-	Windows      int64            `json:"windows"`
-	AllocSampled int64            `json:"alloc_sampled"`
-	RelatedSum   int64            `json:"related_sum"`
-	StageCounts  [NumStages]int64 `json:"stage_counts"`
-}
-
-// Counts returns the deterministic projection.
-func (a *Aggregate) Counts() AggCounts {
-	c := AggCounts{
-		Windows:      a.Windows,
-		AllocSampled: a.AllocSampled,
-		RelatedSum:   a.RelatedSum,
-	}
-	for i := range a.Stages {
-		c.StageCounts[i] = a.Stages[i].Count
-	}
-	return c
-}
-
-// Quantile estimates the q-quantile of one stage's sampled durations, in
-// seconds, from the aggregate's bucket counts (telemetry.DurationBuckets
-// layout). Returns 0 with no observations.
-func (a *Aggregate) Quantile(st Stage, q float64) float64 {
-	if a.hist[st] == nil {
-		return 0
-	}
-	return telemetry.QuantileFromCounts(telemetry.DurationBuckets, a.hist[st], q)
-}
-
-// MeanNS returns one stage's mean sampled duration in nanoseconds (0 with
-// no observations).
-func (a *Aggregate) MeanNS(st Stage) float64 {
-	if a.Stages[st].Count == 0 {
-		return 0
-	}
-	return float64(a.Stages[st].SumNS) / float64(a.Stages[st].Count)
-}
 
 // SpanRecord is the schema-stable JSON shape of one exported span — the
 // /debug/spans and -span-log line format (schema "vcd_span/v1"). Kept says
@@ -150,8 +76,9 @@ func record(sp *Span) SpanRecord {
 	return r
 }
 
-// Collector keeps basic-window spans. One process-wide Default instance
-// is shared by every engine; tests build private collectors.
+// Collector keeps basic-window spans: the records its cadence head-samples
+// and those over a slow-window budget, in a ring and the outlier top-K. A
+// detector lineage owns one and shares it with its streams and fleets.
 type Collector struct {
 	// every is the sampling cadence: 0 = off, N ≥ 1 = every Nth timed
 	// window (counter-based, hence deterministic for a fixed push sequence).
@@ -164,52 +91,41 @@ type Collector struct {
 	// sampledSeq counts sampled spans (drives allocEvery).
 	sampledSeq atomic.Int64
 
-	mu   sync.Mutex
-	ring []Span // fixed capacity, overwrite-oldest
-	head int    // next write position
-	len  int
-	agg  Aggregate
+	mu sync.Mutex
+	// ring holds the kept records, overwrite-oldest, made at size
+	// ringCap on the first Keep, so a collector that keeps nothing holds
+	// none.
+	ring    []Span
+	ringCap int
+	head    int // next write position
+	len     int
+	// sampled counts the head-sampled records kept; alloc holds the
+	// alloc-sampled ones and their per-stage object totals (the per-window
+	// mean gauges).
+	sampled int64
+	alloc   int64
+	objSums [NumStages]int64
 	// onSpan, when set, receives every kept span (the -span-log hook).
 	// Called under mu: keep it cheap and never re-enter the collector.
 	onSpan func(SpanRecord)
-	// outliers, when set, receives (stream, window-total) observations so
-	// the slowest-stream tracker sees every kept window.
+	// outliers receives every kept window's (stream, window-total).
 	outliers *Outliers
-
-	gc  gcState
-	tel bool // publish to the process-wide telemetry registry (Default only)
 }
 
-// Default is the process-wide collector every engine reports into.
-var Default = newCollector(DefaultRing, true)
-
-// NewCollector builds a private collector (tests, benchmarks) with the
-// given export-ring capacity. It does not publish telemetry.
-func NewCollector(ring int) *Collector { return newCollector(ring, false) }
-
-func newCollector(ring int, tel bool) *Collector {
-	if ring < 1 {
-		ring = 1
-	}
-	c := &Collector{ring: make([]Span, ring), tel: tel}
-	for st := range c.agg.hist {
-		c.agg.hist[st] = make([]int64, len(telemetry.DurationBuckets)+1)
-	}
-	return c
+// NewCollector builds a collector retaining up to ring kept spans, with
+// its own outlier sketches. Sampling starts off.
+func NewCollector(ring int) *Collector {
+	return &Collector{ringCap: max(ring, 1), outliers: newOutliers(outlierK)}
 }
 
 // SetSampleEvery sets the sampling cadence: 0 disables sampling, 1 samples
 // every window, N samples every Nth. Resets the window counter so cadence
 // changes take effect deterministically.
 func (c *Collector) SetSampleEvery(n int64) {
-	if n < 0 {
-		n = 0
-	}
+	n = max(n, 0)
 	c.every.Store(n)
 	c.seq.Store(0)
-	if c.tel {
-		telSpanEvery.Set(float64(n))
-	}
+	telSpanEvery.Set(float64(n))
 }
 
 // SetSampleFraction is SetSampleEvery for a fraction: 0 disables, f in
@@ -236,12 +152,7 @@ func (c *Collector) Armed() bool { return c != nil && c.every.Load() > 0 }
 // sampled span also carries per-stage alloc deltas and a GC reading
 // (0 = never). Alloc sampling costs a few runtime metric reads per sampled
 // window, so production deployments keep N ≥ 8.
-func (c *Collector) SetAllocEvery(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	c.allocEvery.Store(n)
-}
+func (c *Collector) SetAllocEvery(n int64) { c.allocEvery.Store(max(n, 0)) }
 
 // SetOnSpan installs the span-log hook, invoked once per kept span with
 // its export record. Pass nil to remove.
@@ -251,12 +162,14 @@ func (c *Collector) SetOnSpan(fn func(SpanRecord)) {
 	c.mu.Unlock()
 }
 
-// SetOutliers wires a fleet outlier surface: every kept span's window
-// total feeds the slowest-stream tracker.
-func (c *Collector) SetOutliers(o *Outliers) {
-	c.mu.Lock()
-	c.outliers = o
-	c.mu.Unlock()
+// Outliers returns the collector's outlier sketches: the slowest streams,
+// fed by every kept window, and the most-shed and most-backpressured ones,
+// fed by their owners. Nil for a nil collector.
+func (c *Collector) Outliers() *Outliers {
+	if c == nil {
+		return nil
+	}
+	return c.outliers
 }
 
 // Begin is the head-sampling draw for the window sp is about to record:
@@ -277,82 +190,62 @@ func (c *Collector) Begin(sp *Span) {
 	}
 }
 
-// Keep copies a filled record into the export ring, hands it to the
-// span-log hook and the slowest-stream tracker, and folds it into the
-// aggregate when it was head-sampled (tail-kept records would bias the
-// fold toward slow windows). A nil collector keeps nothing.
+// Keep copies a filled record into the export ring and hands it to the
+// span-log hook and the slowest-stream tracker. A nil collector keeps
+// nothing.
 func (c *Collector) Keep(sp *Span) {
 	if c == nil {
 		return
 	}
 	if sp.allocOn {
-		c.endAlloc(sp)
+		sp.AllocObjs[StageWindowTotal] = int64(readAllocObjs() - sp.beginAlloc)
 	}
 	c.mu.Lock()
-	if sp.Sampled {
-		c.agg.Windows++
-		c.agg.RelatedSum += int64(sp.Related)
-		if sp.allocOn {
-			c.agg.AllocSampled++
-		}
-		for st := Stage(0); st < NumStages; st++ {
-			ns := sp.NS[st]
-			if ns == 0 && st != StageWindowTotal {
-				continue
-			}
-			a := &c.agg.Stages[st]
-			a.Count++
-			a.SumNS += ns
-			if ns > a.MaxNS {
-				a.MaxNS = ns
-			}
-			observeBucket(c.agg.hist[st], float64(ns)/1e9)
-		}
+	if c.ring == nil {
+		c.ring = make([]Span, c.ringCap)
 	}
 	c.ring[c.head] = *sp
 	c.head = (c.head + 1) % len(c.ring)
-	if c.len < len(c.ring) {
-		c.len++
+	c.len = min(c.len+1, len(c.ring))
+	if sp.Sampled {
+		c.sampled++
+	}
+	var means [NumStages]float64
+	if sp.allocOn {
+		c.alloc++
+		for _, st := range allocStages {
+			c.objSums[st] += sp.AllocObjs[st]
+			means[st] = float64(c.objSums[st]) / float64(c.alloc)
+		}
 	}
 	if c.onSpan != nil {
 		c.onSpan(record(sp))
 	}
-	out := c.outliers
 	c.mu.Unlock()
-	if out != nil && sp.NS[StageWindowTotal] > 0 {
-		out.observeSlowest(sp.Stream, sp.NS[StageWindowTotal])
+	if sp.NS[StageWindowTotal] > 0 {
+		c.outliers.observeSlowest(sp.Stream, sp.NS[StageWindowTotal])
 	}
-	if c.tel && sp.Sampled {
+	if sp.Sampled {
 		telSpansSampled.Inc()
 	}
-}
-
-// observeBucket adds one observation to a DurationBuckets count slice.
-func observeBucket(counts []int64, seconds float64) {
-	i := 0
-	bounds := telemetry.DurationBuckets
-	for i < len(bounds) && seconds > bounds[i] {
-		i++
+	if sp.allocOn {
+		publishAlloc(&means)
 	}
-	counts[i]++
 }
 
-// Aggregate returns a copy of the fold so far.
-func (c *Collector) Aggregate() Aggregate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := c.agg
-	for st := range a.hist {
-		a.hist[st] = append([]int64(nil), c.agg.hist[st]...)
-	}
-	return a
-}
-
-// Sampled returns the number of spans sampled so far.
+// Sampled returns the number of head-sampled spans kept so far.
 func (c *Collector) Sampled() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.agg.Windows
+	return c.sampled
+}
+
+// AllocSampled returns the number of kept spans that carried allocation
+// attribution.
+func (c *Collector) AllocSampled() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.alloc
 }
 
 // Spans returns up to limit retained spans as export records, oldest first
@@ -389,18 +282,4 @@ func (c *Collector) WriteSpans(w io.Writer, limit int) error {
 		}
 	}
 	return nil
-}
-
-// Reset clears the aggregate, the ring and the counters (tests and
-// benchmark harnesses; cadence settings survive).
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.agg = Aggregate{}
-	for st := range c.agg.hist {
-		c.agg.hist[st] = make([]int64, len(telemetry.DurationBuckets)+1)
-	}
-	c.head, c.len = 0, 0
-	c.seq.Store(0)
-	c.sampledSeq.Store(0)
 }

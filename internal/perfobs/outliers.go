@@ -15,50 +15,38 @@ var (
 		"Backpressure-rejected frame count of the fleet's most-rejected tracked stream.")
 )
 
-// Outliers groups the three per-fleet heavy-hitter sketches. Slowest is fed
-// by the span collector (cumulative window-total nanoseconds per stream
-// over the kept windows: head-sampled or over budget), Shed by the
-// degradation layer (frames shed per stream) and Backpressure by the
-// fleet's push path (frames rejected per stream).
+// Outliers groups the three per-lineage heavy-hitter sketches of a
+// Collector. Slowest is fed by the collector (cumulative window-total
+// nanoseconds per stream over the kept windows: head-sampled or over
+// budget), Shed by the degradation layer (frames shed per stream) and
+// Backpressure by the fleet's push path (frames rejected per stream).
 type Outliers struct {
 	Slowest      *TopK
 	Shed         *TopK
 	Backpressure *TopK
-	tel          bool
 }
 
-// NewOutliers builds a private outlier set with k tracked streams per
-// dimension (tests; does not publish telemetry).
-func NewOutliers(k int) *Outliers { return newOutliers(k, false) }
+// outlierK is the number of streams a collector's sketches track per
+// dimension.
+const outlierK = 16
 
-func newOutliers(k int, tel bool) *Outliers {
-	return &Outliers{
-		Slowest:      NewTopK(k),
-		Shed:         NewTopK(k),
-		Backpressure: NewTopK(k),
-		tel:          tel,
-	}
+func newOutliers(k int) *Outliers {
+	return &Outliers{Slowest: NewTopK(k), Shed: NewTopK(k), Backpressure: NewTopK(k)}
 }
 
-// DefaultOutliers is the process-wide outlier set, fed by the Default
-// collector and published through the vcd_fleet_outlier_* gauges.
-var DefaultOutliers = newOutliers(16, true)
-
-func init() { Default.SetOutliers(DefaultOutliers) }
-
-// ObserveShed records w frames shed for stream.
+// ObserveShed records w frames shed for stream (nothing on nil).
 func (o *Outliers) ObserveShed(stream string, w int64) {
-	o.Shed.Observe(stream, w)
-	if o.tel {
+	if o != nil {
+		o.Shed.Observe(stream, w)
 		telOutlierShed.Set(float64(o.Shed.Max()))
 	}
 }
 
 // ObserveBackpressure records w frames rejected with backpressure for
-// stream.
+// stream (nothing on nil).
 func (o *Outliers) ObserveBackpressure(stream string, w int64) {
-	o.Backpressure.Observe(stream, w)
-	if o.tel {
+	if o != nil {
+		o.Backpressure.Observe(stream, w)
 		telOutlierBackpressure.Set(float64(o.Backpressure.Max()))
 	}
 }
@@ -66,9 +54,7 @@ func (o *Outliers) ObserveBackpressure(stream string, w int64) {
 // observeSlowest is the span collector's feed (Collector.Keep).
 func (o *Outliers) observeSlowest(stream string, ns int64) {
 	o.Slowest.Observe(stream, ns)
-	if o.tel {
-		telOutlierSlowestNS.Set(float64(o.Slowest.Max()))
-	}
+	telOutlierSlowestNS.Set(float64(o.Slowest.Max()))
 }
 
 // Report is the schema-stable /debug/fleet/top JSON shape.
@@ -90,11 +76,4 @@ func (o *Outliers) Report(limit int) Report {
 		Shed:         o.Shed.Items(limit),
 		Backpressure: o.Backpressure.Items(limit),
 	}
-}
-
-// Reset clears all three sketches (tests and fleet teardown).
-func (o *Outliers) Reset() {
-	o.Slowest.Reset()
-	o.Shed.Reset()
-	o.Backpressure.Reset()
 }

@@ -8,10 +8,11 @@
 //
 //   - Span records. Every timed basic window fills its engine's Span: the
 //     stages staged before it runs (front-end decode/extract, fleet queue
-//     wait and worker hop), the kernel stages and the window total. Spans
-//     head-sampled or over the slow-window budget are kept: copied into a
-//     ring exported as JSON lines through /debug/spans and -span-log, and
-//     (head-sampled ones) folded into a worker-invariant Aggregate.
+//     wait and worker hop), the kernel stages and the window total. Each
+//     stage is summed once, into its StageSeconds histogram, for every
+//     timed window. Spans head-sampled or over the slow-window budget are
+//     also kept: copied into the lineage's Collector ring, exported as JSON
+//     lines through /debug/spans and -span-log.
 //
 //   - Allocation and GC attribution. A configurable sub-sample of spans
 //     additionally brackets each kernel stage with runtime/metrics
@@ -22,7 +23,7 @@
 //
 //   - Fleet outlier surfacing. Bounded space-saving (heavy-hitter) top-K
 //     trackers name the slowest, most-shed and most-backpressured streams
-//     of a fleet without per-stream metric labels; see Outliers.
+//     of a lineage without per-stream metric labels; see Outliers.
 //
 //   - Continuous profiling. An opt-in Profiler periodically captures CPU
 //     and heap profiles into a bounded ring of files so a production
@@ -35,6 +36,8 @@
 // nothing either (JSON rendering happens at export time, on the reader's
 // goroutine).
 package perfobs
+
+import "vdsms/internal/telemetry"
 
 // Stage enumerates the attributable pipeline stages of one basic window.
 // The order is the export order and is part of the /debug/spans schema.
@@ -72,6 +75,30 @@ var stageNames = [NumStages]string{
 	"decode", "extract", "sketch", "probe", "combine", "merge",
 	"queue_wait", "worker_hop", "window_total",
 }
+
+// StageSeconds holds each stage's registry histogram, observed once per
+// timed window (queue wait and worker hop once per fleet pass, decode and
+// extract only where a front end staged them): the one per-stage summary,
+// which /stats and vcdmon -explain read.
+var StageSeconds = func() (h [NumStages]*telemetry.Histogram) {
+	for st := range h {
+		switch Stage(st) {
+		case StageQueueWait:
+			h[st] = telemetry.Default.Histogram("vcd_fleet_queue_wait_seconds",
+				"Time a pass's frames waited in a stream queue before a runner picked them up.",
+				telemetry.DurationBuckets)
+		case StageWorkerHop:
+			h[st] = telemetry.Default.Histogram("vcd_fleet_worker_hop_seconds",
+				"Scheduling hop between a stream entering the ready queue and its pass starting.",
+				telemetry.DurationBuckets)
+		default:
+			h[st] = telemetry.Default.Histogram("vcd_stage_duration_seconds",
+				"Wall-clock duration of pipeline stages, one observation per basic window.",
+				telemetry.DurationBuckets, telemetry.L("stage", stageNames[st]))
+		}
+	}
+	return h
+}()
 
 // String returns the stage's exposition name (the value of the stage label
 // and the key of the span JSON "ns" object).

@@ -113,11 +113,10 @@ func TestSampledSteadyStateAllocFree(t *testing.T) {
 
 // TestKeepTailRecordsBesideTheFold: a record kept for being slow, not
 // sampled, lands in the ring, the hook and the slowest-stream tracker, but
-// not in the head-sampled aggregate.
+// is not counted as sampled.
 func TestKeepTailRecordsBesideTheFold(t *testing.T) {
 	c := NewCollector(8)
-	o := NewOutliers(4)
-	c.SetOutliers(o)
+	o := c.Outliers()
 	var hooked []SpanRecord
 	c.SetOnSpan(func(r SpanRecord) { hooked = append(hooked, r) })
 	sp := Span{Stream: "tail", Slow: true}
@@ -129,47 +128,11 @@ func TestKeepTailRecordsBesideTheFold(t *testing.T) {
 	if got := c.Spans(0); len(got) != 1 || got[0].Kept != "slow" || got[0].Stream != "tail" {
 		t.Fatalf("ring = %+v, want one slow record", got)
 	}
-	if len(hooked) != 1 || c.Sampled() != 0 || c.Aggregate().Windows != 0 {
-		t.Fatalf("hook saw %d, aggregate %d windows; want 1 and 0", len(hooked), c.Sampled())
+	if len(hooked) != 1 || c.Sampled() != 0 {
+		t.Fatalf("hook saw %d, %d sampled; want 1 and 0", len(hooked), c.Sampled())
 	}
 	if items := o.Slowest.Items(0); len(items) != 1 || items[0].Key != "tail" || items[0].Count != 77 {
 		t.Fatalf("slowest = %+v", items)
-	}
-}
-
-func TestAggregateFold(t *testing.T) {
-	c := NewCollector(16)
-	c.SetSampleEvery(1)
-	for i := 1; i <= 4; i++ {
-		sp := Span{Stream: "s", Related: i}
-		sp.NS[StageSketch] = int64(i) * 1e6
-		sp.NS[StageWindowTotal] = int64(2*i) * 1e6
-		offer(c, &sp)
-	}
-	a := c.Aggregate()
-	if a.Windows != 4 || a.RelatedSum != 10 {
-		t.Fatalf("windows=%d related=%d, want 4/10", a.Windows, a.RelatedSum)
-	}
-	sk := a.Stages[StageSketch]
-	if sk.Count != 4 || sk.SumNS != 10e6 || sk.MaxNS != 4e6 {
-		t.Fatalf("sketch agg = %+v", sk)
-	}
-	// Unobserved stage stays empty; window_total always counts.
-	if a.Stages[StageQueueWait].Count != 0 {
-		t.Fatalf("queue_wait observed without data")
-	}
-	if a.Stages[StageWindowTotal].Count != 4 {
-		t.Fatalf("window_total count = %d", a.Stages[StageWindowTotal].Count)
-	}
-	if q := a.Quantile(StageSketch, 0.5); q <= 0 || q > 0.0025 {
-		t.Fatalf("sketch p50 = %v, want in (0, 2.5ms]", q)
-	}
-	if m := a.MeanNS(StageSketch); m != 2.5e6 {
-		t.Fatalf("sketch mean = %v ns, want 2.5e6", m)
-	}
-	counts := a.Counts()
-	if counts.Windows != 4 || counts.StageCounts[StageSketch] != 4 {
-		t.Fatalf("Counts projection = %+v", counts)
 	}
 }
 
@@ -267,9 +230,8 @@ func TestAllocAttribution(t *testing.T) {
 	_ = sink
 	sp.NS[StageWindowTotal] = 1
 	c.Keep(&sp)
-	a := c.Aggregate()
-	if a.AllocSampled != 1 {
-		t.Fatalf("AllocSampled = %d", a.AllocSampled)
+	if n := c.AllocSampled(); n != 1 {
+		t.Fatalf("AllocSampled = %d", n)
 	}
 	got := c.Spans(0)
 	if len(got) != 1 || got[0].AllocObjs["sketch"] <= 0 {
@@ -277,22 +239,6 @@ func TestAllocAttribution(t *testing.T) {
 	}
 	// AllocMark on an unsampled span must be a safe no-op.
 	(&Span{}).AllocMark(StageProbe)
-}
-
-func TestResetClearsEverything(t *testing.T) {
-	c := NewCollector(8)
-	c.SetSampleEvery(1)
-	sp := Span{Stream: "s"}
-	sp.NS[StageWindowTotal] = 9
-	offer(c, &sp)
-	c.Reset()
-	if c.Sampled() != 0 || len(c.Spans(0)) != 0 {
-		t.Fatal("Reset left state behind")
-	}
-	a := c.Aggregate()
-	if a.Windows != 0 || a.Stages[StageWindowTotal].Count != 0 {
-		t.Fatalf("aggregate after reset = %+v", a)
-	}
 }
 
 func TestTopKSpaceSaving(t *testing.T) {
@@ -323,10 +269,6 @@ func TestTopKSpaceSaving(t *testing.T) {
 	if tk.Len() != 2 {
 		t.Fatal("non-positive weight inserted a key")
 	}
-	tk.Reset()
-	if tk.Len() != 0 || tk.Max() != 0 {
-		t.Fatal("reset incomplete")
-	}
 }
 
 func TestTopKDeterministicTieBreak(t *testing.T) {
@@ -349,7 +291,7 @@ func TestTopKDeterministicTieBreak(t *testing.T) {
 }
 
 func TestOutliersReport(t *testing.T) {
-	o := NewOutliers(4)
+	o := newOutliers(4)
 	o.Slowest.Observe("s1", 100)
 	o.ObserveShed("s2", 7)
 	o.ObserveBackpressure("s3", 30)
@@ -372,16 +314,14 @@ func TestOutliersReport(t *testing.T) {
 	if err := json.Unmarshal(b, &round); err != nil {
 		t.Fatal(err)
 	}
-	o.Reset()
-	if got := o.Report(0); len(got.Shed) != 0 {
-		t.Fatal("reset incomplete")
-	}
+	var none *Outliers
+	none.ObserveShed("s5", 1)
+	none.ObserveBackpressure("s5", 1)
 }
 
 func TestCollectorFeedsOutliers(t *testing.T) {
 	c := NewCollector(8)
-	o := NewOutliers(4)
-	c.SetOutliers(o)
+	o := c.Outliers()
 	c.SetSampleEvery(1)
 	sp := Span{Stream: "slow-stream"}
 	sp.NS[StageWindowTotal] = 123456
@@ -423,5 +363,24 @@ func TestProfilerRing(t *testing.T) {
 	}
 	if _, err := StartProfiler("", time.Second, 2); err == nil {
 		t.Fatal("empty dir accepted")
+	}
+}
+
+// TestIdleCollectorHoldsNoRing: every detector lineage owns a collector, so
+// one that keeps nothing must hold no span ring and no sketch map; the
+// first kept span makes the ring at its full size.
+func TestIdleCollectorHoldsNoRing(t *testing.T) {
+	c := NewCollector(DefaultRing)
+	var sp Span
+	offer(c, &sp)
+	c.Outliers().ObserveShed("s", 0)
+	if c.ring != nil || c.outliers.Slowest.items != nil || c.outliers.Shed.items != nil ||
+		c.outliers.Backpressure.items != nil {
+		t.Fatal("an idle collector allocated its ring or a sketch map")
+	}
+	sp.NS[StageWindowTotal] = 1
+	c.Keep(&sp)
+	if len(c.ring) != DefaultRing || c.outliers.Slowest.Len() != 1 {
+		t.Fatalf("after one kept span: ring %d, slowest %d; want %d and 1", len(c.ring), c.outliers.Slowest.Len(), DefaultRing)
 	}
 }

@@ -29,12 +29,13 @@ type TopK struct {
 	max   int64
 }
 
-// NewTopK builds a sketch tracking at most k keys (k < 1 is clamped to 1).
+// NewTopK builds a sketch tracking at most k keys (k < 1 is clamped to 1);
+// its map is made by the first observation.
 func NewTopK(k int) *TopK {
 	if k < 1 {
 		k = 1
 	}
-	return &TopK{k: k, items: make(map[string]*Item, k)}
+	return &TopK{k: k}
 }
 
 // Observe adds weight w to key. Non-positive weights are ignored.
@@ -52,6 +53,9 @@ func (t *TopK) Observe(key string, w int64) {
 		return
 	}
 	if len(t.items) < t.k {
+		if t.items == nil {
+			t.items = make(map[string]*Item, t.k)
+		}
 		it := &Item{Key: key, Count: w}
 		t.items[key] = it
 		if it.Count > t.max {
@@ -109,12 +113,4 @@ func (t *TopK) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.items)
-}
-
-// Reset clears the sketch.
-func (t *TopK) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.items = make(map[string]*Item, t.k)
-	t.max = 0
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"vdsms/internal/buildinfo"
-	"vdsms/internal/perfobs"
 	"vdsms/internal/telemetry"
 )
 
@@ -46,12 +45,11 @@ func catalogue(t *testing.T) map[string]bool {
 // series family in the process registry must be listed in README.md's
 // metric catalogue, and every histogram must pass LintHistograms.
 func TestMetricCatalogue(t *testing.T) {
-	resetPerf(t)
-	perfobs.Default.SetSampleEvery(1)
-	perfobs.Default.SetAllocEvery(1)
 	buildinfo.Metric()
 
-	_, ts := testServer(t)
+	srv, ts := testServer(t)
+	srv.Lineage().Spans().SetSampleEvery(1)
+	srv.Lineage().Spans().SetAllocEvery(1)
 	do(t, http.MethodPut, ts.URL+"/queries/1", clip(t, 1, 16)).Body.Close()
 	streamAndParse(t, ts, "catalogue-det", clip(t, 910, 20))
 	if resp := do(t, http.MethodPost, ts.URL+"/streams", []byte(`{"id": "catalogue-fleet"}`)); resp.StatusCode != http.StatusCreated {

@@ -6,8 +6,8 @@
 //	GET  /debug/slow-window           → the live slow-window budget
 //	POST /debug/slow-window           → retune the budget, no restart
 //
-// Events and records come from the process-wide trace journal; they are
-// non-empty only when the service was started with tracing armed
+// Events and records come from the service lineage's trace journal; they
+// are non-empty only when the service was started with tracing armed
 // (vcdserve -trace-events / -audit-fraction). The endpoints are read-only
 // except /debug/slow-window, which adjusts an observability threshold —
 // never detection semantics.
@@ -70,10 +70,11 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Limit = n
 	}
-	evs := trace.Default.Events(f)
+	j := s.root.Journal()
+	evs := j.Events(f)
 	writeJSON(w, map[string]any{
 		"tracing": s.root.Tracing(),
-		"total":   trace.Default.EventCount(),
+		"total":   j.EventCount(),
 		"events":  evs,
 	})
 }
@@ -100,7 +101,7 @@ func (s *Server) handleDebugMatches(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, map[string]any{
 			"tracing": s.root.Tracing(),
-			"matches": trace.Default.Matches(limit),
+			"matches": s.root.Journal().Matches(limit),
 		})
 		return
 	}
@@ -109,7 +110,7 @@ func (s *Server) handleDebugMatches(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "match id must be a positive integer", http.StatusBadRequest)
 		return
 	}
-	rec, ok := trace.Default.Match(id)
+	rec, ok := s.root.Journal().Match(id)
 	if !ok {
 		http.Error(w, "no retained record for match "+rest, http.StatusNotFound)
 		return

@@ -1,5 +1,7 @@
-// Performance-attribution surface: kept span export (head-sampled or over
-// the slow-window budget), fleet outlier top-K, and live sampling control. See internal/perfobs and DESIGN.md §14.
+// Performance-attribution surface: the lineage's kept span export
+// (head-sampled or over the slow-window budget), its outlier top-K, live
+// sampling control and the per-stage summary of every timed window. See
+// internal/perfobs and DESIGN.md §14.
 package server
 
 import (
@@ -26,7 +28,7 @@ func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
 			limit = n
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := perfobs.Default.WriteSpans(w, limit); err != nil {
+		if err := s.root.Spans().WriteSpans(w, limit); err != nil {
 			// Headers already sent; the connection is the error signal.
 			return
 		}
@@ -40,19 +42,20 @@ func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
+		spans := s.root.Spans()
 		switch {
 		case req.SampleEvery != nil:
-			perfobs.Default.SetSampleEvery(*req.SampleEvery)
+			spans.SetSampleEvery(*req.SampleEvery)
 		case req.Fraction != nil:
-			perfobs.Default.SetSampleFraction(*req.Fraction)
+			spans.SetSampleFraction(*req.Fraction)
 		default:
 			http.Error(w, `want {"sampleEvery": N} or {"fraction": F}`, http.StatusBadRequest)
 			return
 		}
 		if req.AllocEvery != nil {
-			perfobs.Default.SetAllocEvery(*req.AllocEvery)
+			spans.SetAllocEvery(*req.AllocEvery)
 		}
-		writeJSON(w, map[string]any{"sampleEvery": perfobs.Default.SampleEvery()})
+		writeJSON(w, map[string]any{"sampleEvery": spans.SampleEvery()})
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -75,33 +78,33 @@ func (s *Server) handleFleetTop(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	writeJSON(w, perfobs.DefaultOutliers.Report(limit))
+	writeJSON(w, s.root.Spans().Outliers().Report(limit))
 }
 
 // perfStatsBlock is the /stats summary of the attribution machinery: the
-// sampling state, fold totals, and the top outlier of each category.
-func perfStatsBlock() map[string]any {
-	agg := perfobs.Default.Aggregate()
+// lineage's sampling state and the top outlier of each category, and the
+// per-stage summary of every timed window in the process (the registry's
+// stage histograms).
+func (s *Server) perfStatsBlock() map[string]any {
 	stages := map[string]any{}
-	for st := perfobs.Stage(0); st < perfobs.NumStages; st++ {
-		sa := agg.Stages[st]
-		if sa.Count == 0 {
-			continue
-		}
-		stages[st.String()] = map[string]any{
-			"count":  sa.Count,
-			"meanNs": agg.MeanNS(st),
-			"p99Ns":  agg.Quantile(st, 0.99),
+	for st, h := range perfobs.StageSeconds {
+		if n := h.Count(); n > 0 {
+			stages[perfobs.Stage(st).String()] = map[string]any{
+				"count":  n,
+				"meanNs": h.Sum() / float64(n) * 1e9,
+				"p99Ns":  h.Quantile(0.99) * 1e9,
+			}
 		}
 	}
+	spans := s.root.Spans()
 	blk := map[string]any{
-		"sampleEvery":  perfobs.Default.SampleEvery(),
-		"spansSampled": perfobs.Default.Sampled(),
-		"windows":      agg.Windows,
-		"allocSampled": agg.AllocSampled,
+		"sampleEvery":  spans.SampleEvery(),
+		"spansSampled": spans.Sampled(),
+		"windows":      perfobs.StageSeconds[perfobs.StageWindowTotal].Count(),
+		"allocSampled": spans.AllocSampled(),
 		"stages":       stages,
 	}
-	rep := perfobs.DefaultOutliers.Report(1)
+	rep := spans.Outliers().Report(1)
 	out := map[string]any{}
 	if len(rep.Slowest) > 0 {
 		out["slowest"] = rep.Slowest[0]

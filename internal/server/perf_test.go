@@ -10,22 +10,7 @@ import (
 	"vdsms/internal/perfobs"
 )
 
-// resetPerf returns the process-wide attribution state to its defaults so
-// tests sharing the Default collector do not observe each other.
-func resetPerf(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() {
-		perfobs.Default.SetSampleEvery(0)
-		perfobs.Default.Reset()
-		perfobs.DefaultOutliers.Reset()
-	})
-	perfobs.Default.SetSampleEvery(0)
-	perfobs.Default.Reset()
-	perfobs.DefaultOutliers.Reset()
-}
-
 func TestDebugSpansEndpoint(t *testing.T) {
-	resetPerf(t)
 	_, ts := testServer(t)
 
 	// Arm 100% span sampling through the live-control POST.
@@ -95,9 +80,8 @@ func TestDebugSpansEndpoint(t *testing.T) {
 }
 
 func TestFleetTopEndpoint(t *testing.T) {
-	resetPerf(t)
-	_, ts := testServer(t)
-	perfobs.Default.SetSampleEvery(1)
+	srv, ts := testServer(t)
+	srv.Lineage().Spans().SetSampleEvery(1)
 
 	do(t, http.MethodPut, ts.URL+"/queries/1", clip(t, 1, 12)).Body.Close()
 	streamAndParse(t, ts, "slowpoke", clip(t, 401, 30))
@@ -123,9 +107,8 @@ func TestFleetTopEndpoint(t *testing.T) {
 }
 
 func TestStatsPerfBlock(t *testing.T) {
-	resetPerf(t)
-	_, ts := testServer(t)
-	perfobs.Default.SetSampleEvery(1)
+	srv, ts := testServer(t)
+	srv.Lineage().Spans().SetSampleEvery(1)
 
 	do(t, http.MethodPut, ts.URL+"/queries/1", clip(t, 1, 12)).Body.Close()
 	streamAndParse(t, ts, "s-perf", clip(t, 402, 30))
@@ -178,7 +161,6 @@ func TestStatsPerfBlock(t *testing.T) {
 // TestDebugSpansOffByDefault: with sampling disarmed nothing is captured —
 // the ring stays empty and the endpoint returns an empty NDJSON body.
 func TestDebugSpansOffByDefault(t *testing.T) {
-	resetPerf(t)
 	_, ts := testServer(t)
 
 	do(t, http.MethodPut, ts.URL+"/queries/1", clip(t, 1, 12)).Body.Close()

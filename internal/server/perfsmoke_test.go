@@ -26,15 +26,13 @@ func TestPerfSmoke(t *testing.T) {
 	if os.Getenv("PERF_SMOKE") == "" {
 		t.Skip("set PERF_SMOKE=1 to run the perf smoke workload")
 	}
-	resetPerf(t)
-	perfobs.Default.SetSampleFraction(0.01)
-	perfobs.Default.SetAllocEvery(2)
-
-	_, ts := testServer(t)
+	srv, ts := testServer(t)
+	srv.Lineage().Spans().SetSampleFraction(0.01)
+	srv.Lineage().Spans().SetAllocEvery(2)
 	do(t, http.MethodPut, ts.URL+"/queries/1", clip(t, 1, 16)).Body.Close()
 
 	// 64 fleet streams, ~6 basic windows each: at 1% sampling the global
-	// window counter guarantees a handful of sampled spans.
+	// lineage's window counter guarantees a handful of sampled spans.
 	const streams = 64
 	seg := clip(t, 900, 30)
 	for i := 0; i < streams; i++ {

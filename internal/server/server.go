@@ -30,14 +30,18 @@
 //
 // Every stream POST gets its own detection engine; all engines share one
 // query set and Hash-Query index, so a subscription covers every stream,
-// and concurrent stream uploads monitor in parallel.
+// and concurrent stream uploads monitor in parallel. They form one
+// detector lineage (Lineage), which owns the service's diagnostics: the
+// trace journal behind /debug/events and /debug/matches, and the span
+// collector and outlier sketches behind /debug/spans, /debug/fleet/top
+// and /stats "perf". Only /metrics reads the process-wide registry.
 //
 // /metrics, /healthz and /readyz are wait-free: they read atomics only and
 // never take the subscription mutex, so a durable subscription change
 // (which fsyncs its log record under that mutex) or a busy monitor loop
 // can never stall a scrape or a health probe. /stats is nearly so — it
-// additionally takes the overload controller's short internal lock (never
-// the subscription mutex) to snapshot the shed-control loop.
+// additionally takes the overload controller's and the span collector's
+// short internal locks (never the subscription mutex).
 //
 // When the detection configuration arms the overload controller
 // (Config.RealTimeBudget), every per-stream engine feeds the shared control
@@ -155,6 +159,11 @@ func NewWithOptions(cfg vdsms.Config, opts Options) (*Server, error) {
 	s.ready.Store(true)
 	return s, nil
 }
+
+// Lineage returns the detector that roots the service's lineage: it owns
+// the query set, the trace journal and the span collector every stream of
+// the service shares, and never monitors itself.
+func (s *Server) Lineage() *vdsms.Detector { return s.root }
 
 // Restored reports whether New resumed the query set from a checkpoint.
 func (s *Server) Restored() bool { return s.restored }
@@ -438,7 +447,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"queuedFrames": queuedFrames,
 			"workers":      s.fleet.WorkerStats(),
 		},
-		"perf": perfStatsBlock(),
+		"perf": s.perfStatsBlock(),
 		"shed": map[string]any{
 			"armed":       ov.Armed,
 			"level":       ov.Level,

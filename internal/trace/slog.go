@@ -7,8 +7,9 @@ import (
 )
 
 // LogEvents bridges a journal to structured logging: a background goroutine
-// subscribes to the journal and emits one slog record per event (vcd.event
-// message, lifecycle fields as attributes). Returns a stop function that
+// emits one slog record per event (vcd.event message, lifecycle fields as
+// attributes) — first the events the ring retains, then every event
+// journaled after, each Seq once. Returns a stop function that
 // unsubscribes and waits for the goroutine to exit — the goroutine-leak
 // guarantee the test suite pins down.
 //
@@ -18,13 +19,21 @@ func LogEvents(j *Journal, logger *slog.Logger) (stop func()) {
 	if logger == nil {
 		logger = slog.Default()
 	}
+	// Subscribed before the retained events are read, so an event journaled
+	// in between is in both and no event falls between them.
 	ch, cancel := j.Subscribe(64)
+	retained := j.Events(Filter{Kind: KindAny})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for batch := range ch {
+		var next uint64 // Seq of the first event not yet logged
+		log := func(batch []Event) {
 			for _, ev := range batch {
+				if ev.Seq < next {
+					continue
+				}
+				next = ev.Seq + 1
 				attrs := []slog.Attr{
 					slog.Uint64("seq", ev.Seq),
 					slog.String("stream", ev.StreamName),
@@ -42,6 +51,10 @@ func LogEvents(j *Journal, logger *slog.Logger) (stop func()) {
 				}
 				logger.LogAttrs(context.Background(), slog.LevelInfo, "vcd.event", attrs...)
 			}
+		}
+		log(retained)
+		for batch := range ch {
+			log(batch)
 		}
 	}()
 	return func() {

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"log/slog"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -89,4 +91,38 @@ func TestSubscribeCancelLeaksNothing(t *testing.T) {
 		t.Errorf("%d subscribers still registered after cancel", n)
 	}
 	waitGoroutines(t, before)
+}
+
+// TestLogEventsReplaysRetained: the bridge first logs the events the ring
+// already holds — a server's restore-on-boot replay journals before
+// anyone can subscribe — then follows the journal, each Seq exactly once.
+func TestLogEventsReplaysRetained(t *testing.T) {
+	j := NewJournal(64, 8)
+	r := NewRecorder(j, "replayed", "sequential", "bit")
+	if j.events != nil || j.matches != nil {
+		t.Fatal("a journal with nothing journaled allocated its rings")
+	}
+	publishWindow(r,
+		Event{Kind: Born, QID: -1, Start: 0, End: 10, Windows: 1, Estimate: -1},
+		Event{Kind: Extended, QID: 4, Start: 0, End: 10, Windows: 1, Estimate: 0.5},
+	)
+	var buf syncBuffer
+	stop := LogEvents(j, slog.New(slog.NewJSONHandler(&buf, nil)))
+	publishWindow(r, Event{Kind: Reported, QID: 4, Start: 0, End: 20, Windows: 2, Estimate: 0.83})
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && !strings.Contains(buf.String(), "reported") {
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop()
+	var seqs []uint64
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec struct{ Seq uint64 }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad log line %q: %v", line, err)
+		}
+		seqs = append(seqs, rec.Seq)
+	}
+	if !slices.Equal(seqs, []uint64{0, 1, 2}) {
+		t.Errorf("logged seqs %v, want [0 1 2]:\n%s", seqs, buf.String())
+	}
 }

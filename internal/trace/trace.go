@@ -256,18 +256,18 @@ var (
 		"Provenance records attached to emitted matches.")
 )
 
-// DefaultEventCap and DefaultMatchCap size the Default journal's rings when
-// a caller arms tracing without choosing capacities.
+// DefaultEventCap and DefaultMatchCap size a journal's rings when a caller
+// arms tracing without choosing capacities.
 const (
 	DefaultEventCap = 16384
 	DefaultMatchCap = 1024
 )
 
 // Journal is the bounded event store. One journal serves every stream of a
-// process (the deployment reality: /debug/events is a process endpoint);
-// engines write through per-stream Recorders. All methods are safe for
-// concurrent use; the write path locks once per basic window, not per
-// event.
+// detector lineage (the /debug/events of one service); engines write
+// through per-stream Recorders. The rings are made by the first write, so
+// an unarmed journal costs nothing. All methods are safe for concurrent
+// use; the write path locks once per basic window, not per event.
 type Journal struct {
 	mu sync.Mutex
 
@@ -295,24 +295,6 @@ func NewJournal(eventCap, matchCap int) *Journal {
 		matchCap = DefaultMatchCap
 	}
 	return &Journal{eventCap: eventCap, matchCap: matchCap}
-}
-
-// Default is the process-wide journal, the analogue of telemetry.Default:
-// the facade's recorders write to it and the server's /debug endpoints read
-// it. Rings are allocated lazily, so unarmed binaries pay nothing.
-var Default = NewJournal(DefaultEventCap, DefaultMatchCap)
-
-// SetEventCapacity resizes the event ring (existing events are dropped —
-// call at arm time, not mid-trace). Non-positive keeps the current size.
-func (j *Journal) SetEventCapacity(n int) {
-	if n <= 0 {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.eventCap = n
-	j.events = nil
-	// next keeps counting: Seq stays monotonic across resizes.
 }
 
 // NewStream registers a monitored stream and returns its id. An empty name

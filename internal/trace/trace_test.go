@@ -99,7 +99,7 @@ func TestEventsFilter(t *testing.T) {
 }
 
 // TestRecorderReadsItsOwnStream: two streams that share a name on one
-// journal (two detectors of one process, both named by their config) each
+// journal (two detectors of one lineage, both named by their config) each
 // read back only their own events and match records.
 func TestRecorderReadsItsOwnStream(t *testing.T) {
 	j := NewJournal(64, 8)

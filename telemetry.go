@@ -19,11 +19,11 @@ type SlowWindowTrace = perfobs.Span
 func (cfg Config) slowWindowBudget() time.Duration { return max(cfg.SlowWindow, 0) }
 
 // observer is the record observer a lineage shares: spans kept in the
-// process collector, tail capture at the lineage's slow-window budget. arm
+// lineage's collector, tail capture at its slow-window budget. arm
 // adds this detector's label, report and controller feed; a Fleet's pool
 // labels each stream with its id.
 func (d *Detector) observer() core.Observer {
-	return core.Observer{Spans: perfobs.Default, Budget: d.slow}
+	return core.Observer{Spans: d.spans, Budget: d.slow}
 }
 
 // slowWindow reports a window over the slow-window budget (core counts and

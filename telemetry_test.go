@@ -279,17 +279,6 @@ func TestFrontEndTimeRidesItsWindow(t *testing.T) {
 // slowest list — fleet windows without reaching OnSlowWindow. With the
 // budget at 0 nothing is kept.
 func TestTailCaptureDetectorAndFleet(t *testing.T) {
-	every := perfobs.Default.SampleEvery()
-	reset := func() {
-		perfobs.Default.Reset()
-		perfobs.DefaultOutliers.Reset()
-	}
-	perfobs.Default.SetSampleEvery(0)
-	reset()
-	defer func() {
-		perfobs.Default.SetSampleEvery(every)
-		reset()
-	}()
 	cfg := testConfig()
 	cfg.SlowWindow = time.Nanosecond
 	cfg.StreamName = "tail-det"
@@ -341,7 +330,7 @@ func TestTailCaptureDetectorAndFleet(t *testing.T) {
 	slowBefore := slowWindowsTotal(t)
 	windows := run(830)
 	kept := map[string]int{}
-	for _, sp := range perfobs.Default.Spans(0) {
+	for _, sp := range det.Spans().Spans(0) {
 		if sp.Kept != "slow" {
 			t.Errorf("record kept as %q at 0%% sampling, want slow", sp.Kept)
 		}
@@ -361,7 +350,7 @@ func TestTailCaptureDetectorAndFleet(t *testing.T) {
 		t.Errorf("OnSlowWindow saw %d windows, want the detector's %d only", reported, windows["tail-det"])
 	}
 	slowest := map[string]bool{}
-	for _, it := range perfobs.DefaultOutliers.Report(0).Slowest {
+	for _, it := range det.Spans().Outliers().Report(0).Slowest {
 		slowest[it.Key] = true
 	}
 	for label := range windows {
@@ -371,9 +360,8 @@ func TestTailCaptureDetectorAndFleet(t *testing.T) {
 	}
 
 	det.SetSlowWindow(0) // reaches the fleet's streams too
-	reset()
 	run(840)
-	if n := len(perfobs.Default.Spans(0)); n != 0 {
+	if n := len(det.Spans().Spans(0)) - total; n != 0 {
 		t.Errorf("%d records kept with budget 0 and sampling off", n)
 	}
 }

@@ -20,6 +20,11 @@ type MatchRecord = trace.MatchRecord
 // decision, judged against Theorem 1's deviation bound.
 type AuditResult = trace.AuditResult
 
+// Journal returns the lineage's trace journal: the events and match
+// records of every traced stream of the lineage (/debug/events,
+// /debug/matches). It stays empty unless tracing is armed.
+func (d *Detector) Journal() *trace.Journal { return d.journal }
+
 // Tracing reports whether decision-provenance tracing is armed.
 func (d *Detector) Tracing() bool { return d.tracer != nil }
 

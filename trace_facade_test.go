@@ -3,6 +3,8 @@ package vdsms
 import (
 	"bytes"
 	"testing"
+
+	"vdsms/internal/trace"
 )
 
 // TestDetectorExplain exercises the facade's decision-provenance surface:
@@ -115,5 +117,58 @@ func TestDetectorTracingOff(t *testing.T) {
 	}
 	if det.MatchRecords(0) != nil || det.TraceEvents(0) != nil {
 		t.Error("untraced record/event feeds not nil")
+	}
+}
+
+// TestLineagesKeepTheirJournals: each detector lineage owns its journal and
+// span collector, so arming a second detector in the process — here with a
+// journal larger than the default — leaves the first one's events and
+// match records in place, while a NewStream sibling shares its lineage's.
+func TestLineagesKeepTheirJournals(t *testing.T) {
+	cfg := testConfig()
+	cfg.TraceEvents = 8192
+	cfg.StreamName = "first"
+	first, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := clip(t, 31, 20)
+	if err := first.AddQuery(3, bytes.NewReader(query)); err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := ComposeStream(&stream, 80, 1, bytes.NewReader(clip(t, 130, 30)),
+		bytes.NewReader(query), bytes.NewReader(clip(t, 131, 30))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Monitor(&stream); err != nil {
+		t.Fatal(err)
+	}
+	evs, recs := len(first.TraceEvents(0)), len(first.MatchRecords(0))
+	if evs == 0 || recs == 0 {
+		t.Fatalf("first detector journaled %d events and %d records, want both > 0", evs, recs)
+	}
+
+	cfg.TraceEvents = trace.DefaultEventCap + 1
+	cfg.StreamName = "second"
+	second, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(first.TraceEvents(0)); got != evs {
+		t.Errorf("first detector's events went from %d to %d when a second lineage armed", evs, got)
+	}
+	if got := len(first.MatchRecords(0)); got != recs {
+		t.Errorf("first detector's match records went from %d to %d when a second lineage armed", recs, got)
+	}
+	if second.Journal() == first.Journal() || second.Spans() == first.Spans() {
+		t.Error("two lineages share a journal or a span collector")
+	}
+	sib, err := second.NewStreamNamed("sibling")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sib.Journal() != second.Journal() || sib.Spans() != second.Spans() {
+		t.Error("a NewStream sibling does not share its lineage's journal and span collector")
 	}
 }

@@ -94,22 +94,23 @@ type Config struct {
 	CheckpointDir string
 	// SlowWindow is the slow-window budget: any basic window whose kernel
 	// processing exceeds it is counted, its per-window record is kept in
-	// the span ring and outlier top-K whatever the sampling rate (tail
-	// capture), and it is reported via OnSlowWindow when set, else as one
-	// log line. The budget covers this detector, its NewStream siblings and
-	// its fleets; fleet streams are counted and kept, not reported. Zero
-	// or negative disables capture. The natural budget for live input is
-	// WindowSec (-slow-window budget on vcdmon and vcdserve). The budget is
-	// runtime-adjustable after construction via Detector.SetSlowWindow (and
-	// POST /debug/slow-window on the server).
+	// the lineage's span ring and outlier top-K (Detector.Spans) whatever
+	// the sampling rate (tail capture), and it is reported via OnSlowWindow
+	// when set, else as one log line. The budget covers this detector, its
+	// NewStream siblings and its fleets; fleet streams are counted and
+	// kept, not reported. Zero or negative disables capture. The natural
+	// budget for live input is WindowSec (-slow-window budget on vcdmon and
+	// vcdserve). The budget is runtime-adjustable after construction via
+	// Detector.SetSlowWindow (and POST /debug/slow-window on the server).
 	SlowWindow time.Duration
 	// TraceEvents arms decision-provenance tracing: candidate-lifecycle
 	// events (born, extended, pruned, dropped, expired, reported, near_miss)
-	// are journaled in a bounded process-wide ring of this many events, and
+	// are journaled in the lineage's bounded ring (Detector.Journal), and
 	// every emitted match gets a provenance record (see Detector.MatchRecord).
 	// Zero disables tracing — the matching kernel then does no extra work at
-	// all. Capacities below the default still arm tracing at the default
-	// ring size.
+	// all. The lineage's first detector sizes the ring once, at this many
+	// events or trace.DefaultEventCap, whichever is larger; its NewStream
+	// siblings and fleets share it.
 	TraceEvents int
 	// AuditFraction, in (0, 1], arms the sampled exact-audit channel (and
 	// implies tracing): about this fraction of report and prune decisions
@@ -194,11 +195,14 @@ type Detector struct {
 	// so they are reported here instead of through OnMatch.
 	Replayed []Match
 
-	// Decision-provenance state (see trace.go): the journal recorder when
-	// tracing is armed, and the slow-window budget in nanoseconds, shared by
-	// every engine of this detector's lineage and its fleets.
-	tracer *trace.Recorder
-	slow   *atomic.Int64
+	// The lineage's diagnostics, shared by every engine of this detector's
+	// lineage and its fleets: the trace journal, the span collector (with
+	// its outlier sketches) and the slow-window budget in nanoseconds. The
+	// journal recorder is this stream's, when tracing is armed (trace.go).
+	journal *trace.Journal
+	spans   *perfobs.Collector
+	slow    *atomic.Int64
+	tracer  *trace.Recorder
 
 	// Adaptive-ingest state (see degrade.go): the overload controller is
 	// shared across the lineage like slow; ovl holds this stream's sampler,
@@ -440,13 +444,15 @@ func newDetector(cfg Config) (*Detector, core.Config, error) {
 
 // arm makes eng this detector's engine and wires it: matches to forward,
 // the front end's stage timing to the engine, decision tracing
-// (Config.TraceEvents, Config.AuditFraction) and the per-window record's
-// observer — the span collector under the stream's label, the lineage's
-// slow-window budget, the slow-window report and, when armed, the overload
-// controller. Called at every engine construction site (NewDetector,
-// NewStreamNamed, LoadDetector, Resume) and by SetRealTimeBudget when it
-// arms the controller; a Fleet's streams get the same observer minus the
-// report and the controller (Detector.NewFleet).
+// (Config.TraceEvents, Config.AuditFraction) into the lineage's journal
+// and the per-window record's observer — the lineage's span collector
+// under the stream's label, its slow-window budget, the slow-window report
+// and, when armed, the overload controller. The first arm of a lineage
+// creates its journal, collector and budget; neither allocates a ring
+// until it keeps something. Called at every engine construction site
+// (NewDetector, NewStreamNamed, LoadDetector, Resume) and by
+// SetRealTimeBudget when it arms the controller; a Fleet's streams get the
+// same observer minus the report and the controller (Detector.NewFleet).
 func (d *Detector) arm(eng *core.Engine) {
 	d.engine, d.front.eng = eng, eng
 	eng.OnMatch = d.forward
@@ -460,14 +466,13 @@ func (d *Detector) arm(eng *core.Engine) {
 	if d.slow == nil {
 		d.slow = new(atomic.Int64)
 		d.slow.Store(int64(d.cfg.slowWindowBudget()))
+		d.journal = trace.NewJournal(max(d.cfg.TraceEvents, trace.DefaultEventCap), trace.DefaultMatchCap)
+		d.spans = perfobs.NewCollector(perfobs.DefaultRing)
 	}
 	// The first engine creates the journal recorder; engine swaps
 	// (LoadDetector, Resume) re-install it so the detector keeps its stream.
 	if d.tracer == nil && (d.cfg.TraceEvents > 0 || d.cfg.AuditFraction > 0) {
-		if d.cfg.TraceEvents > trace.DefaultEventCap {
-			trace.Default.SetEventCapacity(d.cfg.TraceEvents)
-		}
-		d.tracer = eng.Trace(trace.Default, d.cfg.StreamName)
+		d.tracer = eng.Trace(d.journal, d.cfg.StreamName)
 	}
 	d.perfLabel = d.cfg.StreamName
 	if d.tracer != nil {
@@ -497,8 +502,10 @@ func (d *Detector) NewStream() (*Detector, error) { return d.NewStreamNamed("") 
 
 // NewStreamNamed is NewStream with an explicit trace-journal stream name
 // (shown by /debug/events and match records; empty auto-assigns one). The
-// new detector shares this detector's runtime-adjustable slow-window
-// budget, so one POST /debug/slow-window reaches every stream.
+// new detector joins this detector's lineage: it journals into the same
+// journal, keeps spans in the same collector and shares the
+// runtime-adjustable slow-window budget, so one POST /debug/slow-window
+// reaches every stream.
 func (d *Detector) NewStreamNamed(name string) (*Detector, error) {
 	eng, err := core.NewEngineWith(d.engine.Config(), d.engine.Queries())
 	if err != nil {
@@ -509,7 +516,8 @@ func (d *Detector) NewStreamNamed(name string) (*Detector, error) {
 	// streams share the query set but must manage their own durability.
 	ncfg.CheckpointDir = ""
 	ncfg.StreamName = name
-	nd := &Detector{cfg: ncfg, pipeline: d.pipeline, winKeyF: d.winKeyF, slow: d.slow, ctl: d.ctl}
+	nd := &Detector{cfg: ncfg, pipeline: d.pipeline, winKeyF: d.winKeyF,
+		journal: d.journal, spans: d.spans, slow: d.slow, ctl: d.ctl}
 	nd.arm(eng)
 	return nd, nil
 }
@@ -685,7 +693,7 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 			if !keep {
 				o.decodeShed.Add(1)
 				telShedDecode.Inc()
-				perfobs.DefaultOutliers.ObserveShed(d.perfLabel, 1)
+				d.spans.Outliers().ObserveShed(d.perfLabel, 1)
 			}
 			return !keep
 		})
