@@ -82,15 +82,16 @@ queryscale-smoke:
 		-run 'TestQueryScaleSmoke|$(CONTRACTS)|FuzzPlaneProbe|TestPlaneWideWindow|FuzzProbeVsScan|TestInvert|TestSketchWinners|TestCellRowsModel|TestPrefixCollisions|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestBytesMatchesHeap|TestLessMask|TestLessInto|TestCompareInto|FuzzLessMask|TestSplitSketchRoundTrip|TestWithAnyCoreCount|TestAddBatchAnyCoreCount|TestExportStateAllocs|TestAddQueriesAnyCoreCount|TestAddQueriesFailingClip|TestAddQueriesOneGoroutinePerClip' \
 		. ./internal/bitsig ./internal/minhash ./internal/qindex ./internal/core ./internal/experiments
 
-# Overload gate under the race detector: the degrade-layer unit suites plus
-# the calibrate → observe → shed sweep at 2× sustainable ingest. The shed
-# pass must reach decode shedding and bring the steady p99 back inside the
-# budget with recall ≥ 0.5; the sweep report lands in overload-report/.
+# Overload gate under the race detector: the degrade-layer unit suites, the
+# health-surface, lineage and cancellation tests, and TestOverloadSmoke —
+# full, observe-only and shed passes on a modelled window cost, so every
+# number is exact: at 2× overload the shed pass must reach decode shedding,
+# hold its steady p99 inside the budget and keep recall ≥ 0.5.
 overload-smoke:
 	$(GO) test -race -count=1 ./internal/degrade
-	OVERLOAD_REPORT_DIR=$(CURDIR)/overload-report $(GO) test -race -count=1 \
-		-run 'TestOverloadSmoke|TestOverload|TestReadyz|TestMonitorContext' \
-		./internal/experiments ./internal/server .
+	$(GO) test -race -count=1 \
+		-run 'TestOverload|TestSiblingTakesTheLineageBudget|TestSetRealTimeBudget|TestReadyz|TestStatsShedBlock|TestMonitorContext' \
+		./internal/server .
 
 # Fleet gate under the race detector: the stream-pool unit suites, the
 # query-plane copy-on-write suites, the HTTP fleet endpoints, and the
@@ -107,15 +108,18 @@ fleet-smoke:
 # under the race detector — /metrics must parse and lint clean with the
 # in-repo exposition parser, /debug/spans and /debug/fleet/top must serve
 # schema-stable JSON (the sampled spans land in perf-report/ as the CI
-# artifact) — plus the zero-sampling contract: span capture at 0% must add
-# no allocations and stay within 2% of the telemetry-off window baseline.
+# artifact) — plus the zero-sampling contract: with telemetry off, span
+# capture at 0% must leave the window untimed and add no allocations. The
+# telemetry-off and spans-0pct window timings are printed, not gated.
 perf-smoke:
 	mkdir -p perf-report
 	PERF_SMOKE=1 PERF_SMOKE_OUT=$(CURDIR)/perf-report/spans.ndjson \
 		$(GO) test -race -count=1 -run 'TestPerfSmoke' ./internal/server
 	$(GO) test -race -count=1 ./internal/perfobs
-	PERF_SMOKE=1 $(GO) test -count=1 \
+	$(GO) test -count=1 \
 		-run 'TestZeroSamplingSpanCaptureAddsNoAllocs|TestZeroSamplingOverheadGate' ./internal/core
+	$(GO) test -count=1 -run '^$$' -bench 'SequentialBit/532/(telemetry-off|spans-0pct)$$' \
+		-benchtime 2000x ./internal/core
 
 # Crash-recovery sweep under the race detector, run twice (-count=2: the
 # tests share a process-global metrics registry): snapshot/restore at every

@@ -46,8 +46,8 @@ var (
 // the overload control loop (shared across the detector's lineage) plus
 // this detector's own shed and fault-recovery counters.
 type OverloadStats struct {
-	// Armed reports whether the overload controller exists at all
-	// (Config.RealTimeBudget set, or SetRealTimeBudget called).
+	// Armed reports whether the lineage's overload controller runs: its
+	// budget is positive (Config.RealTimeBudget or SetRealTimeBudget).
 	Armed bool
 	// Level is the current shed level, 0..degrade.MaxLevel.
 	Level int
@@ -84,77 +84,62 @@ type ovlState struct {
 	decodeShed  atomic.Int64
 	rstats      struct{ resyncs, corrupt, skipped, truncated atomic.Int64 }
 	retries     atomic.Int64
+
+	// cost, when set, prices a window for the controller in place of its
+	// measured ingest latency; tests set it to a model of the window's work.
+	cost func(*perfobs.Span) time.Duration
 }
 
-// SetRealTimeBudget retunes (or arms) the overload controller at runtime.
-// The new budget takes effect at the next observed window of every stream
-// sharing this detector's lineage. On a detector constructed without a
-// budget, monitoring started before this call stays unobserved — arm via
-// Config.RealTimeBudget when the budget is known up front. Non-positive
-// disables the loop and resets the shed level.
-func (d *Detector) SetRealTimeBudget(budget time.Duration) {
-	if d.ctl == nil {
-		if budget <= 0 {
-			return
-		}
-		d.cfg.RealTimeBudget = budget
-		d.arm(d.engine)
-		return
-	}
-	d.ctl.SetBudget(budget)
-}
+// SetRealTimeBudget retunes the lineage's overload controller at runtime:
+// the new budget takes effect at the next observed window of every stream
+// of this detector's lineage. Non-positive disables the loop and resets the
+// shed level.
+func (d *Detector) SetRealTimeBudget(budget time.Duration) { d.ctl.SetBudget(budget) }
 
 // RealTimeBudget returns the live per-window budget (zero = disabled).
-func (d *Detector) RealTimeBudget() time.Duration {
-	if d.ctl == nil {
-		return 0
-	}
-	return d.ctl.Budget()
-}
+func (d *Detector) RealTimeBudget() time.Duration { return d.ctl.Budget() }
 
-// ShedLevel returns the lineage's current shed level (0 when the overload
-// controller is not armed).
-func (d *Detector) ShedLevel() int {
-	if d.ctl == nil {
-		return 0
-	}
-	return d.ctl.Level()
-}
+// ShedLevel returns the lineage's current shed level (0 while the loop is
+// off).
+func (d *Detector) ShedLevel() int { return d.ctl.Level() }
 
 // Overload returns the adaptive-ingest statistics: control-loop state
 // shared across the lineage plus this detector's shed and fault-recovery
 // counters.
 func (d *Detector) Overload() OverloadStats {
-	s := OverloadStats{MaxLevel: degrade.MaxLevel}
-	if d.ovl != nil {
-		s.ExtractShed = d.ovl.extractShed.Load()
-		s.DecodeShed = d.ovl.decodeShed.Load()
-		s.Resyncs = d.ovl.rstats.resyncs.Load()
-		s.CorruptFrames = d.ovl.rstats.corrupt.Load()
-		s.SkippedBytes = d.ovl.rstats.skipped.Load()
-		s.Truncated = d.ovl.rstats.truncated.Load()
-		s.ReadRetries = d.ovl.retries.Load()
-	}
-	if d.ctl == nil {
-		return s
-	}
 	cs := d.ctl.Snapshot()
-	s.Armed = true
-	s.Level = cs.Level
-	s.Budget = cs.Budget
-	s.RingP99, s.RunP99, s.RunMean = cs.RingP99, cs.RunP99, cs.RunMean
-	s.RunWindows, s.Observed = cs.RunWindows, cs.Observed
-	s.ShedWindows, s.Transitions = cs.ShedWindows, cs.Transitions
-	return s
+	return OverloadStats{
+		Armed:         cs.Budget > 0,
+		Level:         cs.Level,
+		MaxLevel:      degrade.MaxLevel,
+		Budget:        cs.Budget,
+		RingP99:       cs.RingP99,
+		RunP99:        cs.RunP99,
+		RunMean:       cs.RunMean,
+		RunWindows:    cs.RunWindows,
+		Observed:      cs.Observed,
+		ShedWindows:   cs.ShedWindows,
+		Transitions:   cs.Transitions,
+		ExtractShed:   d.ovl.extractShed.Load(),
+		DecodeShed:    d.ovl.decodeShed.Load(),
+		Resyncs:       d.ovl.rstats.resyncs.Load(),
+		CorruptFrames: d.ovl.rstats.corrupt.Load(),
+		SkippedBytes:  d.ovl.rstats.skipped.Load(),
+		Truncated:     d.ovl.rstats.truncated.Load(),
+		ReadRetries:   d.ovl.retries.Load(),
+	}
 }
 
 // observeIngestWindow is the controller's feed (the record observer's
-// OnWindow, set by arm once the controller exists): the window's full
-// ingest latency, decode and extract of its frames plus the kernel's total,
-// read off the one record.
+// OnWindow, set by arm): the window's full ingest latency, decode and
+// extract of its frames plus the kernel's total, read off the one record.
+// While the loop is off, Observe is one atomic load.
 func (d *Detector) observeIngestWindow(rec *perfobs.Span) {
-	total := rec.NS[perfobs.StageDecode] + rec.NS[perfobs.StageExtract] + rec.NS[perfobs.StageWindowTotal]
-	level := int32(d.ctl.Observe(time.Duration(total)))
+	total := time.Duration(rec.NS[perfobs.StageDecode] + rec.NS[perfobs.StageExtract] + rec.NS[perfobs.StageWindowTotal])
+	if d.ovl.cost != nil {
+		total = d.ovl.cost(rec)
+	}
+	level := int32(d.ctl.Observe(total))
 	if prev := d.ovl.lastLevel; level != prev {
 		d.ovl.lastLevel = level
 		telShedLevel.Set(float64(level))
@@ -163,7 +148,7 @@ func (d *Detector) observeIngestWindow(rec *perfobs.Span) {
 }
 
 // shedArmed reports whether the monitor loop should make shed decisions.
-func (d *Detector) shedArmed() bool { return d.ctl != nil && d.cfg.Shed }
+func (d *Detector) shedArmed() bool { return d.cfg.Shed && d.ctl.Budget() > 0 }
 
 // shedExtract is the front end's shed hook (pipeline.next asks it about
 // every decoded frame): true substitutes the most recent cell id for this

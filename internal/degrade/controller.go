@@ -1,6 +1,7 @@
 package degrade
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,64 +17,25 @@ import (
 //	3 — aggressive decode shed for severe overload
 const MaxLevel = 3
 
-// ControllerConfig tunes the overload control loop. The zero value is
-// replaced field-by-field with the defaults below.
-type ControllerConfig struct {
-	// Budget is the per-window real-time budget: the latency the p99 of
-	// recent window observations must stay under. Zero disables the loop
-	// (Observe records nothing and the level stays 0).
-	Budget time.Duration
-
-	// RingSize is how many recent observations the p99 is computed over.
-	// Default 32 — at that size the nearest-rank p99 is the ring maximum,
-	// which is the right amount of paranoia for a real-time bound.
-	RingSize int
-
-	// MinSamples is how many observations must accumulate after a level
-	// change before the loop evaluates again. Default 8. This is the
-	// settling time: it keeps one stale slow window from the previous
-	// level immediately re-triggering escalation.
-	MinSamples int
-
-	// UpStreak is how many consecutive breaching evaluations raise the
-	// level. Default 2.
-	UpStreak int
-
-	// DownStreak is how many consecutive evaluations below LowWater×Budget
-	// lower the level. Default 16 — recovery is deliberately much slower
-	// than escalation so the level does not oscillate across the boundary.
-	DownStreak int
-
-	// LowWater is the fraction of Budget the p99 must clear before the
-	// down-streak counts. Default 0.55: the hold band must be wide enough
-	// to cover the cost step between adjacent shed levels (roughly 2× —
-	// level 3 halves the cost of level 2), or the loop would de-escalate
-	// from a comfortably-under-budget level straight into one that
-	// breaches, and oscillate.
-	LowWater float64
-}
-
-func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.RingSize <= 0 {
-		c.RingSize = 32
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.MinSamples > c.RingSize {
-		c.MinSamples = c.RingSize
-	}
-	if c.UpStreak <= 0 {
-		c.UpStreak = 2
-	}
-	if c.DownStreak <= 0 {
-		c.DownStreak = 16
-	}
-	if c.LowWater <= 0 || c.LowWater >= 1 {
-		c.LowWater = 0.55
-	}
-	return c
-}
+// The control loop's constants. The p99 is taken over the last ringSize
+// observations: at 32 the nearest-rank p99 is the ring's maximum, the
+// right amount of paranoia for a real-time bound. After a level change
+// settle observations accumulate before the loop evaluates again, so one
+// stale slow window from the previous level cannot re-trigger escalation.
+// upStreak consecutive breaching evaluations raise the level; downStreak
+// consecutive evaluations below lowWater×budget lower it — recovery is
+// much slower than escalation so the level does not oscillate across the
+// boundary. The hold band must cover the cost step between adjacent shed
+// levels (roughly 2×: level 3 halves the cost of level 2), or the loop
+// would de-escalate from a comfortably-under-budget level straight into
+// one that breaches, and oscillate.
+const (
+	ringSize   = 32
+	settle     = 8
+	upStreak   = 2
+	downStreak = 16
+	lowWater   = 0.55
+)
 
 // Controller is the closed-loop overload controller: Observe is called once
 // per completed basic window with the window's total ingest latency, and
@@ -84,17 +46,15 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 // detector lineage, so concurrent streams feed one loop and shed together
 // (overload is a process condition, not a per-stream one).
 type Controller struct {
-	cfg ControllerConfig
-
 	level  atomic.Int32
 	budget atomic.Int64 // nanoseconds; mutable at runtime via SetBudget
 
-	mu         sync.Mutex
-	ring       []time.Duration // observation window, cleared on level change
-	ringN      int             // valid entries in ring (≤ len(ring))
-	ringAt     int             // next write position
-	upStreak   int
-	downStreak int
+	mu     sync.Mutex
+	ring   [ringSize]time.Duration // observation window, cleared on level change
+	ringN  int                     // valid entries in ring (≤ ringSize)
+	ringAt int                     // next write position
+	ups    int                     // consecutive breaching evaluations
+	downs  int                     // consecutive evaluations below low water
 
 	// Steady-state digest: a uniform reservoir sample (Algorithm R with a
 	// deterministic LCG) of every observation since the last level change.
@@ -119,15 +79,12 @@ type Controller struct {
 // estimate while keeping Snapshot cheap.
 const steadyReservoir = 256
 
-// NewController builds a controller from cfg (zero fields take defaults).
-func NewController(cfg ControllerConfig) *Controller {
-	cfg = cfg.withDefaults()
-	c := &Controller{
-		cfg:    cfg,
-		ring:   make([]time.Duration, cfg.RingSize),
-		resRng: 0x9E3779B97F4A7C15,
-	}
-	c.budget.Store(int64(cfg.Budget))
+// NewController builds a controller with the given per-window real-time
+// budget: the latency the p99 of recent window observations must stay
+// under. Zero leaves the loop off until SetBudget arms it.
+func NewController(budget time.Duration) *Controller {
+	c := &Controller{resRng: 0x9E3779B97F4A7C15}
+	c.budget.Store(int64(max(budget, 0)))
 	return c
 }
 
@@ -153,17 +110,6 @@ func (c *Controller) SetBudget(d time.Duration) {
 	}
 }
 
-// Reset returns the controller to level 0 with no accumulated evidence —
-// called when monitoring (re)starts so a previous stream's overload state
-// does not bleed into the next.
-func (c *Controller) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.level.Store(0)
-	c.clearEvidenceLocked()
-	c.upStreak, c.downStreak = 0, 0
-}
-
 // clearEvidenceLocked drops the ring and the steady-state digest.
 func (c *Controller) clearEvidenceLocked() {
 	c.ringN, c.ringAt = 0, 0
@@ -173,11 +119,12 @@ func (c *Controller) clearEvidenceLocked() {
 }
 
 // Observe feeds one completed window's total ingest latency into the loop
-// and returns the (possibly changed) shed level.
+// and returns the (possibly changed) shed level. With the loop off it is
+// one atomic load and returns 0.
 func (c *Controller) Observe(total time.Duration) int {
 	budget := time.Duration(c.budget.Load())
 	if budget <= 0 {
-		return int(c.level.Load())
+		return 0
 	}
 
 	c.mu.Lock()
@@ -189,36 +136,32 @@ func (c *Controller) Observe(total time.Duration) int {
 	}
 
 	c.ring[c.ringAt] = total
-	c.ringAt = (c.ringAt + 1) % len(c.ring)
-	if c.ringN < len(c.ring) {
-		c.ringN++
-	}
+	c.ringAt = (c.ringAt + 1) % ringSize
+	c.ringN = min(c.ringN+1, ringSize)
 	c.digestLocked(total)
 
-	if c.ringN < c.cfg.MinSamples {
-		return int(c.level.Load())
-	}
-
-	p99 := c.ringP99Locked()
 	level := int(c.level.Load())
-	switch {
+	if c.ringN < settle {
+		return level
+	}
+	switch p99 := c.ringP99Locked(); {
 	case p99 > budget:
-		c.downStreak = 0
-		c.upStreak++
-		if c.upStreak >= c.cfg.UpStreak && level < MaxLevel {
+		c.downs = 0
+		c.ups++
+		if c.ups >= upStreak && level < MaxLevel {
 			level++
 			c.changeLevelLocked(level)
 		}
-	case p99 < time.Duration(float64(budget)*c.cfg.LowWater):
-		c.upStreak = 0
-		c.downStreak++
-		if c.downStreak >= c.cfg.DownStreak && level > 0 {
+	case p99 < time.Duration(float64(budget)*lowWater):
+		c.ups = 0
+		c.downs++
+		if c.downs >= downStreak && level > 0 {
 			level--
 			c.changeLevelLocked(level)
 		}
 	default:
 		// Between the waters: hold the level, decay both streaks.
-		c.upStreak, c.downStreak = 0, 0
+		c.ups, c.downs = 0, 0
 	}
 	return level
 }
@@ -228,7 +171,7 @@ func (c *Controller) Observe(total time.Duration) int {
 func (c *Controller) changeLevelLocked(level int) {
 	c.level.Store(int32(level))
 	c.transitions++
-	c.upStreak, c.downStreak = 0, 0
+	c.ups, c.downs = 0, 0
 	c.clearEvidenceLocked()
 }
 
@@ -258,9 +201,9 @@ type Snapshot struct {
 	RunP99      time.Duration // p99 since the last level change (steady state)
 	RunMean     time.Duration // mean since the last level change
 	RunWindows  int64         // observations since the last level change
-	Observed    int64         // observations since Reset
+	Observed    int64         // observations ever
 	ShedWindows int64         // observations taken at level > 0
-	Transitions int64         // level changes since Reset
+	Transitions int64         // level changes ever
 }
 
 // Snapshot returns the current control-loop state.
@@ -292,27 +235,8 @@ func (c *Controller) Snapshot() Snapshot {
 	return s
 }
 
-// ringP99Locked computes the nearest-rank p99 of the valid ring entries.
-// At ring sizes ≤ 100 the 0.99 rank is the maximum, so this is a scan.
+// ringP99Locked is the nearest-rank p99 of the valid ring entries: with at
+// most 32 of them the 0.99 rank is the last, so it is their maximum.
 func (c *Controller) ringP99Locked() time.Duration {
-	rank := (99*c.ringN + 99) / 100 // ceil(0.99 n)
-	if rank >= c.ringN {
-		var max time.Duration
-		for i := 0; i < c.ringN; i++ {
-			if c.ring[i] > max {
-				max = c.ring[i]
-			}
-		}
-		return max
-	}
-	// General nearest-rank via partial selection; n is ≤ RingSize so an
-	// insertion pass over a small copy is fine.
-	buf := make([]time.Duration, c.ringN)
-	copy(buf, c.ring[:c.ringN])
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	return buf[rank-1]
+	return slices.Max(c.ring[:c.ringN])
 }

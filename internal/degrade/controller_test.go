@@ -15,7 +15,7 @@ func feed(c *Controller, n int, d time.Duration) int {
 }
 
 func TestControllerDisabledWithoutBudget(t *testing.T) {
-	c := NewController(ControllerConfig{})
+	c := NewController(0)
 	if got := feed(c, 100, time.Second); got != 0 {
 		t.Fatalf("level %d with zero budget, want 0", got)
 	}
@@ -25,8 +25,8 @@ func TestControllerDisabledWithoutBudget(t *testing.T) {
 }
 
 func TestControllerEscalatesUnderBreach(t *testing.T) {
-	c := NewController(ControllerConfig{Budget: 10 * time.Millisecond})
-	// MinSamples evidence + UpStreak breaches per step; 2×ring is plenty
+	c := NewController(10 * time.Millisecond)
+	// settle evidence + upStreak breaches per step; 2×ring is plenty
 	// for one escalation.
 	if got := feed(c, 2*32, 20*time.Millisecond); got < 1 {
 		t.Fatalf("level %d after sustained breach, want ≥ 1", got)
@@ -41,26 +41,26 @@ func TestControllerEscalatesUnderBreach(t *testing.T) {
 }
 
 func TestControllerRecoversWhenClear(t *testing.T) {
-	c := NewController(ControllerConfig{Budget: 10 * time.Millisecond})
+	c := NewController(10 * time.Millisecond)
 	feed(c, 4*32, 20*time.Millisecond)
 	if c.Level() == 0 {
 		t.Fatal("setup: expected a raised level")
 	}
 	// Far below the low-water mark for long enough to walk all the way
-	// back down: each step needs MinSamples + DownStreak clear windows.
+	// back down: each step needs settle + downStreak clear windows.
 	if got := feed(c, MaxLevel*(8+16)+32, time.Millisecond); got != 0 {
 		t.Fatalf("level %d after sustained recovery, want 0", got)
 	}
 }
 
 func TestControllerHysteresisHoldsBetweenWaters(t *testing.T) {
-	c := NewController(ControllerConfig{Budget: 10 * time.Millisecond})
+	c := NewController(10 * time.Millisecond)
 	feed(c, 2*32, 20*time.Millisecond)
 	level := c.Level()
 	if level == 0 {
 		t.Fatal("setup: expected a raised level")
 	}
-	// 8ms is under budget but above LowWater×budget (5.5ms): the level
+	// 8ms is under budget but above lowWater×budget (5.5ms): the level
 	// must hold.
 	if got := feed(c, 200, 8*time.Millisecond); got != level {
 		t.Fatalf("level moved %d→%d inside the hysteresis band", level, got)
@@ -68,14 +68,14 @@ func TestControllerHysteresisHoldsBetweenWaters(t *testing.T) {
 }
 
 func TestControllerSingleSpikeDoesNotEscalate(t *testing.T) {
-	c := NewController(ControllerConfig{Budget: 10 * time.Millisecond})
+	c := NewController(10 * time.Millisecond)
 	feed(c, 32, time.Millisecond)
 	// One wild outlier breaches the ring p99 but the up-streak requires
 	// consecutive breaching evaluations... which the spike alone provides
 	// while it sits in the ring. Guard against that with the streak reset:
 	// after the spike, clear windows reset the streak before it can fire
-	// twice only if UpStreak > 1 evaluations happen while p99 is breached.
-	// With UpStreak=2 one spike in a clear stream escalates once at most;
+	// twice only if upStreak > 1 evaluations happen while p99 is breached.
+	// With upStreak = 2 one spike in a clear stream escalates once at most;
 	// assert it never reaches MaxLevel.
 	c.Observe(500 * time.Millisecond)
 	if got := feed(c, 300, time.Millisecond); got >= MaxLevel {
@@ -87,7 +87,7 @@ func TestControllerSingleSpikeDoesNotEscalate(t *testing.T) {
 }
 
 func TestControllerSetBudgetRuntime(t *testing.T) {
-	c := NewController(ControllerConfig{Budget: time.Hour})
+	c := NewController(time.Hour)
 	if got := feed(c, 64, 20*time.Millisecond); got != 0 {
 		t.Fatalf("level %d under a huge budget", got)
 	}
@@ -108,24 +108,8 @@ func TestControllerSetBudgetRuntime(t *testing.T) {
 	}
 }
 
-func TestControllerReset(t *testing.T) {
-	c := NewController(ControllerConfig{Budget: 10 * time.Millisecond})
-	feed(c, 4*32, 20*time.Millisecond)
-	c.Reset()
-	if c.Level() != 0 {
-		t.Fatalf("level %d after Reset, want 0", c.Level())
-	}
-	s := c.Snapshot()
-	if s.RunWindows != 0 || s.RingP99 != 0 {
-		t.Fatalf("evidence survived Reset: %+v", s)
-	}
-	if c.Budget() != 10*time.Millisecond {
-		t.Fatalf("Reset changed the budget to %v", c.Budget())
-	}
-}
-
 func TestControllerSnapshotSteadyState(t *testing.T) {
-	c := NewController(ControllerConfig{Budget: time.Hour})
+	c := NewController(time.Hour)
 	// All observations at one level: the steady digest covers everything.
 	feed(c, 50, 2*time.Millisecond)
 	s := c.Snapshot()
@@ -144,7 +128,7 @@ func TestControllerSnapshotSteadyState(t *testing.T) {
 }
 
 func TestControllerSteadyDigestRestartsOnLevelChange(t *testing.T) {
-	c := NewController(ControllerConfig{Budget: 10 * time.Millisecond})
+	c := NewController(10 * time.Millisecond)
 	// Breach until the first escalation, then stop immediately so the
 	// freshly cleared digest sees no further 50ms windows.
 	for i := 0; i < 200 && c.Level() == 0; i++ {

@@ -7,14 +7,14 @@ package degrade
 // a self-adapting quantile threshold. Static content — where consecutive
 // key frames fingerprint almost identically and the window sketch barely
 // changes — is shed first; high-motion content keeps its full sampling
-// density. A max-run guard bounds consecutive sheds so no span of content,
-// however static, goes completely unobserved.
+// density. A max-run guard bounds consecutive extract sheds so no span of
+// content, however static, goes completely unobserved.
 //
-// Decode shedding additionally enforces a per-window budget when the
-// caller declares the basic-window cadence (SetWindow): at most
-// ceil(winFrames·(1−drop)) entropy decodes per window, with the threshold
-// choosing which frames get them and a forced keep spending any leftover
-// budget at the window tail. The cap is what actually bounds tail latency —
+// Decode shedding runs under a per-window budget on the basic-window
+// cadence given at construction: at most winFrames·(1−drop) entropy decodes
+// per window, rounded half up and at least one, with the threshold choosing
+// which frames get them and a forced keep spending any leftover budget at
+// the window tail. The cap is what actually bounds tail latency —
 // a pure quantile threshold sheds only where content is static, so the p99
 // window (all-motion, nothing shed) would still run at full cost; under a
 // real-time budget every window must shed, and content decides which
@@ -31,17 +31,15 @@ var (
 	decodeDrop  = [MaxLevel + 1]float64{0, 0, 0.5, 0.75}
 )
 
-// Max consecutive sheds before a frame is force-kept regardless of score.
-// Every shed frame substitutes a stale cell id whose age grows with the
-// run, so the run bound directly limits how far the emitted cell sequence
-// can lag the content. Runs beyond ~3 key frames destroy sequence
-// similarity faster than they save work (measured: recall collapses to 0
-// at run cap 7 on workloads that survive cap 3 with two thirds of their
-// recall), so both stages share the tight bound.
-const (
-	maxExtractRun = 3
-	maxDecodeRun  = 3
-)
+// maxExtractRun is how many consecutive extract sheds force a keep
+// regardless of score. Every shed frame substitutes a stale cell id whose
+// age grows with the run, so the run bound directly limits how far the
+// emitted cell sequence can lag the content. Runs beyond ~3 key frames
+// destroy sequence similarity faster than they save work (measured: recall
+// collapses to 0 at run cap 7 on workloads that survive cap 3 with two
+// thirds of their recall). Decode sheds need no such guard: the window
+// budget keeps at least one decode in every window.
+const maxExtractRun = 3
 
 // thresholdTracker follows the f-quantile of a score stream with O(1)
 // stochastic updates (the classic Robbins–Monro quantile estimator): the
@@ -79,58 +77,40 @@ func (t *thresholdTracker) update(score float64) bool {
 	return keep
 }
 
-func (t *thresholdTracker) reset() { t.primed = false }
-
 // Sampler makes per-frame keep/shed decisions for one monitored stream at
 // the controller's current level. Not safe for concurrent use.
 type Sampler struct {
 	extract  thresholdTracker
 	decode   thresholdTracker
 	extRun   int // consecutive extract sheds
-	decRun   int // consecutive decode sheds
 	prevSize int
 	haveSize bool
 
-	// Window-budget state (SetWindow). winFrames 0 = no cadence declared:
-	// decode shedding then falls back to the pure threshold + run guard.
+	// The decode budget's window: winFrames key frames per basic window,
+	// the next KeepDecode's position in it and the decodes it has kept.
 	winFrames    int
 	frameInWin   int
 	decodedInWin int
 }
 
-// SetWindow declares the basic-window cadence: winFrames key frames per
-// window, with the next KeepDecode call sitting phase frames into the
-// current window. Decode shedding then runs under a per-window budget of
-// ceil(winFrames·(1−drop)) decodes — see the package comment. winFrames
-// ≤ 0 clears the cadence.
-func (s *Sampler) SetWindow(winFrames, phase int) {
-	if winFrames <= 0 {
-		s.winFrames, s.frameInWin, s.decodedInWin = 0, 0, 0
-		return
-	}
-	if phase < 0 || phase >= winFrames {
+// NewSampler returns a sampler for a stream of winFrames key frames per
+// basic window (at least 1), with untrained thresholds: the first frames at
+// each level are kept while the trackers prime.
+func NewSampler(winFrames int) *Sampler {
+	return &Sampler{winFrames: max(winFrames, 1)}
+}
+
+// SetPhase places the next KeepDecode phase frames into the current basic
+// window — where a previous segment left its last window. A phase the
+// sampler already stands at keeps that window's decode count, so the
+// budget holds across segments; any other restarts the count.
+func (s *Sampler) SetPhase(phase int) {
+	if phase < 0 || phase >= s.winFrames {
 		phase = 0
 	}
-	s.winFrames = winFrames
-	s.frameInWin = phase
-	s.decodedInWin = 0
-}
-
-// NewSampler returns a sampler with untrained thresholds; the first frames
-// at each level are kept while the trackers prime.
-func NewSampler() *Sampler {
-	return &Sampler{}
-}
-
-// Reset forgets all learned thresholds and run state — called when the
-// monitored stream changes. The declared window cadence survives; its
-// phase restarts.
-func (s *Sampler) Reset() {
-	s.extract.reset()
-	s.decode.reset()
-	s.extRun, s.decRun = 0, 0
-	s.haveSize = false
-	s.frameInWin, s.decodedInWin = 0, 0
+	if phase != s.frameInWin {
+		s.frameInWin, s.decodedInWin = phase, 0
+	}
 }
 
 // KeepExtract decides whether a decoded key frame gets full feature
@@ -166,10 +146,8 @@ func (s *Sampler) KeepExtract(level int, score float64, scoreOK bool) bool {
 // worth decoding at the given shed level. payloadBytes is the frame's
 // compressed size — its delta against the previous kept-or-shed frame is
 // the pre-decode change proxy (a static scene compresses to nearly the
-// same size every frame; a cut or high motion moves it sharply). With a
-// declared window cadence the decision runs under the per-window decode
-// budget; without one it is a pure quantile threshold with the max-run
-// guard.
+// same size every frame; a cut or high motion moves it sharply). The
+// decision runs under the per-window decode budget.
 func (s *Sampler) KeepDecode(level int, payloadBytes int) bool {
 	delta := 0
 	if s.haveSize {
@@ -178,62 +156,38 @@ func (s *Sampler) KeepDecode(level int, payloadBytes int) bool {
 			delta = -delta
 		}
 	}
-	first := !s.haveSize
 	s.prevSize = payloadBytes
 	s.haveSize = true
 
 	pos := s.frameInWin
-	if s.winFrames > 0 {
-		if pos == 0 {
-			s.decodedInWin = 0
-		}
-		s.frameInWin = (s.frameInWin + 1) % s.winFrames
+	if pos == 0 {
+		s.decodedInWin = 0
 	}
-	keep := s.keepDecode(level, delta, first, pos)
+	s.frameInWin = (pos + 1) % s.winFrames
+	keep := s.keepDecode(level, float64(delta), pos)
 	if keep {
 		s.decodedInWin++
 	}
 	return keep
 }
 
-func (s *Sampler) keepDecode(level int, delta int, first bool, pos int) bool {
-	if level < 2 || level > MaxLevel || decodeDrop[level] == 0 {
-		s.decRun = 0
+// keepDecode decides frame pos of the window: the budget caps the window's
+// decodes (the latency bound) and a forced keep spends what is left when the
+// remaining frames could not otherwise use it (the fidelity floor — every
+// window keeps at least one real frame). The threshold learns from every
+// frame, kept or not.
+func (s *Sampler) keepDecode(level int, delta float64, pos int) bool {
+	if level < 2 || level > MaxLevel {
 		return true
 	}
 	s.decode.f = decodeDrop[level]
-	if s.winFrames > 0 {
-		// Window-budget mode: the budget caps this window's decodes (the
-		// latency bound) and a forced keep spends what is left when the
-		// remaining frames could not otherwise use it (the fidelity floor —
-		// every window keeps at least one real frame).
-		budget := int(float64(s.winFrames)*(1-decodeDrop[level]) + 0.5)
-		if budget < 1 {
-			budget = 1
-		}
-		remaining := s.winFrames - pos
-		switch left := budget - s.decodedInWin; {
-		case left <= 0:
-			s.decode.update(float64(delta)) // keep the threshold learning
-			return false
-		case left >= remaining:
-			s.decode.update(float64(delta))
-			return true
-		default:
-			return s.decode.update(float64(delta))
-		}
-	}
-	if first || s.decRun >= maxDecodeRun {
-		s.decRun = 0
-		if !first {
-			s.decode.update(float64(delta))
-		}
+	budget := max(int(float64(s.winFrames)*(1-decodeDrop[level])+0.5), 1)
+	keep := s.decode.update(delta)
+	switch left := budget - s.decodedInWin; {
+	case left <= 0:
+		return false
+	case left >= s.winFrames-pos:
 		return true
 	}
-	if s.decode.update(float64(delta)) {
-		s.decRun = 0
-		return true
-	}
-	s.decRun++
-	return false
+	return keep
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSamplerLevelZeroKeepsEverything(t *testing.T) {
-	s := NewSampler()
+	s := NewSampler(4)
 	for i := 0; i < 200; i++ {
 		if !s.KeepExtract(0, 0, true) {
 			t.Fatal("level 0 shed an extract")
@@ -19,7 +19,7 @@ func TestSamplerLevelZeroKeepsEverything(t *testing.T) {
 }
 
 func TestSamplerLevelOneDoesNotShedDecode(t *testing.T) {
-	s := NewSampler()
+	s := NewSampler(4)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		if !s.KeepDecode(1, 1000+rng.Intn(200)) {
@@ -29,7 +29,7 @@ func TestSamplerLevelOneDoesNotShedDecode(t *testing.T) {
 }
 
 func TestSamplerShedsNearTargetFraction(t *testing.T) {
-	s := NewSampler()
+	s := NewSampler(4)
 	rng := rand.New(rand.NewSource(7))
 	const n = 5000
 	kept := 0
@@ -48,7 +48,7 @@ func TestSamplerShedsNearTargetFraction(t *testing.T) {
 }
 
 func TestSamplerPrefersHighMotion(t *testing.T) {
-	s := NewSampler()
+	s := NewSampler(4)
 	rng := rand.New(rand.NewSource(3))
 	var keptHigh, nHigh, keptLow, nLow int
 	for i := 0; i < 6000; i++ {
@@ -83,7 +83,7 @@ func TestSamplerPrefersHighMotion(t *testing.T) {
 }
 
 func TestSamplerMaxRunGuard(t *testing.T) {
-	s := NewSampler()
+	s := NewSampler(4)
 	// Train the threshold high, then feed identical sub-threshold scores:
 	// runs of sheds must never exceed maxExtractRun.
 	rng := rand.New(rand.NewSource(5))
@@ -105,7 +105,11 @@ func TestSamplerMaxRunGuard(t *testing.T) {
 		t.Fatalf("extract shed run of %d exceeds guard %d", worst, maxExtractRun)
 	}
 
-	d := NewSampler()
+	// Decode sheds have no run guard of their own: the window budget keeps
+	// at least one decode in every basic window, so a run of sheds reaches
+	// at most from a window's first frame to the next window's last.
+	const w = 4
+	d := NewSampler(w)
 	for i := 0; i < 500; i++ {
 		d.KeepDecode(3, 1000+rng.Intn(500))
 	}
@@ -115,24 +119,22 @@ func TestSamplerMaxRunGuard(t *testing.T) {
 			run = 0
 		} else {
 			run++
-			if run > worst {
-				worst = run
-			}
+			worst = max(worst, run)
 		}
 	}
-	if worst > maxDecodeRun {
-		t.Fatalf("decode shed run of %d exceeds guard %d", worst, maxDecodeRun)
+	if worst > 2*(w-1) {
+		t.Fatalf("decode shed run of %d spans a whole %d-frame window", worst, w)
 	}
 }
 
 func TestSamplerForcedKeepsOnUnscorableFrames(t *testing.T) {
-	s := NewSampler()
+	s := NewSampler(4)
 	for i := 0; i < 50; i++ {
 		if !s.KeepExtract(3, 0, false) {
 			t.Fatal("unscorable frame was shed")
 		}
 	}
-	d := NewSampler()
+	d := NewSampler(4)
 	if !d.KeepDecode(3, 1234) {
 		t.Fatal("first frame (no size delta yet) was shed")
 	}
@@ -140,7 +142,7 @@ func TestSamplerForcedKeepsOnUnscorableFrames(t *testing.T) {
 
 func TestSamplerLevelThreeShedsMoreDecodesThanLevelTwo(t *testing.T) {
 	rate := func(level int) float64 {
-		s := NewSampler()
+		s := NewSampler(4)
 		rng := rand.New(rand.NewSource(11))
 		kept := 0
 		const n = 5000
@@ -151,30 +153,52 @@ func TestSamplerLevelThreeShedsMoreDecodesThanLevelTwo(t *testing.T) {
 		}
 		return 1 - float64(kept)/n
 	}
-	d2, d3 := rate(2), rate(3)
-	if d3 <= d2 {
-		t.Fatalf("decode drop at level 3 (%.3f) not above level 2 (%.3f)", d3, d2)
-	}
-	if d2 < 0.2 {
-		t.Fatalf("decode drop at level 2 = %.3f, suspiciously low", d2)
+	// On 4-frame windows the budget is 2 decodes at level 2 and 1 at level
+	// 3, and the tail keep spends all of it: the drops are exact.
+	if d2, d3 := rate(2), rate(3); d2 != 0.5 || d3 != 0.75 {
+		t.Fatalf("decode drop %.4f at level 2 and %.4f at level 3, want 0.5 and 0.75", d2, d3)
 	}
 }
 
-func TestSamplerResetForgetsState(t *testing.T) {
-	s := NewSampler()
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 300; i++ {
-		s.KeepExtract(1, 5+rng.Float64(), true)
-		s.KeepDecode(3, 1000+rng.Intn(400))
-	}
-	s.Reset()
-	// After reset the trackers are unprimed: first scored frames are kept
-	// even with scores far below the previously learned threshold.
-	if !s.KeepExtract(1, 1e-9, true) {
-		t.Fatal("first extract after Reset was shed")
-	}
-	if !s.KeepDecode(3, 1000) {
-		t.Fatal("first decode after Reset was shed")
+// TestSamplerDecodeBudgetPerWindow: at every level and cadence, each basic
+// window keeps between one decode and ⌈w·(1−drop)⌉ — also the window a
+// previous segment left half-filled, which SetPhase enters: continued when
+// this sampler decided its first frames, fresh when it did not (a resumed
+// detector).
+func TestSamplerDecodeBudgetPerWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	size := func() int { return 1000 + rng.Intn(400) }
+	for level := 0; level <= MaxLevel; level++ {
+		for _, w := range []int{1, 2, 3, 4, 5, 10} {
+			budget := int(math.Ceil(float64(w) * (1 - decodeDrop[level])))
+			for phase := 0; phase < w; phase++ {
+				for _, carried := range []bool{false, true} {
+					s := NewSampler(w)
+					kept := 0
+					if carried {
+						for range phase {
+							if s.KeepDecode(level, size()) {
+								kept++
+							}
+						}
+					}
+					s.SetPhase(phase)
+					pos := phase
+					for range 40 * w {
+						if s.KeepDecode(level, size()) {
+							kept++
+						}
+						if pos++; pos == w {
+							if kept < 1 || kept > budget {
+								t.Fatalf("level %d, w %d, phase %d (carried %v): a window kept %d decodes, want 1..%d",
+									level, w, phase, carried, kept, budget)
+							}
+							kept, pos = 0, 0
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -105,9 +105,10 @@ func TestEveryExperimentRuns(t *testing.T) {
 	l := tinyLab()
 	for _, e := range Registry {
 		if e.Name == "overload" {
-			// TestOverloadSmoke runs the same sweep (its scale does not
-			// depend on the lab), renders this table and checks it under
-			// stricter gates; a second run here only doubled the time.
+			// A wall-clock sweep at a fixed scale, not the lab's, and
+			// most of this package's time under -race: TestOverloadTable
+			// checks its table and the root package's TestOverloadSmoke
+			// gates the layer on exact numbers.
 			continue
 		}
 		e := e

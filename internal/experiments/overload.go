@@ -18,22 +18,24 @@ import (
 // half that cost ("2× sustainable ingest") with the controller observing
 // only, and once with shedding enabled. The shed run must bring the
 // steady-state p99 back under the budget; the price is the recall loss the
-// table quantifies. Wall-clock timing experiment: absolute numbers vary by
-// machine, the shape (bounded p99, small recall loss) is the result.
+// table quantifies. Wall-clock timing experiment for real hosts: absolute
+// numbers vary by machine and run, the shape (bounded p99, small recall
+// loss) is the result. The exact, gated version of this sweep runs on a
+// modelled window cost (TestOverloadSmoke in the root package).
 func Overload(l *Lab) (*stats.Table, error) {
-	rep, err := OverloadRun(l.opt.Seed)
+	rows, err := overloadRun(l.opt.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return overloadTable(rep), nil
+	return overloadTable(rows), nil
 }
 
 // overloadTable renders a sweep's rows as the experiment's table.
-func overloadTable(rep *OverloadReport) *stats.Table {
+func overloadTable(rows []overloadRow) *stats.Table {
 	tb := stats.NewTable("Overload: shed level vs steady p99 vs recall at 2× sustainable ingest",
 		"mode", "budget", "level", "steady-p99", "windows", "shed-windows",
 		"extract-shed", "decode-shed", "matches", "recall", "recall-loss")
-	for _, r := range rep.Rows {
+	for _, r := range rows {
 		tb.AddRow(r.Mode,
 			time.Duration(r.BudgetSec*float64(time.Second)).Round(time.Microsecond),
 			r.Level,
@@ -46,41 +48,28 @@ func overloadTable(rep *OverloadReport) *stats.Table {
 	return tb
 }
 
-// OverloadRow is one monitored pass of the overload sweep, in
-// machine-readable form (the CI overload-smoke artifact).
-type OverloadRow struct {
+// overloadRow is one monitored pass of the overload sweep.
+type overloadRow struct {
 	// Mode is "calibrate" (unreachable budget), "observe" (tight budget,
 	// shedding disabled) or "shed" (tight budget, shedding enabled).
-	Mode string `json:"mode"`
+	Mode string
 	// BudgetSec is the per-window real-time budget this pass ran under.
-	BudgetSec float64 `json:"budget_sec"`
+	BudgetSec float64
 	// Level is the shed level the controller settled at.
-	Level int `json:"level"`
+	Level int
 	// SteadyP99Sec is the p99 window latency since the last level change.
-	SteadyP99Sec float64 `json:"steady_p99_sec"`
+	SteadyP99Sec float64
 	// Windows / ShedWindows count observed windows and those at level > 0.
-	Windows     int64 `json:"windows"`
-	ShedWindows int64 `json:"shed_windows"`
-	Transitions int64 `json:"transitions"`
+	Windows     int64
+	ShedWindows int64
 	// ExtractShed / DecodeShed count key frames dropped per stage.
-	ExtractShed int64 `json:"extract_shed"`
-	DecodeShed  int64 `json:"decode_shed"`
+	ExtractShed int64
+	DecodeShed  int64
 	// Matches / Recall score the pass against the planted insertions;
 	// RecallLossPct is relative to the calibration pass.
-	Matches       int     `json:"matches"`
-	Recall        float64 `json:"recall"`
-	RecallLossPct float64 `json:"recall_loss_pct"`
-}
-
-// OverloadReport is the full sweep result.
-type OverloadReport struct {
-	// CalibP99Sec is the measured sustainable per-window cost; BudgetSec
-	// is the half of it the loaded passes run under.
-	CalibP99Sec float64       `json:"calib_p99_sec"`
-	BudgetSec   float64       `json:"budget_sec"`
-	Queries     int           `json:"queries"`
-	StreamSec   float64       `json:"stream_sec"`
-	Rows        []OverloadRow `json:"rows"`
+	Matches       int
+	Recall        float64
+	RecallLossPct float64
 }
 
 // Scenario geometry. Frames are large and the query count small so the
@@ -163,22 +152,22 @@ func overloadConfig() vdsms.Config {
 }
 
 // monitorOverload runs one pass over the scenario and scores it.
-func monitorOverload(sc *overloadScenario, budget time.Duration, shed bool) (OverloadRow, vdsms.OverloadStats, error) {
+func monitorOverload(sc *overloadScenario, budget time.Duration, shed bool) (overloadRow, vdsms.OverloadStats, error) {
 	cfg := overloadConfig()
 	cfg.RealTimeBudget = budget
 	cfg.Shed = shed
 	det, err := vdsms.NewDetector(cfg)
 	if err != nil {
-		return OverloadRow{}, vdsms.OverloadStats{}, err
+		return overloadRow{}, vdsms.OverloadStats{}, err
 	}
 	for id := 1; id <= ovlQueries; id++ {
 		if err := det.AddQuery(id, bytes.NewReader(sc.queries[id])); err != nil {
-			return OverloadRow{}, vdsms.OverloadStats{}, err
+			return overloadRow{}, vdsms.OverloadStats{}, err
 		}
 	}
 	matches, err := det.Monitor(bytes.NewReader(sc.stream))
 	if err != nil {
-		return OverloadRow{}, vdsms.OverloadStats{}, err
+		return overloadRow{}, vdsms.OverloadStats{}, err
 	}
 	reports := make([]workload.Position, 0, len(matches))
 	for _, m := range matches {
@@ -189,13 +178,12 @@ func monitorOverload(sc *overloadScenario, budget time.Duration, shed bool) (Ove
 	}
 	ev := workload.Evaluate(reports, sc.truth, int(ovlWindowSec*ovlKeyFPS))
 	o := det.Overload()
-	row := OverloadRow{
+	row := overloadRow{
 		BudgetSec:    budget.Seconds(),
 		Level:        o.Level,
 		SteadyP99Sec: o.RunP99.Seconds(),
 		Windows:      o.Observed,
 		ShedWindows:  o.ShedWindows,
-		Transitions:  o.Transitions,
 		ExtractShed:  o.ExtractShed,
 		DecodeShed:   o.DecodeShed,
 		Matches:      len(matches),
@@ -204,9 +192,9 @@ func monitorOverload(sc *overloadScenario, budget time.Duration, shed bool) (Ove
 	return row, o, nil
 }
 
-// OverloadRun executes the three-pass sweep: calibrate the sustainable
+// overloadRun executes the three-pass sweep: calibrate the sustainable
 // per-window cost, then rerun at half of it with shedding off and on.
-func OverloadRun(seed int64) (*OverloadReport, error) {
+func overloadRun(seed int64) ([]overloadRow, error) {
 	sc, err := buildOverloadScenario(seed)
 	if err != nil {
 		return nil, err
@@ -264,14 +252,7 @@ func OverloadRun(seed int64) (*OverloadReport, error) {
 	shed.Mode = "shed"
 	shed.RecallLossPct = recallLossPct(calib.Recall, shed.Recall)
 
-	streamSec := float64(ovlQueries)*(ovlGapSec+ovlQuerySec) + ovlGapSec
-	return &OverloadReport{
-		CalibP99Sec: calib.SteadyP99Sec,
-		BudgetSec:   budget.Seconds(),
-		Queries:     ovlQueries,
-		StreamSec:   streamSec,
-		Rows:        []OverloadRow{calib, observe, shed},
-	}, nil
+	return []overloadRow{calib, observe, shed}, nil
 }
 
 func recallLossPct(base, got float64) float64 {

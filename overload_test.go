@@ -168,6 +168,43 @@ func TestSetRealTimeBudgetArmsAndRetunes(t *testing.T) {
 	}
 }
 
+// TestSiblingTakesTheLineageBudget: a NewStream sibling made before the
+// lineage's budget is set takes it too — every stream of a lineage shares
+// one controller from the lineage's first detector on — so monitoring
+// through the sibling observes and sheds at the lineage's level.
+func TestSiblingTakesTheLineageBudget(t *testing.T) {
+	cfg := overloadConfig()
+	cfg.Shed = true
+	det, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.AddQuery(1, bytes.NewReader(clip(t, 1, 10))); err != nil {
+		t.Fatal(err)
+	}
+	sib, err := det.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	det.SetRealTimeBudget(time.Nanosecond)
+	if got := sib.RealTimeBudget(); got != time.Nanosecond {
+		t.Fatalf("sibling budget %v, want the lineage's 1ns", got)
+	}
+	if _, err := sib.Monitor(bytes.NewReader(clip(t, 50, 120))); err != nil {
+		t.Fatal(err)
+	}
+	o := sib.Overload()
+	if !o.Armed || o.Observed == 0 || o.Level < 1 {
+		t.Fatalf("sibling overload stats %+v, want armed, observing and escalated", o)
+	}
+	if o.ExtractShed == 0 {
+		t.Fatalf("sibling shed nothing at level %d: %+v", o.Level, o)
+	}
+	if det.ShedLevel() != o.Level {
+		t.Fatalf("root at level %d, sibling at %d: one lineage, one level", det.ShedLevel(), o.Level)
+	}
+}
+
 // cancelAfterReader cancels ctx once n bytes have been served, then keeps
 // serving — the cancellation is observed by MonitorContext's reader wrapper
 // at the next read.

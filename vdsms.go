@@ -205,8 +205,8 @@ type Detector struct {
 	tracer  *trace.Recorder
 
 	// Adaptive-ingest state (see degrade.go): the overload controller is
-	// shared across the lineage like slow; ovl holds this stream's sampler,
-	// motion scorer and damage counters.
+	// shared across the lineage from its first arm, like slow; ovl holds
+	// this stream's sampler, motion scorer and damage counters.
 	ctl *degrade.Controller
 	ovl *ovlState
 
@@ -447,27 +447,25 @@ func newDetector(cfg Config) (*Detector, core.Config, error) {
 // (Config.TraceEvents, Config.AuditFraction) into the lineage's journal
 // and the per-window record's observer — the lineage's span collector
 // under the stream's label, its slow-window budget, the slow-window report
-// and, when armed, the overload controller. The first arm of a lineage
-// creates its journal, collector and budget; neither allocates a ring
-// until it keeps something. Called at every engine construction site
-// (NewDetector, NewStreamNamed, LoadDetector, Resume) and by
-// SetRealTimeBudget when it arms the controller; a Fleet's streams get the
-// same observer minus the report and the controller (Detector.NewFleet).
+// and the overload controller's feed. The first arm of a lineage creates
+// its journal, collector, budget and controller (off while its budget is
+// 0); neither allocates a ring until it keeps something. Called at every
+// engine construction site (NewDetector, NewStreamNamed, LoadDetector,
+// Resume); a Fleet's streams get the same observer minus the report and the
+// controller (Detector.NewFleet).
 func (d *Detector) arm(eng *core.Engine) {
 	d.engine, d.front.eng = eng, eng
 	eng.OnMatch = d.forward
 	if d.ovl == nil {
-		d.ovl = &ovlState{sampler: degrade.NewSampler()}
+		d.ovl = &ovlState{sampler: degrade.NewSampler(d.winKeyF)}
 		d.front.shed = d.shedExtract
-	}
-	if d.ctl == nil && d.cfg.RealTimeBudget > 0 {
-		d.ctl = degrade.NewController(degrade.ControllerConfig{Budget: d.cfg.RealTimeBudget})
 	}
 	if d.slow == nil {
 		d.slow = new(atomic.Int64)
 		d.slow.Store(int64(d.cfg.slowWindowBudget()))
 		d.journal = trace.NewJournal(max(d.cfg.TraceEvents, trace.DefaultEventCap), trace.DefaultMatchCap)
 		d.spans = perfobs.NewCollector(perfobs.DefaultRing)
+		d.ctl = degrade.NewController(d.cfg.RealTimeBudget)
 	}
 	// The first engine creates the journal recorder; engine swaps
 	// (LoadDetector, Resume) re-install it so the detector keeps its stream.
@@ -483,10 +481,7 @@ func (d *Detector) arm(eng *core.Engine) {
 		d.perfLabel = d.tracer.StreamName()
 	}
 	o := d.observer()
-	o.Stream, o.OnSlow = d.perfLabel, d.slowWindow
-	if d.ctl != nil {
-		o.OnWindow = d.observeIngestWindow
-	}
+	o.Stream, o.OnSlow, o.OnWindow = d.perfLabel, d.slowWindow, d.observeIngestWindow
 	eng.Observe(o)
 }
 
@@ -504,8 +499,8 @@ func (d *Detector) NewStream() (*Detector, error) { return d.NewStreamNamed("") 
 // (shown by /debug/events and match records; empty auto-assigns one). The
 // new detector joins this detector's lineage: it journals into the same
 // journal, keeps spans in the same collector and shares the
-// runtime-adjustable slow-window budget, so one POST /debug/slow-window
-// reaches every stream.
+// runtime-adjustable slow-window budget and overload controller, so one
+// POST /debug/slow-window or SetRealTimeBudget reaches every stream.
 func (d *Detector) NewStreamNamed(name string) (*Detector, error) {
 	eng, err := core.NewEngineWith(d.engine.Config(), d.engine.Queries())
 	if err != nil {
@@ -684,10 +679,9 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 	}
 	if d.shedArmed() {
 		o, ctl := d.ovl, d.ctl
-		// Declare the basic-window cadence so decode shedding runs under the
-		// per-window budget (the phase accounts for a window left half-filled
-		// by the previous Monitor call).
-		o.sampler.SetWindow(d.winKeyF, d.engine.PendingFrames()%d.winKeyF)
+		// The decode budget's window may be one the previous Monitor call
+		// left half-filled.
+		o.sampler.SetPhase(d.engine.PendingFrames())
 		pd.SetShedCheck(func(payloadBytes int) bool {
 			keep := o.sampler.KeepDecode(ctl.Level(), payloadBytes)
 			if !keep {
