@@ -168,24 +168,35 @@ func (f *Family) Add(s Sketch, x uint64) {
 	elementBufs.Put(buf)
 }
 
-// sketchRowsVec is sketchRows for a multiple of 4 rows at vector width, set
-// at start-up on CPUs that have it (sketch_amd64.go), nil elsewhere.
-var sketchRowsVec func(a, b, s []uint64, row []uint16, xms []uint64)
+// sketchKernel is a vector routine of sketchRows: sketchRowsGo over a
+// multiple of step rows.
+type sketchKernel struct {
+	step int
+	fold func(a, b, s []uint64, row []uint16, xms []uint64)
+}
+
+// sketchKernels are the vector routines this CPU runs, widest first, set at
+// start-up (sketch_amd64.go); empty elsewhere.
+var sketchKernels []sketchKernel
 
 // sketchRows folds the premixed elements xms into s, the K rows outermost so
 // that a row's a_i and b_i stay in registers while the ≈5 elements of a
 // window are hashed. When row is not nil, row[i] is set to the index in xms
-// of the element that holds s[i], which must start Empty. The rows up to a
-// multiple of 4 run at vector width where the CPU allows, the rest on the
-// Go twin.
+// of the element that holds s[i], which must start Empty. Each vector
+// routine takes the rows left up to a multiple of its step, widest first,
+// and the Go twin the rest.
 func (f *Family) sketchRows(s Sketch, row []uint16, xms []uint64) {
 	a, b := f.a[:len(s)], f.b[:len(s)]
-	if n := len(s) &^ 3; n > 0 && sketchRowsVec != nil {
+	for _, k := range sketchKernels {
+		n := len(s) / k.step * k.step
+		if n == 0 {
+			continue
+		}
 		var head []uint16
 		if row != nil {
 			head, row = row[:n], row[n:]
 		}
-		sketchRowsVec(a[:n], b[:n], s[:n], head, xms)
+		k.fold(a[:n], b[:n], s[:n], head, xms)
 		a, b, s = a[n:], b[n:], s[n:]
 	}
 	sketchRowsGo(a, b, s, row, xms)
@@ -275,13 +286,16 @@ type Winners struct {
 	// row the element holds and the later one none.
 	Cells []uint64
 	// Row[i] indexes the element of Cells whose hash is the sketch's value
-	// at row i. Empty when Cells outnumber MaxWinners.
+	// at row i: K halfwords, which the vector sketch routines store eight
+	// or four at a time and the query index reads 64 at a time, comparing
+	// them against each cell's index to find the rows it wins. Empty when
+	// Cells outnumber MaxWinners.
 	Row []uint16
 }
 
 // SketchWinners is SketchSet that also fills w, whose buffers it reuses:
 // the same single loop over the rows, which keeps the index of the element
-// it takes each minimum from.
+// it takes each minimum from, in every vector routine as in the Go twin.
 func (f *Family) SketchWinners(ids []uint64, w *Winners) Sketch {
 	return f.SketchWinnersInto(make(Sketch, f.k), ids, w)
 }

@@ -9,12 +9,20 @@ import (
 )
 
 // fuzzKs are the family sizes FuzzSketchRows draws from: every tail length
-// with and without whole vector steps, the benchmark's K, and K past it.
-var fuzzKs = []int{1, 2, 3, 4, 5, 6, 7, 64, 800, 803}
+// with and without whole four-row steps, sixteen-row steps followed by
+// none, some and three four-row steps with and without a Go tail, the
+// benchmark's K, and K past it.
+var fuzzKs = []int{1, 2, 3, 4, 5, 6, 7, 15, 16, 17, 31, 33, 47, 48, 49, 64, 800, 803, 816, 819}
+
+// namedSketchKernel is a vector routine the tests call by name.
+type namedSketchKernel struct {
+	name string
+	sketchKernel
+}
 
 // checkSketchRows folds xms into copies of s with the Go twin, with the
-// dispatch sketchRows makes and, where this CPU has one, with the vector
-// routine alone over the whole vector steps, and requires the twin's
+// dispatch sketchRows makes and with each vector routine this CPU has
+// alone over its whole steps, dispatched or not, and requires the twin's
 // sketch and, for a non-nil row, its winners from each.
 func checkSketchRows(t *testing.T, f *Family, s Sketch, withRow bool, xms []uint64) {
 	t.Helper()
@@ -32,13 +40,17 @@ func checkSketchRows(t *testing.T, f *Family, s Sketch, withRow bool, xms []uint
 	}
 	wantS, wantRow := run(func(s Sketch, row []uint16) { sketchRowsGo(f.a, f.b, s, row, xms) })
 	got := map[string]func(Sketch, []uint16){"dispatch": func(s Sketch, row []uint16) { f.sketchRows(s, row, xms) }}
-	if n := len(s) &^ 3; sketchRowsVec != nil && n > 0 {
-		got["vector"] = func(s Sketch, row []uint16) {
+	for _, k := range vectorSketchKernels() {
+		n := len(s) / k.step * k.step
+		if n == 0 {
+			continue
+		}
+		got[k.name] = func(s Sketch, row []uint16) {
 			var head []uint16
 			if row != nil {
 				head = row[:n]
 			}
-			sketchRowsVec(f.a[:n], f.b[:n], s[:n], head, xms)
+			k.fold(f.a[:n], f.b[:n], s[:n], head, xms)
 			sketchRowsGo(f.a[n:], f.b[n:], s[n:], row[min(n, len(row)):], xms)
 		}
 	}
@@ -55,17 +67,18 @@ func checkSketchRows(t *testing.T, f *Family, s Sketch, withRow bool, xms []uint
 	}
 }
 
-// FuzzSketchRows holds the vector routine and the dispatch to the Go twin:
+// FuzzSketchRows holds the vector routines and the dispatch to the Go twin:
 // K in fuzzKs, 0–70 elements with repeats and the values 0, p−1 and p−2,
 // empty and pre-filled sketches (any value, Empty and values ≥ p among
 // them), with and without winners.
 func FuzzSketchRows(f *testing.F) {
-	if sketchRowsVec == nil {
+	if len(vectorSketchKernels()) == 0 {
 		f.Log("no vector routine on this CPU: checking the dispatch only")
 	}
 	f.Add(uint8(8), int64(1), false, true, []byte{})
 	f.Add(uint8(9), int64(2), true, false, make([]byte, 70*9))
 	f.Add(uint8(3), int64(3), false, true, bytes.Repeat([]byte{0xff}, 5*9))
+	f.Add(uint8(16), int64(4), true, true, bytes.Repeat([]byte{0xff}, 5*9))
 	f.Fuzz(func(t *testing.T, kSel uint8, seed int64, prefill, withRow bool, raw []byte) {
 		fam, err := NewFamily(fuzzKs[int(kSel)%len(fuzzKs)], seed)
 		if err != nil {
@@ -108,7 +121,8 @@ func FuzzSketchRows(f *testing.F) {
 // TestSketchRowsExtremes pins the largest multipliers and offsets,
 // a_i = b_i = p−1−i, against elements at the ends of [0, p) and at the
 // 32-bit boundaries the partial products split on, and against an
-// independent reduction.
+// independent reduction. Each element also ties with a copy of itself
+// after it, whose row the first keeps.
 func TestSketchRowsExtremes(t *testing.T) {
 	const k = 803
 	f := &Family{a: make([]uint64, k), b: make([]uint64, k), k: k}
@@ -128,14 +142,15 @@ func TestSketchRowsExtremes(t *testing.T) {
 			checkSketchRows(t, f, f.NewSketch(), withRow, xs[i:i+1])
 			checkSketchRows(t, f, f.NewSketch(), withRow, xs[i:])
 			checkSketchRows(t, f, f.NewSketch(), withRow, append(slices.Clone(xs[i:]), xs[:i]...))
+			checkSketchRows(t, f, f.NewSketch(), withRow, []uint64{x, xs[0], x})
 		}
 	}
 }
 
 // BenchmarkSketchRowsK800 sketches one basic window's shape, 5 distinct
-// elements into K = 800 rows with winners, on the Go twin and on the
-// dispatch (the vector routine on an AVX2 CPU), cycling through many
-// windows. It reports ns per sketch.
+// elements into K = 800 rows with winners, on the Go twin and on each
+// vector routine by name over all 800 rows, cycling through many windows.
+// A routine this CPU lacks is skipped. It reports ns per sketch.
 func BenchmarkSketchRowsK800(b *testing.B) {
 	f, _ := NewFamily(800, 1)
 	rng := rand.New(rand.NewSource(5))
@@ -147,19 +162,23 @@ func BenchmarkSketchRowsK800(b *testing.B) {
 		}
 	}
 	s, row := f.NewSketch(), make([]uint16, 800)
-	for _, k := range []struct {
-		name string
-		fold func(xms []uint64)
-	}{
-		{"go", func(xms []uint64) { sketchRowsGo(f.a, f.b, s, row, xms) }},
-		{"asm", func(xms []uint64) { f.sketchRows(s, row, xms) }},
-	} {
-		b.Run(k.name, func(b *testing.B) {
+	kernels := map[string]func(a, b, s []uint64, row []uint16, xms []uint64){
+		"go": func(a, b, s []uint64, row []uint16, xms []uint64) { sketchRowsGo(a, b, s, row, xms) },
+	}
+	for _, k := range vectorSketchKernels() {
+		kernels[k.name] = k.fold
+	}
+	for _, name := range []string{"go", "avx2", "avx512"} {
+		b.Run(name, func(b *testing.B) {
+			fold := kernels[name]
+			if fold == nil {
+				b.Skipf("no %s routine on this CPU", name)
+			}
 			for i := 0; i < b.N; i++ {
 				for j := range s {
 					s[j] = Empty
 				}
-				k.fold(windows[i%len(windows)])
+				fold(f.a, f.b, s, row, windows[i%len(windows)])
 			}
 		})
 	}

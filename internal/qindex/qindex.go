@@ -467,10 +467,7 @@ func (g *grouping) group(fam *minhash.Family, k int, value func(int) uint64, nw 
 func (g *grouping) winners(w *minhash.Winners, nw int) {
 	n := len(w.Cells) * nw
 	g.rows = slices.Grow(g.rows[:0], n)[:n]
-	clear(g.rows)
-	for i, j := range w.Row {
-		g.rows[int(j)*nw+i/64] |= 1 << (i % 64)
-	}
+	rowSets(g.rows, w.Row)
 	g.cells = slices.Grow(g.cells[:0], len(w.Cells))
 	for j, c := range w.Cells {
 		if rows := g.rows[j*nw : (j+1)*nw]; slices.ContainsFunc(rows, func(r uint64) bool { return r != 0 }) {
@@ -479,6 +476,21 @@ func (g *grouping) winners(w *minhash.Winners, nw int) {
 		}
 	}
 	g.rows = g.rows[:len(g.cells)*nw]
+}
+
+// rowSets sets rows[j·nw : (j+1)·nw], for each j below len(rows)/nw, to the
+// set of rows i with row[i] == j, nw = ⌈len(row)/64⌉ words a set:
+// rowSetsAVX512 where the CPU has it (rowsets_amd64.go), else rowSetsGo.
+var rowSets = rowSetsGo
+
+// rowSetsGo is rowSets by a scatter of every row into its cell's set, and
+// the oracle of its vector twin. Every row[i] must be below len(rows)/nw.
+func rowSetsGo(rows []uint64, row []uint16) {
+	nw := (len(row) + 63) / 64
+	clear(rows)
+	for i, j := range row {
+		rows[int(j)*nw+i/64] |= 1 << (i % 64)
+	}
 }
 
 // index returns the place of cell c in cells, adding it with an empty row
