@@ -121,9 +121,9 @@ func Fig7(l *Lab) (*stats.Table, error) { return prCurve(l, true) }
 func Fig8(l *Lab) (*stats.Table, error) { return prCurve(l, false) }
 
 func prCurve(l *Lab, precision bool) (*stats.Table, error) {
-	metric, title := "recall", "Figure 8: recall vs K (Bit, VS2)"
+	title := "Figure 8: recall vs K (Bit, VS2)"
 	if precision {
-		metric, title = "precision", "Figure 7: precision vs K (Bit, VS2)"
+		title = "Figure 7: precision vs K (Bit, VS2)"
 	}
 	dv, err := derive(l.VS2(), 4, 5, partition.GridPyramid)
 	if err != nil {
@@ -155,7 +155,6 @@ func prCurve(l *Lab, precision bool) (*stats.Table, error) {
 		}
 		tb.AddRow(row...)
 	}
-	_ = metric
 	return tb, nil
 }
 

@@ -30,11 +30,14 @@ func upsample(feats [][]float64, factor int) [][]float64 {
 
 // Fig12 reproduces Figure 12: CPU time of the proposed Bit method vs the
 // Seq [1] and Warp [6] baselines across basic window sizes, on the VS2
-// stream. The baselines slide a query-length window frame by frame over
-// the full-rate stream with the basic window as gap; the sketch method
-// touches only key frames. Warp's band r scales its cost further.
+// stream, each beside its ops. The baselines slide a query-length window
+// frame by frame over the full-rate stream with the basic window as gap;
+// the sketch method touches only key frames. Warp's band r scales its cost
+// further. A baseline's ops are d per frame distance, the L1 over the
+// d-dimensional features.
 func Fig12(l *Lab) (*stats.Table, error) {
-	dv, err := derive(l.VS2(), 4, 5, partition.GridPyramid)
+	const d = 5
+	dv, err := derive(l.VS2(), 4, d, partition.GridPyramid)
 	if err != nil {
 		return nil, err
 	}
@@ -48,45 +51,45 @@ func Fig12(l *Lab) (*stats.Table, error) {
 	}
 	sort.Ints(qids)
 
-	timeBaseline := func(kind baseline.Kind, gapFull, band int) (time.Duration, error) {
+	timeBaseline := func(kind baseline.Kind, gapFull, band int) (time.Duration, int64, error) {
 		m, err := baseline.New(baseline.Config{Kind: kind, Threshold: 0.2, Gap: gapFull, Band: band})
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		for _, qid := range qids {
 			if err := m.AddQuery(qid, queryFull[qid]); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
-		return stats.Time(func() {
+		elapsed := stats.Time(func() {
 			for _, f := range streamFull {
 				m.Push(f)
 			}
-		}), nil
+		})
+		return elapsed, d * m.FrameDistances, nil
 	}
 
 	tb := stats.NewTable("Figure 12: CPU time vs basic window size (VS2; baselines at full frame rate)",
-		"w (s)", "bit", "seq[1]", "warp r=30", "warp r=60")
+		timeAndOps([]string{"w (s)"}, "bit", "seq[1]", "warp r=30", "warp r=60")...)
 	for _, wSec := range []float64{5, 10, 15, 20} {
 		wFrames := dv.cfg.KeyWindowFrames(wSec)
 		res, err := runEngine(coreConfig(800, 0.7, wFrames, seqOrder), dv, 0)
 		if err != nil {
 			return nil, err
 		}
-		row := []any{wSec, res.Elapsed}
+		row := []any{wSec, res.Elapsed, res.Ops}
 		gapFull := wFrames * fullRateGOP
-		tSeq, err := timeBaseline(baseline.Seq, gapFull, 0)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, tSeq)
-		// Band widths in full-rate frames: 1 s and 2 s of warping slack.
-		for _, r := range []int{30, 60} {
-			tWarp, err := timeBaseline(baseline.Warp, gapFull, r)
+		// Seq, then Warp at band widths in full-rate frames: 1 s and 2 s
+		// of warping slack.
+		for _, b := range []struct {
+			kind baseline.Kind
+			band int
+		}{{baseline.Seq, 0}, {baseline.Warp, 30}, {baseline.Warp, 60}} {
+			elapsed, n, err := timeBaseline(b.kind, gapFull, b.band)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, tWarp)
+			row = append(row, elapsed, n)
 		}
 		tb.AddRow(row...)
 	}
@@ -105,7 +108,7 @@ func Fig14(l *Lab) (*stats.Table, error) {
 	tb := stats.NewTable("Figure 14: Seq baseline precision/recall vs distance threshold (VS2)",
 		"threshold", "precision", "recall")
 	for _, th := range []float64{0.05, 0.1, 0.2, 0.4, 0.8, 1.2, 1.6} {
-		ev, _, _, err := runBaseline(baseline.Config{
+		ev, err := runBaseline(baseline.Config{
 			Kind: baseline.Seq, Threshold: th, Gap: wFrames}, dv)
 		if err != nil {
 			return nil, err
@@ -132,7 +135,7 @@ func Fig15(l *Lab) (*stats.Table, error) {
 	for _, th := range []float64{0.05, 0.1, 0.2, 0.4, 0.8, 1.2, 1.6} {
 		row := []any{th}
 		for _, r := range bands {
-			ev, _, _, err := runBaseline(baseline.Config{
+			ev, err := runBaseline(baseline.Config{
 				Kind: baseline.Warp, Threshold: th, Gap: wFrames, Band: r}, dv)
 			if err != nil {
 				return nil, err

@@ -19,9 +19,34 @@ func coreConfig(k int, delta float64, wFrames int, order orderSel) core.Config {
 	return cfg
 }
 
+// ops is a run's matching work in elementary operations, the clock-free
+// twin of its CPU time: the probes' value comparisons, K positions per
+// sketch combine or compare, and one word per 64 positions of each of a
+// signature's two planes per OR or test. Under the Bit method
+// SketchCompares counts the scan prober's queries, whose positions
+// ProbeComparisons already holds. Sketching the windows (K hashes a key
+// frame, whatever the method, order or m) is fingerprinting, not matching,
+// and is left out as the baselines' feature extraction is.
+func ops(cfg core.Config, s core.Stats) int64 {
+	k := int64(cfg.K)
+	if cfg.Method == core.Bit {
+		return s.ProbeComparisons + 2*((k+63)/64)*(s.SigOrs+s.SigTests)
+	}
+	return s.ProbeComparisons + k*(s.SketchCombines+s.SketchCompares)
+}
+
+// timeAndOps names a time column and the ops column beside it for each
+// series.
+func timeAndOps(lead []string, series ...string) []string {
+	for _, s := range series {
+		lead = append(lead, s, s+" ops")
+	}
+	return lead
+}
+
 // Fig6 reproduces Figure 6: CPU time vs the number of hash functions K for
 // the Sketch and Bit representations under both combination orders (query
-// index maintained for all, VS1 stream).
+// index maintained for all, VS1 stream), each beside its ops.
 func Fig6(l *Lab) (*stats.Table, error) {
 	dv, err := derive(l.VS1(), 4, 5, partition.GridPyramid)
 	if err != nil {
@@ -29,7 +54,7 @@ func Fig6(l *Lab) (*stats.Table, error) {
 	}
 	wFrames := dv.cfg.KeyWindowFrames(5)
 	tb := stats.NewTable("Figure 6: CPU time vs K (VS1, index on)",
-		"K", "sketch-seq", "sketch-geo", "bit-seq", "bit-geo")
+		timeAndOps([]string{"K"}, "sketch-seq", "sketch-geo", "bit-seq", "bit-geo")...)
 	for _, k := range []int{100, 200, 400, 800, 1600, 3000} {
 		row := []any{k}
 		for _, method := range []core.Method{core.Sketch, core.Bit} {
@@ -40,7 +65,7 @@ func Fig6(l *Lab) (*stats.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, res.Elapsed)
+				row = append(row, res.Elapsed, res.Ops)
 			}
 		}
 		tb.AddRow(row...)
@@ -50,7 +75,7 @@ func Fig6(l *Lab) (*stats.Table, error) {
 
 // Fig9 reproduces Figure 9: CPU time vs the number of continuous queries m
 // for {Sketch, Bit} × {Index, NoIndex} under both orders (VS1 with up to
-// 200 queries).
+// 200 queries), each beside its ops.
 func Fig9(l *Lab) (*stats.Table, error) {
 	dv, err := derive(l.BigVS1(), 4, 5, partition.GridPyramid)
 	if err != nil {
@@ -58,7 +83,7 @@ func Fig9(l *Lab) (*stats.Table, error) {
 	}
 	wFrames := dv.cfg.KeyWindowFrames(5)
 	tb := stats.NewTable("Figure 9: CPU time vs number of queries m (VS1)",
-		"order", "m", "sketch-index", "sketch-noindex", "bit-index", "bit-noindex")
+		timeAndOps([]string{"order", "m"}, "sketch-index", "sketch-noindex", "bit-index", "bit-noindex")...)
 	total := len(dv.queryIDs)
 	for _, order := range []orderSel{seqOrder, geoOrder} {
 		for _, m := range []int{10, 25, 50, 100, 200} {
@@ -75,7 +100,7 @@ func Fig9(l *Lab) (*stats.Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					row = append(row, res.Elapsed)
+					row = append(row, res.Elapsed, res.Ops)
 				}
 			}
 			tb.AddRow(row...)

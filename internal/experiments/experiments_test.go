@@ -1,26 +1,61 @@
 package experiments
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"vdsms/internal/partition"
 )
 
-// tinyLab keeps experiment tests fast: 6 shorts.
-func tinyLab() *Lab { return NewLab(Options{Scale: 0.25, Seed: 11}) }
+// shapeTests names, for each registry entry, the one test that asserts the
+// shape EXPERIMENTS.md states for it. An experiment without one fails
+// TestFindRegistry.
+var shapeTests = map[string]func(*testing.T){
+	"table2":                TestTable2,
+	"fig6":                  TestFig6,
+	"fig7":                  TestFig7,
+	"fig8":                  TestFig8,
+	"fig9":                  TestFig9,
+	"fig10a":                TestFig10a,
+	"fig10b":                TestFig10b,
+	"fig11":                 TestFig11,
+	"fig12":                 TestFig12,
+	"fig13":                 TestFig13,
+	"fig14":                 TestFig14,
+	"fig15":                 TestFig15,
+	"ablation-partition":    TestAblationPartition,
+	"ablation-prune":        TestAblationPrune,
+	"robustness":            TestRobustness,
+	"robustness-temporal":   TestTemporalRobustness,
+	"ablation-lambda":       TestAblationLambda,
+	"ablation-index-update": TestAblationIndexUpdate,
+	"recovery":              TestRecovery,
+	"queryscale":            TestQueryScale,
+	"fleet":                 TestFleetScale,
+}
 
 func TestFindRegistry(t *testing.T) {
-	if len(Registry) < 14 {
-		t.Fatalf("registry has %d experiments", len(Registry))
-	}
+	tests := map[uintptr]string{}
 	for _, e := range Registry {
 		if e.Run == nil || e.Name == "" || e.Paper == "" {
 			t.Errorf("malformed experiment %+v", e)
 		}
+		if f, err := Find(e.Name); err != nil || f.Name != e.Name {
+			t.Errorf("Find(%q) = %q, %v", e.Name, f.Name, err)
+		}
+		test := shapeTests[e.Name]
+		if test == nil {
+			t.Errorf("experiment %q has no shape test in shapeTests", e.Name)
+			continue
+		}
+		pc := reflect.ValueOf(test).Pointer()
+		if other, ok := tests[pc]; ok {
+			t.Errorf("experiments %q and %q share one shape test", other, e.Name)
+		}
+		tests[pc] = e.Name
 	}
-	if _, err := Find("fig6"); err != nil {
-		t.Error(err)
+	if len(shapeTests) != len(tests) {
+		t.Errorf("shapeTests names %d experiments, the registry %d", len(shapeTests), len(tests))
 	}
 	if _, err := Find("nonsense"); err == nil {
 		t.Error("unknown experiment found")
@@ -28,7 +63,7 @@ func TestFindRegistry(t *testing.T) {
 }
 
 func TestLabWorkloadsCached(t *testing.T) {
-	l := tinyLab()
+	l := NewLab(Options{Scale: quarter})
 	if l.VS1() != l.VS1() || l.VS2() != l.VS2() || l.BigVS1() != l.BigVS1() {
 		t.Error("lab does not cache workloads")
 	}
@@ -38,7 +73,7 @@ func TestLabWorkloadsCached(t *testing.T) {
 }
 
 func TestDeriveShapes(t *testing.T) {
-	l := tinyLab()
+	l := lab(t, "vs1", quarter)
 	dv, err := derive(l.VS1(), 4, 5, partition.GridPyramid)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +95,7 @@ func TestMembershipSelfRetrievalVS1Style(t *testing.T) {
 	// On VS2, originals must retrieve their edited copies most of the time
 	// at the membership-test level — this is the foundation Table II rests
 	// on.
-	l := tinyLab()
+	l := lab(t, "table2", quarter)
 	p, r, err := membership(l, 4, 5, partition.GridPyramid, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +109,7 @@ func TestMembershipSelfRetrievalVS1Style(t *testing.T) {
 }
 
 func TestRunEngineSubsetOfQueries(t *testing.T) {
-	l := tinyLab()
+	l := lab(t, "vs1", quarter)
 	dv, err := derive(l.VS1(), 4, 5, partition.GridPyramid)
 	if err != nil {
 		t.Fatal(err)
@@ -92,38 +127,5 @@ func TestRunEngineSubsetOfQueries(t *testing.T) {
 		if m.QueryID > 2 {
 			t.Errorf("match for unsubscribed query %d", m.QueryID)
 		}
-	}
-}
-
-// TestEveryExperimentRuns executes the entire registry at tiny scale and
-// sanity-checks table shapes. This is the smoke test that keeps vcdbench
-// and bench_test.go honest.
-func TestEveryExperimentRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments registry sweep is not -short")
-	}
-	l := tinyLab()
-	for _, e := range Registry {
-		if e.Name == "overload" {
-			// A wall-clock sweep at a fixed scale, not the lab's, and
-			// most of this package's time under -race: TestOverloadTable
-			// checks its table and the root package's TestOverloadSmoke
-			// gates the layer on exact numbers.
-			continue
-		}
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			tb, err := e.Run(l)
-			if err != nil {
-				t.Fatalf("%s: %v", e.Name, err)
-			}
-			if tb.NumRows() == 0 {
-				t.Fatalf("%s produced no rows", e.Name)
-			}
-			s := tb.String()
-			if !strings.Contains(s, "#") {
-				t.Errorf("%s table has no title:\n%s", e.Name, s)
-			}
-		})
 	}
 }

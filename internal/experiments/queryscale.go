@@ -174,10 +174,3 @@ func synthStream(rng *rand.Rand, content, frames int) []uint64 {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -20,6 +20,7 @@ import (
 // when ROBUSTNESS_REPORT_DIR is set (the CI robustness-smoke job) — writes
 // the per-family P/R report as JSON and CSV artifacts.
 func TestRobustnessSmoke(t *testing.T) {
+	t.Parallel()
 	aw := workload.BuildAttack(workload.AttackConfig{
 		Base: workload.Config{
 			NumShorts: 3, ShortMinSec: 10, ShortMaxSec: 16,

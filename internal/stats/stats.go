@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 )
@@ -82,6 +83,20 @@ func (t *Table) AddRow(cells ...any) {
 
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
+
+// Column returns the cells under header as rendered, one per row, or nil
+// when no column has that header.
+func (t *Table) Column(header string) []string {
+	i := slices.Index(t.Headers, header)
+	if i < 0 {
+		return nil
+	}
+	out := make([]string, len(t.rows))
+	for r, row := range t.rows {
+		out[r] = row[i]
+	}
+	return out
+}
 
 // WriteTo renders the table.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {

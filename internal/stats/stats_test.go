@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -97,5 +98,17 @@ func TestWriteCSV(t *testing.T) {
 	want := "a,b\nplain,1.500\n\"with,comma\",\"quote\"\"inside\"\n"
 	if got != want {
 		t.Errorf("CSV output:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+func TestTableColumn(t *testing.T) {
+	tb := NewTable("Fig X", "K", "recall")
+	tb.AddRow(10, 0.5)
+	tb.AddRow(800, 1.0)
+	if got := tb.Column("recall"); !slices.Equal(got, []string{"0.500", "1.000"}) {
+		t.Errorf("Column(recall) = %q", got)
+	}
+	if got := tb.Column("nonsense"); got != nil {
+		t.Errorf("Column(nonsense) = %q, want nil", got)
 	}
 }
